@@ -12,10 +12,10 @@ from .arith import (FactoredRational, PiSet, divisors, fr_is_one, fr_mul_pow,
 from .corpus import (CorpusEntry, UnknownGroupError, corpus_entries,
                      corpus_names, get_entry, load_group, load_scenario)
 from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
-                    GroupHom, NotASubgroupError, PermGroup, centralizer, close,
-                    conjugates, core_pi, core_pi_complement, is_pi_separable,
-                    is_solvable, normal_subgroups, normalizer, quotient,
-                    subgroups_of_order, trivial_group)
+                    NotASubgroupError, PermGroup, centralizer, close, conjugates,
+                    core_pi, core_pi_complement, is_pi_separable, is_solvable,
+                    normal_subgroups, normalizer, quotient, subgroups_of_order,
+                    trivial_group)
 from .groupio import GroupFileError, format_group_text, parse_group_text
 from .hall import (CyclicLattice, HallContext, NoHallSubgroupError,
                    build_hall_context, cyclic_lattice, moebius_partition_check,
@@ -26,10 +26,9 @@ from .verify import (CharacterTable, CoprimeActionScenario, NrCheckResult,
                      SymCharSpec, WielandtResult, additive_value,
                      additive_values_all_halls, burnside_orbit_count,
                      conjugation_character, curiosity_value, cyclic_hall_check,
-                     cyclic_symmetrized_char, hall_membership_character,
-                     interpretation_check, multiplicative_value,
-                     navarro_rizo_check, power_product_pair,
-                     power_sum_bound_holds, power_subgroup, symmetrized_char,
-                     wielandt_check)
+                     cyclic_symmetrized_char, interpretation_check,
+                     multiplicative_value, navarro_rizo_check,
+                     power_product_pair, power_sum_bound_holds, power_subgroup,
+                     symmetrized_char, wielandt_check)
 
 __version__ = "0.1.0"

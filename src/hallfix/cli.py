@@ -14,14 +14,14 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .arith import PiSet, prime_divisors
 from .corpus import (A5_CURIOSITY, CorpusEntry, UnknownGroupError, corpus_entries,
                      get_entry, load_group, load_scenario)
 from .group import CapExceededError, DEFAULT_ELEMENT_CAP, PermGroup, is_pi_separable
 from .groupio import GroupFileError
-from .hall import (NoHallSubgroupError, build_hall_context,
+from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
                    lambda_report_lines, lambda_report_records)
 from .perm import PermParseError
 from .reports import (FAIL, INAPPLICABLE, PASS, CheckRecord, records_to_json,
@@ -84,25 +84,38 @@ def _require_pi(args) -> PiSet:
         raise InputError(str(exc)) from exc
 
 
-def _pi_str(pi: Optional[PiSet]) -> str:
-    return str(pi) if pi is not None else "-"
-
-
 def _fraction_str(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else str(value)
 
 
-def mult_record(name: str, G: PermGroup, pi: PiSet,
-                entry: Optional[CorpusEntry], *,
-                use_radical: bool = False) -> CheckRecord:
-    """Multiplicative identity over a Hall subgroup, with hypothesis handling."""
+#: The checks that read a Hall context, in scan order.
+HALL_CHECKS = ("verify-mult", "verify-add", "interpretation", "sym-char")
+
+
+def hall_records(name: str, G: PermGroup, pi: PiSet, checks: Sequence[str],
+                 entry: Optional[CorpusEntry] = None, *,
+                 use_radical: bool = False) -> List[CheckRecord]:
+    """Run ``checks`` on one shared Hall context for (G, pi); every check is
+    inapplicable when G has no Hall pi-subgroup."""
     try:
         ctx = build_hall_context(G, pi)
     except NoHallSubgroupError as exc:
-        return CheckRecord("verify-mult", name, str(pi), INAPPLICABLE, str(exc))
+        return [CheckRecord(check, name, str(pi), INAPPLICABLE, str(exc))
+                for check in checks]
+    make = {"verify-mult": lambda: mult_record(name, ctx, entry, use_radical=use_radical),
+            "verify-add": lambda: add_record(name, ctx),
+            "interpretation": lambda: interpretation_record(name, ctx),
+            "sym-char": lambda: sym_char_record(name, ctx)}
+    return [make[check]() for check in checks]
+
+
+def mult_record(name: str, ctx: HallContext, entry: Optional[CorpusEntry], *,
+                use_radical: bool = False) -> CheckRecord:
+    """Multiplicative identity over a Hall subgroup, with hypothesis handling."""
+    pi = ctx.pi
     value = multiplicative_value(ctx, use_radical=use_radical)
     marked = entry is not None and any(pi == ef for ef in entry.expected_mult_fail)
-    if is_pi_separable(G, pi) or any(K.is_cyclic() for K in ctx.halls):
+    if is_pi_separable(ctx.group, pi) or any(K.is_cyclic() for K in ctx.halls):
         if value.is_one():
             return CheckRecord("verify-mult", name, str(pi), PASS, "value 1")
         return CheckRecord("verify-mult", name, str(pi), FAIL,
@@ -116,19 +129,15 @@ def mult_record(name: str, G: PermGroup, pi: PiSet,
                        f"computed value {value}")
 
 
-def add_record(name: str, G: PermGroup, pi: PiSet) -> CheckRecord:
+def add_record(name: str, ctx: HallContext) -> CheckRecord:
     """Additive value: non-negative integer, zero iff the Hall subgroup is
     normal and nontrivial."""
-    try:
-        ctx = build_hall_context(G, pi)
-    except NoHallSubgroupError as exc:
-        return CheckRecord("verify-add", name, str(pi), INAPPLICABLE, str(exc))
     beta = additive_value(ctx)
     normal_nontrivial = ctx.num_halls == 1 and ctx.hall_order > 1
     ok = (beta.denominator == 1 and beta >= 0
           and (beta == 0) == normal_nontrivial)
     status = PASS if ok else FAIL
-    return CheckRecord("verify-add", name, str(pi), status,
+    return CheckRecord("verify-add", name, str(ctx.pi), status,
                        f"value {_fraction_str(beta)}")
 
 
@@ -161,15 +170,12 @@ def wielandt_record(entry: CorpusEntry, cap: int) -> CheckRecord:
                        f"lhs {result.lhs} vs rhs {result.rhs}")
 
 
-def sym_char_record(name: str, G: PermGroup, pi: PiSet) -> CheckRecord:
+def sym_char_record(name: str, ctx: HallContext) -> CheckRecord:
     """Square-symmetrization identities of the conjugation character, plus the
     averaged cyclic symmetrization against the additive value."""
-    try:
-        ctx = build_hall_context(G, pi)
-    except NoHallSubgroupError as exc:
-        return CheckRecord("sym-char", name, str(pi), INAPPLICABLE, str(exc))
+    pi = ctx.pi
     tau = conjugation_character(ctx)
-    for g in G.elements:
+    for g in ctx.group.elements:
         square, power_two = tau(g) ** 2, tau(g**2)
         sym = (square + power_two) / 2
         alt = (square - power_two) / 2
@@ -188,11 +194,8 @@ def sym_char_record(name: str, G: PermGroup, pi: PiSet) -> CheckRecord:
                        f"identities hold; averaged value {_fraction_str(beta)}")
 
 
-def interpretation_record(name: str, G: PermGroup, pi: PiSet) -> CheckRecord:
-    try:
-        ctx = build_hall_context(G, pi)
-    except NoHallSubgroupError as exc:
-        return CheckRecord("interpretation", name, str(pi), INAPPLICABLE, str(exc))
+def interpretation_record(name: str, ctx: HallContext) -> CheckRecord:
+    pi = ctx.pi
     if not ctx.canonical_hall.is_abelian():
         return CheckRecord("interpretation", name, str(pi), INAPPLICABLE,
                            "Hall subgroup is not abelian; power subgroups "
@@ -225,10 +228,7 @@ def scan_records(entries: List[CorpusEntry], cap: int) -> List[CheckRecord]:
     for entry in entries:
         G = load_group(entry.name, cap=cap)
         for pi in entry.check_pis:
-            records.append(mult_record(entry.name, G, pi, entry))
-            records.append(add_record(entry.name, G, pi))
-            records.append(interpretation_record(entry.name, G, pi))
-            records.append(sym_char_record(entry.name, G, pi))
+            records += hall_records(entry.name, G, pi, HALL_CHECKS, entry)
         if entry.scenario is not None:
             records.append(nr_record(entry, cap))
             records.append(wielandt_record(entry, cap))
@@ -285,7 +285,9 @@ def _dispatch(args) -> int:
 
     if command == "curiosity":
         name, G, _ = _resolve_group(args)
-        pi = PiSet.parse(args.pi) if args.pi else PiSet([3])
+        pi = _require_pi(args) if args.pi else PiSet([3])
+        if args.n is not None and args.n < 1:
+            raise InputError(f"--n must be positive, got {args.n}")
         record, text = curiosity_record(name, G, pi, args.n)
         if args.json:
             _emit([record], True)
@@ -304,7 +306,7 @@ def _dispatch(args) -> int:
             raise InputError(f"corpus entry {entry.name} has no designated "
                              "coprime scenario")
         if command == "verify-nr":
-            pi = PiSet.parse(args.pi) if args.pi else None
+            pi = _require_pi(args) if args.pi else None
             record = nr_record(entry, args.cap, pi)
         else:
             record = wielandt_record(entry, args.cap)
@@ -313,18 +315,10 @@ def _dispatch(args) -> int:
 
     name, G, entry = _resolve_group(args)
     pi = _require_pi(args)
-    if command == "verify-mult":
-        record = mult_record(name, G, pi, entry, use_radical=args.radical)
-    elif command == "verify-add":
-        record = add_record(name, G, pi)
-    elif command == "sym-char":
-        record = sym_char_record(name, G, pi)
-    elif command == "interpretation":
-        record = interpretation_record(name, G, pi)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise InputError(f"unknown command {command}")
-    _emit([record], args.json)
-    return 1 if unexpected_failures([record]) else 0
+    records = hall_records(name, G, pi, [command], entry,
+                           use_radical=getattr(args, "radical", False))
+    _emit(records, args.json)
+    return 1 if unexpected_failures(records) else 0
 
 
 if __name__ == "__main__":

@@ -263,10 +263,6 @@ _ENTRIES: List[CorpusEntry] = [
 
 _BY_NAME: Dict[str, CorpusEntry] = {e.name: e for e in _ENTRIES}
 
-#: Entries whose Möbius power sum over the whole group is worth printing:
-#: A5 is pinned to a reference digit string, the others are informational.
-CURIOSITY_GROUPS: Tuple[str, ...] = ("A5", "S5", "PSL(2,9)", "PGL(2,9)")
-
 #: The reference value of the A5 curiosity (conjugation on Syl_3, n = 60).
 A5_CURIOSITY = 277777777777777777777777777773333333332754803832758090933
 

@@ -105,10 +105,23 @@ class PermGroup:
         if self.order > _TABLE_LIMIT:
             return None
         if self._table is None:
+            # Only generator rows take real products.  Every other row comes
+            # by breadth-first search from the identity (index 0), using
+            # row(s * x) = row(s) o row(x): |G| lookups per row.
             idx = self._ensure_index()
-            rows = []
-            for a in self.elements:
-                rows.append(array("H", (idx[a * b] for b in self.elements)))
+            gen_rows = [array("H", (idx[s * b] for b in self.elements))
+                        for s in dict.fromkeys(self.generators)]
+            rows: List[Optional[array]] = [None] * self.order
+            rows[0] = array("H", range(self.order))
+            queue = [0]
+            for x in queue:
+                for srow in gen_rows:
+                    y = srow[x]
+                    if rows[y] is None:
+                        rows[y] = array("H", map(srow.__getitem__, rows[x]))
+                        queue.append(y)
+            if len(queue) != self.order:
+                raise AssertionError("generators do not generate the element list")
             object.__setattr__(self, "_table", tuple(rows))
         return self._table
 
@@ -203,12 +216,6 @@ def _close_set(start: set, gens: Sequence[Permutation]) -> set:
 def _conjugate_set(elems: FrozenSet[Permutation], g: Permutation) -> FrozenSet[Permutation]:
     ginv = g.inverse()
     return frozenset(g * x * ginv for x in elems)
-
-
-def _require_inside(G: PermGroup, elems: Iterable[Permutation], what: str) -> None:
-    for x in elems:
-        if x not in G:
-            raise NotASubgroupError(f"{what} is not inside the ambient group: {x}")
 
 
 def centralizer(G: PermGroup, s: "Permutation | PermGroup") -> PermGroup:
@@ -315,6 +322,7 @@ def _subgroup_search_indexed(G: PermGroup, m: int, table: Sequence[array]) -> Li
                 extend(new, gens + (e,), pos + 1)
 
     extend(frozenset({0}), (), 0)
+    del extend  # break the closure's self-reference so G is freed promptly
     return out
 
 
@@ -355,6 +363,7 @@ def _subgroup_search_direct(G: PermGroup, m: int) -> List[PermGroup]:
                 extend(new, gens + (e,), pos + 1)
 
     extend(frozenset({ident}), (), 0)
+    del extend  # break the closure's self-reference so G is freed promptly
     return out
 
 

@@ -78,10 +78,20 @@ class HallContext:
     def conjugation_action(self) -> FiniteAction:
         """Conjugation of the full group on the Hall set (points are hall indices)."""
         if self._action is None:
-            by_set = {K.element_set(): i for i, K in enumerate(self.halls)}
+            # member[x] has bit i set when the i-th Hall subgroup contains x.
+            # g K g^-1 is the only Hall subgroup containing g gens(K) g^-1,
+            # so conjugating K's generators is enough to identify it.
+            member: Dict[Permutation, int] = {}
+            for i, K in enumerate(self.halls):
+                for x in K.elements:
+                    member[x] = member.get(x, 0) | 1 << i
 
             def act(g: Permutation, i: object) -> int:
-                return by_set[self.halls[i].conjugated_by(g).element_set()]  # type: ignore[index]
+                ginv = g.inverse()
+                mask = -1
+                for k in self.halls[i].generators:  # type: ignore[index]
+                    mask &= member[g * k * ginv]
+                return mask.bit_length() - 1
 
             self._action = FiniteAction.build(
                 self.group, tuple(range(len(self.halls))), act)

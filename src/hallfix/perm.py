@@ -8,7 +8,7 @@ g(h(p))``, i.e. the right factor acts first.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 class PermParseError(ValueError):
@@ -27,6 +27,13 @@ class Permutation:
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise ValueError(f"images {imgs} are not a bijection of 1..{len(imgs)}")
         object.__setattr__(self, "images", imgs)
+
+    @classmethod
+    def _trusted(cls, images: Tuple[int, ...]) -> "Permutation":
+        """Unchecked constructor for products, inverses and powers of bijections."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "images", images)
+        return out
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -48,13 +55,13 @@ class Permutation:
         if len(self.images) != len(other.images):
             raise ValueError("cannot compose permutations of different degree")
         mine = self.images
-        return Permutation(mine[i - 1] for i in other.images)
+        return Permutation._trusted(tuple([mine[i - 1] for i in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, v in enumerate(self.images):
             inv[v - 1] = i + 1
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __pow__(self, power: int) -> "Permutation":
         out = list(range(1, len(self.images) + 1))
@@ -62,7 +69,7 @@ class Permutation:
             k = len(cyc)
             for pos, point in enumerate(cyc):
                 out[point - 1] = cyc[(pos + power) % k]
-        return Permutation(out)
+        return Permutation._trusted(tuple(out))
 
     def conjugated_by(self, g: "Permutation") -> "Permutation":
         """Return g * self * g^-1."""
@@ -205,19 +212,7 @@ def parse_permutation(text: str, degree: int) -> Permutation:
     return Permutation(images)
 
 
-def parse_permutations(texts: Sequence[str], degree: int) -> List[Permutation]:
-    """Parse several cycle strings sharing one degree."""
-    return [parse_permutation(t, degree) for t in texts]
-
-
 def element_order(g: Permutation) -> int:
     """Functional alias for :meth:`Permutation.order`."""
     return g.order()
 
-
-def all_permutations(degree: int) -> Iterator[Permutation]:
-    """Iterate the full symmetric group on ``degree`` points (test helper)."""
-    from itertools import permutations as _perms
-
-    for imgs in _perms(range(1, degree + 1)):
-        yield Permutation(imgs)

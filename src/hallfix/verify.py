@@ -374,12 +374,6 @@ def conjugation_character(ctx: HallContext) -> CharacterTable:
     return CharacterTable(ctx.group, ctx.fixed_hall_counts(), validate=False)
 
 
-def hall_membership_character(ctx: HallContext, hall: Optional[PermGroup] = None) -> CharacterTable:
-    """Membership counts restricted to a Hall subgroup, as a character of it."""
-    H = _require_member_hall(ctx, hall)
-    return CharacterTable(H, {h: ctx.lam_of(h) for h in H.elements}, validate=False)
-
-
 def curiosity_value(G: PermGroup, target_pi: PiSet,
                     n: Optional[int] = None) -> Fraction:
     """Möbius-weighted power sum of the conjugation character over the whole group.

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
+from hallfix import cli
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 
@@ -63,6 +65,24 @@ def test_verify_nr_pi_mismatch(capsys):
     code, _, err = run(capsys, "verify-nr", "--group", "F20", "--pi", "5")
     assert code == 2
     assert "does not match" in err
+
+
+def test_verify_nr_bad_pi_is_input_error(capsys):
+    code, _, err = run(capsys, "verify-nr", "--group", "C3xC2", "--pi", "4")
+    assert code == 2
+    assert "not prime" in err
+
+
+def test_curiosity_bad_pi_is_input_error(capsys):
+    code, _, err = run(capsys, "curiosity", "--group", "A5", "--pi", "4")
+    assert code == 2
+    assert "not prime" in err
+
+
+def test_curiosity_nonpositive_n_is_input_error(capsys):
+    code, _, err = run(capsys, "curiosity", "--group", "A5", "--n", "0")
+    assert code == 2
+    assert "--n must be positive" in err
 
 
 def test_verify_nr_no_scenario(capsys):
@@ -170,6 +190,17 @@ def test_scan_single_entry_deterministic(capsys):
     assert "verify-mult" in out1 and "verify-add" in out1
 
 
+def test_scan_builds_one_hall_context_per_pi(capsys, monkeypatch):
+    # The four Hall checks of one (G, pi) share a single context.
+    calls = []
+    build = cli.build_hall_context
+    monkeypatch.setattr(cli, "build_hall_context",
+                        lambda G, pi: calls.append(pi) or build(G, pi))
+    code, _, _ = run(capsys, "scan", "--group", "S4")
+    assert code == 0
+    assert [str(pi) for pi in calls] == ["2", "3", "2,3"]
+
+
 def test_scan_json_single_entry(capsys):
     code, out, _ = run(capsys, "scan", "--group", "F20", "--json")
     records = json.loads(out)
@@ -188,6 +219,9 @@ def test_full_corpus_scan(capsys):
     code, out, _ = run(capsys, "scan", "--json")
     records = json.loads(out)
     assert code == 0
+    # The report bytes are pinned: a speedup must not change a single one.
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ee44d2c7e3b95c394c48279bae9c4ad6ff5654145550cc8b2876a7bdfc06a029")
     failures = [r for r in records if r["status"] == "fail"]
     assert [(r["group"], r["pi"]) for r in failures] == [
         ("A5", "2"), ("GL(3,2)", "2")]

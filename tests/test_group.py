@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from itertools import combinations
 
 import pytest
@@ -10,7 +11,8 @@ from hallfix import (CapExceededError, NotASubgroupError, PiSet, Permutation,
                      centralizer, close, conjugates, core_pi, is_pi_separable,
                      normal_subgroups, normalizer, parse_permutation, quotient,
                      subgroups_of_order, trivial_group)
-from hallfix.group import FiniteAction, core_pi_complement, group_from_elements
+from hallfix.group import (FiniteAction, _subgroup_search_direct, core_pi_complement,
+                           group_from_elements)
 
 
 def P(text, degree):
@@ -258,3 +260,38 @@ def test_finite_action_fixed_counts(groups):
     assert act.fixed_count(S3.identity) == 3
     assert act.fixed_count(P("(1 2)", 3)) == 1
     assert act.orbit_count() == 1
+
+
+def test_cayley_table_matches_products(groups):
+    # Oracle: table[a][b] is the index of elements[a] * elements[b].
+    for name, G in groups.items():
+        table = G.cayley_table()
+        assert table is not None, name
+        elems = G.elements
+        for a, x in enumerate(elems):
+            row = table[a]
+            assert [G.element_index(x * y) for y in elems] == list(row), (name, a)
+
+
+def test_cayley_table_with_identity_and_repeated_generators():
+    # A trivial or repeated generator must not keep any row from being filled.
+    cycle, swap = P("(1 2 3 4)", 4), P("(1 2)", 4)
+    G = close([P("()", 4), cycle, cycle, swap])
+    assert G.order == 24
+    table = G.cayley_table()
+    for a, x in enumerate(G.elements):
+        assert list(table[a]) == [G.element_index(x * y) for y in G.elements]
+
+
+def test_subgroup_search_leaves_no_garbage(groups):
+    # The recursive search must not leave a reference cycle that keeps the
+    # group and its table alive until the cyclic collector runs.
+    gc.collect()
+    gc.disable()
+    try:
+        subgroups_of_order(groups["S4"], 8)
+        assert gc.collect() == 0
+        _subgroup_search_direct(groups["S4"], 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -216,3 +216,25 @@ def test_conjugation_action_respects_classes(hall_ctx):
     tau = ctx.fixed_hall_counts()
     for cls in conjugacy_classes(ctx.group):
         assert len({tau[x] for x in cls}) == 1
+
+
+def test_conjugation_action_matches_elementwise_oracle(groups, hall_ctx):
+    # Oracle: conjugate each Hall subgroup element by element and look the
+    # result up by its element set.
+    checked = set()
+    for entry in corpus_entries():
+        G = groups[entry.name]
+        for pi in entry.check_pis:
+            try:
+                ctx = hall_ctx(entry.name, str(pi))
+            except NoHallSubgroupError:
+                continue
+            if ctx.num_halls < 2:
+                continue
+            by_set = {K.element_set(): i for i, K in enumerate(ctx.halls)}
+            action = ctx.conjugation_action()
+            for g in G.elements:
+                expected = [by_set[K.conjugated_by(g).element_set()] for K in ctx.halls]
+                assert [action.act(g, i) for i in range(ctx.num_halls)] == expected
+            checked.add((entry.name, str(pi)))
+    assert {("A5", "2"), ("GL(3,2)", "2"), ("GL(3,2)", "7"), ("PSL(2,9)", "5")} <= checked
