@@ -7,8 +7,7 @@ Möbius-weighted fixed-point identities are checked with exact arithmetic
 corpus with brute-force oracles.
 """
 
-from .arith import (FactoredRational, PiSet, divisors, fr_is_one, fr_mul_pow,
-                    moebius, totient)
+from .arith import FactoredRational, PiSet, divisors, moebius, totient
 from .corpus import (CorpusEntry, UnknownGroupError, corpus_entries,
                      corpus_names, get_entry, load_group, load_scenario)
 from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
@@ -20,8 +19,8 @@ from .groupio import GroupFileError, format_group_text, parse_group_text
 from .hall import (CyclicLattice, HallContext, NoHallSubgroupError,
                    build_hall_context, cyclic_lattice, moebius_partition_check,
                    pi_part)
-from .perm import (Permutation, PermParseError, element_order,
-                   format_permutation, parse_permutation)
+from .perm import (Permutation, PermParseError, format_permutation,
+                   parse_permutation)
 from .verify import (CharacterTable, CoprimeActionScenario, NrCheckResult,
                      SymCharSpec, WielandtResult, additive_value,
                      additive_values_all_halls, burnside_orbit_count,

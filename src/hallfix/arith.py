@@ -244,13 +244,3 @@ class FactoredRational:
 
     def __repr__(self) -> str:
         return f"FactoredRational({dict(self._factors)})"
-
-
-def fr_mul_pow(acc: FactoredRational, value: int, exponent: int) -> FactoredRational:
-    """Functional alias for :meth:`FactoredRational.times_pow`."""
-    return acc.times_pow(value, exponent)
-
-
-def fr_is_one(x: FactoredRational) -> bool:
-    """Functional alias for :meth:`FactoredRational.is_one`."""
-    return x.is_one()

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .arith import PiSet, prime_divisors
+from .arith import FACTOR_LIMIT, PiSet, prime_divisors
 from .corpus import (A5_CURIOSITY, CorpusEntry, UnknownGroupError, corpus_entries,
                      get_entry, load_group, load_scenario)
 from .group import CapExceededError, DEFAULT_ELEMENT_CAP, PermGroup, is_pi_separable
@@ -26,7 +26,7 @@ from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
 from .perm import PermParseError
 from .reports import (FAIL, INAPPLICABLE, PASS, CheckRecord, records_to_json,
                       unexpected_failures)
-from .verify import (additive_value, conjugation_character,
+from .verify import (PowerSumTooLargeError, additive_value, conjugation_character,
                      curiosity_value, cyclic_symmetrized_char,
                      interpretation_check, multiplicative_value,
                      navarro_rizo_check, wielandt_check)
@@ -251,7 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _dispatch(args)
     except (InputError, UnknownGroupError, GroupFileError, PermParseError,
-            CapExceededError) as exc:
+            CapExceededError, PowerSumTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -286,8 +286,9 @@ def _dispatch(args) -> int:
     if command == "curiosity":
         name, G, _ = _resolve_group(args)
         pi = _require_pi(args) if args.pi else PiSet([3])
-        if args.n is not None and args.n < 1:
-            raise InputError(f"--n must be positive, got {args.n}")
+        if args.n is not None and not 1 <= args.n <= FACTOR_LIMIT:
+            raise InputError(f"--n must be positive and at most {FACTOR_LIMIT}, "
+                             f"got {args.n}")
         record, text = curiosity_record(name, G, pi, args.n)
         if args.json:
             _emit([record], True)

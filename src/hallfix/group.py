@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import ceil, log2
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .arith import PiSet, prime_divisors
+from .arith import PiSet, divisors, prime_divisors
 from .perm import Permutation
 
 #: Default ceiling for exhaustive element enumeration.
@@ -391,7 +391,7 @@ def conjugacy_classes(G: PermGroup) -> List[Tuple[Permutation, ...]]:
 
 
 def normal_subgroups(G: PermGroup) -> List[PermGroup]:
-    """All normal subgroups, as class unions closed under the group operation."""
+    """All normal subgroups, as closed class unions; the cores' test reference."""
     classes = conjugacy_classes(G)
     rest = classes[1:]
     if len(rest) > _CLASS_SCAN_LIMIT:
@@ -416,32 +416,53 @@ def normal_subgroups(G: PermGroup) -> List[PermGroup]:
     return sorted(out, key=lambda H: (H.order, H.fingerprint()))
 
 
+def _normal_closure(G: PermGroup, x: Permutation, keep: Callable[[int], bool],
+                    limit: int) -> Optional[PermGroup]:
+    """Normal closure of <x> in G, or None when its order fails ``keep``.
+
+    Each round adds the conjugates by G's generators of the last round's new
+    generators.  Intermediate orders divide the closure's order, so with a
+    divisor-closed ``keep`` the walk stops at the first failing order or once
+    a closure grows past ``limit``, the largest order ``keep`` accepts."""
+    conj = [(g, g.inverse()) for g in G.generators]
+    gens, new = [x], [x]
+    try:
+        H = close(gens, cap=limit)
+        while keep(H.order):
+            new = sorted({g * y * ginv for y in new for g, ginv in conj}
+                         - H.element_set())
+            if not new:
+                return H
+            gens += new
+            H = close(gens, cap=limit)
+    except CapExceededError:
+        pass
+    return None
+
+
+def _core(G: PermGroup, keep: Callable[[int], bool]) -> PermGroup:
+    """Largest normal subgroup whose order satisfies the divisor-closed ``keep``:
+    the join of the normal closures of class representatives that satisfy it."""
+    limit = max(d for d in divisors(G.order) if keep(d))
+    core = trivial_group(G.degree)
+    for cls in conjugacy_classes(G)[1:]:
+        if cls[0] not in core:
+            N = _normal_closure(G, cls[0], keep, limit)
+            if N is not None:
+                core = close(core.generators + N.generators, cap=G.order)
+    if not keep(core.order):
+        raise AssertionError("join of normal closures fails the order test")
+    return core
+
+
 def core_pi(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order is supported on the primes in pi."""
-    best = trivial_group(G.degree)
-    candidates = [N for N in normal_subgroups(G)
-                  if all(p in pi for p in prime_divisors(N.order))]
-    for N in candidates:
-        if N.order > best.order:
-            best = N
-    for N in candidates:
-        if not N.is_subgroup_of(best):
-            raise AssertionError("pi-core is not unique; normal subgroup scan is broken")
-    return best
+    return _core(G, lambda n: all(p in pi for p in prime_divisors(n)))
 
 
 def core_pi_complement(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order avoids every prime in pi."""
-    best = trivial_group(G.degree)
-    candidates = [N for N in normal_subgroups(G)
-                  if not any(p in pi for p in prime_divisors(N.order))]
-    for N in candidates:
-        if N.order > best.order:
-            best = N
-    for N in candidates:
-        if not N.is_subgroup_of(best):
-            raise AssertionError("pi'-core is not unique; normal subgroup scan is broken")
-    return best
+    return _core(G, lambda n: not any(p in pi for p in prime_divisors(n)))
 
 
 @dataclass(frozen=True)

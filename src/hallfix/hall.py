@@ -63,9 +63,6 @@ class HallContext:
     def canonical_hall(self) -> PermGroup:
         return self.halls[0]
 
-    def is_pi_element(self, x: Permutation) -> bool:
-        return is_pi_number(x.order(), self.pi)
-
     def lam_of(self, x: Permutation) -> int:
         """Membership count of a pi-element; querying anything else is an error."""
         try:

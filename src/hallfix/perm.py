@@ -113,9 +113,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
-    def moved_points(self) -> Tuple[int, ...]:
-        return tuple(i + 1 for i, v in enumerate(self.images) if v != i + 1)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -210,9 +207,4 @@ def parse_permutation(text: str, degree: int) -> Permutation:
         for pos, p in enumerate(cyc):
             images[p - 1] = cyc[(pos + 1) % len(cyc)]
     return Permutation(images)
-
-
-def element_order(g: Permutation) -> int:
-    """Functional alias for :meth:`Permutation.order`."""
-    return g.order()
 

@@ -13,14 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Mapping, Optional, Tuple
+from math import gcd, log10
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .arith import (FactoredRational, PiSet, divisors, moebius, prime_divisors,
                     radical, totient)
-from .group import FiniteAction, PermGroup, centralizer, conjugacy_classes
+from .group import (FiniteAction, PermGroup, centralizer, conjugacy_classes,
+                    group_from_elements)
 from .hall import HallContext, build_hall_context, cyclic_lattice
 from .perm import Permutation
+
+#: Most decimal digits of a curiosity power sum (Python's int-to-str default).
+CURIOSITY_MAX_DIGITS = 4300
+
+
+class PowerSumTooLargeError(ValueError):
+    """The curiosity power sum would have more than CURIOSITY_MAX_DIGITS digits."""
 
 
 @dataclass(frozen=True)
@@ -221,14 +229,18 @@ def additive_value(ctx: HallContext, hall: Optional[PermGroup] = None) -> Fracti
     """
     H = _require_member_hall(ctx, hall)
     n = ctx.hall_order
+    return Fraction(_moebius_power_sum(ctx.lam_of, H.elements, n), n * n)
+
+
+def _moebius_power_sum(f: Callable[[Permutation], Any],
+                       elements: Sequence[Permutation], n: int) -> Any:
+    """sum over d | n of mu(d) * sum over x in elements of f(x^d)^(n/d), exactly."""
     total = 0
     for d in divisors(n):
         mu = moebius(d)
-        if mu == 0:
-            continue
-        k = n // d
-        total += mu * sum(ctx.lam_of(h**d) ** k for h in H.elements)
-    return Fraction(total, n * n)
+        if mu:
+            total += mu * sum(f(x**d) ** (n // d) for x in elements)
+    return total
 
 
 def additive_values_all_halls(ctx: HallContext) -> Dict[int, Fraction]:
@@ -299,13 +311,7 @@ def cyclic_symmetrized_char(chi: CharacterTable, n: int, h: Permutation) -> Frac
     """
     if h not in chi.group:
         raise ValueError("h is not in the character's group")
-    total = Fraction(0)
-    for d in divisors(n):
-        mu = moebius(d)
-        if mu == 0:
-            continue
-        total += mu * chi(h**d) ** (n // d)
-    return total / n
+    return _moebius_power_sum(chi, (h,), n) / n
 
 
 def burnside_orbit_count(H: PermGroup, base_action: FiniteAction, k: int,
@@ -333,8 +339,6 @@ def power_subgroup(H: PermGroup, d: int) -> PermGroup:
     """The subgroup of d-th powers of an abelian group."""
     if not H.is_abelian():
         raise ValueError("power subgroups are only formed for abelian groups")
-    from .group import group_from_elements
-
     return group_from_elements(H.degree, {h**d for h in H.elements})
 
 
@@ -380,19 +384,15 @@ def curiosity_value(G: PermGroup, target_pi: PiSet,
 
     tau counts the Hall target_pi-subgroups normalized by each element; the
     value is (1/n^2) sum over d | n of mu(d) * sum over g in G of
-    tau(g^d)^(n/d), with n defaulting to |G|.  Exact, however large.
+    tau(g^d)^(n/d), with n defaulting to |G|.  Exact; a sum of more than
+    CURIOSITY_MAX_DIGITS digits raises :class:`PowerSumTooLargeError`.
     """
-    ctx = build_hall_context(G, target_pi)
-    tau = ctx.fixed_hall_counts()
-    if n is None:
-        n = G.order
+    tau = build_hall_context(G, target_pi).fixed_hall_counts()
+    n = G.order if n is None else n
     if n < 1:
         raise ValueError("n must be positive")
-    total = 0
-    for d in divisors(n):
-        mu = moebius(d)
-        if mu == 0:
-            continue
-        k = n // d
-        total += mu * sum(tau[g**d] ** k for g in G.elements)
-    return Fraction(total, n * n)
+    digits = n * log10(max(tau.values())) + log10(2 * G.order)
+    if digits > CURIOSITY_MAX_DIGITS:
+        raise PowerSumTooLargeError(f"the power sum for n={n} has about {digits:.0f} "
+                                    f"digits, over the limit {CURIOSITY_MAX_DIGITS}")
+    return Fraction(_moebius_power_sum(tau.__getitem__, G.elements, n), n * n)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hallfix import FactoredRational, PiSet, divisors, fr_is_one, fr_mul_pow, moebius, totient
+from hallfix import FactoredRational, PiSet, divisors, moebius, totient
 from hallfix.arith import factorize, is_prime, prime_divisors, radical
 
 
@@ -83,14 +83,14 @@ def test_pi_set():
 
 def test_factored_rational_examples():
     one = FactoredRational.one()
-    a = fr_mul_pow(one, 12, 2)
+    a = one.times_pow(12, 2)
     assert a.factors() == {2: 4, 3: 2}
-    b = fr_mul_pow(a, 6, -2)
+    b = a.times_pow(6, -2)
     assert b.factors() == {2: 2}
-    assert fr_mul_pow(one, 1, 12345) == one
-    assert fr_is_one(one)
-    assert not fr_is_one(FactoredRational({2: 1}))
-    assert fr_is_one(fr_mul_pow(fr_mul_pow(one, 625, 1), 625, -1))
+    assert one.times_pow(1, 12345) == one
+    assert one.is_one()
+    assert not FactoredRational({2: 1}).is_one()
+    assert one.times_pow(625, 1).times_pow(625, -1).is_one()
 
 
 def test_factored_rational_validation():

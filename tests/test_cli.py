@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
+
+import pytest
 
 from hallfix import cli
 from hallfix.cli import main
@@ -85,6 +88,20 @@ def test_curiosity_nonpositive_n_is_input_error(capsys):
     assert "--n must be positive" in err
 
 
+def test_curiosity_power_sum_limit_is_input_error(capsys):
+    # 10^4400 has more digits than Python prints by default; 10^100000007
+    # would take far too long to compute.  Both are refused before summing.
+    for n, reason in (("4400", "over the limit 4300"),
+                      ("100000007", "at most 10000000")):
+        code, out, err = run(capsys, "curiosity", "--group", "A5", "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err
+    code, out, _ = run(capsys, "curiosity", "--group", "A5", "--n", "4000")
+    assert code == 0
+    assert Fraction(out.strip()) > 0
+
+
 def test_verify_nr_no_scenario(capsys):
     code, _, err = run(capsys, "verify-nr", "--group", "S4")
     assert code == 2
@@ -149,6 +166,20 @@ def test_file_input(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-mult", "--file", str(path), "--pi", "2")
     assert code == 0
     assert "pass" in out
+
+
+@pytest.mark.parametrize("gens,degree,pi", [
+    (("(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"), 10, "2"),  # C2^5
+    (("(1 2)", "(3 4)", "(5 6 7 8 9 10)"), 10, "3"),  # C2 x C2 x C6
+])
+def test_verify_mult_on_groups_with_many_classes(capsys, tmp_path, gens, degree, pi):
+    # More than 20 nontrivial classes: the pi-cores must not need a
+    # class-union scan.
+    path = tmp_path / "g.grp"
+    path.write_text(f"degree: {degree}\n" + "".join(f"gen: {g}\n" for g in gens))
+    code, out, err = run(capsys, "verify-mult", "--file", str(path), "--pi", pi)
+    assert code == 0 and err == ""
+    assert "pass" in out and "value 1" in out
 
 
 def test_unknown_group_is_input_error(capsys):

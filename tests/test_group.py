@@ -11,6 +11,7 @@ from hallfix import (CapExceededError, NotASubgroupError, PiSet, Permutation,
                      centralizer, close, conjugates, core_pi, is_pi_separable,
                      normal_subgroups, normalizer, parse_permutation, quotient,
                      subgroups_of_order, trivial_group)
+from hallfix.arith import prime_divisors
 from hallfix.group import (FiniteAction, _subgroup_search_direct, core_pi_complement,
                            group_from_elements)
 
@@ -237,6 +238,64 @@ def test_is_pi_separable_examples(groups):
     assert is_pi_separable(groups["S4"], PiSet([2]))
     assert not is_pi_separable(groups["A5"], PiSet([2]))
     assert is_pi_separable(groups["A5"], PiSet([7]))
+
+
+def _prime_subsets(G):
+    primes = prime_divisors(G.order)
+    return [PiSet(s) for k in range(1, len(primes) + 1)
+            for s in combinations(primes, k)]
+
+
+def _is_pi(n, pi):
+    return all(p in pi for p in prime_divisors(n))
+
+
+def _is_pi_prime(n, pi):
+    return not any(p in pi for p in prime_divisors(n))
+
+
+def test_cores_match_the_normal_subgroup_scan(groups):
+    # Reference: the largest admissible class-union normal subgroup, which
+    # must contain every other admissible one.
+    pairs = 0
+    for name, G in groups.items():
+        normals = normal_subgroups(G)
+        for pi in _prime_subsets(G):
+            for core, keep in ((core_pi, _is_pi), (core_pi_complement, _is_pi_prime)):
+                admissible = [N for N in normals if keep(N.order, pi)]
+                best = max(admissible, key=lambda N: N.order)
+                assert all(N.is_subgroup_of(best) for N in admissible)
+                assert core(G, pi) == best, (name, str(pi), core.__name__)
+            pairs += 1
+    assert pairs == 88
+
+
+_CLASS_RICH = {
+    "C2^5": (10, ("(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)")),
+    "C2xC2xC6": (10, ("(1 2)", "(3 4)", "(5 6 7 8 9 10)")),
+    "C2xC10": (12, ("(1 2)", "(3 4 5 6 7 8 9 10 11 12)")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLASS_RICH))
+def test_cores_of_class_rich_abelian_groups(name):
+    # The class-union scan refuses these (over 20 classes) or takes seconds
+    # (2^19 unions for C2xC10).  In an abelian group O_pi(G) is the set of
+    # pi-elements and O_pi'(G) the set of pi'-elements.
+    degree, gens = _CLASS_RICH[name]
+    G = close([P(g, degree) for g in gens])
+    assert G.is_abelian()
+    for pi in _prime_subsets(G):
+        for core, keep in ((core_pi, _is_pi), (core_pi_complement, _is_pi_prime)):
+            expect = {g for g in G.elements if keep(g.order(), pi)}
+            assert core(G, pi).element_set() == expect, (name, str(pi))
+        assert is_pi_separable(G, pi)
+
+
+def test_normal_subgroup_scan_refuses_more_than_20_classes():
+    degree, gens = _CLASS_RICH["C2^5"]
+    with pytest.raises(RuntimeError, match="31 conjugacy classes"):
+        normal_subgroups(close([P(g, degree) for g in gens]))
 
 
 def test_group_from_elements_rejects_unclosed():

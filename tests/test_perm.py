@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from hallfix import PermParseError, Permutation, element_order, format_permutation, parse_permutation
+from hallfix import PermParseError, Permutation, format_permutation, parse_permutation
 
 
 def test_parse_basic_cycles():
@@ -91,9 +91,9 @@ def test_inverse_and_powers():
 
 
 def test_element_order_examples():
-    assert element_order(parse_permutation("(1 2 3)(4 5)", 5)) == 6
-    assert element_order(Permutation.identity(4)) == 1
-    assert element_order(parse_permutation("(1 2 3 4 5)", 5)) == 5
+    assert parse_permutation("(1 2 3)(4 5)", 5).order() == 6
+    assert Permutation.identity(4).order() == 1
+    assert parse_permutation("(1 2 3 4 5)", 5).order() == 5
 
 
 def test_order_is_lcm_of_cycle_lengths():

@@ -19,7 +19,7 @@ from hallfix import (CharacterTable, CoprimeActionScenario, FactoredRational,
                      symmetrized_char, trivial_group,
                      wielandt_check)
 from hallfix.corpus import A5_CURIOSITY
-from hallfix.verify import chain_product_value
+from hallfix.verify import PowerSumTooLargeError, chain_product_value
 
 
 def P(text, degree):
@@ -460,6 +460,13 @@ def test_curiosity_tau_degree_is_ten(hall_ctx):
 def test_curiosity_trivial_group():
     G = trivial_group(1)
     assert curiosity_value(G, PiSet([3]), 1) == 1
+
+
+def test_curiosity_refuses_a_power_sum_past_the_digit_limit(groups):
+    # tau(1) = 10 on A5, so n = 4400 gives a sum of about 4400 digits.
+    assert curiosity_value(groups["A5"], PiSet([3]), 4000) > 0
+    with pytest.raises(PowerSumTooLargeError, match="limit 4300"):
+        curiosity_value(groups["A5"], PiSet([3]), 4400)
 
 
 # ---------------------------------------------------------------- lambda factorization
