@@ -425,12 +425,11 @@ def _normal_closure(G: PermGroup, x: Permutation, keep: Callable[[int], bool],
     divisor-closed ``keep`` the walk stops at the first failing order or once
     a closure grows past ``limit``, the largest order ``keep`` accepts."""
     conj = [(g, g.inverse()) for g in G.generators]
-    gens, new = [x], [x]
+    gens, new = [x], {x}
     try:
         H = close(gens, cap=limit)
         while keep(H.order):
-            new = sorted({g * y * ginv for y in new for g, ginv in conj}
-                         - H.element_set())
+            new = {g * y * ginv for y in new for g, ginv in conj} - H.element_set()
             if not new:
                 return H
             gens += new
