@@ -11,6 +11,7 @@ unexpected failure, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -40,7 +41,9 @@ class InputError(ValueError):
     """Bad command-line input (exit code 2)."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="hallfix",
         description="Exact verification of Hall-subgroup fixed-point identities "
@@ -258,6 +261,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _dispatch(args) -> int:
     command = args.command
+    if args.cap < 1:
+        raise InputError("--cap must be at least 1")
 
     if command == "scan":
         entries = corpus_entries()

@@ -262,12 +262,12 @@ def conjugates(G: PermGroup, H: PermGroup) -> List[PermGroup]:
 def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     """All subgroups of G of order exactly ``m``, by canonical backtracking.
 
-    Generating sets grow element-by-element in the canonical element order.
+    Generating sets grow element-by-element in the canonical element order;
+    with a Cayley table, each closure grows from its parent's by right cosets.
     A branch is pruned when its closure order fails to divide ``m``, exceeds
-    ``m``, or when the freshly added generator is not the least new element
-    (which restricts the search to one canonical generating chain per
-    subgroup).  Any group of order m is generated by at most ceil(log2 m)
-    elements, so chains are short.
+    ``m``, or when the new generator is not the least new element (one
+    canonical generating chain per subgroup).  Any group of order m is
+    generated by at most ceil(log2 m) elements, so chains are short.
     """
     if m < 1 or G.order % m:
         raise ValueError(f"{m} does not divide the group order {G.order}")
@@ -290,19 +290,22 @@ def _subgroup_search_indexed(G: PermGroup, m: int, table: Sequence[array]) -> Li
     max_gens = ceil(log2(m))
     out: List[PermGroup] = []
 
-    def closure(gen_idx: Tuple[int, ...]) -> Optional[FrozenSet[int]]:
-        seen = {0}
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            row = table[x]
+    def closure(clo: FrozenSet[int], gen_idx: Tuple[int, ...]) -> Optional[FrozenSet[int]]:
+        # <clo, e> for clo = <gen_idx[:-1]>, e = gen_idx[-1], grown from clo by right
+        # cosets; None past m elements or at a new element below e (not canonical).
+        e = gen_idx[-1]
+        seen = set(clo)
+        reps = [0]
+        for r in reps:
+            row = table[r]
             for g in gen_idx:
                 y = row[g]
                 if y not in seen:
-                    if len(seen) >= m:
+                    coset = [table[c][y] for c in clo]
+                    if len(seen) + len(coset) > m or min(coset) < e:
                         return None
-                    seen.add(y)
-                    queue.append(y)
+                    seen.update(coset)
+                    reps.append(y)
         return frozenset(seen)
 
     def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> None:
@@ -310,10 +313,8 @@ def _subgroup_search_indexed(G: PermGroup, m: int, table: Sequence[array]) -> Li
             e = candidates[pos]
             if e in clo:
                 continue
-            new = closure(gens + (e,))
+            new = closure(clo, gens + (e,))
             if new is None or m % len(new):
-                continue
-            if min(new - clo) != e:
                 continue
             if len(new) == m:
                 out.append(group_from_elements(
@@ -369,8 +370,7 @@ def _subgroup_search_direct(G: PermGroup, m: int) -> List[PermGroup]:
 
 def conjugacy_classes(G: PermGroup) -> List[Tuple[Permutation, ...]]:
     """Conjugacy classes as canonically sorted element tuples, identity class first."""
-    gens = [g for g in G.generators]
-    inv = [g.inverse() for g in gens]
+    conj = [(g, g.inverse()) for g in G.generators]
     seen: set = set()
     classes: List[Tuple[Permutation, ...]] = []
     for x in G.elements:
@@ -380,7 +380,7 @@ def conjugacy_classes(G: PermGroup) -> List[Tuple[Permutation, ...]]:
         queue = [x]
         while queue:
             y = queue.pop()
-            for g, gi in zip(gens, inv):
+            for g, gi in conj:
                 z = g * y * gi
                 if z not in orbit:
                     orbit.add(z)
@@ -439,12 +439,12 @@ def _normal_closure(G: PermGroup, x: Permutation, keep: Callable[[int], bool],
     return None
 
 
-def _core(G: PermGroup, keep: Callable[[int], bool]) -> PermGroup:
+def _core(G: PermGroup, keep: Callable[[int], bool], classes: Sequence[tuple]) -> PermGroup:
     """Largest normal subgroup whose order satisfies the divisor-closed ``keep``:
-    the join of the normal closures of class representatives that satisfy it."""
+    the join of the normal closures of G's class representatives that pass it."""
     limit = max(d for d in divisors(G.order) if keep(d))
     core = trivial_group(G.degree)
-    for cls in conjugacy_classes(G)[1:]:
+    for cls in classes[1:]:
         if cls[0] not in core:
             N = _normal_closure(G, cls[0], keep, limit)
             if N is not None:
@@ -454,14 +454,20 @@ def _core(G: PermGroup, keep: Callable[[int], bool]) -> PermGroup:
     return core
 
 
+def _pi_keeps(pi: PiSet) -> Tuple[Callable[[int], bool], Callable[[int], bool]]:
+    """Order tests of the pi-core and of the pi'-core."""
+    return (lambda n: all(p in pi for p in prime_divisors(n)),
+            lambda n: not any(p in pi for p in prime_divisors(n)))
+
+
 def core_pi(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order is supported on the primes in pi."""
-    return _core(G, lambda n: all(p in pi for p in prime_divisors(n)))
+    return _core(G, _pi_keeps(pi)[0], conjugacy_classes(G))
 
 
 def core_pi_complement(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order avoids every prime in pi."""
-    return _core(G, lambda n: not any(p in pi for p in prime_divisors(n)))
+    return _core(G, _pi_keeps(pi)[1], conjugacy_classes(G))
 
 
 @dataclass(frozen=True)
@@ -524,15 +530,14 @@ def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:
     """Whether the alternating pi-core / pi'-core tower reaches the trivial group."""
     current = G
     while current.order > 1:
-        npi = core_pi(current, pi)
-        if npi.order > 1:
-            current = quotient(current, npi)[0]
-            continue
-        npip = core_pi_complement(current, pi)
-        if npip.order > 1:
-            current = quotient(current, npip)[0]
-            continue
-        return False
+        classes = conjugacy_classes(current)
+        for keep in _pi_keeps(pi):
+            N = _core(current, keep, classes)
+            if N.order > 1:
+                current = quotient(current, N)[0]
+                break
+        else:
+            return False
     return True
 
 
@@ -556,25 +561,35 @@ class FiniteAction:
     @classmethod
     def build(cls, group: PermGroup, points: Sequence[object],
               func: Callable[[Permutation, object], object]) -> "FiniteAction":
-        """Tabulate ``func`` and validate the action axioms.
+        """Tabulate the action generated by ``func``'s rows on the generators.
 
-        The identity must fix every point; compatibility act(g, act(h, x)) ==
-        act(gh, x) is checked for generators g against all h, which implies
-        the general law by induction on word length.
+        ``func`` is read only on the identity, which must fix every point, and
+        on the distinct generators; every other row comes by breadth-first
+        search with row(s h) = row(s) o row(h).  An edge reaching a filled row
+        with a different composed row raises, so the table is a valid action.
         """
         pts = tuple(points)
         pos = {p: i for i, p in enumerate(pts)}
-        rows = {g: tuple(pos[func(g, p)] for p in pts) for g in group.elements}
-        ident_row = rows[group.identity]
-        if ident_row != tuple(range(len(pts))):
+        ident = group.identity
+        rows = {ident: tuple(range(len(pts)))}
+        if tuple(pos[func(ident, p)] for p in pts) != rows[ident]:
             raise ValueError("identity does not fix every point")
-        for g in group.generators:
-            grow = rows[g]
-            for h in group.elements:
-                hrow = rows[h]
-                ghrow = rows[g * h]
-                if any(grow[hrow[i]] != ghrow[i] for i in range(len(pts))):
+        gen_rows = [(s, tuple(pos[func(s, p)] for p in pts))
+                    for s in dict.fromkeys(group.generators)]
+        queue = [ident]
+        for h in queue:
+            hrow = rows[h]
+            for s, srow in gen_rows:
+                g = s * h
+                row = tuple(map(srow.__getitem__, hrow))
+                known = rows.get(g)
+                if known is None:
+                    rows[g] = row
+                    queue.append(g)
+                elif known != row:
                     raise ValueError("action table violates act(g, act(h, x)) == act(gh, x)")
+        if len(rows) != group.order:
+            raise AssertionError("generators do not generate the element list")
         return cls(group, pts, rows)
 
     def act(self, g: Permutation, point: object) -> object:

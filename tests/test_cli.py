@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from fractions import Fraction
@@ -211,6 +212,40 @@ def test_cap_exceeded_is_input_error(capsys):
                        "--cap", "100")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_cap_below_one_is_input_error(capsys, cap):
+    code, out, err = run(capsys, "verify-mult", "--group", "C6", "--pi", "2",
+                         "--cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --cap must be at least 1\n"
+
+
+def test_cap_of_one_reports_the_cap_error(capsys):
+    code, _, err = run(capsys, "verify-mult", "--group", "C6", "--pi", "2",
+                       "--cap", "1")
+    assert code == 2
+    assert "closure exceeds the element cap 1" in err
+
+
+def test_main_builds_one_parser_tree(capsys, monkeypatch):
+    # Every command shares one parser: building it costs far more than
+    # parsing, and each parser left behind is cyclic garbage.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "verify-add", "--group", "S3", "--pi", "2")[0] == 0
+    tree = len(built)
+    assert run(capsys, "verify-add", "--group", "S4", "--pi", "2")[0] == 0
+    assert tree == len(built) == 1 + len(cli._COMMANDS)
 
 
 def test_scan_single_entry_deterministic(capsys):

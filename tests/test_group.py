@@ -11,9 +11,10 @@ from hallfix import (CapExceededError, NotASubgroupError, PiSet, Permutation,
                      centralizer, close, conjugates, core_pi, is_pi_separable,
                      normal_subgroups, normalizer, parse_permutation, quotient,
                      subgroups_of_order, trivial_group)
-from hallfix.arith import prime_divisors
-from hallfix.group import (FiniteAction, _subgroup_search_direct, core_pi_complement,
-                           group_from_elements)
+from hallfix import group as group_mod
+from hallfix.arith import divisors, prime_divisors
+from hallfix.group import (FiniteAction, PermGroup, _subgroup_search_direct,
+                           core_pi_complement, group_from_elements)
 
 
 def P(text, degree):
@@ -292,6 +293,18 @@ def test_cores_of_class_rich_abelian_groups(name):
         assert is_pi_separable(G, pi)
 
 
+@pytest.mark.parametrize("name, separable, levels", [("S4", True, 3), ("A5", False, 1)])
+def test_separability_computes_classes_once_per_tower_level(groups, monkeypatch,
+                                                           name, separable, levels):
+    # S4 > S4/V4 = S3 > S3/C3 = C2 > 1; A5 has neither a 2- nor a 2'-core.
+    calls = []
+    classes = group_mod.conjugacy_classes
+    monkeypatch.setattr(group_mod, "conjugacy_classes",
+                        lambda G: calls.append(G.order) or classes(G))
+    assert is_pi_separable(groups[name], PiSet([2])) is separable
+    assert len(calls) == levels
+
+
 def test_normal_subgroup_scan_refuses_more_than_20_classes():
     degree, gens = _CLASS_RICH["C2^5"]
     with pytest.raises(RuntimeError, match="31 conjugacy classes"):
@@ -305,12 +318,43 @@ def test_group_from_elements_rejects_unclosed():
 
 def test_finite_action_validation(groups):
     S3 = groups["S3"]
+    swap = P("(1 2)", 3)
+    assert set(S3.generators) == {swap, P("(1 2 3)", 3)}
     FiniteAction.build(S3, (1, 2, 3), lambda g, p: g.apply(p))
     with pytest.raises(ValueError, match="identity"):
         FiniteAction.build(S3, (1, 2, 3), lambda g, p: p % 3 + 1)
+    # (1 2 3) acting as a transposition breaks the relation b^3 = 1.
     with pytest.raises(ValueError, match="act\\(g"):
         FiniteAction.build(S3, (1, 2, 3),
-                           lambda g, p: g.apply(p) if g.order() < 3 else p)
+                           lambda g, p: g.apply(p) if g.order() < 3 else swap.apply(p))
+    # Transpositions acting by themselves and 3-cycles fixing every point:
+    # on the generators that is the sign action, which build extends over S3.
+    sign = FiniteAction.build(S3, (1, 2, 3),
+                              lambda g, p: g.apply(p) if g.order() < 3 else p)
+    for g in S3.elements:
+        for p in (1, 2, 3):
+            assert sign.act(g, p) == (swap.apply(p) if g.order() == 2 else p)
+
+
+def test_finite_action_matches_natural_action(groups):
+    for name, G in groups.items():
+        action = FiniteAction.build(G, range(1, G.degree + 1), Permutation.apply)
+        for g in G.elements:
+            assert [action.act(g, p) for p in range(1, G.degree + 1)] == list(g.images), name
+
+
+def test_finite_action_reads_func_only_on_identity_and_generators(groups):
+    G = groups["S4"]
+    calls = []
+
+    def func(g, p):
+        calls.append(g)
+        return g.apply(p)
+
+    FiniteAction.build(G, range(1, 5), func)
+    distinct = set(G.generators) | {G.identity}
+    assert set(calls) == distinct
+    assert len(calls) == 4 * len(distinct)
 
 
 def test_finite_action_fixed_counts(groups):
@@ -340,6 +384,17 @@ def test_cayley_table_with_identity_and_repeated_generators():
     table = G.cayley_table()
     for a, x in enumerate(G.elements):
         assert list(table[a]) == [G.element_index(x * y) for y in G.elements]
+
+
+def test_indexed_search_matches_direct_search(groups):
+    # The table-driven search grows each closure from its parent subgroup;
+    # the object-level search re-closes every chain from the identity.
+    for name, G in groups.items():
+        if G.order > 60:
+            continue
+        for m in divisors(G.order)[1:-1]:
+            expect = sorted(_subgroup_search_direct(G, m), key=PermGroup.fingerprint)
+            assert subgroups_of_order(G, m) == expect, (name, m)
 
 
 def test_subgroup_search_leaves_no_garbage(groups):
