@@ -10,6 +10,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from math import ceil, log2
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .arith import PiSet, divisors, prime_divisors
@@ -36,7 +37,8 @@ class NotASubgroupError(ValueError):
 class PermGroup:
     """A finite permutation group with its complete, canonically sorted element list."""
 
-    __slots__ = ("degree", "generators", "elements", "_elem_set", "_table", "_index")
+    __slots__ = ("degree", "generators", "elements", "_elem_set", "_table", "_index",
+                 "_orders")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]) -> None:
@@ -46,6 +48,7 @@ class PermGroup:
         object.__setattr__(self, "_elem_set", frozenset(elements))
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_index", None)
+        object.__setattr__(self, "_orders", None)
 
     @property
     def order(self) -> int:
@@ -100,6 +103,12 @@ class PermGroup:
                                {g: i for i, g in enumerate(self.elements)})
         return self._index
 
+    def element_orders(self) -> Tuple[int, ...]:
+        """Element orders, indexed like ``elements``; computed once per group."""
+        if self._orders is None:
+            object.__setattr__(self, "_orders", tuple(g.order() for g in self.elements))
+        return self._orders
+
     def cayley_table(self) -> Optional[Sequence[array]]:
         """Index-level multiplication table, or None above the memory guard."""
         if self.order > _TABLE_LIMIT:
@@ -107,9 +116,10 @@ class PermGroup:
         if self._table is None:
             # Only generator rows take real products.  Every other row comes
             # by breadth-first search from the identity (index 0), using
-            # row(s * x) = row(s) o row(x): |G| lookups per row.
+            # row(s * x) = row(s) o row(x): one itemgetter call per row (the
+            # order is > 1 here, so it takes several indices, returns a tuple).
             idx = self._ensure_index()
-            gen_rows = [array("H", (idx[s * b] for b in self.elements))
+            gen_rows = [tuple(idx[s * b] for b in self.elements)
                         for s in dict.fromkeys(self.generators)]
             rows: List[Optional[array]] = [None] * self.order
             rows[0] = array("H", range(self.order))
@@ -118,7 +128,7 @@ class PermGroup:
                 for srow in gen_rows:
                     y = srow[x]
                     if rows[y] is None:
-                        rows[y] = array("H", map(srow.__getitem__, rows[x]))
+                        rows[y] = array("H", itemgetter(*rows[x])(srow))
                         queue.append(y)
             if len(queue) != self.order:
                 raise AssertionError("generators do not generate the element list")
@@ -262,12 +272,12 @@ def conjugates(G: PermGroup, H: PermGroup) -> List[PermGroup]:
 def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     """All subgroups of G of order exactly ``m``, by canonical backtracking.
 
-    Generating sets grow element-by-element in the canonical element order;
-    with a Cayley table, each closure grows from its parent's by right cosets.
-    A branch is pruned when its closure order fails to divide ``m``, exceeds
-    ``m``, or when the new generator is not the least new element (one
-    canonical generating chain per subgroup).  Any group of order m is
-    generated by at most ceil(log2 m) elements, so chains are short.
+    Generating sets grow element-by-element in the canonical element order,
+    and each closure grows from its parent's by right cosets.  A branch is
+    pruned when its closure order fails to divide ``m``, exceeds ``m``, or
+    when the new generator is not the least new element (one canonical
+    generating chain per subgroup).  Any group of order m is generated by at
+    most ceil(log2 m) elements, so chains are short.
     """
     if m < 1 or G.order % m:
         raise ValueError(f"{m} does not divide the group order {G.order}")
@@ -275,18 +285,37 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
         return [trivial_group(G.degree)]
     if m == G.order:
         return [G]
-
-    table = G.cayley_table()
-    if table is not None:
-        found = _subgroup_search_indexed(G, m, table)
-    else:
-        found = _subgroup_search_direct(G, m)
+    found = _subgroup_search(G, m, G.cayley_table() or _ProductRows(G))
     return sorted(found, key=PermGroup.fingerprint)
 
 
-def _subgroup_search_indexed(G: PermGroup, m: int, table: Sequence[array]) -> List[PermGroup]:
-    orders = [g.order() for g in G.elements]
-    candidates = [i for i in range(G.order) if i != 0 and m % orders[i] == 0]
+class _ProductRows:
+    """Cayley-table rows without the table: ``rows[a][b]`` is the index of
+    ``elements[a] * elements[b]``, one permutation product per lookup."""
+
+    __slots__ = ("elements", "index")
+
+    def __init__(self, G: PermGroup) -> None:
+        self.elements, self.index = G.elements, G._ensure_index()
+
+    def __getitem__(self, a: int) -> "_ProductRow":
+        return _ProductRow(self.elements[a], self)
+
+
+class _ProductRow:
+    __slots__ = ("x", "elements", "index")
+
+    def __init__(self, x: Permutation, rows: _ProductRows) -> None:
+        self.x, self.elements, self.index = x, rows.elements, rows.index
+
+    def __getitem__(self, b: int) -> int:
+        return self.index[self.x * self.elements[b]]
+
+
+def _subgroup_search(G: PermGroup, m: int,
+                     rows: "Sequence[array] | _ProductRows") -> List[PermGroup]:
+    elems, orders = G.elements, G.element_orders()
+    candidates = [i for i in range(1, G.order) if m % orders[i] == 0]
     max_gens = ceil(log2(m))
     out: List[PermGroup] = []
 
@@ -297,11 +326,11 @@ def _subgroup_search_indexed(G: PermGroup, m: int, table: Sequence[array]) -> Li
         seen = set(clo)
         reps = [0]
         for r in reps:
-            row = table[r]
+            row = rows[r]
             for g in gen_idx:
                 y = row[g]
                 if y not in seen:
-                    coset = [table[c][y] for c in clo]
+                    coset = [rows[c][y] for c in clo]
                     if len(seen) + len(coset) > m or min(coset) < e:
                         return None
                     seen.update(coset)
@@ -317,53 +346,14 @@ def _subgroup_search_indexed(G: PermGroup, m: int, table: Sequence[array]) -> Li
             if new is None or m % len(new):
                 continue
             if len(new) == m:
-                out.append(group_from_elements(
-                    G.degree, (G.elements[i] for i in new)))
+                # The canonical chain is the greedy generating set that
+                # group_from_elements would pick from the sorted elements.
+                out.append(PermGroup(G.degree, [elems[i] for i in gens + (e,)],
+                                     [elems[i] for i in sorted(new)]))
             elif len(gens) + 1 < max_gens:
                 extend(new, gens + (e,), pos + 1)
 
     extend(frozenset({0}), (), 0)
-    del extend  # break the closure's self-reference so G is freed promptly
-    return out
-
-
-def _subgroup_search_direct(G: PermGroup, m: int) -> List[PermGroup]:
-    # Object-level fallback for groups above the Cayley-table guard.
-    ident = G.identity
-    candidates = [g for g in G.elements if not g.is_identity() and m % g.order() == 0]
-    max_gens = ceil(log2(m))
-    out: List[PermGroup] = []
-
-    def closure(gens: Tuple[Permutation, ...]) -> Optional[FrozenSet[Permutation]]:
-        seen = {ident}
-        queue = [ident]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    if len(seen) >= m:
-                        return None
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
-
-    def extend(clo: FrozenSet[Permutation], gens: Tuple[Permutation, ...], start: int) -> None:
-        for pos in range(start, len(candidates)):
-            e = candidates[pos]
-            if e in clo:
-                continue
-            new = closure(gens + (e,))
-            if new is None or m % len(new):
-                continue
-            if min(new - clo) != e:
-                continue
-            if len(new) == m:
-                out.append(group_from_elements(G.degree, new))
-            elif len(gens) + 1 < max_gens:
-                extend(new, gens + (e,), pos + 1)
-
-    extend(frozenset({ident}), (), 0)
     del extend  # break the closure's self-reference so G is freed promptly
     return out
 

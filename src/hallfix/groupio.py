@@ -54,7 +54,11 @@ def parse_group_text(text: str) -> Tuple[int, List[Permutation]]:
 
 
 def read_group_file(path: "str | Path") -> Tuple[int, List[Permutation]]:
-    return parse_group_text(Path(path).read_text(encoding="ascii"))
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GroupFileError(f"cannot read group file {path}: {exc}") from exc
+    return parse_group_text(text)
 
 
 def format_group_text(degree: int, generators: Sequence[Permutation],

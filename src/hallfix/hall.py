@@ -8,6 +8,7 @@ suite checks rather than assumes.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .arith import PiSet, moebius, prime_divisors, totient
@@ -110,11 +111,12 @@ def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
         raise NoHallSubgroupError(
             f"group of order {G.order} has no Hall subgroup for pi={{{pi}}} "
             f"(no subgroup of order {n})")
-    hall_sets = [K.element_set() for K in halls]
-    lam: Dict[Permutation, int] = {}
-    for x in G.elements:
-        if is_pi_number(x.order(), pi):
-            lam[x] = sum(1 for s in hall_sets if x in s)
+    # Every element of a Hall subgroup is a pi-element, so counting each
+    # subgroup's elements gives lam; pi-elements in no Hall subgroup get 0.
+    counts = Counter(x for K in halls for x in K.elements)
+    orders = G.element_orders()
+    pi_orders = {k for k in set(orders) if is_pi_number(k, pi)}
+    lam = {x: counts[x] for x, k in zip(G.elements, orders) if k in pi_orders}
     return HallContext(G, pi, n, halls, lam)
 
 
@@ -198,11 +200,8 @@ def moebius_partition_check(H: PermGroup, gamma: Mapping[Permutation, int]) -> b
 
 def lambda_report_lines(ctx: HallContext) -> List[str]:
     """Text report: one line per pi-element in canonical order."""
-    out = []
-    for x in sorted(ctx.lam):
-        out.append(
-            f"element {format_permutation(x)} order {x.order()} lambda {ctx.lam[x]}")
-    return out
+    return [f"element {r['element']} order {r['order']} lambda {r['lambda']}"
+            for r in lambda_report_records(ctx)]
 
 
 def lambda_report_records(ctx: HallContext) -> List[Dict[str, object]]:

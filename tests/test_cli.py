@@ -9,9 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from hallfix import cli
+from hallfix import PiSet, build_hall_context, cli
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
+from hallfix.reports import FAIL, PASS
 
 
 def run(capsys, *argv):
@@ -161,6 +162,19 @@ def test_sym_char(capsys):
     assert "pass" in out and "averaged value 400" in out
 
 
+def test_sym_char_fails_on_a_broken_conjugation_character(groups):
+    # Bumping tau at one non-identity element breaks the integrality of the
+    # trivial-character multiplicities in its symmetric and alternating squares.
+    ctx = build_hall_context(groups["A5"], PiSet([2]))
+    tau = dict(ctx.fixed_hall_counts())
+    assert cli.sym_char_record("A5", ctx).status == PASS
+    tau[ctx.group.elements[1]] += 1
+    ctx._tau = tau
+    record = cli.sym_char_record("A5", ctx)
+    assert record.status == FAIL
+    assert "square multiplicities" in record.witness
+
+
 def test_file_input(capsys, tmp_path):
     path = tmp_path / "c6.grp"
     path.write_text("degree: 6\ngen: (1 2 3 4 5 6)\n")
@@ -181,6 +195,33 @@ def test_verify_mult_on_groups_with_many_classes(capsys, tmp_path, gens, degree,
     code, out, err = run(capsys, "verify-mult", "--file", str(path), "--pi", pi)
     assert code == 0 and err == ""
     assert "pass" in out and "value 1" in out
+
+
+def test_group_file_directory_is_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "verify-add", "--file", str(tmp_path), "--pi", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read group file {tmp_path}: ")
+    assert "Is a directory" in err and err.count("\n") == 1
+
+
+def test_group_file_non_ascii_is_input_error(capsys, tmp_path):
+    path = tmp_path / "g.grp"
+    path.write_bytes("# caf\u00e9\ndegree: 3\ngen: (1 2)\n".encode())
+    code, out, err = run(capsys, "verify-add", "--file", str(path), "--pi", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read group file {path}: ")
+    assert "can't decode byte 0xc3" in err and err.count("\n") == 1
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    # Exit 1 means a violated identity; a crash must not look like one.
+    def broken(G, pi):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "build_hall_context", broken)
+    code, out, err = run(capsys, "verify-add", "--group", "S4", "--pi", "2")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_unknown_group_is_input_error(capsys):

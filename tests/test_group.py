@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 from itertools import combinations
+from math import ceil, log2
 
 import pytest
 
@@ -13,12 +14,53 @@ from hallfix import (CapExceededError, NotASubgroupError, PiSet, Permutation,
                      subgroups_of_order, trivial_group)
 from hallfix import group as group_mod
 from hallfix.arith import divisors, prime_divisors
-from hallfix.group import (FiniteAction, PermGroup, _subgroup_search_direct,
-                           core_pi_complement, group_from_elements)
+from hallfix.group import (FiniteAction, PermGroup, core_pi_complement,
+                           group_from_elements)
 
 
 def P(text, degree):
     return parse_permutation(text, degree)
+
+
+def _subgroup_search_direct(G, m):
+    """Reference search on permutations: re-closes every canonical generating
+    chain from the identity and hands each subgroup to group_from_elements."""
+    ident = G.identity
+    candidates = [g for g in G.elements if not g.is_identity() and m % g.order() == 0]
+    max_gens = ceil(log2(m))
+    out = []
+
+    def closure(gens):
+        seen = {ident}
+        queue = [ident]
+        while queue:
+            x = queue.pop()
+            for g in gens:
+                y = x * g
+                if y not in seen:
+                    if len(seen) >= m:
+                        return None
+                    seen.add(y)
+                    queue.append(y)
+        return frozenset(seen)
+
+    def extend(clo, gens, start):
+        for pos in range(start, len(candidates)):
+            e = candidates[pos]
+            if e in clo:
+                continue
+            new = closure(gens + (e,))
+            if new is None or m % len(new):
+                continue
+            if min(new - clo) != e:
+                continue
+            if len(new) == m:
+                out.append(group_from_elements(G.degree, new))
+            elif len(gens) + 1 < max_gens:
+                extend(new, gens + (e,), pos + 1)
+
+    extend(frozenset({ident}), (), 0)
+    return sorted(out, key=PermGroup.fingerprint)
 
 
 def test_close_a5():
@@ -387,25 +429,52 @@ def test_cayley_table_with_identity_and_repeated_generators():
 
 
 def test_indexed_search_matches_direct_search(groups):
-    # The table-driven search grows each closure from its parent subgroup;
-    # the object-level search re-closes every chain from the identity.
+    # The search on element indices grows each closure from its parent
+    # subgroup; the reference search re-closes every chain from the identity
+    # and picks generators greedily, which must give the same generators.
     for name, G in groups.items():
         if G.order > 60:
             continue
         for m in divisors(G.order)[1:-1]:
-            expect = sorted(_subgroup_search_direct(G, m), key=PermGroup.fingerprint)
-            assert subgroups_of_order(G, m) == expect, (name, m)
+            expect = _subgroup_search_direct(G, m)
+            found = subgroups_of_order(G, m)
+            assert found == expect, (name, m)
+            assert [K.generators for K in found] == [K.generators for K in expect], (name, m)
 
 
-def test_subgroup_search_leaves_no_garbage(groups):
+def test_product_rows_match_table_rows(groups, monkeypatch):
+    # Above the table guard the search reads one permutation product per
+    # lookup; a guard of 0 sends every corpus group down that path.
+    for name, G in groups.items():
+        if G.order > 168:
+            continue
+        for m in divisors(G.order)[1:-1]:
+            with_table = subgroups_of_order(G, m)
+            with monkeypatch.context() as mp:
+                mp.setattr(group_mod, "_TABLE_LIMIT", 0)
+                assert G.cayley_table() is None
+                with_products = subgroups_of_order(G, m)
+            assert with_products == with_table, (name, m)
+            assert ([K.generators for K in with_products]
+                    == [K.generators for K in with_table]), (name, m)
+
+
+def test_element_orders_match_permutation_orders(groups):
+    for name, G in groups.items():
+        assert G.element_orders() == tuple(g.order() for g in G.elements), name
+
+
+def test_subgroup_search_leaves_no_garbage(groups, monkeypatch):
     # The recursive search must not leave a reference cycle that keeps the
-    # group and its table alive until the cyclic collector runs.
+    # group and its rows alive until the cyclic collector runs, with the
+    # Cayley table or (guard 0) with product rows.
     gc.collect()
     gc.disable()
     try:
         subgroups_of_order(groups["S4"], 8)
         assert gc.collect() == 0
-        _subgroup_search_direct(groups["S4"], 8)
+        monkeypatch.setattr(group_mod, "_TABLE_LIMIT", 0)
+        subgroups_of_order(groups["S4"], 8)
         assert gc.collect() == 0
     finally:
         gc.enable()

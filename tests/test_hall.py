@@ -11,6 +11,7 @@ from hallfix import (NoHallSubgroupError, PiSet, build_hall_context, close,
                      corpus_entries, cyclic_lattice, divisors,
                      moebius_partition_check, parse_permutation, pi_part,
                      subgroups_of_order, totient, trivial_group)
+from hallfix.arith import prime_divisors
 from hallfix.group import conjugacy_classes
 from hallfix.hall import lambda_report_lines, lambda_report_records
 
@@ -41,6 +42,20 @@ def test_build_hall_context_trivial_pi(groups):
 def test_build_hall_context_no_hall(groups):
     with pytest.raises(NoHallSubgroupError):
         build_hall_context(groups["A5"], PiSet([2, 5]))
+
+
+def test_lam_matches_brute_force_membership_counts(groups, hall_ctx):
+    # Oracle: for each pi-element, test membership in every Hall subgroup.
+    for entry in corpus_entries():
+        G = groups[entry.name]
+        for pi in entry.check_pis:
+            try:
+                ctx = hall_ctx(entry.name, str(pi))
+            except NoHallSubgroupError:
+                continue
+            expected = {x: sum(1 for K in ctx.halls if x in K) for x in G.elements
+                        if all(p in pi for p in prime_divisors(x.order()))}
+            assert list(ctx.lam.items()) == list(expected.items()), (entry.name, str(pi))
 
 
 def test_lam_rejects_non_pi_elements(hall_ctx):
