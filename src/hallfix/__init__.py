@@ -13,8 +13,7 @@ from .corpus import (CorpusEntry, UnknownGroupError, corpus_entries,
 from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
                     NotASubgroupError, PermGroup, centralizer, close, conjugates,
                     core_pi, core_pi_complement, is_pi_separable, is_solvable,
-                    normal_subgroups, normalizer, quotient, subgroups_of_order,
-                    trivial_group)
+                    normalizer, quotient, subgroups_of_order, trivial_group)
 from .groupio import GroupFileError, format_group_text, parse_group_text
 from .hall import (CyclicLattice, HallContext, NoHallSubgroupError,
                    build_hall_context, cyclic_lattice, moebius_partition_check,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from math import ceil, log2
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .arith import PiSet, divisors, prime_divisors
@@ -21,9 +21,6 @@ DEFAULT_ELEMENT_CAP = 10080
 
 #: Cayley index tables are only built below this order (memory guard).
 _TABLE_LIMIT = 2048
-
-#: Normal-subgroup scan enumerates class unions; guard the subset blowup.
-_CLASS_SCAN_LIMIT = 20
 
 
 class CapExceededError(RuntimeError):
@@ -44,7 +41,7 @@ class PermGroup:
                  elements: Sequence[Permutation]) -> None:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "elements", tuple(sorted(elements)))
+        object.__setattr__(self, "elements", tuple(sorted(elements, key=attrgetter("images"))))
         object.__setattr__(self, "_elem_set", frozenset(elements))
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_index", None)
@@ -80,7 +77,7 @@ class PermGroup:
         return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def is_cyclic(self) -> bool:
-        return any(g.order() == self.order for g in self.elements)
+        return self.order in self.element_orders()
 
     def fingerprint(self) -> Tuple[Tuple[int, ...], ...]:
         """Sorted element-image tuples; the canonical dedup / ordering key."""
@@ -169,21 +166,32 @@ def close(generators: Sequence[Permutation], *, degree: Optional[int] = None,
             raise ValueError("degree is required for an empty generating set")
         deg = degree
 
+    # Dimino's method on image tuples: grow <g1..gi> from H = <g1..g(i-1)>
+    # by whole right cosets H y, y = r * g for a coset representative r.
     ident = Permutation.identity(deg)
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise CapExceededError(
-                        f"closure exceeds the element cap {cap}; "
-                        "the group is too large for exhaustive mode")
-                seen.add(y)
-                queue.append(y)
-    return PermGroup(deg, gens or [ident], seen)
+    moves = [(g, _times(g)) for g in dict.fromkeys(g.images for g in gens)]
+    seen = {ident.images}
+    for i, (g, _) in enumerate(moves):
+        if g in seen:
+            continue
+        prev, reps = list(seen), [ident.images]
+        for r in reps:
+            for _, times_g in moves[:i + 1]:
+                y = times_g(r)
+                if y not in seen:
+                    if len(seen) + len(prev) > cap:
+                        raise CapExceededError(
+                            f"closure exceeds the element cap {cap}; "
+                            "the group is too large for exhaustive mode")
+                    seen.update(map(_times(y), prev))
+                    reps.append(y)
+    elems = [Permutation._trusted(t) for t in sorted(seen)]
+    return PermGroup(deg, gens or [ident], elems)
+
+
+def _times(g: Tuple[int, ...]) -> Callable[[Tuple[int, ...]], Tuple[int, ...]]:
+    """Right multiplication t -> t * g on image tuples."""
+    return itemgetter(*[v - 1 for v in g]) if len(g) > 1 else tuple
 
 
 def trivial_group(degree: int) -> PermGroup:
@@ -193,34 +201,21 @@ def trivial_group(degree: int) -> PermGroup:
 
 def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
     """Wrap an already-closed element set, picking a small generating set greedily."""
-    elems = sorted(set(elements))
+    elems = sorted(set(elements), key=attrgetter("images"))
     gens: List[Permutation] = []
-    span = {Permutation.identity(degree)}
-    for g in elems:
-        if g not in span:
-            gens.append(g)
-            span = _close_set(span | {g}, gens)
-            if len(span) == len(elems):
-                break
-    if not gens:
-        gens = [Permutation.identity(degree)]
-    group = PermGroup(degree, gens, elems)
-    if len(span) != len(elems):
+    span = trivial_group(degree)
+    try:
+        for g in elems:
+            if g not in span:
+                gens.append(g)
+                span = close(gens, cap=len(elems))
+                if span.order == len(elems):
+                    break
+    except CapExceededError:
+        pass
+    if span.order != len(elems):
         raise ValueError("element set is not closed under the group operation")
-    return group
-
-
-def _close_set(start: set, gens: Sequence[Permutation]) -> set:
-    seen = set(start)
-    queue = list(start)
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+    return PermGroup(degree, gens or span.generators, elems)
 
 
 def _conjugate_set(elems: FrozenSet[Permutation], g: Permutation) -> FrozenSet[Permutation]:
@@ -360,50 +355,31 @@ def _subgroup_search(G: PermGroup, m: int,
 
 def conjugacy_classes(G: PermGroup) -> List[Tuple[Permutation, ...]]:
     """Conjugacy classes as canonically sorted element tuples, identity class first."""
-    conj = [(g, g.inverse()) for g in G.generators]
-    seen: set = set()
+    # One conjugation row per distinct generator over element indices, with
+    # g x g^-1 = g o (x o g^-1) on image tuples (the identity moves nothing).
+    elems = G.elements
+    index = {x.images: i for i, x in enumerate(elems)}
+    rows = []
+    for g in dict.fromkeys(G.generators):
+        if g != G.identity:
+            shifted, times_ginv = (0,) + g.images, _times(g.inverse().images)
+            rows.append([index[itemgetter(*times_ginv(x.images))(shifted)] for x in elems])
+    seen = bytearray(len(elems))
     classes: List[Tuple[Permutation, ...]] = []
-    for x in G.elements:
-        if x in seen:
+    for i in range(len(elems)):
+        if seen[i]:
             continue
-        orbit = {x}
-        queue = [x]
-        while queue:
-            y = queue.pop()
-            for g, gi in conj:
-                z = g * y * gi
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
+        seen[i] = 1
+        orbit = [i]
+        for y in orbit:
+            for row in rows:
+                z = row[y]
+                if not seen[z]:
+                    seen[z] = 1
+                    orbit.append(z)
+        orbit.sort()
+        classes.append(tuple([elems[j] for j in orbit]))
     return classes
-
-
-def normal_subgroups(G: PermGroup) -> List[PermGroup]:
-    """All normal subgroups, as closed class unions; the cores' test reference."""
-    classes = conjugacy_classes(G)
-    rest = classes[1:]
-    if len(rest) > _CLASS_SCAN_LIMIT:
-        raise RuntimeError(
-            f"normal-subgroup scan over {len(rest)} conjugacy classes is out of "
-            "desk-scale range")
-    out: List[PermGroup] = []
-    for mask in range(1 << len(rest)):
-        size = 1
-        members = [classes[0]]
-        for bit, cls in enumerate(rest):
-            if mask >> bit & 1:
-                size += len(cls)
-                members.append(cls)
-        if G.order % size:
-            continue
-        union = frozenset(x for cls in members for x in cls)
-        # A conjugation-closed candidate is a subgroup iff one representative
-        # per member class maps the candidate into itself.
-        if all(all(cls[0] * x in union for x in union) for cls in members):
-            out.append(group_from_elements(G.degree, union))
-    return sorted(out, key=lambda H: (H.order, H.fingerprint()))
 
 
 def _normal_closure(G: PermGroup, x: Permutation, keep: Callable[[int], bool],
@@ -493,24 +469,25 @@ def quotient(G: PermGroup, N: PermGroup) -> Tuple[PermGroup, GroupHom]:
     """
     if not N.is_normal_in(G):
         raise NotASubgroupError("quotient requires a normal subgroup")
-    cosets: List[FrozenSet[Permutation]] = []
-    point_of: Dict[Permutation, int] = {}
+    # Cosets N x, numbered in canonical order through their image tuples:
+    # each is first met at its least element, its representative.  The
+    # action of x depends only on N x, so one image row serves the coset.
+    n_images = [n.images for n in N.elements]
+    point_of: Dict[Tuple[int, ...], int] = {}
+    reps: List[Permutation] = []
     for x in G.elements:
-        if x in point_of:
-            continue
-        cs = frozenset(n * x for n in N.elements)
-        cosets.append(cs)
-        for y in cs:
-            point_of[y] = len(cosets)
-    reps = [min(cs) for cs in cosets]
-
-    mapping: Dict[Permutation, Permutation] = {}
-    for x in G.elements:
-        xinv = x.inverse()
-        mapping[x] = Permutation(point_of[rep * xinv] for rep in reps)
-    q_elems = set(mapping.values())
+        if x.images not in point_of:
+            reps.append(x)
+            point_of.update(dict.fromkeys(map(_times(x.images), n_images), len(reps)))
+    coset_images = []
+    for x in reps:
+        times_xinv = _times(x.inverse().images)
+        coset_images.append(Permutation._trusted(
+            tuple([point_of[times_xinv(r.images)] for r in reps])))
+    mapping = {x: coset_images[point_of[x.images] - 1] for x in G.elements}
+    q_elems = set(coset_images)
     q_gens = [mapping[g] for g in G.generators]
-    Q = PermGroup(len(cosets), q_gens or [Permutation.identity(len(cosets))], q_elems)
+    Q = PermGroup(len(reps), q_gens or [Permutation.identity(len(reps))], q_elems)
     if Q.order * N.order != G.order:
         raise AssertionError("coset action has the wrong order; quotient is broken")
     return Q, GroupHom(G, Q, mapping)

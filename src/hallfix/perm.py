@@ -7,7 +7,7 @@ g(h(p))``, i.e. the right factor acts first.
 
 from __future__ import annotations
 
-from math import gcd
+from math import lcm
 from typing import Dict, Iterable, List, Tuple
 
 
@@ -105,9 +105,18 @@ class Permutation:
 
     def order(self) -> int:
         """Least k >= 1 with self**k == identity: the lcm of the cycle lengths."""
+        imgs = self.images
+        seen = [False] * len(imgs)
         out = 1
-        for c in self._orbits():
-            out = out * len(c) // gcd(out, len(c))
+        for start, nxt in enumerate(imgs, 1):
+            if nxt == start or seen[start - 1]:
+                continue
+            length = 1
+            while nxt != start:
+                seen[nxt - 1] = True
+                nxt = imgs[nxt - 1]
+                length += 1
+            out = lcm(out, length)
         return out
 
     def is_identity(self) -> bool:

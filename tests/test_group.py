@@ -7,15 +7,16 @@ from itertools import combinations
 from math import ceil, log2
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallfix import (CapExceededError, NotASubgroupError, PiSet, Permutation,
                      centralizer, close, conjugates, core_pi, is_pi_separable,
-                     normal_subgroups, normalizer, parse_permutation, quotient,
-                     subgroups_of_order, trivial_group)
+                     normalizer, parse_permutation, quotient, subgroups_of_order,
+                     trivial_group)
 from hallfix import group as group_mod
 from hallfix.arith import divisors, prime_divisors
-from hallfix.group import (FiniteAction, PermGroup, core_pi_complement,
-                           group_from_elements)
+from hallfix.group import (DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, conjugacy_classes,
+                           core_pi_complement, group_from_elements)
 
 
 def P(text, degree):
@@ -61,6 +62,129 @@ def _subgroup_search_direct(G, m):
 
     extend(frozenset({ident}), (), 0)
     return sorted(out, key=PermGroup.fingerprint)
+
+
+def _close_direct(generators, *, degree=None, cap=DEFAULT_ELEMENT_CAP):
+    """Reference closure on permutations: breadth-first products x * g from
+    the identity, one Permutation per product."""
+    gens = list(generators)
+    if gens:
+        deg = gens[0].degree
+        if any(g.degree != deg for g in gens):
+            raise ValueError("generators must share one degree")
+        if degree is not None and degree != deg:
+            raise ValueError(f"declared degree {degree} != generator degree {deg}")
+    else:
+        if degree is None:
+            raise ValueError("degree is required for an empty generating set")
+        deg = degree
+
+    ident = Permutation.identity(deg)
+    seen = {ident}
+    queue = [ident]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                if len(seen) >= cap:
+                    raise CapExceededError(
+                        f"closure exceeds the element cap {cap}; "
+                        "the group is too large for exhaustive mode")
+                seen.add(y)
+                queue.append(y)
+    return PermGroup(deg, gens or [ident], seen)
+
+
+def _quotient_direct(G, N):
+    """Reference quotient on permutations: every element's coset action,
+    through the validating Permutation constructor."""
+    cosets = []
+    point_of = {}
+    for x in G.elements:
+        if x in point_of:
+            continue
+        cs = frozenset(n * x for n in N.elements)
+        cosets.append(cs)
+        for y in cs:
+            point_of[y] = len(cosets)
+    reps = [min(cs) for cs in cosets]
+    mapping = {}
+    for x in G.elements:
+        xinv = x.inverse()
+        mapping[x] = Permutation(point_of[rep * xinv] for rep in reps)
+    q_gens = [mapping[g] for g in G.generators]
+    return PermGroup(len(cosets), q_gens, set(mapping.values())), mapping
+
+
+#: The normal-subgroup scan enumerates class unions; guard the subset blowup.
+_CLASS_SCAN_LIMIT = 20
+
+
+def normal_subgroups(G):
+    """Reference for the cores: all normal subgroups, as closed class unions."""
+    classes = conjugacy_classes(G)
+    rest = classes[1:]
+    if len(rest) > _CLASS_SCAN_LIMIT:
+        raise RuntimeError(
+            f"normal-subgroup scan over {len(rest)} conjugacy classes is out of "
+            "desk-scale range")
+    out = []
+    for mask in range(1 << len(rest)):
+        size = 1
+        members = [classes[0]]
+        for bit, cls in enumerate(rest):
+            if mask >> bit & 1:
+                size += len(cls)
+                members.append(cls)
+        if G.order % size:
+            continue
+        union = frozenset(x for cls in members for x in cls)
+        # A conjugation-closed candidate is a subgroup iff one representative
+        # per member class maps the candidate into itself.
+        if all(all(cls[0] * x in union for x in union) for cls in members):
+            out.append(group_from_elements(G.degree, union))
+    return sorted(out, key=lambda H: (H.order, H.fingerprint()))
+
+
+@st.composite
+def _generating_sets(draw):
+    """A degree from 1 to 7 and up to three permutations of it, as image lists."""
+    degree = draw(st.integers(1, 7))
+    return degree, draw(st.lists(st.permutations(range(1, degree + 1)), max_size=3))
+
+
+def test_close_matches_direct_closure(groups):
+    for name, G in groups.items():
+        expect = _close_direct(G.generators)
+        found = close(G.generators)
+        assert found.elements == expect.elements, name
+        assert found.generators == expect.generators, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generating_sets())
+def test_close_matches_direct_closure_on_random_generators(drawn):
+    degree, images = drawn
+    gens = [Permutation(g) for g in images]
+    expect = _close_direct(gens, degree=degree)
+    found = close(gens, degree=degree)
+    assert found.elements == expect.elements
+    assert found.generators == expect.generators
+
+
+@pytest.mark.parametrize("name", ["S3", "A5"])
+def test_close_cap_boundary(groups, name):
+    G = groups[name]
+    assert close(G.generators, cap=G.order).elements == G.elements
+    with pytest.raises(CapExceededError):
+        close(G.generators, cap=G.order - 1)
+
+
+def test_close_of_degree_one_is_trivial():
+    ident = Permutation.identity(1)
+    for G in (close([], degree=1), close([ident])):
+        assert G.elements == (ident,) and G.generators == (ident,)
 
 
 def test_close_a5():
@@ -271,6 +395,20 @@ def test_quotient_projection_is_surjective_homomorphism(groups):
     assert proj.kernel() == V4
 
 
+def test_quotient_matches_direct_quotient(groups):
+    for name, G in groups.items():
+        if G.order > 168:
+            continue
+        cores = {N for pi in _prime_subsets(G)
+                 for N in (core_pi(G, pi), core_pi_complement(G, pi))}
+        for N in cores:
+            Q, proj = quotient(G, N)
+            expect, mapping = _quotient_direct(G, N)
+            assert Q.elements == expect.elements, (name, N.order)
+            assert Q.generators == expect.generators, (name, N.order)
+            assert proj.mapping == mapping, (name, N.order)
+
+
 def test_quotient_requires_normal(groups):
     H = close([P("(1 2)", 4)])
     with pytest.raises(NotASubgroupError):
@@ -345,6 +483,25 @@ def test_separability_computes_classes_once_per_tower_level(groups, monkeypatch,
                         lambda G: calls.append(G.order) or classes(G))
     assert is_pi_separable(groups[name], PiSet([2])) is separable
     assert len(calls) == levels
+
+
+def test_conjugacy_classes_match_brute_force(groups):
+    for name, G in groups.items():
+        if G.order > 168:
+            continue
+        classes = conjugacy_classes(G)
+        expect = {frozenset(g * x * g.inverse() for g in G.elements) for x in G.elements}
+        assert {frozenset(cls) for cls in classes} == expect, name
+        assert len(classes) == len(expect), name
+        assert classes[0] == (G.identity,), name
+        assert all(list(cls) == sorted(cls) for cls in classes), name
+        assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes), name
+
+
+def test_conjugacy_class_sizes_of_a7():
+    A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
+    sizes = sorted(len(cls) for cls in conjugacy_classes(A7))
+    assert sizes == [1, 70, 105, 210, 280, 360, 360, 504, 630]
 
 
 def test_normal_subgroup_scan_refuses_more_than_20_classes():

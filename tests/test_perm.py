@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,6 +102,18 @@ def test_order_is_lcm_of_cycle_lengths():
     g = parse_permutation("(1 2)(3 4 5)(6 7 8 9)", 9)
     assert g.order() == 12
     assert (g**12).is_identity() and not (g**6).is_identity()
+
+
+def test_order_matches_repeated_products():
+    # Oracle: the least k with g * g * ... * g (k factors) the identity.
+    for degree in range(1, 7):
+        ident = Permutation.identity(degree)
+        for images in permutations(range(1, degree + 1)):
+            g = Permutation(images)
+            power, k = g, 1
+            while power != ident:
+                power, k = power * g, k + 1
+            assert g.order() == k, images
 
 
 def test_cycle_counts_partition_degree():
