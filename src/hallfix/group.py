@@ -356,7 +356,8 @@ def _subgroup_search(G: PermGroup, m: int,
 def conjugacy_classes(G: PermGroup) -> List[Tuple[Permutation, ...]]:
     """Conjugacy classes as canonically sorted element tuples, identity class first."""
     # One conjugation row per distinct generator over element indices, with
-    # g x g^-1 = g o (x o g^-1) on image tuples (the identity moves nothing).
+    # g x g^-1 = g o (x o g^-1) on image tuples.  The identity moves nothing;
+    # skipping it also keeps degree 1 off itemgetter's single-index form.
     elems = G.elements
     index = {x.images: i for i, x in enumerate(elems)}
     rows = []
