@@ -11,9 +11,9 @@ from .arith import FactoredRational, PiSet, divisors, moebius, totient
 from .corpus import (CorpusEntry, UnknownGroupError, corpus_entries,
                      corpus_names, get_entry, load_group, load_scenario)
 from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
-                    NotASubgroupError, PermGroup, centralizer, close, conjugates,
-                    core_pi, core_pi_complement, is_pi_separable, is_solvable,
-                    normalizer, quotient, subgroups_of_order, trivial_group)
+                    NotASubgroupError, PermGroup, centralizer, close, core_pi,
+                    core_pi_complement, is_pi_separable, quotient,
+                    subgroups_of_order, trivial_group)
 from .groupio import GroupFileError, format_group_text, parse_group_text
 from .hall import (CyclicLattice, HallContext, NoHallSubgroupError,
                    build_hall_context, cyclic_lattice, moebius_partition_check,
@@ -22,8 +22,7 @@ from .perm import (Permutation, PermParseError, format_permutation,
                    parse_permutation)
 from .verify import (CharacterTable, CoprimeActionScenario, NrCheckResult,
                      SymCharSpec, WielandtResult, additive_value,
-                     additive_values_all_halls, burnside_orbit_count,
-                     conjugation_character, curiosity_value, cyclic_hall_check,
+                     burnside_orbit_count, conjugation_character, curiosity_value,
                      cyclic_symmetrized_char, interpretation_check,
                      multiplicative_value, navarro_rizo_check,
                      power_product_pair, power_sum_bound_holds, power_subgroup,

@@ -17,19 +17,8 @@ FACTOR_LIMIT = 10**7
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Primality through :func:`factorize`, so ``n`` above FACTOR_LIMIT raises."""
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> Dict[int, int]:
@@ -211,9 +200,6 @@ class FactoredRational:
         if k == 0:
             return FactoredRational.one()
         return FactoredRational({p: e * k for p, e in self._factors})
-
-    def inverse(self) -> "FactoredRational":
-        return self.power(-1)
 
     def is_one(self) -> bool:
         return not self._factors

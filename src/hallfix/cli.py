@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 from .arith import FACTOR_LIMIT, PiSet, prime_divisors
 from .corpus import (A5_CURIOSITY, CorpusEntry, UnknownGroupError, corpus_entries,
                      get_entry, load_group, load_scenario)
-from .group import CapExceededError, DEFAULT_ELEMENT_CAP, PermGroup, is_pi_separable
-from .groupio import GroupFileError
+from .group import CapExceededError, DEFAULT_ELEMENT_CAP, PermGroup, close, is_pi_separable
+from .groupio import GroupFileError, read_group_file
 from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
                    lambda_report_lines, lambda_report_records)
 from .perm import PermParseError
@@ -75,7 +75,8 @@ def _resolve_group(args) -> Tuple[str, PermGroup, Optional[CorpusEntry]]:
         entry = get_entry(args.group)
         return entry.name, load_group(entry.name, cap=args.cap), entry
     if args.file:
-        return args.file, load_group(args.file, cap=args.cap), None
+        degree, gens = read_group_file(args.file)
+        return args.file, close(gens, degree=degree, cap=args.cap), None
     raise InputError("one of --group or --file is required")
 
 

@@ -8,7 +8,6 @@ desk scale.  Closure refuses groups larger than a configurable cap.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from math import ceil, log2
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -82,17 +81,6 @@ class PermGroup:
     def fingerprint(self) -> Tuple[Tuple[int, ...], ...]:
         """Sorted element-image tuples; the canonical dedup / ordering key."""
         return tuple(g.images for g in self.elements)
-
-    def conjugated_by(self, g: Permutation) -> "PermGroup":
-        """The subgroup g * self * g^-1 (element-by-element, no re-closure)."""
-        ginv = g.inverse()
-        elems = [g * x * ginv for x in self.elements]
-        gens = [g * x * ginv for x in self.generators] or [self.identity]
-        return PermGroup(self.degree, gens, elems)
-
-    def element_index(self, g: Permutation) -> int:
-        idx = self._ensure_index()
-        return idx[g]
 
     def _ensure_index(self) -> Dict[Permutation, int]:
         if self._index is None:
@@ -241,27 +229,6 @@ def centralizer(G: PermGroup, s: "Permutation | PermGroup") -> PermGroup:
             f"centralizer target degree {degree} != group degree {G.degree}")
     elems = [g for g in G.elements if all(g * t == t * g for t in targets)]
     return group_from_elements(G.degree, elems)
-
-
-def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
-    """Subgroup {g in G : g H g^-1 = H}."""
-    if not H.is_subgroup_of(G):
-        raise NotASubgroupError("normalizer argument is not a subgroup of G")
-    hset = H.element_set()
-    elems = [g for g in G.elements if _conjugate_set(hset, g) == hset]
-    return group_from_elements(G.degree, elems)
-
-
-def conjugates(G: PermGroup, H: PermGroup) -> List[PermGroup]:
-    """All distinct conjugates g H g^-1, canonically ordered."""
-    if not H.is_subgroup_of(G):
-        raise NotASubgroupError("conjugates argument is not a subgroup of G")
-    seen: Dict[FrozenSet[Permutation], PermGroup] = {}
-    for g in G.elements:
-        kset = _conjugate_set(H.element_set(), g)
-        if kset not in seen:
-            seen[kset] = H.conjugated_by(g)
-    return sorted(seen.values(), key=PermGroup.fingerprint)
 
 
 def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
@@ -437,36 +404,11 @@ def core_pi_complement(G: PermGroup, pi: PiSet) -> PermGroup:
     return _core(G, _pi_keeps(pi)[1], conjugacy_classes(G))
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    """A total homomorphism given by an explicit element table."""
-
-    source: PermGroup
-    target: PermGroup
-    mapping: Dict[Permutation, Permutation] = field(hash=False)
-
-    def __call__(self, x: Permutation) -> Permutation:
-        return self.mapping[x]
-
-    def kernel(self) -> PermGroup:
-        ident = self.target.identity
-        return group_from_elements(
-            self.source.degree,
-            (x for x, y in self.mapping.items() if y == ident))
-
-    def is_homomorphism(self) -> bool:
-        """Full table check; quadratic, intended for desk-scale validation."""
-        mp = self.mapping
-        return all(mp[x * y] == mp[x] * mp[y]
-                   for x in self.source.elements for y in self.source.elements)
-
-
-def quotient(G: PermGroup, N: PermGroup) -> Tuple[PermGroup, GroupHom]:
+def quotient(G: PermGroup, N: PermGroup) -> PermGroup:
     """Quotient as the permutation action of G on the right cosets of N.
 
-    Returns the coset-action group together with the projection homomorphism,
-    whose kernel is exactly N.  Cosets are numbered in canonical order, so the
-    coset of the identity is point 1.
+    Cosets are numbered in canonical order, so the coset of the identity is
+    point 1.
     """
     if not N.is_normal_in(G):
         raise NotASubgroupError("quotient requires a normal subgroup")
@@ -485,13 +427,11 @@ def quotient(G: PermGroup, N: PermGroup) -> Tuple[PermGroup, GroupHom]:
         times_xinv = _times(x.inverse().images)
         coset_images.append(Permutation._trusted(
             tuple([point_of[times_xinv(r.images)] for r in reps])))
-    mapping = {x: coset_images[point_of[x.images] - 1] for x in G.elements}
-    q_elems = set(coset_images)
-    q_gens = [mapping[g] for g in G.generators]
-    Q = PermGroup(len(reps), q_gens or [Permutation.identity(len(reps))], q_elems)
+    q_gens = [coset_images[point_of[g.images] - 1] for g in G.generators]
+    Q = PermGroup(len(reps), q_gens or [Permutation.identity(len(reps))], set(coset_images))
     if Q.order * N.order != G.order:
         raise AssertionError("coset action has the wrong order; quotient is broken")
-    return Q, GroupHom(G, Q, mapping)
+    return Q
 
 
 def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:
@@ -502,47 +442,38 @@ def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:
         for keep in _pi_keeps(pi):
             N = _core(current, keep, classes)
             if N.order > 1:
-                current = quotient(current, N)[0]
+                current = quotient(current, N)
                 break
         else:
             return False
     return True
 
 
-def is_solvable(G: PermGroup) -> bool:
-    """Solvable iff p-separable for every prime divisor of the order."""
-    return all(is_pi_separable(G, PiSet([p])) for p in prime_divisors(G.order))
-
-
 class FiniteAction:
-    """A left action of a group on a labeled finite point set, as a table."""
+    """A left action of a group on the points 0..size-1, as a table."""
 
-    __slots__ = ("group", "points", "_rows", "_pos")
+    __slots__ = ("size", "_rows")
 
-    def __init__(self, group: PermGroup, points: Sequence[object],
-                 rows: Dict[Permutation, Tuple[int, ...]]) -> None:
-        self.group = group
-        self.points = tuple(points)
+    def __init__(self, size: int, rows: Dict[Permutation, Tuple[int, ...]]) -> None:
+        self.size = size
         self._rows = rows
-        self._pos = {p: i for i, p in enumerate(self.points)}
 
     @classmethod
-    def build(cls, group: PermGroup, points: Sequence[object],
-              func: Callable[[Permutation, object], object]) -> "FiniteAction":
+    def build(cls, group: PermGroup, size: int,
+              func: Callable[[Permutation, int], int]) -> "FiniteAction":
         """Tabulate the action generated by ``func``'s rows on the generators.
 
-        ``func`` is read only on the identity, which must fix every point, and
-        on the distinct generators; every other row comes by breadth-first
-        search with row(s h) = row(s) o row(h).  An edge reaching a filled row
-        with a different composed row raises, so the table is a valid action.
+        ``func(g, i)`` is the index of g's image of point i.  It is read only
+        on the identity, which must fix every point, and on the distinct
+        generators; every other row comes by breadth-first search with
+        row(s h) = row(s) o row(h).  An edge reaching a filled row with a
+        different composed row raises, so the table is a valid action.
         """
-        pts = tuple(points)
-        pos = {p: i for i, p in enumerate(pts)}
         ident = group.identity
-        rows = {ident: tuple(range(len(pts)))}
-        if tuple(pos[func(ident, p)] for p in pts) != rows[ident]:
+        rows = {ident: tuple(range(size))}
+        if tuple(func(ident, i) for i in range(size)) != rows[ident]:
             raise ValueError("identity does not fix every point")
-        gen_rows = [(s, tuple(pos[func(s, p)] for p in pts))
+        gen_rows = [(s, tuple(func(s, i) for i in range(size)))
                     for s in dict.fromkeys(group.generators)]
         queue = [ident]
         for h in queue:
@@ -558,17 +489,11 @@ class FiniteAction:
                     raise ValueError("action table violates act(g, act(h, x)) == act(gh, x)")
         if len(rows) != group.order:
             raise AssertionError("generators do not generate the element list")
-        return cls(group, pts, rows)
+        return cls(size, rows)
 
-    def act(self, g: Permutation, point: object) -> object:
-        return self.points[self._rows[g][self._pos[point]]]
+    def act(self, g: Permutation, i: int) -> int:
+        return self._rows[g][i]
 
     def fixed_count(self, g: Permutation) -> int:
         row = self._rows[g]
         return sum(1 for i, v in enumerate(row) if v == i)
-
-    def orbit_count(self) -> int:
-        total = sum(self.fixed_count(g) for g in self.group.elements)
-        if total % self.group.order:
-            raise AssertionError("Burnside sum is not divisible by the group order")
-        return total // self.group.order

@@ -9,9 +9,9 @@ suite checks rather than assumes.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from .arith import PiSet, moebius, prime_divisors, totient
+from .arith import PiSet, moebius, prime_divisors
 from .group import FiniteAction, PermGroup, close, subgroups_of_order
 from .perm import Permutation, format_permutation
 
@@ -84,15 +84,14 @@ class HallContext:
                 for x in K.elements:
                     member[x] = member.get(x, 0) | 1 << i
 
-            def act(g: Permutation, i: object) -> int:
+            def act(g: Permutation, i: int) -> int:
                 ginv = g.inverse()
                 mask = -1
-                for k in self.halls[i].generators:  # type: ignore[index]
+                for k in self.halls[i].generators:
                     mask &= member[g * k * ginv]
                 return mask.bit_length() - 1
 
-            self._action = FiniteAction.build(
-                self.group, tuple(range(len(self.halls))), act)
+            self._action = FiniteAction.build(self.group, len(self.halls), act)
         return self._action
 
     def fixed_hall_counts(self) -> Dict[Permutation, int]:
@@ -146,17 +145,6 @@ class CyclicLattice:
 
     def weight(self, i: int) -> int:
         return self._weights[i]
-
-    def weights(self) -> Tuple[int, ...]:
-        return tuple(self._weights)
-
-    def generator_set(self, i: int) -> Tuple[Permutation, ...]:
-        """Elements generating the i-th cyclic subgroup; there are totient(|Z|)."""
-        Z = self.subgroups[i]
-        gens = tuple(sorted(z for z in Z.elements if z.order() == Z.order))
-        if len(gens) != totient(Z.order):
-            raise AssertionError("generator count disagrees with the totient")
-        return gens
 
     def partition_identity_holds(self) -> bool:
         """|H| == sum over cyclic Z of |Z| * f(Z)."""

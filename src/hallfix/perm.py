@@ -71,10 +71,6 @@ class Permutation:
                 out[point - 1] = cyc[(pos + power) % k]
         return Permutation._trusted(tuple(out))
 
-    def conjugated_by(self, g: "Permutation") -> "Permutation":
-        """Return g * self * g^-1."""
-        return g * self * g.inverse()
-
     def _orbits(self) -> List[Tuple[int, ...]]:
         """All cycles including fixed points, each starting at its least point."""
         seen = [False] * len(self.images)
@@ -118,9 +114,6 @@ class Permutation:
                 length += 1
             out = lcm(out, length)
         return out
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

@@ -1,12 +1,12 @@
 """Exact verifiers for the fixed-point identities.
 
 One entry point per identity: the Möbius-weighted multiplicative product over
-a Hall subgroup, its cyclic-Hall special case, the Navarro-Rizo fixed-point
-equation for coprime p-group actions (in cleared-exponent form), the additive
-non-negativity statement, Wielandt's centralizer product, the symmetrized
-character construction, the Burnside orbit-count interpretation, and the
-supporting power-sum inequality.  All arithmetic is exact: factored rationals
-for products, arbitrary-precision Fractions for sums.
+a Hall subgroup, the Navarro-Rizo fixed-point equation for coprime p-group
+actions (in cleared-exponent form), the additive non-negativity statement,
+Wielandt's centralizer product, the symmetrized character construction, the
+Burnside orbit-count interpretation, and the supporting power-sum inequality.
+All arithmetic is exact: factored rationals for products, arbitrary-precision
+Fractions for sums.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from fractions import Fraction
 from math import gcd, log10
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from .arith import (FactoredRational, PiSet, divisors, moebius, prime_divisors,
-                    radical, totient)
+from .arith import FactoredRational, PiSet, divisors, moebius, prime_divisors, radical
 from .group import (FiniteAction, PermGroup, centralizer, conjugacy_classes,
                     group_from_elements)
 from .hall import HallContext, build_hall_context, cyclic_lattice
@@ -140,19 +139,6 @@ def power_product_pair(ctx: HallContext, p: int,
     return left, right
 
 
-def cyclic_hall_check(G: PermGroup, pi: PiSet) -> bool:
-    """The multiplicative identity for a cyclic Hall subgroup of an arbitrary group.
-
-    Holds without any separability hypothesis.  Raises if no Hall subgroup
-    exists; requires at least one cyclic member, and checks every cyclic one.
-    """
-    ctx = build_hall_context(G, pi)
-    cyclic_halls = [K for K in ctx.halls if K.is_cyclic()]
-    if not cyclic_halls:
-        raise ValueError("no Hall subgroup is cyclic; the cyclic case does not apply")
-    return all(multiplicative_value(ctx, K).is_one() for K in cyclic_halls)
-
-
 @dataclass(frozen=True)
 class NrCheckResult:
     """Cleared-exponent data for the coprime fixed-point equation.
@@ -243,11 +229,6 @@ def _moebius_power_sum(f: Callable[[Permutation], Any],
     return total
 
 
-def additive_values_all_halls(ctx: HallContext) -> Dict[int, Fraction]:
-    """Cross-check helper: the additive value per Hall subgroup index."""
-    return {i: additive_value(ctx, K) for i, K in enumerate(ctx.halls)}
-
-
 @dataclass(frozen=True)
 class WielandtResult:
     lhs: FactoredRational
@@ -271,16 +252,6 @@ def wielandt_check(scenario: CoprimeActionScenario) -> WielandtResult:
     for i, Z in enumerate(lattice.subgroups):
         rhs = rhs.times_pow(centralizer(N, Z).order, Z.order * lattice.weight(i))
     return WielandtResult(lhs, rhs)
-
-
-def chain_product_value(scenario: CoprimeActionScenario, n: int) -> FactoredRational:
-    """(|C_N(H)|^-|H| * prod |C_N(Z)|^(|Z| f(Z))) ^ totient(n), exactly."""
-    N, H = scenario.normal, scenario.complement
-    lattice = cyclic_lattice(H)
-    inner = FactoredRational.from_int(centralizer(N, H).order).power(-H.order)
-    for i, Z in enumerate(lattice.subgroups):
-        inner = inner.times_pow(centralizer(N, Z).order, Z.order * lattice.weight(i))
-    return inner.power(totient(n))
 
 
 def symmetrized_char(spec: SymCharSpec, chi: CharacterTable,
@@ -324,7 +295,7 @@ def burnside_orbit_count(H: PermGroup, base_action: FiniteAction, k: int,
     """
     if k < 1:
         raise ValueError("tuple length must be positive")
-    size = len(base_action.points) ** k
+    size = base_action.size ** k
     if tuple_cap is not None and size > tuple_cap:
         raise ValueError(f"tuple space of size {size} exceeds the cap {tuple_cap}")
     total = 0

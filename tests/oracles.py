@@ -1,0 +1,62 @@
+"""Reference implementations shared by several test modules.
+
+These are brute-force oracles on permutations; the package does not use them.
+"""
+
+from __future__ import annotations
+
+from hallfix import NotASubgroupError, PermGroup, Permutation, PiSet, is_pi_separable
+from hallfix.arith import prime_divisors
+
+
+def conjugate_set(elems, g):
+    """The element set g * elems * g^-1."""
+    ginv = g.inverse()
+    return frozenset(g * x * ginv for x in elems)
+
+
+def conjugated_by(H, g):
+    """The subgroup g * H * g^-1 (element-by-element, no re-closure)."""
+    ginv = g.inverse()
+    elems = [g * x * ginv for x in H.elements]
+    gens = [g * x * ginv for x in H.generators] or [H.identity]
+    return PermGroup(H.degree, gens, elems)
+
+
+def conjugates(G, H):
+    """All distinct conjugates g H g^-1, canonically ordered."""
+    if not H.is_subgroup_of(G):
+        raise NotASubgroupError("conjugates argument is not a subgroup of G")
+    seen = {}
+    for g in G.elements:
+        kset = conjugate_set(H.element_set(), g)
+        if kset not in seen:
+            seen[kset] = conjugated_by(H, g)
+    return sorted(seen.values(), key=PermGroup.fingerprint)
+
+
+def is_solvable(G):
+    """Solvable iff p-separable for every prime divisor of the order."""
+    return all(is_pi_separable(G, PiSet([p])) for p in prime_divisors(G.order))
+
+
+def quotient_direct(G, N):
+    """Reference quotient on permutations: every element's coset action,
+    through the validating Permutation constructor.  Returns the quotient
+    group and the projection as an element -> coset-action dict."""
+    cosets = []
+    point_of = {}
+    for x in G.elements:
+        if x in point_of:
+            continue
+        cs = frozenset(n * x for n in N.elements)
+        cosets.append(cs)
+        for y in cs:
+            point_of[y] = len(cosets)
+    reps = [min(cs) for cs in cosets]
+    mapping = {}
+    for x in G.elements:
+        xinv = x.inverse()
+        mapping[x] = Permutation(point_of[rep * xinv] for rep in reps)
+    q_gens = [mapping[g] for g in G.generators]
+    return PermGroup(len(cosets), q_gens, set(mapping.values())), mapping

@@ -5,11 +5,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hallfix import PiSet, build_hall_context, cli
+from hallfix import (Permutation, PiSet, build_hall_context, cli, close,
+                     corpus_entries)
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.reports import FAIL, PASS
@@ -197,6 +203,17 @@ def test_verify_mult_on_groups_with_many_classes(capsys, tmp_path, gens, degree,
     assert "pass" in out and "value 1" in out
 
 
+def test_file_named_like_a_builtin_reads_the_file(capsys, tmp_path, monkeypatch):
+    # --file A5 must read ./A5, here S3, not load the builtin A5.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "A5").write_text("degree: 3\ngen: (1 2)\ngen: (1 2 3)\n")
+    code, out, err = run(capsys, "lambda", "--file", "A5", "--pi", "3")
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["element () order 1 lambda 1",
+                                "element (1 2 3) order 3 lambda 1",
+                                "element (1 3 2) order 3 lambda 1"]
+
+
 def test_group_file_directory_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify-add", "--file", str(tmp_path), "--pi", "2")
     assert code == 2 and out == ""
@@ -246,6 +263,13 @@ def test_bad_pi_is_input_error(capsys):
     code, _, err = run(capsys, "verify-add", "--group", "A5", "--pi", "2,9")
     assert code == 2
     assert "not prime" in err
+    # Primes above the factorization limit are refused, not trial-divided:
+    # the first prime above 10^7 and a 31-digit prime.
+    for prime in ("10000019", "1000000000000000000000000000057"):
+        code, out, err = run(capsys, "verify-add", "--group", "A5", "--pi", prime)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "factorization limit 10000000" in err
 
 
 def test_cap_exceeded_is_input_error(capsys):
@@ -337,3 +361,43 @@ def test_full_corpus_scan(capsys):
     assert "3^-16 * 5^32 * 7^-16" in failures[1]["witness"]
     curiosity = [r for r in records if r["check"] == "curiosity"]
     assert len(curiosity) == 1 and curiosity[0]["status"] == "pass"
+
+
+def _relabelled(G, rng):
+    """G with its points renamed by a random sigma, generated by the
+    conjugates sigma g sigma^-1 of its generators in shuffled order."""
+    n = G.degree
+    images = list(range(1, n + 1))
+    rng.shuffle(images)
+    sigma = Permutation(images)
+    sigma_inv = sigma.inverse()
+    gens = [sigma * g * sigma_inv for g in G.generators]
+    rng.shuffle(gens)
+    return close(gens)
+
+
+def test_hall_records_survive_relabelling(groups):
+    # Renaming points and reordering generators changes every element's
+    # canonical index but none of the verifiers' witnesses.
+    rng = random.Random(20261018)
+    for entry in corpus_entries():
+        G = groups[entry.name]
+        relabelled = [_relabelled(G, rng) for _ in range(2)]
+        for pi in entry.check_pis:
+            expect = cli.hall_records(entry.name, G, pi, cli.HALL_CHECKS, entry)
+            for H in relabelled:
+                assert H.order == G.order, entry.name
+                got = cli.hall_records(entry.name, H, pi, cli.HALL_CHECKS, entry)
+                assert got == expect, (entry.name, str(pi))
+
+
+def test_module_entry_point_matches_main(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallfix.cli", "scan", "--group", "C6", "--json"],
+        capture_output=True, text=True, env=env, timeout=120)
+    code, out, _ = run(capsys, "scan", "--group", "C6", "--json")
+    assert proc.returncode == code == 0
+    assert proc.stderr == ""
+    assert proc.stdout == out

@@ -6,9 +6,10 @@ import pytest
 
 from hallfix import (Permutation, UnknownGroupError,
                      build_hall_context, close, corpus_entries, format_group_text,
-                     get_entry, is_pi_separable, is_solvable, load_group,
+                     get_entry, is_pi_separable, load_group,
                      load_scenario, parse_group_text)
 from hallfix.groupio import GroupFileError, read_group_file
+from oracles import is_solvable
 
 
 def test_every_entry_loads_with_expected_order(groups):

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallfix import (CapExceededError, NotASubgroupError, PiSet, Permutation,
-                     centralizer, close, conjugates, core_pi, is_pi_separable,
-                     normalizer, parse_permutation, quotient, subgroups_of_order,
-                     trivial_group)
+                     burnside_orbit_count, centralizer, close, core_pi,
+                     is_pi_separable, parse_permutation, quotient,
+                     subgroups_of_order, trivial_group)
 from hallfix import group as group_mod
 from hallfix.arith import divisors, prime_divisors
 from hallfix.group import (DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, conjugacy_classes,
                            core_pi_complement, group_from_elements)
+from oracles import conjugate_set, conjugates, quotient_direct
 
 
 def P(text, degree):
@@ -27,7 +28,7 @@ def _subgroup_search_direct(G, m):
     """Reference search on permutations: re-closes every canonical generating
     chain from the identity and hands each subgroup to group_from_elements."""
     ident = G.identity
-    candidates = [g for g in G.elements if not g.is_identity() and m % g.order() == 0]
+    candidates = [g for g in G.elements if g != ident and m % g.order() == 0]
     max_gens = ceil(log2(m))
     out = []
 
@@ -94,27 +95,6 @@ def _close_direct(generators, *, degree=None, cap=DEFAULT_ELEMENT_CAP):
                 seen.add(y)
                 queue.append(y)
     return PermGroup(deg, gens or [ident], seen)
-
-
-def _quotient_direct(G, N):
-    """Reference quotient on permutations: every element's coset action,
-    through the validating Permutation constructor."""
-    cosets = []
-    point_of = {}
-    for x in G.elements:
-        if x in point_of:
-            continue
-        cs = frozenset(n * x for n in N.elements)
-        cosets.append(cs)
-        for y in cs:
-            point_of[y] = len(cosets)
-    reps = [min(cs) for cs in cosets]
-    mapping = {}
-    for x in G.elements:
-        xinv = x.inverse()
-        mapping[x] = Permutation(point_of[rep * xinv] for rep in reps)
-    q_gens = [mapping[g] for g in G.generators]
-    return PermGroup(len(cosets), q_gens, set(mapping.values())), mapping
 
 
 #: The normal-subgroup scan enumerates class unions; guard the subset blowup.
@@ -210,7 +190,7 @@ def test_close_mismatched_degrees():
 def test_elements_are_canonically_sorted():
     G = close([P("(1 2)", 3), P("(1 2 3)", 3)])
     assert list(G.elements) == sorted(G.elements)
-    assert G.identity.is_identity()
+    assert G.identity == Permutation.identity(3)
     assert G.elements[0] == G.identity
 
 
@@ -244,6 +224,25 @@ def test_centralizer_examples(groups):
 def test_centralizer_degree_mismatch():
     with pytest.raises(NotASubgroupError):
         centralizer(close([P("(1 2)", 2)]), P("(1 2)", 3))
+
+
+def normalizer(G, H):
+    """Subgroup {g in G : g H g^-1 = H}."""
+    if not H.is_subgroup_of(G):
+        raise NotASubgroupError("normalizer argument is not a subgroup of G")
+    hset = H.element_set()
+    elems = [g for g in G.elements if conjugate_set(hset, g) == hset]
+    return group_from_elements(G.degree, elems)
+
+
+def kernel(G, proj, Q):
+    """The elements of G that ``proj`` sends to the identity of Q."""
+    return group_from_elements(G.degree, (x for x in G.elements if proj[x] == Q.identity))
+
+
+def is_homomorphism(G, proj):
+    """Full table check that proj(x * y) == proj(x) * proj(y)."""
+    return all(proj[x * y] == proj[x] * proj[y] for x in G.elements for y in G.elements)
 
 
 def test_normalizer_examples(groups):
@@ -375,24 +374,26 @@ def test_core_pi_complement(groups):
 def test_quotient_examples(groups):
     S4 = groups["S4"]
     V4 = core_pi(S4, PiSet([2]))
-    Q, proj = quotient(S4, V4)
+    Q = quotient(S4, V4)
     assert Q.order == 6 and Q.degree == 6
-    trivialQ, _ = quotient(S4, S4)
-    assert trivialQ.order == 1
+    assert quotient(S4, S4).order == 1
     SL = groups["SL(2,3)"]
     Q8 = [N for N in normal_subgroups(SL) if N.order == 8][0]
-    Q3, proj3 = quotient(SL, Q8)
+    Q3 = quotient(SL, Q8)
     assert Q3.order == 3
-    assert proj3.kernel() == Q8
+    expect, proj3 = quotient_direct(SL, Q8)
+    assert expect == Q3
+    assert kernel(SL, proj3, Q3) == Q8
 
 
 def test_quotient_projection_is_surjective_homomorphism(groups):
     S4 = groups["S4"]
     V4 = core_pi(S4, PiSet([2]))
-    Q, proj = quotient(S4, V4)
-    assert proj.is_homomorphism()
-    assert set(proj.mapping.values()) == set(Q.elements)
-    assert proj.kernel() == V4
+    Q = quotient(S4, V4)
+    _, proj = quotient_direct(S4, V4)
+    assert is_homomorphism(S4, proj)
+    assert set(proj.values()) == set(Q.elements)
+    assert kernel(S4, proj, Q) == V4
 
 
 def test_quotient_matches_direct_quotient(groups):
@@ -402,11 +403,10 @@ def test_quotient_matches_direct_quotient(groups):
         cores = {N for pi in _prime_subsets(G)
                  for N in (core_pi(G, pi), core_pi_complement(G, pi))}
         for N in cores:
-            Q, proj = quotient(G, N)
-            expect, mapping = _quotient_direct(G, N)
+            Q = quotient(G, N)
+            expect, _ = quotient_direct(G, N)
             assert Q.elements == expect.elements, (name, N.order)
             assert Q.generators == expect.generators, (name, N.order)
-            assert proj.mapping == mapping, (name, N.order)
 
 
 def test_quotient_requires_normal(groups):
@@ -515,42 +515,46 @@ def test_group_from_elements_rejects_unclosed():
         group_from_elements(3, [Permutation.identity(3), P("(1 2 3)", 3)])
 
 
+def _natural(g, i):
+    """The natural action of g on 0-based point indices."""
+    return g.apply(i + 1) - 1
+
+
 def test_finite_action_validation(groups):
     S3 = groups["S3"]
     swap = P("(1 2)", 3)
     assert set(S3.generators) == {swap, P("(1 2 3)", 3)}
-    FiniteAction.build(S3, (1, 2, 3), lambda g, p: g.apply(p))
+    FiniteAction.build(S3, 3, _natural)
     with pytest.raises(ValueError, match="identity"):
-        FiniteAction.build(S3, (1, 2, 3), lambda g, p: p % 3 + 1)
+        FiniteAction.build(S3, 3, lambda g, i: (i + 1) % 3)
     # (1 2 3) acting as a transposition breaks the relation b^3 = 1.
     with pytest.raises(ValueError, match="act\\(g"):
-        FiniteAction.build(S3, (1, 2, 3),
-                           lambda g, p: g.apply(p) if g.order() < 3 else swap.apply(p))
+        FiniteAction.build(S3, 3,
+                           lambda g, i: _natural(g, i) if g.order() < 3 else _natural(swap, i))
     # Transpositions acting by themselves and 3-cycles fixing every point:
     # on the generators that is the sign action, which build extends over S3.
-    sign = FiniteAction.build(S3, (1, 2, 3),
-                              lambda g, p: g.apply(p) if g.order() < 3 else p)
+    sign = FiniteAction.build(S3, 3, lambda g, i: _natural(g, i) if g.order() < 3 else i)
     for g in S3.elements:
-        for p in (1, 2, 3):
-            assert sign.act(g, p) == (swap.apply(p) if g.order() == 2 else p)
+        for i in range(3):
+            assert sign.act(g, i) == (_natural(swap, i) if g.order() == 2 else i)
 
 
 def test_finite_action_matches_natural_action(groups):
     for name, G in groups.items():
-        action = FiniteAction.build(G, range(1, G.degree + 1), Permutation.apply)
+        action = FiniteAction.build(G, G.degree, _natural)
         for g in G.elements:
-            assert [action.act(g, p) for p in range(1, G.degree + 1)] == list(g.images), name
+            assert [action.act(g, i) + 1 for i in range(G.degree)] == list(g.images), name
 
 
 def test_finite_action_reads_func_only_on_identity_and_generators(groups):
     G = groups["S4"]
     calls = []
 
-    def func(g, p):
+    def func(g, i):
         calls.append(g)
-        return g.apply(p)
+        return _natural(g, i)
 
-    FiniteAction.build(G, range(1, 5), func)
+    FiniteAction.build(G, 4, func)
     distinct = set(G.generators) | {G.identity}
     assert set(calls) == distinct
     assert len(calls) == 4 * len(distinct)
@@ -558,10 +562,10 @@ def test_finite_action_reads_func_only_on_identity_and_generators(groups):
 
 def test_finite_action_fixed_counts(groups):
     S3 = groups["S3"]
-    act = FiniteAction.build(S3, (1, 2, 3), lambda g, p: g.apply(p))
+    act = FiniteAction.build(S3, 3, _natural)
     assert act.fixed_count(S3.identity) == 3
     assert act.fixed_count(P("(1 2)", 3)) == 1
-    assert act.orbit_count() == 1
+    assert burnside_orbit_count(S3, act, 1) == 1
 
 
 def test_cayley_table_matches_products(groups):
@@ -570,9 +574,10 @@ def test_cayley_table_matches_products(groups):
         table = G.cayley_table()
         assert table is not None, name
         elems = G.elements
+        index = {g: i for i, g in enumerate(elems)}
         for a, x in enumerate(elems):
             row = table[a]
-            assert [G.element_index(x * y) for y in elems] == list(row), (name, a)
+            assert [index[x * y] for y in elems] == list(row), (name, a)
 
 
 def test_cayley_table_with_identity_and_repeated_generators():
@@ -581,8 +586,9 @@ def test_cayley_table_with_identity_and_repeated_generators():
     G = close([P("()", 4), cycle, cycle, swap])
     assert G.order == 24
     table = G.cayley_table()
+    index = {g: i for i, g in enumerate(G.elements)}
     for a, x in enumerate(G.elements):
-        assert list(table[a]) == [G.element_index(x * y) for y in G.elements]
+        assert list(table[a]) == [index[x * y] for y in G.elements]
 
 
 def test_indexed_search_matches_direct_search(groups):

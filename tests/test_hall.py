@@ -14,6 +14,7 @@ from hallfix import (NoHallSubgroupError, PiSet, build_hall_context, close,
 from hallfix.arith import prime_divisors
 from hallfix.group import conjugacy_classes
 from hallfix.hall import lambda_report_lines, lambda_report_records
+from oracles import conjugated_by, conjugates
 
 
 def test_pi_part_examples():
@@ -106,7 +107,7 @@ def test_hall_count_is_one_or_at_least_three(groups):
 
 def test_halls_conjugate_when_separable(groups):
     # For separable entries the order-n subgroups form one conjugacy class.
-    from hallfix import conjugates, is_pi_separable
+    from hallfix import is_pi_separable
 
     for name, pi_text in (("S4", "2"), ("F21", "3"), ("F42", "2,3"), ("D10", "2")):
         G = groups[name]
@@ -139,8 +140,17 @@ def test_cyclic_lattice_prime_cycle():
 def test_cyclic_lattice_trivial():
     lat = cyclic_lattice(trivial_group(3))
     assert len(lat.subgroups) == 1
-    assert lat.weights() == (1,)
+    assert lat.weight(0) == 1
     assert lat.partition_identity_holds()
+
+
+def generator_set(lat, i):
+    """Elements generating the i-th cyclic subgroup; there are totient(|Z|)."""
+    Z = lat.subgroups[i]
+    gens = tuple(sorted(z for z in Z.elements if z.order() == Z.order))
+    if len(gens) != totient(Z.order):
+        raise AssertionError("generator count disagrees with the totient")
+    return gens
 
 
 def test_lattice_generator_sets_have_totient_size(groups):
@@ -149,7 +159,7 @@ def test_lattice_generator_sets_have_totient_size(groups):
         if lat is None:
             continue
         for i, Z in enumerate(lat.subgroups):
-            assert len(lat.generator_set(i)) == totient(Z.order)
+            assert len(generator_set(lat, i)) == totient(Z.order)
 
 
 def _all_subgroups(G):
@@ -249,7 +259,7 @@ def test_conjugation_action_matches_elementwise_oracle(groups, hall_ctx):
             by_set = {K.element_set(): i for i, K in enumerate(ctx.halls)}
             action = ctx.conjugation_action()
             for g in G.elements:
-                expected = [by_set[K.conjugated_by(g).element_set()] for K in ctx.halls]
+                expected = [by_set[conjugated_by(K, g).element_set()] for K in ctx.halls]
                 assert [action.act(g, i) for i in range(ctx.num_halls)] == expected
             checked.add((entry.name, str(pi)))
     assert {("A5", "2"), ("GL(3,2)", "2"), ("GL(3,2)", "7"), ("PSL(2,9)", "5")} <= checked

@@ -86,7 +86,7 @@ def test_composition_order_convention():
 
 def test_inverse_and_powers():
     g = parse_permutation("(1 2 3 4 5)", 5)
-    assert (g * g.inverse()).is_identity()
+    assert g * g.inverse() == Permutation.identity(5)
     assert g**5 == Permutation.identity(5)
     assert g**-1 == g.inverse()
     assert g**7 == g**2
@@ -101,7 +101,8 @@ def test_element_order_examples():
 def test_order_is_lcm_of_cycle_lengths():
     g = parse_permutation("(1 2)(3 4 5)(6 7 8 9)", 9)
     assert g.order() == 12
-    assert (g**12).is_identity() and not (g**6).is_identity()
+    ident = Permutation.identity(9)
+    assert g**12 == ident and g**6 != ident
 
 
 def test_order_matches_repeated_products():

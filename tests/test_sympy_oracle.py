@@ -10,7 +10,8 @@ pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation as SympyPermutation  # noqa: E402
 from sympy.combinatorics import PermutationGroup  # noqa: E402
 
-from hallfix import Permutation, close, is_solvable  # noqa: E402
+from hallfix import Permutation, close  # noqa: E402
+from oracles import is_solvable  # noqa: E402
 
 
 @st.composite
