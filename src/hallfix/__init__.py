@@ -12,8 +12,8 @@ from .corpus import (CorpusEntry, UnknownGroupError, corpus_entries,
                      corpus_names, get_entry, load_group, load_scenario)
 from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
                     NotASubgroupError, PermGroup, centralizer, close, core_pi,
-                    core_pi_complement, is_pi_separable, quotient,
-                    subgroups_of_order, trivial_group)
+                    core_pi_complement, is_pi_separable, subgroups_of_order,
+                    trivial_group)
 from .groupio import GroupFileError, format_group_text, parse_group_text
 from .hall import (CyclicLattice, HallContext, NoHallSubgroupError,
                    build_hall_context, cyclic_lattice, moebius_partition_check,

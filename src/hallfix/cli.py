@@ -258,7 +258,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _dispatch(args)
     except (InputError, UnknownGroupError, GroupFileError, PermParseError,
-            CapExceededError, PowerSumTooLargeError) as exc:
+            CapExceededError, NoHallSubgroupError, PowerSumTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 is reserved for a violated identity
@@ -284,10 +284,7 @@ def _dispatch(args) -> int:
     if command == "lambda":
         name, G, _ = _resolve_group(args)
         pi = _require_pi(args)
-        try:
-            ctx = build_hall_context(G, pi)
-        except NoHallSubgroupError as exc:
-            raise InputError(str(exc)) from exc
+        ctx = build_hall_context(G, pi)
         if args.json:
             print(json.dumps(lambda_report_records(ctx), indent=2, sort_keys=True))
         else:

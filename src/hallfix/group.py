@@ -350,19 +350,21 @@ def conjugacy_classes(G: PermGroup) -> List[Tuple[Permutation, ...]]:
     return classes
 
 
-def _normal_closure(G: PermGroup, x: Permutation, keep: Callable[[int], bool],
-                    limit: int) -> Optional[PermGroup]:
-    """Normal closure of <x> in G, or None when its order fails ``keep``.
+def _normal_closure(G: PermGroup, base: PermGroup, x: Permutation,
+                    keep: Callable[[int], bool], limit: int) -> Optional[PermGroup]:
+    """<base, x^G> for a normal subgroup ``base`` of G, or None when its index
+    over ``base`` fails ``keep``.
 
     Each round adds the conjugates by G's generators of the last round's new
-    generators.  Intermediate orders divide the closure's order, so with a
-    divisor-closed ``keep`` the walk stops at the first failing order or once
-    a closure grows past ``limit``, the largest order ``keep`` accepts."""
+    generators.  Every intermediate group contains ``base``, and its index
+    over ``base`` divides the closure's, so with a divisor-closed ``keep``
+    the walk stops at the first failing index or once a closure grows past
+    ``limit``, the largest order whose index ``keep`` accepts."""
     conj = [(g, g.inverse()) for g in G.generators]
-    gens, new = [x], {x}
+    gens, new = list(base.generators) + [x], {x}
     try:
         H = close(gens, cap=limit)
-        while keep(H.order):
+        while keep(H.order // base.order):
             new = {g * y * ginv for y in new for g, ginv in conj} - H.element_set()
             if not new:
                 return H
@@ -373,18 +375,21 @@ def _normal_closure(G: PermGroup, x: Permutation, keep: Callable[[int], bool],
     return None
 
 
-def _core(G: PermGroup, keep: Callable[[int], bool], classes: Sequence[tuple]) -> PermGroup:
-    """Largest normal subgroup whose order satisfies the divisor-closed ``keep``:
-    the join of the normal closures of G's class representatives that pass it."""
-    limit = max(d for d in divisors(G.order) if keep(d))
-    core = trivial_group(G.degree)
+def _core(G: PermGroup, keep: Callable[[int], bool], classes: Sequence[tuple],
+          base: PermGroup) -> PermGroup:
+    """Largest normal subgroup M >= ``base`` whose index |M|/|base| satisfies
+    the divisor-closed ``keep``: the preimage of the matching core of
+    G/base, joined from ``base`` and the normal closures of G's class
+    representatives that pass."""
+    limit = base.order * max(d for d in divisors(G.order // base.order) if keep(d))
+    core = base
     for cls in classes[1:]:
         if cls[0] not in core:
-            N = _normal_closure(G, cls[0], keep, limit)
+            N = _normal_closure(G, base, cls[0], keep, limit)
             if N is not None:
                 core = close(core.generators + N.generators, cap=G.order)
-    if not keep(core.order):
-        raise AssertionError("join of normal closures fails the order test")
+    if not keep(core.order // base.order):
+        raise AssertionError("join of normal closures fails the index test")
     return core
 
 
@@ -396,57 +401,28 @@ def _pi_keeps(pi: PiSet) -> Tuple[Callable[[int], bool], Callable[[int], bool]]:
 
 def core_pi(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order is supported on the primes in pi."""
-    return _core(G, _pi_keeps(pi)[0], conjugacy_classes(G))
+    return _core(G, _pi_keeps(pi)[0], conjugacy_classes(G), trivial_group(G.degree))
 
 
 def core_pi_complement(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order avoids every prime in pi."""
-    return _core(G, _pi_keeps(pi)[1], conjugacy_classes(G))
-
-
-def quotient(G: PermGroup, N: PermGroup) -> PermGroup:
-    """Quotient as the permutation action of G on the right cosets of N.
-
-    Cosets are numbered in canonical order, so the coset of the identity is
-    point 1.
-    """
-    if not N.is_normal_in(G):
-        raise NotASubgroupError("quotient requires a normal subgroup")
-    # Cosets N x, numbered in canonical order through their image tuples:
-    # each is first met at its least element, its representative.  The
-    # action of x depends only on N x, so one image row serves the coset.
-    n_images = [n.images for n in N.elements]
-    point_of: Dict[Tuple[int, ...], int] = {}
-    reps: List[Permutation] = []
-    for x in G.elements:
-        if x.images not in point_of:
-            reps.append(x)
-            point_of.update(dict.fromkeys(map(_times(x.images), n_images), len(reps)))
-    coset_images = []
-    for x in reps:
-        times_xinv = _times(x.inverse().images)
-        coset_images.append(Permutation._trusted(
-            tuple([point_of[times_xinv(r.images)] for r in reps])))
-    q_gens = [coset_images[point_of[g.images] - 1] for g in G.generators]
-    Q = PermGroup(len(reps), q_gens or [Permutation.identity(len(reps))], set(coset_images))
-    if Q.order * N.order != G.order:
-        raise AssertionError("coset action has the wrong order; quotient is broken")
-    return Q
+    return _core(G, _pi_keeps(pi)[1], conjugacy_classes(G), trivial_group(G.degree))
 
 
 def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:
-    """Whether the alternating pi-core / pi'-core tower reaches the trivial group."""
-    current = G
-    while current.order > 1:
-        classes = conjugacy_classes(current)
-        for keep in _pi_keeps(pi):
-            N = _core(current, keep, classes)
-            if N.order > 1:
-                current = quotient(current, N)
-                break
-        else:
-            return False
-    return True
+    """Whether the upper pi-series 1 <= O_pi(G) <= O_pi,pi'(G) <= ... reaches G.
+
+    Every term is a normal subgroup of G, grown from the one before by the
+    pi- and pi'-cores in turn (a core cannot grow the term it just made), so
+    one computation of G's classes serves every level.  G is not
+    pi-separable when neither core grows the last term."""
+    classes, keeps = conjugacy_classes(G), _pi_keeps(pi)
+    base, side, stalled = trivial_group(G.degree), 0, 0
+    while base.order < G.order and stalled < 2:
+        M = _core(G, keeps[side], classes, base)
+        stalled = stalled + 1 if M.order == base.order else 0
+        base, side = M, 1 - side
+    return base.order == G.order
 
 
 class FiniteAction:

@@ -138,9 +138,11 @@ def test_lambda_report_json(capsys):
     assert records[0] == {"element": "()", "lambda": 3, "order": 1}
 
 
-def test_lambda_no_hall_is_input_error(capsys):
-    code, _, err = run(capsys, "lambda", "--group", "A5", "--pi", "2,5")
+@pytest.mark.parametrize("command", ["lambda", "curiosity"])
+def test_lambda_no_hall_is_input_error(capsys, command):
+    code, _, err = run(capsys, command, "--group", "A5", "--pi", "2,5")
     assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "no Hall subgroup" in err
 
 

@@ -9,14 +9,17 @@ from math import ceil, log2
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallfix import (CapExceededError, NotASubgroupError, PiSet, Permutation,
+from hallfix import (CapExceededError, NoHallSubgroupError, NotASubgroupError,
+                     PiSet, Permutation, build_hall_context,
                      burnside_orbit_count, centralizer, close, core_pi,
-                     is_pi_separable, parse_permutation, quotient,
+                     is_pi_separable, multiplicative_value, parse_permutation,
                      subgroups_of_order, trivial_group)
 from hallfix import group as group_mod
 from hallfix.arith import divisors, prime_divisors
+from hallfix.cli import add_record
 from hallfix.group import (DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, conjugacy_classes,
                            core_pi_complement, group_from_elements)
+from hallfix.reports import PASS
 from oracles import conjugate_set, conjugates, quotient_direct
 
 
@@ -371,48 +374,14 @@ def test_core_pi_complement(groups):
     assert core_pi_complement(groups["F42"], PiSet([2])).order == 21
 
 
-def test_quotient_examples(groups):
-    S4 = groups["S4"]
-    V4 = core_pi(S4, PiSet([2]))
-    Q = quotient(S4, V4)
-    assert Q.order == 6 and Q.degree == 6
-    assert quotient(S4, S4).order == 1
-    SL = groups["SL(2,3)"]
-    Q8 = [N for N in normal_subgroups(SL) if N.order == 8][0]
-    Q3 = quotient(SL, Q8)
-    assert Q3.order == 3
-    expect, proj3 = quotient_direct(SL, Q8)
-    assert expect == Q3
-    assert kernel(SL, proj3, Q3) == Q8
-
-
 def test_quotient_projection_is_surjective_homomorphism(groups):
     S4 = groups["S4"]
     V4 = core_pi(S4, PiSet([2]))
-    Q = quotient(S4, V4)
-    _, proj = quotient_direct(S4, V4)
+    Q, proj = quotient_direct(S4, V4)
+    assert Q.order == 6 and Q.degree == 6
     assert is_homomorphism(S4, proj)
     assert set(proj.values()) == set(Q.elements)
     assert kernel(S4, proj, Q) == V4
-
-
-def test_quotient_matches_direct_quotient(groups):
-    for name, G in groups.items():
-        if G.order > 168:
-            continue
-        cores = {N for pi in _prime_subsets(G)
-                 for N in (core_pi(G, pi), core_pi_complement(G, pi))}
-        for N in cores:
-            Q = quotient(G, N)
-            expect, _ = quotient_direct(G, N)
-            assert Q.elements == expect.elements, (name, N.order)
-            assert Q.generators == expect.generators, (name, N.order)
-
-
-def test_quotient_requires_normal(groups):
-    H = close([P("(1 2)", 4)])
-    with pytest.raises(NotASubgroupError):
-        quotient(groups["S4"], H)
 
 
 def test_is_pi_separable_examples(groups):
@@ -473,16 +442,65 @@ def test_cores_of_class_rich_abelian_groups(name):
         assert is_pi_separable(G, pi)
 
 
-@pytest.mark.parametrize("name, separable, levels", [("S4", True, 3), ("A5", False, 1)])
-def test_separability_computes_classes_once_per_tower_level(groups, monkeypatch,
-                                                           name, separable, levels):
-    # S4 > S4/V4 = S3 > S3/C3 = C2 > 1; A5 has neither a 2- nor a 2'-core.
+@pytest.mark.parametrize("name, separable", [("S4", True), ("A5", False)])
+def test_separability_computes_classes_once_per_call(groups, monkeypatch, name, separable):
+    # S4 > V4 > 1 is S4's upper 2-series, all of it inside S4; A5 has
+    # neither a 2- nor a 2'-core.
     calls = []
     classes = group_mod.conjugacy_classes
     monkeypatch.setattr(group_mod, "conjugacy_classes",
                         lambda G: calls.append(G.order) or classes(G))
     assert is_pi_separable(groups[name], PiSet([2])) is separable
-    assert len(calls) == levels
+    assert calls == [groups[name].order]
+
+
+def _is_pi_separable_direct(G, pi):
+    """Reference: G is pi-separable iff it is trivial, or it has a nontrivial
+    normal pi- or pi'-subgroup N and G/N is pi-separable."""
+    if G.order == 1:
+        return True
+    return any(_is_pi_separable_direct(quotient_direct(G, N)[0], pi)
+               for N in normal_subgroups(G)[1:]
+               if _is_pi(N.order, pi) or _is_pi_prime(N.order, pi))
+
+
+def test_separability_matches_the_quotient_tower(groups):
+    pairs = 0
+    for name, G in groups.items():
+        for pi in _prime_subsets(G):
+            assert is_pi_separable(G, pi) == _is_pi_separable_direct(G, pi), (name, str(pi))
+            pairs += 1
+    assert pairs == 88
+
+
+def test_s5_subgroup_classes_sweep():
+    # S5 has 156 subgroups in 19 conjugacy classes (OEIS A005432, A000638).
+    S5 = close([P("(1 2 3 4 5)", 5), P("(1 2)", 5)])
+    subgroups = [H for m in divisors(S5.order) for H in subgroups_of_order(S5, m)]
+    reps = []
+    seen = set()
+    for H in subgroups:
+        if H not in seen:
+            reps.append(H)
+            seen.update(conjugates(S5, H))
+    assert (len(subgroups), len(reps)) == (156, 19)
+    with_hall = without_hall = 0
+    for H in reps:
+        primes = prime_divisors(H.order)
+        for k in range(1, len(primes)):
+            for pi in map(PiSet, combinations(primes, k)):
+                separable = is_pi_separable(H, pi)
+                assert separable == _is_pi_separable_direct(H, pi), (H, str(pi))
+                try:
+                    ctx = build_hall_context(H, pi)
+                except NoHallSubgroupError:
+                    without_hall += 1
+                    continue
+                with_hall += 1
+                assert add_record("H", ctx).status == PASS, (H, str(pi))
+                if separable:
+                    assert multiplicative_value(ctx).is_one(), (H, str(pi))
+    assert (with_hall, without_hall) == (24, 4)
 
 
 def test_conjugacy_classes_match_brute_force(groups):
