@@ -120,7 +120,9 @@ def mult_record(name: str, ctx: HallContext, entry: Optional[CorpusEntry], *,
     pi = ctx.pi
     value = multiplicative_value(ctx, use_radical=use_radical)
     marked = entry is not None and any(pi == ef for ef in entry.expected_mult_fail)
-    if is_pi_separable(ctx.group, pi) or any(K.is_cyclic() for K in ctx.halls):
+    # By Wielandt, a cyclic (so nilpotent) Hall subgroup has all the others
+    # as conjugates: one is cyclic exactly when all are.
+    if ctx.canonical_hall.is_cyclic() or is_pi_separable(ctx.group, pi):
         if value.is_one():
             return CheckRecord("verify-mult", name, str(pi), PASS, "value 1")
         return CheckRecord("verify-mult", name, str(pi), FAIL,

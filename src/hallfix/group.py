@@ -8,9 +8,10 @@ desk scale.  Closure refuses groups larger than a configurable cap.
 from __future__ import annotations
 
 from array import array
-from math import ceil, log2
+from math import ceil, gcd, log2
 from operator import attrgetter, itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .arith import PiSet, divisors, prime_divisors
 from .perm import Permutation
@@ -99,13 +100,16 @@ class PermGroup:
         if self.order > _TABLE_LIMIT:
             return None
         if self._table is None:
-            # Only generator rows take real products.  Every other row comes
-            # by breadth-first search from the identity (index 0), using
-            # row(s * x) = row(s) o row(x): one itemgetter call per row (the
-            # order is > 1 here, so it takes several indices, returns a tuple).
-            idx = self._ensure_index()
-            gen_rows = [tuple(idx[s * b] for b in self.elements)
-                        for s in dict.fromkeys(self.generators)]
+            # Only generator rows compose image tuples, s * b = s o b.  Every
+            # other row comes by breadth-first search from the identity (index
+            # 0), using row(s * x) = row(s) o row(x): one itemgetter call per
+            # row (the order is > 1 here, so it takes several indices).
+            idx = {x.images: i for i, x in enumerate(self.elements)}
+            gen_rows = []
+            for s in dict.fromkeys(self.generators):
+                shifted = (0,) + s.images
+                gen_rows.append(tuple(idx[tuple(map(shifted.__getitem__, b.images))]
+                                      for b in self.elements))
             rows: List[Optional[array]] = [None] * self.order
             rows[0] = array("H", range(self.order))
             queue = [0]
@@ -251,6 +255,33 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     return sorted(found, key=PermGroup.fingerprint)
 
 
+def sylow_subgroups(G: PermGroup, p_part: int) -> List[PermGroup]:
+    """The Sylow subgroups of order ``p_part``, sorted like :func:`subgroups_of_order`.
+    By Sylow's theorems they are one conjugacy class: the search's first hit,
+    read through product rows (no Cayley table), and its conjugation orbit."""
+    if (len(prime_divisors(p_part)) != 1 or G.order % p_part
+            or gcd(p_part, G.order // p_part) != 1):
+        raise ValueError(f"{p_part} is not a Sylow order of a group of order {G.order}")
+    if p_part == G.order:
+        return [G]
+    first = next(_subgroup_search(G, p_part, _ProductRows(G)))
+    index = G._ensure_index()
+    # Element-index sets of the conjugates, each with its conjugated generators.
+    orbit = {frozenset(index[x] for x in first.elements):
+             tuple(index[g] for g in first.generators)}
+    queue = list(orbit)
+    rows = _conjugation_rows(G)
+    for S in queue:
+        for row in rows:
+            T = frozenset(map(row.__getitem__, S))
+            if T not in orbit:
+                orbit[T] = tuple(map(row.__getitem__, orbit[S]))
+                queue.append(T)
+    elems = G.elements
+    return sorted((PermGroup(G.degree, [elems[i] for i in gens], [elems[i] for i in S])
+                   for S, gens in orbit.items()), key=PermGroup.fingerprint)
+
+
 class _ProductRows:
     """Cayley-table rows without the table: ``rows[a][b]`` is the index of
     ``elements[a] * elements[b]``, one permutation product per lookup."""
@@ -275,11 +306,11 @@ class _ProductRow:
 
 
 def _subgroup_search(G: PermGroup, m: int,
-                     rows: "Sequence[array] | _ProductRows") -> List[PermGroup]:
+                     rows: "Sequence[array] | _ProductRows") -> Iterator[PermGroup]:
+    """Yield the subgroups of order ``m`` in canonical chain order."""
     elems, orders = G.elements, G.element_orders()
     candidates = [i for i in range(1, G.order) if m % orders[i] == 0]
     max_gens = ceil(log2(m))
-    out: List[PermGroup] = []
 
     def closure(clo: FrozenSet[int], gen_idx: Tuple[int, ...]) -> Optional[FrozenSet[int]]:
         # <clo, e> for clo = <gen_idx[:-1]>, e = gen_idx[-1], grown from clo by right
@@ -299,7 +330,7 @@ def _subgroup_search(G: PermGroup, m: int,
                     reps.append(y)
         return frozenset(seen)
 
-    def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> None:
+    def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> Iterator[PermGroup]:
         for pos in range(start, len(candidates)):
             e = candidates[pos]
             if e in clo:
@@ -310,28 +341,33 @@ def _subgroup_search(G: PermGroup, m: int,
             if len(new) == m:
                 # The canonical chain is the greedy generating set that
                 # group_from_elements would pick from the sorted elements.
-                out.append(PermGroup(G.degree, [elems[i] for i in gens + (e,)],
-                                     [elems[i] for i in sorted(new)]))
+                yield PermGroup(G.degree, [elems[i] for i in gens + (e,)],
+                                [elems[i] for i in sorted(new)])
             elif len(gens) + 1 < max_gens:
-                extend(new, gens + (e,), pos + 1)
+                yield from extend(new, gens + (e,), pos + 1)
 
-    extend(frozenset({0}), (), 0)
-    del extend  # break the closure's self-reference so G is freed promptly
-    return out
+    try:
+        yield from extend(frozenset({0}), (), 0)
+    finally:
+        del extend  # break the self-reference even if the caller stops early
+
+
+def _conjugation_rows(G: PermGroup) -> List[List[int]]:
+    """One row x -> g x g^-1 on element indices per distinct generator g, with
+    g x g^-1 = g o (x o g^-1) on image tuples.  The identity moves nothing;
+    skipping it also keeps degree 1 off itemgetter's single-index form."""
+    index, rows = {x.images: i for i, x in enumerate(G.elements)}, []
+    for g in dict.fromkeys(G.generators):
+        if g != G.identity:
+            shifted, times_ginv = (0,) + g.images, _times(g.inverse().images)
+            rows.append([index[itemgetter(*times_ginv(x.images))(shifted)]
+                         for x in G.elements])
+    return rows
 
 
 def conjugacy_classes(G: PermGroup) -> List[Tuple[Permutation, ...]]:
     """Conjugacy classes as canonically sorted element tuples, identity class first."""
-    # One conjugation row per distinct generator over element indices, with
-    # g x g^-1 = g o (x o g^-1) on image tuples.  The identity moves nothing;
-    # skipping it also keeps degree 1 off itemgetter's single-index form.
-    elems = G.elements
-    index = {x.images: i for i, x in enumerate(elems)}
-    rows = []
-    for g in dict.fromkeys(G.generators):
-        if g != G.identity:
-            shifted, times_ginv = (0,) + g.images, _times(g.inverse().images)
-            rows.append([index[itemgetter(*times_ginv(x.images))(shifted)] for x in elems])
+    elems, rows = G.elements, _conjugation_rows(G)
     seen = bytearray(len(elems))
     classes: List[Tuple[Permutation, ...]] = []
     for i in range(len(elems)):

@@ -1,9 +1,10 @@
 """Hall subgroup enumeration, membership counts and cyclic-subgroup lattices.
 
-For a prime set pi, the Hall pi-subgroups of G are taken to be ALL subgroups
-whose order is the pi-part of |G| (no conjugacy assumption); for pi-separable
-groups this coincides with the usual single conjugacy class, which the test
-suite checks rather than assumes.
+For a prime set pi, the Hall pi-subgroups of G are ALL subgroups whose order
+is the pi-part of |G|.  For a prime-power order Sylow's theorems license one
+conjugacy class: the first subgroup found and its conjugates.  Every other
+order takes the exhaustive search, with no conjugacy assumption; for
+pi-separable groups it finds the usual single class, which the tests check.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from collections import Counter
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from .arith import PiSet, moebius, prime_divisors
-from .group import FiniteAction, PermGroup, close, subgroups_of_order
+from .group import FiniteAction, PermGroup, close, subgroups_of_order, sylow_subgroups
 from .perm import Permutation, format_permutation
 
 
@@ -105,7 +106,7 @@ class HallContext:
 def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
     """Enumerate Hall_pi(G) and tabulate membership counts for every pi-element."""
     n = pi_part(G.order, pi)
-    halls = subgroups_of_order(G, n)
+    halls = sylow_subgroups(G, n) if len(prime_divisors(n)) == 1 else subgroups_of_order(G, n)
     if not halls:
         raise NoHallSubgroupError(
             f"group of order {G.order} has no Hall subgroup for pi={{{pi}}} "

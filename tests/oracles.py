@@ -5,7 +5,11 @@ These are brute-force oracles on permutations; the package does not use them.
 
 from __future__ import annotations
 
-from hallfix import NotASubgroupError, PermGroup, Permutation, PiSet, is_pi_separable
+from functools import lru_cache
+from itertools import combinations
+
+from hallfix import (NotASubgroupError, PermGroup, Permutation, PiSet, close, divisors,
+                     is_pi_separable, parse_permutation, subgroups_of_order)
 from hallfix.arith import prime_divisors
 
 
@@ -33,6 +37,26 @@ def conjugates(G, H):
         if kset not in seen:
             seen[kset] = conjugated_by(H, g)
     return sorted(seen.values(), key=PermGroup.fingerprint)
+
+
+@lru_cache(maxsize=None)
+def s5_subgroup_classes():
+    """Every subgroup of S5 from the full search, and one representative per
+    conjugacy class in search order."""
+    S5 = close([parse_permutation("(1 2 3 4 5)", 5), parse_permutation("(1 2)", 5)])
+    subgroups = [H for m in divisors(S5.order) for H in subgroups_of_order(S5, m)]
+    reps, seen = [], set()
+    for H in subgroups:
+        if H not in seen:
+            reps.append(H)
+            seen.update(conjugates(S5, H))
+    return subgroups, reps
+
+
+def proper_prime_sets(G):
+    """The nonempty proper subsets of the primes dividing |G|."""
+    primes = prime_divisors(G.order)
+    return [PiSet(s) for k in range(1, len(primes)) for s in combinations(primes, k)]
 
 
 def is_solvable(G):

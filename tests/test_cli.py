@@ -14,11 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from hallfix import (Permutation, PiSet, build_hall_context, cli, close,
-                     corpus_entries)
+from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context, cli,
+                     close, corpus_entries, is_pi_separable)
+from hallfix import group as group_mod
+from hallfix import hall as hall_mod
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.reports import FAIL, PASS
+from oracles import proper_prime_sets, s5_subgroup_classes
 
 
 def run(capsys, *argv):
@@ -203,6 +206,41 @@ def test_verify_mult_on_groups_with_many_classes(capsys, tmp_path, gens, degree,
     code, out, err = run(capsys, "verify-mult", "--file", str(path), "--pi", pi)
     assert code == 0 and err == ""
     assert "pass" in out and "value 1" in out
+
+
+def test_verify_mult_cyclic_test_matches_any_cyclic_hall(groups):
+    # mult_record asks only whether the canonical Hall subgroup is cyclic.
+    # By Wielandt's theorem that is the same as asking whether any is, so
+    # both applicability tests agree.
+    cases = [(e.name, groups[e.name], pi) for e in corpus_entries() for pi in e.check_pis]
+    cases += [("S5 class", H, pi) for H in s5_subgroup_classes()[1]
+              for pi in proper_prime_sets(H)]
+    checked = 0
+    for name, G, pi in cases:
+        try:
+            ctx = build_hall_context(G, pi)
+        except NoHallSubgroupError:
+            continue
+        separable = is_pi_separable(G, pi)
+        one, every = ctx.canonical_hall.is_cyclic(), any(K.is_cyclic() for K in ctx.halls)
+        assert (one, one or separable) == (every, separable or every), (name, str(pi))
+        checked += 1
+    assert checked == 56 + 24  # corpus pairs, then the S5 sweep's
+
+
+def test_verify_add_on_a7_skips_the_full_search(capsys, tmp_path, monkeypatch):
+    # A7 has 315 Sylow 2-subgroups; the full search for them takes seconds.
+    # The witness is the full search's.
+    def refuse(*args):
+        raise AssertionError("full subgroup search")
+
+    monkeypatch.setattr(hall_mod, "subgroups_of_order", refuse)
+    monkeypatch.setattr(group_mod, "subgroups_of_order", refuse)
+    path = tmp_path / "a7.grp"
+    path.write_text("degree: 7\ngen: (1 5 2)\ngen: (1 5 2 7 3 6 4)\n")
+    code, out, err = run(capsys, "verify-add", "--file", str(path), "--pi", "2")
+    assert (code, err) == (0, "")
+    assert out.split()[-3:] == ["pass:", "value", "1514622681574080293"]
 
 
 def test_file_named_like_a_builtin_reads_the_file(capsys, tmp_path, monkeypatch):

@@ -18,9 +18,11 @@ from hallfix import group as group_mod
 from hallfix.arith import divisors, prime_divisors
 from hallfix.cli import add_record
 from hallfix.group import (DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, conjugacy_classes,
-                           core_pi_complement, group_from_elements)
+                           core_pi_complement, group_from_elements, sylow_subgroups)
+from hallfix.hall import pi_part
 from hallfix.reports import PASS
-from oracles import conjugate_set, conjugates, quotient_direct
+from oracles import (conjugate_set, conjugates, proper_prime_sets, quotient_direct,
+                     s5_subgroup_classes)
 
 
 def P(text, degree):
@@ -475,32 +477,45 @@ def test_separability_matches_the_quotient_tower(groups):
 
 def test_s5_subgroup_classes_sweep():
     # S5 has 156 subgroups in 19 conjugacy classes (OEIS A005432, A000638).
-    S5 = close([P("(1 2 3 4 5)", 5), P("(1 2)", 5)])
-    subgroups = [H for m in divisors(S5.order) for H in subgroups_of_order(S5, m)]
-    reps = []
-    seen = set()
-    for H in subgroups:
-        if H not in seen:
-            reps.append(H)
-            seen.update(conjugates(S5, H))
+    subgroups, reps = s5_subgroup_classes()
     assert (len(subgroups), len(reps)) == (156, 19)
     with_hall = without_hall = 0
     for H in reps:
-        primes = prime_divisors(H.order)
-        for k in range(1, len(primes)):
-            for pi in map(PiSet, combinations(primes, k)):
-                separable = is_pi_separable(H, pi)
-                assert separable == _is_pi_separable_direct(H, pi), (H, str(pi))
-                try:
-                    ctx = build_hall_context(H, pi)
-                except NoHallSubgroupError:
-                    without_hall += 1
-                    continue
-                with_hall += 1
-                assert add_record("H", ctx).status == PASS, (H, str(pi))
-                if separable:
-                    assert multiplicative_value(ctx).is_one(), (H, str(pi))
+        for pi in proper_prime_sets(H):
+            separable = is_pi_separable(H, pi)
+            assert separable == _is_pi_separable_direct(H, pi), (H, str(pi))
+            try:
+                ctx = build_hall_context(H, pi)
+            except NoHallSubgroupError:
+                without_hall += 1
+                continue
+            with_hall += 1
+            assert add_record("H", ctx).status == PASS, (H, str(pi))
+            if separable:
+                assert multiplicative_value(ctx).is_one(), (H, str(pi))
     assert (with_hall, without_hall) == (24, 4)
+
+
+def test_sylow_subgroups_match_the_full_search(groups):
+    # Hall contexts for one prime take the first hit's conjugation orbit;
+    # the full search is the oracle, element sets and order both.
+    A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
+    cases = [(name, G, p) for name, G in groups.items() for p in prime_divisors(G.order)]
+    cases += [("S5 class", H, p) for H in s5_subgroup_classes()[1]
+              for p in prime_divisors(H.order)]
+    cases += [("A7", A7, 5), ("A7", A7, 7)]
+    for name, G, p in cases:
+        halls = build_hall_context(G, PiSet([p])).halls
+        expect = subgroups_of_order(G, pi_part(G.order, PiSet([p])))
+        assert [K.element_set() for K in halls] == [K.element_set() for K in expect], (name, p)
+        assert all(close(K.generators) == K for K in halls), (name, p)
+
+
+@pytest.mark.parametrize("p_part", [2, 6, 16])
+def test_sylow_subgroups_require_a_sylow_order(groups, p_part):
+    # Not the full 2-part of 24, not a prime power, not a divisor.
+    with pytest.raises(ValueError, match="not a Sylow order"):
+        sylow_subgroups(groups["S4"], p_part)
 
 
 def test_conjugacy_classes_match_brute_force(groups):
@@ -648,7 +663,7 @@ def test_element_orders_match_permutation_orders(groups):
 def test_subgroup_search_leaves_no_garbage(groups, monkeypatch):
     # The recursive search must not leave a reference cycle that keeps the
     # group and its rows alive until the cyclic collector runs, with the
-    # Cayley table or (guard 0) with product rows.
+    # Cayley table or (guard 0) with product rows, run to the end or not.
     gc.collect()
     gc.disable()
     try:
@@ -656,6 +671,13 @@ def test_subgroup_search_leaves_no_garbage(groups, monkeypatch):
         assert gc.collect() == 0
         monkeypatch.setattr(group_mod, "_TABLE_LIMIT", 0)
         subgroups_of_order(groups["S4"], 8)
+        assert gc.collect() == 0
+        # A search abandoned after its first hit, directly and as the
+        # Sylow path uses it.
+        G = groups["S4"]
+        next(group_mod._subgroup_search(G, 8, group_mod._ProductRows(G)))
+        assert gc.collect() == 0
+        sylow_subgroups(G, 8)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -8,9 +8,10 @@ import random
 import pytest
 
 from hallfix import (NoHallSubgroupError, PiSet, build_hall_context, close,
-                     corpus_entries, cyclic_lattice, divisors,
+                     corpus_entries, cyclic_lattice, divisors, load_group,
                      moebius_partition_check, parse_permutation, pi_part,
                      subgroups_of_order, totient, trivial_group)
+from hallfix import hall as hall_mod
 from hallfix.arith import prime_divisors
 from hallfix.group import conjugacy_classes
 from hallfix.hall import lambda_report_lines, lambda_report_records
@@ -41,6 +42,23 @@ def test_build_hall_context_trivial_pi(groups):
 
 
 def test_build_hall_context_no_hall(groups):
+    with pytest.raises(NoHallSubgroupError):
+        build_hall_context(groups["A5"], PiSet([2, 5]))
+
+
+def test_sylow_path_builds_no_cayley_table():
+    G = load_group("PSL(2,9)")  # a fresh object: no table from other tests
+    assert build_hall_context(G, PiSet([2])).num_halls == 45
+    assert G._table is None
+
+
+def test_composite_hall_orders_take_the_full_search(groups, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Sylow path taken for a composite Hall order")
+
+    monkeypatch.setattr(hall_mod, "sylow_subgroups", refuse)
+    # GL(3,2) has two classes of S4, A5 has no subgroup of order 20.
+    assert build_hall_context(groups["GL(3,2)"], PiSet([2, 3])).num_halls == 14
     with pytest.raises(NoHallSubgroupError):
         build_hall_context(groups["A5"], PiSet([2, 5]))
 
