@@ -35,7 +35,7 @@ class PermGroup:
     """A finite permutation group with its complete, canonically sorted element list."""
 
     __slots__ = ("degree", "generators", "elements", "_elem_set", "_table", "_index",
-                 "_orders")
+                 "_orders", "_classes")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]) -> None:
@@ -46,6 +46,7 @@ class PermGroup:
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_orders", None)
+        object.__setattr__(self, "_classes", None)
 
     @property
     def order(self) -> int:
@@ -365,8 +366,11 @@ def _conjugation_rows(G: PermGroup) -> List[List[int]]:
     return rows
 
 
-def conjugacy_classes(G: PermGroup) -> List[Tuple[Permutation, ...]]:
-    """Conjugacy classes as canonically sorted element tuples, identity class first."""
+def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[Permutation, ...], ...]:
+    """Conjugacy classes as canonically sorted element tuples, identity class
+    first; computed once per group."""
+    if G._classes is not None:
+        return G._classes
     elems, rows = G.elements, _conjugation_rows(G)
     seen = bytearray(len(elems))
     classes: List[Tuple[Permutation, ...]] = []
@@ -383,49 +387,25 @@ def conjugacy_classes(G: PermGroup) -> List[Tuple[Permutation, ...]]:
                     orbit.append(z)
         orbit.sort()
         classes.append(tuple([elems[j] for j in orbit]))
-    return classes
+    object.__setattr__(G, "_classes", tuple(classes))
+    return G._classes
 
 
-def _normal_closure(G: PermGroup, base: PermGroup, x: Permutation,
-                    keep: Callable[[int], bool], limit: int) -> Optional[PermGroup]:
-    """<base, x^G> for a normal subgroup ``base`` of G, or None when its index
-    over ``base`` fails ``keep``.
-
-    Each round adds the conjugates by G's generators of the last round's new
-    generators.  Every intermediate group contains ``base``, and its index
-    over ``base`` divides the closure's, so with a divisor-closed ``keep``
-    the walk stops at the first failing index or once a closure grows past
-    ``limit``, the largest order whose index ``keep`` accepts."""
-    conj = [(g, g.inverse()) for g in G.generators]
-    gens, new = list(base.generators) + [x], {x}
-    try:
-        H = close(gens, cap=limit)
-        while keep(H.order // base.order):
-            new = {g * y * ginv for y in new for g, ginv in conj} - H.element_set()
-            if not new:
-                return H
-            gens += new
-            H = close(gens, cap=limit)
-    except CapExceededError:
-        pass
-    return None
-
-
-def _core(G: PermGroup, keep: Callable[[int], bool], classes: Sequence[tuple],
-          base: PermGroup) -> PermGroup:
+def _core(G: PermGroup, keep: Callable[[int], bool], base: PermGroup) -> PermGroup:
     """Largest normal subgroup M >= ``base`` whose index |M|/|base| satisfies
-    the divisor-closed ``keep``: the preimage of the matching core of
-    G/base, joined from ``base`` and the normal closures of G's class
-    representatives that pass."""
+    the divisor-closed ``keep``, joined from ``base`` one class x^G at a time
+    when <core, x^G> passes.  A class failing on its own fails in any larger
+    join, since <base, x^G> lies in it and its index divides the join's."""
     limit = base.order * max(d for d in divisors(G.order // base.order) if keep(d))
     core = base
-    for cls in classes[1:]:
+    for cls in (G._classes or conjugacy_classes(G))[1:]:
         if cls[0] not in core:
-            N = _normal_closure(G, base, cls[0], keep, limit)
-            if N is not None:
-                core = close(core.generators + N.generators, cap=G.order)
-    if not keep(core.order // base.order):
-        raise AssertionError("join of normal closures fails the index test")
+            try:
+                M = close(core.generators + cls, cap=limit)
+            except CapExceededError:
+                continue
+            if keep(M.order // base.order):
+                core = M
     return core
 
 
@@ -437,12 +417,12 @@ def _pi_keeps(pi: PiSet) -> Tuple[Callable[[int], bool], Callable[[int], bool]]:
 
 def core_pi(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order is supported on the primes in pi."""
-    return _core(G, _pi_keeps(pi)[0], conjugacy_classes(G), trivial_group(G.degree))
+    return _core(G, _pi_keeps(pi)[0], trivial_group(G.degree))
 
 
 def core_pi_complement(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order avoids every prime in pi."""
-    return _core(G, _pi_keeps(pi)[1], conjugacy_classes(G), trivial_group(G.degree))
+    return _core(G, _pi_keeps(pi)[1], trivial_group(G.degree))
 
 
 def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:
@@ -450,12 +430,13 @@ def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:
 
     Every term is a normal subgroup of G, grown from the one before by the
     pi- and pi'-cores in turn (a core cannot grow the term it just made), so
-    one computation of G's classes serves every level.  G is not
+    G's classes, computed once here, serve every level.  G is not
     pi-separable when neither core grows the last term."""
-    classes, keeps = conjugacy_classes(G), _pi_keeps(pi)
+    conjugacy_classes(G)
+    keeps = _pi_keeps(pi)
     base, side, stalled = trivial_group(G.degree), 0, 0
     while base.order < G.order and stalled < 2:
-        M = _core(G, keeps[side], classes, base)
+        M = _core(G, keeps[side], base)
         stalled = stalled + 1 if M.order == base.order else 0
         base, side = M, 1 - side
     return base.order == G.order

@@ -5,15 +5,18 @@ is the pi-part of |G|.  For a prime-power order Sylow's theorems license one
 conjugacy class: the first subgroup found and its conjugates.  Every other
 order takes the exhaustive search, with no conjugacy assumption; for
 pi-separable groups it finds the usual single class, which the tests check.
+The number tau(g) of Hall subgroups that g normalizes is a class function
+of G, counted once per conjugacy class.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 from .arith import PiSet, moebius, prime_divisors
-from .group import FiniteAction, PermGroup, close, subgroups_of_order, sylow_subgroups
+from .group import (PermGroup, close, conjugacy_classes, subgroups_of_order,
+                    sylow_subgroups)
 from .perm import Permutation, format_permutation
 
 
@@ -42,10 +45,10 @@ class HallContext:
 
     ``lam[x]`` is the number of Hall pi-subgroups containing the pi-element x;
     it is defined only on pi-elements and equals the permutation character of
-    the conjugation action on the Hall set there.
+    the conjugation action on the Hall set there; on all of G it is tau.
     """
 
-    __slots__ = ("group", "pi", "hall_order", "halls", "lam", "_action", "_tau")
+    __slots__ = ("group", "pi", "hall_order", "halls", "lam", "_tau")
 
     def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
                  halls: Sequence[PermGroup], lam: Mapping[Permutation, int]) -> None:
@@ -54,8 +57,7 @@ class HallContext:
         self.hall_order = hall_order
         self.halls = tuple(halls)
         self.lam = dict(lam)
-        self._action: Optional[FiniteAction] = None
-        self._tau: Optional[Dict[Permutation, int]] = None
+        self._tau: "Dict[Permutation, int] | None" = None
 
     @property
     def num_halls(self) -> int:
@@ -74,32 +76,18 @@ class HallContext:
                 f"{format_permutation(x)} is not a pi-element for pi={{{self.pi}}}"
             ) from None
 
-    def conjugation_action(self) -> FiniteAction:
-        """Conjugation of the full group on the Hall set (points are hall indices)."""
-        if self._action is None:
-            # member[x] has bit i set when the i-th Hall subgroup contains x.
-            # g K g^-1 is the only Hall subgroup containing g gens(K) g^-1,
-            # so conjugating K's generators is enough to identify it.
-            member: Dict[Permutation, int] = {}
-            for i, K in enumerate(self.halls):
-                for x in K.elements:
-                    member[x] = member.get(x, 0) | 1 << i
-
-            def act(g: Permutation, i: int) -> int:
-                ginv = g.inverse()
-                mask = -1
-                for k in self.halls[i].generators:
-                    mask &= member[g * k * ginv]
-                return mask.bit_length() - 1
-
-            self._action = FiniteAction.build(self.group, len(self.halls), act)
-        return self._action
-
     def fixed_hall_counts(self) -> Dict[Permutation, int]:
-        """tau(g) = number of Hall subgroups normalized by g, for every g in G."""
+        """tau(g) = number of Hall subgroups normalized by g, for every g in G,
+        counted on each class's first element g: g normalizes K exactly when
+        it conjugates every generator of K into K."""
         if self._tau is None:
-            action = self.conjugation_action()
-            self._tau = {g: action.fixed_count(g) for g in self.group.elements}
+            tau: Dict[Permutation, int] = {}
+            for cls in conjugacy_classes(self.group):
+                g = cls[0]
+                ginv = g.inverse()
+                count = sum(all(g * k * ginv in K for k in K.generators) for K in self.halls)
+                tau.update(dict.fromkeys(cls, count))
+            self._tau = tau
         return self._tau
 
 

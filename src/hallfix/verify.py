@@ -17,8 +17,7 @@ from math import gcd, log10
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, divisors, moebius, prime_divisors, radical
-from .group import (FiniteAction, PermGroup, centralizer, conjugacy_classes,
-                    group_from_elements)
+from .group import PermGroup, centralizer, conjugacy_classes, group_from_elements
 from .hall import HallContext, build_hall_context, cyclic_lattice
 from .perm import Permutation
 
@@ -285,22 +284,23 @@ def cyclic_symmetrized_char(chi: CharacterTable, n: int, h: Permutation) -> Frac
     return _moebius_power_sum(chi, (h,), n) / n
 
 
-def burnside_orbit_count(H: PermGroup, base_action: FiniteAction, k: int,
+def burnside_orbit_count(H: PermGroup, fixed: Mapping[Permutation, int], k: int,
                          tuple_cap: Optional[int] = 10**7) -> int:
     """Orbits of H on k-tuples under the diagonal action, via fixed-point powers.
 
-    The count is (1/|H|) * sum over h of fix(h)^k; no tuples are enumerated,
-    but the nominal tuple-space size is still capped unless ``tuple_cap`` is
-    None.
+    ``fixed[h]`` is the number of points h fixes, so ``fixed[H.identity]`` is
+    the number of points.  The count is (1/|H|) * sum over h of
+    fixed[h]^k; no tuples are enumerated, but the nominal tuple-space size
+    is still capped unless ``tuple_cap`` is None.
     """
     if k < 1:
         raise ValueError("tuple length must be positive")
-    size = base_action.size ** k
+    size = fixed[H.identity] ** k
     if tuple_cap is not None and size > tuple_cap:
         raise ValueError(f"tuple space of size {size} exceeds the cap {tuple_cap}")
     total = 0
     for h in H.elements:
-        total += base_action.fixed_count(h) ** k
+        total += fixed[h] ** k
     if total % H.order:
         raise AssertionError("Burnside sum is not divisible by |H|")
     return total // H.order
@@ -324,14 +324,14 @@ def interpretation_check(ctx: HallContext, hall: Optional[PermGroup] = None) -> 
         raise ValueError("the Hall subgroup is not abelian; power subgroups "
                          "are not formed here")
     n = ctx.hall_order
-    action = ctx.conjugation_action()
+    tau = ctx.fixed_hall_counts()
     total = Fraction(0)
     for d in divisors(n):
         mu = moebius(d)
         if mu == 0:
             continue
         Hd = power_subgroup(H, d)
-        orbits = burnside_orbit_count(Hd, action, n // d, tuple_cap=None)
+        orbits = burnside_orbit_count(Hd, tau, n // d, tuple_cap=None)
         total += Fraction(mu * orbits, n)
     return total == additive_value(ctx, H)
 

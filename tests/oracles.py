@@ -11,6 +11,7 @@ from itertools import combinations
 from hallfix import (NotASubgroupError, PermGroup, Permutation, PiSet, close, divisors,
                      is_pi_separable, parse_permutation, subgroups_of_order)
 from hallfix.arith import prime_divisors
+from hallfix.group import conjugacy_classes, group_from_elements
 
 
 def conjugate_set(elems, g):
@@ -84,3 +85,51 @@ def quotient_direct(G, N):
         mapping[x] = Permutation(point_of[rep * xinv] for rep in reps)
     q_gens = [mapping[g] for g in G.generators]
     return PermGroup(len(cosets), q_gens, set(mapping.values())), mapping
+
+
+#: The normal-subgroup scan enumerates class unions; guard the subset blowup.
+_CLASS_SCAN_LIMIT = 20
+
+
+def normal_subgroups(G):
+    """Reference for the cores: all normal subgroups, as closed class unions."""
+    classes = conjugacy_classes(G)
+    rest = classes[1:]
+    if len(rest) > _CLASS_SCAN_LIMIT:
+        raise RuntimeError(
+            f"normal-subgroup scan over {len(rest)} conjugacy classes is out of "
+            "desk-scale range")
+    out = []
+    for mask in range(1 << len(rest)):
+        size = 1
+        members = [classes[0]]
+        for bit, cls in enumerate(rest):
+            if mask >> bit & 1:
+                size += len(cls)
+                members.append(cls)
+        if G.order % size:
+            continue
+        union = frozenset(x for cls in members for x in cls)
+        # A conjugation-closed candidate is a subgroup iff one representative
+        # per member class maps the candidate into itself.
+        if all(all(cls[0] * x in union for x in union) for cls in members):
+            out.append(group_from_elements(G.degree, union))
+    return sorted(out, key=lambda H: (H.order, H.fingerprint()))
+
+
+def is_pi(n, pi):
+    return all(p in pi for p in prime_divisors(n))
+
+
+def is_pi_prime(n, pi):
+    return not any(p in pi for p in prime_divisors(n))
+
+
+def is_pi_separable_direct(G, pi):
+    """Reference: G is pi-separable iff it is trivial, or it has a nontrivial
+    normal pi- or pi'-subgroup N and G/N is pi-separable."""
+    if G.order == 1:
+        return True
+    return any(is_pi_separable_direct(quotient_direct(G, N)[0], pi)
+               for N in normal_subgroups(G)[1:]
+               if is_pi(N.order, pi) or is_pi_prime(N.order, pi))

@@ -100,10 +100,10 @@ def test_criterion_04_additive_suite(groups, hall_ctx):
     ok = ok and additive_value(hall_ctx("S4", "2,3")) == 0
     # the pinned A5 value, confirmed through the orbit-count oracle
     a5 = hall_ctx("A5", "2")
-    action = a5.conjugation_action()
+    tau = a5.fixed_hall_counts()
     H = a5.canonical_hall
-    f4 = burnside_orbit_count(H, action, 4)
-    f2 = burnside_orbit_count(power_subgroup(H, 2), action, 2)
+    f4 = burnside_orbit_count(H, tau, 4)
+    f2 = burnside_orbit_count(power_subgroup(H, 2), tau, 2)
     ok = ok and (f4, f2) == (157, 25)
     ok = ok and additive_value(a5) == Fraction(f4 - f2, 4) == 33
     ok = ok and additive_value(hall_ctx("A5", "2,3")) >= 0
@@ -218,8 +218,7 @@ def test_criterion_10_structural_invariants(groups, hall_ctx):
                 spans.setdefault(key, set()).add(ctx.lam[x])
             ok = ok and all(len(v) == 1 for v in spans.values())
             # Burnside cross-check of the membership-count sum over H
-            action = ctx.conjugation_action()
             total = sum(ctx.lam_of(h) for h in H.elements)
             ok = ok and total == H.order * burnside_orbit_count(
-                H, action, 1, tuple_cap=None)
+                H, ctx.fixed_hall_counts(), 1, tuple_cap=None)
     _report(10, "structural invariants", ok)

@@ -21,8 +21,8 @@ from hallfix.group import (DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, conjuga
                            core_pi_complement, group_from_elements, sylow_subgroups)
 from hallfix.hall import pi_part
 from hallfix.reports import PASS
-from oracles import (conjugate_set, conjugates, proper_prime_sets, quotient_direct,
-                     s5_subgroup_classes)
+from oracles import (conjugate_set, conjugates, is_pi, is_pi_prime, is_pi_separable_direct,
+                     normal_subgroups, proper_prime_sets, quotient_direct, s5_subgroup_classes)
 
 
 def P(text, degree):
@@ -100,36 +100,6 @@ def _close_direct(generators, *, degree=None, cap=DEFAULT_ELEMENT_CAP):
                 seen.add(y)
                 queue.append(y)
     return PermGroup(deg, gens or [ident], seen)
-
-
-#: The normal-subgroup scan enumerates class unions; guard the subset blowup.
-_CLASS_SCAN_LIMIT = 20
-
-
-def normal_subgroups(G):
-    """Reference for the cores: all normal subgroups, as closed class unions."""
-    classes = conjugacy_classes(G)
-    rest = classes[1:]
-    if len(rest) > _CLASS_SCAN_LIMIT:
-        raise RuntimeError(
-            f"normal-subgroup scan over {len(rest)} conjugacy classes is out of "
-            "desk-scale range")
-    out = []
-    for mask in range(1 << len(rest)):
-        size = 1
-        members = [classes[0]]
-        for bit, cls in enumerate(rest):
-            if mask >> bit & 1:
-                size += len(cls)
-                members.append(cls)
-        if G.order % size:
-            continue
-        union = frozenset(x for cls in members for x in cls)
-        # A conjugation-closed candidate is a subgroup iff one representative
-        # per member class maps the candidate into itself.
-        if all(all(cls[0] * x in union for x in union) for cls in members):
-            out.append(group_from_elements(G.degree, union))
-    return sorted(out, key=lambda H: (H.order, H.fingerprint()))
 
 
 @st.composite
@@ -398,14 +368,6 @@ def _prime_subsets(G):
             for s in combinations(primes, k)]
 
 
-def _is_pi(n, pi):
-    return all(p in pi for p in prime_divisors(n))
-
-
-def _is_pi_prime(n, pi):
-    return not any(p in pi for p in prime_divisors(n))
-
-
 def test_cores_match_the_normal_subgroup_scan(groups):
     # Reference: the largest admissible class-union normal subgroup, which
     # must contain every other admissible one.
@@ -413,7 +375,7 @@ def test_cores_match_the_normal_subgroup_scan(groups):
     for name, G in groups.items():
         normals = normal_subgroups(G)
         for pi in _prime_subsets(G):
-            for core, keep in ((core_pi, _is_pi), (core_pi_complement, _is_pi_prime)):
+            for core, keep in ((core_pi, is_pi), (core_pi_complement, is_pi_prime)):
                 admissible = [N for N in normals if keep(N.order, pi)]
                 best = max(admissible, key=lambda N: N.order)
                 assert all(N.is_subgroup_of(best) for N in admissible)
@@ -438,7 +400,7 @@ def test_cores_of_class_rich_abelian_groups(name):
     G = close([P(g, degree) for g in gens])
     assert G.is_abelian()
     for pi in _prime_subsets(G):
-        for core, keep in ((core_pi, _is_pi), (core_pi_complement, _is_pi_prime)):
+        for core, keep in ((core_pi, is_pi), (core_pi_complement, is_pi_prime)):
             expect = {g for g in G.elements if keep(g.order(), pi)}
             assert core(G, pi).element_set() == expect, (name, str(pi))
         assert is_pi_separable(G, pi)
@@ -456,21 +418,29 @@ def test_separability_computes_classes_once_per_call(groups, monkeypatch, name, 
     assert calls == [groups[name].order]
 
 
-def _is_pi_separable_direct(G, pi):
-    """Reference: G is pi-separable iff it is trivial, or it has a nontrivial
-    normal pi- or pi'-subgroup N and G/N is pi-separable."""
-    if G.order == 1:
-        return True
-    return any(_is_pi_separable_direct(quotient_direct(G, N)[0], pi)
-               for N in normal_subgroups(G)[1:]
-               if _is_pi(N.order, pi) or _is_pi_prime(N.order, pi))
+def test_classes_are_computed_once_per_group(monkeypatch):
+    # S3 x C5, built here so that no other test has filled its class cache.
+    # Its {2,5}- and {3,5}-Hall orders are composite, so neither context
+    # takes the Sylow orbit, which has conjugation rows of its own.
+    G = close([P("(1 2 3)", 8), P("(1 2)", 8), P("(4 5 6 7 8)", 8)])
+    calls = []
+    rows = group_mod._conjugation_rows
+    monkeypatch.setattr(group_mod, "_conjugation_rows",
+                        lambda H: calls.append(H.order) or rows(H))
+    assert is_pi_separable(G, PiSet([2])) and is_pi_separable(G, PiSet([3]))
+    for pi in (PiSet([2, 5]), PiSet([3, 5])):
+        assert build_hall_context(G, pi).fixed_hall_counts()[G.identity] >= 1
+    assert calls == [30]
+    assert conjugacy_classes(G) is conjugacy_classes(G)
+    with pytest.raises(AttributeError, match="immutable"):
+        G._classes = None
 
 
 def test_separability_matches_the_quotient_tower(groups):
     pairs = 0
     for name, G in groups.items():
         for pi in _prime_subsets(G):
-            assert is_pi_separable(G, pi) == _is_pi_separable_direct(G, pi), (name, str(pi))
+            assert is_pi_separable(G, pi) == is_pi_separable_direct(G, pi), (name, str(pi))
             pairs += 1
     assert pairs == 88
 
@@ -483,7 +453,7 @@ def test_s5_subgroup_classes_sweep():
     for H in reps:
         for pi in proper_prime_sets(H):
             separable = is_pi_separable(H, pi)
-            assert separable == _is_pi_separable_direct(H, pi), (H, str(pi))
+            assert separable == is_pi_separable_direct(H, pi), (H, str(pi))
             try:
                 ctx = build_hall_context(H, pi)
             except NoHallSubgroupError:
@@ -598,7 +568,7 @@ def test_finite_action_fixed_counts(groups):
     act = FiniteAction.build(S3, 3, _natural)
     assert act.fixed_count(S3.identity) == 3
     assert act.fixed_count(P("(1 2)", 3)) == 1
-    assert burnside_orbit_count(S3, act, 1) == 1
+    assert burnside_orbit_count(S3, {g: act.fixed_count(g) for g in S3.elements}, 1) == 1
 
 
 def test_cayley_table_matches_products(groups):

@@ -100,10 +100,10 @@ def test_burnside_cross_check_of_lambda_sum(hall_ctx):
     # sum of lam over H equals |H| times the orbit count of H on the halls.
     for name, pi_text in (("A5", "2"), ("S4", "2"), ("F21", "3"), ("A4", "3")):
         ctx = hall_ctx(name, pi_text)
-        action = ctx.conjugation_action()
+        tau = ctx.fixed_hall_counts()
         for H in ctx.halls:
             total = sum(ctx.lam_of(h) for h in H.elements)
-            fixed = sum(action.fixed_count(h) for h in H.elements)
+            fixed = sum(tau[h] for h in H.elements)
             assert total == fixed
             assert total % H.order == 0
 
@@ -262,8 +262,8 @@ def test_conjugation_action_respects_classes(hall_ctx):
 
 
 def test_conjugation_action_matches_elementwise_oracle(groups, hall_ctx):
-    # Oracle: conjugate each Hall subgroup element by element and look the
-    # result up by its element set.
+    # Oracle: conjugate each Hall subgroup element by element and count the
+    # ones whose element set comes back unchanged.
     checked = set()
     for entry in corpus_entries():
         G = groups[entry.name]
@@ -274,10 +274,10 @@ def test_conjugation_action_matches_elementwise_oracle(groups, hall_ctx):
                 continue
             if ctx.num_halls < 2:
                 continue
-            by_set = {K.element_set(): i for i, K in enumerate(ctx.halls)}
-            action = ctx.conjugation_action()
+            tau = ctx.fixed_hall_counts()
             for g in G.elements:
-                expected = [by_set[conjugated_by(K, g).element_set()] for K in ctx.halls]
-                assert [action.act(g, i) for i in range(ctx.num_halls)] == expected
+                expected = sum(conjugated_by(K, g).element_set() == K.element_set()
+                               for K in ctx.halls)
+                assert tau[g] == expected, (entry.name, str(pi), g)
             checked.add((entry.name, str(pi)))
     assert {("A5", "2"), ("GL(3,2)", "2"), ("GL(3,2)", "7"), ("PSL(2,9)", "5")} <= checked

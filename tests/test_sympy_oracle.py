@@ -1,4 +1,5 @@
-"""Randomized differential tests against sympy, used only as a test oracle."""
+"""Randomized differential tests against sympy, used only as a test oracle,
+and against the brute-force oracles."""
 
 from __future__ import annotations
 
@@ -10,14 +11,17 @@ pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation as SympyPermutation  # noqa: E402
 from sympy.combinatorics import PermutationGroup  # noqa: E402
 
-from hallfix import Permutation, close  # noqa: E402
-from oracles import is_solvable  # noqa: E402
+from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context,  # noqa: E402
+                     close, is_pi_separable)
+from hallfix.arith import prime_divisors  # noqa: E402
+from oracles import conjugated_by, is_pi_separable_direct, is_solvable  # noqa: E402
 
 
 @st.composite
-def generating_sets(draw):
-    """One to three permutations of one degree from 1 to 7, as image lists."""
-    degree = draw(st.integers(1, 7))
+def generating_sets(draw, max_degree=7):
+    """One to three permutations of one degree from 1 to ``max_degree``, as
+    image lists."""
+    degree = draw(st.integers(1, max_degree))
     return draw(st.lists(st.permutations(range(1, degree + 1)), min_size=1, max_size=3))
 
 
@@ -28,3 +32,28 @@ def test_order_and_solvability_agree_with_sympy(gens):
     S = PermutationGroup([SympyPermutation([i - 1 for i in g]) for g in gens])
     assert G.order == S.order()
     assert is_solvable(G) == S.is_solvable
+
+
+@settings(max_examples=100, deadline=None)
+@given(generating_sets(max_degree=6), st.data())
+def test_separability_and_tau_agree_with_the_oracles(gens, data):
+    # The quotient-tower oracle and the elementwise tau count slow down with
+    # the group order, so composite pi and tau are only drawn up to order 120.
+    G = close([Permutation(g) for g in gens])
+    primes = prime_divisors(G.order)
+    if not primes:
+        return
+    small = G.order <= 120
+    pi = PiSet(data.draw(st.lists(st.sampled_from(primes), min_size=1,
+                                  max_size=len(primes) if small else 1, unique=True)))
+    assert is_pi_separable(G, pi) == is_pi_separable_direct(G, pi)
+    if not small:
+        return
+    try:
+        ctx = build_hall_context(G, pi)
+    except NoHallSubgroupError:
+        return
+    tau = ctx.fixed_hall_counts()
+    for g in G.elements:
+        assert tau[g] == sum(conjugated_by(K, g).element_set() == K.element_set()
+                             for K in ctx.halls)

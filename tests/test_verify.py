@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from hallfix import (CharacterTable, CoprimeActionScenario, FactoredRational,
+from hallfix import (CharacterTable, CoprimeActionScenario, FactoredRational, FiniteAction,
                      PiSet, SymCharSpec, additive_value, build_hall_context,
                      burnside_orbit_count, centralizer, close,
                      conjugation_character, core_pi_complement, curiosity_value,
@@ -18,7 +18,7 @@ from hallfix import (CharacterTable, CoprimeActionScenario, FactoredRational,
                      totient, trivial_group, wielandt_check)
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError
-from oracles import quotient_direct
+from oracles import conjugated_by, quotient_direct
 
 
 def P(text, degree):
@@ -384,30 +384,32 @@ def _orbit_count_by_enumeration(action, H, k):
 
 def test_burnside_orbit_count_157(hall_ctx):
     ctx = hall_ctx("A5", "2")
-    H = ctx.canonical_hall
-    action = ctx.conjugation_action()
-    count = burnside_orbit_count(H, action, 4)
+    H, G, halls = ctx.canonical_hall, ctx.group, ctx.halls
+    count = burnside_orbit_count(H, ctx.fixed_hall_counts(), 4)
     assert count == 157
+    by_set = {K.element_set(): i for i, K in enumerate(halls)}
+    action = FiniteAction.build(
+        G, len(halls), lambda g, i: by_set[conjugated_by(halls[i], g).element_set()])
     assert count == _orbit_count_by_enumeration(action, H, 4)
 
 
 def test_burnside_transitive_single_orbit(hall_ctx):
     ctx = hall_ctx("A5", "2")
-    assert burnside_orbit_count(ctx.group, ctx.conjugation_action(), 1) == 1
+    assert burnside_orbit_count(ctx.group, ctx.fixed_hall_counts(), 1) == 1
 
 
 def test_burnside_trivial_group_counts_tuples(hall_ctx):
     ctx = hall_ctx("A5", "2")
-    action = ctx.conjugation_action()
-    assert burnside_orbit_count(trivial_group(5), action, 3) == 125
+    tau = ctx.fixed_hall_counts()
+    assert burnside_orbit_count(trivial_group(5), tau, 3) == 125
 
 
 def test_burnside_tuple_cap(hall_ctx):
     ctx = hall_ctx("A5", "2")
-    action = ctx.conjugation_action()
+    tau = ctx.fixed_hall_counts()
     with pytest.raises(ValueError, match="exceeds the cap"):
-        burnside_orbit_count(ctx.group, action, 11)
-    assert burnside_orbit_count(ctx.group, action, 11, tuple_cap=None) > 0
+        burnside_orbit_count(ctx.group, tau, 11)
+    assert burnside_orbit_count(ctx.group, tau, 11, tuple_cap=None) > 0
 
 
 # ---------------------------------------------------------------- interpretation
@@ -415,10 +417,10 @@ def test_burnside_tuple_cap(hall_ctx):
 
 def test_interpretation_a5(hall_ctx):
     ctx = hall_ctx("A5", "2")
-    action = ctx.conjugation_action()
+    tau = ctx.fixed_hall_counts()
     H = ctx.canonical_hall
-    f4 = burnside_orbit_count(H, action, 4)
-    f2 = burnside_orbit_count(power_subgroup(H, 2), action, 2)
+    f4 = burnside_orbit_count(H, tau, 4)
+    f2 = burnside_orbit_count(power_subgroup(H, 2), tau, 2)
     assert (f4, f2) == (157, 25)
     assert Fraction(f4 - f2, 4) == additive_value(ctx) == 33
     assert interpretation_check(ctx)
