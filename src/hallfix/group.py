@@ -7,20 +7,16 @@ desk scale.  Closure refuses groups larger than a configurable cap.
 
 from __future__ import annotations
 
-from array import array
 from math import ceil, gcd, log2
 from operator import attrgetter, itemgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from .arith import PiSet, divisors, prime_divisors
+from .arith import PiSet, divisors, factorize, prime_divisors
 from .perm import Permutation
 
 #: Default ceiling for exhaustive element enumeration.
 DEFAULT_ELEMENT_CAP = 10080
-
-#: Cayley index tables are only built below this order (memory guard).
-_TABLE_LIMIT = 2048
 
 
 class CapExceededError(RuntimeError):
@@ -34,8 +30,8 @@ class NotASubgroupError(ValueError):
 class PermGroup:
     """A finite permutation group with its complete, canonically sorted element list."""
 
-    __slots__ = ("degree", "generators", "elements", "_elem_set", "_table", "_index",
-                 "_orders", "_classes")
+    __slots__ = ("degree", "generators", "elements", "_elem_set", "_index", "_orders",
+                 "_classes")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]) -> None:
@@ -43,7 +39,6 @@ class PermGroup:
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "elements", tuple(sorted(elements, key=attrgetter("images"))))
         object.__setattr__(self, "_elem_set", frozenset(elements))
-        object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_classes", None)
@@ -84,10 +79,11 @@ class PermGroup:
         """Sorted element-image tuples; the canonical dedup / ordering key."""
         return tuple(g.images for g in self.elements)
 
-    def _ensure_index(self) -> Dict[Permutation, int]:
+    def _ensure_index(self) -> Dict[Tuple[int, ...], int]:
+        """Element index keyed by image tuple; computed once per group."""
         if self._index is None:
             object.__setattr__(self, "_index",
-                               {g: i for i, g in enumerate(self.elements)})
+                               {g.images: i for i, g in enumerate(self.elements)})
         return self._index
 
     def element_orders(self) -> Tuple[int, ...]:
@@ -95,35 +91,6 @@ class PermGroup:
         if self._orders is None:
             object.__setattr__(self, "_orders", tuple(g.order() for g in self.elements))
         return self._orders
-
-    def cayley_table(self) -> Optional[Sequence[array]]:
-        """Index-level multiplication table, or None above the memory guard."""
-        if self.order > _TABLE_LIMIT:
-            return None
-        if self._table is None:
-            # Only generator rows compose image tuples, s * b = s o b.  Every
-            # other row comes by breadth-first search from the identity (index
-            # 0), using row(s * x) = row(s) o row(x): one itemgetter call per
-            # row (the order is > 1 here, so it takes several indices).
-            idx = {x.images: i for i, x in enumerate(self.elements)}
-            gen_rows = []
-            for s in dict.fromkeys(self.generators):
-                shifted = (0,) + s.images
-                gen_rows.append(tuple(idx[tuple(map(shifted.__getitem__, b.images))]
-                                      for b in self.elements))
-            rows: List[Optional[array]] = [None] * self.order
-            rows[0] = array("H", range(self.order))
-            queue = [0]
-            for x in queue:
-                for srow in gen_rows:
-                    y = srow[x]
-                    if rows[y] is None:
-                        rows[y] = array("H", itemgetter(*rows[x])(srow))
-                        queue.append(y)
-            if len(queue) != self.order:
-                raise AssertionError("generators do not generate the element list")
-            object.__setattr__(self, "_table", tuple(rows))
-        return self._table
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PermGroup) and self.degree == other.degree
@@ -252,24 +219,27 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
         return [trivial_group(G.degree)]
     if m == G.order:
         return [G]
-    found = _subgroup_search(G, m, G.cayley_table() or _ProductRows(G))
-    return sorted(found, key=PermGroup.fingerprint)
+    return _sorted_subgroups(G, _subgroup_search(G, m))
 
 
-def sylow_subgroups(G: PermGroup, p_part: int) -> List[PermGroup]:
-    """The Sylow subgroups of order ``p_part``, sorted like :func:`subgroups_of_order`.
-    By Sylow's theorems they are one conjugacy class: the search's first hit,
-    read through product rows (no Cayley table), and its conjugation orbit."""
-    if (len(prime_divisors(p_part)) != 1 or G.order % p_part
-            or gcd(p_part, G.order // p_part) != 1):
-        raise ValueError(f"{p_part} is not a Sylow order of a group of order {G.order}")
-    if p_part == G.order:
+def hall_subgroups(G: PermGroup, n: int) -> List[PermGroup]:
+    """The subgroups of Hall order ``n``, sorted like :func:`subgroups_of_order`.
+
+    Each contains a Sylow p-subgroup of G for every p dividing n, and the
+    Sylow p-subgroups are conjugate, so each is conjugate to one containing
+    P, the search's first hit at n's largest prime power.  They are the
+    conjugation orbits of the search's hits above P, in every finite group;
+    no hit means there is none.  At a prime-power n the only hit is P."""
+    if n < 1 or G.order % n or gcd(n, G.order // n) != 1:
+        raise ValueError(f"{n} is not a Hall order of a group of order {G.order}")
+    if n == 1:
+        return [trivial_group(G.degree)]
+    if n == G.order:
         return [G]
-    first = next(_subgroup_search(G, p_part, _ProductRows(G)))
-    index = G._ensure_index()
+    q = max(p ** k for p, k in factorize(n).items())
+    P = next(_subgroup_search(G, q))
     # Element-index sets of the conjugates, each with its conjugated generators.
-    orbit = {frozenset(index[x] for x in first.elements):
-             tuple(index[g] for g in first.generators)}
+    orbit = dict([P] if q == n else _subgroup_search(G, n, P))
     queue = list(orbit)
     rows = _conjugation_rows(G)
     for S in queue:
@@ -278,77 +248,68 @@ def sylow_subgroups(G: PermGroup, p_part: int) -> List[PermGroup]:
             if T not in orbit:
                 orbit[T] = tuple(map(row.__getitem__, orbit[S]))
                 queue.append(T)
+    return _sorted_subgroups(G, orbit.items())
+
+
+_Found = Tuple[FrozenSet[int], Tuple[int, ...]]
+
+
+def _sorted_subgroups(G: PermGroup, found: Iterable[_Found]) -> List[PermGroup]:
+    """Subgroups from (element-index set, generator indices) pairs, by fingerprint."""
     elems = G.elements
-    return sorted((PermGroup(G.degree, [elems[i] for i in gens], [elems[i] for i in S])
-                   for S, gens in orbit.items()), key=PermGroup.fingerprint)
-
-
-class _ProductRows:
-    """Cayley-table rows without the table: ``rows[a][b]`` is the index of
-    ``elements[a] * elements[b]``, one permutation product per lookup."""
-
-    __slots__ = ("elements", "index")
-
-    def __init__(self, G: PermGroup) -> None:
-        self.elements, self.index = G.elements, G._ensure_index()
-
-    def __getitem__(self, a: int) -> "_ProductRow":
-        return _ProductRow(self.elements[a], self)
-
-
-class _ProductRow:
-    __slots__ = ("x", "elements", "index")
-
-    def __init__(self, x: Permutation, rows: _ProductRows) -> None:
-        self.x, self.elements, self.index = x, rows.elements, rows.index
-
-    def __getitem__(self, b: int) -> int:
-        return self.index[self.x * self.elements[b]]
+    return sorted((PermGroup(G.degree, [elems[i] for i in gens], [elems[i] for i in sorted(S)])
+                   for S, gens in found), key=PermGroup.fingerprint)
 
 
 def _subgroup_search(G: PermGroup, m: int,
-                     rows: "Sequence[array] | _ProductRows") -> Iterator[PermGroup]:
-    """Yield the subgroups of order ``m`` in canonical chain order."""
-    elems, orders = G.elements, G.element_orders()
+                     seed: _Found = (frozenset({0}), ())) -> Iterator[_Found]:
+    """Yield the subgroups of order ``m`` containing the subgroup ``seed``, as
+    (element-index set, generator indices) pairs in canonical chain order.
+    A chain adds to the seed's generators, one at a time, the least element
+    outside the subgroup generated so far."""
+    index, orders = G._ensure_index(), G.element_orders()
+    images = [x.images for x in G.elements]
     candidates = [i for i in range(1, G.order) if m % orders[i] == 0]
-    max_gens = ceil(log2(m))
+    base, base_gens = seed
+    max_gens = len(base_gens) + ceil(log2(m // len(base)))
 
-    def closure(clo: FrozenSet[int], gen_idx: Tuple[int, ...]) -> Optional[FrozenSet[int]]:
-        # <clo, e> for clo = <gen_idx[:-1]>, e = gen_idx[-1], grown from clo by right
-        # cosets; None past m elements or at a new element below e (not canonical).
-        e = gen_idx[-1]
+    def closure(clo: FrozenSet[int], moves: List[Callable], e: int) -> Optional[FrozenSet[int]]:
+        # <clo, e> for clo = <gens>, moves the right multiplications by gens and
+        # then e, grown from clo by right cosets clo * y, y = r * g, composed on
+        # image tuples; None past m elements or at a new element below e (not
+        # canonical).
         seen = set(clo)
-        reps = [0]
+        reps = [images[0]]
         for r in reps:
-            row = rows[r]
-            for g in gen_idx:
-                y = row[g]
-                if y not in seen:
-                    coset = [rows[c][y] for c in clo]
+            for times_g in moves:
+                y = times_g(r)
+                if index[y] not in seen:
+                    times_y = _times(y)
+                    coset = [index[times_y(images[c])] for c in clo]
                     if len(seen) + len(coset) > m or min(coset) < e:
                         return None
                     seen.update(coset)
                     reps.append(y)
         return frozenset(seen)
 
-    def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> Iterator[PermGroup]:
+    def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> Iterator[_Found]:
+        moves = [_times(images[g]) for g in gens]
         for pos in range(start, len(candidates)):
             e = candidates[pos]
             if e in clo:
                 continue
-            new = closure(clo, gens + (e,))
+            new = closure(clo, moves + [_times(images[e])], e)
             if new is None or m % len(new):
                 continue
             if len(new) == m:
-                # The canonical chain is the greedy generating set that
-                # group_from_elements would pick from the sorted elements.
-                yield PermGroup(G.degree, [elems[i] for i in gens + (e,)],
-                                [elems[i] for i in sorted(new)])
+                # Unseeded, the canonical chain is the greedy generating set
+                # that group_from_elements would pick from the sorted elements.
+                yield new, gens + (e,)
             elif len(gens) + 1 < max_gens:
                 yield from extend(new, gens + (e,), pos + 1)
 
     try:
-        yield from extend(frozenset({0}), (), 0)
+        yield from extend(base, base_gens, 0)
     finally:
         del extend  # break the self-reference even if the caller stops early
 
@@ -357,7 +318,7 @@ def _conjugation_rows(G: PermGroup) -> List[List[int]]:
     """One row x -> g x g^-1 on element indices per distinct generator g, with
     g x g^-1 = g o (x o g^-1) on image tuples.  The identity moves nothing;
     skipping it also keeps degree 1 off itemgetter's single-index form."""
-    index, rows = {x.images: i for i, x in enumerate(G.elements)}, []
+    index, rows = G._ensure_index(), []
     for g in dict.fromkeys(G.generators):
         if g != G.identity:
             shifted, times_ginv = (0,) + g.images, _times(g.inverse().images)

@@ -1,10 +1,11 @@
 """Hall subgroup enumeration, membership counts and cyclic-subgroup lattices.
 
 For a prime set pi, the Hall pi-subgroups of G are ALL subgroups whose order
-is the pi-part of |G|.  For a prime-power order Sylow's theorems license one
-conjugacy class: the first subgroup found and its conjugates.  Every other
-order takes the exhaustive search, with no conjugacy assumption; for
-pi-separable groups it finds the usual single class, which the tests check.
+is the pi-part of |G|.  One enumeration serves every pi, with no conjugacy
+assumption among them: each contains a conjugate of one fixed Sylow
+subgroup, so they are the conjugation orbits of the subgroups of that order
+containing it.  For pi-separable groups that is the usual single class,
+which the tests check.
 The number tau(g) of Hall subgroups that g normalizes is a class function
 of G, counted once per conjugacy class.
 """
@@ -15,8 +16,10 @@ from collections import Counter
 from typing import Dict, List, Mapping, Sequence
 
 from .arith import PiSet, moebius, prime_divisors
-from .group import (PermGroup, close, conjugacy_classes, subgroups_of_order,
-                    sylow_subgroups)
+from .group import PermGroup, close, conjugacy_classes, hall_subgroups
+# Not called here: perfbench's tracer and its tests bind this name in every
+# module that imported it.
+from .group import subgroups_of_order  # noqa: F401
 from .perm import Permutation, format_permutation
 
 
@@ -94,7 +97,7 @@ class HallContext:
 def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
     """Enumerate Hall_pi(G) and tabulate membership counts for every pi-element."""
     n = pi_part(G.order, pi)
-    halls = sylow_subgroups(G, n) if len(prime_divisors(n)) == 1 else subgroups_of_order(G, n)
+    halls = hall_subgroups(G, n)
     if not halls:
         raise NoHallSubgroupError(
             f"group of order {G.order} has no Hall subgroup for pi={{{pi}}} "

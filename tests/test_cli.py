@@ -20,6 +20,7 @@ from hallfix import group as group_mod
 from hallfix import hall as hall_mod
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
+from hallfix.groupio import parse_group_text
 from hallfix.reports import FAIL, PASS
 from oracles import proper_prime_sets, s5_subgroup_classes
 
@@ -229,8 +230,9 @@ def test_verify_mult_cyclic_test_matches_any_cyclic_hall(groups):
 
 
 def test_verify_add_on_a7_skips_the_full_search(capsys, tmp_path, monkeypatch):
-    # A7 has 315 Sylow 2-subgroups; the full search for them takes seconds.
-    # The witness is the full search's.
+    # A7 has 315 Sylow 2-subgroups and 35 Hall {2,3}-subgroups; the full
+    # search takes seconds for the first and over a minute for the second.
+    # The witnesses are the full search's.
     def refuse(*args):
         raise AssertionError("full subgroup search")
 
@@ -238,9 +240,17 @@ def test_verify_add_on_a7_skips_the_full_search(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(group_mod, "subgroups_of_order", refuse)
     path = tmp_path / "a7.grp"
     path.write_text("degree: 7\ngen: (1 5 2)\ngen: (1 5 2 7 3 6 4)\n")
-    code, out, err = run(capsys, "verify-add", "--file", str(path), "--pi", "2")
-    assert (code, err) == (0, "")
-    assert out.split()[-3:] == ["pass:", "value", "1514622681574080293"]
+    A7 = close(parse_group_text(path.read_text())[1])
+    witnesses = {
+        "2": (315, "1514622681574080293"),
+        "2,3": (35, "2872329114606229319726145891265875322423997476598470542585243912112229"
+                    "30512499312214159735369208138515154840"),
+    }
+    for pi, (num_halls, value) in witnesses.items():
+        code, out, err = run(capsys, "verify-add", "--file", str(path), "--pi", pi)
+        assert (code, err) == (0, ""), pi
+        assert out.split()[-3:] == ["pass:", "value", value], pi
+        assert build_hall_context(A7, PiSet.parse(pi)).num_halls == num_halls, pi
 
 
 def test_file_named_like_a_builtin_reads_the_file(capsys, tmp_path, monkeypatch):

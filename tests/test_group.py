@@ -18,7 +18,7 @@ from hallfix import group as group_mod
 from hallfix.arith import divisors, prime_divisors
 from hallfix.cli import add_record
 from hallfix.group import (DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, conjugacy_classes,
-                           core_pi_complement, group_from_elements, sylow_subgroups)
+                           core_pi_complement, group_from_elements, hall_subgroups)
 from hallfix.hall import pi_part
 from hallfix.reports import PASS
 from oracles import (conjugate_set, conjugates, is_pi, is_pi_prime, is_pi_separable_direct,
@@ -420,8 +420,8 @@ def test_separability_computes_classes_once_per_call(groups, monkeypatch, name, 
 
 def test_classes_are_computed_once_per_group(monkeypatch):
     # S3 x C5, built here so that no other test has filled its class cache.
-    # Its {2,5}- and {3,5}-Hall orders are composite, so neither context
-    # takes the Sylow orbit, which has conjugation rows of its own.
+    # The classes take one call; each Hall context with a composite order,
+    # here {2,5} and {3,5}, takes one more for its conjugation orbit.
     G = close([P("(1 2 3)", 8), P("(1 2)", 8), P("(4 5 6 7 8)", 8)])
     calls = []
     rows = group_mod._conjugation_rows
@@ -430,7 +430,7 @@ def test_classes_are_computed_once_per_group(monkeypatch):
     assert is_pi_separable(G, PiSet([2])) and is_pi_separable(G, PiSet([3]))
     for pi in (PiSet([2, 5]), PiSet([3, 5])):
         assert build_hall_context(G, pi).fixed_hall_counts()[G.identity] >= 1
-    assert calls == [30]
+    assert calls == [30, 30, 30]
     assert conjugacy_classes(G) is conjugacy_classes(G)
     with pytest.raises(AttributeError, match="immutable"):
         G._classes = None
@@ -466,26 +466,43 @@ def test_s5_subgroup_classes_sweep():
     assert (with_hall, without_hall) == (24, 4)
 
 
-def test_sylow_subgroups_match_the_full_search(groups):
-    # Hall contexts for one prime take the first hit's conjugation orbit;
-    # the full search is the oracle, element sets and order both.
+def test_hall_subgroups_match_the_full_search(groups):
+    # Hall contexts take the conjugation orbits of the subgroups of Hall
+    # order above one Sylow subgroup; the full search is the oracle, element
+    # sets and order both, and finds nothing exactly when the context raises.
+    # PGL(2,9)'s composite full searches alone take seconds.
     A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
-    cases = [(name, G, p) for name, G in groups.items() for p in prime_divisors(G.order)]
-    cases += [("S5 class", H, p) for H in s5_subgroup_classes()[1]
-              for p in prime_divisors(H.order)]
-    cases += [("A7", A7, 5), ("A7", A7, 7)]
-    for name, G, p in cases:
-        halls = build_hall_context(G, PiSet([p])).halls
-        expect = subgroups_of_order(G, pi_part(G.order, PiSet([p])))
-        assert [K.element_set() for K in halls] == [K.element_set() for K in expect], (name, p)
-        assert all(close(K.generators) == K for K in halls), (name, p)
+    cases = [(name, G, pi) for name, G in groups.items() if G.order <= 360
+             for pi in _prime_subsets(G)]
+    cases += [("S5 class", H, pi) for H in s5_subgroup_classes()[1] for pi in _prime_subsets(H)]
+    cases += [("A7", A7, PiSet([5])), ("A7", A7, PiSet([7]))]
+    for name, G, pi in cases:
+        expect = subgroups_of_order(G, pi_part(G.order, pi))
+        try:
+            halls = build_hall_context(G, pi).halls
+        except NoHallSubgroupError:
+            halls = ()
+        assert [K.element_set() for K in halls] == [K.element_set() for K in expect], (name, str(pi))
+        assert all(close(K.generators) == K for K in halls), (name, str(pi))
+    # GL(3,2) has two classes of S4, A5 has no subgroup of order 20.
+    assert build_hall_context(groups["GL(3,2)"], PiSet([2, 3])).num_halls == 14
+    with pytest.raises(NoHallSubgroupError):
+        build_hall_context(groups["A5"], PiSet([2, 5]))
+    # Hall orders with three primes, pinned from the full search (3.4 s):
+    # PSL(2,11) has two classes of 11 A5s and no subgroup of order 132.
+    PSL = close([P("(2 3 4 5 6 7 8 9 10 11 12)", 12), P("(3 6 7 11 5)(4 10 12 9 8)", 12),
+                 P("(1 2)(3 12)(4 7)(5 9)(6 10)(8 11)", 12)])
+    assert build_hall_context(PSL, PiSet([2, 3, 5])).num_halls == 22
+    with pytest.raises(NoHallSubgroupError):
+        build_hall_context(PSL, PiSet([2, 3, 11]))
 
 
 @pytest.mark.parametrize("p_part", [2, 6, 16])
 def test_sylow_subgroups_require_a_sylow_order(groups, p_part):
-    # Not the full 2-part of 24, not a prime power, not a divisor.
-    with pytest.raises(ValueError, match="not a Sylow order"):
-        sylow_subgroups(groups["S4"], p_part)
+    # At a prime power hall_subgroups gives the Sylow subgroups.  These are
+    # not the full 2-part of 24, not coprime to their index, not a divisor.
+    with pytest.raises(ValueError, match="not a Hall order"):
+        hall_subgroups(groups["S4"], p_part)
 
 
 def test_conjugacy_classes_match_brute_force(groups):
@@ -571,27 +588,22 @@ def test_finite_action_fixed_counts(groups):
     assert burnside_orbit_count(S3, {g: act.fixed_count(g) for g in S3.elements}, 1) == 1
 
 
-def test_cayley_table_matches_products(groups):
-    # Oracle: table[a][b] is the index of elements[a] * elements[b].
-    for name, G in groups.items():
-        table = G.cayley_table()
-        assert table is not None, name
-        elems = G.elements
-        index = {g: i for i, g in enumerate(elems)}
-        for a, x in enumerate(elems):
-            row = table[a]
-            assert [index[x * y] for y in elems] == list(row), (name, a)
-
-
-def test_cayley_table_with_identity_and_repeated_generators():
-    # A trivial or repeated generator must not keep any row from being filled.
+def test_search_products_match_permutation_products(groups):
+    # Oracle: the search composes image tuples, x * y = _times(y)(x); every
+    # product must index like the Permutation product.  A trivial or repeated
+    # generator and degree 1 (a one-point image tuple) are edge cases.
     cycle, swap = P("(1 2 3 4)", 4), P("(1 2)", 4)
-    G = close([P("()", 4), cycle, cycle, swap])
-    assert G.order == 24
-    table = G.cayley_table()
-    index = {g: i for i, g in enumerate(G.elements)}
-    for a, x in enumerate(G.elements):
-        assert list(table[a]) == [index[x * y] for y in G.elements]
+    cases = [(name, G) for name, G in groups.items() if G.order <= 168]
+    cases += [("S4 with () and a repeat", close([P("()", 4), cycle, cycle, swap])),
+              ("degree 1", close([], degree=1))]
+    for name, G in cases:
+        elems, by_images = G.elements, G._ensure_index()
+        index = {g: i for i, g in enumerate(elems)}
+        assert by_images == {g.images: i for g, i in index.items()}, name
+        for y in elems:
+            times_y = group_mod._times(y.images)
+            assert ([by_images[times_y(x.images)] for x in elems]
+                    == [index[x * y] for x in elems]), (name, y)
 
 
 def test_indexed_search_matches_direct_search(groups):
@@ -608,46 +620,29 @@ def test_indexed_search_matches_direct_search(groups):
             assert [K.generators for K in found] == [K.generators for K in expect], (name, m)
 
 
-def test_product_rows_match_table_rows(groups, monkeypatch):
-    # Above the table guard the search reads one permutation product per
-    # lookup; a guard of 0 sends every corpus group down that path.
-    for name, G in groups.items():
-        if G.order > 168:
-            continue
-        for m in divisors(G.order)[1:-1]:
-            with_table = subgroups_of_order(G, m)
-            with monkeypatch.context() as mp:
-                mp.setattr(group_mod, "_TABLE_LIMIT", 0)
-                assert G.cayley_table() is None
-                with_products = subgroups_of_order(G, m)
-            assert with_products == with_table, (name, m)
-            assert ([K.generators for K in with_products]
-                    == [K.generators for K in with_table]), (name, m)
-
-
 def test_element_orders_match_permutation_orders(groups):
     for name, G in groups.items():
         assert G.element_orders() == tuple(g.order() for g in G.elements), name
 
 
-def test_subgroup_search_leaves_no_garbage(groups, monkeypatch):
-    # The recursive search must not leave a reference cycle that keeps the
-    # group and its rows alive until the cyclic collector runs, with the
-    # Cayley table or (guard 0) with product rows, run to the end or not.
+def test_subgroup_search_leaves_no_garbage(groups):
+    # The recursive search must not leave a reference cycle that keeps its
+    # closures and the group alive until the cyclic collector runs, run to
+    # the end or not, seeded or not.
     gc.collect()
     gc.disable()
     try:
-        subgroups_of_order(groups["S4"], 8)
-        assert gc.collect() == 0
-        monkeypatch.setattr(group_mod, "_TABLE_LIMIT", 0)
-        subgroups_of_order(groups["S4"], 8)
-        assert gc.collect() == 0
-        # A search abandoned after its first hit, directly and as the
-        # Sylow path uses it.
         G = groups["S4"]
-        next(group_mod._subgroup_search(G, 8, group_mod._ProductRows(G)))
+        subgroups_of_order(G, 8)
         assert gc.collect() == 0
-        sylow_subgroups(G, 8)
+        # Searches abandoned after their first hit, directly and as
+        # hall_subgroups uses them.
+        C3 = next(group_mod._subgroup_search(G, 3))
+        assert gc.collect() == 0
+        next(group_mod._subgroup_search(G, 12, C3))
+        assert gc.collect() == 0
+        hall_subgroups(G, 8)
+        hall_subgroups(groups["A5"], 12)
         assert gc.collect() == 0
     finally:
         gc.enable()

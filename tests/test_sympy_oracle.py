@@ -12,7 +12,7 @@ from sympy.combinatorics import Permutation as SympyPermutation  # noqa: E402
 from sympy.combinatorics import PermutationGroup  # noqa: E402
 
 from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context,  # noqa: E402
-                     close, is_pi_separable)
+                     close, is_pi_separable, pi_part, subgroups_of_order)
 from hallfix.arith import prime_divisors  # noqa: E402
 from oracles import conjugated_by, is_pi_separable_direct, is_solvable  # noqa: E402
 
@@ -37,8 +37,9 @@ def test_order_and_solvability_agree_with_sympy(gens):
 @settings(max_examples=100, deadline=None)
 @given(generating_sets(max_degree=6), st.data())
 def test_separability_and_tau_agree_with_the_oracles(gens, data):
-    # The quotient-tower oracle and the elementwise tau count slow down with
-    # the group order, so composite pi and tau are only drawn up to order 120.
+    # The quotient-tower oracle, the full subgroup search and the elementwise
+    # tau count slow down with the group order, so composite pi, the Hall
+    # set and tau are only checked up to order 120.
     G = close([Permutation(g) for g in gens])
     primes = prime_divisors(G.order)
     if not primes:
@@ -52,7 +53,10 @@ def test_separability_and_tau_agree_with_the_oracles(gens, data):
     try:
         ctx = build_hall_context(G, pi)
     except NoHallSubgroupError:
+        assert subgroups_of_order(G, pi_part(G.order, pi)) == []
         return
+    assert ([K.element_set() for K in ctx.halls]
+            == [K.element_set() for K in subgroups_of_order(G, ctx.hall_order)])
     tau = ctx.fixed_hall_counts()
     for g in G.elements:
         assert tau[g] == sum(conjugated_by(K, g).element_set() == K.element_set()
