@@ -466,16 +466,31 @@ def test_s5_subgroup_classes_sweep():
     assert (with_hall, without_hall) == (24, 4)
 
 
+def test_sylow_subgroups_match_the_full_search(groups):
+    # Hall contexts for one prime take the first hit's conjugation orbit;
+    # the full search is the oracle, element sets and order both.
+    A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
+    cases = [(name, G, p) for name, G in groups.items() for p in prime_divisors(G.order)]
+    cases += [("S5 class", H, p) for H in s5_subgroup_classes()[1]
+              for p in prime_divisors(H.order)]
+    cases += [("A7", A7, 5), ("A7", A7, 7)]
+    for name, G, p in cases:
+        halls = build_hall_context(G, PiSet([p])).halls
+        expect = subgroups_of_order(G, pi_part(G.order, PiSet([p])))
+        assert [K.element_set() for K in halls] == [K.element_set() for K in expect], (name, p)
+        assert all(close(K.generators) == K for K in halls), (name, p)
+
+
 def test_hall_subgroups_match_the_full_search(groups):
     # Hall contexts take the conjugation orbits of the subgroups of Hall
     # order above one Sylow subgroup; the full search is the oracle, element
     # sets and order both, and finds nothing exactly when the context raises.
-    # PGL(2,9)'s composite full searches alone take seconds.
-    A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
+    # Single primes are the Sylow test's; PGL(2,9)'s composite full searches
+    # alone take seconds.
     cases = [(name, G, pi) for name, G in groups.items() if G.order <= 360
-             for pi in _prime_subsets(G)]
-    cases += [("S5 class", H, pi) for H in s5_subgroup_classes()[1] for pi in _prime_subsets(H)]
-    cases += [("A7", A7, PiSet([5])), ("A7", A7, PiSet([7]))]
+             for pi in _prime_subsets(G) if len(pi) > 1]
+    cases += [("S5 class", H, pi) for H in s5_subgroup_classes()[1]
+              for pi in _prime_subsets(H) if len(pi) > 1]
     for name, G, pi in cases:
         expect = subgroups_of_order(G, pi_part(G.order, pi))
         try:
@@ -484,10 +499,6 @@ def test_hall_subgroups_match_the_full_search(groups):
             halls = ()
         assert [K.element_set() for K in halls] == [K.element_set() for K in expect], (name, str(pi))
         assert all(close(K.generators) == K for K in halls), (name, str(pi))
-    # GL(3,2) has two classes of S4, A5 has no subgroup of order 20.
-    assert build_hall_context(groups["GL(3,2)"], PiSet([2, 3])).num_halls == 14
-    with pytest.raises(NoHallSubgroupError):
-        build_hall_context(groups["A5"], PiSet([2, 5]))
     # Hall orders with three primes, pinned from the full search (3.4 s):
     # PSL(2,11) has two classes of 11 A5s and no subgroup of order 132.
     PSL = close([P("(2 3 4 5 6 7 8 9 10 11 12)", 12), P("(3 6 7 11 5)(4 10 12 9 8)", 12),
@@ -590,20 +601,32 @@ def test_finite_action_fixed_counts(groups):
 
 def test_search_products_match_permutation_products(groups):
     # Oracle: the search composes image tuples, x * y = _times(y)(x); every
-    # product must index like the Permutation product.  A trivial or repeated
-    # generator and degree 1 (a one-point image tuple) are edge cases.
-    cycle, swap = P("(1 2 3 4)", 4), P("(1 2)", 4)
+    # product must index like the Permutation product.  Degree 1 (a one-point
+    # image tuple) is an edge case.
     cases = [(name, G) for name, G in groups.items() if G.order <= 168]
-    cases += [("S4 with () and a repeat", close([P("()", 4), cycle, cycle, swap])),
-              ("degree 1", close([], degree=1))]
+    cases += [("degree 1", close([], degree=1))]
     for name, G in cases:
-        elems, by_images = G.elements, G._ensure_index()
-        index = {g: i for i, g in enumerate(elems)}
-        assert by_images == {g.images: i for g, i in index.items()}, name
-        for y in elems:
-            times_y = group_mod._times(y.images)
-            assert ([by_images[times_y(x.images)] for x in elems]
-                    == [index[x * y] for x in elems]), (name, y)
+        _assert_search_products_match(G, name)
+
+
+def _assert_search_products_match(G, name):
+    elems, by_images = G.elements, G._ensure_index()
+    index = {g: i for i, g in enumerate(elems)}
+    assert by_images == {g.images: i for g, i in index.items()}, name
+    for y in elems:
+        times_y = group_mod._times(y.images)
+        assert ([by_images[times_y(x.images)] for x in elems]
+                == [index[x * y] for x in elems]), (name, y)
+
+
+def test_cayley_table_with_identity_and_repeated_generators():
+    # A trivial or repeated generator must not keep any product of the
+    # search, which stands in for the deleted Cayley table, from indexing
+    # like the Permutation product.
+    cycle, swap = P("(1 2 3 4)", 4), P("(1 2)", 4)
+    G = close([P("()", 4), cycle, cycle, swap])
+    assert G.order == 24
+    _assert_search_products_match(G, "S4 with () and a repeat")
 
 
 def test_indexed_search_matches_direct_search(groups):

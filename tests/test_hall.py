@@ -8,7 +8,7 @@ import random
 import pytest
 
 from hallfix import (NoHallSubgroupError, PiSet, build_hall_context, close,
-                     corpus_entries, cyclic_lattice, divisors,
+                     corpus_entries, cyclic_lattice, divisors, load_group,
                      moebius_partition_check, parse_permutation, pi_part,
                      subgroups_of_order, totient, trivial_group)
 from hallfix.arith import prime_divisors
@@ -41,6 +41,28 @@ def test_build_hall_context_trivial_pi(groups):
 
 
 def test_build_hall_context_no_hall(groups):
+    with pytest.raises(NoHallSubgroupError):
+        build_hall_context(groups["A5"], PiSet([2, 5]))
+
+
+def test_sylow_path_builds_no_cayley_table():
+    # Hall enumeration composes image tuples; a group carries no table of
+    # order-squared products for it to build.
+    G = load_group("PSL(2,9)")
+    assert build_hall_context(G, PiSet([2])).num_halls == 45
+    assert not hasattr(G, "_table") and not hasattr(G, "cayley_table")
+
+
+def test_composite_hall_orders_take_the_full_search(groups):
+    # Composite Hall orders go through the same Sylow-seeded search; the
+    # full search of every subgroup of Hall order is the oracle.
+    # GL(3,2) has two classes of S4, A5 has no subgroup of order 20.
+    G = groups["GL(3,2)"]
+    halls = build_hall_context(G, PiSet([2, 3])).halls
+    assert len(halls) == 14
+    assert ([K.element_set() for K in halls]
+            == [K.element_set() for K in subgroups_of_order(G, 24)])
+    assert subgroups_of_order(groups["A5"], 20) == []
     with pytest.raises(NoHallSubgroupError):
         build_hall_context(groups["A5"], PiSet([2, 5]))
 
