@@ -10,6 +10,7 @@ which are arbitrary precision already.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 #: Trial division is fine at desk scale; refuse anything that would crawl.
@@ -84,10 +85,7 @@ def totient(n: int) -> int:
 
 def radical(n: int) -> int:
     """Product of the distinct prime divisors of ``n`` (radical of 1 is 1)."""
-    out = 1
-    for p in factorize(n):
-        out *= p
-    return out
+    return prod(factorize(n))
 
 
 class PiSet:
@@ -193,8 +191,6 @@ class FactoredRational:
             else:
                 acc.pop(p, None)
         return FactoredRational(acc)
-
-    __mul__ = times
 
     def power(self, k: int) -> "FactoredRational":
         if k == 0:

@@ -28,10 +28,9 @@ from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
 from .perm import PermParseError
 from .reports import (FAIL, INAPPLICABLE, PASS, CheckRecord, records_to_json,
                       unexpected_failures)
-from .verify import (PowerSumTooLargeError, additive_value, conjugation_character,
-                     curiosity_value, cyclic_symmetrized_char,
-                     interpretation_check, multiplicative_value,
-                     navarro_rizo_check, wielandt_check)
+from .verify import (PowerSumTooLargeError, additive_value, curiosity_value,
+                     interpretation_check, multiplicative_value, navarro_rizo_check,
+                     sym_char_sums, wielandt_check)
 
 _COMMANDS = ("lambda", "verify-mult", "verify-add", "verify-nr",
              "verify-wielandt", "sym-char", "interpretation", "curiosity",
@@ -182,19 +181,12 @@ def sym_char_record(name: str, ctx: HallContext) -> CheckRecord:
     averaged cyclic symmetrization against the additive value.  The trivial
     character's multiplicities in Sym^2 tau and Alt^2 tau, (S + T) / 2|G| and
     (S - T) / 2|G| for S = sum tau(g)^2 and T = sum tau(g^2), are integers >= 0."""
-    pi = ctx.pi
-    counts = ctx.fixed_hall_counts()
-    S = sum(t * t for t in counts.values())
-    T = sum(counts[g * g] for g in ctx.group.elements)
-    sym, alt = Fraction(S + T, 2 * ctx.group.order), Fraction(S - T, 2 * ctx.group.order)
+    pi, order = ctx.pi, ctx.group.order
+    S, T, averaged = sym_char_sums(ctx)
+    sym, alt = Fraction(S + T, 2 * order), Fraction(S - T, 2 * order)
     if any(v.denominator != 1 or v < 0 for v in (sym, alt)):
         return CheckRecord("sym-char", name, str(pi), FAIL,
                            f"square multiplicities {sym} and {alt} are not integers >= 0")
-    tau = conjugation_character(ctx)
-    H = ctx.canonical_hall
-    averaged = sum(
-        (cyclic_symmetrized_char(tau, ctx.hall_order, h) for h in H.elements),
-        Fraction(0)) / H.order
     beta = additive_value(ctx)
     if averaged != beta:
         return CheckRecord("sym-char", name, str(pi), FAIL,
@@ -246,12 +238,14 @@ def scan_records(entries: List[CorpusEntry], cap: int) -> List[CheckRecord]:
     return records
 
 
-def _emit(records: List[CheckRecord], as_json: bool) -> None:
+def _emit(records: List[CheckRecord], as_json: bool) -> int:
+    """Print the records and return the exit code: 1 on an unexpected failure."""
     if as_json:
         print(records_to_json(records))
     else:
         for r in records:
             print(r.text_line())
+    return 1 if unexpected_failures(records) else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -279,9 +273,7 @@ def _dispatch(args) -> int:
             entries = [get_entry(args.group)]
         if args.file:
             raise InputError("scan works on the builtin corpus; --file is not supported")
-        records = scan_records(entries, args.cap)
-        _emit(records, args.json)
-        return 1 if unexpected_failures(records) else 0
+        return _emit(scan_records(entries, args.cap), args.json)
 
     if command == "lambda":
         name, G, _ = _resolve_group(args)
@@ -322,15 +314,13 @@ def _dispatch(args) -> int:
             record = nr_record(entry, args.cap, pi)
         else:
             record = wielandt_record(entry, args.cap)
-        _emit([record], args.json)
-        return 1 if unexpected_failures([record]) else 0
+        return _emit([record], args.json)
 
     name, G, entry = _resolve_group(args)
     pi = _require_pi(args)
     records = hall_records(name, G, pi, [command], entry,
                            use_radical=getattr(args, "radical", False))
-    _emit(records, args.json)
-    return 1 if unexpected_failures(records) else 0
+    return _emit(records, args.json)
 
 
 if __name__ == "__main__":

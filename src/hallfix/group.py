@@ -31,7 +31,7 @@ class PermGroup:
     """A finite permutation group with its complete, canonically sorted element list."""
 
     __slots__ = ("degree", "generators", "elements", "_elem_set", "_index", "_orders",
-                 "_classes")
+                 "_classes", "_walks")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]) -> None:
@@ -42,6 +42,7 @@ class PermGroup:
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_classes", None)
+        object.__setattr__(self, "_walks", {})
 
     @property
     def order(self) -> int:
@@ -63,10 +64,10 @@ class PermGroup:
         return self.degree == other.degree and self._elem_set <= other._elem_set
 
     def is_normal_in(self, other: "PermGroup") -> bool:
-        if not self.is_subgroup_of(other):
-            return False
-        return all(_conjugate_set(self._elem_set, g) == self._elem_set
-                   for g in other.generators)
+        # Conjugation by g maps the subgroup into itself once it maps the
+        # generators into it.
+        return self.is_subgroup_of(other) and all(
+            g * x * g.inverse() in self for g in other.generators for x in self.generators)
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -91,6 +92,19 @@ class PermGroup:
         if self._orders is None:
             object.__setattr__(self, "_orders", tuple(g.order() for g in self.elements))
         return self._orders
+
+    def power_index(self, i: int, d: int) -> int:
+        """Index of ``elements[i] ** d``, read off the walk x^0, x^1, ... of <x>
+        for x = elements[i], made on the first call for i and kept."""
+        walk = self._walks.get(i)
+        if walk is None:
+            index, y = self._ensure_index(), self.elements[i].images
+            walk, times_x = [0], _times(y)
+            while j := index[y]:  # the identity has index 0
+                walk.append(j)
+                y = times_x(y)
+            self._walks[i] = walk
+        return walk[d % len(walk)]
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PermGroup) and self.degree == other.degree
@@ -176,11 +190,6 @@ def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGro
     if span.order != len(elems):
         raise ValueError("element set is not closed under the group operation")
     return PermGroup(degree, gens or span.generators, elems)
-
-
-def _conjugate_set(elems: FrozenSet[Permutation], g: Permutation) -> FrozenSet[Permutation]:
-    ginv = g.inverse()
-    return frozenset(g * x * ginv for x in elems)
 
 
 def centralizer(G: PermGroup, s: "Permutation | PermGroup") -> PermGroup:

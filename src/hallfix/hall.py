@@ -6,17 +6,18 @@ assumption among them: each contains a conjugate of one fixed Sylow
 subgroup, so they are the conjugation orbits of the subgroups of that order
 containing it.  For pi-separable groups that is the usual single class,
 which the tests check.
-The number tau(g) of Hall subgroups that g normalizes is a class function
-of G, counted once per conjugacy class.
+lam and tau(g), the number of Hall subgroups that g normalizes, are lists
+over G's element indices; tau is a class function, counted once per class.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .arith import PiSet, moebius, prime_divisors
-from .group import PermGroup, close, conjugacy_classes, hall_subgroups
+from .arith import FactoredRational, PiSet, moebius, prime_divisors
+from .group import PermGroup, _times, close, conjugacy_classes, hall_subgroups
 # Not called here: perfbench's tracer and its tests bind this name in every
 # module that imported it.
 from .group import subgroups_of_order  # noqa: F401
@@ -39,28 +40,26 @@ def pi_part(order: int, pi: PiSet) -> int:
     return out
 
 
-def is_pi_number(n: int, pi: PiSet) -> bool:
-    return all(p in pi for p in prime_divisors(n))
-
-
+@dataclass(eq=False, slots=True)
 class HallContext:
-    """A group, a prime set, every Hall subgroup, and the membership-count table.
+    """A group, a prime set, every Hall subgroup, and lam and tau as lists over
+    the group's element indices.
 
-    ``lam[x]`` is the number of Hall pi-subgroups containing the pi-element x;
-    it is defined only on pi-elements and equals the permutation character of
-    the conjugation action on the Hall set there; on all of G it is tau.
+    ``lam_values[i]`` is the number of Hall pi-subgroups containing the
+    pi-element ``elements[i]`` (None off the pi-elements), and ``tau_values[i]``
+    the number that ``elements[i]`` normalizes; the two agree on pi-elements.
+    ``hall_members[k]`` is the element-index set of ``halls[k]``.  The
+    element-keyed ``lam``, ``lam_of`` and ``fixed_hall_counts`` are built on
+    request.
     """
 
-    __slots__ = ("group", "pi", "hall_order", "halls", "lam", "_tau")
-
-    def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
-                 halls: Sequence[PermGroup], lam: Mapping[Permutation, int]) -> None:
-        self.group = group
-        self.pi = pi
-        self.hall_order = hall_order
-        self.halls = tuple(halls)
-        self.lam = dict(lam)
-        self._tau: "Dict[Permutation, int] | None" = None
+    group: PermGroup
+    pi: PiSet
+    hall_order: int
+    halls: Tuple[PermGroup, ...]
+    hall_members: Tuple[FrozenSet[int], ...]
+    lam_values: List[Optional[int]]
+    _tau: Optional[List[int]] = field(default=None, repr=False)
 
     @property
     def num_halls(self) -> int:
@@ -70,28 +69,39 @@ class HallContext:
     def canonical_hall(self) -> PermGroup:
         return self.halls[0]
 
+    @property
+    def lam(self) -> Dict[Permutation, int]:
+        """lam keyed by pi-element, in the group's element order."""
+        return {x: v for x, v in zip(self.group.elements, self.lam_values) if v is not None}
+
     def lam_of(self, x: Permutation) -> int:
         """Membership count of a pi-element; querying anything else is an error."""
-        try:
-            return self.lam[x]
-        except KeyError:
+        i = self.group._ensure_index().get(x.images)
+        if i is None or self.lam_values[i] is None:
             raise ValueError(
-                f"{format_permutation(x)} is not a pi-element for pi={{{self.pi}}}"
-            ) from None
+                f"{format_permutation(x)} is not a pi-element for pi={{{self.pi}}}")
+        return self.lam_values[i]
 
-    def fixed_hall_counts(self) -> Dict[Permutation, int]:
-        """tau(g) = number of Hall subgroups normalized by g, for every g in G,
-        counted on each class's first element g: g normalizes K exactly when
-        it conjugates every generator of K into K."""
+    @property
+    def tau_values(self) -> List[int]:
+        """tau(g) = number of Hall subgroups normalized by g, counted on each
+        class's first element g: g normalizes K exactly when it conjugates
+        every generator k of K into K, g k g^-1 = g o (k o g^-1) on image tuples."""
         if self._tau is None:
-            tau: Dict[Permutation, int] = {}
+            index, tau = self.group._ensure_index(), [0] * self.group.order
             for cls in conjugacy_classes(self.group):
-                g = cls[0]
-                ginv = g.inverse()
-                count = sum(all(g * k * ginv in K for k in K.generators) for K in self.halls)
-                tau.update(dict.fromkeys(cls, count))
+                g, times_ginv = cls[0].images, _times(cls[0].inverse().images)
+                count = sum(all(index[_times(times_ginv(k.images))(g)] in S
+                                for k in K.generators)
+                            for K, S in zip(self.halls, self.hall_members))
+                for x in cls:
+                    tau[index[x.images]] = count
             self._tau = tau
         return self._tau
+
+    def fixed_hall_counts(self) -> Dict[Permutation, int]:
+        """tau keyed by element."""
+        return dict(zip(self.group.elements, self.tau_values))
 
 
 def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
@@ -102,13 +112,15 @@ def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
         raise NoHallSubgroupError(
             f"group of order {G.order} has no Hall subgroup for pi={{{pi}}} "
             f"(no subgroup of order {n})")
+    index = G._ensure_index()
+    members = tuple(frozenset([index[x.images] for x in K.elements]) for K in halls)
     # Every element of a Hall subgroup is a pi-element, so counting each
     # subgroup's elements gives lam; pi-elements in no Hall subgroup get 0.
-    counts = Counter(x for K in halls for x in K.elements)
+    counts = Counter(i for S in members for i in S)
     orders = G.element_orders()
-    pi_orders = {k for k in set(orders) if is_pi_number(k, pi)}
-    lam = {x: counts[x] for x, k in zip(G.elements, orders) if k in pi_orders}
-    return HallContext(G, pi, n, halls, lam)
+    pi_orders = {k for k in set(orders) if all(p in pi for p in prime_divisors(k))}
+    lam = [counts[i] if k in pi_orders else None for i, k in enumerate(orders)]
+    return HallContext(G, pi, n, tuple(halls), members, lam)
 
 
 class CyclicLattice:
@@ -163,8 +175,6 @@ def moebius_partition_check(H: PermGroup, gamma: Mapping[Permutation, int]) -> b
     subgroups Z of (product of gamma over Z) raised to the lattice weight
     f(Z), compared exactly in factored form.
     """
-    from .arith import FactoredRational
-
     lhs = FactoredRational.one()
     for x in H.elements:
         lhs = lhs.times_pow(gamma[x], 1)
@@ -186,7 +196,6 @@ def lambda_report_lines(ctx: HallContext) -> List[str]:
 
 def lambda_report_records(ctx: HallContext) -> List[Dict[str, object]]:
     """JSON-ready report: {element, order, lambda} per pi-element."""
-    return [
-        {"element": format_permutation(x), "order": x.order(), "lambda": ctx.lam[x]}
-        for x in sorted(ctx.lam)
-    ]
+    G = ctx.group
+    return [{"element": format_permutation(x), "order": k, "lambda": v}
+            for x, k, v in zip(G.elements, G.element_orders(), ctx.lam_values) if v is not None]

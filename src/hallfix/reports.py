@@ -28,13 +28,7 @@ class CheckRecord:
     expected_fail: bool = False
 
     def to_dict(self) -> Dict[str, str]:
-        return {
-            "check": self.check,
-            "group": self.group,
-            "pi": self.pi,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        return {k: getattr(self, k) for k in ("check", "group", "pi", "status", "witness")}
 
     def text_line(self) -> str:
         mark = " (expected)" if self.status == FAIL and self.expected_fail else ""

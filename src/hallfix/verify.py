@@ -6,15 +6,18 @@ actions (in cleared-exponent form), the additive non-negativity statement,
 Wielandt's centralizer product, the symmetrized character construction, the
 Burnside orbit-count interpretation, and the supporting power-sum inequality.
 All arithmetic is exact: factored rationals for products, arbitrary-precision
-Fractions for sums.
+Fractions for sums.  The Hall-context verifiers read lam and tau on element
+indices and take powers x^d with PermGroup.power_index; a sum over G of a
+class function is a class sum, sum over classes C of |C| * f(C^d).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log10
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
+from math import gcd, log10, prod
+from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, divisors, moebius, prime_divisors, radical
 from .group import PermGroup, centralizer, conjugacy_classes, group_from_elements
@@ -97,12 +100,13 @@ class SymCharSpec:
                 raise AssertionError("cycle counts do not partition the slots")
 
 
-def _require_member_hall(ctx: HallContext, hall: Optional[PermGroup]) -> PermGroup:
-    if hall is None:
-        return ctx.canonical_hall
-    if not any(hall == K for K in ctx.halls):
-        raise ValueError("the given subgroup is not one of the Hall subgroups")
-    return hall
+def _require_member_hall(ctx: HallContext,
+                         hall: Optional[PermGroup]) -> Tuple[PermGroup, FrozenSet[int]]:
+    """The Hall subgroup (the canonical one by default) and its element indices."""
+    for K, S in zip(ctx.halls, ctx.hall_members):
+        if hall is None or hall == K:
+            return K, S
+    raise ValueError("the given subgroup is not one of the Hall subgroups")
 
 
 def multiplicative_value(ctx: HallContext, hall: Optional[PermGroup] = None, *,
@@ -110,32 +114,30 @@ def multiplicative_value(ctx: HallContext, hall: Optional[PermGroup] = None, *,
     """Möbius-weighted product of membership counts over a Hall subgroup.
 
     Runs over d | n and x in H, multiplying lam(x^d) with exponent
-    (n/d) * mu(d), where n is the Hall order.  With ``use_radical`` the
+    (n/d) * mu(d), where n is the Hall order; the exponents are summed per
+    value of lam, so each value is multiplied in once.  With ``use_radical`` the
     exponent base n is replaced by its radical; the two results are powers
     of each other, so either detects deviation from 1.
     """
-    H = _require_member_hall(ctx, hall)
+    G, lam, (_, members) = ctx.group, ctx.lam_values, _require_member_hall(ctx, hall)
     base = radical(ctx.hall_order) if use_radical else ctx.hall_order
+    exponents: Counter = Counter()
+    for d in filter(moebius, divisors(base)):
+        for v, c in Counter(lam[G.power_index(i, d)] for i in members).items():
+            exponents[v] += c * (base // d) * moebius(d)
     acc = FactoredRational.one()
-    for d in divisors(base):
-        mu = moebius(d)
-        if mu == 0:
-            continue
-        exponent = (base // d) * mu
-        for x in H.elements:
-            acc = acc.times_pow(ctx.lam_of(x**d), exponent)
+    for v, e in exponents.items():
+        acc = acc.times_pow(v, e)
     return acc
 
 
 def power_product_pair(ctx: HallContext, p: int,
                        hall: Optional[PermGroup] = None) -> Tuple[int, int]:
     """The pair (prod lam(x^p), prod lam(x)^p) over a Hall subgroup."""
-    H = _require_member_hall(ctx, hall)
-    left = right = 1
-    for x in H.elements:
-        left *= ctx.lam_of(x**p)
-        right *= ctx.lam_of(x) ** p
-    return left, right
+    G, lam, (_, members) = ctx.group, ctx.lam_values, _require_member_hall(ctx, hall)
+    left = Counter(lam[G.power_index(i, p)] for i in members)
+    right = Counter(lam[i] for i in members)
+    return prod(v**c for v, c in left.items()), prod(v ** (c * p) for v, c in right.items())
 
 
 @dataclass(frozen=True)
@@ -212,20 +214,37 @@ def additive_value(ctx: HallContext, hall: Optional[PermGroup] = None) -> Fracti
     The callers assert that this is a non-negative integer, zero exactly when
     the Hall subgroup is normal and nontrivial.
     """
-    H = _require_member_hall(ctx, hall)
-    n = ctx.hall_order
-    return Fraction(_moebius_power_sum(ctx.lam_of, H.elements, n), n * n)
+    n, (_, members) = ctx.hall_order, _require_member_hall(ctx, hall)
+    weights = dict.fromkeys(members, 1)
+    return Fraction(_moebius_power_sum(ctx.group, ctx.lam_values, weights, n), n * n)
 
 
-def _moebius_power_sum(f: Callable[[Permutation], Any],
-                       elements: Sequence[Permutation], n: int) -> Any:
-    """sum over d | n of mu(d) * sum over x in elements of f(x^d)^(n/d), exactly."""
-    total = 0
-    for d in divisors(n):
-        mu = moebius(d)
-        if mu:
-            total += mu * sum(f(x**d) ** (n // d) for x in elements)
-    return total
+def sym_char_sums(ctx: HallContext) -> Tuple[int, int, Fraction]:
+    """S = sum over G of tau(g)^2 and T of tau(g^2), as class sums, and the mean
+    of cyclic_symmetrized_char(tau, n, h) over the canonical Hall subgroup."""
+    G, tau, n = ctx.group, ctx.tau_values, ctx.hall_order
+    weights, hall = class_weights(G), dict.fromkeys(ctx.hall_members[0], 1)
+    return (power_sum(G, tau, weights, 1, 2), power_sum(G, tau, weights, 2, 1),
+            Fraction(_moebius_power_sum(G, tau, hall, n), n * n))
+
+
+def class_weights(G: PermGroup) -> Dict[int, int]:
+    """Class size keyed by the index of the class's first element."""
+    index = G._ensure_index()
+    return {index[cls[0].images]: len(cls) for cls in conjugacy_classes(G)}
+
+
+def power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
+              d: int, e: int) -> int:
+    """sum over element indices i of weights[i] * f[i^d]^e, f a list over them."""
+    return sum(w * f[G.power_index(i, d)] ** e for i, w in weights.items())
+
+
+def _moebius_power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
+                       n: int) -> int:
+    """sum over d | n of mu(d) * power_sum(G, f, weights, d, n/d), exactly."""
+    return sum(moebius(d) * power_sum(G, f, weights, d, n // d)
+               for d in filter(moebius, divisors(n)))
 
 
 @dataclass(frozen=True)
@@ -281,7 +300,7 @@ def cyclic_symmetrized_char(chi: CharacterTable, n: int, h: Permutation) -> Frac
     """
     if h not in chi.group:
         raise ValueError("h is not in the character's group")
-    return _moebius_power_sum(chi, (h,), n) / n
+    return sum(moebius(d) * chi(h**d) ** (n // d) for d in divisors(n)) / n
 
 
 def burnside_orbit_count(H: PermGroup, fixed: Mapping[Permutation, int], k: int,
@@ -319,21 +338,20 @@ def interpretation_check(ctx: HallContext, hall: Optional[PermGroup] = None) -> 
     Checks additive_value == (1/n) sum over d | n of mu(d) * (number of orbits
     of the d-th power subgroup H^d on Hall-set (n/d)-tuples).
     """
-    H = _require_member_hall(ctx, hall)
+    H, members = _require_member_hall(ctx, hall)
     if not H.is_abelian():
         raise ValueError("the Hall subgroup is not abelian; power subgroups "
                          "are not formed here")
-    n = ctx.hall_order
-    tau = ctx.fixed_hall_counts()
-    total = Fraction(0)
-    for d in divisors(n):
-        mu = moebius(d)
-        if mu == 0:
-            continue
-        Hd = power_subgroup(H, d)
-        orbits = burnside_orbit_count(Hd, tau, n // d, tuple_cap=None)
-        total += Fraction(mu * orbits, n)
-    return total == additive_value(ctx, H)
+    G, n, tau = ctx.group, ctx.hall_order, ctx.tau_values
+    total = 0
+    for d in filter(moebius, divisors(n)):
+        # H^d as an index set; Burnside counts its orbits from fixed points.
+        Hd = {G.power_index(i, d) for i in members}
+        fixed = sum(tau[i] ** (n // d) for i in Hd)
+        if fixed % len(Hd):
+            raise AssertionError("Burnside sum is not divisible by |H^d|")
+        total += moebius(d) * fixed // len(Hd)
+    return Fraction(total, n) == additive_value(ctx, H)
 
 
 def power_sum_bound_holds(base: int, n: int) -> bool:
@@ -358,12 +376,12 @@ def curiosity_value(G: PermGroup, target_pi: PiSet,
     tau(g^d)^(n/d), with n defaulting to |G|.  Exact; a sum of more than
     CURIOSITY_MAX_DIGITS digits raises :class:`PowerSumTooLargeError`.
     """
-    tau = build_hall_context(G, target_pi).fixed_hall_counts()
+    tau = build_hall_context(G, target_pi).tau_values
     n = G.order if n is None else n
     if n < 1:
         raise ValueError("n must be positive")
-    digits = n * log10(max(tau.values())) + log10(2 * G.order)
+    digits = n * log10(max(tau)) + log10(2 * G.order)
     if digits > CURIOSITY_MAX_DIGITS:
         raise PowerSumTooLargeError(f"the power sum for n={n} has about {digits:.0f} "
                                     f"digits, over the limit {CURIOSITY_MAX_DIGITS}")
-    return Fraction(_moebius_power_sum(tau.__getitem__, G.elements, n), n * n)
+    return Fraction(_moebius_power_sum(G, tau, class_weights(G), n), n * n)

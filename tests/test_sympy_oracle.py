@@ -14,6 +14,7 @@ from sympy.combinatorics import PermutationGroup  # noqa: E402
 from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context,  # noqa: E402
                      close, is_pi_separable, pi_part, subgroups_of_order)
 from hallfix.arith import prime_divisors  # noqa: E402
+from hallfix.group import conjugacy_classes  # noqa: E402
 from oracles import conjugated_by, is_pi_separable_direct, is_solvable  # noqa: E402
 
 
@@ -32,6 +33,21 @@ def test_order_and_solvability_agree_with_sympy(gens):
     S = PermutationGroup([SympyPermutation([i - 1 for i in g]) for g in gens])
     assert G.order == S.order()
     assert is_solvable(G) == S.is_solvable
+
+
+@settings(max_examples=30, deadline=None)
+@given(generating_sets())
+def test_power_walks_and_classes_agree_with_sympy(gens):
+    # Powers read off the cached cyclic walks against Permutation.__pow__,
+    # for every exponent up to ord(x) + 1 and one far past it; the class
+    # sizes against sympy's conjugacy classes.
+    G = close([Permutation(g) for g in gens])
+    for i, x in enumerate(G.elements):
+        for d in [*range(x.order() + 2), 10**6 + 7]:
+            assert G.elements[G.power_index(i, d)] == x**d, (x, d)
+    S = PermutationGroup([SympyPermutation([i - 1 for i in g]) for g in gens])
+    assert (sorted(len(c) for c in conjugacy_classes(G))
+            == sorted(len(c) for c in S.conjugacy_classes()))
 
 
 @settings(max_examples=100, deadline=None)

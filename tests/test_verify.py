@@ -14,11 +14,15 @@ from hallfix import (CharacterTable, CoprimeActionScenario, FactoredRational, Fi
                      cyclic_lattice, cyclic_symmetrized_char, get_entry,
                      interpretation_check, load_scenario, multiplicative_value,
                      navarro_rizo_check, parse_permutation, power_product_pair,
-                     power_sum_bound_holds, power_subgroup, symmetrized_char,
+                     power_sum_bound_holds, power_subgroup, symmetrized_char, divisors,
                      totient, trivial_group, wielandt_check)
+from hallfix import NoHallSubgroupError, corpus_entries
 from hallfix.corpus import A5_CURIOSITY
-from hallfix.verify import PowerSumTooLargeError
-from oracles import conjugated_by, quotient_direct
+from hallfix.verify import PowerSumTooLargeError, sym_char_sums
+from oracles import (additive_value_direct, conjugated_by, curiosity_value_direct,
+                     interpretation_value_direct, multiplicative_value_direct,
+                     power_product_pair_direct, proper_prime_sets, quotient_direct,
+                     s5_subgroup_classes, sym_char_sums_direct)
 
 
 def P(text, degree):
@@ -510,3 +514,41 @@ def test_lambda_factors_through_pi_prime_core(groups, hall_ctx):
         ctx_q = build_hall_context(Q, pi)
         for x in H.elements:
             assert ctx.lam_of(x) == ctx_hn.lam_of(x) * ctx_q.lam_of(proj[x])
+
+
+# ---------------------------------------------------------------- index path
+
+
+def test_index_path_matches_permutation_oracles(groups):
+    # The verifiers take powers on element indices and read lam and tau as
+    # lists; the oracles take x**d and read the element-keyed dicts.
+    cases = [(e.name, groups[e.name], pi) for e in corpus_entries() for pi in e.check_pis]
+    cases += [("S5 class", H, pi) for H in s5_subgroup_classes()[1]
+              for pi in proper_prime_sets(H)]
+    checked = abelian = 0
+    for name, G, pi in cases:
+        try:
+            ctx = build_hall_context(G, pi)
+        except NoHallSubgroupError:
+            continue
+        where = (name, str(pi))
+        for use_radical in (False, True):
+            assert (multiplicative_value(ctx, use_radical=use_radical)
+                    == multiplicative_value_direct(ctx, use_radical)), where
+        assert additive_value(ctx) == additive_value_direct(ctx), where
+        for p in pi:
+            assert power_product_pair(ctx, p) == power_product_pair_direct(ctx, p), where
+        assert sym_char_sums(ctx) == sym_char_sums_direct(ctx), where
+        # n = |G| up to S5's order; the larger groups' sums take seconds.
+        n = min(G.order, 120)
+        assert curiosity_value(G, pi, n) == curiosity_value_direct(G, pi, n), where
+        H = ctx.canonical_hall
+        if H.is_abelian():
+            abelian += 1
+            assert interpretation_check(ctx) == (
+                interpretation_value_direct(ctx) == additive_value_direct(ctx)), where
+            for d in divisors(ctx.hall_order):
+                powers = {G.elements[G.power_index(i, d)] for i in ctx.hall_members[0]}
+                assert powers == power_subgroup(H, d).element_set(), (where, d)
+        checked += 1
+    assert (checked, abelian) == (56 + 24, 62)
