@@ -13,7 +13,6 @@ over G's element indices; tau is a class function, counted once per class.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, moebius, prime_divisors
@@ -40,7 +39,6 @@ def pi_part(order: int, pi: PiSet) -> int:
     return out
 
 
-@dataclass(eq=False, slots=True)
 class HallContext:
     """A group, a prime set, every Hall subgroup, and lam and tau as lists over
     the group's element indices.
@@ -53,13 +51,14 @@ class HallContext:
     request.
     """
 
-    group: PermGroup
-    pi: PiSet
-    hall_order: int
-    halls: Tuple[PermGroup, ...]
-    hall_members: Tuple[FrozenSet[int], ...]
-    lam_values: List[Optional[int]]
-    _tau: Optional[List[int]] = field(default=None, repr=False)
+    __slots__ = ("group", "pi", "hall_order", "halls", "hall_members", "lam_values", "_tau")
+
+    def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
+                 halls: Tuple[PermGroup, ...], hall_members: Tuple[FrozenSet[int], ...],
+                 lam_values: List[Optional[int]]) -> None:
+        self.group, self.pi, self.hall_order = group, pi, hall_order
+        self.halls, self.hall_members, self.lam_values = halls, hall_members, lam_values
+        self._tau: Optional[List[int]] = None
 
     @property
     def num_halls(self) -> int:

@@ -223,27 +223,27 @@ def sym_char_sums(ctx: HallContext) -> Tuple[int, int, Fraction]:
     """S = sum over G of tau(g)^2 and T of tau(g^2), as class sums, and the mean
     of cyclic_symmetrized_char(tau, n, h) over the canonical Hall subgroup."""
     G, tau, n = ctx.group, ctx.tau_values, ctx.hall_order
-    weights, hall = class_weights(G), dict.fromkeys(ctx.hall_members[0], 1)
-    return (power_sum(G, tau, weights, 1, 2), power_sum(G, tau, weights, 2, 1),
+    weights, hall = _class_weights(G), dict.fromkeys(ctx.hall_members[0], 1)
+    return (_power_sum(G, tau, weights, 1, 2), _power_sum(G, tau, weights, 2, 1),
             Fraction(_moebius_power_sum(G, tau, hall, n), n * n))
 
 
-def class_weights(G: PermGroup) -> Dict[int, int]:
+def _class_weights(G: PermGroup) -> Dict[int, int]:
     """Class size keyed by the index of the class's first element."""
     index = G._ensure_index()
     return {index[cls[0].images]: len(cls) for cls in conjugacy_classes(G)}
 
 
-def power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
-              d: int, e: int) -> int:
+def _power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
+               d: int, e: int) -> int:
     """sum over element indices i of weights[i] * f[i^d]^e, f a list over them."""
     return sum(w * f[G.power_index(i, d)] ** e for i, w in weights.items())
 
 
 def _moebius_power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
                        n: int) -> int:
-    """sum over d | n of mu(d) * power_sum(G, f, weights, d, n/d), exactly."""
-    return sum(moebius(d) * power_sum(G, f, weights, d, n // d)
+    """sum over d | n of mu(d) * _power_sum(G, f, weights, d, n/d), exactly."""
+    return sum(moebius(d) * _power_sum(G, f, weights, d, n // d)
                for d in filter(moebius, divisors(n)))
 
 
@@ -384,4 +384,4 @@ def curiosity_value(G: PermGroup, target_pi: PiSet,
     if digits > CURIOSITY_MAX_DIGITS:
         raise PowerSumTooLargeError(f"the power sum for n={n} has about {digits:.0f} "
                                     f"digits, over the limit {CURIOSITY_MAX_DIGITS}")
-    return Fraction(_moebius_power_sum(G, tau, class_weights(G), n), n * n)
+    return Fraction(_moebius_power_sum(G, tau, _class_weights(G), n), n * n)
