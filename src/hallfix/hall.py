@@ -89,6 +89,7 @@ class HallContext:
         if self._tau is None:
             index, tau = self.group._ensure_index(), [0] * self.group.order
             for cls in conjugacy_classes(self.group):
+                # At degree 1, _times is `tuple`: no single-index itemgetter.
                 g, times_ginv = cls[0].images, _times(cls[0].inverse().images)
                 count = sum(all(index[_times(times_ginv(k.images))(g)] in S
                                 for k in K.generators)
