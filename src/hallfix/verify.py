@@ -300,7 +300,7 @@ def cyclic_symmetrized_char(chi: CharacterTable, n: int, h: Permutation) -> Frac
     """
     if h not in chi.group:
         raise ValueError("h is not in the character's group")
-    return sum(moebius(d) * chi(h**d) ** (n // d) for d in divisors(n)) / n
+    return sum(moebius(d) * chi(h**d) ** (n // d) for d in filter(moebius, divisors(n))) / n
 
 
 def burnside_orbit_count(H: PermGroup, fixed: Mapping[Permutation, int], k: int,

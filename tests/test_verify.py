@@ -8,15 +8,14 @@ from itertools import product
 import pytest
 
 from hallfix import (CharacterTable, CoprimeActionScenario, FactoredRational, FiniteAction,
-                     PiSet, SymCharSpec, additive_value, build_hall_context,
-                     burnside_orbit_count, centralizer, close,
-                     conjugation_character, core_pi_complement, curiosity_value,
-                     cyclic_lattice, cyclic_symmetrized_char, get_entry,
-                     interpretation_check, load_scenario, multiplicative_value,
+                     NoHallSubgroupError, PiSet, SymCharSpec, additive_value,
+                     build_hall_context, burnside_orbit_count, centralizer, close,
+                     conjugation_character, core_pi_complement, corpus_entries,
+                     curiosity_value, cyclic_lattice, cyclic_symmetrized_char, divisors,
+                     get_entry, interpretation_check, load_scenario, multiplicative_value,
                      navarro_rizo_check, parse_permutation, power_product_pair,
-                     power_sum_bound_holds, power_subgroup, symmetrized_char, divisors,
+                     power_sum_bound_holds, power_subgroup, symmetrized_char,
                      totient, trivial_group, wielandt_check)
-from hallfix import NoHallSubgroupError, corpus_entries
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
 from oracles import (additive_value_direct, conjugated_by, curiosity_value_direct,
