@@ -10,7 +10,6 @@ which are arbitrary precision already.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 #: Trial division is fine at desk scale; refuse anything that would crawl.
@@ -85,7 +84,10 @@ def totient(n: int) -> int:
 
 def radical(n: int) -> int:
     """Product of the distinct prime divisors of ``n`` (radical of 1 is 1)."""
-    return prod(factorize(n))
+    out = 1
+    for p in factorize(n):
+        out *= p
+    return out
 
 
 class PiSet:
@@ -191,6 +193,8 @@ class FactoredRational:
             else:
                 acc.pop(p, None)
         return FactoredRational(acc)
+
+    __mul__ = times
 
     def power(self, k: int) -> "FactoredRational":
         if k == 0:

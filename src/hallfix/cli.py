@@ -238,14 +238,12 @@ def scan_records(entries: List[CorpusEntry], cap: int) -> List[CheckRecord]:
     return records
 
 
-def _emit(records: List[CheckRecord], as_json: bool) -> int:
-    """Print the records and return the exit code: 1 on an unexpected failure."""
+def _emit(records: List[CheckRecord], as_json: bool) -> None:
     if as_json:
         print(records_to_json(records))
     else:
         for r in records:
             print(r.text_line())
-    return 1 if unexpected_failures(records) else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -273,7 +271,9 @@ def _dispatch(args) -> int:
             entries = [get_entry(args.group)]
         if args.file:
             raise InputError("scan works on the builtin corpus; --file is not supported")
-        return _emit(scan_records(entries, args.cap), args.json)
+        records = scan_records(entries, args.cap)
+        _emit(records, args.json)
+        return 1 if unexpected_failures(records) else 0
 
     if command == "lambda":
         name, G, _ = _resolve_group(args)
@@ -314,13 +314,15 @@ def _dispatch(args) -> int:
             record = nr_record(entry, args.cap, pi)
         else:
             record = wielandt_record(entry, args.cap)
-        return _emit([record], args.json)
+        _emit([record], args.json)
+        return 1 if unexpected_failures([record]) else 0
 
     name, G, entry = _resolve_group(args)
     pi = _require_pi(args)
     records = hall_records(name, G, pi, [command], entry,
                            use_radical=getattr(args, "radical", False))
-    return _emit(records, args.json)
+    _emit(records, args.json)
+    return 1 if unexpected_failures(records) else 0
 
 
 if __name__ == "__main__":

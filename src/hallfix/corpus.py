@@ -10,9 +10,9 @@ the linear/field arithmetic and asserts equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .arith import PiSet
 from .group import DEFAULT_ELEMENT_CAP, PermGroup, close
@@ -27,8 +27,7 @@ def _pis(*specs: str) -> Tuple[PiSet, ...]:
     return tuple(PiSet.parse(s) for s in specs)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """A named builtin group with its verification metadata.
 
     ``scenario`` designates a coprime factorization (normal-subgroup
@@ -46,7 +45,7 @@ class CorpusEntry:
     separable_pis: Tuple[PiSet, ...]
     scenario: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
     expected_mult_fail: Tuple[PiSet, ...] = ()
-    hall_counts: Mapping[PiSet, int] = field(default_factory=dict)
+    hall_counts: Mapping[PiSet, int] = MappingProxyType({})
 
 
 _ENTRIES: List[CorpusEntry] = [
@@ -305,7 +304,10 @@ def load_scenario(entry: CorpusEntry, cap: int = DEFAULT_ELEMENT_CAP):
 
     if entry.scenario is None:
         raise ValueError(f"corpus entry {entry.name} has no coprime scenario")
+    degree, _ = parse_group_text(entry.text)
     group = load_group(entry.name, cap=cap)
-    normal, complement = (close([parse_permutation(s, group.degree) for s in gens], cap=cap)
-                          for gens in entry.scenario)
+    n_gens = [parse_permutation(s, degree) for s in entry.scenario[0]]
+    h_gens = [parse_permutation(s, degree) for s in entry.scenario[1]]
+    normal = close(n_gens, cap=cap)
+    complement = close(h_gens, cap=cap)
     return CoprimeActionScenario(group, normal, complement)

@@ -64,10 +64,10 @@ class PermGroup:
         return self.degree == other.degree and self._elem_set <= other._elem_set
 
     def is_normal_in(self, other: "PermGroup") -> bool:
-        # Conjugation by g maps the subgroup into itself once it maps the
-        # generators into it.
-        return self.is_subgroup_of(other) and all(
-            g * x * g.inverse() in self for g in other.generators for x in self.generators)
+        if not self.is_subgroup_of(other):
+            return False
+        return all(_conjugate_set(self._elem_set, g) == self._elem_set
+                   for g in other.generators)
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -190,6 +190,11 @@ def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGro
     if span.order != len(elems):
         raise ValueError("element set is not closed under the group operation")
     return PermGroup(degree, gens or span.generators, elems)
+
+
+def _conjugate_set(elems: FrozenSet[Permutation], g: Permutation) -> FrozenSet[Permutation]:
+    ginv = g.inverse()
+    return frozenset(g * x * ginv for x in elems)
 
 
 def centralizer(G: PermGroup, s: "Permutation | PermGroup") -> PermGroup:

@@ -13,10 +13,11 @@ over G's element indices; tau is a class function, counted once per class.
 from __future__ import annotations
 
 from collections import Counter
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .arith import FactoredRational, PiSet, moebius, prime_divisors
-from .group import PermGroup, _times, close, conjugacy_classes, hall_subgroups
+from .arith import PiSet, moebius, prime_divisors
+from .group import PermGroup, close, conjugacy_classes, hall_subgroups
 # Not called here: perfbench's tracer and its tests bind this name in every
 # module that imported it.
 from .group import subgroups_of_order  # noqa: F401
@@ -39,6 +40,10 @@ def pi_part(order: int, pi: PiSet) -> int:
     return out
 
 
+def is_pi_number(n: int, pi: PiSet) -> bool:
+    return all(p in pi for p in prime_divisors(n))
+
+
 class HallContext:
     """A group, a prime set, every Hall subgroup, and lam and tau as lists over
     the group's element indices.
@@ -56,8 +61,12 @@ class HallContext:
     def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
                  halls: Tuple[PermGroup, ...], hall_members: Tuple[FrozenSet[int], ...],
                  lam_values: List[Optional[int]]) -> None:
-        self.group, self.pi, self.hall_order = group, pi, hall_order
-        self.halls, self.hall_members, self.lam_values = halls, hall_members, lam_values
+        self.group = group
+        self.pi = pi
+        self.hall_order = hall_order
+        self.halls = halls
+        self.hall_members = hall_members
+        self.lam_values = lam_values
         self._tau: Optional[List[int]] = None
 
     @property
@@ -69,9 +78,11 @@ class HallContext:
         return self.halls[0]
 
     @property
-    def lam(self) -> Dict[Permutation, int]:
-        """lam keyed by pi-element, in the group's element order."""
-        return {x: v for x, v in zip(self.group.elements, self.lam_values) if v is not None}
+    def lam(self) -> Mapping[Permutation, int]:
+        """lam keyed by pi-element, in the group's element order: a read-only
+        view of a dict built from ``lam_values`` on every read."""
+        return MappingProxyType({x: v for x, v in zip(self.group.elements, self.lam_values)
+                                 if v is not None})
 
     def lam_of(self, x: Permutation) -> int:
         """Membership count of a pi-element; querying anything else is an error."""
@@ -85,14 +96,13 @@ class HallContext:
     def tau_values(self) -> List[int]:
         """tau(g) = number of Hall subgroups normalized by g, counted on each
         class's first element g: g normalizes K exactly when it conjugates
-        every generator k of K into K, g k g^-1 = g o (k o g^-1) on image tuples."""
+        every generator of K into K."""
         if self._tau is None:
             index, tau = self.group._ensure_index(), [0] * self.group.order
             for cls in conjugacy_classes(self.group):
-                # At degree 1, _times is `tuple`: no single-index itemgetter.
-                g, times_ginv = cls[0].images, _times(cls[0].inverse().images)
-                count = sum(all(index[_times(times_ginv(k.images))(g)] in S
-                                for k in K.generators)
+                g = cls[0]
+                ginv = g.inverse()
+                count = sum(all(index[(g * k * ginv).images] in S for k in K.generators)
                             for K, S in zip(self.halls, self.hall_members))
                 for x in cls:
                     tau[index[x.images]] = count
@@ -118,7 +128,7 @@ def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
     # subgroup's elements gives lam; pi-elements in no Hall subgroup get 0.
     counts = Counter(i for S in members for i in S)
     orders = G.element_orders()
-    pi_orders = {k for k in set(orders) if all(p in pi for p in prime_divisors(k))}
+    pi_orders = {k for k in set(orders) if is_pi_number(k, pi)}
     lam = [counts[i] if k in pi_orders else None for i, k in enumerate(orders)]
     return HallContext(G, pi, n, tuple(halls), members, lam)
 
@@ -175,6 +185,8 @@ def moebius_partition_check(H: PermGroup, gamma: Mapping[Permutation, int]) -> b
     subgroups Z of (product of gamma over Z) raised to the lattice weight
     f(Z), compared exactly in factored form.
     """
+    from .arith import FactoredRational
+
     lhs = FactoredRational.one()
     for x in H.elements:
         lhs = lhs.times_pow(gamma[x], 1)

@@ -7,7 +7,6 @@ g(h(p))``, i.e. the right factor acts first.
 
 from __future__ import annotations
 
-import re
 from math import lcm
 from typing import Dict, Iterable, List, Tuple
 
@@ -125,6 +124,9 @@ class Permutation:
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
 
+    def __le__(self, other: "Permutation") -> bool:
+        return self.images <= other.images
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Permutation is immutable")
 
@@ -144,12 +146,23 @@ def format_permutation(g: Permutation) -> str:
 
 
 def _tokenize(text: str) -> List[object]:
-    """Parentheses and ASCII-decimal point numbers; whitespace separates."""
     tokens: List[object] = []
-    for number, char in re.findall(r"([0-9]+)|(\S)", text):
-        if char and char not in "()":
-            raise PermParseError(f"unexpected character {char!r} in cycle notation")
-        tokens.append(char or int(number))
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()":
+            tokens.append(c)
+            i += 1
+        elif c.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(int(text[i:j]))
+            i = j
+        else:
+            raise PermParseError(f"unexpected character {c!r} in cycle notation")
     return tokens
 
 

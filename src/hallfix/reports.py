@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One verifier outcome.
 
     ``expected_fail`` is corpus metadata for the documented counterexample
@@ -28,7 +26,13 @@ class CheckRecord:
     expected_fail: bool = False
 
     def to_dict(self) -> Dict[str, str]:
-        return {k: getattr(self, k) for k in ("check", "group", "pi", "status", "witness")}
+        return {
+            "check": self.check,
+            "group": self.group,
+            "pi": self.pi,
+            "status": self.status,
+            "witness": self.witness,
+        }
 
     def text_line(self) -> str:
         mark = " (expected)" if self.status == FAIL and self.expected_fail else ""

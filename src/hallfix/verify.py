@@ -14,10 +14,9 @@ class function is a class sum, sum over classes C of |C| * f(C^d).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log10, prod
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, divisors, moebius, prime_divisors, radical
 from .group import PermGroup, centralizer, conjugacy_classes, group_from_elements
@@ -32,16 +31,14 @@ class PowerSumTooLargeError(ValueError):
     """The curiosity power sum would have more than CURIOSITY_MAX_DIGITS digits."""
 
 
-@dataclass(frozen=True)
 class CoprimeActionScenario:
     """A semidirect decomposition G = N H with coprime normal N and complement H."""
 
-    group: PermGroup
-    normal: PermGroup
-    complement: PermGroup
+    __slots__ = ("group", "normal", "complement")
 
-    def __post_init__(self) -> None:
-        G, N, H = self.group, self.normal, self.complement
+    def __init__(self, group: PermGroup, normal: PermGroup, complement: PermGroup) -> None:
+        self.group, self.normal, self.complement = group, normal, complement
+        G, N, H = group, normal, complement
         if not N.is_normal_in(G):
             raise ValueError("N is not a normal subgroup of G")
         if not H.is_subgroup_of(G):
@@ -140,8 +137,7 @@ def power_product_pair(ctx: HallContext, p: int,
     return prod(v**c for v, c in left.items()), prod(v ** (c * p) for v, c in right.items())
 
 
-@dataclass(frozen=True)
-class NrCheckResult:
+class NrCheckResult(NamedTuple):
     """Cleared-exponent data for the coprime fixed-point equation.
 
     ``fixed_order`` is |C_N(P)|.  The fractional exponents are cleared by
@@ -247,8 +243,7 @@ def _moebius_power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int
                for d in filter(moebius, divisors(n)))
 
 
-@dataclass(frozen=True)
-class WielandtResult:
+class WielandtResult(NamedTuple):
     lhs: FactoredRational
     rhs: FactoredRational
 

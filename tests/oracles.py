@@ -5,14 +5,11 @@ These are brute-force oracles on permutations; the package does not use them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation, PiSet,
-                     build_hall_context, burnside_orbit_count, close, conjugation_character,
-                     cyclic_symmetrized_char, divisors, is_pi_separable, moebius,
-                     parse_permutation, power_subgroup, subgroups_of_order)
+from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation, PiSet, close,
+                     divisors, is_pi_separable, moebius, parse_permutation, subgroups_of_order)
 from hallfix.arith import prime_divisors, radical
 from hallfix.group import conjugacy_classes, group_from_elements
 
@@ -138,13 +135,10 @@ def is_pi_separable_direct(G, pi):
                if is_pi(N.order, pi) or is_pi_prime(N.order, pi))
 
 
-# The verifiers' references on permutations: powers are x**d, and lam and tau
-# are the element-keyed dicts ctx.lam and ctx.fixed_hall_counts().
-
-def _moebius_power_sum_direct(f, elements, n):
-    """sum over d | n of mu(d) * sum over x in elements of f[x**d]^(n/d)."""
-    return sum(moebius(d) * sum(f[x**d] ** (n // d) for x in elements) for d in divisors(n))
-
+# The verifiers' product references on permutations: powers are x**d, and lam
+# is the element-keyed ctx.lam.  The sums' references are the package's own
+# Permutation-level cyclic_symmetrized_char, burnside_orbit_count and
+# power_subgroup, which the tests call directly.
 
 def multiplicative_value_direct(ctx, use_radical=False):
     """prod over d | n and x in H of lam(x^d)^((n/d) mu(d)), one factor at a time."""
@@ -156,42 +150,9 @@ def multiplicative_value_direct(ctx, use_radical=False):
     return acc
 
 
-def additive_value_direct(ctx):
-    n = ctx.hall_order
-    return Fraction(_moebius_power_sum_direct(ctx.lam, ctx.canonical_hall.elements, n), n * n)
-
-
 def power_product_pair_direct(ctx, p):
-    left = right = 1
+    lam, left, right = ctx.lam, 1, 1
     for x in ctx.canonical_hall.elements:
-        left *= ctx.lam[x**p]
-        right *= ctx.lam[x] ** p
+        left *= lam[x**p]
+        right *= lam[x] ** p
     return left, right
-
-
-def interpretation_value_direct(ctx):
-    """(1/n) sum over d | n of mu(d) * (orbits of the power subgroup H^d on
-    Hall-set (n/d)-tuples), by Burnside on the element-keyed tau."""
-    H, n, tau = ctx.canonical_hall, ctx.hall_order, ctx.fixed_hall_counts()
-    return sum((Fraction(moebius(d) * burnside_orbit_count(power_subgroup(H, d), tau, n // d,
-                                                           tuple_cap=None), n)
-                for d in divisors(n) if moebius(d)), Fraction(0))
-
-
-def sym_char_sums_direct(ctx):
-    """S = sum tau(g)^2 and T = sum tau(g*g) over G's elements, and the mean of
-    cyclic_symmetrized_char on conjugation_character over the canonical Hall
-    subgroup."""
-    tau, chi, H = ctx.fixed_hall_counts(), conjugation_character(ctx), ctx.canonical_hall
-    S = sum(t * t for t in tau.values())
-    T = sum(tau[g * g] for g in ctx.group.elements)
-    averaged = sum((cyclic_symmetrized_char(chi, ctx.hall_order, h) for h in H.elements),
-                   Fraction(0)) / H.order
-    return S, T, averaged
-
-
-def curiosity_value_direct(G, pi, n=None):
-    """(1/n^2) sum over d | n of mu(d) * sum over g in G of tau(g^d)^(n/d)."""
-    n = G.order if n is None else n
-    tau = build_hall_context(G, pi).fixed_hall_counts()
-    return Fraction(_moebius_power_sum_direct(tau, G.elements, n), n * n)

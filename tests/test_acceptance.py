@@ -213,9 +213,9 @@ def test_criterion_10_structural_invariants(groups, hall_ctx):
                 ok = ok and ctx.num_halls >= 3
             # membership counts are constant on generated cyclic subgroups
             spans = {}
-            for x in ctx.lam:
+            for x, v in ctx.lam.items():
                 key = close([x]).element_set()
-                spans.setdefault(key, set()).add(ctx.lam[x])
+                spans.setdefault(key, set()).add(v)
             ok = ok and all(len(v) == 1 for v in spans.values())
             # Burnside cross-check of the membership-count sum over H
             total = sum(ctx.lam_of(h) for h in H.elements)

@@ -86,6 +86,10 @@ def test_lam_rejects_non_pi_elements(hall_ctx):
     g = parse_permutation("(1 2 3)", 5)
     with pytest.raises(ValueError, match="not a pi-element"):
         ctx.lam_of(g)
+    # ctx.lam is a read-only view built from lam_values: a write could not
+    # reach the verifiers, so it is refused.
+    with pytest.raises(TypeError):
+        ctx.lam[ctx.group.identity] = 0
 
 
 def test_lam_only_depends_on_generated_subgroup(hall_ctx):
@@ -94,9 +98,9 @@ def test_lam_only_depends_on_generated_subgroup(hall_ctx):
         for pi_text in pis:
             ctx = hall_ctx(name, pi_text)
             by_span = {}
-            for x in ctx.lam:
+            for x, v in ctx.lam.items():
                 key = close([x]).element_set()
-                by_span.setdefault(key, set()).add(ctx.lam[x])
+                by_span.setdefault(key, set()).add(v)
             assert all(len(v) == 1 for v in by_span.values())
 
 

@@ -12,16 +12,14 @@ from hallfix import (CharacterTable, CoprimeActionScenario, FactoredRational, Fi
                      build_hall_context, burnside_orbit_count, centralizer, close,
                      conjugation_character, core_pi_complement, corpus_entries,
                      curiosity_value, cyclic_lattice, cyclic_symmetrized_char, divisors,
-                     get_entry, interpretation_check, load_scenario, multiplicative_value,
+                     get_entry, interpretation_check, load_scenario, moebius, multiplicative_value,
                      navarro_rizo_check, parse_permutation, power_product_pair,
                      power_sum_bound_holds, power_subgroup, symmetrized_char,
                      totient, trivial_group, wielandt_check)
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
-from oracles import (additive_value_direct, conjugated_by, curiosity_value_direct,
-                     interpretation_value_direct, multiplicative_value_direct,
-                     power_product_pair_direct, proper_prime_sets, quotient_direct,
-                     s5_subgroup_classes, sym_char_sums_direct)
+from oracles import (conjugated_by, multiplicative_value_direct, power_product_pair_direct,
+                     proper_prime_sets, quotient_direct, s5_subgroup_classes)
 
 
 def P(text, degree):
@@ -520,7 +518,9 @@ def test_lambda_factors_through_pi_prime_core(groups, hall_ctx):
 
 def test_index_path_matches_permutation_oracles(groups):
     # The verifiers take powers on element indices and read lam and tau as
-    # lists; the oracles take x**d and read the element-keyed dicts.
+    # lists.  The references take x**d on permutations and read the
+    # element-keyed lam and tau: the oracles' products, and the package's own
+    # cyclic_symmetrized_char, burnside_orbit_count and power_subgroup.
     cases = [(e.name, groups[e.name], pi) for e in corpus_entries() for pi in e.check_pis]
     cases += [("S5 class", H, pi) for H in s5_subgroup_classes()[1]
               for pi in proper_prime_sets(H)]
@@ -530,23 +530,36 @@ def test_index_path_matches_permutation_oracles(groups):
             ctx = build_hall_context(G, pi)
         except NoHallSubgroupError:
             continue
-        where = (name, str(pi))
+        where, H, n = (name, str(pi)), ctx.canonical_hall, ctx.hall_order
         for use_radical in (False, True):
             assert (multiplicative_value(ctx, use_radical=use_radical)
                     == multiplicative_value_direct(ctx, use_radical)), where
-        assert additive_value(ctx) == additive_value_direct(ctx), where
         for p in pi:
             assert power_product_pair(ctx, p) == power_product_pair_direct(ctx, p), where
-        assert sym_char_sums(ctx) == sym_char_sums_direct(ctx), where
-        # n = |G| up to S5's order; the larger groups' sums take seconds.
-        n = min(G.order, 120)
-        assert curiosity_value(G, pi, n) == curiosity_value_direct(G, pi, n), where
-        H = ctx.canonical_hall
+        # The additive value is the mean over H of the cyclic symmetrization of lam.
+        lam = CharacterTable(G, ctx.lam, validate=False)
+        additive = sum((cyclic_symmetrized_char(lam, n, h) for h in H.elements),
+                       Fraction(0)) / n
+        assert additive_value(ctx) == additive, where
+        tau, chi = ctx.fixed_hall_counts(), conjugation_character(ctx)
+        S = sum(t * t for t in tau.values())
+        T = sum(tau[g * g] for g in G.elements)
+        averaged = sum((cyclic_symmetrized_char(chi, n, h) for h in H.elements),
+                       Fraction(0)) / H.order
+        assert sym_char_sums(ctx) == (S, T, averaged), where
+        # The curiosity value is the same mean over all of G, with n = |G| up
+        # to S5's order; the larger groups' sums take seconds.
+        m = min(G.order, 120)
+        curiosity = sum((cyclic_symmetrized_char(chi, m, g) for g in G.elements),
+                        Fraction(0)) / m
+        assert curiosity_value(G, pi, m) == curiosity, where
         if H.is_abelian():
             abelian += 1
-            assert interpretation_check(ctx) == (
-                interpretation_value_direct(ctx) == additive_value_direct(ctx)), where
-            for d in divisors(ctx.hall_order):
+            orbits = sum((Fraction(moebius(d) * burnside_orbit_count(
+                power_subgroup(H, d), tau, n // d, tuple_cap=None), n)
+                for d in divisors(n) if moebius(d)), Fraction(0))
+            assert orbits == additive and interpretation_check(ctx), where
+            for d in divisors(n):
                 powers = {G.elements[G.power_index(i, d)] for i in ctx.hall_members[0]}
                 assert powers == power_subgroup(H, d).element_set(), (where, d)
         checked += 1
