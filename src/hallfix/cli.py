@@ -28,9 +28,9 @@ from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
 from .perm import PermParseError
 from .reports import (FAIL, INAPPLICABLE, PASS, CheckRecord, records_to_json,
                       unexpected_failures)
-from .verify import (PowerSumTooLargeError, additive_value, curiosity_value,
-                     interpretation_check, multiplicative_value, navarro_rizo_check,
-                     sym_char_sums, wielandt_check)
+from .verify import (CoprimeActionScenario, PowerSumTooLargeError, additive_value,
+                     curiosity_value, interpretation_check, multiplicative_value,
+                     navarro_rizo_check, sym_char_sums, wielandt_check)
 
 _COMMANDS = ("lambda", "verify-mult", "verify-add", "verify-nr",
              "verify-wielandt", "sym-char", "interpretation", "curiosity",
@@ -147,31 +147,29 @@ def add_record(name: str, ctx: HallContext) -> CheckRecord:
                        f"value {_fraction_str(beta)}")
 
 
-def nr_record(entry: CorpusEntry, cap: int,
+def nr_record(name: str, scenario: CoprimeActionScenario,
               pi: Optional[PiSet] = None) -> CheckRecord:
     """Cleared coprime fixed-point identities on the designated scenario."""
-    scenario = load_scenario(entry, cap=cap)
     primes = prime_divisors(scenario.complement.order)
     inferred = PiSet(primes)
     if pi is not None and pi != inferred:
         raise InputError(f"--pi {pi} does not match the complement order "
                          f"{scenario.complement.order}")
     if len(primes) != 1:
-        return CheckRecord("verify-nr", entry.name, str(inferred), INAPPLICABLE,
+        return CheckRecord("verify-nr", name, str(inferred), INAPPLICABLE,
                            f"complement of order {scenario.complement.order} "
                            "is not a p-group")
     result = navarro_rizo_check(scenario)
     witness = (f"|C_N(P)|={result.fixed_order}, cleared {result.cleared_lhs} "
                f"vs {result.cleared_rhs}; counts {result.eq2_left} vs "
                f"{result.eq2_right}")
-    return CheckRecord("verify-nr", entry.name, str(inferred),
+    return CheckRecord("verify-nr", name, str(inferred),
                        PASS if result.holds else FAIL, witness)
 
 
-def wielandt_record(entry: CorpusEntry, cap: int) -> CheckRecord:
-    scenario = load_scenario(entry, cap=cap)
+def wielandt_record(name: str, scenario: CoprimeActionScenario) -> CheckRecord:
     result = wielandt_check(scenario)
-    return CheckRecord("verify-wielandt", entry.name, "-",
+    return CheckRecord("verify-wielandt", name, "-",
                        PASS if result.holds else FAIL,
                        f"lhs {result.lhs} vs rhs {result.rhs}")
 
@@ -231,8 +229,9 @@ def scan_records(entries: List[CorpusEntry], cap: int) -> List[CheckRecord]:
         for pi in entry.check_pis:
             records += hall_records(entry.name, G, pi, HALL_CHECKS, entry)
         if entry.scenario is not None:
-            records.append(nr_record(entry, cap))
-            records.append(wielandt_record(entry, cap))
+            scenario = load_scenario(entry, cap=cap)
+            records.append(nr_record(entry.name, scenario))
+            records.append(wielandt_record(entry.name, scenario))
         if entry.name == "A5":
             records.append(curiosity_record(entry.name, G, PiSet([3]), None)[0])
     return records
@@ -311,9 +310,9 @@ def _dispatch(args) -> int:
                              "coprime scenario")
         if command == "verify-nr":
             pi = _require_pi(args) if args.pi else None
-            record = nr_record(entry, args.cap, pi)
+            record = nr_record(entry.name, load_scenario(entry, cap=args.cap), pi)
         else:
-            record = wielandt_record(entry, args.cap)
+            record = wielandt_record(entry.name, load_scenario(entry, cap=args.cap))
         _emit([record], args.json)
         return 1 if unexpected_failures([record]) else 0
 

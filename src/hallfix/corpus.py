@@ -304,10 +304,9 @@ def load_scenario(entry: CorpusEntry, cap: int = DEFAULT_ELEMENT_CAP):
 
     if entry.scenario is None:
         raise ValueError(f"corpus entry {entry.name} has no coprime scenario")
-    degree, _ = parse_group_text(entry.text)
     group = load_group(entry.name, cap=cap)
-    n_gens = [parse_permutation(s, degree) for s in entry.scenario[0]]
-    h_gens = [parse_permutation(s, degree) for s in entry.scenario[1]]
+    n_gens = [parse_permutation(s, group.degree) for s in entry.scenario[0]]
+    h_gens = [parse_permutation(s, group.degree) for s in entry.scenario[1]]
     normal = close(n_gens, cap=cap)
     complement = close(h_gens, cap=cap)
     return CoprimeActionScenario(group, normal, complement)

@@ -28,17 +28,18 @@ class NotASubgroupError(ValueError):
 
 
 class PermGroup:
-    """A finite permutation group with its complete, canonically sorted element list."""
+    """A finite permutation group with its complete, canonically sorted element list.
 
-    __slots__ = ("degree", "generators", "elements", "_elem_set", "_index", "_orders",
-                 "_classes", "_walks")
+    Invariant: ``generators`` generate ``elements``.  Membership reads the element
+    index, and ``is_subgroup_of``/``is_normal_in`` test generators only."""
+
+    __slots__ = ("degree", "generators", "elements", "_index", "_orders", "_classes", "_walks")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]) -> None:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "elements", tuple(sorted(elements, key=attrgetter("images"))))
-        object.__setattr__(self, "_elem_set", frozenset(elements))
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_classes", None)
@@ -55,19 +56,18 @@ class PermGroup:
         return self.elements[0]
 
     def __contains__(self, g: Permutation) -> bool:
-        return g in self._elem_set
+        return g.images in self._ensure_index()
 
     def element_set(self) -> FrozenSet[Permutation]:
-        return self._elem_set
+        """The elements as a frozenset, built on every call."""
+        return frozenset(self.elements)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self._elem_set <= other._elem_set
+        return self.degree == other.degree and all(g in other for g in self.generators)
 
     def is_normal_in(self, other: "PermGroup") -> bool:
-        if not self.is_subgroup_of(other):
-            return False
-        return all(_conjugate_set(self._elem_set, g) == self._elem_set
-                   for g in other.generators)
+        return self.is_subgroup_of(other) and all(
+            g * k * g.inverse() in self for g in other.generators for k in self.generators)
 
     def is_abelian(self) -> bool:
         gens = self.generators
@@ -108,10 +108,10 @@ class PermGroup:
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PermGroup) and self.degree == other.degree
-                and self._elem_set == other._elem_set)
+                and self.fingerprint() == other.fingerprint())
 
     def __hash__(self) -> int:
-        return hash((self.degree, self._elem_set))
+        return hash((self.degree, self.fingerprint()))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PermGroup is immutable")
@@ -190,11 +190,6 @@ def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGro
     if span.order != len(elems):
         raise ValueError("element set is not closed under the group operation")
     return PermGroup(degree, gens or span.generators, elems)
-
-
-def _conjugate_set(elems: FrozenSet[Permutation], g: Permutation) -> FrozenSet[Permutation]:
-    ginv = g.inverse()
-    return frozenset(g * x * ginv for x in elems)
 
 
 def centralizer(G: PermGroup, s: "Permutation | PermGroup") -> PermGroup:

@@ -138,24 +138,23 @@ class CyclicLattice:
 
     ``mu(i, j)`` is the poset Möbius value between subgroups ``i <= j``; on
     this lattice it coincides with the number-theoretic Möbius function of
-    the index.  ``weight(i)`` is the column sum f = sum_j mu(i, j).
+    the index, and ``i <= j`` is decided on subgroup ``i``'s generators.
+    ``weight(i)`` is the column sum f = sum_j mu(i, j).
     """
 
-    __slots__ = ("host", "subgroups", "_sets", "_weights")
+    __slots__ = ("host", "subgroups", "_weights")
 
     def __init__(self, host: PermGroup, subgroups: Sequence[PermGroup]) -> None:
         self.host = host
         self.subgroups = tuple(subgroups)
-        self._sets = [Z.element_set() for Z in self.subgroups]
         self._weights = [
             sum(self.mu(i, j) for j in range(len(self.subgroups)))
             for i in range(len(self.subgroups))
         ]
 
     def mu(self, i: int, j: int) -> int:
-        if not self._sets[i] <= self._sets[j]:
-            return 0
-        return moebius(len(self._sets[j]) // len(self._sets[i]))
+        Zi, Zj = self.subgroups[i], self.subgroups[j]
+        return moebius(Zj.order // Zi.order) if Zi.is_subgroup_of(Zj) else 0
 
     def weight(self, i: int) -> int:
         return self._weights[i]
@@ -168,12 +167,10 @@ class CyclicLattice:
 
 def cyclic_lattice(H: PermGroup) -> CyclicLattice:
     """Build the cyclic-subgroup lattice of H."""
-    seen: Dict[frozenset, PermGroup] = {}
+    seen: Dict[Tuple[Tuple[int, ...], ...], PermGroup] = {}
     for h in H.elements:
         Z = close([h])
-        key = Z.element_set()
-        if key not in seen:
-            seen[key] = Z
+        seen.setdefault(Z.fingerprint(), Z)
     ordered = sorted(seen.values(), key=PermGroup.fingerprint)
     return CyclicLattice(H, ordered)
 

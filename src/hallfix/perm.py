@@ -155,9 +155,9 @@ def _tokenize(text: str) -> List[object]:
         elif c in "()":
             tokens.append(c)
             i += 1
-        elif c.isdigit():
+        elif "0" <= c <= "9":  # ASCII only: str.isdigit also takes "\u00b2"
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(int(text[i:j]))
             i = j

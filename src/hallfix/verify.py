@@ -186,21 +186,19 @@ def navarro_rizo_check(scenario: CoprimeActionScenario,
     elif p != primes[0]:
         raise ValueError(f"{p} does not match the complement's prime {primes[0]}")
 
-    cent: Dict[Permutation, int] = {}
-    for x in P.elements:
-        cent[x] = centralizer(N, x).order
+    cent = [centralizer(N, x).order for x in P.elements]
     fixed = centralizer(N, P).order
 
     rhs = FactoredRational.one()
     eq2_left = FactoredRational.one()
     eq2_right = FactoredRational.one()
-    for x in P.elements:
-        xp = x**p
-        rhs = rhs.times_pow(cent[x], p).times_pow(cent[xp], -1)
-        if cent[x] % fixed or cent[xp] % fixed:
+    for i, cx in enumerate(cent):
+        cxp = cent[P.power_index(i, p)]
+        rhs = rhs.times_pow(cx, p).times_pow(cxp, -1)
+        if cx % fixed or cxp % fixed:
             raise AssertionError("fixed subgroup does not divide a centralizer")
-        eq2_left = eq2_left.times_pow(cent[xp] // fixed, 1)
-        eq2_right = eq2_right.times_pow(cent[x] // fixed, p)
+        eq2_left = eq2_left.times_pow(cxp // fixed, 1)
+        eq2_right = eq2_right.times_pow(cx // fixed, p)
     return NrCheckResult(p, P.order, fixed, rhs, eq2_left, eq2_right)
 
 

@@ -466,6 +466,45 @@ def test_s5_subgroup_classes_sweep():
     assert (with_hall, without_hall) == (24, 4)
 
 
+def test_relations_on_s5_subgroups_match_element_sets():
+    # Subgroup, equality and normality are decided on generators and the
+    # element index; here every pair of S5's 156 subgroups is checked against
+    # the element-set definitions.  Each K is rebuilt from its generators in
+    # reverse order, so that equal groups are distinct objects with other
+    # generator tuples.
+    subgroups = s5_subgroup_classes()[0]
+    S5 = subgroups[-1]
+    sets = [H.element_set() for H in subgroups]
+    twins = [close(K.generators[::-1]) for K in subgroups]
+    normalizers = [frozenset(g for g in S5.elements if conjugate_set(hset, g) == hset)
+                   for hset in sets]
+    contained = normal = 0
+    for H, hset, norm in zip(subgroups, sets, normalizers):
+        for K, kset in zip(twins, sets):
+            assert H.is_subgroup_of(K) == (hset <= kset), (H, K)
+            assert (H == K) == (hset == kset), (H, K)
+            if H == K:
+                assert hash(H) == hash(K), (H, K)
+            if hset <= kset:
+                assert H.is_normal_in(K) == (kset <= norm), (H, K)
+                contained += 1
+                normal += kset <= norm
+    assert (contained, normal) == (1245, 570)
+
+
+def test_groups_do_not_hash_their_elements(monkeypatch):
+    # Membership reads the image-tuple index, so neither closing A7 nor a
+    # subgroup search in S5 calls Permutation.__hash__.
+    calls = []
+    perm_hash = Permutation.__hash__
+    monkeypatch.setattr(Permutation, "__hash__",
+                        lambda g: calls.append(1) or perm_hash(g))
+    A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
+    S5 = close([P("(1 2 3 4 5)", 5), P("(1 2)", 5)])
+    assert (A7.order, len(subgroups_of_order(S5, 8))) == (2520, 15)
+    assert calls == []
+
+
 def test_sylow_subgroups_match_the_full_search(groups):
     # Hall contexts for one prime take the first hit's conjugation orbit;
     # the full search is the oracle, element sets and order both.

@@ -47,6 +47,10 @@ def test_parse_malformed_parens():
         parse_permutation("   ", 3)
     with pytest.raises(PermParseError, match="unexpected character"):
         parse_permutation("(1,2)", 3)
+    # Only ASCII digits are points: a superscript two and an Arabic-Indic one.
+    for text in ("(1 \u00b2)", "(\u0661 2)"):
+        with pytest.raises(PermParseError, match="unexpected character"):
+            parse_permutation(text, 3)
 
 
 def test_parse_whitespace_insensitive():

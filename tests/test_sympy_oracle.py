@@ -12,7 +12,7 @@ from sympy.combinatorics import Permutation as SympyPermutation  # noqa: E402
 from sympy.combinatorics import PermutationGroup  # noqa: E402
 
 from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context,  # noqa: E402
-                     close, is_pi_separable, pi_part, subgroups_of_order)
+                     centralizer, close, is_pi_separable, pi_part, subgroups_of_order)
 from hallfix.arith import prime_divisors  # noqa: E402
 from hallfix.group import conjugacy_classes  # noqa: E402
 from oracles import conjugated_by, is_pi_separable_direct, is_solvable  # noqa: E402
@@ -77,3 +77,22 @@ def test_separability_and_tau_agree_with_the_oracles(gens, data):
     for g in G.elements:
         assert tau[g] == sum(conjugated_by(K, g).element_set() == K.element_set()
                              for K in ctx.halls)
+
+
+@settings(max_examples=25, deadline=None)
+@given(generating_sets(max_degree=6))
+def test_sylow_counts_and_centralizers_agree_with_sympy(gens):
+    # The Sylow p-subgroup count of the Hall enumeration against the distinct
+    # conjugates of sympy's Sylow subgroup; |C_G(x)| for the first element x
+    # of each class against sympy's centralizer and against |G| / |x^G|.
+    G = close([Permutation(g) for g in gens])
+    S = PermutationGroup([SympyPermutation([i - 1 for i in g]) for g in gens])
+    for p in prime_divisors(G.order):
+        sylow = list(S.sylow_subgroup(p).elements)
+        conjugates = {frozenset(x ^ g for x in sylow) for g in S.elements}
+        assert build_hall_context(G, PiSet([p])).num_halls == len(conjugates), p
+    for cls in conjugacy_classes(G):
+        x = cls[0]
+        order = centralizer(G, x).order
+        assert order == S.centralizer(SympyPermutation([i - 1 for i in x.images])).order(), x
+        assert order * len(cls) == G.order, x
