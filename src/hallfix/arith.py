@@ -90,17 +90,17 @@ def radical(n: int) -> int:
     return out
 
 
-class PiSet:
-    """An immutable finite set of primes."""
+class PiSet(frozenset):
+    """An immutable finite set of primes: a frozenset that iterates in ascending order."""
 
-    __slots__ = ("primes",)
+    __slots__ = ()
 
-    def __init__(self, primes: Iterable[int]) -> None:
+    def __new__(cls, primes: Iterable[int]) -> "PiSet":
         ps = frozenset(int(p) for p in primes)
         for p in ps:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "primes", ps)
+        return super().__new__(cls, ps)
 
     @classmethod
     def parse(cls, text: str) -> "PiSet":
@@ -113,26 +113,11 @@ class PiSet:
         except ValueError as exc:
             raise ValueError(f"bad prime set {text!r}: {exc}") from exc
 
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
-
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.primes))
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PiSet) and self.primes == other.primes
-
-    def __hash__(self) -> int:
-        return hash(self.primes)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PiSet is immutable")
+        return iter(sorted(super().__iter__()))
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in sorted(self.primes))
+        return ",".join(str(p) for p in self)
 
     def __repr__(self) -> str:
         return f"PiSet({{{self}}})"
@@ -193,8 +178,6 @@ class FactoredRational:
             else:
                 acc.pop(p, None)
         return FactoredRational(acc)
-
-    __mul__ = times
 
     def power(self, k: int) -> "FactoredRational":
         if k == 0:

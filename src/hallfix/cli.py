@@ -225,11 +225,11 @@ def curiosity_record(name: str, G: PermGroup, pi: PiSet,
 def scan_records(entries: List[CorpusEntry], cap: int) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     for entry in entries:
-        G = load_group(entry.name, cap=cap)
+        scenario = load_scenario(entry, cap=cap) if entry.scenario is not None else None
+        G = load_group(entry.name, cap=cap) if scenario is None else scenario.group
         for pi in entry.check_pis:
             records += hall_records(entry.name, G, pi, HALL_CHECKS, entry)
-        if entry.scenario is not None:
-            scenario = load_scenario(entry, cap=cap)
+        if scenario is not None:
             records.append(nr_record(entry.name, scenario))
             records.append(wielandt_record(entry.name, scenario))
         if entry.name == "A5":

@@ -187,7 +187,7 @@ def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGro
                     break
     except CapExceededError:
         pass
-    if span.order != len(elems):
+    if span.elements != tuple(elems):
         raise ValueError("element set is not closed under the group operation")
     return PermGroup(degree, gens or span.generators, elems)
 
@@ -381,8 +381,8 @@ def _core(G: PermGroup, keep: Callable[[int], bool], base: PermGroup) -> PermGro
 
 def _pi_keeps(pi: PiSet) -> Tuple[Callable[[int], bool], Callable[[int], bool]]:
     """Order tests of the pi-core and of the pi'-core."""
-    return (lambda n: all(p in pi for p in prime_divisors(n)),
-            lambda n: not any(p in pi for p in prime_divisors(n)))
+    return (lambda n: pi.issuperset(prime_divisors(n)),
+            lambda n: pi.isdisjoint(prime_divisors(n)))
 
 
 def core_pi(G: PermGroup, pi: PiSet) -> PermGroup:

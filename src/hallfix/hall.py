@@ -40,10 +40,6 @@ def pi_part(order: int, pi: PiSet) -> int:
     return out
 
 
-def is_pi_number(n: int, pi: PiSet) -> bool:
-    return all(p in pi for p in prime_divisors(n))
-
-
 class HallContext:
     """A group, a prime set, every Hall subgroup, and lam and tau as lists over
     the group's element indices.
@@ -128,7 +124,7 @@ def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
     # subgroup's elements gives lam; pi-elements in no Hall subgroup get 0.
     counts = Counter(i for S in members for i in S)
     orders = G.element_orders()
-    pi_orders = {k for k in set(orders) if is_pi_number(k, pi)}
+    pi_orders = {k for k in set(orders) if pi.issuperset(prime_divisors(k))}
     lam = [counts[i] if k in pi_orders else None for i, k in enumerate(orders)]
     return HallContext(G, pi, n, tuple(halls), members, lam)
 

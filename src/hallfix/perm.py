@@ -124,9 +124,6 @@ class Permutation:
     def __lt__(self, other: "Permutation") -> bool:
         return self.images < other.images
 
-    def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
-
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Permutation is immutable")
 

@@ -45,8 +45,7 @@ class CoprimeActionScenario:
             raise ValueError("H is not a subgroup of G")
         if N.order * H.order != G.order:
             raise ValueError("|N| * |H| != |G|: G is not the product N H")
-        if len(N.element_set() & H.element_set()) != 1:
-            raise ValueError("N and H intersect nontrivially")
+        # |N ∩ H| divides both |N| and |H|, so coprime orders force N ∩ H = 1.
         if gcd(N.order, H.order) != 1:
             raise ValueError("the action is not coprime: gcd(|N|, |H|) != 1")
 
@@ -174,17 +173,13 @@ class NrCheckResult(NamedTuple):
         return self.nr_holds and self.nr2_holds
 
 
-def navarro_rizo_check(scenario: CoprimeActionScenario,
-                       p: Optional[int] = None) -> NrCheckResult:
+def navarro_rizo_check(scenario: CoprimeActionScenario) -> NrCheckResult:
     """Evaluate both cleared fixed-point identities for a p-group acting coprimely."""
     N, P = scenario.normal, scenario.complement
     primes = prime_divisors(P.order)
     if len(primes) != 1:
         raise ValueError(f"the complement has order {P.order}; it is not a p-group")
-    if p is None:
-        p = primes[0]
-    elif p != primes[0]:
-        raise ValueError(f"{p} does not match the complement's prime {primes[0]}")
+    p = primes[0]
 
     cent = [centralizer(N, x).order for x in P.elements]
     fixed = centralizer(N, P).order

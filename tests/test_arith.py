@@ -79,6 +79,15 @@ def test_pi_set():
         PiSet([4])
     with pytest.raises(ValueError):
         PiSet.parse("")
+    assert repr(pi) == "PiSet({2,3})"
+    # Equal sets hash alike whatever the input order, and find each other as keys.
+    assert hash(PiSet([7, 2, 5])) == hash(PiSet([5, 7, 2]))
+    assert {PiSet([7, 2, 5]): "x"}[PiSet.parse("5,2,7")] == "x"
+    with pytest.raises(AttributeError):
+        pi.primes = frozenset({5})
+    # Iteration is ascending even where the plain frozenset order is not.
+    assert list(frozenset({17, 3})) != [3, 17]
+    assert list(PiSet([17, 3])) == [3, 17] and str(PiSet([17, 3])) == "3,17"
 
 
 def test_factored_rational_examples():

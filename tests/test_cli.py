@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context, cli,
-                     close, corpus_entries, is_pi_separable)
+                     close, corpus_entries, get_entry, is_pi_separable)
+from hallfix import corpus as corpus_mod
 from hallfix import group as group_mod
 from hallfix import hall as hall_mod
 from hallfix.cli import main
@@ -382,6 +383,17 @@ def test_scan_builds_one_hall_context_per_pi(capsys, monkeypatch):
     code, _, _ = run(capsys, "scan", "--group", "S4")
     assert code == 0
     assert [str(pi) for pi in calls] == ["2", "3", "2,3"]
+
+
+def test_scan_closes_each_group_once(capsys, monkeypatch):
+    # S3 has a coprime scenario; its Hall checks run on the scenario's group.
+    parsed = []
+    parse = corpus_mod.parse_group_text
+    monkeypatch.setattr(corpus_mod, "parse_group_text",
+                        lambda text: parsed.append(text) or parse(text))
+    code, _, _ = run(capsys, "scan", "--group", "S3")
+    assert code == 0
+    assert parsed == [get_entry("S3").text]
 
 
 def test_scan_json_single_entry(capsys):

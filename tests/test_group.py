@@ -583,6 +583,9 @@ def test_normal_subgroup_scan_refuses_more_than_20_classes():
 def test_group_from_elements_rejects_unclosed():
     with pytest.raises(ValueError, match="not closed"):
         group_from_elements(3, [Permutation.identity(3), P("(1 2 3)", 3)])
+    # <(2 3 4)> has as many elements as the input but is not the input.
+    with pytest.raises(ValueError, match="not closed"):
+        group_from_elements(4, [Permutation.identity(4), P("(2 3 4)", 4), P("(1 2)", 4)])
 
 
 def _natural(g, i):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -14,12 +15,13 @@ from hallfix import (CharacterTable, CoprimeActionScenario, FactoredRational, Fi
                      curiosity_value, cyclic_lattice, cyclic_symmetrized_char, divisors,
                      get_entry, interpretation_check, load_scenario, moebius, multiplicative_value,
                      navarro_rizo_check, parse_permutation, power_product_pair,
-                     power_sum_bound_holds, power_subgroup, symmetrized_char,
-                     totient, trivial_group, wielandt_check)
+                     power_sum_bound_holds, power_subgroup, subgroups_of_order,
+                     symmetrized_char, totient, trivial_group, wielandt_check)
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
-from oracles import (conjugated_by, multiplicative_value_direct, power_product_pair_direct,
-                     proper_prime_sets, quotient_direct, s5_subgroup_classes)
+from oracles import (conjugate_set, conjugated_by, multiplicative_value_direct,
+                     power_product_pair_direct, proper_prime_sets, quotient_direct,
+                     s5_subgroup_classes)
 
 
 def P(text, degree):
@@ -195,6 +197,36 @@ def test_scenario_validation():
         CoprimeActionScenario(S3, C2, A3)
     with pytest.raises(ValueError, match="is not the product"):
         CoprimeActionScenario(S3, A3, A3)
+    # N = H: normal, orders multiply to |G|, but N and H meet nontrivially.
+    C4 = close([P("(1 2 3 4)", 4)])
+    V = close([P("(1 3)(2 4)", 4)])
+    with pytest.raises(ValueError, match="coprime"):
+        CoprimeActionScenario(C4, V, V)
+
+
+def test_scenario_acceptance_matches_definition(groups):
+    # Every pair of subgroups (N, H) of S4 and S3xS3: a scenario is accepted
+    # exactly when N is normal, N and H meet trivially, |N||H| = |G| and the
+    # orders are coprime, all decided on element sets.
+    accepted = {}
+    for name in ("S4", "S3xS3"):
+        G = groups[name]
+        subgroups = [H for d in divisors(G.order) for H in subgroups_of_order(G, d)]
+        sets = [H.element_set() for H in subgroups]
+        normal = [all(conjugate_set(S, g) == S for g in G.elements) for S in sets]
+        accepted[name] = 0
+        for (N, Ns, is_normal), (H, Hs) in product(zip(subgroups, sets, normal),
+                                                   zip(subgroups, sets)):
+            expect = (is_normal and len(Ns & Hs) == 1 and N.order * H.order == G.order
+                      and gcd(N.order, H.order) == 1)
+            try:
+                CoprimeActionScenario(G, N, H)
+            except ValueError:
+                assert not expect, (name, N, H)
+            else:
+                assert expect, (name, N, H)
+                accepted[name] += 1
+    assert accepted == {"S4": 2, "S3xS3": 11}
 
 
 # ---------------------------------------------------------------- additive
