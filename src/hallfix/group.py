@@ -33,7 +33,8 @@ class PermGroup:
     Invariant: ``generators`` generate ``elements``.  Membership reads the element
     index, and ``is_subgroup_of``/``is_normal_in`` test generators only."""
 
-    __slots__ = ("degree", "generators", "elements", "_index", "_orders", "_classes", "_walks")
+    __slots__ = ("degree", "generators", "elements", "_index", "_rows", "_classes", "_orders",
+                 "_walks")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]) -> None:
@@ -41,8 +42,9 @@ class PermGroup:
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "elements", tuple(sorted(elements, key=attrgetter("images"))))
         object.__setattr__(self, "_index", None)
-        object.__setattr__(self, "_orders", None)
+        object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_classes", None)
+        object.__setattr__(self, "_orders", None)
         object.__setattr__(self, "_walks", {})
 
     @property
@@ -88,9 +90,8 @@ class PermGroup:
         return self._index
 
     def element_orders(self) -> Tuple[int, ...]:
-        """Element orders, indexed like ``elements``; computed once per group."""
-        if self._orders is None:
-            object.__setattr__(self, "_orders", tuple(g.order() for g in self.elements))
+        """Element orders, indexed like ``elements``; taken once per class."""
+        conjugacy_classes(self)
         return self._orders
 
     def power_index(self, i: int, d: int) -> int:
@@ -324,32 +325,33 @@ def _subgroup_search(G: PermGroup, m: int,
 
 
 def _conjugation_rows(G: PermGroup) -> List[List[int]]:
-    """One row x -> g x g^-1 on element indices per distinct generator g, with
-    g x g^-1 = g o (x o g^-1) on image tuples.  The identity moves nothing;
-    skipping it also keeps degree 1 off itemgetter's single-index form."""
-    index, rows = G._ensure_index(), []
-    for g in dict.fromkeys(G.generators):
-        if g != G.identity:
+    """Once per group, a row x -> g x g^-1 = g o (x o g^-1) on element indices
+    per distinct generator g but the identity, which moves nothing (skipping it
+    also keeps degree 1 off itemgetter's single-index form)."""
+    if G._rows is None:
+        index, rows = G._ensure_index(), []
+        for g in {g.images: g for g in G.generators if g != G.identity}.values():
             shifted, times_ginv = (0,) + g.images, _times(g.inverse().images)
             rows.append([index[itemgetter(*times_ginv(x.images))(shifted)]
                          for x in G.elements])
-    return rows
+        object.__setattr__(G, "_rows", rows)
+    return G._rows
 
 
 def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[Permutation, ...], ...]:
     """Conjugacy classes as canonically sorted element tuples, identity class
-    first; computed once per group."""
+    first; computed once per group, with the element orders, one per class."""
     if G._classes is not None:
         return G._classes
     elems, rows = G.elements, _conjugation_rows(G)
-    seen = bytearray(len(elems))
+    seen, orders = bytearray(len(elems)), [0] * len(elems)
     classes: List[Tuple[Permutation, ...]] = []
     for i in range(len(elems)):
         if seen[i]:
             continue
-        seen[i] = 1
-        orbit = [i]
+        seen[i], orbit, k = 1, [i], elems[i].order()
         for y in orbit:
+            orders[y] = k
             for row in rows:
                 z = row[y]
                 if not seen[z]:
@@ -357,6 +359,7 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[Permutation, ...], ...]:
                     orbit.append(z)
         orbit.sort()
         classes.append(tuple([elems[j] for j in orbit]))
+    object.__setattr__(G, "_orders", tuple(orders))
     object.__setattr__(G, "_classes", tuple(classes))
     return G._classes
 

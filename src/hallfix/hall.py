@@ -13,6 +13,7 @@ over G's element indices; tau is a class function, counted once per class.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,7 +53,8 @@ class HallContext:
     request.
     """
 
-    __slots__ = ("group", "pi", "hall_order", "halls", "hall_members", "lam_values", "_tau")
+    __slots__ = ("group", "pi", "hall_order", "halls", "hall_members", "lam_values", "_tau",
+                 "_additive")
 
     def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
                  halls: Tuple[PermGroup, ...], hall_members: Tuple[FrozenSet[int], ...],
@@ -64,6 +66,7 @@ class HallContext:
         self.hall_members = hall_members
         self.lam_values = lam_values
         self._tau: Optional[List[int]] = None
+        self._additive: Dict[FrozenSet[int], Fraction] = {}  # see verify.additive_value
 
     @property
     def num_halls(self) -> int:

@@ -198,14 +198,17 @@ def navarro_rizo_check(scenario: CoprimeActionScenario) -> NrCheckResult:
 
 
 def additive_value(ctx: HallContext, hall: Optional[PermGroup] = None) -> Fraction:
-    """The Möbius-weighted power sum (1/n^2) sum_d mu(d) sum_h lam(h^d)^(n/d).
+    """The Möbius-weighted power sum (1/n^2) sum_d mu(d) sum_h lam(h^d)^(n/d),
+    computed once per Hall subgroup and kept on the context.
 
     The callers assert that this is a non-negative integer, zero exactly when
     the Hall subgroup is normal and nontrivial.
     """
     n, (_, members) = ctx.hall_order, _require_member_hall(ctx, hall)
-    weights = dict.fromkeys(members, 1)
-    return Fraction(_moebius_power_sum(ctx.group, ctx.lam_values, weights, n), n * n)
+    if members not in ctx._additive:
+        power_sum = _moebius_power_sum(ctx.group, ctx.lam_values, dict.fromkeys(members, 1), n)
+        ctx._additive[members] = Fraction(power_sum, n * n)
+    return ctx._additive[members]
 
 
 def sym_char_sums(ctx: HallContext) -> Tuple[int, int, Fraction]:

@@ -19,6 +19,7 @@ from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context
 from hallfix import corpus as corpus_mod
 from hallfix import group as group_mod
 from hallfix import hall as hall_mod
+from hallfix import verify as verify_mod
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.groupio import parse_group_text
@@ -383,6 +384,20 @@ def test_scan_builds_one_hall_context_per_pi(capsys, monkeypatch):
     code, _, _ = run(capsys, "scan", "--group", "S4")
     assert code == 0
     assert [str(pi) for pi in calls] == ["2", "3", "2,3"]
+
+
+def test_scan_computes_the_additive_value_once_per_hall_context(capsys, monkeypatch):
+    # verify-add, sym-char and interpretation all report the additive value;
+    # its power sum over lam is evaluated once per context.
+    contexts, sums = [], []
+    build, power_sum = cli.build_hall_context, verify_mod._moebius_power_sum
+    monkeypatch.setattr(cli, "build_hall_context",
+                        lambda G, pi: contexts.append(build(G, pi)) or contexts[-1])
+    monkeypatch.setattr(verify_mod, "_moebius_power_sum",
+                        lambda G, f, *rest: sums.append(f) or power_sum(G, f, *rest))
+    code, _, _ = run(capsys, "scan", "--group", "S4")
+    assert code == 0 and len(contexts) == 3
+    assert [sum(f is ctx.lam_values for f in sums) for ctx in contexts] == [1, 1, 1]
 
 
 def test_scan_closes_each_group_once(capsys, monkeypatch):

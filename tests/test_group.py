@@ -419,21 +419,34 @@ def test_separability_computes_classes_once_per_call(groups, monkeypatch, name, 
 
 
 def test_classes_are_computed_once_per_group(monkeypatch):
-    # S3 x C5, built here so that no other test has filled its class cache.
-    # The classes take one call; each Hall context with a composite order,
-    # here {2,5} and {3,5}, takes one more for its conjugation orbit.
+    # S3 x C5, built here so that no other test has filled its caches.  The
+    # classes, and each Hall context with a composite order, here {2,5} and
+    # {3,5}, read G's conjugation rows; only the first read builds them.
     G = close([P("(1 2 3)", 8), P("(1 2)", 8), P("(4 5 6 7 8)", 8)])
-    calls = []
+    builds = []
     rows = group_mod._conjugation_rows
     monkeypatch.setattr(group_mod, "_conjugation_rows",
-                        lambda H: calls.append(H.order) or rows(H))
+                        lambda H: H._rows is None and builds.append(H.order) or rows(H))
     assert is_pi_separable(G, PiSet([2])) and is_pi_separable(G, PiSet([3]))
     for pi in (PiSet([2, 5]), PiSet([3, 5])):
         assert build_hall_context(G, pi).fixed_hall_counts()[G.identity] >= 1
-    assert calls == [30, 30, 30]
+    assert builds == [30]
+    assert group_mod._conjugation_rows(G) is group_mod._conjugation_rows(G)
     assert conjugacy_classes(G) is conjugacy_classes(G)
     with pytest.raises(AttributeError, match="immutable"):
         G._classes = None
+
+
+def test_element_orders_take_one_order_per_class(monkeypatch):
+    # A7 has 9 conjugacy classes; its 2520 element orders are read off them.
+    A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
+    calls = []
+    order = Permutation.order
+    monkeypatch.setattr(Permutation, "order", lambda g: calls.append(1) or order(g))
+    orders = A7.element_orders()
+    assert len(calls) == len(conjugacy_classes(A7)) == 9
+    monkeypatch.undo()
+    assert orders == tuple(g.order() for g in A7.elements)
 
 
 def test_separability_matches_the_quotient_tower(groups):

@@ -39,10 +39,13 @@ def test_order_and_solvability_agree_with_sympy(gens):
 @given(generating_sets())
 def test_power_walks_and_classes_agree_with_sympy(gens):
     # Powers read off the cached cyclic walks against Permutation.__pow__,
-    # for every exponent up to ord(x) + 1 and one far past it; the class
-    # sizes against sympy's conjugacy classes.
+    # for every exponent up to ord(x) + 1 and one far past it; the element
+    # orders, read per class, against sympy's order of each element; the
+    # class sizes against sympy's conjugacy classes.
     G = close([Permutation(g) for g in gens])
+    orders = G.element_orders()
     for i, x in enumerate(G.elements):
+        assert orders[i] == SympyPermutation([v - 1 for v in x.images]).order(), x
         for d in [*range(x.order() + 2), 10**6 + 7]:
             assert G.elements[G.power_index(i, d)] == x**d, (x, d)
     S = PermutationGroup([SympyPermutation([i - 1 for i in g]) for g in gens])
