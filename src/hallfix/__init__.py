@@ -20,12 +20,9 @@ from .hall import (CyclicLattice, HallContext, NoHallSubgroupError,
                    pi_part)
 from .perm import (Permutation, PermParseError, format_permutation,
                    parse_permutation)
-from .verify import (CharacterTable, CoprimeActionScenario, NrCheckResult,
-                     SymCharSpec, WielandtResult, additive_value,
-                     burnside_orbit_count, conjugation_character, curiosity_value,
-                     cyclic_symmetrized_char, interpretation_check,
-                     multiplicative_value, navarro_rizo_check,
-                     power_product_pair, power_sum_bound_holds, power_subgroup,
-                     symmetrized_char, wielandt_check)
+from .verify import (CoprimeActionScenario, NrCheckResult, WielandtResult,
+                     additive_value, curiosity_value, interpretation_check,
+                     multiplicative_value, navarro_rizo_check, power_product_pair,
+                     power_sum_bound_holds, wielandt_check)
 
 __version__ = "0.1.0"

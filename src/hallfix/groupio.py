@@ -13,6 +13,11 @@ from typing import List, Sequence, Tuple
 
 from .perm import Permutation, format_permutation, parse_permutation
 
+#: Largest degree a group file may declare.  Each element is an image tuple of
+#: this length, so a group of this degree at the default element cap keeps
+#: about 10^7 points; the degree is refused before any tuple is built.
+MAX_DEGREE = 1000
+
 
 class GroupFileError(ValueError):
     """Raised for malformed group files."""
@@ -36,6 +41,9 @@ def parse_group_text(text: str) -> Tuple[int, List[Permutation]]:
                 raise GroupFileError(f"line {lineno}: bad degree {value!r}") from None
             if degree < 1:
                 raise GroupFileError(f"line {lineno}: degree must be positive")
+            if degree > MAX_DEGREE:
+                raise GroupFileError(
+                    f"line {lineno}: degree {degree} is over the limit {MAX_DEGREE}")
         elif line.startswith("gen:"):
             if degree is None:
                 raise GroupFileError(f"line {lineno}: gen before degree")

@@ -49,8 +49,7 @@ class HallContext:
     pi-element ``elements[i]`` (None off the pi-elements), and ``tau_values[i]``
     the number that ``elements[i]`` normalizes; the two agree on pi-elements.
     ``hall_members[k]`` is the element-index set of ``halls[k]``.  The
-    element-keyed ``lam``, ``lam_of`` and ``fixed_hall_counts`` are built on
-    request.
+    element-keyed ``lam`` and ``lam_of`` are built on request.
     """
 
     __slots__ = ("group", "pi", "hall_order", "halls", "hall_members", "lam_values", "_tau",
@@ -107,10 +106,6 @@ class HallContext:
                     tau[index[x.images]] = count
             self._tau = tau
         return self._tau
-
-    def fixed_hall_counts(self) -> Dict[Permutation, int]:
-        """tau keyed by element."""
-        return dict(zip(self.group.elements, self.tau_values))
 
 
 def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:

@@ -8,7 +8,7 @@ g(h(p))``, i.e. the right factor acts first.
 from __future__ import annotations
 
 from math import lcm
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 
 class PermParseError(ValueError):
@@ -91,13 +91,6 @@ class Permutation:
     def cycles(self) -> List[Tuple[int, ...]]:
         """Nontrivial cycles in canonical form (sorted by least moved point)."""
         return [c for c in self._orbits() if len(c) > 1]
-
-    def cycle_counts(self) -> Dict[int, int]:
-        """Map cycle length -> count, counting fixed points as 1-cycles."""
-        counts: Dict[int, int] = {}
-        for c in self._orbits():
-            counts[len(c)] = counts.get(len(c), 0) + 1
-        return counts
 
     def order(self) -> int:
         """Least k >= 1 with self**k == identity: the lcm of the cycle lengths."""

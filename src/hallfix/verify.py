@@ -3,12 +3,14 @@
 One entry point per identity: the Möbius-weighted multiplicative product over
 a Hall subgroup, the Navarro-Rizo fixed-point equation for coprime p-group
 actions (in cleared-exponent form), the additive non-negativity statement,
-Wielandt's centralizer product, the symmetrized character construction, the
-Burnside orbit-count interpretation, and the supporting power-sum inequality.
-All arithmetic is exact: factored rationals for products, arbitrary-precision
-Fractions for sums.  The Hall-context verifiers read lam and tau on element
-indices and take powers x^d with PermGroup.power_index; a sum over G of a
-class function is a class sum, sum over classes C of |C| * f(C^d).
+Wielandt's centralizer product, the sums behind the symmetrized conjugation
+character, the Burnside orbit-count interpretation, and the supporting
+power-sum inequality.  All arithmetic is exact: factored rationals for
+products, arbitrary-precision Fractions for sums.  Every Hall-context
+verifier reads lam and tau on element indices and takes powers x^d with
+PermGroup.power_index; a sum over G of a class function is a class sum,
+sum over classes C of |C| * f(C^d).  The tests keep the references on
+Permutations.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from math import gcd, log10, prod
 from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, divisors, moebius, prime_divisors, radical
-from .group import PermGroup, centralizer, conjugacy_classes, group_from_elements
+from .group import PermGroup, centralizer, conjugacy_classes
 from .hall import HallContext, build_hall_context, cyclic_lattice
-from .perm import Permutation
 
 #: Most decimal digits of a curiosity power sum (Python's int-to-str default).
 CURIOSITY_MAX_DIGITS = 4300
@@ -48,52 +49,6 @@ class CoprimeActionScenario:
         # |N ∩ H| divides both |N| and |H|, so coprime orders force N ∩ H = 1.
         if gcd(N.order, H.order) != 1:
             raise ValueError("the action is not coprime: gcd(|N|, |H|) != 1")
-
-
-class CharacterTable:
-    """An exact rational class function on a group, with chi(1) >= 1."""
-
-    __slots__ = ("group", "values")
-
-    def __init__(self, group: PermGroup, values: Mapping[Permutation, "Fraction | int"],
-                 *, validate: bool = True) -> None:
-        self.group = group
-        self.values = {g: Fraction(v) for g, v in values.items()}
-        if validate:
-            missing = [g for g in group.elements if g not in self.values]
-            if missing:
-                raise ValueError(f"character table is missing {len(missing)} elements")
-            if self.values[group.identity] < 1:
-                raise ValueError("character value at the identity must be >= 1")
-            for cls in conjugacy_classes(group):
-                vals = {self.values[x] for x in cls}
-                if len(vals) > 1:
-                    raise ValueError("character table is not constant on a conjugacy class")
-
-    def __call__(self, g: Permutation) -> Fraction:
-        return self.values[g]
-
-
-class SymCharSpec:
-    """A permutation group A on n slots plus a rational class function on A."""
-
-    __slots__ = ("slots_group", "alpha", "n", "cycle_counts")
-
-    def __init__(self, slots_group: PermGroup,
-                 alpha: Mapping[Permutation, "Fraction | int"]) -> None:
-        self.slots_group = slots_group
-        self.n = slots_group.degree
-        self.alpha = {a: Fraction(v) for a, v in alpha.items()}
-        for a in slots_group.elements:
-            if a not in self.alpha:
-                raise ValueError("alpha is not total on the slot group")
-        for cls in conjugacy_classes(slots_group):
-            if len({self.alpha[a] for a in cls}) > 1:
-                raise ValueError("alpha is not a class function")
-        self.cycle_counts = {a: a.cycle_counts() for a in slots_group.elements}
-        for a, counts in self.cycle_counts.items():
-            if sum(i * c for i, c in counts.items()) != self.n:
-                raise AssertionError("cycle counts do not partition the slots")
 
 
 def _require_member_hall(ctx: HallContext,
@@ -213,7 +168,8 @@ def additive_value(ctx: HallContext, hall: Optional[PermGroup] = None) -> Fracti
 
 def sym_char_sums(ctx: HallContext) -> Tuple[int, int, Fraction]:
     """S = sum over G of tau(g)^2 and T of tau(g^2), as class sums, and the mean
-    of cyclic_symmetrized_char(tau, n, h) over the canonical Hall subgroup."""
+    over the canonical Hall subgroup of the cyclic symmetrization of tau,
+    (1/n) sum over d | n of mu(d) * tau(h^d)^(n/d)."""
     G, tau, n = ctx.group, ctx.tau_values, ctx.hall_order
     weights, hall = _class_weights(G), dict.fromkeys(ctx.hall_members[0], 1)
     return (_power_sum(G, tau, weights, 1, 2), _power_sum(G, tau, weights, 2, 1),
@@ -263,66 +219,6 @@ def wielandt_check(scenario: CoprimeActionScenario) -> WielandtResult:
     return WielandtResult(lhs, rhs)
 
 
-def symmetrized_char(spec: SymCharSpec, chi: CharacterTable,
-                     h: Permutation) -> Fraction:
-    """The cycle-indexed symmetrization of chi at h.
-
-    (1/|A|) sum over a in A of alpha(a) * prod_i chi(h^i)^(c_i(a)), where
-    c_i(a) counts length-i cycles of a on the slots.
-    """
-    if h not in chi.group:
-        raise ValueError("h is not in the character's group")
-    A = spec.slots_group
-    powers = {i: chi(h**i) for i in range(1, spec.n + 1)}
-    total = Fraction(0)
-    for a in A.elements:
-        term = spec.alpha[a]
-        for i, c in spec.cycle_counts[a].items():
-            term *= powers[i] ** c
-        total += term
-    return total / A.order
-
-
-def cyclic_symmetrized_char(chi: CharacterTable, n: int, h: Permutation) -> Fraction:
-    """Specialization for a full n-cycle slot group with a faithful weight.
-
-    (1/n) sum over d | n of mu(d) * chi(h^d)^(n/d); the per-divisor weight
-    collapses to the Möbius function.
-    """
-    if h not in chi.group:
-        raise ValueError("h is not in the character's group")
-    return sum(moebius(d) * chi(h**d) ** (n // d) for d in filter(moebius, divisors(n))) / n
-
-
-def burnside_orbit_count(H: PermGroup, fixed: Mapping[Permutation, int], k: int,
-                         tuple_cap: Optional[int] = 10**7) -> int:
-    """Orbits of H on k-tuples under the diagonal action, via fixed-point powers.
-
-    ``fixed[h]`` is the number of points h fixes, so ``fixed[H.identity]`` is
-    the number of points.  The count is (1/|H|) * sum over h of
-    fixed[h]^k; no tuples are enumerated, but the nominal tuple-space size
-    is still capped unless ``tuple_cap`` is None.
-    """
-    if k < 1:
-        raise ValueError("tuple length must be positive")
-    size = fixed[H.identity] ** k
-    if tuple_cap is not None and size > tuple_cap:
-        raise ValueError(f"tuple space of size {size} exceeds the cap {tuple_cap}")
-    total = 0
-    for h in H.elements:
-        total += fixed[h] ** k
-    if total % H.order:
-        raise AssertionError("Burnside sum is not divisible by |H|")
-    return total // H.order
-
-
-def power_subgroup(H: PermGroup, d: int) -> PermGroup:
-    """The subgroup of d-th powers of an abelian group."""
-    if not H.is_abelian():
-        raise ValueError("power subgroups are only formed for abelian groups")
-    return group_from_elements(H.degree, {h**d for h in H.elements})
-
-
 def interpretation_check(ctx: HallContext, hall: Optional[PermGroup] = None) -> bool:
     """Orbit-count decomposition of the additive value for an abelian Hall subgroup.
 
@@ -351,11 +247,6 @@ def power_sum_bound_holds(base: int, n: int) -> bool:
         raise ValueError("the bound is only claimed for base >= 3 and n >= 2")
     tail = sum(base ** (n // d) for d in divisors(n) if d != 1)
     return n * tail < base**n
-
-
-def conjugation_character(ctx: HallContext) -> CharacterTable:
-    """Fixed-Hall counts as a character of the full group."""
-    return CharacterTable(ctx.group, ctx.fixed_hall_counts(), validate=False)
 
 
 def curiosity_value(G: PermGroup, target_pi: PiSet,

@@ -5,6 +5,7 @@ These are brute-force oracles on permutations; the package does not use them.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -135,10 +136,9 @@ def is_pi_separable_direct(G, pi):
                if is_pi(N.order, pi) or is_pi_prime(N.order, pi))
 
 
-# The verifiers' product references on permutations: powers are x**d, and lam
-# is the element-keyed ctx.lam.  The sums' references are the package's own
-# Permutation-level cyclic_symmetrized_char, burnside_orbit_count and
-# power_subgroup, which the tests call directly.
+# The verifiers' references on permutations: powers are x**d, and lam and tau
+# are dicts keyed by element (ctx.lam and tau_by_element).  A character chi
+# and a slot weight alpha are plain dicts keyed by Permutation.
 
 def multiplicative_value_direct(ctx, use_radical=False):
     """prod over d | n and x in H of lam(x^d)^((n/d) mu(d)), one factor at a time."""
@@ -156,3 +156,39 @@ def power_product_pair_direct(ctx, p):
         left *= lam[x**p]
         right *= lam[x] ** p
     return left, right
+
+
+def tau_by_element(ctx):
+    """tau, the number of Hall subgroups each element normalizes, keyed by element."""
+    return dict(zip(ctx.group.elements, ctx.tau_values))
+
+
+def cyclic_symmetrized(chi, n, h):
+    """(1/n) sum over d | n of mu(d) * chi(h^d)^(n/d)."""
+    return Fraction(sum(moebius(d) * chi[h**d] ** (n // d) for d in divisors(n) if moebius(d)), n)
+
+
+def symmetrized(alpha, chi, h):
+    """(1/|A|) sum over a in A of alpha(a) * prod_i chi(h^i)^(c_i(a)), where A is
+    the slot group alpha is defined on and c_i(a) counts a's length-i cycles."""
+    total = 0
+    for a, weight in alpha.items():
+        lengths = [len(c) for c in a.cycles()]
+        term = weight * chi[h] ** (a.degree - sum(lengths))
+        for i in lengths:
+            term *= chi[h**i]
+        total += term
+    return Fraction(total, len(alpha))
+
+
+def burnside_orbit_count(H, fixed, k):
+    """Orbits of H on k-tuples under the diagonal action, (1/|H|) sum over h of
+    fixed[h]^k, where fixed[h] is the number of points h fixes."""
+    total = sum(fixed[h] ** k for h in H.elements)
+    assert total % H.order == 0, "Burnside sum is not divisible by |H|"
+    return total // H.order
+
+
+def power_subgroup(H, d):
+    """The subgroup of d-th powers of an abelian group."""
+    return group_from_elements(H.degree, {h**d for h in H.elements})

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context, cli,
                      close, corpus_entries, get_entry, is_pi_separable)
@@ -22,7 +26,7 @@ from hallfix import hall as hall_mod
 from hallfix import verify as verify_mod
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
-from hallfix.groupio import parse_group_text
+from hallfix.groupio import format_group_text, parse_group_text
 from hallfix.reports import FAIL, PASS
 from oracles import proper_prime_sets, s5_subgroup_classes
 
@@ -284,6 +288,14 @@ def test_group_file_non_ascii_is_input_error(capsys, tmp_path):
     assert "can't decode byte 0xc3" in err and err.count("\n") == 1
 
 
+def test_group_file_degree_over_the_limit_is_input_error(capsys, tmp_path):
+    path = tmp_path / "g.grp"
+    path.write_text("degree: 100000000\ngen: (1 2 3)\ngen: (1 2)\n")
+    code, out, err = run(capsys, "verify-add", "--file", str(path), "--pi", "2")
+    assert code == 2 and out == ""
+    assert err == "error: line 1: degree 100000000 is over the limit 1000\n"
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     # Exit 1 means a violated identity; a crash must not look like one.
     def broken(G, pi):
@@ -480,3 +492,47 @@ def test_module_entry_point_matches_main(capsys):
     assert proc.returncode == code == 0
     assert proc.stderr == ""
     assert proc.stdout == out
+
+
+#: The input errors that a group file of degree <= 7 and a set of primes can meet.
+_NAMED_ERROR = re.compile(
+    r"error: (group of order \d+ has no Hall subgroup for pi=\{[\d,]+\} \(no subgroup "
+    r"of order \d+\)|the power sum for n=\d+ has about \d+ digits, over the limit 4300)\n")
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=True), st.sets(st.sampled_from([2, 3, 5, 7]), min_size=1),
+       st.sampled_from(("lambda", *cli.HALL_CHECKS, "curiosity")))
+def test_random_group_files_exit_0_or_2_with_a_named_error(tmp_path_factory, rng, pi, command):
+    # Off the corpus no check can FAIL (that would contradict a theorem) and
+    # nothing may crash: the exit code is 0, or 2 with one named error line,
+    # and the text and JSON reports agree.  Uniform random generators reach
+    # the non-solvable groups, where Hall subgroups can be missing.
+    degree = rng.randint(1, 7)
+    gens = [Permutation(rng.sample(range(1, degree + 1), degree))
+            for _ in range(rng.randint(1, 3))]
+    path = tmp_path_factory.mktemp("random") / "g.grp"
+    path.write_text(format_group_text(degree, gens))
+    argv = [command, "--file", str(path), "--pi", ",".join(map(str, sorted(pi)))]
+    code, text, err = _main_output(argv)
+    json_code, as_json, json_err = _main_output(argv + ["--json"])
+    assert (code, err) == (json_code, json_err)
+    if code == 2:
+        assert _NAMED_ERROR.fullmatch(err) and text == as_json == "", err
+        return
+    assert code == 0 and err == "", err
+    records = json.loads(as_json)
+    if command == "lambda":
+        assert text.splitlines() == [f"element {r['element']} order {r['order']} "
+                                     f"lambda {r['lambda']}" for r in records]
+    elif command == "curiosity":
+        assert records[0]["witness"].startswith(f"value {text.strip()}")
+    else:
+        assert re.findall(r"pi=\S+ +(\w+)", text) == [r["status"] for r in records]

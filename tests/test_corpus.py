@@ -8,7 +8,8 @@ from hallfix import (Permutation, UnknownGroupError,
                      build_hall_context, close, corpus_entries, format_group_text,
                      get_entry, is_pi_separable, load_group,
                      load_scenario, parse_group_text)
-from hallfix.groupio import GroupFileError, read_group_file
+from hallfix import groupio
+from hallfix.groupio import MAX_DEGREE, GroupFileError, read_group_file
 from oracles import is_solvable
 
 
@@ -164,6 +165,23 @@ def test_group_file_errors(tmp_path):
     bad.write_text("degree: x\ngen: (1 2)\n")
     with pytest.raises(GroupFileError, match="bad degree"):
         read_group_file(bad)
+
+
+def test_degree_over_the_limit_is_refused_before_any_tuple(monkeypatch):
+    def no_tuples(spec, degree):
+        raise AssertionError("a permutation was parsed")
+
+    monkeypatch.setattr(groupio, "parse_permutation", no_tuples)
+    for degree in (MAX_DEGREE + 1, 10**8):
+        with pytest.raises(GroupFileError, match=f"line 2: degree {degree} is over the limit"):
+            parse_group_text(f"# S3\ndegree: {degree}\ngen: (1 2 3)\ngen: (1 2)\n")
+
+
+def test_small_group_at_the_degree_limit_parses():
+    assert max(parse_group_text(entry.text)[0] for entry in corpus_entries()) < MAX_DEGREE
+    degree, gens = parse_group_text(f"degree: {MAX_DEGREE}\ngen: (1 2 3)\ngen: (1 2)\n")
+    assert degree == MAX_DEGREE
+    assert close(gens, degree=degree).order == 6
 
 
 def test_canonical_printing_is_bit_exact():

@@ -14,7 +14,7 @@ from hallfix import (NoHallSubgroupError, PiSet, build_hall_context, close,
 from hallfix.arith import prime_divisors
 from hallfix.group import conjugacy_classes
 from hallfix.hall import lambda_report_lines, lambda_report_records
-from oracles import conjugated_by, conjugates
+from oracles import conjugated_by, conjugates, tau_by_element
 
 
 def test_pi_part_examples():
@@ -108,7 +108,7 @@ def test_burnside_cross_check_of_lambda_sum(hall_ctx):
     # sum of lam over H equals |H| times the orbit count of H on the halls.
     for name, pi_text in (("A5", "2"), ("S4", "2"), ("F21", "3"), ("A4", "3")):
         ctx = hall_ctx(name, pi_text)
-        tau = ctx.fixed_hall_counts()
+        tau = tau_by_element(ctx)
         for H in ctx.halls:
             total = sum(ctx.lam_of(h) for h in H.elements)
             fixed = sum(tau[h] for h in H.elements)
@@ -264,7 +264,7 @@ def test_lambda_report_formats(hall_ctx):
 def test_conjugation_action_respects_classes(hall_ctx):
     # tau is a class function: fixed-hall counts are constant on classes.
     ctx = hall_ctx("GL(3,2)", "2")
-    tau = ctx.fixed_hall_counts()
+    tau = tau_by_element(ctx)
     for cls in conjugacy_classes(ctx.group):
         assert len({tau[x] for x in cls}) == 1
 
@@ -282,7 +282,7 @@ def test_conjugation_action_matches_elementwise_oracle(groups, hall_ctx):
                 continue
             if ctx.num_halls < 2:
                 continue
-            tau = ctx.fixed_hall_counts()
+            tau = tau_by_element(ctx)
             for g in G.elements:
                 expected = sum(conjugated_by(K, g).element_set() == K.element_set()
                                for K in ctx.halls)

@@ -121,13 +121,6 @@ def test_order_matches_repeated_products():
             assert g.order() == k, images
 
 
-def test_cycle_counts_partition_degree():
-    g = parse_permutation("(1 2 3)(4 5)", 7)
-    counts = g.cycle_counts()
-    assert counts == {3: 1, 2: 1, 1: 2}
-    assert sum(i * c for i, c in counts.items()) == 7
-
-
 def test_bijection_validation():
     with pytest.raises(ValueError, match="bijection"):
         Permutation([1, 1, 3])

@@ -15,7 +15,8 @@ from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context
                      centralizer, close, is_pi_separable, pi_part, subgroups_of_order)
 from hallfix.arith import prime_divisors  # noqa: E402
 from hallfix.group import conjugacy_classes  # noqa: E402
-from oracles import conjugated_by, is_pi_separable_direct, is_solvable  # noqa: E402
+from oracles import (conjugated_by, is_pi_separable_direct, is_solvable,  # noqa: E402
+                     tau_by_element)
 
 
 @st.composite
@@ -76,7 +77,7 @@ def test_separability_and_tau_agree_with_the_oracles(gens, data):
         return
     assert ([K.element_set() for K in ctx.halls]
             == [K.element_set() for K in subgroups_of_order(G, ctx.hall_order)])
-    tau = ctx.fixed_hall_counts()
+    tau = tau_by_element(ctx)
     for g in G.elements:
         assert tau[g] == sum(conjugated_by(K, g).element_set() == K.element_set()
                              for K in ctx.halls)

@@ -8,20 +8,19 @@ from math import gcd
 
 import pytest
 
-from hallfix import (CharacterTable, CoprimeActionScenario, FactoredRational, FiniteAction,
-                     NoHallSubgroupError, PiSet, SymCharSpec, additive_value,
-                     build_hall_context, burnside_orbit_count, centralizer, close,
-                     conjugation_character, core_pi_complement, corpus_entries,
-                     curiosity_value, cyclic_lattice, cyclic_symmetrized_char, divisors,
-                     get_entry, interpretation_check, load_scenario, moebius, multiplicative_value,
-                     navarro_rizo_check, parse_permutation, power_product_pair,
-                     power_sum_bound_holds, power_subgroup, subgroups_of_order,
-                     symmetrized_char, totient, trivial_group, wielandt_check)
+from hallfix import (CoprimeActionScenario, FactoredRational, FiniteAction, NoHallSubgroupError,
+                     PiSet, additive_value, build_hall_context, centralizer, close,
+                     core_pi_complement, corpus_entries, curiosity_value, cyclic_lattice,
+                     divisors, get_entry, interpretation_check, load_scenario, moebius,
+                     multiplicative_value, navarro_rizo_check, parse_permutation,
+                     power_product_pair, power_sum_bound_holds, subgroups_of_order, totient,
+                     trivial_group, wielandt_check)
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
-from oracles import (conjugate_set, conjugated_by, multiplicative_value_direct,
-                     power_product_pair_direct, proper_prime_sets, quotient_direct,
-                     s5_subgroup_classes)
+from oracles import (burnside_orbit_count, conjugate_set, conjugated_by, cyclic_symmetrized,
+                     multiplicative_value_direct, power_product_pair_direct, power_subgroup,
+                     proper_prime_sets, quotient_direct, s5_subgroup_classes, symmetrized,
+                     tau_by_element)
 
 
 def P(text, degree):
@@ -311,38 +310,35 @@ def test_chain_product_links_wielandt_to_mult(hall_ctx):
 # ---------------------------------------------------------------- sym char
 
 
-def _s2_spec(sign):
-    S2 = close([P("(1 2)", 2)])
-    ident = S2.identity
-    swap = P("(1 2)", 2)
-    alpha = {ident: 1, swap: -1 if sign else 1}
-    return SymCharSpec(S2, alpha)
+def _s2_alpha(sign):
+    """The trivial (sign False) or sign (sign True) weight on S2."""
+    return {P("()", 2): 1, P("(1 2)", 2): -1 if sign else 1}
 
 
 def test_symmetrized_char_square_identities(hall_ctx):
     for name, pi_text in (("A5", "2"), ("S4", "2"), ("F21", "3")):
         ctx = hall_ctx(name, pi_text)
-        chi = conjugation_character(ctx)
-        sym_spec, alt_spec = _s2_spec(False), _s2_spec(True)
+        chi = tau_by_element(ctx)
+        sym_alpha, alt_alpha = _s2_alpha(False), _s2_alpha(True)
         for h in ctx.group.elements:
-            sym = symmetrized_char(sym_spec, chi, h)
-            alt = symmetrized_char(alt_spec, chi, h)
-            assert alt == (chi(h) ** 2 - chi(h**2)) / 2
-            assert sym + alt == chi(h) ** 2
-            assert sym - alt == chi(h**2)
+            sym = symmetrized(sym_alpha, chi, h)
+            alt = symmetrized(alt_alpha, chi, h)
+            assert alt == Fraction(chi[h] ** 2 - chi[h**2], 2)
+            assert sym + alt == chi[h] ** 2
+            assert sym - alt == chi[h**2]
 
 
 def test_symmetrized_char_with_trivial_character(groups):
-    ones = CharacterTable(groups["S3"], {g: 1 for g in groups["S3"].elements})
+    ones = {g: 1 for g in groups["S3"].elements}
     h = groups["S3"].elements[1]
-    assert symmetrized_char(_s2_spec(False), ones, h) == 1
-    assert symmetrized_char(_s2_spec(True), ones, h) == 0
+    assert symmetrized(_s2_alpha(False), ones, h) == 1
+    assert symmetrized(_s2_alpha(True), ones, h) == 0
 
 
 def test_cyclic_symmetrized_char_of_constant_one(groups):
-    ones = CharacterTable(groups["S4"], {g: 1 for g in groups["S4"].elements})
+    ones = {g: 1 for g in groups["S4"].elements}
     for n in (2, 3, 4, 6, 12):
-        assert all(cyclic_symmetrized_char(ones, n, h) == 0
+        assert all(cyclic_symmetrized(ones, n, h) == 0
                    for h in groups["S4"].elements)
 
 
@@ -357,8 +353,7 @@ def _irreducible_cubics_over_f2():
 
 def test_cyclic_symmetrized_char_counts_irreducible_cubics():
     one_point = trivial_group(1)
-    chi = CharacterTable(one_point, {one_point.identity: 2})
-    value = cyclic_symmetrized_char(chi, 3, one_point.identity)
+    value = cyclic_symmetrized({one_point.identity: 2}, 3, one_point.identity)
     assert value == 2
     assert value == _irreducible_cubics_over_f2()
 
@@ -366,28 +361,11 @@ def test_cyclic_symmetrized_char_counts_irreducible_cubics():
 def test_cyclic_symmetrized_char_average_is_additive_value(hall_ctx):
     for name, pi_text in (("A5", "2"), ("S4", "2"), ("F21", "3"), ("F42", "2,3")):
         ctx = hall_ctx(name, pi_text)
-        chi = conjugation_character(ctx)
+        chi = tau_by_element(ctx)
         H = ctx.canonical_hall
-        avg = sum((cyclic_symmetrized_char(chi, ctx.hall_order, h)
+        avg = sum((cyclic_symmetrized(chi, ctx.hall_order, h)
                    for h in H.elements), Fraction(0)) / H.order
         assert avg == additive_value(ctx)
-
-
-def test_sym_char_spec_validation(groups):
-    S3 = groups["S3"]
-    with pytest.raises(ValueError, match="class function"):
-        SymCharSpec(S3, {g: i for i, g in enumerate(S3.elements)})
-    with pytest.raises(ValueError, match="total"):
-        SymCharSpec(S3, {S3.identity: 1})
-
-
-def test_character_table_validation(groups):
-    S3 = groups["S3"]
-    with pytest.raises(ValueError, match="conjugacy class"):
-        CharacterTable(S3, {g: (2 if g == P("(1 2)", 3) else 1)
-                            for g in S3.elements})
-    with pytest.raises(ValueError, match="identity"):
-        CharacterTable(S3, {g: 0 for g in S3.elements})
 
 
 # ---------------------------------------------------------------- Burnside
@@ -418,7 +396,7 @@ def _orbit_count_by_enumeration(action, H, k):
 def test_burnside_orbit_count_157(hall_ctx):
     ctx = hall_ctx("A5", "2")
     H, G, halls = ctx.canonical_hall, ctx.group, ctx.halls
-    count = burnside_orbit_count(H, ctx.fixed_hall_counts(), 4)
+    count = burnside_orbit_count(H, tau_by_element(ctx), 4)
     assert count == 157
     by_set = {K.element_set(): i for i, K in enumerate(halls)}
     action = FiniteAction.build(
@@ -428,21 +406,13 @@ def test_burnside_orbit_count_157(hall_ctx):
 
 def test_burnside_transitive_single_orbit(hall_ctx):
     ctx = hall_ctx("A5", "2")
-    assert burnside_orbit_count(ctx.group, ctx.fixed_hall_counts(), 1) == 1
+    assert burnside_orbit_count(ctx.group, tau_by_element(ctx), 1) == 1
 
 
 def test_burnside_trivial_group_counts_tuples(hall_ctx):
     ctx = hall_ctx("A5", "2")
-    tau = ctx.fixed_hall_counts()
+    tau = tau_by_element(ctx)
     assert burnside_orbit_count(trivial_group(5), tau, 3) == 125
-
-
-def test_burnside_tuple_cap(hall_ctx):
-    ctx = hall_ctx("A5", "2")
-    tau = ctx.fixed_hall_counts()
-    with pytest.raises(ValueError, match="exceeds the cap"):
-        burnside_orbit_count(ctx.group, tau, 11)
-    assert burnside_orbit_count(ctx.group, tau, 11, tuple_cap=None) > 0
 
 
 # ---------------------------------------------------------------- interpretation
@@ -450,7 +420,7 @@ def test_burnside_tuple_cap(hall_ctx):
 
 def test_interpretation_a5(hall_ctx):
     ctx = hall_ctx("A5", "2")
-    tau = ctx.fixed_hall_counts()
+    tau = tau_by_element(ctx)
     H = ctx.canonical_hall
     f4 = burnside_orbit_count(H, tau, 4)
     f2 = burnside_orbit_count(power_subgroup(H, 2), tau, 2)
@@ -511,7 +481,7 @@ def test_curiosity_value_matches_reference(groups):
 def test_curiosity_tau_degree_is_ten(hall_ctx):
     ctx = hall_ctx("A5", "3")
     assert ctx.num_halls == 10
-    assert ctx.fixed_hall_counts()[ctx.group.identity] == 10
+    assert tau_by_element(ctx)[ctx.group.identity] == 10
 
 
 def test_curiosity_trivial_group():
@@ -551,8 +521,8 @@ def test_lambda_factors_through_pi_prime_core(groups, hall_ctx):
 def test_index_path_matches_permutation_oracles(groups):
     # The verifiers take powers on element indices and read lam and tau as
     # lists.  The references take x**d on permutations and read the
-    # element-keyed lam and tau: the oracles' products, and the package's own
-    # cyclic_symmetrized_char, burnside_orbit_count and power_subgroup.
+    # element-keyed lam and tau: the oracles' products, cyclic symmetrizations,
+    # Burnside orbit counts and power subgroups.
     cases = [(e.name, groups[e.name], pi) for e in corpus_entries() for pi in e.check_pis]
     cases += [("S5 class", H, pi) for H in s5_subgroup_classes()[1]
               for pi in proper_prime_sets(H)]
@@ -569,26 +539,26 @@ def test_index_path_matches_permutation_oracles(groups):
         for p in pi:
             assert power_product_pair(ctx, p) == power_product_pair_direct(ctx, p), where
         # The additive value is the mean over H of the cyclic symmetrization of lam.
-        lam = CharacterTable(G, ctx.lam, validate=False)
-        additive = sum((cyclic_symmetrized_char(lam, n, h) for h in H.elements),
+        lam = ctx.lam
+        additive = sum((cyclic_symmetrized(lam, n, h) for h in H.elements),
                        Fraction(0)) / n
         assert additive_value(ctx) == additive, where
-        tau, chi = ctx.fixed_hall_counts(), conjugation_character(ctx)
+        tau = tau_by_element(ctx)
         S = sum(t * t for t in tau.values())
         T = sum(tau[g * g] for g in G.elements)
-        averaged = sum((cyclic_symmetrized_char(chi, n, h) for h in H.elements),
+        averaged = sum((cyclic_symmetrized(tau, n, h) for h in H.elements),
                        Fraction(0)) / H.order
         assert sym_char_sums(ctx) == (S, T, averaged), where
         # The curiosity value is the same mean over all of G, with n = |G| up
         # to S5's order; the larger groups' sums take seconds.
         m = min(G.order, 120)
-        curiosity = sum((cyclic_symmetrized_char(chi, m, g) for g in G.elements),
+        curiosity = sum((cyclic_symmetrized(tau, m, g) for g in G.elements),
                         Fraction(0)) / m
         assert curiosity_value(G, pi, m) == curiosity, where
         if H.is_abelian():
             abelian += 1
             orbits = sum((Fraction(moebius(d) * burnside_orbit_count(
-                power_subgroup(H, d), tau, n // d, tuple_cap=None), n)
+                power_subgroup(H, d), tau, n // d), n)
                 for d in divisors(n) if moebius(d)), Fraction(0))
             assert orbits == additive and interpretation_check(ctx), where
             for d in divisors(n):
