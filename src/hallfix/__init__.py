@@ -15,9 +15,8 @@ from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
                     core_pi_complement, is_pi_separable, subgroups_of_order,
                     trivial_group)
 from .groupio import GroupFileError, format_group_text, parse_group_text
-from .hall import (CyclicLattice, HallContext, NoHallSubgroupError,
-                   build_hall_context, cyclic_lattice, moebius_partition_check,
-                   pi_part)
+from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
+                   cyclic_lattice, moebius_partition_check, pi_part)
 from .perm import (Permutation, PermParseError, format_permutation,
                    parse_permutation)
 from .verify import (CoprimeActionScenario, NrCheckResult, WielandtResult,

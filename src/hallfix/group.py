@@ -3,6 +3,11 @@
 Groups are closed exhaustively (no stabilizer chains): every structural query
 below walks the complete element list, which keeps all results auditable at
 desk scale.  Closure refuses groups larger than a configurable cap.
+
+``close`` only closes input generators.  Every subgroup of a closed group
+(a search hit, a pi-core, a centralizer) is grown on that group's element
+indices by one routine, ``_grow``, Dimino's method from a subgroup, as an
+(element-index set, generator indices) pair that becomes a PermGroup once.
 """
 
 from __future__ import annotations
@@ -95,8 +100,13 @@ class PermGroup:
         return self._orders
 
     def power_index(self, i: int, d: int) -> int:
-        """Index of ``elements[i] ** d``, read off the walk x^0, x^1, ... of <x>
-        for x = elements[i], made on the first call for i and kept."""
+        """Index of ``elements[i] ** d``, read off :meth:`power_walk`."""
+        walk = self._walks.get(i) or self.power_walk(i)
+        return walk[d % len(walk)]
+
+    def power_walk(self, i: int) -> List[int]:
+        """The indices of x^0, x^1, ..., x^(k-1) for x = elements[i] of order k,
+        so the element indices of <x>; made on the first call for i and kept."""
         walk = self._walks.get(i)
         if walk is None:
             index, y = self._ensure_index(), self.elements[i].images
@@ -105,7 +115,7 @@ class PermGroup:
                 walk.append(j)
                 y = times_x(y)
             self._walks[i] = walk
-        return walk[d % len(walk)]
+        return walk
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PermGroup) and self.degree == other.degree
@@ -174,23 +184,51 @@ def trivial_group(degree: int) -> PermGroup:
     return PermGroup(degree, [ident], [ident])
 
 
-def group_from_elements(degree: int, elements: Iterable[Permutation]) -> PermGroup:
-    """Wrap an already-closed element set, picking a small generating set greedily."""
-    elems = sorted(set(elements), key=attrgetter("images"))
-    gens: List[Permutation] = []
-    span = trivial_group(degree)
-    try:
-        for g in elems:
-            if g not in span:
-                gens.append(g)
-                span = close(gens, cap=len(elems))
-                if span.order == len(elems):
-                    break
-    except CapExceededError:
-        pass
-    if span.elements != tuple(elems):
-        raise ValueError("element set is not closed under the group operation")
-    return PermGroup(degree, gens or span.generators, elems)
+_Found = Tuple[FrozenSet[int], Tuple[int, ...]]
+_TRIVIAL: _Found = (frozenset({0}), ())
+
+
+def _grow(index: Dict[Tuple[int, ...], int], images: Sequence[Tuple[int, ...]],
+          S: FrozenSet[int], moves: Sequence[Callable], limit: int,
+          least: int = 0) -> Optional[FrozenSet[int]]:
+    """Dimino's step on the element indices of a closed group, given by its
+    ``index`` and ``images``: the subgroup <S, moves>, grown from the subgroup
+    S by right cosets S y, y = r * g for a coset representative r and a move
+    g, a right multiplication.  The cosets reached make up <S, moves> when S
+    is generated by some of the moves and a normal subgroup of the group,
+    which may be trivial.  None past ``limit`` elements or at a new element
+    below ``least``."""
+    seen = set(S)
+    reps = [images[0]]
+    for r in reps:
+        for times_g in moves:
+            y = times_g(r)
+            if index[y] not in seen:
+                times_y = _times(y)
+                coset = [index[times_y(images[c])] for c in S]
+                if len(seen) + len(coset) > limit or least and min(coset) < least:
+                    return None
+                seen.update(coset)
+                reps.append(y)
+    return frozenset(seen)
+
+
+def _join(index: Dict[Tuple[int, ...], int], images: Sequence[Tuple[int, ...]],
+          S: FrozenSet[int], elements: Iterable[int], limit: int) -> Optional[_Found]:
+    """Dimino's method from a subgroup S that is normal in the group, such as
+    the trivial one: <S, elements> and the elements added, in order.  Each element
+    not yet inside grows the subgroup by :func:`_grow`, moved by the elements
+    added so far.  None past ``limit`` elements."""
+    added, moves = [], []
+    for i in elements:
+        if i not in S:
+            added.append(i)
+            moves.append(_times(images[i]))
+            grown = _grow(index, images, S, moves, limit)
+            if grown is None:
+                return None
+            S = grown
+    return S, tuple(added)
 
 
 def centralizer(G: PermGroup, s: "Permutation | PermGroup") -> PermGroup:
@@ -198,19 +236,19 @@ def centralizer(G: PermGroup, s: "Permutation | PermGroup") -> PermGroup:
 
     The target only has to act on the same points, not lie inside G: the
     coprime-action checks take fixed points in a normal subgroup N of
-    elements living outside N.
+    elements living outside N.  The generators are the greedy chain of the
+    sorted elements, each one outside the subgroup the ones before generate.
     """
-    if isinstance(s, Permutation):
-        targets: Sequence[Permutation] = [s]
-        degree = s.degree
-    else:
-        targets = s.generators
-        degree = s.degree
-    if degree != G.degree:
+    if s.degree != G.degree:
         raise NotASubgroupError(
-            f"centralizer target degree {degree} != group degree {G.degree}")
-    elems = [g for g in G.elements if all(g * t == t * g for t in targets)]
-    return group_from_elements(G.degree, elems)
+            f"centralizer target degree {s.degree} != group degree {G.degree}")
+    targets = [s] if isinstance(s, Permutation) else s.generators
+    # x * t and t * x on image tuples, for each target t.
+    sides = [(_times(t.images), ((0,) + t.images).__getitem__) for t in targets]
+    index, images = G._ensure_index(), [x.images for x in G.elements]
+    members = [i for i, x in enumerate(images)
+               if all(times_t(x) == tuple(map(t_of, x)) for times_t, t_of in sides)]
+    return _sorted_subgroups(G, [_join(index, images, frozenset({0}), members, len(members))])[0]
 
 
 def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
@@ -261,18 +299,16 @@ def hall_subgroups(G: PermGroup, n: int) -> List[PermGroup]:
     return _sorted_subgroups(G, orbit.items())
 
 
-_Found = Tuple[FrozenSet[int], Tuple[int, ...]]
-
-
 def _sorted_subgroups(G: PermGroup, found: Iterable[_Found]) -> List[PermGroup]:
-    """Subgroups from (element-index set, generator indices) pairs, by fingerprint."""
+    """Subgroups from (element-index set, generator indices) pairs, by
+    fingerprint; the trivial subgroup is generated by the identity."""
     elems = G.elements
-    return sorted((PermGroup(G.degree, [elems[i] for i in gens], [elems[i] for i in sorted(S)])
+    return sorted((PermGroup(G.degree, [elems[i] for i in gens or (0,)],
+                             [elems[i] for i in sorted(S)])
                    for S, gens in found), key=PermGroup.fingerprint)
 
 
-def _subgroup_search(G: PermGroup, m: int,
-                     seed: _Found = (frozenset({0}), ())) -> Iterator[_Found]:
+def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[_Found]:
     """Yield the subgroups of order ``m`` containing the subgroup ``seed``, as
     (element-index set, generator indices) pairs in canonical chain order.
     A chain adds to the seed's generators, one at a time, the least element
@@ -283,37 +319,19 @@ def _subgroup_search(G: PermGroup, m: int,
     base, base_gens = seed
     max_gens = len(base_gens) + ceil(log2(m // len(base)))
 
-    def closure(clo: FrozenSet[int], moves: List[Callable], e: int) -> Optional[FrozenSet[int]]:
-        # <clo, e> for clo = <gens>, moves the right multiplications by gens and
-        # then e, grown from clo by right cosets clo * y, y = r * g, composed on
-        # image tuples; None past m elements or at a new element below e (not
-        # canonical).
-        seen = set(clo)
-        reps = [images[0]]
-        for r in reps:
-            for times_g in moves:
-                y = times_g(r)
-                if index[y] not in seen:
-                    times_y = _times(y)
-                    coset = [index[times_y(images[c])] for c in clo]
-                    if len(seen) + len(coset) > m or min(coset) < e:
-                        return None
-                    seen.update(coset)
-                    reps.append(y)
-        return frozenset(seen)
-
     def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> Iterator[_Found]:
         moves = [_times(images[g]) for g in gens]
         for pos in range(start, len(candidates)):
             e = candidates[pos]
             if e in clo:
                 continue
-            new = closure(clo, moves + [_times(images[e])], e)
+            # A new element below e means the chain is not canonical.
+            new = _grow(index, images, clo, moves + [_times(images[e])], m, e)
             if new is None or m % len(new):
                 continue
             if len(new) == m:
-                # Unseeded, the canonical chain is the greedy generating set
-                # that group_from_elements would pick from the sorted elements.
+                # Unseeded, the canonical chain is the greedy chain of the
+                # sorted elements, as centralizer takes it.
                 yield new, gens + (e,)
             elif len(gens) + 1 < max_gens:
                 yield from extend(new, gens + (e,), pos + 1)
@@ -364,22 +382,24 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[Permutation, ...], ...]:
     return G._classes
 
 
-def _core(G: PermGroup, keep: Callable[[int], bool], base: PermGroup) -> PermGroup:
+def _core(G: PermGroup, keep: Callable[[int], bool], base: _Found) -> _Found:
     """Largest normal subgroup M >= ``base`` whose index |M|/|base| satisfies
     the divisor-closed ``keep``, joined from ``base`` one class x^G at a time
     when <core, x^G> passes.  A class failing on its own fails in any larger
-    join, since <base, x^G> lies in it and its index divides the join's."""
-    limit = base.order * max(d for d in divisors(G.order // base.order) if keep(d))
-    core = base
+    join, since <base, x^G> lies in it and its index divides the join's.
+
+    Subgroups are (element-index set, generator indices) pairs.  A join is
+    Dimino's method from the core, which is normal in G, so only the class
+    elements move its cosets."""
+    index, images = G._ensure_index(), [x.images for x in G.elements]
+    core, gens = base
+    limit = len(core) * max(d for d in divisors(G.order // len(core)) if keep(d))
     for cls in (G._classes or conjugacy_classes(G))[1:]:
-        if cls[0] not in core:
-            try:
-                M = close(core.generators + cls, cap=limit)
-            except CapExceededError:
-                continue
-            if keep(M.order // base.order):
-                core = M
-    return core
+        if index[cls[0].images] not in core:
+            joined = _join(index, images, core, (index[x.images] for x in cls), limit)
+            if joined and keep(len(joined[0]) // len(base[0])):
+                core, gens = joined[0], gens + joined[1]
+    return core, gens
 
 
 def _pi_keeps(pi: PiSet) -> Tuple[Callable[[int], bool], Callable[[int], bool]]:
@@ -390,12 +410,12 @@ def _pi_keeps(pi: PiSet) -> Tuple[Callable[[int], bool], Callable[[int], bool]]:
 
 def core_pi(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order is supported on the primes in pi."""
-    return _core(G, _pi_keeps(pi)[0], trivial_group(G.degree))
+    return _sorted_subgroups(G, [_core(G, _pi_keeps(pi)[0], _TRIVIAL)])[0]
 
 
 def core_pi_complement(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order avoids every prime in pi."""
-    return _core(G, _pi_keeps(pi)[1], trivial_group(G.degree))
+    return _sorted_subgroups(G, [_core(G, _pi_keeps(pi)[1], _TRIVIAL)])[0]
 
 
 def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:
@@ -407,12 +427,12 @@ def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:
     pi-separable when neither core grows the last term."""
     conjugacy_classes(G)
     keeps = _pi_keeps(pi)
-    base, side, stalled = trivial_group(G.degree), 0, 0
-    while base.order < G.order and stalled < 2:
+    base, side, stalled = _TRIVIAL, 0, 0
+    while len(base[0]) < G.order and stalled < 2:
         M = _core(G, keeps[side], base)
-        stalled = stalled + 1 if M.order == base.order else 0
+        stalled = stalled + 1 if len(M[0]) == len(base[0]) else 0
         base, side = M, 1 - side
-    return base.order == G.order
+    return len(base[0]) == G.order
 
 
 class FiniteAction:

@@ -8,6 +8,8 @@ containing it.  For pi-separable groups that is the usual single class,
 which the tests check.
 lam and tau(g), the number of Hall subgroups that g normalizes, are lists
 over G's element indices; tau is a class function, counted once per class.
+The cyclic subgroups of a group are read off its power walks, each paired
+with its Möbius weight; nothing here closes a generating set.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from .arith import PiSet, moebius, prime_divisors
-from .group import PermGroup, close, conjugacy_classes, hall_subgroups
+from .arith import FactoredRational, PiSet, moebius, prime_divisors
+from .group import PermGroup, conjugacy_classes, hall_subgroups
 # Not called here: perfbench's tracer and its tests bind this name in every
 # module that imported it.
 from .group import subgroups_of_order  # noqa: F401
@@ -127,46 +129,18 @@ def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
     return HallContext(G, pi, n, tuple(halls), members, lam)
 
 
-class CyclicLattice:
-    """The poset of cyclic subgroups of a group, with its Möbius weights.
-
-    ``mu(i, j)`` is the poset Möbius value between subgroups ``i <= j``; on
-    this lattice it coincides with the number-theoretic Möbius function of
-    the index, and ``i <= j`` is decided on subgroup ``i``'s generators.
-    ``weight(i)`` is the column sum f = sum_j mu(i, j).
-    """
-
-    __slots__ = ("host", "subgroups", "_weights")
-
-    def __init__(self, host: PermGroup, subgroups: Sequence[PermGroup]) -> None:
-        self.host = host
-        self.subgroups = tuple(subgroups)
-        self._weights = [
-            sum(self.mu(i, j) for j in range(len(self.subgroups)))
-            for i in range(len(self.subgroups))
-        ]
-
-    def mu(self, i: int, j: int) -> int:
-        Zi, Zj = self.subgroups[i], self.subgroups[j]
-        return moebius(Zj.order // Zi.order) if Zi.is_subgroup_of(Zj) else 0
-
-    def weight(self, i: int) -> int:
-        return self._weights[i]
-
-    def partition_identity_holds(self) -> bool:
-        """|H| == sum over cyclic Z of |Z| * f(Z)."""
-        return self.host.order == sum(
-            Z.order * w for Z, w in zip(self.subgroups, self._weights))
-
-
-def cyclic_lattice(H: PermGroup) -> CyclicLattice:
-    """Build the cyclic-subgroup lattice of H."""
-    seen: Dict[Tuple[Tuple[int, ...], ...], PermGroup] = {}
-    for h in H.elements:
-        Z = close([h])
-        seen.setdefault(Z.fingerprint(), Z)
-    ordered = sorted(seen.values(), key=PermGroup.fingerprint)
-    return CyclicLattice(H, ordered)
+def cyclic_lattice(H: PermGroup) -> List[Tuple[PermGroup, int]]:
+    """The cyclic subgroups Z of H, sorted by fingerprint, each with its weight
+    f(Z) = sum of mu(|Z'| / |Z|) over the cyclic Z' >= Z.  On this lattice the
+    poset Möbius function is the number-theoretic one of the index.  Each <h>
+    is read off H's power walk of h and generated by its first h."""
+    found: Dict[FrozenSet[int], int] = {}
+    for i in range(H.order):
+        found.setdefault(frozenset(H.power_walk(i)), i)
+    elems = H.elements
+    return sorted(((PermGroup(H.degree, [elems[i]], [elems[j] for j in sorted(S)]),
+                    sum(moebius(len(T) // len(S)) for T in found if S <= T))
+                   for S, i in found.items()), key=lambda pair: pair[0].fingerprint())
 
 
 def moebius_partition_check(H: PermGroup, gamma: Mapping[Permutation, int]) -> bool:
@@ -176,18 +150,15 @@ def moebius_partition_check(H: PermGroup, gamma: Mapping[Permutation, int]) -> b
     subgroups Z of (product of gamma over Z) raised to the lattice weight
     f(Z), compared exactly in factored form.
     """
-    from .arith import FactoredRational
-
     lhs = FactoredRational.one()
     for x in H.elements:
         lhs = lhs.times_pow(gamma[x], 1)
-    lattice = cyclic_lattice(H)
     rhs = FactoredRational.one()
-    for i, Z in enumerate(lattice.subgroups):
+    for Z, f in cyclic_lattice(H):
         inner = FactoredRational.one()
         for z in Z.elements:
             inner = inner.times_pow(gamma[z], 1)
-        rhs = rhs.times(inner.power(lattice.weight(i)))
+        rhs = rhs.times(inner.power(f))
     return lhs == rhs
 
 

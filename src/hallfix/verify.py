@@ -212,10 +212,9 @@ def wielandt_check(scenario: CoprimeActionScenario) -> WielandtResult:
     """
     N, H = scenario.normal, scenario.complement
     lhs = FactoredRational.from_int(centralizer(N, H).order).power(H.order)
-    lattice = cyclic_lattice(H)
     rhs = FactoredRational.one()
-    for i, Z in enumerate(lattice.subgroups):
-        rhs = rhs.times_pow(centralizer(N, Z).order, Z.order * lattice.weight(i))
+    for Z, f in cyclic_lattice(H):
+        rhs = rhs.times_pow(centralizer(N, Z).order, Z.order * f)
     return WielandtResult(lhs, rhs)
 
 

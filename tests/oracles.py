@@ -12,7 +12,7 @@ from itertools import combinations
 from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation, PiSet, close,
                      divisors, is_pi_separable, moebius, parse_permutation, subgroups_of_order)
 from hallfix.arith import prime_divisors, radical
-from hallfix.group import conjugacy_classes, group_from_elements
+from hallfix.group import conjugacy_classes
 
 
 def conjugate_set(elems, g):
@@ -53,6 +53,33 @@ def s5_subgroup_classes():
             reps.append(H)
             seen.update(conjugates(S5, H))
     return subgroups, reps
+
+
+def greedy_chain(degree, elements):
+    """The subgroup on a closed element set, generated by its greedy chain:
+    each sorted element outside the subgroup that the ones before it close to."""
+    elems = sorted(elements)
+    span, gens = close([], degree=degree), []
+    for g in elems:
+        if span.order == len(elems):
+            break
+        if g not in span:
+            gens.append(g)
+            span = close(gens)
+    assert span.elements == tuple(elems), "the element set is not closed"
+    return span
+
+
+def poset_moebius(subgroups, i, j):
+    """The Möbius function of the subgroups ordered by inclusion, from its
+    recursion mu(i, i) = 1 and mu(i, j) = -(sum of mu(i, k) over i <= k < j)."""
+    sets = [H.element_set() for H in subgroups]
+    if not sets[i] <= sets[j]:
+        return 0
+    if i == j:
+        return 1
+    return -sum(poset_moebius(subgroups, i, k) for k in range(len(sets))
+                if sets[i] <= sets[k] < sets[j])
 
 
 def proper_prime_sets(G):
@@ -114,7 +141,7 @@ def normal_subgroups(G):
         # A conjugation-closed candidate is a subgroup iff one representative
         # per member class maps the candidate into itself.
         if all(all(cls[0] * x in union for x in union) for cls in members):
-            out.append(group_from_elements(G.degree, union))
+            out.append(close(sorted(union), degree=G.degree))
     return sorted(out, key=lambda H: (H.order, H.fingerprint()))
 
 
@@ -191,4 +218,4 @@ def burnside_orbit_count(H, fixed, k):
 
 def power_subgroup(H, d):
     """The subgroup of d-th powers of an abelian group."""
-    return group_from_elements(H.degree, {h**d for h in H.elements})
+    return close(sorted({h**d for h in H.elements}), degree=H.degree)

@@ -146,7 +146,7 @@ def test_criterion_07_lattice_identities(groups):
         if G.order <= 42:
             for m in divisors(G.order):
                 lattice_hosts.extend(subgroups_of_order(G, m))
-    ok = ok and all(cyclic_lattice(H).partition_identity_holds()
+    ok = ok and all(sum(Z.order * f for Z, f in cyclic_lattice(H)) == H.order
                     for H in lattice_hosts)
     rng = random.Random(1729)
     hosts = [H for H in lattice_hosts if H.order <= 24]

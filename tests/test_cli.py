@@ -423,6 +423,27 @@ def test_scan_closes_each_group_once(capsys, monkeypatch):
     assert parsed == [get_entry("S3").text]
 
 
+def test_full_scan_closes_input_generators_only(capsys, monkeypatch):
+    # close runs on input only: once per corpus group and on N and H of each
+    # scenario.  Cores, centralizers and cyclic subgroups of a closed group
+    # grow on its element indices instead.
+    calls = []
+    close = group_mod.close
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return close(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hallfix" and getattr(module, "close", None) is close:
+            monkeypatch.setattr(module, "close", counted)
+    code, _, _ = run(capsys, "scan", "--json")
+    assert code == 0
+    entries = corpus_entries()
+    scenarios = sum(entry.scenario is not None for entry in entries)
+    assert len(calls) == len(entries) + 2 * scenarios == 36
+
+
 def test_scan_json_single_entry(capsys):
     code, out, _ = run(capsys, "scan", "--group", "F20", "--json")
     records = json.loads(out)

@@ -11,18 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from hallfix import (CapExceededError, NoHallSubgroupError, NotASubgroupError,
                      PiSet, Permutation, build_hall_context, centralizer, close, core_pi,
-                     is_pi_separable, multiplicative_value, parse_permutation,
-                     subgroups_of_order, trivial_group)
+                     corpus_entries, cyclic_lattice, is_pi_separable, multiplicative_value,
+                     parse_permutation, subgroups_of_order, trivial_group)
 from hallfix import group as group_mod
 from hallfix.arith import divisors, prime_divisors
 from hallfix.cli import add_record
 from hallfix.group import (DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, conjugacy_classes,
-                           core_pi_complement, group_from_elements, hall_subgroups)
+                           core_pi_complement, hall_subgroups)
 from hallfix.hall import pi_part
 from hallfix.reports import PASS
-from oracles import (burnside_orbit_count, conjugate_set, conjugates, is_pi, is_pi_prime,
-                     is_pi_separable_direct, normal_subgroups, proper_prime_sets, quotient_direct,
-                     s5_subgroup_classes, tau_by_element)
+from oracles import (burnside_orbit_count, conjugate_set, conjugates, greedy_chain, is_pi,
+                     is_pi_prime, is_pi_separable_direct, normal_subgroups, proper_prime_sets,
+                     quotient_direct, s5_subgroup_classes, tau_by_element)
 
 
 def P(text, degree):
@@ -31,7 +31,7 @@ def P(text, degree):
 
 def _subgroup_search_direct(G, m):
     """Reference search on permutations: re-closes every canonical generating
-    chain from the identity and hands each subgroup to group_from_elements."""
+    chain from the identity and generates each subgroup by its greedy chain."""
     ident = G.identity
     candidates = [g for g in G.elements if g != ident and m % g.order() == 0]
     max_gens = ceil(log2(m))
@@ -62,7 +62,7 @@ def _subgroup_search_direct(G, m):
             if min(new - clo) != e:
                 continue
             if len(new) == m:
-                out.append(group_from_elements(G.degree, new))
+                out.append(greedy_chain(G.degree, new))
             elif len(gens) + 1 < max_gens:
                 extend(new, gens + (e,), pos + 1)
 
@@ -104,9 +104,12 @@ def _close_direct(generators, *, degree=None, cap=DEFAULT_ELEMENT_CAP):
 
 @st.composite
 def _generating_sets(draw):
-    """A degree from 1 to 7 and up to three permutations of it, as image lists."""
-    degree = draw(st.integers(1, 7))
-    return degree, draw(st.lists(st.permutations(range(1, degree + 1)), max_size=3))
+    """A degree from 1 to 7 and up to three uniformly random permutations of
+    it, as image lists, from a seeded random.Random, which reaches more
+    non-solvable groups in few examples than st.permutations does."""
+    rng = draw(st.randoms(use_true_random=True))
+    degree = rng.randint(1, 7)
+    return degree, [rng.sample(range(1, degree + 1), degree) for _ in range(rng.randint(0, 3))]
 
 
 def test_close_matches_direct_closure(groups):
@@ -207,12 +210,12 @@ def normalizer(G, H):
         raise NotASubgroupError("normalizer argument is not a subgroup of G")
     hset = H.element_set()
     elems = [g for g in G.elements if conjugate_set(hset, g) == hset]
-    return group_from_elements(G.degree, elems)
+    return close(elems, degree=G.degree)
 
 
 def kernel(G, proj, Q):
     """The elements of G that ``proj`` sends to the identity of Q."""
-    return group_from_elements(G.degree, (x for x in G.elements if proj[x] == Q.identity))
+    return close([x for x in G.elements if proj[x] == Q.identity], degree=G.degree)
 
 
 def is_homomorphism(G, proj):
@@ -506,8 +509,10 @@ def test_relations_on_s5_subgroups_match_element_sets():
 
 
 def test_groups_do_not_hash_their_elements(monkeypatch):
-    # Membership reads the image-tuple index, so neither closing A7 nor a
-    # subgroup search in S5 calls Permutation.__hash__.
+    # Membership reads the image-tuple index, and subgroups of a closed group
+    # grow on its element indices, so neither closing A7, a subgroup search,
+    # the cores and separability of S5, centralizers in A5 nor the cyclic
+    # subgroups of a Hall subgroup call Permutation.__hash__.
     calls = []
     perm_hash = Permutation.__hash__
     monkeypatch.setattr(Permutation, "__hash__",
@@ -515,7 +520,38 @@ def test_groups_do_not_hash_their_elements(monkeypatch):
     A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
     S5 = close([P("(1 2 3 4 5)", 5), P("(1 2)", 5)])
     assert (A7.order, len(subgroups_of_order(S5, 8))) == (2520, 15)
+    assert not is_pi_separable(S5, PiSet([2])) and is_pi_separable(S5, PiSet([2, 3, 5]))
+    assert core_pi(S5, PiSet([2, 3, 5])).order == 120
+    assert core_pi_complement(S5, PiSet([3])).order == 1
+    A5 = close([P("(1 2 3 4 5)", 5), P("(3 4 5)", 5)])
+    assert [centralizer(A5, cls[0]).order for cls in conjugacy_classes(A5)] == [60, 3, 4, 5, 5]
+    S4 = build_hall_context(S5, PiSet([2, 3])).canonical_hall
+    assert sorted(Z.order for Z, _ in cyclic_lattice(S4)) == [1] + [2] * 9 + [3] * 4 + [4] * 3
     assert calls == []
+
+
+def test_subgroups_grown_on_indices_are_generated_by_their_generators(groups, hall_ctx):
+    # Cores, centralizers and cyclic subgroups are grown on element indices
+    # with generators picked along the way; re-closing the generators from
+    # scratch must give back the same subgroup of G.
+    checked = 0
+    for entry in corpus_entries():
+        G = groups[entry.name]
+        if G.order > 360:
+            continue
+        found = [centralizer(G, cls[0]) for cls in conjugacy_classes(G)]
+        for pi in entry.check_pis:
+            found += [core_pi(G, pi), core_pi_complement(G, pi)]
+            try:
+                hall = hall_ctx(entry.name, str(pi)).canonical_hall
+            except NoHallSubgroupError:
+                continue
+            found += [Z for Z, _ in cyclic_lattice(hall)]
+        for K in found:
+            assert close(K.generators, degree=G.degree) == K, (entry.name, K)
+            assert K.is_subgroup_of(G), (entry.name, K)
+        checked += len(found)
+    assert checked == 461
 
 
 def test_sylow_subgroups_match_the_full_search(groups):
@@ -591,14 +627,6 @@ def test_normal_subgroup_scan_refuses_more_than_20_classes():
     degree, gens = _CLASS_RICH["C2^5"]
     with pytest.raises(RuntimeError, match="31 conjugacy classes"):
         normal_subgroups(close([P(g, degree) for g in gens]))
-
-
-def test_group_from_elements_rejects_unclosed():
-    with pytest.raises(ValueError, match="not closed"):
-        group_from_elements(3, [Permutation.identity(3), P("(1 2 3)", 3)])
-    # <(2 3 4)> has as many elements as the input but is not the input.
-    with pytest.raises(ValueError, match="not closed"):
-        group_from_elements(4, [Permutation.identity(4), P("(2 3 4)", 4), P("(1 2)", 4)])
 
 
 def _natural(g, i):

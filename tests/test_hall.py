@@ -14,7 +14,7 @@ from hallfix import (NoHallSubgroupError, PiSet, build_hall_context, close,
 from hallfix.arith import prime_divisors
 from hallfix.group import conjugacy_classes
 from hallfix.hall import lambda_report_lines, lambda_report_records
-from oracles import conjugated_by, conjugates, tau_by_element
+from oracles import conjugated_by, conjugates, poset_moebius, tau_by_element
 
 
 def test_pi_part_examples():
@@ -146,33 +146,32 @@ def test_halls_conjugate_when_separable(groups):
 
 
 def test_cyclic_lattice_v4(groups):
-    lat = cyclic_lattice(groups["V4"])
+    lattice = cyclic_lattice(groups["V4"])
     by_order = {}
-    for i, Z in enumerate(lat.subgroups):
-        by_order.setdefault(Z.order, []).append(lat.weight(i))
+    for Z, f in lattice:
+        by_order.setdefault(Z.order, []).append(f)
     assert by_order[1] == [-2]
     assert by_order[2] == [1, 1, 1]
-    assert lat.partition_identity_holds()
+    assert sum(Z.order * f for Z, f in lattice) == 4
 
 
 def test_cyclic_lattice_prime_cycle():
     H = close([parse_permutation("(1 2 3 4 5)", 5)])
-    lat = cyclic_lattice(H)
-    weights = {lat.subgroups[i].order: lat.weight(i) for i in range(2)}
-    assert weights == {1: 0, 5: 1}
-    assert lat.partition_identity_holds()
+    lattice = cyclic_lattice(H)
+    weights = {Z.order: f for Z, f in lattice}
+    assert len(lattice) == 2 and weights == {1: 0, 5: 1}
+    assert sum(Z.order * f for Z, f in lattice) == H.order
 
 
 def test_cyclic_lattice_trivial():
-    lat = cyclic_lattice(trivial_group(3))
-    assert len(lat.subgroups) == 1
-    assert lat.weight(0) == 1
-    assert lat.partition_identity_holds()
+    lattice = cyclic_lattice(trivial_group(3))
+    assert len(lattice) == 1
+    assert lattice[0][1] == 1
+    assert sum(Z.order * f for Z, f in lattice) == 1
 
 
-def generator_set(lat, i):
-    """Elements generating the i-th cyclic subgroup; there are totient(|Z|)."""
-    Z = lat.subgroups[i]
+def generator_set(Z):
+    """Elements generating the cyclic subgroup Z; there are totient(|Z|)."""
     gens = tuple(sorted(z for z in Z.elements if z.order() == Z.order))
     if len(gens) != totient(Z.order):
         raise AssertionError("generator count disagrees with the totient")
@@ -181,11 +180,9 @@ def generator_set(lat, i):
 
 def test_lattice_generator_sets_have_totient_size(groups):
     for name in ("V4", "S3", "F20", "SL(2,3)"):
-        lat = cyclic_lattice(groups[name]) if groups[name].order <= 24 else None
-        if lat is None:
-            continue
-        for i, Z in enumerate(lat.subgroups):
-            assert len(generator_set(lat, i)) == totient(Z.order)
+        lattice = cyclic_lattice(groups[name]) if groups[name].order <= 24 else []
+        for Z, _ in lattice:
+            assert len(generator_set(Z)) == totient(Z.order)
 
 
 def _all_subgroups(G):
@@ -204,7 +201,7 @@ def test_partition_identity_across_small_corpus(groups):
         if G.order > 42:
             continue
         for H in _all_subgroups(G):
-            assert cyclic_lattice(H).partition_identity_holds(), (entry.name, H)
+            assert sum(Z.order * f for Z, f in cyclic_lattice(H)) == H.order, (entry.name, H)
 
 
 def test_partition_identity_on_large_group_subgroups(groups, hall_ctx):
@@ -214,7 +211,7 @@ def test_partition_identity_on_large_group_subgroups(groups, hall_ctx):
         for pi_text in pis:
             ctx = hall_ctx(name, pi_text)
             for H in ctx.halls[:3]:
-                assert cyclic_lattice(H).partition_identity_holds()
+                assert sum(Z.order * f for Z, f in cyclic_lattice(H)) == H.order
 
 
 def test_moebius_partition_check_trivial(groups):
@@ -238,17 +235,22 @@ def test_moebius_partition_check_randomized(groups):
 
 
 def test_poset_moebius_matches_number_theoretic(groups):
-    # On the cyclic lattice the two Möbius functions coincide by definition;
-    # spot-check values against a hand-expanded inclusion-exclusion on C6.
+    # On the cyclic lattice the two Möbius functions coincide; the weights,
+    # taken with the number-theoretic one, against the poset's by brute force,
+    # and spot values against a hand-expanded inclusion-exclusion on C6.
     H = close([parse_permutation("(1 2 3 4 5 6)", 6)])
-    lat = cyclic_lattice(H)
-    orders = [Z.order for Z in lat.subgroups]
+    subgroups, weights = zip(*cyclic_lattice(H))
+    orders = [Z.order for Z in subgroups]
     assert sorted(orders) == [1, 2, 3, 6]
     i1 = orders.index(1)
     i6 = orders.index(6)
-    assert lat.mu(i1, i6) == 1      # moebius(6)
-    assert lat.weight(i6) == 1
-    assert lat.weight(i1) == 0      # 1 - 1 - 1 + 1
+    assert poset_moebius(subgroups, i1, i6) == 1      # moebius(6)
+    assert weights[i6] == 1
+    assert weights[i1] == 0      # 1 - 1 - 1 + 1
+    for name in ("V4", "S3", "C6", "F20", "SL(2,3)"):
+        subgroups, weights = zip(*cyclic_lattice(groups[name]))
+        assert list(weights) == [sum(poset_moebius(subgroups, i, j) for j in range(len(subgroups)))
+                                 for i in range(len(subgroups))], name
 
 
 def test_lambda_report_formats(hall_ctx):

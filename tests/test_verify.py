@@ -289,10 +289,9 @@ def test_wielandt_all_scenarios():
 def chain_product_value(scenario, n):
     """(|C_N(H)|^-|H| * prod |C_N(Z)|^(|Z| f(Z))) ^ totient(n), exactly."""
     N, H = scenario.normal, scenario.complement
-    lattice = cyclic_lattice(H)
     inner = FactoredRational.from_int(centralizer(N, H).order).power(-H.order)
-    for i, Z in enumerate(lattice.subgroups):
-        inner = inner.times_pow(centralizer(N, Z).order, Z.order * lattice.weight(i))
+    for Z, f in cyclic_lattice(H):
+        inner = inner.times_pow(centralizer(N, Z).order, Z.order * f)
     return inner.power(totient(n))
 
 
