@@ -17,6 +17,8 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 from .arith import PiSet
 from .group import DEFAULT_ELEMENT_CAP, PermGroup, close
 from .groupio import parse_group_text, read_group_file
+from .perm import parse_permutation
+from .verify import CoprimeActionScenario
 
 
 class UnknownGroupError(ValueError):
@@ -297,11 +299,8 @@ def load_group(name_or_path: str, cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
     return close(gens, degree=degree, cap=cap)
 
 
-def load_scenario(entry: CorpusEntry, cap: int = DEFAULT_ELEMENT_CAP):
+def load_scenario(entry: CorpusEntry, cap: int = DEFAULT_ELEMENT_CAP) -> CoprimeActionScenario:
     """Build the designated coprime-action scenario of a corpus entry."""
-    from .perm import parse_permutation
-    from .verify import CoprimeActionScenario
-
     if entry.scenario is None:
         raise ValueError(f"corpus entry {entry.name} has no coprime scenario")
     group = load_group(entry.name, cap=cap)

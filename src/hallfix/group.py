@@ -7,7 +7,8 @@ desk scale.  Closure refuses groups larger than a configurable cap.
 ``close`` only closes input generators.  Every subgroup of a closed group
 (a search hit, a pi-core, a centralizer) is grown on that group's element
 indices by one routine, ``_grow``, Dimino's method from a subgroup, as an
-(element-index set, generator indices) pair that becomes a PermGroup once.
+(element-index set, generator indices) pair; Hall subgroups and conjugacy
+classes are handed out in that index form.
 """
 
 from __future__ import annotations
@@ -38,14 +39,15 @@ class PermGroup:
     Invariant: ``generators`` generate ``elements``.  Membership reads the element
     index, and ``is_subgroup_of``/``is_normal_in`` test generators only."""
 
-    __slots__ = ("degree", "generators", "elements", "_index", "_rows", "_classes", "_orders",
-                 "_walks")
+    __slots__ = ("degree", "generators", "elements", "_images", "_index", "_rows", "_classes",
+                 "_orders", "_walks")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]) -> None:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "elements", tuple(sorted(elements, key=attrgetter("images"))))
+        object.__setattr__(self, "_images", None)
         object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_classes", None)
@@ -84,15 +86,22 @@ class PermGroup:
         return self.order in self.element_orders()
 
     def fingerprint(self) -> Tuple[Tuple[int, ...], ...]:
-        """Sorted element-image tuples; the canonical dedup / ordering key."""
-        return tuple(g.images for g in self.elements)
+        """The image tuple of each element index, computed once; the canonical sort key."""
+        if self._images is None:
+            object.__setattr__(self, "_images", tuple(g.images for g in self.elements))
+        return self._images
 
     def _ensure_index(self) -> Dict[Tuple[int, ...], int]:
         """Element index keyed by image tuple; computed once per group."""
         if self._index is None:
-            object.__setattr__(self, "_index",
-                               {g.images: i for i, g in enumerate(self.elements)})
+            object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.fingerprint())})
         return self._index
+
+    def subgroup(self, members: Iterable[int], gens: Sequence[int]) -> "PermGroup":
+        """The subgroup on the element indices ``members``, generated by the
+        elements at ``gens``; the trivial subgroup by the identity."""
+        return PermGroup(self.degree, [self.elements[i] for i in gens or (0,)],
+                         [self.elements[i] for i in sorted(members)])
 
     def element_orders(self) -> Tuple[int, ...]:
         """Element orders, indexed like ``elements``; taken once per class."""
@@ -245,10 +254,10 @@ def centralizer(G: PermGroup, s: "Permutation | PermGroup") -> PermGroup:
     targets = [s] if isinstance(s, Permutation) else s.generators
     # x * t and t * x on image tuples, for each target t.
     sides = [(_times(t.images), ((0,) + t.images).__getitem__) for t in targets]
-    index, images = G._ensure_index(), [x.images for x in G.elements]
+    index, images = G._ensure_index(), G.fingerprint()
     members = [i for i, x in enumerate(images)
                if all(times_t(x) == tuple(map(t_of, x)) for times_t, t_of in sides)]
-    return _sorted_subgroups(G, [_join(index, images, frozenset({0}), members, len(members))])[0]
+    return G.subgroup(*_join(index, images, frozenset({0}), members, len(members)))
 
 
 def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
@@ -267,11 +276,14 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
         return [trivial_group(G.degree)]
     if m == G.order:
         return [G]
-    return _sorted_subgroups(G, _subgroup_search(G, m))
+    found = sorted(_subgroup_search(G, m), key=lambda pair: sorted(pair[0]))
+    return [G.subgroup(S, gens) for S, gens in found]
 
 
-def hall_subgroups(G: PermGroup, n: int) -> List[PermGroup]:
-    """The subgroups of Hall order ``n``, sorted like :func:`subgroups_of_order`.
+def hall_subgroups(G: PermGroup, n: int) -> List[_Found]:
+    """The subgroups of Hall order ``n``, as (element-index set, generator
+    indices) pairs sorted like :func:`subgroups_of_order`: on the sorted
+    element indices, the fingerprint order, as the elements are canonical.
 
     Each contains a Sylow p-subgroup of G for every p dividing n, and the
     Sylow p-subgroups are conjugate, so each is conjugate to one containing
@@ -281,9 +293,9 @@ def hall_subgroups(G: PermGroup, n: int) -> List[PermGroup]:
     if n < 1 or G.order % n or gcd(n, G.order // n) != 1:
         raise ValueError(f"{n} is not a Hall order of a group of order {G.order}")
     if n == 1:
-        return [trivial_group(G.degree)]
+        return [_TRIVIAL]
     if n == G.order:
-        return [G]
+        return [(frozenset(range(n)), tuple(G._ensure_index()[g.images] for g in G.generators))]
     q = max(p ** k for p, k in factorize(n).items())
     P = next(_subgroup_search(G, q))
     # Element-index sets of the conjugates, each with its conjugated generators.
@@ -296,16 +308,7 @@ def hall_subgroups(G: PermGroup, n: int) -> List[PermGroup]:
             if T not in orbit:
                 orbit[T] = tuple(map(row.__getitem__, orbit[S]))
                 queue.append(T)
-    return _sorted_subgroups(G, orbit.items())
-
-
-def _sorted_subgroups(G: PermGroup, found: Iterable[_Found]) -> List[PermGroup]:
-    """Subgroups from (element-index set, generator indices) pairs, by
-    fingerprint; the trivial subgroup is generated by the identity."""
-    elems = G.elements
-    return sorted((PermGroup(G.degree, [elems[i] for i in gens or (0,)],
-                             [elems[i] for i in sorted(S)])
-                   for S, gens in found), key=PermGroup.fingerprint)
+    return sorted(orbit.items(), key=lambda pair: sorted(pair[0]))
 
 
 def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[_Found]:
@@ -313,8 +316,7 @@ def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[
     (element-index set, generator indices) pairs in canonical chain order.
     A chain adds to the seed's generators, one at a time, the least element
     outside the subgroup generated so far."""
-    index, orders = G._ensure_index(), G.element_orders()
-    images = [x.images for x in G.elements]
+    index, orders, images = G._ensure_index(), G.element_orders(), G.fingerprint()
     candidates = [i for i in range(1, G.order) if m % orders[i] == 0]
     base, base_gens = seed
     max_gens = len(base_gens) + ceil(log2(m // len(base)))
@@ -350,20 +352,19 @@ def _conjugation_rows(G: PermGroup) -> List[List[int]]:
         index, rows = G._ensure_index(), []
         for g in {g.images: g for g in G.generators if g != G.identity}.values():
             shifted, times_ginv = (0,) + g.images, _times(g.inverse().images)
-            rows.append([index[itemgetter(*times_ginv(x.images))(shifted)]
-                         for x in G.elements])
+            rows.append([index[itemgetter(*times_ginv(x))(shifted)] for x in G.fingerprint()])
         object.__setattr__(G, "_rows", rows)
     return G._rows
 
 
-def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[Permutation, ...], ...]:
-    """Conjugacy classes as canonically sorted element tuples, identity class
+def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
+    """Conjugacy classes as ascending element-index tuples, identity class
     first; computed once per group, with the element orders, one per class."""
     if G._classes is not None:
         return G._classes
     elems, rows = G.elements, _conjugation_rows(G)
     seen, orders = bytearray(len(elems)), [0] * len(elems)
-    classes: List[Tuple[Permutation, ...]] = []
+    classes: List[Tuple[int, ...]] = []
     for i in range(len(elems)):
         if seen[i]:
             continue
@@ -376,7 +377,7 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[Permutation, ...], ...]:
                     seen[z] = 1
                     orbit.append(z)
         orbit.sort()
-        classes.append(tuple([elems[j] for j in orbit]))
+        classes.append(tuple(orbit))
     object.__setattr__(G, "_orders", tuple(orders))
     object.__setattr__(G, "_classes", tuple(classes))
     return G._classes
@@ -391,12 +392,12 @@ def _core(G: PermGroup, keep: Callable[[int], bool], base: _Found) -> _Found:
     Subgroups are (element-index set, generator indices) pairs.  A join is
     Dimino's method from the core, which is normal in G, so only the class
     elements move its cosets."""
-    index, images = G._ensure_index(), [x.images for x in G.elements]
+    index, images = G._ensure_index(), G.fingerprint()
     core, gens = base
     limit = len(core) * max(d for d in divisors(G.order // len(core)) if keep(d))
     for cls in (G._classes or conjugacy_classes(G))[1:]:
-        if index[cls[0].images] not in core:
-            joined = _join(index, images, core, (index[x.images] for x in cls), limit)
+        if cls[0] not in core:
+            joined = _join(index, images, core, cls, limit)
             if joined and keep(len(joined[0]) // len(base[0])):
                 core, gens = joined[0], gens + joined[1]
     return core, gens
@@ -410,12 +411,12 @@ def _pi_keeps(pi: PiSet) -> Tuple[Callable[[int], bool], Callable[[int], bool]]:
 
 def core_pi(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order is supported on the primes in pi."""
-    return _sorted_subgroups(G, [_core(G, _pi_keeps(pi)[0], _TRIVIAL)])[0]
+    return G.subgroup(*_core(G, _pi_keeps(pi)[0], _TRIVIAL))
 
 
 def core_pi_complement(G: PermGroup, pi: PiSet) -> PermGroup:
     """Largest normal subgroup whose order avoids every prime in pi."""
-    return _sorted_subgroups(G, [_core(G, _pi_keeps(pi)[1], _TRIVIAL)])[0]
+    return G.subgroup(*_core(G, _pi_keeps(pi)[1], _TRIVIAL))
 
 
 def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:

@@ -1,11 +1,10 @@
-"""Hall subgroup enumeration, membership counts and cyclic-subgroup lattices.
+"""Hall contexts, membership counts and cyclic-subgroup lattices.
 
 For a prime set pi, the Hall pi-subgroups of G are ALL subgroups whose order
-is the pi-part of |G|.  One enumeration serves every pi, with no conjugacy
-assumption among them: each contains a conjugate of one fixed Sylow
-subgroup, so they are the conjugation orbits of the subgroups of that order
-containing it.  For pi-separable groups that is the usual single class,
-which the tests check.
+is the pi-part of |G|, with no conjugacy assumption among them;
+``group.hall_subgroups`` enumerates them as element-index sets, which the
+context keeps beside the subgroups.  For pi-separable groups they form the
+usual single class, which the tests check.
 lam and tau(g), the number of Hall subgroups that g normalizes, are lists
 over G's element indices; tau is a class function, counted once per class.
 The cyclic subgroups of a group are read off its power walks, each paired
@@ -100,12 +99,12 @@ class HallContext:
         if self._tau is None:
             index, tau = self.group._ensure_index(), [0] * self.group.order
             for cls in conjugacy_classes(self.group):
-                g = cls[0]
+                g = self.group.elements[cls[0]]
                 ginv = g.inverse()
                 count = sum(all(index[(g * k * ginv).images] in S for k in K.generators)
                             for K, S in zip(self.halls, self.hall_members))
-                for x in cls:
-                    tau[index[x.images]] = count
+                for i in cls:
+                    tau[i] = count
             self._tau = tau
         return self._tau
 
@@ -113,34 +112,34 @@ class HallContext:
 def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
     """Enumerate Hall_pi(G) and tabulate membership counts for every pi-element."""
     n = pi_part(G.order, pi)
-    halls = hall_subgroups(G, n)
-    if not halls:
+    found = hall_subgroups(G, n)
+    if not found:
         raise NoHallSubgroupError(
             f"group of order {G.order} has no Hall subgroup for pi={{{pi}}} "
             f"(no subgroup of order {n})")
-    index = G._ensure_index()
-    members = tuple(frozenset([index[x.images] for x in K.elements]) for K in halls)
+    members = tuple(S for S, _ in found)
     # Every element of a Hall subgroup is a pi-element, so counting each
     # subgroup's elements gives lam; pi-elements in no Hall subgroup get 0.
     counts = Counter(i for S in members for i in S)
     orders = G.element_orders()
     pi_orders = {k for k in set(orders) if pi.issuperset(prime_divisors(k))}
     lam = [counts[i] if k in pi_orders else None for i, k in enumerate(orders)]
-    return HallContext(G, pi, n, tuple(halls), members, lam)
+    # A Hall subgroup that is all of G is G, which keeps its caches (its classes).
+    halls = tuple(G if n == G.order else G.subgroup(S, gens) for S, gens in found)
+    return HallContext(G, pi, n, halls, members, lam)
 
 
 def cyclic_lattice(H: PermGroup) -> List[Tuple[PermGroup, int]]:
-    """The cyclic subgroups Z of H, sorted by fingerprint, each with its weight
-    f(Z) = sum of mu(|Z'| / |Z|) over the cyclic Z' >= Z.  On this lattice the
-    poset Möbius function is the number-theoretic one of the index.  Each <h>
-    is read off H's power walk of h and generated by its first h."""
+    """The cyclic subgroups Z of H, sorted by element indices as by
+    fingerprint, each with its weight f(Z) = sum of mu(|Z'| / |Z|) over the
+    cyclic Z' >= Z.  On this lattice the poset Möbius function is the
+    number-theoretic one of the index.  Each <h> is read off H's power walk
+    of h and generated by its first h."""
     found: Dict[FrozenSet[int], int] = {}
     for i in range(H.order):
         found.setdefault(frozenset(H.power_walk(i)), i)
-    elems = H.elements
-    return sorted(((PermGroup(H.degree, [elems[i]], [elems[j] for j in sorted(S)]),
-                    sum(moebius(len(T) // len(S)) for T in found if S <= T))
-                   for S, i in found.items()), key=lambda pair: pair[0].fingerprint())
+    return [(H.subgroup(S, (i,)), sum(moebius(len(T) // len(S)) for T in found if S <= T))
+            for S, i in sorted(found.items(), key=lambda item: sorted(item[0]))]
 
 
 def moebius_partition_check(H: PermGroup, gamma: Mapping[Permutation, int]) -> bool:

@@ -178,8 +178,7 @@ def sym_char_sums(ctx: HallContext) -> Tuple[int, int, Fraction]:
 
 def _class_weights(G: PermGroup) -> Dict[int, int]:
     """Class size keyed by the index of the class's first element."""
-    index = G._ensure_index()
-    return {index[cls[0].images]: len(cls) for cls in conjugacy_classes(G)}
+    return {cls[0]: len(cls) for cls in conjugacy_classes(G)}
 
 
 def _power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],

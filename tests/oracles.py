@@ -121,7 +121,7 @@ _CLASS_SCAN_LIMIT = 20
 
 def normal_subgroups(G):
     """Reference for the cores: all normal subgroups, as closed class unions."""
-    classes = conjugacy_classes(G)
+    classes = [[G.elements[i] for i in cls] for cls in conjugacy_classes(G)]
     rest = classes[1:]
     if len(rest) > _CLASS_SCAN_LIMIT:
         raise RuntimeError(

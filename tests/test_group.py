@@ -524,7 +524,8 @@ def test_groups_do_not_hash_their_elements(monkeypatch):
     assert core_pi(S5, PiSet([2, 3, 5])).order == 120
     assert core_pi_complement(S5, PiSet([3])).order == 1
     A5 = close([P("(1 2 3 4 5)", 5), P("(3 4 5)", 5)])
-    assert [centralizer(A5, cls[0]).order for cls in conjugacy_classes(A5)] == [60, 3, 4, 5, 5]
+    assert ([centralizer(A5, A5.elements[cls[0]]).order for cls in conjugacy_classes(A5)]
+            == [60, 3, 4, 5, 5])
     S4 = build_hall_context(S5, PiSet([2, 3])).canonical_hall
     assert sorted(Z.order for Z, _ in cyclic_lattice(S4)) == [1] + [2] * 9 + [3] * 4 + [4] * 3
     assert calls == []
@@ -539,7 +540,7 @@ def test_subgroups_grown_on_indices_are_generated_by_their_generators(groups, ha
         G = groups[entry.name]
         if G.order > 360:
             continue
-        found = [centralizer(G, cls[0]) for cls in conjugacy_classes(G)]
+        found = [centralizer(G, G.elements[cls[0]]) for cls in conjugacy_classes(G)]
         for pi in entry.check_pis:
             found += [core_pi(G, pi), core_pi_complement(G, pi)]
             try:
@@ -608,11 +609,12 @@ def test_conjugacy_classes_match_brute_force(groups):
     for name, G in groups.items():
         if G.order > 168:
             continue
+        # Ascending element-index tuples, identity class first.
         classes = conjugacy_classes(G)
         expect = {frozenset(g * x * g.inverse() for g in G.elements) for x in G.elements}
-        assert {frozenset(cls) for cls in classes} == expect, name
+        assert {frozenset(G.elements[i] for i in cls) for cls in classes} == expect, name
         assert len(classes) == len(expect), name
-        assert classes[0] == (G.identity,), name
+        assert classes[0] == (0,) and G.elements[0] == Permutation.identity(G.degree), name
         assert all(list(cls) == sorted(cls) for cls in classes), name
         assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes), name
 

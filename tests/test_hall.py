@@ -67,18 +67,26 @@ def test_composite_hall_orders_take_the_full_search(groups):
         build_hall_context(groups["A5"], PiSet([2, 5]))
 
 
-def test_lam_matches_brute_force_membership_counts(groups, hall_ctx):
+def test_lam_matches_brute_force_membership_counts(hall_ctx):
     # Oracle: for each pi-element, test membership in every Hall subgroup.
-    for entry in corpus_entries():
-        G = groups[entry.name]
-        for pi in entry.check_pis:
-            try:
-                ctx = hall_ctx(entry.name, str(pi))
-            except NoHallSubgroupError:
-                continue
-            expected = {x: sum(1 for K in ctx.halls if x in K) for x in G.elements
-                        if all(p in pi for p in prime_divisors(x.order()))}
-            assert list(ctx.lam.items()) == list(expected.items()), (entry.name, str(pi))
+    # The Hall subgroups come in fingerprint order, each beside the index set
+    # of its elements in G; A7 with pi={2,3} has 35, the 3-set stabilizers.
+    A7 = close([parse_permutation("(1 2 3 4 5 6 7)", 7), parse_permutation("(1 2 3)", 7)])
+    cases = [(entry.name, pi) for entry in corpus_entries() for pi in entry.check_pis]
+    for name, pi in cases + [("A7", PiSet([2, 3]))]:
+        try:
+            ctx = build_hall_context(A7, pi) if name == "A7" else hall_ctx(name, str(pi))
+        except NoHallSubgroupError:
+            continue
+        G = ctx.group
+        fingerprints = [K.fingerprint() for K in ctx.halls]
+        assert fingerprints == sorted(fingerprints), (name, str(pi))
+        assert list(ctx.hall_members) == [
+            frozenset(i for i, x in enumerate(G.elements) if x in K) for K in ctx.halls], name
+        expected = {x: sum(1 for K in ctx.halls if x in K) for x in G.elements
+                    if all(p in pi for p in prime_divisors(x.order()))}
+        assert list(ctx.lam.items()) == list(expected.items()), (name, str(pi))
+    assert ctx.num_halls == 35
 
 
 def test_lam_rejects_non_pi_elements(hall_ctx):
@@ -268,7 +276,7 @@ def test_conjugation_action_respects_classes(hall_ctx):
     ctx = hall_ctx("GL(3,2)", "2")
     tau = tau_by_element(ctx)
     for cls in conjugacy_classes(ctx.group):
-        assert len({tau[x] for x in cls}) == 1
+        assert len({tau[ctx.group.elements[i]] for i in cls}) == 1
 
 
 def test_conjugation_action_matches_elementwise_oracle(groups, hall_ctx):
