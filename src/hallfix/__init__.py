@@ -1,10 +1,10 @@
 """hallfix: exact verification of Hall-subgroup fixed-point identities.
 
 Small finite permutation groups are closed exhaustively, their Hall
-pi-subgroups enumerated by backtracking, and the multiplicative / additive
-Möbius-weighted fixed-point identities are checked with exact arithmetic
-(factored rationals for products, big Fractions for sums) against a builtin
-corpus with brute-force oracles.
+pi-subgroups found as the conjugation orbits of a Sylow-seeded search, and
+the multiplicative / additive Möbius-weighted fixed-point identities are
+checked with exact arithmetic (factored rationals for products, big
+Fractions for sums) against a builtin corpus with brute-force oracles.
 """
 
 from .arith import FactoredRational, PiSet, divisors, moebius, totient

@@ -1,8 +1,9 @@
 """Finite permutation groups with fully enumerated element sets.
 
-Groups are closed exhaustively (no stabilizer chains): every structural query
-below walks the complete element list, which keeps all results auditable at
-desk scale.  Closure refuses groups larger than a configurable cap.
+Groups are closed exhaustively (no stabilizer chains): a group stores the
+sorted image tuples of all its elements, and every structural query below
+walks them as element indices, which keeps all results auditable at desk
+scale.  Closure refuses groups larger than a configurable cap.
 
 ``close`` only closes input generators.  Every subgroup of a closed group
 (a search hit, a pi-core, a centralizer) is grown on that group's element
@@ -14,7 +15,7 @@ classes are handed out in that index form.
 from __future__ import annotations
 
 from math import ceil, gcd, log2
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -34,42 +35,42 @@ class NotASubgroupError(ValueError):
 
 
 class PermGroup:
-    """A finite permutation group with its complete, canonically sorted element list.
+    """A finite permutation group stored as the canonically sorted image tuples
+    of its elements, which ``elements`` wraps as permutations on its first read.
 
-    Invariant: ``generators`` generate ``elements``.  Membership reads the element
+    Invariant: ``generators`` generate the group.  Membership reads the element
     index, and ``is_subgroup_of``/``is_normal_in`` test generators only."""
 
-    __slots__ = ("degree", "generators", "elements", "_images", "_index", "_rows", "_classes",
+    __slots__ = ("degree", "generators", "_images", "_elements", "_index", "_rows", "_classes",
                  "_orders", "_walks")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 elements: Sequence[Permutation]) -> None:
+                 images: Iterable[Tuple[int, ...]]) -> None:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "elements", tuple(sorted(elements, key=attrgetter("images"))))
-        object.__setattr__(self, "_images", None)
-        object.__setattr__(self, "_index", None)
-        object.__setattr__(self, "_rows", None)
-        object.__setattr__(self, "_classes", None)
-        object.__setattr__(self, "_orders", None)
+        object.__setattr__(self, "_images", tuple(sorted(images)))
+        for name in ("_elements", "_index", "_rows", "_classes", "_orders"):
+            object.__setattr__(self, name, None)
         object.__setattr__(self, "_walks", {})
 
     @property
+    def elements(self) -> Tuple[Permutation, ...]:
+        """The elements as permutations, in the canonical order; made once."""
+        if self._elements is None:
+            object.__setattr__(self, "_elements", tuple(map(Permutation._trusted, self._images)))
+        return self._elements
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._images)
 
     @property
     def identity(self) -> Permutation:
-        # Canonical sort puts the identity first: its image tuple is the
-        # lexicographic minimum.
-        return self.elements[0]
+        """The first element: the canonical sort puts the lexicographic minimum first."""
+        return Permutation._trusted(self._images[0])
 
     def __contains__(self, g: Permutation) -> bool:
         return g.images in self._ensure_index()
-
-    def element_set(self) -> FrozenSet[Permutation]:
-        """The elements as a frozenset, built on every call."""
-        return frozenset(self.elements)
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(g in other for g in self.generators)
@@ -86,22 +87,21 @@ class PermGroup:
         return self.order in self.element_orders()
 
     def fingerprint(self) -> Tuple[Tuple[int, ...], ...]:
-        """The image tuple of each element index, computed once; the canonical sort key."""
-        if self._images is None:
-            object.__setattr__(self, "_images", tuple(g.images for g in self.elements))
+        """The image tuple of each element index; the canonical sort key."""
         return self._images
 
     def _ensure_index(self) -> Dict[Tuple[int, ...], int]:
         """Element index keyed by image tuple; computed once per group."""
         if self._index is None:
-            object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.fingerprint())})
+            object.__setattr__(self, "_index", {t: i for i, t in enumerate(self._images)})
         return self._index
 
     def subgroup(self, members: Iterable[int], gens: Sequence[int]) -> "PermGroup":
         """The subgroup on the element indices ``members``, generated by the
         elements at ``gens``; the trivial subgroup by the identity."""
-        return PermGroup(self.degree, [self.elements[i] for i in gens or (0,)],
-                         [self.elements[i] for i in sorted(members)])
+        images = self._images
+        return PermGroup(self.degree, [Permutation._trusted(images[i]) for i in gens or (0,)],
+                         [images[i] for i in members])
 
     def element_orders(self) -> Tuple[int, ...]:
         """Element orders, indexed like ``elements``; taken once per class."""
@@ -118,7 +118,7 @@ class PermGroup:
         so the element indices of <x>; made on the first call for i and kept."""
         walk = self._walks.get(i)
         if walk is None:
-            index, y = self._ensure_index(), self.elements[i].images
+            index, y = self._ensure_index(), self._images[i]
             walk, times_x = [0], _times(y)
             while j := index[y]:  # the identity has index 0
                 walk.append(j)
@@ -179,8 +179,7 @@ def close(generators: Sequence[Permutation], *, degree: Optional[int] = None,
                             "the group is too large for exhaustive mode")
                     seen.update(map(_times(y), prev))
                     reps.append(y)
-    elems = [Permutation._trusted(t) for t in sorted(seen)]
-    return PermGroup(deg, gens or [ident], elems)
+    return PermGroup(deg, gens or [ident], seen)
 
 
 def _times(g: Tuple[int, ...]) -> Callable[[Tuple[int, ...]], Tuple[int, ...]]:
@@ -190,7 +189,7 @@ def _times(g: Tuple[int, ...]) -> Callable[[Tuple[int, ...]], Tuple[int, ...]]:
 
 def trivial_group(degree: int) -> PermGroup:
     ident = Permutation.identity(degree)
-    return PermGroup(degree, [ident], [ident])
+    return PermGroup(degree, [ident], [ident.images])
 
 
 _Found = Tuple[FrozenSet[int], Tuple[int, ...]]
@@ -350,7 +349,7 @@ def _conjugation_rows(G: PermGroup) -> List[List[int]]:
     also keeps degree 1 off itemgetter's single-index form)."""
     if G._rows is None:
         index, rows = G._ensure_index(), []
-        for g in {g.images: g for g in G.generators if g != G.identity}.values():
+        for g in {g.images: g for g in G.generators if g.images != G.fingerprint()[0]}.values():
             shifted, times_ginv = (0,) + g.images, _times(g.inverse().images)
             rows.append([index[itemgetter(*times_ginv(x))(shifted)] for x in G.fingerprint()])
         object.__setattr__(G, "_rows", rows)
@@ -362,13 +361,13 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
     first; computed once per group, with the element orders, one per class."""
     if G._classes is not None:
         return G._classes
-    elems, rows = G.elements, _conjugation_rows(G)
-    seen, orders = bytearray(len(elems)), [0] * len(elems)
+    rows, images, n = _conjugation_rows(G), G.fingerprint(), G.order
+    seen, orders = bytearray(n), [0] * n
     classes: List[Tuple[int, ...]] = []
-    for i in range(len(elems)):
+    for i in range(n):
         if seen[i]:
             continue
-        seen[i], orbit, k = 1, [i], elems[i].order()
+        seen[i], orbit, k = 1, [i], Permutation._trusted(images[i]).order()
         for y in orbit:
             orders[y] = k
             for row in rows:

@@ -35,10 +35,10 @@ def parse_group_text(text: str) -> Tuple[int, List[Permutation]]:
             if degree is not None:
                 raise GroupFileError(f"line {lineno}: duplicate degree line")
             value = line[len("degree:"):].strip()
-            try:
-                degree = int(value)
-            except ValueError:
-                raise GroupFileError(f"line {lineno}: bad degree {value!r}") from None
+            # ASCII digits only, as for points: int() also takes "1_0" and "+7".
+            if not (value.isascii() and value.isdigit()):
+                raise GroupFileError(f"line {lineno}: bad degree {value!r}")
+            degree = int(value)
             if degree < 1:
                 raise GroupFileError(f"line {lineno}: degree must be positive")
             if degree > MAX_DEGREE:

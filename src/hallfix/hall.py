@@ -99,7 +99,7 @@ class HallContext:
         if self._tau is None:
             index, tau = self.group._ensure_index(), [0] * self.group.order
             for cls in conjugacy_classes(self.group):
-                g = self.group.elements[cls[0]]
+                g = Permutation(self.group.fingerprint()[cls[0]])
                 ginv = g.inverse()
                 count = sum(all(index[(g * k * ginv).images] in S for k in K.generators)
                             for K, S in zip(self.halls, self.hall_members))

@@ -24,7 +24,7 @@ def conjugate_set(elems, g):
 def conjugated_by(H, g):
     """The subgroup g * H * g^-1 (element-by-element, no re-closure)."""
     ginv = g.inverse()
-    elems = [g * x * ginv for x in H.elements]
+    elems = [(g * x * ginv).images for x in H.elements]
     gens = [g * x * ginv for x in H.generators] or [H.identity]
     return PermGroup(H.degree, gens, elems)
 
@@ -35,7 +35,7 @@ def conjugates(G, H):
         raise NotASubgroupError("conjugates argument is not a subgroup of G")
     seen = {}
     for g in G.elements:
-        kset = conjugate_set(H.element_set(), g)
+        kset = conjugate_set(frozenset(H.elements), g)
         if kset not in seen:
             seen[kset] = conjugated_by(H, g)
     return sorted(seen.values(), key=PermGroup.fingerprint)
@@ -73,7 +73,7 @@ def greedy_chain(degree, elements):
 def poset_moebius(subgroups, i, j):
     """The Möbius function of the subgroups ordered by inclusion, from its
     recursion mu(i, i) = 1 and mu(i, j) = -(sum of mu(i, k) over i <= k < j)."""
-    sets = [H.element_set() for H in subgroups]
+    sets = [frozenset(H.elements) for H in subgroups]
     if not sets[i] <= sets[j]:
         return 0
     if i == j:
@@ -112,7 +112,7 @@ def quotient_direct(G, N):
         xinv = x.inverse()
         mapping[x] = Permutation(point_of[rep * xinv] for rep in reps)
     q_gens = [mapping[g] for g in G.generators]
-    return PermGroup(len(cosets), q_gens, set(mapping.values())), mapping
+    return PermGroup(len(cosets), q_gens, {q.images for q in mapping.values()}), mapping
 
 
 #: The normal-subgroup scan enumerates class unions; guard the subset blowup.

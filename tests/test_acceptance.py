@@ -210,7 +210,7 @@ def test_criterion_10_structural_invariants(groups, hall_ctx):
             # membership counts are constant on generated cyclic subgroups
             spans = {}
             for x, v in ctx.lam.items():
-                key = close([x]).element_set()
+                key = frozenset(close([x]).elements)
                 spans.setdefault(key, set()).add(v)
             ok = ok and all(len(v) == 1 for v in spans.values())
             # Burnside cross-check of the membership-count sum over H

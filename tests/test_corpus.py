@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from hallfix import (Permutation, UnknownGroupError,
@@ -162,9 +164,10 @@ def test_group_file_errors(tmp_path):
     with pytest.raises(GroupFileError, match="out of range"):
         parse_group_text("degree: 2\ngen: (1 3)\n")
     bad = tmp_path / "bad.grp"
-    bad.write_text("degree: x\ngen: (1 2)\n")
-    with pytest.raises(GroupFileError, match="bad degree"):
-        read_group_file(bad)
+    for degree in ("x", "1_0", "+7"):
+        bad.write_text(f"degree: {degree}\ngen: (1 2)\n")
+        with pytest.raises(GroupFileError, match=re.escape(f"line 1: bad degree {degree!r}")):
+            read_group_file(bad)
 
 
 def test_degree_over_the_limit_is_refused_before_any_tuple(monkeypatch):

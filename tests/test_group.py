@@ -13,13 +13,13 @@ from hallfix import (CapExceededError, NoHallSubgroupError, NotASubgroupError,
                      PiSet, Permutation, build_hall_context, centralizer, close, core_pi,
                      corpus_entries, cyclic_lattice, is_pi_separable, multiplicative_value,
                      parse_permutation, subgroups_of_order, trivial_group)
-from hallfix import group as group_mod
+from hallfix import cli, group as group_mod
 from hallfix.arith import divisors, prime_divisors
 from hallfix.cli import add_record
 from hallfix.group import (DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, conjugacy_classes,
                            core_pi_complement, hall_subgroups)
 from hallfix.hall import pi_part
-from hallfix.reports import PASS
+from hallfix.reports import INAPPLICABLE, PASS
 from oracles import (burnside_orbit_count, conjugate_set, conjugates, greedy_chain, is_pi,
                      is_pi_prime, is_pi_separable_direct, normal_subgroups, proper_prime_sets,
                      quotient_direct, s5_subgroup_classes, tau_by_element)
@@ -99,7 +99,7 @@ def _close_direct(generators, *, degree=None, cap=DEFAULT_ELEMENT_CAP):
                         "the group is too large for exhaustive mode")
                 seen.add(y)
                 queue.append(y)
-    return PermGroup(deg, gens or [ident], seen)
+    return PermGroup(deg, gens or [ident], [x.images for x in seen])
 
 
 @st.composite
@@ -208,7 +208,7 @@ def normalizer(G, H):
     """Subgroup {g in G : g H g^-1 = H}."""
     if not H.is_subgroup_of(G):
         raise NotASubgroupError("normalizer argument is not a subgroup of G")
-    hset = H.element_set()
+    hset = frozenset(H.elements)
     elems = [g for g in G.elements if conjugate_set(hset, g) == hset]
     return close(elems, degree=G.degree)
 
@@ -300,7 +300,7 @@ def _oracle_subgroups(G, m, max_gens=3):
 def test_subgroups_of_order_against_exhaustive_oracle(groups, name, orders):
     G = groups[name]
     for m in orders:
-        got = [H.element_set() for H in subgroups_of_order(G, m)]
+        got = [frozenset(H.elements) for H in subgroups_of_order(G, m)]
         expect = [frozenset(s) for s in _oracle_subgroups(G, m)]
         assert sorted(got, key=sorted) == sorted(expect, key=sorted), (name, m)
 
@@ -309,7 +309,7 @@ def test_subgroups_of_order_a5_examples(groups):
     A5 = groups["A5"]
     sylow2 = subgroups_of_order(A5, 4)
     assert len(sylow2) == 5
-    assert (sorted((H.element_set() for H in sylow2), key=sorted)
+    assert (sorted((frozenset(H.elements) for H in sylow2), key=sorted)
             == sorted((frozenset(s) for s in _oracle_subgroups(A5, 4)), key=sorted))
     assert subgroups_of_order(A5, 20) == []
     assert _oracle_subgroups(A5, 20) == []
@@ -405,7 +405,7 @@ def test_cores_of_class_rich_abelian_groups(name):
     for pi in _prime_subsets(G):
         for core, keep in ((core_pi, is_pi), (core_pi_complement, is_pi_prime)):
             expect = {g for g in G.elements if keep(g.order(), pi)}
-            assert core(G, pi).element_set() == expect, (name, str(pi))
+            assert frozenset(core(G, pi).elements) == expect, (name, str(pi))
         assert is_pi_separable(G, pi)
 
 
@@ -452,6 +452,25 @@ def test_element_orders_take_one_order_per_class(monkeypatch):
     assert orders == tuple(g.order() for g in A7.elements)
 
 
+def test_closure_and_hall_checks_make_few_permutations(monkeypatch):
+    # Closure, the Hall search, the classes and both checks run on image
+    # tuples and element indices: A7 with pi={2,3} has 2520 elements and 35
+    # Hall subgroups, but makes only a few Permutation objects.  (verify-mult
+    # computes its value, then finds no hypothesis that applies.)
+    made = []
+    trusted, init = Permutation._trusted.__func__, Permutation.__init__
+    monkeypatch.setattr(Permutation, "_trusted",
+                        classmethod(lambda cls, t: made.append(t) or trusted(cls, t)))
+    monkeypatch.setattr(Permutation, "__init__",
+                        lambda self, images: made.append(images) or init(self, images))
+    gens = [P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)]
+    made.clear()
+    A7 = close(gens)
+    records = cli.hall_records("A7", A7, PiSet([2, 3]), ["verify-mult", "verify-add"])
+    assert A7.order == 2520 and [r.status for r in records] == [INAPPLICABLE, PASS]
+    assert len(made) < A7.order // 10
+
+
 def test_separability_matches_the_quotient_tower(groups):
     pairs = 0
     for name, G in groups.items():
@@ -490,7 +509,7 @@ def test_relations_on_s5_subgroups_match_element_sets():
     # generator tuples.
     subgroups = s5_subgroup_classes()[0]
     S5 = subgroups[-1]
-    sets = [H.element_set() for H in subgroups]
+    sets = [frozenset(H.elements) for H in subgroups]
     twins = [close(K.generators[::-1]) for K in subgroups]
     normalizers = [frozenset(g for g in S5.elements if conjugate_set(hset, g) == hset)
                    for hset in sets]
@@ -566,7 +585,8 @@ def test_sylow_subgroups_match_the_full_search(groups):
     for name, G, p in cases:
         halls = build_hall_context(G, PiSet([p])).halls
         expect = subgroups_of_order(G, pi_part(G.order, PiSet([p])))
-        assert [K.element_set() for K in halls] == [K.element_set() for K in expect], (name, p)
+        assert ([frozenset(K.elements) for K in halls]
+                == [frozenset(K.elements) for K in expect]), (name, p)
         assert all(close(K.generators) == K for K in halls), (name, p)
 
 
@@ -586,7 +606,8 @@ def test_hall_subgroups_match_the_full_search(groups):
             halls = build_hall_context(G, pi).halls
         except NoHallSubgroupError:
             halls = ()
-        assert [K.element_set() for K in halls] == [K.element_set() for K in expect], (name, str(pi))
+        assert ([frozenset(K.elements) for K in halls]
+                == [frozenset(K.elements) for K in expect]), (name, str(pi))
         assert all(close(K.generators) == K for K in halls), (name, str(pi))
     # Hall orders with three primes, pinned from the full search (3.4 s):
     # PSL(2,11) has two classes of 11 A5s and no subgroup of order 132.

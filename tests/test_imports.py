@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private function, class and method it defines is read in the package."""
 
 from __future__ import annotations
 
@@ -25,8 +26,14 @@ def _unused_imports(tree):
                                               and node.module == "__future__"):
                     name = alias.asname or alias.name.split(".")[0]
                     imported[name] = node.lineno
+    read = _names_read(tree)
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def _names_read(tree):
+    """Every name the module reads, including names in string annotations,
+    such as "Permutation | PermGroup"."""
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # Names in string annotations, such as "Permutation | PermGroup", count too.
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
@@ -34,7 +41,27 @@ def _unused_imports(tree):
             except SyntaxError:
                 continue
             read |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in read)
+    return read
+
+
+def _private_definitions(tree):
+    """(line, name) of each private function or class defined at the top level
+    of the module, and of each private method of its top-level classes."""
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [(node.lineno, node.name) for body in bodies for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def _unread_private_definitions(trees):
+    """(module, line, name) of the private definitions no module reads, as a
+    name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        read |= _names_read(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [(module, line, name) for module, tree in sorted(trees.items())
+            for line, name in _private_definitions(tree) if name not in read]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
@@ -50,3 +77,21 @@ def test_the_check_sees_an_unused_import():
                      "import os.path\n"
                      "def f(G: 'PermGroup'):\n    return conjugacy_classes(G)\n")
     assert _unused_imports(tree) == [(1, "close"), (2, "os")]
+
+
+def test_package_reads_every_private_definition():
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    assert sum(len(_private_definitions(tree)) for tree in trees.values()) > 0
+    unread = _unread_private_definitions(trees)
+    assert unread == [], f"private definitions nothing reads: {unread}"
+
+
+def test_the_check_sees_an_unread_private_definition():
+    trees = {"a.py": ast.parse("def _used():\n    pass\n"
+                               "def _dead():\n    pass\n"
+                               "class C:\n"
+                               "    def _method(self):\n        return _used()\n"
+                               "    def _stale(self):\n        pass\n"
+                               "    def __len__(self):\n        return 0\n"),
+             "b.py": ast.parse("def f(c):\n    return c._method()\n")}
+    assert _unread_private_definitions(trees) == [("a.py", 3, "_dead"), ("a.py", 8, "_stale")]

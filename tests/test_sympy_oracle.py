@@ -80,11 +80,11 @@ def test_separability_and_tau_agree_with_the_oracles(gens, data):
     except NoHallSubgroupError:
         assert subgroups_of_order(G, pi_part(G.order, pi)) == []
         return
-    assert ([K.element_set() for K in ctx.halls]
-            == [K.element_set() for K in subgroups_of_order(G, ctx.hall_order)])
+    assert ([frozenset(K.elements) for K in ctx.halls]
+            == [frozenset(K.elements) for K in subgroups_of_order(G, ctx.hall_order)])
     tau = tau_by_element(ctx)
     for g in G.elements:
-        assert tau[g] == sum(conjugated_by(K, g).element_set() == K.element_set()
+        assert tau[g] == sum(frozenset(conjugated_by(K, g).elements) == frozenset(K.elements)
                              for K in ctx.halls)
 
 

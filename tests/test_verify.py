@@ -211,7 +211,7 @@ def test_scenario_acceptance_matches_definition(groups):
     for name in ("S4", "S3xS3"):
         G = groups[name]
         subgroups = [H for d in divisors(G.order) for H in subgroups_of_order(G, d)]
-        sets = [H.element_set() for H in subgroups]
+        sets = [frozenset(H.elements) for H in subgroups]
         normal = [all(conjugate_set(S, g) == S for g in G.elements) for S in sets]
         accepted[name] = 0
         for (N, Ns, is_normal), (H, Hs) in product(zip(subgroups, sets, normal),
@@ -397,9 +397,9 @@ def test_burnside_orbit_count_157(hall_ctx):
     H, G, halls = ctx.canonical_hall, ctx.group, ctx.halls
     count = burnside_orbit_count(H, tau_by_element(ctx), 4)
     assert count == 157
-    by_set = {K.element_set(): i for i, K in enumerate(halls)}
+    by_set = {frozenset(K.elements): i for i, K in enumerate(halls)}
     action = FiniteAction.build(
-        G, len(halls), lambda g, i: by_set[conjugated_by(halls[i], g).element_set()])
+        G, len(halls), lambda g, i: by_set[frozenset(conjugated_by(halls[i], g).elements)])
     assert count == _orbit_count_by_enumeration(action, H, 4)
 
 
@@ -562,6 +562,6 @@ def test_index_path_matches_permutation_oracles(groups):
             assert orbits == additive and interpretation_check(ctx), where
             for d in divisors(n):
                 powers = {G.elements[G.power_index(i, d)] for i in ctx.hall_members[0]}
-                assert powers == power_subgroup(H, d).element_set(), (where, d)
+                assert powers == frozenset(power_subgroup(H, d).elements), (where, d)
         checked += 1
     assert (checked, abelian) == (56 + 24, 62)
