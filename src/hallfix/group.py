@@ -302,7 +302,7 @@ def hall_subgroups(G: PermGroup, n: int) -> List[_Found]:
     queue = list(orbit)
     rows = _conjugation_rows(G)
     for S in queue:
-        for row in rows:
+        for _, row in rows:
             T = frozenset(map(row.__getitem__, S))
             if T not in orbit:
                 orbit[T] = tuple(map(row.__getitem__, orbit[S]))
@@ -343,15 +343,15 @@ def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[
         del extend  # break the self-reference even if the caller stops early
 
 
-def _conjugation_rows(G: PermGroup) -> List[List[int]]:
-    """Once per group, a row x -> g x g^-1 = g o (x o g^-1) on element indices
-    per distinct generator g but the identity, which moves nothing (skipping it
-    also keeps degree 1 off itemgetter's single-index form)."""
+def _conjugation_rows(G: PermGroup) -> List[Tuple[Permutation, List[int]]]:
+    """Once per group, a pair (g, row x -> g x g^-1 = g o (x o g^-1) on element
+    indices) per distinct generator g but the identity, which moves nothing
+    (skipping it also keeps degree 1 off itemgetter's single-index form)."""
     if G._rows is None:
         index, rows = G._ensure_index(), []
         for g in {g.images: g for g in G.generators if g.images != G.fingerprint()[0]}.values():
             shifted, times_ginv = (0,) + g.images, _times(g.inverse().images)
-            rows.append([index[itemgetter(*times_ginv(x))(shifted)] for x in G.fingerprint()])
+            rows.append((g, [index[itemgetter(*times_ginv(x))(shifted)] for x in G.fingerprint()]))
         object.__setattr__(G, "_rows", rows)
     return G._rows
 
@@ -370,7 +370,7 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
         seen[i], orbit, k = 1, [i], Permutation._trusted(images[i]).order()
         for y in orbit:
             orders[y] = k
-            for row in rows:
+            for _, row in rows:
                 z = row[y]
                 if not seen[z]:
                     seen[z] = 1

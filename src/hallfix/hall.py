@@ -6,7 +6,8 @@ is the pi-part of |G|, with no conjugacy assumption among them;
 context keeps beside the subgroups.  For pi-separable groups they form the
 usual single class, which the tests check.
 lam and tau(g), the number of Hall subgroups that g normalizes, are lists
-over G's element indices; tau is a class function, counted once per class.
+over G's element indices; tau, the permutation character of G's conjugation
+action on the Hall set, is counted once per orbit from one normalizer.
 The cyclic subgroups of a group are read off its power walks, each paired
 with its Möbius weight; nothing here closes a generating set.
 """
@@ -19,7 +20,8 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .arith import FactoredRational, PiSet, moebius, prime_divisors
-from .group import PermGroup, conjugacy_classes, hall_subgroups
+from .group import (PermGroup, _conjugation_rows, _grow, _times, conjugacy_classes,
+                    hall_subgroups)
 # Not called here: perfbench's tracer and its tests bind this name in every
 # module that imported it.
 from .group import subgroups_of_order  # noqa: F401
@@ -93,18 +95,44 @@ class HallContext:
 
     @property
     def tau_values(self) -> List[int]:
-        """tau(g) = number of Hall subgroups normalized by g, counted on each
-        class's first element g: g normalizes K exactly when it conjugates
-        every generator of K into K."""
+        """tau(g) = number of Hall subgroups normalized by g: the permutation
+        character of G's conjugation action on them.  On the orbit O of K, g
+        fixes |O| |g^G & N_G(K)| / |g^G| of them (orbit-stabilizer); N_G(K)
+        grows from K by the Schreier generators u[T]^-1 g u[S] of a transversal,
+        u[T] K u[T]^-1 = T, until |N_G(K)| |O| = |G|.  A lone Hall subgroup is
+        normal, and every g normalizes it."""
+        if self._tau is None and self.num_halls == 1:
+            self._tau = [1] * self.group.order
         if self._tau is None:
-            index, tau = self.group._ensure_index(), [0] * self.group.order
-            for cls in conjugacy_classes(self.group):
-                g = Permutation(self.group.fingerprint()[cls[0]])
-                ginv = g.inverse()
-                count = sum(all(index[(g * k * ginv).images] in S for k in K.generators)
-                            for K, S in zip(self.halls, self.hall_members))
-                for i in cls:
-                    tau[i] = count
+            G = self.group
+            index, images, rows = G._ensure_index(), G.fingerprint(), _conjugation_rows(G)
+            tau, u = [0] * G.order, {}
+            for K in self.hall_members:
+                if K in u:
+                    continue
+                u[K], orbit, edges = G.identity, [K], []
+                for S in orbit:
+                    for g, row in rows:
+                        T = frozenset(map(row.__getitem__, S))
+                        if T in u:
+                            edges.append((T, g, S))
+                        else:
+                            u[T] = g * u[S]
+                            orbit.append(T)
+                # K is normal in N_G(K), so Dimino's step may grow from the
+                # last N by every Schreier generator that grew it so far.
+                N, moves, target = K, [], G.order // len(orbit)
+                for T, g, S in edges:
+                    if len(N) == target:
+                        break
+                    s = index[(u[T].inverse() * g * u[S]).images]
+                    if s not in N:
+                        moves.append(_times(images[s]))
+                        N = _grow(index, images, N, moves, target)
+                for cls in conjugacy_classes(G):
+                    count = len(orbit) * len(N.intersection(cls)) // len(cls)
+                    for i in cls:
+                        tau[i] += count
             self._tau = tau
         return self._tau
 
@@ -170,5 +198,6 @@ def lambda_report_lines(ctx: HallContext) -> List[str]:
 def lambda_report_records(ctx: HallContext) -> List[Dict[str, object]]:
     """JSON-ready report: {element, order, lambda} per pi-element."""
     G = ctx.group
-    return [{"element": format_permutation(x), "order": k, "lambda": v}
-            for x, k, v in zip(G.elements, G.element_orders(), ctx.lam_values) if v is not None]
+    return [{"element": format_permutation(Permutation._trusted(x)), "order": k, "lambda": v}
+            for x, k, v in zip(G.fingerprint(), G.element_orders(), ctx.lam_values)
+            if v is not None]

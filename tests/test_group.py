@@ -452,11 +452,13 @@ def test_element_orders_take_one_order_per_class(monkeypatch):
     assert orders == tuple(g.order() for g in A7.elements)
 
 
-def test_closure_and_hall_checks_make_few_permutations(monkeypatch):
+def test_closure_and_hall_checks_make_few_permutations(monkeypatch, capsys):
     # Closure, the Hall search, the classes and both checks run on image
     # tuples and element indices: A7 with pi={2,3} has 2520 elements and 35
     # Hall subgroups, but makes only a few Permutation objects.  (verify-mult
-    # computes its value, then finds no hypothesis that applies.)
+    # computes its value, then finds no hypothesis that applies.)  tau, which
+    # sym-char reads, takes one transversal of the Hall orbit and a few
+    # Schreier generators, and the lambda report formats only pi-elements.
     made = []
     trusted, init = Permutation._trusted.__func__, Permutation.__init__
     monkeypatch.setattr(Permutation, "_trusted",
@@ -469,6 +471,12 @@ def test_closure_and_hall_checks_make_few_permutations(monkeypatch):
     records = cli.hall_records("A7", A7, PiSet([2, 3]), ["verify-mult", "verify-add"])
     assert A7.order == 2520 and [r.status for r in records] == [INAPPLICABLE, PASS]
     assert len(made) < A7.order // 10
+    made.clear()
+    [record] = cli.hall_records("A7", A7, PiSet([2, 3]), ["sym-char"])
+    assert record.status == PASS and len(made) < A7.order // 10
+    made.clear()
+    assert cli.main(["lambda", "--group", "PGL(2,9)", "--pi", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 145 and len(made) < 720 // 3
 
 
 def test_separability_matches_the_quotient_tower(groups):

@@ -71,7 +71,7 @@ def test_s6_representatives_cover_the_1455_subgroups():
         assert orbit[0] not in seen, H
         seen.add(orbit[0])
         for S in orbit:
-            for row in rows:
+            for _, row in rows:
                 T = frozenset(map(row.__getitem__, S))
                 if T not in seen:
                     seen.add(T)
