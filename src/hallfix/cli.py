@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 from .arith import FACTOR_LIMIT, PiSet, prime_divisors
 from .corpus import (A5_CURIOSITY, CorpusEntry, UnknownGroupError, corpus_entries,
                      get_entry, load_group, load_scenario)
-from .group import CapExceededError, DEFAULT_ELEMENT_CAP, PermGroup, close, is_pi_separable
+from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, MAX_CAP, PermGroup, close,
+                    is_pi_separable)
 from .groupio import GroupFileError, read_group_file
 from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
                    lambda_report_lines, lambda_report_records)
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pi", help="comma-separated prime list, e.g. 2,3")
         p.add_argument("--json", action="store_true", help="emit JSON records")
         p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
-                       help="element cap for exhaustive closure")
+                       help=f"element cap for exhaustive closure, 1 to {MAX_CAP}")
         if name == "curiosity":
             p.add_argument("--n", type=int, default=None,
                            help="power-sum length (default: the group order)")
@@ -263,6 +264,8 @@ def _dispatch(args) -> int:
     command = args.command
     if args.cap < 1:
         raise InputError("--cap must be at least 1")
+    if args.cap > MAX_CAP:
+        raise InputError(f"--cap {args.cap} is over the limit {MAX_CAP}")
 
     if command == "scan":
         entries = corpus_entries()

@@ -24,6 +24,9 @@ from .perm import Permutation
 
 #: Default ceiling for exhaustive element enumeration.
 DEFAULT_ELEMENT_CAP = 10080
+#: Largest cap the command line admits: the order of S8, whose closure and
+#: classes take about 0.3 s and 24 MB; a larger cap is refused before closure.
+MAX_CAP = 40320
 
 
 class CapExceededError(RuntimeError):
@@ -279,35 +282,61 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     return [G.subgroup(S, gens) for S, gens in found]
 
 
-def hall_subgroups(G: PermGroup, n: int) -> List[_Found]:
+def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], List[Tuple[int, FrozenSet[int]]]]:
     """The subgroups of Hall order ``n``, as (element-index set, generator
     indices) pairs sorted like :func:`subgroups_of_order`: on the sorted
-    element indices, the fingerprint order, as the elements are canonical.
+    element indices, the fingerprint order, as the elements are canonical;
+    and one (size, N_G(K) element-index set) per conjugation orbit of them.
 
     Each contains a Sylow p-subgroup of G for every p dividing n, and the
     Sylow p-subgroups are conjugate, so each is conjugate to one containing
     P, the search's first hit at n's largest prime power.  They are the
     conjugation orbits of the search's hits above P, in every finite group;
-    no hit means there is none.  At a prime-power n the only hit is P."""
+    no hit means there is none.  At a prime-power n the only hit is P.
+
+    Each orbit is walked once, from its first hit K.  N_G(K) grows from K by
+    Schreier generators until |N_G(K)| |orbit| = |G| (orbit-stabilizer), and
+    is G when K is the lone Hall subgroup, which is normal."""
     if n < 1 or G.order % n or gcd(n, G.order // n) != 1:
         raise ValueError(f"{n} is not a Hall order of a group of order {G.order}")
-    if n == 1:
-        return [_TRIVIAL]
-    if n == G.order:
-        return [(frozenset(range(n)), tuple(G._ensure_index()[g.images] for g in G.generators))]
+    index, images, rows = G._ensure_index(), G.fingerprint(), _conjugation_rows(G)
+    if n in (1, G.order):
+        whole = frozenset(range(G.order))
+        gens = tuple(index[g.images] for g in G.generators)
+        return [_TRIVIAL if n == 1 else (whole, gens)], [(1, whole)]
     q = max(p ** k for p, k in factorize(n).items())
     P = next(_subgroup_search(G, q))
-    # Element-index sets of the conjugates, each with its conjugated generators.
-    orbit = dict([P] if q == n else _subgroup_search(G, n, P))
-    queue = list(orbit)
-    rows = _conjugation_rows(G)
-    for S in queue:
-        for _, row in rows:
-            T = frozenset(map(row.__getitem__, S))
-            if T not in orbit:
-                orbit[T] = tuple(map(row.__getitem__, orbit[S]))
-                queue.append(T)
-    return sorted(orbit.items(), key=lambda pair: sorted(pair[0]))
+    halls, orbits = {}, []  # the Hall subgroups, each with its conjugated generators
+    for K, gens in [P] if q == n else _subgroup_search(G, n, P):
+        if K in halls:
+            continue
+        # u[T], with u[T] K u[T]^-1 = T, is the image tuple g u[S] for the S and
+        # the generator g (its (0,) + images maps t to g t) that first reached T.
+        halls[K], orbit, u, edges = gens, [K], {K: images[0]}, []
+        for S in orbit:
+            for g, row in rows:
+                T = frozenset(map(row.__getitem__, S))
+                if T in halls:
+                    edges.append((u[T], g, u[S]))
+                else:
+                    halls[T] = tuple(map(row.__getitem__, halls[S]))
+                    u[T] = tuple(map(g.__getitem__, u[S]))
+                    orbit.append(T)
+        # An edge S -> T = g S g^-1 to a T met before gives the Schreier generator
+        # u[T]^-1 g u[S] of N_G(K).  K is normal in N_G(K), so Dimino's step may
+        # grow from the last N by every one that grew it so far.
+        N = K if len(orbit) > 1 else frozenset(range(G.order))
+        moves, target = [], G.order // len(orbit)
+        for u_T, g, u_S in edges:
+            if len(N) == target:
+                break
+            u_inverse = dict(zip(u_T, images[0]))
+            s = index[tuple(u_inverse[g[v]] for v in u_S)]
+            if s not in N:
+                moves.append(_times(images[s]))
+                N = _grow(index, images, N, moves, target)
+        orbits.append((len(orbit), N))
+    return sorted(halls.items(), key=lambda pair: sorted(pair[0])), orbits
 
 
 def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[_Found]:
@@ -343,15 +372,15 @@ def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[
         del extend  # break the self-reference even if the caller stops early
 
 
-def _conjugation_rows(G: PermGroup) -> List[Tuple[Permutation, List[int]]]:
-    """Once per group, a pair (g, row x -> g x g^-1 = g o (x o g^-1) on element
+def _conjugation_rows(G: PermGroup) -> List[Tuple[Tuple[int, ...], List[int]]]:
+    """Once per group, a pair ((0,) + g's images, row x -> g x g^-1 on element
     indices) per distinct generator g but the identity, which moves nothing
     (skipping it also keeps degree 1 off itemgetter's single-index form)."""
     if G._rows is None:
-        index, rows = G._ensure_index(), []
-        for g in {g.images: g for g in G.generators if g.images != G.fingerprint()[0]}.values():
+        index, images, rows = G._ensure_index(), G.fingerprint(), []
+        for g in {g.images: g for g in G.generators if g.images != images[0]}.values():
             shifted, times_ginv = (0,) + g.images, _times(g.inverse().images)
-            rows.append((g, [index[itemgetter(*times_ginv(x))(shifted)] for x in G.fingerprint()]))
+            rows.append((shifted, [index[itemgetter(*times_ginv(x))(shifted)] for x in images]))
         object.__setattr__(G, "_rows", rows)
     return G._rows
 

@@ -7,7 +7,8 @@ context keeps beside the subgroups.  For pi-separable groups they form the
 usual single class, which the tests check.
 lam and tau(g), the number of Hall subgroups that g normalizes, are lists
 over G's element indices; tau, the permutation character of G's conjugation
-action on the Hall set, is counted once per orbit from one normalizer.
+action on the Hall set, is counted from the orbit sizes and normalizers the
+enumeration hands over.
 The cyclic subgroups of a group are read off its power walks, each paired
 with its Möbius weight; nothing here closes a generating set.
 """
@@ -20,8 +21,7 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .arith import FactoredRational, PiSet, moebius, prime_divisors
-from .group import (PermGroup, _conjugation_rows, _grow, _times, conjugacy_classes,
-                    hall_subgroups)
+from .group import PermGroup, conjugacy_classes, hall_subgroups
 # Not called here: perfbench's tracer and its tests bind this name in every
 # module that imported it.
 from .group import subgroups_of_order  # noqa: F401
@@ -51,21 +51,25 @@ class HallContext:
     ``lam_values[i]`` is the number of Hall pi-subgroups containing the
     pi-element ``elements[i]`` (None off the pi-elements), and ``tau_values[i]``
     the number that ``elements[i]`` normalizes; the two agree on pi-elements.
-    ``hall_members[k]`` is the element-index set of ``halls[k]``.  The
-    element-keyed ``lam`` and ``lam_of`` are built on request.
+    ``hall_members[k]`` is the element-index set of ``halls[k]``, and each
+    orbit of the Hall set under conjugation has a (size, N_G(K) element-index
+    set) pair in ``hall_orbits``, K one of its members.  The element-keyed
+    ``lam`` and ``lam_of`` are built on request.
     """
 
-    __slots__ = ("group", "pi", "hall_order", "halls", "hall_members", "lam_values", "_tau",
-                 "_additive")
+    __slots__ = ("group", "pi", "hall_order", "halls", "hall_members", "hall_orbits",
+                 "lam_values", "_tau", "_additive")
 
     def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
                  halls: Tuple[PermGroup, ...], hall_members: Tuple[FrozenSet[int], ...],
+                 hall_orbits: List[Tuple[int, FrozenSet[int]]],
                  lam_values: List[Optional[int]]) -> None:
         self.group = group
         self.pi = pi
         self.hall_order = hall_order
         self.halls = halls
         self.hall_members = hall_members
+        self.hall_orbits = hall_orbits
         self.lam_values = lam_values
         self._tau: Optional[List[int]] = None
         self._additive: Dict[FrozenSet[int], Fraction] = {}  # see verify.additive_value
@@ -97,42 +101,14 @@ class HallContext:
     def tau_values(self) -> List[int]:
         """tau(g) = number of Hall subgroups normalized by g: the permutation
         character of G's conjugation action on them.  On the orbit O of K, g
-        fixes |O| |g^G & N_G(K)| / |g^G| of them (orbit-stabilizer); N_G(K)
-        grows from K by the Schreier generators u[T]^-1 g u[S] of a transversal,
-        u[T] K u[T]^-1 = T, until |N_G(K)| |O| = |G|.  A lone Hall subgroup is
-        normal, and every g normalizes it."""
-        if self._tau is None and self.num_halls == 1:
-            self._tau = [1] * self.group.order
+        fixes |O| |g^G & N_G(K)| / |g^G| of them (orbit-stabilizer), read off
+        ``hall_orbits`` one class at a time."""
         if self._tau is None:
-            G = self.group
-            index, images, rows = G._ensure_index(), G.fingerprint(), _conjugation_rows(G)
-            tau, u = [0] * G.order, {}
-            for K in self.hall_members:
-                if K in u:
-                    continue
-                u[K], orbit, edges = G.identity, [K], []
-                for S in orbit:
-                    for g, row in rows:
-                        T = frozenset(map(row.__getitem__, S))
-                        if T in u:
-                            edges.append((T, g, S))
-                        else:
-                            u[T] = g * u[S]
-                            orbit.append(T)
-                # K is normal in N_G(K), so Dimino's step may grow from the
-                # last N by every Schreier generator that grew it so far.
-                N, moves, target = K, [], G.order // len(orbit)
-                for T, g, S in edges:
-                    if len(N) == target:
-                        break
-                    s = index[(u[T].inverse() * g * u[S]).images]
-                    if s not in N:
-                        moves.append(_times(images[s]))
-                        N = _grow(index, images, N, moves, target)
-                for cls in conjugacy_classes(G):
-                    count = len(orbit) * len(N.intersection(cls)) // len(cls)
-                    for i in cls:
-                        tau[i] += count
+            tau = [0] * self.group.order
+            for cls in conjugacy_classes(self.group):
+                fixed = sum(size * len(N.intersection(cls)) for size, N in self.hall_orbits)
+                for i in cls:
+                    tau[i] = fixed // len(cls)
             self._tau = tau
         return self._tau
 
@@ -140,7 +116,7 @@ class HallContext:
 def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
     """Enumerate Hall_pi(G) and tabulate membership counts for every pi-element."""
     n = pi_part(G.order, pi)
-    found = hall_subgroups(G, n)
+    found, orbits = hall_subgroups(G, n)
     if not found:
         raise NoHallSubgroupError(
             f"group of order {G.order} has no Hall subgroup for pi={{{pi}}} "
@@ -154,7 +130,7 @@ def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
     lam = [counts[i] if k in pi_orders else None for i, k in enumerate(orders)]
     # A Hall subgroup that is all of G is G, which keeps its caches (its classes).
     halls = tuple(G if n == G.order else G.subgroup(S, gens) for S, gens in found)
-    return HallContext(G, pi, n, halls, members, lam)
+    return HallContext(G, pi, n, halls, members, orbits, lam)
 
 
 def cyclic_lattice(H: PermGroup) -> List[Tuple[PermGroup, int]]:

@@ -45,12 +45,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, point: int) -> int:
-        """Image of a 1-based point."""
-        if not 1 <= point <= len(self.images):
-            raise ValueError(f"point {point} out of range 1..{len(self.images)}")
-        return self.images[point - 1]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self.images) != len(other.images):
             raise ValueError("cannot compose permutations of different degree")

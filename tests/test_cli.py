@@ -361,6 +361,32 @@ def test_cap_of_one_reports_the_cap_error(capsys):
     assert "closure exceeds the element cap 1" in err
 
 
+def test_cap_over_the_limit_is_refused_before_closure(capsys, monkeypatch, tmp_path):
+    # Without the limit, a cap large enough for S10 ends in an internal MemoryError.
+    def no_closure(*args, **kwargs):
+        raise AssertionError("close was called")
+
+    for module in (cli, corpus_mod, group_mod):
+        monkeypatch.setattr(module, "close", no_closure)
+    path = tmp_path / "s10.grp"
+    path.write_text("degree: 10\ngen: (1 2 3 4 5 6 7 8 9 10)\ngen: (1 2)\n")
+    for cap in (group_mod.MAX_CAP + 1, 5000000):
+        for source in (["--group", "S4"], ["--file", str(path)]):
+            code, out, err = run(capsys, "verify-add", *source, "--pi", "2", "--cap", str(cap))
+            assert (code, out) == (2, "")
+            assert err == f"error: --cap {cap} is over the limit 40320\n"
+        assert run(capsys, "scan", "--cap", str(cap))[0] == 2
+
+
+def test_largest_cap_still_closes_s8(capsys, tmp_path):
+    path = tmp_path / "s8.grp"
+    path.write_text("degree: 8\ngen: (1 2 3 4 5 6 7 8)\ngen: (1 2)\n")
+    code, out, err = run(capsys, "verify-mult", "--file", str(path), "--pi", "7",
+                         "--cap", str(group_mod.MAX_CAP))
+    assert group_mod.MAX_CAP == 40320
+    assert (code, err) == (0, "") and "pass" in out
+
+
 def test_main_builds_one_parser_tree(capsys, monkeypatch):
     # Every command shares one parser: building it costs far more than
     # parsing, and each parser left behind is cyclic garbage.

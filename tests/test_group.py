@@ -250,11 +250,39 @@ def test_conjugates_examples(groups):
     assert len(conjugates(groups["S3"], close([P("(1 2)", 3)]))) == 3
 
 
-def test_conjugate_count_times_normalizer_is_order(groups):
+def _psl2_11():
+    """PSL(2,11) on the 12 points of the projective line over F11."""
+    return close([P("(2 3 4 5 6 7 8 9 10 11 12)", 12), P("(3 6 7 11 5)(4 10 12 9 8)", 12),
+                  P("(1 2)(3 12)(4 7)(5 9)(6 10)(8 11)", 12)])
+
+
+def test_conjugate_count_times_normalizer_is_order(groups, hall_ctx):
     for name, m in (("S4", 8), ("A5", 4), ("SL(2,3)", 3), ("F21", 3)):
         G = groups[name]
         for H in subgroups_of_order(G, m):
             assert len(conjugates(G, H)) * normalizer(G, H).order == G.order
+    # The Hall orbits the enumeration hands on, one (size, N_G(K)) each, on
+    # every corpus context with two or more Hall subgroups and on PSL(2,11)
+    # with pi={2,3,5}.  K, normal in N_G(K), is its only Hall subgroup there.
+    contexts = [("PSL(2,11) 2,3,5", build_hall_context(_psl2_11(), PiSet([2, 3, 5])))]
+    for entry in corpus_entries():
+        for pi in entry.check_pis:
+            try:
+                ctx = hall_ctx(entry.name, str(pi))
+            except NoHallSubgroupError:
+                continue
+            if ctx.num_halls > 1:
+                contexts.append((f"{entry.name} {pi}", ctx))
+    orbit_sizes = {name: sorted(size for size, _ in ctx.hall_orbits) for name, ctx in contexts}
+    assert orbit_sizes["GL(3,2) 2,3"] == [7, 7] and orbit_sizes["PSL(2,11) 2,3,5"] == [11, 11]
+    assert len(contexts) == 35
+    for name, ctx in contexts:
+        G = ctx.group
+        assert sum(orbit_sizes[name]) == ctx.num_halls, name
+        for size, N in ctx.hall_orbits:
+            [K] = [K for K, S in zip(ctx.halls, ctx.hall_members) if S <= N]
+            assert {G.elements[i] for i in N} == set(normalizer(G, K).elements), name
+            assert len(conjugates(G, K)) == size and size * len(N) == G.order, name
 
 
 def _oracle_subgroups(G, m, max_gens=3):
@@ -456,9 +484,11 @@ def test_closure_and_hall_checks_make_few_permutations(monkeypatch, capsys):
     # Closure, the Hall search, the classes and both checks run on image
     # tuples and element indices: A7 with pi={2,3} has 2520 elements and 35
     # Hall subgroups, but makes only a few Permutation objects.  (verify-mult
-    # computes its value, then finds no hypothesis that applies.)  tau, which
-    # sym-char reads, takes one transversal of the Hall orbit and a few
-    # Schreier generators, and the lambda report formats only pi-elements.
+    # computes its value, then finds no hypothesis that applies.)  The Hall
+    # enumeration walks each orbit once on image tuples and element indices,
+    # so tau, which sym-char reads, makes none: it counts each orbit from the
+    # size and normalizer handed over.  The lambda report formats only
+    # pi-elements.
     made = []
     trusted, init = Permutation._trusted.__func__, Permutation.__init__
     monkeypatch.setattr(Permutation, "_trusted",
@@ -474,7 +504,10 @@ def test_closure_and_hall_checks_make_few_permutations(monkeypatch, capsys):
     made.clear()
     [record] = cli.hall_records("A7", A7, PiSet([2, 3]), ["sym-char"])
     assert record.status == PASS and len(made) < A7.order // 10
+    ctx = build_hall_context(A7, PiSet([5]))
     made.clear()
+    assert ctx.num_halls == 126 and sum(ctx.tau_values) == A7.order  # one orbit (Burnside)
+    assert made == []
     assert cli.main(["lambda", "--group", "PGL(2,9)", "--pi", "5"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 145 and len(made) < 720 // 3
 
@@ -619,8 +652,7 @@ def test_hall_subgroups_match_the_full_search(groups):
         assert all(close(K.generators) == K for K in halls), (name, str(pi))
     # Hall orders with three primes, pinned from the full search (3.4 s):
     # PSL(2,11) has two classes of 11 A5s and no subgroup of order 132.
-    PSL = close([P("(2 3 4 5 6 7 8 9 10 11 12)", 12), P("(3 6 7 11 5)(4 10 12 9 8)", 12),
-                 P("(1 2)(3 12)(4 7)(5 9)(6 10)(8 11)", 12)])
+    PSL = _psl2_11()
     assert build_hall_context(PSL, PiSet([2, 3, 5])).num_halls == 22
     with pytest.raises(NoHallSubgroupError):
         build_hall_context(PSL, PiSet([2, 3, 11]))
@@ -662,7 +694,7 @@ def test_normal_subgroup_scan_refuses_more_than_20_classes():
 
 def _natural(g, i):
     """The natural action of g on 0-based point indices."""
-    return g.apply(i + 1) - 1
+    return g.images[i] - 1
 
 
 def test_finite_action_validation(groups):

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private function, class and method it defines is read in the package."""
+"""Every name a module of the package imports is used in that module, no
+module imports a private name from another, and every private function,
+class and method it defines is read in the package."""
 
 from __future__ import annotations
 
@@ -44,6 +45,15 @@ def _names_read(tree):
     return read
 
 
+def _private_imports(tree):
+    """(line, name) of each private name the module imports from a module of
+    the package, relatively or as ``hallfix.<module>``."""
+    return [(node.lineno, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "hallfix")
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def _private_definitions(tree):
     """(line, name) of each private function or class defined at the top level
     of the module, and of each private method of its top-level classes."""
@@ -77,6 +87,20 @@ def test_the_check_sees_an_unused_import():
                      "import os.path\n"
                      "def f(G: 'PermGroup'):\n    return conjugacy_classes(G)\n")
     assert _unused_imports(tree) == [(1, "close"), (2, "os")]
+
+
+def test_modules_import_no_private_name():
+    imported = [(path.name, line, name) for path in sorted(SRC.glob("*.py"))
+                for line, name in _private_imports(ast.parse(path.read_text()))]
+    assert imported == [], f"private names imported from another module: {imported}"
+
+
+def test_the_check_sees_a_private_import():
+    tree = ast.parse("from .group import (_grow, close)\n"
+                     "from hallfix.perm import _Hidden\n"
+                     "from os import _exit\n"
+                     "from __future__ import annotations\n")
+    assert _private_imports(tree) == [(1, "_grow"), (2, "_Hidden")]
 
 
 def test_package_reads_every_private_definition():
