@@ -10,6 +10,10 @@ scale.  Closure refuses groups larger than a configurable cap.
 indices by one routine, ``_grow``, Dimino's method from a subgroup, as an
 (element-index set, generator indices) pair; Hall subgroups and conjugacy
 classes are handed out in that index form.
+
+Tables are built by their first reader: the conjugation rows entry by entry
+by the Hall orbit walk, in full by ``conjugacy_classes``, which takes the
+element orders (one per class) for separability and the seeded searches.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optiona
                     Tuple)
 
 from .arith import PiSet, divisors, factorize, prime_divisors
-from .perm import Permutation
+from .perm import Permutation, image_order
 
 #: Default ceiling for exhaustive element enumeration.
 DEFAULT_ELEMENT_CAP = 10080
@@ -282,11 +286,11 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     return [G.subgroup(S, gens) for S, gens in found]
 
 
-def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], List[Tuple[int, FrozenSet[int]]]]:
+def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], Callable[[], list]]:
     """The subgroups of Hall order ``n``, as (element-index set, generator
     indices) pairs sorted like :func:`subgroups_of_order`: on the sorted
     element indices, the fingerprint order, as the elements are canonical;
-    and one (size, N_G(K) element-index set) per conjugation orbit of them.
+    and a function computing one (size, N_G(K) element-index set) per orbit.
 
     Each contains a Sylow p-subgroup of G for every p dividing n, and the
     Sylow p-subgroups are conjugate, so each is conjugate to one containing
@@ -294,19 +298,20 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], List[Tuple[int, 
     conjugation orbits of the search's hits above P, in every finite group;
     no hit means there is none.  At a prime-power n the only hit is P.
 
-    Each orbit is walked once, from its first hit K.  N_G(K) grows from K by
-    Schreier generators until |N_G(K)| |orbit| = |G| (orbit-stabilizer), and
-    is G when K is the lone Hall subgroup, which is normal."""
+    Each orbit is walked once, from its first hit K, on G's conjugation rows
+    filled at its members only.  The function grows each N_G(K) from K by the
+    walk's Schreier generators until |N_G(K)| |orbit| = |G| (orbit-stabilizer);
+    it is G when K is the lone Hall subgroup, which is normal."""
     if n < 1 or G.order % n or gcd(n, G.order // n) != 1:
         raise ValueError(f"{n} is not a Hall order of a group of order {G.order}")
-    index, images, rows = G._ensure_index(), G.fingerprint(), _conjugation_rows(G)
+    index, images = G._ensure_index(), G.fingerprint()
     if n in (1, G.order):
         whole = frozenset(range(G.order))
         gens = tuple(index[g.images] for g in G.generators)
-        return [_TRIVIAL if n == 1 else (whole, gens)], [(1, whole)]
+        return [_TRIVIAL if n == 1 else (whole, gens)], lambda: [(1, whole)]
     q = max(p ** k for p, k in factorize(n).items())
     P = next(_subgroup_search(G, q))
-    halls, orbits = {}, []  # the Hall subgroups, each with its conjugated generators
+    halls, walks = {}, []  # the Hall subgroups, each with its conjugated generators
     for K, gens in [P] if q == n else _subgroup_search(G, n, P):
         if K in halls:
             continue
@@ -314,7 +319,7 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], List[Tuple[int, 
         # the generator g (its (0,) + images maps t to g t) that first reached T.
         halls[K], orbit, u, edges = gens, [K], {K: images[0]}, []
         for S in orbit:
-            for g, row in rows:
+            for g, _, row in _fill_rows(G, S):
                 T = frozenset(map(row.__getitem__, S))
                 if T in halls:
                     edges.append((u[T], g, u[S]))
@@ -322,11 +327,14 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], List[Tuple[int, 
                     halls[T] = tuple(map(row.__getitem__, halls[S]))
                     u[T] = tuple(map(g.__getitem__, u[S]))
                     orbit.append(T)
+        walks.append((K, len(orbit), edges))
+
+    def normalizer(K: FrozenSet[int], size: int, edges: list) -> FrozenSet[int]:
         # An edge S -> T = g S g^-1 to a T met before gives the Schreier generator
         # u[T]^-1 g u[S] of N_G(K).  K is normal in N_G(K), so Dimino's step may
         # grow from the last N by every one that grew it so far.
-        N = K if len(orbit) > 1 else frozenset(range(G.order))
-        moves, target = [], G.order // len(orbit)
+        N = K if size > 1 else frozenset(range(G.order))
+        moves, target = [], G.order // size
         for u_T, g, u_S in edges:
             if len(N) == target:
                 break
@@ -335,17 +343,25 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], List[Tuple[int, 
             if s not in N:
                 moves.append(_times(images[s]))
                 N = _grow(index, images, N, moves, target)
-        orbits.append((len(orbit), N))
-    return sorted(halls.items(), key=lambda pair: sorted(pair[0])), orbits
+        return N
+    return (sorted(halls.items(), key=lambda pair: sorted(pair[0])),
+            lambda: [(size, normalizer(K, size, edges)) for K, size, edges in walks])
 
 
 def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[_Found]:
     """Yield the subgroups of order ``m`` containing the subgroup ``seed``, as
     (element-index set, generator indices) pairs in canonical chain order.
     A chain adds to the seed's generators, one at a time, the least element
-    outside the subgroup generated so far."""
-    index, orders, images = G._ensure_index(), G.element_orders(), G.fingerprint()
-    candidates = [i for i in range(1, G.order) if m % orders[i] == 0]
+    outside the subgroup generated so far.
+
+    Candidates have orders dividing m, read off G's classes, or unseeded on a
+    group without classes (a Sylow first hit) off each examined image tuple."""
+    index, images = G._ensure_index(), G.fingerprint()
+    if G._classes is None and seed is _TRIVIAL:
+        candidates, order = range(1, G.order), lambda e: image_order(images[e])
+    else:
+        order = G.element_orders().__getitem__
+        candidates = sorted(i for cls in G._classes[1:] if m % order(cls[0]) == 0 for i in cls)
     base, base_gens = seed
     max_gens = len(base_gens) + ceil(log2(m // len(base)))
 
@@ -353,7 +369,7 @@ def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[
         moves = [_times(images[g]) for g in gens]
         for pos in range(start, len(candidates)):
             e = candidates[pos]
-            if e in clo:
+            if e in clo or m % order(e):
                 continue
             # A new element below e means the chain is not canonical.
             new = _grow(index, images, clo, moves + [_times(images[e])], m, e)
@@ -372,17 +388,25 @@ def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[
         del extend  # break the self-reference even if the caller stops early
 
 
-def _conjugation_rows(G: PermGroup) -> List[Tuple[Tuple[int, ...], List[int]]]:
-    """Once per group, a pair ((0,) + g's images, row x -> g x g^-1 on element
-    indices) per distinct generator g but the identity, which moves nothing
-    (skipping it also keeps degree 1 off itemgetter's single-index form)."""
+def _conjugation_rows(G: PermGroup) -> List[Tuple[tuple, Callable, list]]:
+    """Once per group, a triple ((0,) + g's images, t -> t * g^-1 on image
+    tuples, row x -> g x g^-1 on element indices, None until filled) per
+    distinct generator g but the identity, which moves nothing (skipping it
+    also keeps degree 1 off itemgetter's single-index form)."""
     if G._rows is None:
-        index, images, rows = G._ensure_index(), G.fingerprint(), []
-        for g in {g.images: g for g in G.generators if g.images != images[0]}.values():
-            shifted, times_ginv = (0,) + g.images, _times(g.inverse().images)
-            rows.append((shifted, [index[itemgetter(*times_ginv(x))(shifted)] for x in images]))
-        object.__setattr__(G, "_rows", rows)
+        gens = {g.images: g for g in G.generators if g.images != G.fingerprint()[0]}.values()
+        object.__setattr__(G, "_rows", [((0,) + g.images, _times(g.inverse().images),
+                                         [None] * G.order) for g in gens])
     return G._rows
+
+
+def _fill_rows(G: PermGroup, xs: Iterable[int]) -> List[Tuple[tuple, Callable, list]]:
+    """G's conjugation rows, filled at the element indices ``xs``, a collection."""
+    index, images, rows = G._ensure_index(), G.fingerprint(), _conjugation_rows(G)
+    for shifted, times_ginv, row in rows:
+        for x in [x for x in xs if row[x] is None]:
+            row[x] = index[itemgetter(*times_ginv(images[x]))(shifted)]
+    return rows
 
 
 def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
@@ -390,7 +414,7 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
     first; computed once per group, with the element orders, one per class."""
     if G._classes is not None:
         return G._classes
-    rows, images, n = _conjugation_rows(G), G.fingerprint(), G.order
+    rows, images, n = _fill_rows(G, range(G.order)), G.fingerprint(), G.order
     seen, orders = bytearray(n), [0] * n
     classes: List[Tuple[int, ...]] = []
     for i in range(n):
@@ -399,7 +423,7 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
         seen[i], orbit, k = 1, [i], Permutation._trusted(images[i]).order()
         for y in orbit:
             orders[y] = k
-            for _, row in rows:
+            for _, _, row in rows:
                 z = row[y]
                 if not seen[z]:
                     seen[z] = 1

@@ -3,12 +3,12 @@
 For a prime set pi, the Hall pi-subgroups of G are ALL subgroups whose order
 is the pi-part of |G|, with no conjugacy assumption among them;
 ``group.hall_subgroups`` enumerates them as element-index sets, which the
-context keeps beside the subgroups.  For pi-separable groups they form the
-usual single class, which the tests check.
+context keeps, making groups of them only when read.  For pi-separable
+groups they form the usual single class, which the tests check.
 lam and tau(g), the number of Hall subgroups that g normalizes, are lists
 over G's element indices; tau, the permutation character of G's conjugation
 action on the Hall set, is counted from the orbit sizes and normalizers the
-enumeration hands over.
+enumeration hands over, growing the normalizers when tau is first read.
 The cyclic subgroups of a group are read off its power walks, each paired
 with its Möbius weight; nothing here closes a generating set.
 """
@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .arith import FactoredRational, PiSet, moebius, prime_divisors
 from .group import PermGroup, conjugacy_classes, hall_subgroups
@@ -45,42 +46,51 @@ def pi_part(order: int, pi: PiSet) -> int:
 
 
 class HallContext:
-    """A group, a prime set, every Hall subgroup, and lam and tau as lists over
-    the group's element indices.
+    """A group, a prime set and its Hall subgroups, with lam and tau as lists
+    over the group's element indices.
 
-    ``lam_values[i]`` is the number of Hall pi-subgroups containing the
-    pi-element ``elements[i]`` (None off the pi-elements), and ``tau_values[i]``
-    the number that ``elements[i]`` normalizes; the two agree on pi-elements.
-    ``hall_members[k]`` is the element-index set of ``halls[k]``, and each
-    orbit of the Hall set under conjugation has a (size, N_G(K) element-index
-    set) pair in ``hall_orbits``, K one of its members.  The element-keyed
-    ``lam`` and ``lam_of`` are built on request.
+    Built with ``hall_members[k]``, the k-th Hall subgroup's element indices,
+    and ``member_counts[i]``, how many hold ``elements[i]``: lam on the Hall
+    subgroups, all that the product and power-sum verifiers read.  The first
+    read builds ``canonical_hall`` alone, ``halls``, ``lam_values`` (None off
+    the pi-elements; it reads G's classes), ``hall_orbits`` (a (size, N_G(K)
+    element-index set) pair per conjugation orbit, K in it) and ``tau_values``.
     """
 
-    __slots__ = ("group", "pi", "hall_order", "halls", "hall_members", "hall_orbits",
-                 "lam_values", "_tau", "_additive")
-
     def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
-                 halls: Tuple[PermGroup, ...], hall_members: Tuple[FrozenSet[int], ...],
-                 hall_orbits: List[Tuple[int, FrozenSet[int]]],
-                 lam_values: List[Optional[int]]) -> None:
-        self.group = group
-        self.pi = pi
-        self.hall_order = hall_order
-        self.halls = halls
-        self.hall_members = hall_members
-        self.hall_orbits = hall_orbits
-        self.lam_values = lam_values
+                 found: List[Tuple[FrozenSet[int], Tuple[int, ...]]],
+                 normalizers: Callable[[], List[Tuple[int, FrozenSet[int]]]]) -> None:
+        self.group, self.pi, self.hall_order = group, pi, hall_order
+        self.hall_members = tuple(S for S, _ in found)
+        # Every element of a Hall subgroup is a pi-element, so its count is lam.
+        self.member_counts = Counter(i for S in self.hall_members for i in S)
+        self._found, self._normalizers = found, normalizers
         self._tau: Optional[List[int]] = None
         self._additive: Dict[FrozenSet[int], Fraction] = {}  # see verify.additive_value
 
     @property
     def num_halls(self) -> int:
-        return len(self.halls)
+        return len(self.hall_members)
 
-    @property
+    @cached_property
     def canonical_hall(self) -> PermGroup:
-        return self.halls[0]
+        """The first Hall subgroup; one that is all of G is G, which keeps its caches."""
+        G = self.group
+        return G if self.hall_order == G.order else G.subgroup(*self._found[0])
+
+    @cached_property
+    def halls(self) -> Tuple[PermGroup, ...]:
+        return (self.canonical_hall,) + tuple(self.group.subgroup(*f) for f in self._found[1:])
+
+    @cached_property
+    def hall_orbits(self) -> List[Tuple[int, FrozenSet[int]]]:
+        return self._normalizers()
+
+    @cached_property
+    def lam_values(self) -> List[Optional[int]]:
+        orders, counts = self.group.element_orders(), self.member_counts
+        pi_orders = {k for k in set(orders) if self.pi.issuperset(prime_divisors(k))}
+        return [counts[i] if k in pi_orders else None for i, k in enumerate(orders)]
 
     @property
     def lam(self) -> Mapping[Permutation, int]:
@@ -114,23 +124,14 @@ class HallContext:
 
 
 def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
-    """Enumerate Hall_pi(G) and tabulate membership counts for every pi-element."""
+    """Enumerate Hall_pi(G) and count the Hall subgroups holding each member."""
     n = pi_part(G.order, pi)
-    found, orbits = hall_subgroups(G, n)
+    found, normalizers = hall_subgroups(G, n)
     if not found:
         raise NoHallSubgroupError(
             f"group of order {G.order} has no Hall subgroup for pi={{{pi}}} "
             f"(no subgroup of order {n})")
-    members = tuple(S for S, _ in found)
-    # Every element of a Hall subgroup is a pi-element, so counting each
-    # subgroup's elements gives lam; pi-elements in no Hall subgroup get 0.
-    counts = Counter(i for S in members for i in S)
-    orders = G.element_orders()
-    pi_orders = {k for k in set(orders) if pi.issuperset(prime_divisors(k))}
-    lam = [counts[i] if k in pi_orders else None for i, k in enumerate(orders)]
-    # A Hall subgroup that is all of G is G, which keeps its caches (its classes).
-    halls = tuple(G if n == G.order else G.subgroup(S, gens) for S, gens in found)
-    return HallContext(G, pi, n, halls, members, orbits, lam)
+    return HallContext(G, pi, n, found, normalizers)
 
 
 def cyclic_lattice(H: PermGroup) -> List[Tuple[PermGroup, int]]:

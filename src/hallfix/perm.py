@@ -88,19 +88,7 @@ class Permutation:
 
     def order(self) -> int:
         """Least k >= 1 with self**k == identity: the lcm of the cycle lengths."""
-        imgs = self.images
-        seen = [False] * len(imgs)
-        out = 1
-        for start, nxt in enumerate(imgs, 1):
-            if nxt == start or seen[start - 1]:
-                continue
-            length = 1
-            while nxt != start:
-                seen[nxt - 1] = True
-                nxt = imgs[nxt - 1]
-                length += 1
-            out = lcm(out, length)
-        return out
+        return image_order(self.images)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -119,6 +107,22 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation[{format_permutation(self)} deg {len(self.images)}]"
+
+
+def image_order(imgs: Tuple[int, ...]) -> int:
+    """The order of the permutation with image tuple ``imgs``: the lcm of its cycle lengths."""
+    seen = [False] * len(imgs)
+    out = 1
+    for start, nxt in enumerate(imgs, 1):
+        if nxt == start or seen[start - 1]:
+            continue
+        length = 1
+        while nxt != start:
+            seen[nxt - 1] = True
+            nxt = imgs[nxt - 1]
+            length += 1
+        out = lcm(out, length)
+    return out
 
 
 def format_permutation(g: Permutation) -> str:

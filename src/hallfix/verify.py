@@ -51,13 +51,14 @@ class CoprimeActionScenario:
             raise ValueError("the action is not coprime: gcd(|N|, |H|) != 1")
 
 
-def _require_member_hall(ctx: HallContext,
-                         hall: Optional[PermGroup]) -> Tuple[PermGroup, FrozenSet[int]]:
-    """The Hall subgroup (the canonical one by default) and its element indices."""
-    for K, S in zip(ctx.halls, ctx.hall_members):
-        if hall is None or hall == K:
-            return K, S
-    raise ValueError("the given subgroup is not one of the Hall subgroups")
+def _hall_members(ctx: HallContext, hall: Optional[PermGroup]) -> FrozenSet[int]:
+    """The element indices of a Hall subgroup, the canonical one by default."""
+    index = ctx.group._ensure_index()
+    members = (ctx.hall_members[0] if hall is None
+               else frozenset(index.get(t) for t in hall.fingerprint()))
+    if members not in ctx.hall_members:
+        raise ValueError("the given subgroup is not one of the Hall subgroups")
+    return members
 
 
 def multiplicative_value(ctx: HallContext, hall: Optional[PermGroup] = None, *,
@@ -70,7 +71,7 @@ def multiplicative_value(ctx: HallContext, hall: Optional[PermGroup] = None, *,
     exponent base n is replaced by its radical; the two results are powers
     of each other, so either detects deviation from 1.
     """
-    G, lam, (_, members) = ctx.group, ctx.lam_values, _require_member_hall(ctx, hall)
+    G, lam, members = ctx.group, ctx.member_counts, _hall_members(ctx, hall)
     base = radical(ctx.hall_order) if use_radical else ctx.hall_order
     exponents: Counter = Counter()
     for d in filter(moebius, divisors(base)):
@@ -85,7 +86,7 @@ def multiplicative_value(ctx: HallContext, hall: Optional[PermGroup] = None, *,
 def power_product_pair(ctx: HallContext, p: int,
                        hall: Optional[PermGroup] = None) -> Tuple[int, int]:
     """The pair (prod lam(x^p), prod lam(x)^p) over a Hall subgroup."""
-    G, lam, (_, members) = ctx.group, ctx.lam_values, _require_member_hall(ctx, hall)
+    G, lam, members = ctx.group, ctx.member_counts, _hall_members(ctx, hall)
     left = Counter(lam[G.power_index(i, p)] for i in members)
     right = Counter(lam[i] for i in members)
     return prod(v**c for v, c in left.items()), prod(v ** (c * p) for v, c in right.items())
@@ -159,9 +160,9 @@ def additive_value(ctx: HallContext, hall: Optional[PermGroup] = None) -> Fracti
     The callers assert that this is a non-negative integer, zero exactly when
     the Hall subgroup is normal and nontrivial.
     """
-    n, (_, members) = ctx.hall_order, _require_member_hall(ctx, hall)
+    n, members = ctx.hall_order, _hall_members(ctx, hall)
     if members not in ctx._additive:
-        power_sum = _moebius_power_sum(ctx.group, ctx.lam_values, dict.fromkeys(members, 1), n)
+        power_sum = _moebius_power_sum(ctx.group, ctx.member_counts, dict.fromkeys(members, 1), n)
         ctx._additive[members] = Fraction(power_sum, n * n)
     return ctx._additive[members]
 
@@ -223,7 +224,7 @@ def interpretation_check(ctx: HallContext, hall: Optional[PermGroup] = None) -> 
     Checks additive_value == (1/n) sum over d | n of mu(d) * (number of orbits
     of the d-th power subgroup H^d on Hall-set (n/d)-tuples).
     """
-    H, members = _require_member_hall(ctx, hall)
+    H, members = hall or ctx.canonical_hall, _hall_members(ctx, hall)
     if not H.is_abelian():
         raise ValueError("the Hall subgroup is not abelian; power subgroups "
                          "are not formed here")

@@ -426,7 +426,8 @@ def test_scan_builds_one_hall_context_per_pi(capsys, monkeypatch):
 
 def test_scan_computes_the_additive_value_once_per_hall_context(capsys, monkeypatch):
     # verify-add, sym-char and interpretation all report the additive value;
-    # its power sum over lam is evaluated once per context.
+    # its power sum over lam on the Hall subgroups, the member counts, is
+    # evaluated once per context.
     contexts, sums = [], []
     build, power_sum = cli.build_hall_context, verify_mod._moebius_power_sum
     monkeypatch.setattr(cli, "build_hall_context",
@@ -435,7 +436,7 @@ def test_scan_computes_the_additive_value_once_per_hall_context(capsys, monkeypa
                         lambda G, f, *rest: sums.append(f) or power_sum(G, f, *rest))
     code, _, _ = run(capsys, "scan", "--group", "S4")
     assert code == 0 and len(contexts) == 3
-    assert [sum(f is ctx.lam_values for f in sums) for ctx in contexts] == [1, 1, 1]
+    assert [sum(f is ctx.member_counts for f in sums) for ctx in contexts] == [1, 1, 1]
 
 
 def test_scan_closes_each_group_once(capsys, monkeypatch):

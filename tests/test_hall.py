@@ -11,9 +11,12 @@ from hallfix import (NoHallSubgroupError, PiSet, build_hall_context, close,
                      corpus_entries, cyclic_lattice, divisors, load_group,
                      moebius_partition_check, parse_permutation, pi_part,
                      subgroups_of_order, totient, trivial_group)
+from hallfix import cli
 from hallfix.arith import prime_divisors
-from hallfix.group import conjugacy_classes
+from hallfix.cli import HALL_CHECKS, hall_records
+from hallfix.group import PermGroup, conjugacy_classes, hall_subgroups
 from hallfix.hall import lambda_report_lines, lambda_report_records
+from hallfix.reports import PASS
 from oracles import conjugated_by, conjugates, poset_moebius, tau_by_element
 
 
@@ -301,3 +304,72 @@ def test_conjugation_action_matches_elementwise_oracle(groups, hall_ctx):
     # GL(3,2) with pi={2,3} has two classes of Hall subgroups, so two orbits.
     assert {("A5", "2"), ("GL(3,2)", "2"), ("GL(3,2)", "7"), ("GL(3,2)", "2,3"),
             ("PSL(2,9)", "5")} <= checked
+
+
+def _a7():
+    return close([parse_permutation(g, 7) for g in ("(1 2 3 4 5 6 7)", "(1 2 3)")])
+
+
+def _hall_cases():
+    """(name, fresh-group maker, pi, corpus entry) for every (G, pi) the corpus
+    checks, and A7 with each prime of its order."""
+    cases = [(e.name, lambda name=e.name: load_group(name), pi, e)
+             for e in corpus_entries() for pi in e.check_pis]
+    cases += [("A7", _a7, PiSet([p]), None) for p in (2, 3, 5, 7)]
+    return cases
+
+
+def test_tables_built_on_demand_match_the_eager_ones():
+    # A Hall context builds G's conjugation rows entry by entry, its classes
+    # and element orders only when a check reads them, and its first Sylow
+    # hit without them.  Whatever builds them, on a freshly closed G or on one
+    # whose classes came first, the Hall subgroups with their generators, the
+    # orbit records, the check records and the lambda report are the same.
+    def eager(make):
+        G = make()
+        conjugacy_classes(G)
+        return G
+
+    compared = 0
+    for name, make, pi, entry in _hall_cases():
+        n = pi_part(make().order, pi)
+        runs = []
+        for G in (make(), eager(make)):
+            found, normalizers = hall_subgroups(G, n)
+            runs.append((found, normalizers()))
+        assert runs[0] == runs[1], (name, str(pi))
+        if not runs[0][0]:
+            continue
+        compared += 1
+        records = [hall_records(name, G, pi, HALL_CHECKS, entry) for G in (make(), eager(make))]
+        assert records[0] == records[1], (name, str(pi))
+        reports = [json.dumps(lambda_report_records(build_hall_context(G, pi)),
+                              indent=2, sort_keys=True) for G in (make(), eager(make))]
+        assert reports[0] == reports[1], (name, str(pi))
+    assert compared == 56 + 4
+
+
+@pytest.mark.parametrize("p, members", [(5, 505), (7, 721)])
+def test_verify_mult_and_add_build_no_group_wide_table(monkeypatch, p, members):
+    # verify-mult and verify-add read lam on one Hall subgroup only.  On A7
+    # with pi=5 (126 Sylow subgroups, 505 elements in all) or 7 (120 and 721)
+    # they build no classes, fill the conjugation rows at the Hall members
+    # only, and make no lam over G and no Hall subgroup as a group but the
+    # one verify-mult asks is cyclic.  sym-char then builds the rest.
+    contexts, made = [], []
+    build, subgroup = cli.build_hall_context, PermGroup.subgroup
+    monkeypatch.setattr(cli, "build_hall_context",
+                        lambda G, pi: contexts.append(build(G, pi)) or contexts[-1])
+    monkeypatch.setattr(PermGroup, "subgroup",
+                        lambda G, *found: made.append(G.order) or subgroup(G, *found))
+    A7 = _a7()
+    records = hall_records("A7", A7, PiSet([p]), ["verify-mult", "verify-add"])
+    assert [r.status for r in records] == [PASS, PASS]
+    [ctx] = contexts
+    union = frozenset().union(*ctx.hall_members)
+    assert A7._classes is None and len(union) == members
+    assert all({x for x, v in enumerate(row) if v is not None} == union
+               for _, _, row in A7._rows)
+    assert made == [A7.order] and not {"lam_values", "halls"} & set(vars(ctx))
+    averaged = {5: "1270318750", 7: "7312613877534"}[p]
+    assert cli.sym_char_record("A7", ctx).witness == f"identities hold; averaged value {averaged}"

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from hallfix import close, is_pi_separable, parse_permutation
 from hallfix.cli import HALL_CHECKS, hall_records
-from hallfix.group import _conjugation_rows
+from hallfix.group import _fill_rows
 from hallfix.reports import INAPPLICABLE, PASS
 from oracles import is_pi_separable_direct, proper_prime_sets
 
@@ -64,14 +64,14 @@ def test_s6_representatives_cover_the_1455_subgroups():
     # is its whole class: disjoint orbits holding 1455 subgroups in all
     # mean one representative per class and no class missing.
     S6 = close([parse_permutation("(1 2 3 4 5 6)", 6), parse_permutation("(1 2)", 6)])
-    index, rows = S6._ensure_index(), _conjugation_rows(S6)
+    index, rows = S6._ensure_index(), _fill_rows(S6, range(S6.order))
     seen = set()
     for H in s6_class_representatives():
         orbit = [frozenset(index[x.images] for x in H.elements)]
         assert orbit[0] not in seen, H
         seen.add(orbit[0])
         for S in orbit:
-            for _, row in rows:
+            for _, _, row in rows:
                 T = frozenset(map(row.__getitem__, S))
                 if T not in seen:
                     seen.add(T)
