@@ -11,10 +11,9 @@ from .arith import FactoredRational, PiSet, divisors, moebius, totient
 from .corpus import (CorpusEntry, UnknownGroupError, corpus_entries,
                      corpus_names, get_entry, load_group, load_scenario)
 from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
-                    NotASubgroupError, PermGroup, centralizer, close, core_pi,
-                    core_pi_complement, is_pi_separable, subgroups_of_order,
-                    trivial_group)
-from .groupio import GroupFileError, format_group_text, parse_group_text
+                    NotASubgroupError, PermGroup, centralizer, close, is_pi_separable,
+                    subgroups_of_order)
+from .groupio import GroupFileError, parse_group_text
 from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
                    cyclic_lattice, moebius_partition_check, pi_part)
 from .perm import (Permutation, PermParseError, format_permutation,

@@ -9,7 +9,6 @@ which are arbitrary precision already.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 #: Trial division is fine at desk scale; refuse anything that would crawl.
@@ -151,9 +150,6 @@ class FactoredRational:
         """Exact factored form of a positive integer."""
         return cls(factorize(value))
 
-    def factors(self) -> Dict[int, int]:
-        return dict(self._factors)
-
     def times_pow(self, value: int, exponent: int) -> "FactoredRational":
         """Return self * value**exponent with ``value >= 1`` factored exactly."""
         if value < 1:
@@ -186,16 +182,6 @@ class FactoredRational:
 
     def is_one(self) -> bool:
         return not self._factors
-
-    def as_fraction(self) -> Fraction:
-        """Expand to an exact Fraction (fine at desk scale)."""
-        num = den = 1
-        for p, e in self._factors:
-            if e > 0:
-                num *= p**e
-            else:
-                den *= p**-e
-        return Fraction(num, den)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FactoredRational) and self._factors == other._factors

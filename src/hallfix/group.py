@@ -194,11 +194,6 @@ def _times(g: Tuple[int, ...]) -> Callable[[Tuple[int, ...]], Tuple[int, ...]]:
     return itemgetter(*[v - 1 for v in g]) if len(g) > 1 else tuple
 
 
-def trivial_group(degree: int) -> PermGroup:
-    ident = Permutation.identity(degree)
-    return PermGroup(degree, [ident], [ident.images])
-
-
 _Found = Tuple[FrozenSet[int], Tuple[int, ...]]
 _TRIVIAL: _Found = (frozenset({0}), ())
 
@@ -279,7 +274,7 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     if m < 1 or G.order % m:
         raise ValueError(f"{m} does not divide the group order {G.order}")
     if m == 1:
-        return [trivial_group(G.degree)]
+        return [G.subgroup(*_TRIVIAL)]
     if m == G.order:
         return [G]
     found = sorted(_subgroup_search(G, m), key=lambda pair: sorted(pair[0]))
@@ -420,7 +415,7 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
     for i in range(n):
         if seen[i]:
             continue
-        seen[i], orbit, k = 1, [i], Permutation._trusted(images[i]).order()
+        seen[i], orbit, k = 1, [i], image_order(images[i])
         for y in orbit:
             orders[y] = k
             for _, _, row in rows:
@@ -459,16 +454,6 @@ def _pi_keeps(pi: PiSet) -> Tuple[Callable[[int], bool], Callable[[int], bool]]:
     """Order tests of the pi-core and of the pi'-core."""
     return (lambda n: pi.issuperset(prime_divisors(n)),
             lambda n: pi.isdisjoint(prime_divisors(n)))
-
-
-def core_pi(G: PermGroup, pi: PiSet) -> PermGroup:
-    """Largest normal subgroup whose order is supported on the primes in pi."""
-    return G.subgroup(*_core(G, _pi_keeps(pi)[0], _TRIVIAL))
-
-
-def core_pi_complement(G: PermGroup, pi: PiSet) -> PermGroup:
-    """Largest normal subgroup whose order avoids every prime in pi."""
-    return G.subgroup(*_core(G, _pi_keeps(pi)[1], _TRIVIAL))
 
 
 def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:

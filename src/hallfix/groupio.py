@@ -1,17 +1,18 @@
-"""Line-oriented ASCII group files.
+"""Parsing of line-oriented ASCII group files.
 
 Format: optional ``#`` comment lines, one ``degree: <k>`` line, then one or
-more ``gen: <cycles>`` lines in disjoint-cycle notation.  Printing is
-bit-exact canonical: cycles sorted by least moved point, points separated by
-single spaces.
+more ``gen: <cycles>`` lines in disjoint-cycle notation, with free-form
+whitespace, fixed points omitted and ``()`` for the identity.  The parser
+returns the degree and the generators; it refuses a malformed line, a
+missing or repeated degree and a degree over ``MAX_DEGREE``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from .perm import Permutation, format_permutation, parse_permutation
+from .perm import Permutation, parse_permutation
 
 #: Largest degree a group file may declare.  Each element is an image tuple of
 #: this length, so a group of this degree at the default element cap keeps
@@ -67,15 +68,3 @@ def read_group_file(path: "str | Path") -> Tuple[int, List[Permutation]]:
     except (OSError, UnicodeDecodeError) as exc:
         raise GroupFileError(f"cannot read group file {path}: {exc}") from exc
     return parse_group_text(text)
-
-
-def format_group_text(degree: int, generators: Sequence[Permutation],
-                      comment: str | None = None) -> str:
-    """Canonical group-file text for a degree and generating set."""
-    lines = []
-    if comment:
-        lines.extend(f"# {part}" for part in comment.splitlines())
-    lines.append(f"degree: {degree}")
-    for g in generators:
-        lines.append(f"gen: {format_permutation(g)}")
-    return "\n".join(lines) + "\n"

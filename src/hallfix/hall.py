@@ -6,9 +6,10 @@ is the pi-part of |G|, with no conjugacy assumption among them;
 context keeps, making groups of them only when read.  For pi-separable
 groups they form the usual single class, which the tests check.
 lam and tau(g), the number of Hall subgroups that g normalizes, are lists
-over G's element indices; tau, the permutation character of G's conjugation
-action on the Hall set, is counted from the orbit sizes and normalizers the
-enumeration hands over, growing the normalizers when tau is first read.
+over G's element indices, and no lookup here keys an element by its image
+tuple; tau, the permutation character of G's conjugation action on the Hall
+set, is counted from the orbit sizes and normalizers the enumeration hands
+over, growing the normalizers when tau is first read.
 The cyclic subgroups of a group are read off its power walks, each paired
 with its Möbius weight; nothing here closes a generating set.
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .arith import FactoredRational, PiSet, moebius, prime_divisors
@@ -47,12 +47,12 @@ def pi_part(order: int, pi: PiSet) -> int:
 
 class HallContext:
     """A group, a prime set and its Hall subgroups, with lam and tau as lists
-    over the group's element indices.
+    over the group's element indices, the one form either is kept in.
 
     Built with ``hall_members[k]``, the k-th Hall subgroup's element indices,
     and ``member_counts[i]``, how many hold ``elements[i]``: lam on the Hall
     subgroups, all that the product and power-sum verifiers read.  The first
-    read builds ``canonical_hall`` alone, ``halls``, ``lam_values`` (None off
+    read builds and keeps ``canonical_hall`` alone, ``halls``, ``lam_values`` (None off
     the pi-elements; it reads G's classes), ``hall_orbits`` (a (size, N_G(K)
     element-index set) pair per conjugation orbit, K in it) and ``tau_values``.
     """
@@ -65,7 +65,6 @@ class HallContext:
         # Every element of a Hall subgroup is a pi-element, so its count is lam.
         self.member_counts = Counter(i for S in self.hall_members for i in S)
         self._found, self._normalizers = found, normalizers
-        self._tau: Optional[List[int]] = None
         self._additive: Dict[FrozenSet[int], Fraction] = {}  # see verify.additive_value
 
     @property
@@ -92,35 +91,18 @@ class HallContext:
         pi_orders = {k for k in set(orders) if self.pi.issuperset(prime_divisors(k))}
         return [counts[i] if k in pi_orders else None for i, k in enumerate(orders)]
 
-    @property
-    def lam(self) -> Mapping[Permutation, int]:
-        """lam keyed by pi-element, in the group's element order: a read-only
-        view of a dict built from ``lam_values`` on every read."""
-        return MappingProxyType({x: v for x, v in zip(self.group.elements, self.lam_values)
-                                 if v is not None})
-
-    def lam_of(self, x: Permutation) -> int:
-        """Membership count of a pi-element; querying anything else is an error."""
-        i = self.group._ensure_index().get(x.images)
-        if i is None or self.lam_values[i] is None:
-            raise ValueError(
-                f"{format_permutation(x)} is not a pi-element for pi={{{self.pi}}}")
-        return self.lam_values[i]
-
-    @property
+    @cached_property
     def tau_values(self) -> List[int]:
         """tau(g) = number of Hall subgroups normalized by g: the permutation
         character of G's conjugation action on them.  On the orbit O of K, g
         fixes |O| |g^G & N_G(K)| / |g^G| of them (orbit-stabilizer), read off
         ``hall_orbits`` one class at a time."""
-        if self._tau is None:
-            tau = [0] * self.group.order
-            for cls in conjugacy_classes(self.group):
-                fixed = sum(size * len(N.intersection(cls)) for size, N in self.hall_orbits)
-                for i in cls:
-                    tau[i] = fixed // len(cls)
-            self._tau = tau
-        return self._tau
+        tau = [0] * self.group.order
+        for cls in conjugacy_classes(self.group):
+            fixed = sum(size * len(N.intersection(cls)) for size, N in self.hall_orbits)
+            for i in cls:
+                tau[i] = fixed // len(cls)
+        return tau
 
 
 def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:

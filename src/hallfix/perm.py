@@ -57,14 +57,6 @@ class Permutation:
             inv[v - 1] = i + 1
         return Permutation._trusted(tuple(inv))
 
-    def __pow__(self, power: int) -> "Permutation":
-        out = list(range(1, len(self.images) + 1))
-        for cyc in self._orbits():
-            k = len(cyc)
-            for pos, point in enumerate(cyc):
-                out[point - 1] = cyc[(pos + power) % k]
-        return Permutation._trusted(tuple(out))
-
     def _orbits(self) -> List[Tuple[int, ...]]:
         """All cycles including fixed points, each starting at its least point."""
         seen = [False] * len(self.images)
@@ -87,7 +79,7 @@ class Permutation:
         return [c for c in self._orbits() if len(c) > 1]
 
     def order(self) -> int:
-        """Least k >= 1 with self**k == identity: the lcm of the cycle lengths."""
+        """Least k >= 1 with self^k the identity: the lcm of the cycle lengths."""
         return image_order(self.images)
 
     def __eq__(self, other: object) -> bool:

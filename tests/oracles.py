@@ -1,4 +1,4 @@
-"""Reference implementations shared by several test modules.
+"""Reference implementations and helpers shared by several test modules.
 
 These are brute-force oracles on permutations; the package does not use them.
 """
@@ -8,11 +8,34 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation, PiSet, close,
-                     divisors, is_pi_separable, moebius, parse_permutation, subgroups_of_order)
+                     divisors, format_permutation, is_pi_separable, moebius, parse_permutation,
+                     subgroups_of_order)
 from hallfix.arith import prime_divisors, radical
 from hallfix.group import conjugacy_classes
+
+
+def power(x, d):
+    """x^d for any integer d, cycle by cycle: each point moves d steps along
+    its cycle.  Independent of the group's power walks."""
+    out = list(range(1, x.degree + 1))
+    for cyc in x.cycles():
+        for pos, point in enumerate(cyc):
+            out[point - 1] = cyc[(pos + d) % len(cyc)]
+    return Permutation(out)
+
+
+def as_fraction(r):
+    """The FactoredRational r expanded to an exact Fraction."""
+    return prod((Fraction(p) ** e for p, e in r._factors), start=Fraction(1))
+
+
+def group_file_text(degree, generators):
+    """Group-file text for a degree and generating set, in canonical cycle notation."""
+    return "".join([f"degree: {degree}\n"] + [f"gen: {format_permutation(g)}\n"
+                                              for g in generators])
 
 
 def conjugate_set(elems, g):
@@ -163,26 +186,31 @@ def is_pi_separable_direct(G, pi):
                if is_pi(N.order, pi) or is_pi_prime(N.order, pi))
 
 
-# The verifiers' references on permutations: powers are x**d, and lam and tau
-# are dicts keyed by element (ctx.lam and tau_by_element).  A character chi
-# and a slot weight alpha are plain dicts keyed by Permutation.
+# The verifiers' references on permutations: powers are power(x, d), and lam
+# and tau are dicts keyed by element (lam_by_element and tau_by_element).  A
+# character chi and a slot weight alpha are plain dicts keyed by Permutation.
 
 def multiplicative_value_direct(ctx, use_radical=False):
     """prod over d | n and x in H of lam(x^d)^((n/d) mu(d)), one factor at a time."""
-    lam, base = ctx.lam, radical(ctx.hall_order) if use_radical else ctx.hall_order
+    lam, base = lam_by_element(ctx), radical(ctx.hall_order) if use_radical else ctx.hall_order
     acc = FactoredRational.one()
     for d in divisors(base):
         for x in ctx.canonical_hall.elements:
-            acc = acc.times_pow(lam[x**d], (base // d) * moebius(d))
+            acc = acc.times_pow(lam[power(x, d)], (base // d) * moebius(d))
     return acc
 
 
 def power_product_pair_direct(ctx, p):
-    lam, left, right = ctx.lam, 1, 1
+    lam, left, right = lam_by_element(ctx), 1, 1
     for x in ctx.canonical_hall.elements:
-        left *= lam[x**p]
+        left *= lam[power(x, p)]
         right *= lam[x] ** p
     return left, right
+
+
+def lam_by_element(ctx):
+    """lam, the number of Hall subgroups holding each pi-element, keyed by element."""
+    return {x: v for x, v in zip(ctx.group.elements, ctx.lam_values) if v is not None}
 
 
 def tau_by_element(ctx):
@@ -192,7 +220,8 @@ def tau_by_element(ctx):
 
 def cyclic_symmetrized(chi, n, h):
     """(1/n) sum over d | n of mu(d) * chi(h^d)^(n/d)."""
-    return Fraction(sum(moebius(d) * chi[h**d] ** (n // d) for d in divisors(n) if moebius(d)), n)
+    return Fraction(sum(moebius(d) * chi[power(h, d)] ** (n // d)
+                        for d in divisors(n) if moebius(d)), n)
 
 
 def symmetrized(alpha, chi, h):
@@ -203,7 +232,7 @@ def symmetrized(alpha, chi, h):
         lengths = [len(c) for c in a.cycles()]
         term = weight * chi[h] ** (a.degree - sum(lengths))
         for i in lengths:
-            term *= chi[h**i]
+            term *= chi[power(h, i)]
         total += term
     return Fraction(total, len(alpha))
 
@@ -218,4 +247,4 @@ def burnside_orbit_count(H, fixed, k):
 
 def power_subgroup(H, d):
     """The subgroup of d-th powers of an abelian group."""
-    return close(sorted({h**d for h in H.elements}), degree=H.degree)
+    return close(sorted({power(h, d) for h in H.elements}), degree=H.degree)

@@ -19,12 +19,12 @@ from hallfix import (PiSet, NoHallSubgroupError, build_hall_context,
                      moebius_partition_check, multiplicative_value,
                      navarro_rizo_check, power_product_pair,
                      power_sum_bound_holds, subgroups_of_order,
-                     totient, trivial_group, wielandt_check)
+                     totient, wielandt_check)
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.perm import parse_permutation
-from oracles import (burnside_orbit_count, cyclic_symmetrized, power_subgroup, symmetrized,
-                     tau_by_element)
+from oracles import (as_fraction, burnside_orbit_count, cyclic_symmetrized, lam_by_element,
+                     power, power_subgroup, symmetrized, tau_by_element)
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -59,7 +59,7 @@ def test_criterion_02_multiplicative_identity_suite():
         pi = PiSet.parse(pi_text)
         ok = ok and is_pi_separable(G, pi)
         value = multiplicative_value(build_hall_context(G, pi))
-        ok = ok and value.is_one() and value.factors() == {}
+        ok = ok and value.is_one() and str(value) == "1"
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 120.0
     _report(2, "multiplicative identity on separable pairs", ok)
@@ -72,12 +72,12 @@ def test_criterion_03_counterexample_reproduction(hall_ctx):
     full = multiplicative_value(a5)
     left, right = power_product_pair(a5, 2)
     gl_value = multiplicative_value(gl)
-    ok = (reduced.factors() == {5: -2}
+    ok = (str(reduced) == "5^-2"
           and (right, left) == (25, 625)
           and full == reduced.power(2)          # Hall order 4 vs radical 2
           and not gl_value.is_one()
           # deviations sit on opposite sides of 1
-          and full.as_fraction() < 1 < gl_value.as_fraction())
+          and as_fraction(full) < 1 < as_fraction(gl_value))
     _report(3, "A5 / GL(3,2) counterexamples", ok)
 
 
@@ -171,7 +171,7 @@ def test_criterion_08_symmetrized_characters(groups, hall_ctx):
             for g in ctx.group.elements:
                 sym = symmetrized(sym_alpha, chi, g)
                 alt = symmetrized(alt_alpha, chi, g)
-                if sym + alt != chi[g] ** 2 or sym - alt != chi[g**2]:
+                if sym + alt != chi[g] ** 2 or sym - alt != chi[power(g, 2)]:
                     ok = False
             H = ctx.canonical_hall
             avg = sum((cyclic_symmetrized(chi, ctx.hall_order, h)
@@ -179,7 +179,7 @@ def test_criterion_08_symmetrized_characters(groups, hall_ctx):
             ok = ok and avg == additive_value(ctx)
     # degree value with two Hall subgroups and a 3-cycle slot group equals the
     # brute-force count of irreducible cubics over the 2-element field
-    one_point = trivial_group(1)
+    one_point = close([], degree=1)
     degree_value = cyclic_symmetrized({one_point.identity: 2}, 3, one_point.identity)
     cubics = sum(1 for a, b, c in product((0, 1), repeat=3)
                  if all((x**3 + a * x * x + b * x + c) % 2 for x in (0, 1)))
@@ -208,12 +208,12 @@ def test_criterion_10_structural_invariants(groups, hall_ctx):
             else:
                 ok = ok and ctx.num_halls >= 3
             # membership counts are constant on generated cyclic subgroups
-            spans = {}
-            for x, v in ctx.lam.items():
+            spans, lam = {}, lam_by_element(ctx)
+            for x, v in lam.items():
                 key = frozenset(close([x]).elements)
                 spans.setdefault(key, set()).add(v)
             ok = ok and all(len(v) == 1 for v in spans.values())
             # Burnside cross-check of the membership-count sum over H
-            total = sum(ctx.lam_of(h) for h in H.elements)
+            total = sum(lam[h] for h in H.elements)
             ok = ok and total == H.order * burnside_orbit_count(H, tau_by_element(ctx), 1)
     _report(10, "structural invariants", ok)

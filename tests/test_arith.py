@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from hallfix import FactoredRational, PiSet, divisors, moebius, totient
 from hallfix.arith import factorize, is_prime, prime_divisors, radical
+from oracles import as_fraction
 
 
 def test_moebius_examples():
@@ -93,9 +94,9 @@ def test_pi_set():
 def test_factored_rational_examples():
     one = FactoredRational.one()
     a = one.times_pow(12, 2)
-    assert a.factors() == {2: 4, 3: 2}
+    assert str(a) == "2^4 * 3^2"
     b = a.times_pow(6, -2)
-    assert b.factors() == {2: 2}
+    assert str(b) == "2^2"
     assert one.times_pow(1, 12345) == one
     assert one.is_one()
     assert not FactoredRational({2: 1}).is_one()
@@ -113,9 +114,9 @@ def test_factored_rational_validation():
 
 def test_factored_rational_algebra():
     a = FactoredRational({2: 3, 5: -1})
-    assert a.power(2).factors() == {2: 6, 5: -2}
+    assert str(a.power(2)) == "2^6 * 5^-2"
     assert a.times(a.power(-1)).is_one()
-    assert a.as_fraction() == Fraction(8, 5)
+    assert as_fraction(a) == Fraction(8, 5)
     assert str(a) == "2^3 * 5^-1"
     assert str(FactoredRational.one()) == "1"
 
@@ -123,7 +124,7 @@ def test_factored_rational_algebra():
 @given(st.integers(1, 10**6), st.integers(1, 10**6))
 def test_factored_rational_matches_fractions(a, b):
     fr = FactoredRational.from_int(a).times_pow(b, -1)
-    assert fr.as_fraction() == Fraction(a, b)
+    assert as_fraction(fr) == Fraction(a, b)
 
 
 @given(st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6),

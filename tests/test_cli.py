@@ -26,9 +26,9 @@ from hallfix import hall as hall_mod
 from hallfix import verify as verify_mod
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
-from hallfix.groupio import format_group_text, parse_group_text
+from hallfix.groupio import parse_group_text
 from hallfix.reports import FAIL, PASS
-from oracles import proper_prime_sets, s5_subgroup_classes
+from oracles import group_file_text, proper_prime_sets, s5_subgroup_classes
 
 
 def run(capsys, *argv):
@@ -183,13 +183,14 @@ def test_sym_char(capsys):
 def test_sym_char_fails_on_a_broken_conjugation_character(groups):
     # Bumping tau at one non-identity element breaks the integrality of the
     # trivial-character multiplicities in its symmetric and alternating squares.
-    # tau is stored as a list over element indices; index 1 is the first
-    # element of its class, so the class sums read the bump.
+    # tau is kept as a list over element indices; index 1 is the first
+    # element of its class, so the class sums read the bump.  tau_values is a
+    # cached property, so the assignment replaces the kept list.
     ctx = build_hall_context(groups["A5"], PiSet([2]))
     tau = list(ctx.tau_values)
     assert cli.sym_char_record("A5", ctx).status == PASS
     tau[1] += 1
-    ctx._tau = tau
+    ctx.tau_values = tau
     record = cli.sym_char_record("A5", ctx)
     assert record.status == FAIL
     assert "square multiplicities" in record.witness
@@ -567,7 +568,7 @@ def test_random_group_files_exit_0_or_2_with_a_named_error(tmp_path_factory, rng
     gens = [Permutation(rng.sample(range(1, degree + 1), degree))
             for _ in range(rng.randint(1, 3))]
     path = tmp_path_factory.mktemp("random") / "g.grp"
-    path.write_text(format_group_text(degree, gens))
+    path.write_text(group_file_text(degree, gens))
     argv = [command, "--file", str(path), "--pi", ",".join(map(str, sorted(pi)))]
     code, text, err = _main_output(argv)
     json_code, as_json, json_err = _main_output(argv + ["--json"])

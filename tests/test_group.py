@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallfix import (CapExceededError, NoHallSubgroupError, NotASubgroupError,
-                     PiSet, Permutation, build_hall_context, centralizer, close, core_pi,
+                     PiSet, Permutation, build_hall_context, centralizer, close,
                      corpus_entries, cyclic_lattice, is_pi_separable, multiplicative_value,
-                     parse_permutation, subgroups_of_order, trivial_group)
+                     parse_permutation, subgroups_of_order)
 from hallfix import cli, group as group_mod
 from hallfix.arith import divisors, prime_divisors
 from hallfix.cli import add_record
-from hallfix.group import (DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, conjugacy_classes,
-                           core_pi_complement, hall_subgroups)
+from hallfix.group import (_TRIVIAL, DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, _core,
+                           _pi_keeps, conjugacy_classes, hall_subgroups)
 from hallfix.hall import pi_part
 from hallfix.reports import INAPPLICABLE, PASS
 from oracles import (burnside_orbit_count, conjugate_set, conjugates, greedy_chain, is_pi,
@@ -27,6 +27,11 @@ from oracles import (burnside_orbit_count, conjugate_set, conjugates, greedy_cha
 
 def P(text, degree):
     return parse_permutation(text, degree)
+
+
+def pi_core(G, pi, side=0):
+    """O_pi(G), or O_pi'(G) for side 1: the core that is_pi_separable joins."""
+    return G.subgroup(*_core(G, _pi_keeps(pi)[side], _TRIVIAL))
 
 
 def _subgroup_search_direct(G, m):
@@ -341,7 +346,7 @@ def test_subgroups_of_order_a5_examples(groups):
             == sorted((frozenset(s) for s in _oracle_subgroups(A5, 4)), key=sorted))
     assert subgroups_of_order(A5, 20) == []
     assert _oracle_subgroups(A5, 20) == []
-    assert subgroups_of_order(A5, 1) == [trivial_group(5)]
+    assert subgroups_of_order(A5, 1) == [close([], degree=5)]
 
 
 def test_subgroups_of_order_requires_divisor(groups):
@@ -365,21 +370,21 @@ def test_normal_subgroups_are_actually_normal(groups):
 
 def test_core_pi_examples(groups):
     S4 = groups["S4"]
-    v4 = core_pi(S4, PiSet([2]))
+    v4 = pi_core(S4, PiSet([2]))
     assert v4.order == 4
     assert all(g.order() in (1, 2) for g in v4.elements)
-    assert core_pi(groups["A5"], PiSet([2])).order == 1
-    assert core_pi(S4, PiSet([2, 3])) == S4
+    assert pi_core(groups["A5"], PiSet([2])).order == 1
+    assert pi_core(S4, PiSet([2, 3])) == S4
 
 
 def test_core_pi_complement(groups):
-    assert core_pi_complement(groups["S4"], PiSet([3])).order == 4
-    assert core_pi_complement(groups["F42"], PiSet([2])).order == 21
+    assert pi_core(groups["S4"], PiSet([3]), 1).order == 4
+    assert pi_core(groups["F42"], PiSet([2]), 1).order == 21
 
 
 def test_quotient_projection_is_surjective_homomorphism(groups):
     S4 = groups["S4"]
-    V4 = core_pi(S4, PiSet([2]))
+    V4 = pi_core(S4, PiSet([2]))
     Q, proj = quotient_direct(S4, V4)
     assert Q.order == 6 and Q.degree == 6
     assert is_homomorphism(S4, proj)
@@ -406,11 +411,11 @@ def test_cores_match_the_normal_subgroup_scan(groups):
     for name, G in groups.items():
         normals = normal_subgroups(G)
         for pi in _prime_subsets(G):
-            for core, keep in ((core_pi, is_pi), (core_pi_complement, is_pi_prime)):
+            for side, keep in enumerate((is_pi, is_pi_prime)):
                 admissible = [N for N in normals if keep(N.order, pi)]
                 best = max(admissible, key=lambda N: N.order)
                 assert all(N.is_subgroup_of(best) for N in admissible)
-                assert core(G, pi) == best, (name, str(pi), core.__name__)
+                assert pi_core(G, pi, side) == best, (name, str(pi), side)
             pairs += 1
     assert pairs == 88
 
@@ -431,9 +436,9 @@ def test_cores_of_class_rich_abelian_groups(name):
     G = close([P(g, degree) for g in gens])
     assert G.is_abelian()
     for pi in _prime_subsets(G):
-        for core, keep in ((core_pi, is_pi), (core_pi_complement, is_pi_prime)):
+        for side, keep in enumerate((is_pi, is_pi_prime)):
             expect = {g for g in G.elements if keep(g.order(), pi)}
-            assert frozenset(core(G, pi).elements) == expect, (name, str(pi))
+            assert frozenset(pi_core(G, pi, side).elements) == expect, (name, str(pi))
         assert is_pi_separable(G, pi)
 
 
@@ -469,11 +474,12 @@ def test_classes_are_computed_once_per_group(monkeypatch):
 
 
 def test_element_orders_take_one_order_per_class(monkeypatch):
-    # A7 has 9 conjugacy classes; its 2520 element orders are read off them.
+    # A7 has 9 conjugacy classes; its 2520 element orders are read off them,
+    # one image tuple's order per class.
     A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
     calls = []
-    order = Permutation.order
-    monkeypatch.setattr(Permutation, "order", lambda g: calls.append(1) or order(g))
+    order = group_mod.image_order
+    monkeypatch.setattr(group_mod, "image_order", lambda t: calls.append(1) or order(t))
     orders = A7.element_orders()
     assert len(calls) == len(conjugacy_classes(A7)) == 9
     monkeypatch.undo()
@@ -581,8 +587,8 @@ def test_groups_do_not_hash_their_elements(monkeypatch):
     S5 = close([P("(1 2 3 4 5)", 5), P("(1 2)", 5)])
     assert (A7.order, len(subgroups_of_order(S5, 8))) == (2520, 15)
     assert not is_pi_separable(S5, PiSet([2])) and is_pi_separable(S5, PiSet([2, 3, 5]))
-    assert core_pi(S5, PiSet([2, 3, 5])).order == 120
-    assert core_pi_complement(S5, PiSet([3])).order == 1
+    assert pi_core(S5, PiSet([2, 3, 5])).order == 120
+    assert pi_core(S5, PiSet([3]), 1).order == 1
     A5 = close([P("(1 2 3 4 5)", 5), P("(3 4 5)", 5)])
     assert ([centralizer(A5, A5.elements[cls[0]]).order for cls in conjugacy_classes(A5)]
             == [60, 3, 4, 5, 5])
@@ -602,7 +608,7 @@ def test_subgroups_grown_on_indices_are_generated_by_their_generators(groups, ha
             continue
         found = [centralizer(G, G.elements[cls[0]]) for cls in conjugacy_classes(G)]
         for pi in entry.check_pis:
-            found += [core_pi(G, pi), core_pi_complement(G, pi)]
+            found += [pi_core(G, pi), pi_core(G, pi, 1)]
             try:
                 hall = hall_ctx(entry.name, str(pi)).canonical_hall
             except NoHallSubgroupError:
