@@ -3,10 +3,11 @@
     hallfix <command> [--group NAME | --file PATH] [--pi P1,P2] [--json] [--cap N]
 
 Commands: lambda, verify-mult, verify-add, verify-nr, verify-wielandt,
-sym-char, interpretation, curiosity, scan.  Exit codes: 0 when every
-applicable check passes (documented counterexamples included), 1 when an
-identity is violated, 2 on input errors, 3 on an internal error (any other
-exception, reported on one stderr line).
+sym-char, interpretation, curiosity, scan, with options before or after the
+command word.  Exit codes: 0 when every applicable check passes (documented
+counterexamples included), 1 when an identity is violated, 2 on input and
+usage errors (--n off curiosity, --radical off verify-mult), 3 on an internal
+error (any other exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from .verify import (CoprimeActionScenario, PowerSumTooLargeError, additive_valu
                      curiosity_value, interpretation_check, multiplicative_value,
                      navarro_rizo_check, sym_char_sums, wielandt_check)
 
-_COMMANDS = ("lambda", "verify-mult", "verify-add", "verify-nr",
-             "verify-wielandt", "sym-char", "interpretation", "curiosity",
-             "scan")
+_COMMANDS = ("lambda", "verify-mult", "verify-add", "verify-nr", "verify-wielandt",
+             "sym-char", "interpretation", "curiosity", "scan")
 
 
 class InputError(ValueError):
@@ -44,27 +44,21 @@ class InputError(ValueError):
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and reused after."""
+    """The command-line parser, one for every command, built on the first call."""
     parser = argparse.ArgumentParser(
-        prog="hallfix",
+        prog="hallfix", usage="%(prog)s <command> [options]",
         description="Exact verification of Hall-subgroup fixed-point identities "
                     "on a builtin corpus of small permutation groups.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--group", help="builtin group name")
-        p.add_argument("--file", help="path to a group file")
-        p.add_argument("--pi", help="comma-separated prime list, e.g. 2,3")
-        p.add_argument("--json", action="store_true", help="emit JSON records")
-        p.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
-                       help=f"element cap for exhaustive closure, 1 to {MAX_CAP}")
-        if name == "curiosity":
-            p.add_argument("--n", type=int, default=None,
-                           help="power-sum length (default: the group order)")
-        if name == "verify-mult":
-            p.add_argument("--radical", action="store_true",
-                           help="replace the exponent base by its radical "
-                                "(cross-validation of the squarefree reduction)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--group", help="builtin group name")
+    parser.add_argument("--file", help="path to a group file")
+    parser.add_argument("--pi", help="comma-separated prime list, e.g. 2,3")
+    parser.add_argument("--json", action="store_true", help="emit JSON records")
+    parser.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
+                        help=f"element cap for exhaustive closure, 1 to {MAX_CAP}")
+    parser.add_argument("--n", type=int, help="curiosity only: power-sum length (default: |G|)")
+    parser.add_argument("--radical", action="store_true",
+                        help="verify-mult only: replace the exponent base by its radical")
     return parser
 
 
@@ -122,7 +116,7 @@ def mult_record(name: str, ctx: HallContext, entry: Optional[CorpusEntry], *,
     marked = entry is not None and any(pi == ef for ef in entry.expected_mult_fail)
     # By Wielandt, a cyclic (so nilpotent) Hall subgroup has all the others
     # as conjugates: one is cyclic exactly when all are.
-    if ctx.canonical_hall.is_cyclic() or is_pi_separable(ctx.group, pi):
+    if ctx.hall_is_cyclic() or is_pi_separable(ctx.group, pi):
         if value.is_one():
             return CheckRecord("verify-mult", name, str(pi), PASS, "value 1")
         return CheckRecord("verify-mult", name, str(pi), FAIL,
@@ -196,7 +190,7 @@ def sym_char_record(name: str, ctx: HallContext) -> CheckRecord:
 
 def interpretation_record(name: str, ctx: HallContext) -> CheckRecord:
     pi = ctx.pi
-    if not ctx.canonical_hall.is_abelian():
+    if not ctx.hall_is_abelian():
         return CheckRecord("interpretation", name, str(pi), INAPPLICABLE,
                            "Hall subgroup is not abelian; power subgroups "
                            "are not formed")
@@ -249,6 +243,10 @@ def _emit(records: List[CheckRecord], as_json: bool) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.n is not None and args.command != "curiosity":
+        parser.error("--n applies to curiosity only")
+    if args.radical and args.command != "verify-mult":
+        parser.error("--radical applies to verify-mult only")
     try:
         return _dispatch(args)
     except (InputError, UnknownGroupError, GroupFileError, PermParseError,
@@ -322,7 +320,7 @@ def _dispatch(args) -> int:
     name, G, entry = _resolve_group(args)
     pi = _require_pi(args)
     records = hall_records(name, G, pi, [command], entry,
-                           use_radical=getattr(args, "radical", False))
+                           use_radical=args.radical)
     _emit(records, args.json)
     return 1 if unexpected_failures(records) else 0
 

@@ -86,13 +86,6 @@ class PermGroup:
         return self.is_subgroup_of(other) and all(
             g * k * g.inverse() in self for g in other.generators for k in self.generators)
 
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(a * b == b * a for i, a in enumerate(gens) for b in gens[i + 1:])
-
-    def is_cyclic(self) -> bool:
-        return self.order in self.element_orders()
-
     def fingerprint(self) -> Tuple[Tuple[int, ...], ...]:
         """The image tuple of each element index; the canonical sort key."""
         return self._images
@@ -434,7 +427,9 @@ def _core(G: PermGroup, keep: Callable[[int], bool], base: _Found) -> _Found:
     """Largest normal subgroup M >= ``base`` whose index |M|/|base| satisfies
     the divisor-closed ``keep``, joined from ``base`` one class x^G at a time
     when <core, x^G> passes.  A class failing on its own fails in any larger
-    join, since <base, x^G> lies in it and its index divides the join's.
+    join, since <base, x^G> lies in it and its index divides the join's; so
+    does one whose x has order k modulo the core with keep(k) false, since k
+    divides |<core, x^G> : core|, and it is not tried (nor is one with k = 1).
 
     Subgroups are (element-index set, generator indices) pairs.  A join is
     Dimino's method from the core, which is normal in G, so only the class
@@ -443,7 +438,8 @@ def _core(G: PermGroup, keep: Callable[[int], bool], base: _Found) -> _Found:
     core, gens = base
     limit = len(core) * max(d for d in divisors(G.order // len(core)) if keep(d))
     for cls in (G._classes or conjugacy_classes(G))[1:]:
-        if cls[0] not in core:
+        k = next(k for k, j in enumerate(G.power_walk(cls[0]) + [0]) if k and j in core)
+        if k > 1 and keep(k):
             joined = _join(index, images, core, cls, limit)
             if joined and keep(len(joined[0]) // len(base[0])):
                 core, gens = joined[0], gens + joined[1]

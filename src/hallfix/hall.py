@@ -52,9 +52,9 @@ class HallContext:
     Built with ``hall_members[k]``, the k-th Hall subgroup's element indices,
     and ``member_counts[i]``, how many hold ``elements[i]``: lam on the Hall
     subgroups, all that the product and power-sum verifiers read.  The first
-    read builds and keeps ``canonical_hall`` alone, ``halls``, ``lam_values`` (None off
-    the pi-elements; it reads G's classes), ``hall_orbits`` (a (size, N_G(K)
-    element-index set) pair per conjugation orbit, K in it) and ``tau_values``.
+    read builds and keeps ``halls``, ``lam_values`` (None off the pi-elements;
+    it reads G's classes), ``hall_orbits`` (a (size, N_G(K) element-index set)
+    pair per conjugation orbit, K in it) and ``tau_values``.
     """
 
     def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
@@ -71,15 +71,22 @@ class HallContext:
     def num_halls(self) -> int:
         return len(self.hall_members)
 
-    @cached_property
-    def canonical_hall(self) -> PermGroup:
-        """The first Hall subgroup; one that is all of G is G, which keeps its caches."""
-        G = self.group
-        return G if self.hall_order == G.order else G.subgroup(*self._found[0])
+    def hall_is_cyclic(self) -> bool:
+        """Whether the canonical (first) Hall subgroup has an element of the Hall
+        order, read off its members' power walks, which the product makes."""
+        return any(len(self.group.power_walk(i)) == self.hall_order for i in self.hall_members[0])
+
+    def hall_is_abelian(self) -> bool:
+        """Whether the canonical Hall subgroup's generators commute, as image tuples."""
+        gens = list(map(self.group.fingerprint().__getitem__, self._found[0][1]))
+        return all(tuple(a[v - 1] for v in b) == tuple(b[v - 1] for v in a)
+                   for k, a in enumerate(gens) for b in gens[k + 1:])
 
     @cached_property
     def halls(self) -> Tuple[PermGroup, ...]:
-        return (self.canonical_hall,) + tuple(self.group.subgroup(*f) for f in self._found[1:])
+        """The Hall subgroups as groups; one that is all of G is G, which keeps its caches."""
+        G = self.group
+        return (G,) if self.hall_order == G.order else tuple(G.subgroup(*f) for f in self._found)
 
     @cached_property
     def hall_orbits(self) -> List[Tuple[int, FrozenSet[int]]]:

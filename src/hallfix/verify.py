@@ -218,26 +218,25 @@ def wielandt_check(scenario: CoprimeActionScenario) -> WielandtResult:
     return WielandtResult(lhs, rhs)
 
 
-def interpretation_check(ctx: HallContext, hall: Optional[PermGroup] = None) -> bool:
+def interpretation_check(ctx: HallContext) -> bool:
     """Orbit-count decomposition of the additive value for an abelian Hall subgroup.
 
-    Checks additive_value == (1/n) sum over d | n of mu(d) * (number of orbits
-    of the d-th power subgroup H^d on Hall-set (n/d)-tuples).
+    Checks, on the canonical Hall subgroup H, additive_value == (1/n) sum over
+    d | n of mu(d) * (number of orbits of H^d on Hall-set (n/d)-tuples).
     """
-    H, members = hall or ctx.canonical_hall, _hall_members(ctx, hall)
-    if not H.is_abelian():
+    if not ctx.hall_is_abelian():
         raise ValueError("the Hall subgroup is not abelian; power subgroups "
                          "are not formed here")
     G, n, tau = ctx.group, ctx.hall_order, ctx.tau_values
     total = 0
     for d in filter(moebius, divisors(n)):
         # H^d as an index set; Burnside counts its orbits from fixed points.
-        Hd = {G.power_index(i, d) for i in members}
+        Hd = {G.power_index(i, d) for i in ctx.hall_members[0]}
         fixed = sum(tau[i] ** (n // d) for i in Hd)
         if fixed % len(Hd):
             raise AssertionError("Burnside sum is not divisible by |H^d|")
         total += moebius(d) * fixed // len(Hd)
-    return Fraction(total, n) == additive_value(ctx, H)
+    return Fraction(total, n) == additive_value(ctx)
 
 
 def power_sum_bound_holds(base: int, n: int) -> bool:

@@ -111,6 +111,21 @@ def proper_prime_sets(G):
     return [PiSet(s) for k in range(1, len(primes)) for s in combinations(primes, k)]
 
 
+def canonical_hall(ctx):
+    """The context's first Hall subgroup as a group, made alone."""
+    return ctx.group.subgroup(*ctx._found[0])
+
+
+def is_cyclic(H):
+    """Whether some element of H has order |H|."""
+    return any(x.order() == H.order for x in H.elements)
+
+
+def is_abelian(H):
+    """Whether every element of H commutes with every generator."""
+    return all(x * g == g * x for x in H.elements for g in H.generators)
+
+
 def is_solvable(G):
     """Solvable iff p-separable for every prime divisor of the order."""
     return all(is_pi_separable(G, PiSet([p])) for p in prime_divisors(G.order))
@@ -195,14 +210,14 @@ def multiplicative_value_direct(ctx, use_radical=False):
     lam, base = lam_by_element(ctx), radical(ctx.hall_order) if use_radical else ctx.hall_order
     acc = FactoredRational.one()
     for d in divisors(base):
-        for x in ctx.canonical_hall.elements:
+        for x in canonical_hall(ctx).elements:
             acc = acc.times_pow(lam[power(x, d)], (base // d) * moebius(d))
     return acc
 
 
 def power_product_pair_direct(ctx, p):
     lam, left, right = lam_by_element(ctx), 1, 1
-    for x in ctx.canonical_hall.elements:
+    for x in canonical_hall(ctx).elements:
         left *= lam[power(x, p)]
         right *= lam[x] ** p
     return left, right

@@ -28,7 +28,8 @@ from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.groupio import parse_group_text
 from hallfix.reports import FAIL, PASS
-from oracles import group_file_text, proper_prime_sets, s5_subgroup_classes
+from oracles import (canonical_hall, group_file_text, is_cyclic, proper_prime_sets,
+                     s5_subgroup_classes)
 
 
 def run(capsys, *argv):
@@ -232,7 +233,7 @@ def test_verify_mult_cyclic_test_matches_any_cyclic_hall(groups):
         except NoHallSubgroupError:
             continue
         separable = is_pi_separable(G, pi)
-        one, every = ctx.canonical_hall.is_cyclic(), any(K.is_cyclic() for K in ctx.halls)
+        one, every = is_cyclic(canonical_hall(ctx)), any(map(is_cyclic, ctx.halls))
         assert (one, one or separable) == (every, separable or every), (name, str(pi))
         checked += 1
     assert checked == 56 + 24  # corpus pairs, then the S5 sweep's
@@ -389,8 +390,9 @@ def test_largest_cap_still_closes_s8(capsys, tmp_path):
 
 
 def test_main_builds_one_parser_tree(capsys, monkeypatch):
-    # Every command shares one parser: building it costs far more than
-    # parsing, and each parser left behind is cyclic garbage.
+    # Every command shares one flat parser, with no subparsers: building it
+    # costs far more than parsing, and each parser left behind is cyclic
+    # garbage.
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -403,7 +405,43 @@ def test_main_builds_one_parser_tree(capsys, monkeypatch):
     assert run(capsys, "verify-add", "--group", "S3", "--pi", "2")[0] == 0
     tree = len(built)
     assert run(capsys, "verify-add", "--group", "S4", "--pi", "2")[0] == 0
-    assert tree == len(built) == 1 + len(cli._COMMANDS)
+    assert tree == len(built) == 1
+
+
+@pytest.mark.parametrize("argv,option", [
+    (("scan", "--n", "3"), "--n"),
+    (("verify-add", "--group", "S4", "--pi", "2", "--n", "3"), "--n"),
+    (("verify-add", "--group", "S4", "--pi", "2", "--radical"), "--radical"),
+    (("--radical", "interpretation", "--group", "S4", "--pi", "2"), "--radical"),
+])
+def test_option_outside_its_command_is_a_usage_error(capsys, argv, option):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 2 and out == ""
+    naming = [line for line in err.splitlines() if option in line]
+    assert naming == [f"hallfix: error: {option} applies to "
+                      f"{'curiosity' if option == '--n' else 'verify-mult'} only"]
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 0 and err == ""
+    assert all(command in out for command in cli._COMMANDS)
+    assert "--n N" in out and "--radical" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-mult", "--group", "S4", "--pi", "2", "--radical", "--json"),
+    ("curiosity", "--group", "A5", "--n", "6"),
+    ("lambda", "--group", "S4", "--pi", "3"),
+])
+def test_options_may_come_before_the_command_word(capsys, argv):
+    after = run(capsys, *argv)
+    before = run(capsys, *argv[1:], argv[0])
+    assert before == after and after[0] == 0 and after[1]
 
 
 def test_scan_single_entry_deterministic(capsys):

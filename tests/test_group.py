@@ -20,9 +20,10 @@ from hallfix.group import (_TRIVIAL, DEFAULT_ELEMENT_CAP, FiniteAction, PermGrou
                            _pi_keeps, conjugacy_classes, hall_subgroups)
 from hallfix.hall import pi_part
 from hallfix.reports import INAPPLICABLE, PASS
-from oracles import (burnside_orbit_count, conjugate_set, conjugates, greedy_chain, is_pi,
-                     is_pi_prime, is_pi_separable_direct, normal_subgroups, proper_prime_sets,
-                     quotient_direct, s5_subgroup_classes, tau_by_element)
+from oracles import (burnside_orbit_count, canonical_hall, conjugate_set, conjugates,
+                     greedy_chain, is_abelian, is_pi, is_pi_prime, is_pi_separable_direct,
+                     normal_subgroups, proper_prime_sets, quotient_direct, s5_subgroup_classes,
+                     tau_by_element)
 
 
 def P(text, degree):
@@ -420,6 +421,25 @@ def test_cores_match_the_normal_subgroup_scan(groups):
     assert pairs == 88
 
 
+def test_cores_skip_classes_by_their_order_modulo_the_core(groups, monkeypatch):
+    # A class x^G whose x has an order k modulo the core failing the core's
+    # test is skipped without a join: k divides the join's index.  Unpruned,
+    # each of the two levels tried all 6 nontrivial classes of S5 and of
+    # PSL(2,9), 12 joins for every pi; now a class joins only on its own side.
+    joins = []
+    join = group_mod._join
+    monkeypatch.setattr(group_mod, "_join", lambda *args: joins.append(1) or join(*args))
+    counts = {}
+    for name in ("S5", "PSL(2,9)"):
+        for pi in proper_prime_sets(groups[name]):
+            joins.clear()
+            assert not is_pi_separable(groups[name], pi)
+            counts[name, str(pi)] = len(joins)
+    assert counts == {("S5", "2"): 5, ("S5", "3"): 5, ("S5", "5"): 6, ("S5", "2,3"): 6,
+                      ("S5", "2,5"): 5, ("S5", "3,5"): 5, **{
+                          ("PSL(2,9)", pi): 6 for pi in ("2", "3", "5", "2,3", "2,5", "3,5")}}
+
+
 _CLASS_RICH = {
     "C2^5": (10, ("(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)")),
     "C2xC2xC6": (10, ("(1 2)", "(3 4)", "(5 6 7 8 9 10)")),
@@ -434,7 +454,7 @@ def test_cores_of_class_rich_abelian_groups(name):
     # pi-elements and O_pi'(G) the set of pi'-elements.
     degree, gens = _CLASS_RICH[name]
     G = close([P(g, degree) for g in gens])
-    assert G.is_abelian()
+    assert is_abelian(G)
     for pi in _prime_subsets(G):
         for side, keep in enumerate((is_pi, is_pi_prime)):
             expect = {g for g in G.elements if keep(g.order(), pi)}
@@ -592,7 +612,7 @@ def test_groups_do_not_hash_their_elements(monkeypatch):
     A5 = close([P("(1 2 3 4 5)", 5), P("(3 4 5)", 5)])
     assert ([centralizer(A5, A5.elements[cls[0]]).order for cls in conjugacy_classes(A5)]
             == [60, 3, 4, 5, 5])
-    S4 = build_hall_context(S5, PiSet([2, 3])).canonical_hall
+    S4 = canonical_hall(build_hall_context(S5, PiSet([2, 3])))
     assert sorted(Z.order for Z, _ in cyclic_lattice(S4)) == [1] + [2] * 9 + [3] * 4 + [4] * 3
     assert calls == []
 
@@ -610,7 +630,7 @@ def test_subgroups_grown_on_indices_are_generated_by_their_generators(groups, ha
         for pi in entry.check_pis:
             found += [pi_core(G, pi), pi_core(G, pi, 1)]
             try:
-                hall = hall_ctx(entry.name, str(pi)).canonical_hall
+                hall = canonical_hall(hall_ctx(entry.name, str(pi)))
             except NoHallSubgroupError:
                 continue
             found += [Z for Z, _ in cyclic_lattice(hall)]

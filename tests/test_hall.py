@@ -17,7 +17,8 @@ from hallfix.cli import HALL_CHECKS, hall_records
 from hallfix.group import PermGroup, conjugacy_classes, hall_subgroups
 from hallfix.hall import lambda_report_lines, lambda_report_records
 from hallfix.reports import PASS
-from oracles import conjugated_by, conjugates, lam_by_element, poset_moebius, tau_by_element
+from oracles import (canonical_hall, conjugated_by, conjugates, is_abelian, is_cyclic,
+                     lam_by_element, poset_moebius, tau_by_element)
 
 
 def test_pi_part_examples():
@@ -134,10 +135,10 @@ def test_hall_count_is_one_or_at_least_three(groups):
             except NoHallSubgroupError:
                 continue
             if ctx.num_halls == 1:
-                assert ctx.canonical_hall.is_normal_in(ctx.group)
+                assert canonical_hall(ctx).is_normal_in(ctx.group)
             else:
                 assert ctx.num_halls >= 3
-                assert not ctx.canonical_hall.is_normal_in(ctx.group)
+                assert not canonical_hall(ctx).is_normal_in(ctx.group)
 
 
 def test_halls_conjugate_when_separable(groups):
@@ -149,7 +150,7 @@ def test_halls_conjugate_when_separable(groups):
         pi = PiSet.parse(pi_text)
         assert is_pi_separable(G, pi)
         ctx = build_hall_context(G, pi)
-        conj = conjugates(G, ctx.canonical_hall)
+        conj = conjugates(G, canonical_hall(ctx))
         assert sorted(K.fingerprint() for K in conj) == [
             K.fingerprint() for K in ctx.halls]
 
@@ -352,8 +353,8 @@ def test_verify_mult_and_add_build_no_group_wide_table(monkeypatch, p, members):
     # verify-mult and verify-add read lam on one Hall subgroup only.  On A7
     # with pi=5 (126 Sylow subgroups, 505 elements in all) or 7 (120 and 721)
     # they build no classes, fill the conjugation rows at the Hall members
-    # only, and make no lam over G and no Hall subgroup as a group but the
-    # one verify-mult asks is cyclic.  sym-char then builds the rest.
+    # only, and make no lam over G and no Hall subgroup as a group: verify-mult
+    # reads cyclicity off its power walks.  sym-char then builds the rest.
     contexts, made = [], []
     build, subgroup = cli.build_hall_context, PermGroup.subgroup
     monkeypatch.setattr(cli, "build_hall_context",
@@ -368,6 +369,33 @@ def test_verify_mult_and_add_build_no_group_wide_table(monkeypatch, p, members):
     assert A7._classes is None and len(union) == members
     assert all({x for x, v in enumerate(row) if v is not None} == union
                for _, _, row in A7._rows)
-    assert made == [A7.order] and not {"lam_values", "halls"} & set(vars(ctx))
+    assert made == [] and not {"lam_values", "halls"} & set(vars(ctx))
     averaged = {5: "1270318750", 7: "7312613877534"}[p]
     assert cli.sym_char_record("A7", ctx).witness == f"identities hold; averaged value {averaged}"
+
+
+def test_hall_tests_on_element_indices_match_the_oracles():
+    # verify-mult reads cyclicity off the Hall members' power walks and
+    # interpretation reads commutativity off the Hall generators' image
+    # tuples; neither makes the Hall subgroup as a group.
+    outcomes = set()
+    for name, make, pi, _ in _hall_cases():
+        try:
+            ctx = build_hall_context(make(), pi)
+        except NoHallSubgroupError:
+            continue
+        tests = (ctx.hall_is_cyclic(), ctx.hall_is_abelian())
+        H = ctx.halls[0]
+        assert tests == (is_cyclic(H), is_abelian(H)), (name, str(pi))
+        outcomes.add(tests)
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_scan_makes_no_subgroup(capsys, monkeypatch):
+    # Every Hall check of scan reads the Hall subgroups as element indices.
+    def refuse(*args):
+        raise AssertionError("PermGroup.subgroup")
+
+    monkeypatch.setattr(PermGroup, "subgroup", refuse)
+    assert cli.main(["scan", "--group", "S5"]) == 0
+    assert "pass" in capsys.readouterr().out

@@ -16,11 +16,11 @@ from hallfix import (CoprimeActionScenario, FactoredRational, FiniteAction, NoHa
                      power_sum_bound_holds, subgroups_of_order, totient, wielandt_check)
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
-from oracles import (as_fraction, burnside_orbit_count, conjugate_set, conjugated_by,
-                     cyclic_symmetrized, is_pi_prime, lam_by_element, multiplicative_value_direct,
-                     normal_subgroups, power, power_product_pair_direct, power_subgroup,
-                     proper_prime_sets, quotient_direct, s5_subgroup_classes, symmetrized,
-                     tau_by_element)
+from oracles import (as_fraction, burnside_orbit_count, canonical_hall, conjugate_set,
+                     conjugated_by, cyclic_symmetrized, is_abelian, is_cyclic, is_pi_prime,
+                     lam_by_element, multiplicative_value_direct, normal_subgroups, power,
+                     power_product_pair_direct, power_subgroup, proper_prime_sets,
+                     quotient_direct, s5_subgroup_classes, symmetrized, tau_by_element)
 
 
 def P(text, degree):
@@ -41,7 +41,7 @@ def test_multiplicative_value_separable_cases(hall_ctx):
 def test_multiplicative_value_whole_group_hall(hall_ctx):
     # pi covering every prime makes H = G and lam constant 1.
     ctx = hall_ctx("S4", "2,3")
-    assert ctx.canonical_hall == ctx.group
+    assert canonical_hall(ctx) == ctx.group
     assert multiplicative_value(ctx).is_one()
 
 
@@ -80,7 +80,7 @@ def test_power_products_gl32(hall_ctx):
     # on a dihedral Sylow 2-subgroup: the products are 21^6 * 5^2 and
     # (21 * 5^5)^2, deviating on the side opposite to A5.
     ctx = hall_ctx("GL(3,2)", "2")
-    H = ctx.canonical_hall
+    H = canonical_hall(ctx)
     lam = lam_by_element(ctx)
     assert sorted(lam[x] for x in H.elements) == [1, 1, 5, 5, 5, 5, 5, 21]
     left, right = power_product_pair(ctx, 2)
@@ -104,7 +104,7 @@ def cyclic_hall_check(G, pi):
     exists; requires at least one cyclic member, and checks every cyclic one.
     """
     ctx = build_hall_context(G, pi)
-    cyclic_halls = [K for K in ctx.halls if K.is_cyclic()]
+    cyclic_halls = [K for K in ctx.halls if is_cyclic(K)]
     if not cyclic_halls:
         raise ValueError("no Hall subgroup is cyclic; the cyclic case does not apply")
     return all(multiplicative_value(ctx, K).is_one() for K in cyclic_halls)
@@ -361,7 +361,7 @@ def test_cyclic_symmetrized_char_average_is_additive_value(hall_ctx):
     for name, pi_text in (("A5", "2"), ("S4", "2"), ("F21", "3"), ("F42", "2,3")):
         ctx = hall_ctx(name, pi_text)
         chi = tau_by_element(ctx)
-        H = ctx.canonical_hall
+        H = canonical_hall(ctx)
         avg = sum((cyclic_symmetrized(chi, ctx.hall_order, h)
                    for h in H.elements), Fraction(0)) / H.order
         assert avg == additive_value(ctx)
@@ -394,7 +394,7 @@ def _orbit_count_by_enumeration(action, H, k):
 
 def test_burnside_orbit_count_157(hall_ctx):
     ctx = hall_ctx("A5", "2")
-    H, G, halls = ctx.canonical_hall, ctx.group, ctx.halls
+    H, G, halls = canonical_hall(ctx), ctx.group, ctx.halls
     count = burnside_orbit_count(H, tau_by_element(ctx), 4)
     assert count == 157
     by_set = {frozenset(K.elements): i for i, K in enumerate(halls)}
@@ -420,7 +420,7 @@ def test_burnside_trivial_group_counts_tuples(hall_ctx):
 def test_interpretation_a5(hall_ctx):
     ctx = hall_ctx("A5", "2")
     tau = tau_by_element(ctx)
-    H = ctx.canonical_hall
+    H = canonical_hall(ctx)
     f4 = burnside_orbit_count(H, tau, 4)
     f2 = burnside_orbit_count(power_subgroup(H, 2), tau, 2)
     assert (f4, f2) == (157, 25)
@@ -507,7 +507,7 @@ def test_lambda_factors_through_pi_prime_core(groups, hall_ctx):
         ctx = hall_ctx(name, pi_text)
         N = max((N for N in normal_subgroups(G) if is_pi_prime(N.order, pi)),
                 key=lambda N: N.order)
-        H = ctx.canonical_hall
+        H = canonical_hall(ctx)
         HN = close(list(H.generators) + list(N.generators))
         lam, lam_hn = lam_by_element(ctx), lam_by_element(build_hall_context(HN, pi))
         Q, proj = quotient_direct(G, N)
@@ -533,7 +533,7 @@ def test_index_path_matches_permutation_oracles(groups):
             ctx = build_hall_context(G, pi)
         except NoHallSubgroupError:
             continue
-        where, H, n = (name, str(pi)), ctx.canonical_hall, ctx.hall_order
+        where, H, n = (name, str(pi)), canonical_hall(ctx), ctx.hall_order
         for use_radical in (False, True):
             assert (multiplicative_value(ctx, use_radical=use_radical)
                     == multiplicative_value_direct(ctx, use_radical)), where
@@ -556,7 +556,7 @@ def test_index_path_matches_permutation_oracles(groups):
         curiosity = sum((cyclic_symmetrized(tau, m, g) for g in G.elements),
                         Fraction(0)) / m
         assert curiosity_value(G, pi, m) == curiosity, where
-        if H.is_abelian():
+        if is_abelian(H):
             abelian += 1
             orbits = sum((Fraction(moebius(d) * burnside_orbit_count(
                 power_subgroup(H, d), tau, n // d), n)
