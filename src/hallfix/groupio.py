@@ -4,7 +4,8 @@ Format: optional ``#`` comment lines, one ``degree: <k>`` line, then one or
 more ``gen: <cycles>`` lines in disjoint-cycle notation, with free-form
 whitespace, fixed points omitted and ``()`` for the identity.  The parser
 returns the degree and the generators; it refuses a malformed line, a
-missing or repeated degree and a degree over ``MAX_DEGREE``.
+missing or repeated degree and a degree over ``MAX_DEGREE``.  A file is
+read as ASCII bytes; ``splitlines`` ends lines at LF, CRLF and CR alike.
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ def parse_group_text(text: str) -> Tuple[int, List[Permutation]]:
 
 def read_group_file(path: "str | Path") -> Tuple[int, List[Permutation]]:
     try:
-        text = Path(path).read_text(encoding="ascii")
+        with open(path, "rb") as f:
+            text = f.read().decode("ascii")
     except (OSError, UnicodeDecodeError) as exc:
         raise GroupFileError(f"cannot read group file {path}: {exc}") from exc
     return parse_group_text(text)

@@ -30,7 +30,7 @@ class Permutation:
 
     @classmethod
     def _trusted(cls, images: Tuple[int, ...]) -> "Permutation":
-        """Unchecked constructor for products, inverses and powers of bijections."""
+        """Unchecked constructor for image tuples already known to be bijections."""
         out = object.__new__(cls)
         object.__setattr__(out, "images", images)
         return out
@@ -188,5 +188,5 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             seen.add(p)
         for pos, p in enumerate(cyc):
             images[p - 1] = cyc[(pos + 1) % len(cyc)]
-    return Permutation(images)
+    return Permutation._trusted(tuple(images))  # each point checked once, in range
 

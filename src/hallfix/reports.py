@@ -1,9 +1,11 @@
-"""Check records and their text / JSON rendering."""
+"""Check records and their text / JSON rendering.  JSON is written from one
+template per record, byte for byte what ``json.dumps(indent=2, sort_keys=True)``
+prints, with json's C string escaper on each value."""
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, NamedTuple
+from json.encoder import encode_basestring_ascii
+from typing import List, NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
@@ -11,11 +13,9 @@ INAPPLICABLE = "inapplicable"
 
 
 class CheckRecord(NamedTuple):
-    """One verifier outcome.
-
-    ``expected_fail`` is corpus metadata for the documented counterexample
-    pairs; it keeps them out of the failure exit code but is not part of the
-    serialized schema.
+    """One verifier outcome.  The first five fields are the JSON keys, in
+    sorted order; ``expected_fail`` is corpus metadata for the documented
+    counterexample pairs, which keeps them out of the failure exit code.
     """
 
     check: str
@@ -25,23 +25,19 @@ class CheckRecord(NamedTuple):
     witness: str
     expected_fail: bool = False
 
-    def to_dict(self) -> Dict[str, str]:
-        return {
-            "check": self.check,
-            "group": self.group,
-            "pi": self.pi,
-            "status": self.status,
-            "witness": self.witness,
-        }
-
     def text_line(self) -> str:
         mark = " (expected)" if self.status == FAIL and self.expected_fail else ""
         return (f"{self.check:<17} {self.group:<10} pi={self.pi:<7} "
                 f"{self.status}{mark}: {self.witness}")
 
 
+_RECORD = ('  {\n    "check": %s,\n    "group": %s,\n    "pi": %s,\n    "status": %s,\n'
+           '    "witness": %s\n  }')
+
+
 def records_to_json(records: List[CheckRecord]) -> str:
-    return json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True)
+    body = ",\n".join(_RECORD % tuple(map(encode_basestring_ascii, r[:5])) for r in records)
+    return f"[\n{body}\n]" if body else "[]"
 
 
 def unexpected_failures(records: List[CheckRecord]) -> List[CheckRecord]:

@@ -27,7 +27,7 @@ from hallfix import verify as verify_mod
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.groupio import parse_group_text
-from hallfix.reports import FAIL, PASS
+from hallfix.reports import FAIL, PASS, CheckRecord, records_to_json
 from oracles import (canonical_hall, group_file_text, is_cyclic, proper_prime_sets,
                      s5_subgroup_classes)
 
@@ -288,6 +288,40 @@ def test_group_file_non_ascii_is_input_error(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot read group file {path}: ")
     assert "can't decode byte 0xc3" in err and err.count("\n") == 1
+
+
+def test_missing_group_file_names_the_path_as_typed(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "verify-add", "--file", "./nope//x.group", "--pi", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: cannot read group file ./nope//x.group: [Errno 2] "
+                   "No such file or directory: './nope//x.group'\n")
+
+
+def test_crlf_group_file_reports_like_lf(capsys, tmp_path):
+    text = get_entry("S4").text
+    outs = []
+    for newline in ("\n", "\r\n"):
+        path = tmp_path / "S4.grp"
+        path.write_bytes(text.replace("\n", newline).encode("ascii"))
+        code, out, err = run(capsys, "verify-add", "--file", str(path), "--pi", "2", "--json")
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1] and "value" in outs[0]
+
+
+# Quotes, backslashes, control characters, U+2028 and lone surrogates are
+# drawn often; the rest of Unicode, unassigned and private use included, too.
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\u00e9\u2028\ud800\udfff'),
+                               st.characters(exclude_categories=())))
+
+
+@given(st.lists(st.tuples(*[_JSON_TEXT] * 5), max_size=3))
+def test_records_to_json_matches_json_dumps(fields):
+    records = [CheckRecord(*values) for values in fields]
+    dicts = [dict(zip(("check", "group", "pi", "status", "witness"), values))
+             for values in fields]
+    assert records_to_json(records) == json.dumps(dicts, indent=2, sort_keys=True)
 
 
 def test_group_file_degree_over_the_limit_is_input_error(capsys, tmp_path):

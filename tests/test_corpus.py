@@ -170,6 +170,18 @@ def test_group_file_errors(tmp_path):
             read_group_file(bad)
 
 
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_read_group_file_matches_the_text_mode_reader(tmp_path, newline, final_newline):
+    # The text-mode reader, with its universal newlines, is the oracle.
+    path = tmp_path / "g.grp"
+    for entry in corpus_entries():
+        lines = entry.text.splitlines() + ["", "# trailing comment", "gen: ()"]
+        path.write_bytes((newline.join(lines) + newline * final_newline).encode("ascii"))
+        assert read_group_file(path) == parse_group_text(path.read_text(encoding="ascii")), \
+            entry.name
+
+
 def test_degree_over_the_limit_is_refused_before_any_tuple(monkeypatch):
     def no_tuples(spec, degree):
         raise AssertionError("a permutation was parsed")
