@@ -1,9 +1,10 @@
 """Finite permutation groups with fully enumerated element sets.
 
 Groups are closed exhaustively (no stabilizer chains): a group stores the
-sorted image tuples of all its elements, and every structural query below
-walks them as element indices, which keeps all results auditable at desk
-scale.  Closure refuses groups larger than a configurable cap.
+sorted 0-based image bytes of all its elements, composed by bytes.translate,
+and every structural query below walks them as element indices, which keeps
+all results auditable at desk scale.  Closure refuses groups larger than a
+configurable cap, or of a degree over ``MAX_DEGREE``.
 
 ``close`` only closes input generators.  Every subgroup of a closed group
 (a search hit, a pi-core, a centralizer) is grown on that group's element
@@ -19,7 +20,6 @@ element orders (one per class) for separability and the seeded searches.
 from __future__ import annotations
 
 from math import ceil, gcd, log2
-from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -31,6 +31,9 @@ DEFAULT_ELEMENT_CAP = 10080
 #: Largest cap the command line admits: the order of S8, whose closure and
 #: classes take about 0.3 s and 24 MB; a larger cap is refused before closure.
 MAX_CAP = 40320
+#: Largest degree: each point of an element's image bytes must fit in a byte.
+MAX_DEGREE = 256
+_POINTS = bytes(range(MAX_DEGREE))
 
 
 class CapExceededError(RuntimeError):
@@ -42,8 +45,8 @@ class NotASubgroupError(ValueError):
 
 
 class PermGroup:
-    """A finite permutation group stored as the canonically sorted image tuples
-    of its elements, which ``elements`` wraps as permutations on its first read.
+    """A finite permutation group stored as the canonically sorted image bytes
+    of its elements, which ``elements`` converts to permutations on its first read.
 
     Invariant: ``generators`` generate the group.  Membership reads the element
     index, and ``is_subgroup_of``/``is_normal_in`` test generators only."""
@@ -52,7 +55,7 @@ class PermGroup:
                  "_orders", "_walks")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 images: Iterable[Tuple[int, ...]]) -> None:
+                 images: Iterable[bytes]) -> None:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "_images", tuple(sorted(images)))
@@ -64,7 +67,7 @@ class PermGroup:
     def elements(self) -> Tuple[Permutation, ...]:
         """The elements as permutations, in the canonical order; made once."""
         if self._elements is None:
-            object.__setattr__(self, "_elements", tuple(map(Permutation._trusted, self._images)))
+            object.__setattr__(self, "_elements", tuple(map(Permutation._from_bytes, self._images)))
         return self._elements
 
     @property
@@ -74,10 +77,10 @@ class PermGroup:
     @property
     def identity(self) -> Permutation:
         """The first element: the canonical sort puts the lexicographic minimum first."""
-        return Permutation._trusted(self._images[0])
+        return Permutation._from_bytes(self._images[0])
 
     def __contains__(self, g: Permutation) -> bool:
-        return g.images in self._ensure_index()
+        return g.degree == self.degree and g._bytes() in self._ensure_index()
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and all(g in other for g in self.generators)
@@ -86,12 +89,12 @@ class PermGroup:
         return self.is_subgroup_of(other) and all(
             g * k * g.inverse() in self for g in other.generators for k in self.generators)
 
-    def fingerprint(self) -> Tuple[Tuple[int, ...], ...]:
-        """The image tuple of each element index; the canonical sort key."""
+    def fingerprint(self) -> Tuple[bytes, ...]:
+        """The 0-based image bytes of each element index; the canonical sort key."""
         return self._images
 
-    def _ensure_index(self) -> Dict[Tuple[int, ...], int]:
-        """Element index keyed by image tuple; computed once per group."""
+    def _ensure_index(self) -> Dict[bytes, int]:
+        """Element index keyed by image bytes; computed once per group."""
         if self._index is None:
             object.__setattr__(self, "_index", {t: i for i, t in enumerate(self._images)})
         return self._index
@@ -100,7 +103,7 @@ class PermGroup:
         """The subgroup on the element indices ``members``, generated by the
         elements at ``gens``; the trivial subgroup by the identity."""
         images = self._images
-        return PermGroup(self.degree, [Permutation._trusted(images[i]) for i in gens or (0,)],
+        return PermGroup(self.degree, [Permutation._from_bytes(images[i]) for i in gens or (0,)],
                          [images[i] for i in members])
 
     def element_orders(self) -> Tuple[int, ...]:
@@ -119,10 +122,10 @@ class PermGroup:
         walk = self._walks.get(i)
         if walk is None:
             index, y = self._ensure_index(), self._images[i]
-            walk, times_x = [0], _times(y)
+            walk, x = [0], _table(y)
             while j := index[y]:  # the identity has index 0
                 walk.append(j)
-                y = times_x(y)
+                y = y.translate(x)
             self._walks[i] = walk
         return walk
 
@@ -149,66 +152,65 @@ def close(generators: Sequence[Permutation], *, degree: Optional[int] = None,
     :class:`CapExceededError` once the closure grows past ``cap``.
     """
     gens = list(generators)
-    if gens:
-        deg = gens[0].degree
-        if any(g.degree != deg for g in gens):
-            raise ValueError("generators must share one degree")
-        if degree is not None and degree != deg:
-            raise ValueError(f"declared degree {degree} != generator degree {deg}")
-    else:
-        if degree is None:
-            raise ValueError("degree is required for an empty generating set")
-        deg = degree
+    deg = gens[0].degree if gens else degree
+    if deg is None:
+        raise ValueError("degree is required for an empty generating set")
+    if any(g.degree != deg for g in gens):
+        raise ValueError("generators must share one degree")
+    if degree is not None and degree != deg:
+        raise ValueError(f"declared degree {degree} != generator degree {deg}")
+    if deg > MAX_DEGREE:
+        raise ValueError(f"degree {deg} is over the limit {MAX_DEGREE} of byte images")
 
-    # Dimino's method on image tuples: grow <g1..gi> from H = <g1..g(i-1)>
-    # by whole right cosets H y, y = r * g for a coset representative r.
+    # Dimino's method on image bytes: grow <g1..gi> from H = <g1..g(i-1)>
+    # by whole left cosets y H, y = g r for a coset representative r.
     ident = Permutation.identity(deg)
-    moves = [(g, _times(g)) for g in dict.fromkeys(g.images for g in gens)]
-    seen = {ident.images}
+    moves = [(g, _table(g)) for g in dict.fromkeys(g._bytes() for g in gens)]
+    seen = {ident._bytes()}
     for i, (g, _) in enumerate(moves):
         if g in seen:
             continue
-        prev, reps = list(seen), [ident.images]
+        prev, reps = list(seen), [ident._bytes()]
         for r in reps:
-            for _, times_g in moves[:i + 1]:
-                y = times_g(r)
+            for _, table_g in moves[:i + 1]:
+                y = r.translate(table_g)
                 if y not in seen:
                     if len(seen) + len(prev) > cap:
                         raise CapExceededError(
                             f"closure exceeds the element cap {cap}; "
                             "the group is too large for exhaustive mode")
-                    seen.update(map(_times(y), prev))
+                    table_y = _table(y)
+                    seen.update([h.translate(table_y) for h in prev])
                     reps.append(y)
     return PermGroup(deg, gens or [ident], seen)
 
 
-def _times(g: Tuple[int, ...]) -> Callable[[Tuple[int, ...]], Tuple[int, ...]]:
-    """Right multiplication t -> t * g on image tuples."""
-    return itemgetter(*[v - 1 for v in g]) if len(g) > 1 else tuple
+def _table(g: bytes) -> bytes:
+    """The translate table of left multiplication t -> g t on image bytes."""
+    return g + _POINTS[len(g):]
 
 
 _Found = Tuple[FrozenSet[int], Tuple[int, ...]]
 _TRIVIAL: _Found = (frozenset({0}), ())
 
 
-def _grow(index: Dict[Tuple[int, ...], int], images: Sequence[Tuple[int, ...]],
-          S: FrozenSet[int], moves: Sequence[Callable], limit: int,
-          least: int = 0) -> Optional[FrozenSet[int]]:
+def _grow(index: Dict[bytes, int], images: Sequence[bytes], S: FrozenSet[int],
+          moves: Sequence[bytes], limit: int, least: int = 0) -> Optional[FrozenSet[int]]:
     """Dimino's step on the element indices of a closed group, given by its
     ``index`` and ``images``: the subgroup <S, moves>, grown from the subgroup
-    S by right cosets S y, y = r * g for a coset representative r and a move
-    g, a right multiplication.  The cosets reached make up <S, moves> when S
-    is generated by some of the moves and a normal subgroup of the group,
-    which may be trivial.  None past ``limit`` elements or at a new element
-    below ``least``."""
+    S by left cosets y S, y = g r for a coset representative r and a move g,
+    given as the translate table of t -> g t.  The cosets reached make up
+    <S, moves> when S is generated by some of the moves and a normal subgroup
+    of the group, which may be trivial.  None past ``limit`` elements or at a
+    new element below ``least``."""
     seen = set(S)
     reps = [images[0]]
     for r in reps:
-        for times_g in moves:
-            y = times_g(r)
+        for g in moves:
+            y = r.translate(g)
             if index[y] not in seen:
-                times_y = _times(y)
-                coset = [index[times_y(images[c])] for c in S]
+                table_y = _table(y)
+                coset = [index[images[c].translate(table_y)] for c in S]
                 if len(seen) + len(coset) > limit or least and min(coset) < least:
                     return None
                 seen.update(coset)
@@ -216,8 +218,8 @@ def _grow(index: Dict[Tuple[int, ...], int], images: Sequence[Tuple[int, ...]],
     return frozenset(seen)
 
 
-def _join(index: Dict[Tuple[int, ...], int], images: Sequence[Tuple[int, ...]],
-          S: FrozenSet[int], elements: Iterable[int], limit: int) -> Optional[_Found]:
+def _join(index: Dict[bytes, int], images: Sequence[bytes], S: FrozenSet[int],
+          elements: Iterable[int], limit: int) -> Optional[_Found]:
     """Dimino's method from a subgroup S that is normal in the group, such as
     the trivial one: <S, elements> and the elements added, in order.  Each element
     not yet inside grows the subgroup by :func:`_grow`, moved by the elements
@@ -226,7 +228,7 @@ def _join(index: Dict[Tuple[int, ...], int], images: Sequence[Tuple[int, ...]],
     for i in elements:
         if i not in S:
             added.append(i)
-            moves.append(_times(images[i]))
+            moves.append(_table(images[i]))
             grown = _grow(index, images, S, moves, limit)
             if grown is None:
                 return None
@@ -246,11 +248,11 @@ def centralizer(G: PermGroup, s: "Permutation | PermGroup") -> PermGroup:
         raise NotASubgroupError(
             f"centralizer target degree {s.degree} != group degree {G.degree}")
     targets = [s] if isinstance(s, Permutation) else s.generators
-    # x * t and t * x on image tuples, for each target t.
-    sides = [(_times(t.images), ((0,) + t.images).__getitem__) for t in targets]
+    # t x and x t on image bytes, for each target t.
+    sides = [(t, _table(t)) for t in map(Permutation._bytes, targets)]
     index, images = G._ensure_index(), G.fingerprint()
     members = [i for i, x in enumerate(images)
-               if all(times_t(x) == tuple(map(t_of, x)) for times_t, t_of in sides)]
+               if all(x.translate(table_t) == t.translate(_table(x)) for t, table_t in sides)]
     return G.subgroup(*_join(index, images, frozenset({0}), members, len(members)))
 
 
@@ -295,7 +297,7 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], Callable[[], lis
     index, images = G._ensure_index(), G.fingerprint()
     if n in (1, G.order):
         whole = frozenset(range(G.order))
-        gens = tuple(index[g.images] for g in G.generators)
+        gens = tuple(index[g._bytes()] for g in G.generators)
         return [_TRIVIAL if n == 1 else (whole, gens)], lambda: [(1, whole)]
     q = max(p ** k for p, k in factorize(n).items())
     P = next(_subgroup_search(G, q))
@@ -303,8 +305,8 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], Callable[[], lis
     for K, gens in [P] if q == n else _subgroup_search(G, n, P):
         if K in halls:
             continue
-        # u[T], with u[T] K u[T]^-1 = T, is the image tuple g u[S] for the S and
-        # the generator g (its (0,) + images maps t to g t) that first reached T.
+        # u[T], with u[T] K u[T]^-1 = T, is the image bytes g u[S] for the S and
+        # the generator g (its translate table maps t to g t) that first reached T.
         halls[K], orbit, u, edges = gens, [K], {K: images[0]}, []
         for S in orbit:
             for g, _, row in _fill_rows(G, S):
@@ -313,7 +315,7 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], Callable[[], lis
                     edges.append((u[T], g, u[S]))
                 else:
                     halls[T] = tuple(map(row.__getitem__, halls[S]))
-                    u[T] = tuple(map(g.__getitem__, u[S]))
+                    u[T] = u[S].translate(g)
                     orbit.append(T)
         walks.append((K, len(orbit), edges))
 
@@ -326,10 +328,9 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], Callable[[], lis
         for u_T, g, u_S in edges:
             if len(N) == target:
                 break
-            u_inverse = dict(zip(u_T, images[0]))
-            s = index[tuple(u_inverse[g[v]] for v in u_S)]
+            s = index[u_S.translate(g).translate(bytes.maketrans(u_T, images[0]))]
             if s not in N:
-                moves.append(_times(images[s]))
+                moves.append(_table(images[s]))
                 N = _grow(index, images, N, moves, target)
         return N
     return (sorted(halls.items(), key=lambda pair: sorted(pair[0])),
@@ -343,7 +344,7 @@ def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[
     outside the subgroup generated so far.
 
     Candidates have orders dividing m, read off G's classes, or unseeded on a
-    group without classes (a Sylow first hit) off each examined image tuple."""
+    group without classes (a Sylow first hit) off each examined element."""
     index, images = G._ensure_index(), G.fingerprint()
     if G._classes is None and seed is _TRIVIAL:
         candidates, order = range(1, G.order), lambda e: image_order(images[e])
@@ -354,13 +355,13 @@ def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[
     max_gens = len(base_gens) + ceil(log2(m // len(base)))
 
     def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> Iterator[_Found]:
-        moves = [_times(images[g]) for g in gens]
+        moves = [_table(images[g]) for g in gens]
         for pos in range(start, len(candidates)):
             e = candidates[pos]
             if e in clo or m % order(e):
                 continue
             # A new element below e means the chain is not canonical.
-            new = _grow(index, images, clo, moves + [_times(images[e])], m, e)
+            new = _grow(index, images, clo, moves + [_table(images[e])], m, e)
             if new is None or m % len(new):
                 continue
             if len(new) == m:
@@ -376,24 +377,26 @@ def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[
         del extend  # break the self-reference even if the caller stops early
 
 
-def _conjugation_rows(G: PermGroup) -> List[Tuple[tuple, Callable, list]]:
-    """Once per group, a triple ((0,) + g's images, t -> t * g^-1 on image
-    tuples, row x -> g x g^-1 on element indices, None until filled) per
-    distinct generator g but the identity, which moves nothing (skipping it
-    also keeps degree 1 off itemgetter's single-index form)."""
+def _conjugation_rows(G: PermGroup) -> List[Tuple[bytes, bytes, list]]:
+    """Once per group, a triple (g's translate table, g^-1's image bytes, row
+    x -> g x g^-1 on element indices, None until filled) per distinct
+    generator g but the identity, which moves nothing."""
     if G._rows is None:
-        gens = {g.images: g for g in G.generators if g.images != G.fingerprint()[0]}.values()
-        object.__setattr__(G, "_rows", [((0,) + g.images, _times(g.inverse().images),
+        ident = G.fingerprint()[0]
+        gens = [g for g in dict.fromkeys(map(Permutation._bytes, G.generators)) if g != ident]
+        object.__setattr__(G, "_rows", [(_table(g), bytes.maketrans(g, ident)[:G.degree],
                                          [None] * G.order) for g in gens])
     return G._rows
 
 
-def _fill_rows(G: PermGroup, xs: Iterable[int]) -> List[Tuple[tuple, Callable, list]]:
-    """G's conjugation rows, filled at the element indices ``xs``, a collection."""
+def _fill_rows(G: PermGroup, xs: Iterable[int]) -> List[Tuple[bytes, bytes, list]]:
+    """G's conjugation rows, filled at the element indices ``xs``, a collection:
+    g x g^-1 is g^-1 translated by x's table, then by g's."""
     index, images, rows = G._ensure_index(), G.fingerprint(), _conjugation_rows(G)
-    for shifted, times_ginv, row in rows:
+    tail = _POINTS[G.degree:]
+    for table_g, g_inverse, row in rows:
         for x in [x for x in xs if row[x] is None]:
-            row[x] = index[itemgetter(*times_ginv(images[x]))(shifted)]
+            row[x] = index[g_inverse.translate(images[x] + tail).translate(table_g)]
     return rows
 
 

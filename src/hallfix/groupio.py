@@ -13,12 +13,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Tuple
 
+# MAX_DEGREE, 256, is the largest degree a group file may declare, as a group's
+# image bytes hold a point per byte; a larger one is refused before any gen is parsed.
+from .group import MAX_DEGREE
 from .perm import Permutation, parse_permutation
-
-#: Largest degree a group file may declare.  Each element is an image tuple of
-#: this length, so a group of this degree at the default element cap keeps
-#: about 10^7 points; the degree is refused before any tuple is built.
-MAX_DEGREE = 1000
 
 
 class GroupFileError(ValueError):

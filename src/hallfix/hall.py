@@ -7,7 +7,7 @@ context keeps, making groups of them only when read.  For pi-separable
 groups they form the usual single class, which the tests check.
 lam and tau(g), the number of Hall subgroups that g normalizes, are lists
 over G's element indices, and no lookup here keys an element by its image
-tuple; tau, the permutation character of G's conjugation action on the Hall
+bytes; tau, the permutation character of G's conjugation action on the Hall
 set, is counted from the orbit sizes and normalizers the enumeration hands
 over, growing the normalizers when tau is first read.
 The cyclic subgroups of a group are read off its power walks, each paired
@@ -77,10 +77,11 @@ class HallContext:
         return any(len(self.group.power_walk(i)) == self.hall_order for i in self.hall_members[0])
 
     def hall_is_abelian(self) -> bool:
-        """Whether the canonical Hall subgroup's generators commute, as image tuples."""
-        gens = list(map(self.group.fingerprint().__getitem__, self._found[0][1]))
-        return all(tuple(a[v - 1] for v in b) == tuple(b[v - 1] for v in a)
-                   for k, a in enumerate(gens) for b in gens[k + 1:])
+        """Whether the canonical Hall subgroup's generators commute, as image bytes."""
+        images = self.group.fingerprint()
+        gens = [(images[i], bytes.maketrans(images[0], images[i])) for i in self._found[0][1]]
+        return all(b.translate(table_a) == a.translate(table_b)
+                   for k, (a, table_a) in enumerate(gens) for b, table_b in gens[k + 1:])
 
     @cached_property
     def halls(self) -> Tuple[PermGroup, ...]:
@@ -164,6 +165,6 @@ def lambda_report_lines(ctx: HallContext) -> List[str]:
 def lambda_report_records(ctx: HallContext) -> List[Dict[str, object]]:
     """JSON-ready report: {element, order, lambda} per pi-element."""
     G = ctx.group
-    return [{"element": format_permutation(Permutation._trusted(x)), "order": k, "lambda": v}
+    return [{"element": format_permutation(Permutation._from_bytes(x)), "order": k, "lambda": v}
             for x, k, v in zip(G.fingerprint(), G.element_orders(), ctx.lam_values)
             if v is not None]

@@ -1,14 +1,16 @@
 """Permutations of {1..degree} with disjoint-cycle notation.
 
-Points are 1-based everywhere: in parsed input, in printed output and in the
-internal image table.  Composition is function composition, ``(g * h)(p) ==
+Points are 1-based in a Permutation: in parsed input, in printed output and
+in its image tuple.  A group keeps its elements as the bytes of their 0-based
+images instead (``_bytes``, ``_from_bytes``), the form ``image_order`` takes.
+Composition is function composition, ``(g * h)(p) ==
 g(h(p))``, i.e. the right factor acts first.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 class PermParseError(ValueError):
@@ -36,10 +38,17 @@ class Permutation:
         return out
 
     @classmethod
+    def _from_bytes(cls, images: bytes) -> "Permutation":
+        """From the bytes of the 0-based images, the form a group keeps its elements in."""
+        return cls._trusted(tuple([v + 1 for v in images]))
+
+    def _bytes(self) -> bytes:
+        """The bytes of the 0-based images; the degree must be at most 256."""
+        return bytes([v - 1 for v in self.images])
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        if degree < 1:
-            raise ValueError("degree must be positive")
-        return cls(range(1, degree + 1))
+        return cls(range(1, degree + 1))  # refuses a degree below 1
 
     @property
     def degree(self) -> int:
@@ -57,30 +66,22 @@ class Permutation:
             inv[v - 1] = i + 1
         return Permutation._trusted(tuple(inv))
 
-    def _orbits(self) -> List[Tuple[int, ...]]:
-        """All cycles including fixed points, each starting at its least point."""
-        seen = [False] * len(self.images)
-        out: List[Tuple[int, ...]] = []
-        for start in range(1, len(self.images) + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            nxt = self.images[start - 1]
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self.images[nxt - 1]
-            out.append(tuple(cyc))
-        return out
-
     def cycles(self) -> List[Tuple[int, ...]]:
-        """Nontrivial cycles in canonical form (sorted by least moved point)."""
-        return [c for c in self._orbits() if len(c) > 1]
+        """Nontrivial cycles in canonical form: each from its least point, sorted."""
+        seen, out = set(), []
+        for start, nxt in enumerate(self.images, 1):
+            if nxt != start and start not in seen:
+                cyc = [start]
+                while nxt != start:
+                    cyc.append(nxt)
+                    nxt = self.images[nxt - 1]
+                seen.update(cyc)
+                out.append(tuple(cyc))
+        return out
 
     def order(self) -> int:
         """Least k >= 1 with self^k the identity: the lcm of the cycle lengths."""
-        return image_order(self.images)
+        return image_order([v - 1 for v in self.images])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -101,17 +102,17 @@ class Permutation:
         return f"Permutation[{format_permutation(self)} deg {len(self.images)}]"
 
 
-def image_order(imgs: Tuple[int, ...]) -> int:
-    """The order of the permutation with image tuple ``imgs``: the lcm of its cycle lengths."""
-    seen = [False] * len(imgs)
+def image_order(imgs: Sequence[int]) -> int:
+    """The order of the permutation with 0-based images ``imgs``: the lcm of its cycle lengths."""
+    seen = bytearray(len(imgs))
     out = 1
-    for start, nxt in enumerate(imgs, 1):
-        if nxt == start or seen[start - 1]:
+    for start, nxt in enumerate(imgs):
+        if nxt == start or seen[start]:
             continue
         length = 1
         while nxt != start:
-            seen[nxt - 1] = True
-            nxt = imgs[nxt - 1]
+            seen[nxt] = 1
+            nxt = imgs[nxt]
             length += 1
         out = lcm(out, length)
     return out
@@ -119,10 +120,7 @@ def image_order(imgs: Tuple[int, ...]) -> int:
 
 def format_permutation(g: Permutation) -> str:
     """Canonical cycle string: cycles by least moved point, "()" for identity."""
-    cycs = g.cycles()
-    if not cycs:
-        return "()"
-    return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in g.cycles()) or "()"
 
 
 def _tokenize(text: str) -> List[object]:

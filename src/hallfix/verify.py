@@ -53,9 +53,8 @@ class CoprimeActionScenario:
 
 def _hall_members(ctx: HallContext, hall: Optional[PermGroup]) -> FrozenSet[int]:
     """The element indices of a Hall subgroup, the canonical one by default."""
-    index = ctx.group._ensure_index()
     members = (ctx.hall_members[0] if hall is None
-               else frozenset(index.get(t) for t in hall.fingerprint()))
+               else frozenset(map(ctx.group._ensure_index().get, hall.fingerprint())))
     if members not in ctx.hall_members:
         raise ValueError("the given subgroup is not one of the Hall subgroups")
     return members

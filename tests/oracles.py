@@ -27,6 +27,11 @@ def power(x, d):
     return Permutation(out)
 
 
+def image_bytes(g):
+    """The bytes of g's 0-based images, the form a group keeps its elements in."""
+    return bytes(v - 1 for v in g.images)
+
+
 def as_fraction(r):
     """The FactoredRational r expanded to an exact Fraction."""
     return prod((Fraction(p) ** e for p, e in r._factors), start=Fraction(1))
@@ -47,7 +52,7 @@ def conjugate_set(elems, g):
 def conjugated_by(H, g):
     """The subgroup g * H * g^-1 (element-by-element, no re-closure)."""
     ginv = g.inverse()
-    elems = [(g * x * ginv).images for x in H.elements]
+    elems = [image_bytes(g * x * ginv) for x in H.elements]
     gens = [g * x * ginv for x in H.generators] or [H.identity]
     return PermGroup(H.degree, gens, elems)
 
@@ -150,7 +155,7 @@ def quotient_direct(G, N):
         xinv = x.inverse()
         mapping[x] = Permutation(point_of[rep * xinv] for rep in reps)
     q_gens = [mapping[g] for g in G.generators]
-    return PermGroup(len(cosets), q_gens, {q.images for q in mapping.values()}), mapping
+    return PermGroup(len(cosets), q_gens, {image_bytes(q) for q in mapping.values()}), mapping
 
 
 #: The normal-subgroup scan enumerates class unions; guard the subset blowup.

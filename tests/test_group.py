@@ -21,9 +21,9 @@ from hallfix.group import (_TRIVIAL, DEFAULT_ELEMENT_CAP, FiniteAction, PermGrou
 from hallfix.hall import pi_part
 from hallfix.reports import INAPPLICABLE, PASS
 from oracles import (burnside_orbit_count, canonical_hall, conjugate_set, conjugates,
-                     greedy_chain, is_abelian, is_pi, is_pi_prime, is_pi_separable_direct,
-                     normal_subgroups, proper_prime_sets, quotient_direct, s5_subgroup_classes,
-                     tau_by_element)
+                     greedy_chain, image_bytes, is_abelian, is_pi, is_pi_prime,
+                     is_pi_separable_direct, normal_subgroups, proper_prime_sets, quotient_direct,
+                     s5_subgroup_classes, tau_by_element)
 
 
 def P(text, degree):
@@ -105,7 +105,7 @@ def _close_direct(generators, *, degree=None, cap=DEFAULT_ELEMENT_CAP):
                         "the group is too large for exhaustive mode")
                 seen.add(y)
                 queue.append(y)
-    return PermGroup(deg, gens or [ident], [x.images for x in seen])
+    return PermGroup(deg, gens or [ident], [image_bytes(x) for x in seen])
 
 
 @st.composite
@@ -169,6 +169,15 @@ def test_close_cap():
 def test_close_mismatched_degrees():
     with pytest.raises(ValueError, match="share one degree"):
         close([P("(1 2)", 2), P("(1 2)", 3)])
+
+
+def test_close_refuses_a_degree_over_a_byte():
+    # An element is the bytes of its 0-based images: degree 256 closes, and
+    # 257 is refused by name, with or without generators.
+    assert close([P("(255 256)", 256), P("(1 2 3)", 256)]).order == 6
+    for gens, degree in (([P("(256 257)", 257)], None), ([], 257)):
+        with pytest.raises(ValueError, match="degree 257 is over the limit 256 of byte images"):
+            close(gens, degree=degree)
 
 
 def test_elements_are_canonically_sorted():
@@ -495,7 +504,7 @@ def test_classes_are_computed_once_per_group(monkeypatch):
 
 def test_element_orders_take_one_order_per_class(monkeypatch):
     # A7 has 9 conjugacy classes; its 2520 element orders are read off them,
-    # one image tuple's order per class.
+    # one element's order per class, on its image bytes.
     A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
     calls = []
     order = group_mod.image_order
@@ -508,10 +517,10 @@ def test_element_orders_take_one_order_per_class(monkeypatch):
 
 def test_closure_and_hall_checks_make_few_permutations(monkeypatch, capsys):
     # Closure, the Hall search, the classes and both checks run on image
-    # tuples and element indices: A7 with pi={2,3} has 2520 elements and 35
+    # bytes and element indices: A7 with pi={2,3} has 2520 elements and 35
     # Hall subgroups, but makes only a few Permutation objects.  (verify-mult
     # computes its value, then finds no hypothesis that applies.)  The Hall
-    # enumeration walks each orbit once on image tuples and element indices,
+    # enumeration walks each orbit once on image bytes and element indices,
     # so tau, which sym-char reads, makes none: it counts each orbit from the
     # size and normalizer handed over.  The lambda report formats only
     # pi-elements.
@@ -595,7 +604,7 @@ def test_relations_on_s5_subgroups_match_element_sets():
 
 
 def test_groups_do_not_hash_their_elements(monkeypatch):
-    # Membership reads the image-tuple index, and subgroups of a closed group
+    # Membership reads the image-bytes index, and subgroups of a closed group
     # grow on its element indices, so neither closing A7, a subgroup search,
     # the cores and separability of S5, centralizers in A5 nor the cyclic
     # subgroups of a Hall subgroup call Permutation.__hash__.
@@ -772,11 +781,14 @@ def test_finite_action_fixed_counts(groups):
 
 
 def test_search_products_match_permutation_products(groups):
-    # Oracle: the search composes image tuples, x * y = _times(y)(x); every
-    # product must index like the Permutation product.  Degree 1 (a one-point
-    # image tuple) is an edge case.
+    # Oracle: the search composes image bytes, y * x = x.translate(_table(y));
+    # every product must index like the Permutation product.  Degree 1 (a
+    # one-point element) and degree 256 (a table with no identity tail, the
+    # largest a byte holds) are edge cases.
     cases = [(name, G) for name, G in groups.items() if G.order <= 168]
-    cases += [("degree 1", close([], degree=1))]
+    cases += [("degree 1", close([], degree=1)),
+              ("degree 256", close([P("(255 256)", 256), P("(1 2 3)", 256)]))]
+    assert cases[-1][1].order == 6
     for name, G in cases:
         _assert_search_products_match(G, name)
 
@@ -784,11 +796,11 @@ def test_search_products_match_permutation_products(groups):
 def _assert_search_products_match(G, name):
     elems, by_images = G.elements, G._ensure_index()
     index = {g: i for i, g in enumerate(elems)}
-    assert by_images == {g.images: i for g, i in index.items()}, name
+    assert by_images == {image_bytes(g): i for g, i in index.items()}, name
     for y in elems:
-        times_y = group_mod._times(y.images)
-        assert ([by_images[times_y(x.images)] for x in elems]
-                == [index[x * y] for x in elems]), (name, y)
+        table_y = group_mod._table(image_bytes(y))
+        assert ([by_images[image_bytes(x).translate(table_y)] for x in elems]
+                == [index[y * x] for x in elems]), (name, y)
 
 
 def test_cayley_table_with_identity_and_repeated_generators():

@@ -51,7 +51,7 @@ def test_build_hall_context_no_hall(groups):
 
 
 def test_sylow_path_builds_no_cayley_table():
-    # Hall enumeration composes image tuples; a group carries no table of
+    # Hall enumeration composes image bytes; a group carries no table of
     # order-squared products for it to build.
     G = load_group("PSL(2,9)")
     assert build_hall_context(G, PiSet([2])).num_halls == 45

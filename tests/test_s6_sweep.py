@@ -16,7 +16,7 @@ from hallfix import close, is_pi_separable, parse_permutation
 from hallfix.cli import HALL_CHECKS, hall_records
 from hallfix.group import _fill_rows
 from hallfix.reports import INAPPLICABLE, PASS
-from oracles import is_pi_separable_direct, proper_prime_sets
+from oracles import image_bytes, is_pi_separable_direct, proper_prime_sets
 
 S6_CLASS_GENERATORS = (
     ("()",), ("(5 6)",), ("(3 4)(5 6)",), ("(1 2)(3 4)(5 6)",), ("(4 5 6)",),
@@ -67,7 +67,7 @@ def test_s6_representatives_cover_the_1455_subgroups():
     index, rows = S6._ensure_index(), _fill_rows(S6, range(S6.order))
     seen = set()
     for H in s6_class_representatives():
-        orbit = [frozenset(index[x.images] for x in H.elements)]
+        orbit = [frozenset(index[image_bytes(x)] for x in H.elements)]
         assert orbit[0] not in seen, H
         seen.add(orbit[0])
         for S in orbit:
