@@ -9,7 +9,7 @@ Fractions for sums) against a builtin corpus with brute-force oracles.
 
 from .arith import FactoredRational, PiSet, divisors, moebius, totient
 from .corpus import (CorpusEntry, UnknownGroupError, corpus_entries,
-                     corpus_names, get_entry, load_group, load_scenario)
+                     corpus_names, get_entry, load_group)
 from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
                     NotASubgroupError, PermGroup, centralizer, close, is_pi_separable,
                     subgroups_of_order)
@@ -19,7 +19,7 @@ from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
 from .perm import (Permutation, PermParseError, format_permutation,
                    parse_permutation)
 from .verify import (CoprimeActionScenario, NrCheckResult, WielandtResult,
-                     additive_value, curiosity_value, interpretation_check,
+                     additive_value, coprime_split, curiosity_value, interpretation_check,
                      multiplicative_value, navarro_rizo_check, power_product_pair,
                      power_sum_bound_holds, wielandt_check)
 

@@ -6,8 +6,8 @@ Commands: lambda, verify-mult, verify-add, verify-nr, verify-wielandt,
 sym-char, interpretation, curiosity, scan, with options before or after the
 command word.  Exit codes: 0 when every applicable check passes (documented
 counterexamples included), 1 when an identity is violated, 2 on input and
-usage errors (--n off curiosity, --radical off verify-mult), 3 on an internal
-error (any other exception, reported on one stderr line).
+usage errors (--n off curiosity, --radical off verify-mult, --pi on scan), 3
+on an internal error (any other exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .arith import FACTOR_LIMIT, PiSet, prime_divisors
 from .corpus import (A5_CURIOSITY, CorpusEntry, UnknownGroupError, corpus_entries,
-                     get_entry, load_group, load_scenario)
+                     get_entry, load_group)
 from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, MAX_CAP, PermGroup, close,
                     is_pi_separable)
 from .groupio import GroupFileError, read_group_file
@@ -31,7 +31,7 @@ from .perm import PermParseError
 from .reports import (FAIL, INAPPLICABLE, PASS, CheckRecord, records_to_json,
                       unexpected_failures)
 from .verify import (CoprimeActionScenario, PowerSumTooLargeError, additive_value,
-                     curiosity_value, interpretation_check, multiplicative_value,
+                     coprime_split, curiosity_value, interpretation_check, multiplicative_value,
                      navarro_rizo_check, sym_char_sums, wielandt_check)
 
 _COMMANDS = ("lambda", "verify-mult", "verify-add", "verify-nr", "verify-wielandt",
@@ -81,10 +81,6 @@ def _require_pi(args) -> PiSet:
         return PiSet.parse(args.pi)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def _fraction_str(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else str(value)
 
 
 #: The checks that read a Hall context, in scan order.
@@ -139,17 +135,13 @@ def add_record(name: str, ctx: HallContext) -> CheckRecord:
           and (beta == 0) == normal_nontrivial)
     status = PASS if ok else FAIL
     return CheckRecord("verify-add", name, str(ctx.pi), status,
-                       f"value {_fraction_str(beta)}")
+                       f"value {beta}")
 
 
-def nr_record(name: str, scenario: CoprimeActionScenario,
-              pi: Optional[PiSet] = None) -> CheckRecord:
-    """Cleared coprime fixed-point identities on the designated scenario."""
+def nr_record(name: str, scenario: CoprimeActionScenario) -> CheckRecord:
+    """Cleared coprime fixed-point identities on a coprime split."""
     primes = prime_divisors(scenario.complement.order)
     inferred = PiSet(primes)
-    if pi is not None and pi != inferred:
-        raise InputError(f"--pi {pi} does not match the complement order "
-                         f"{scenario.complement.order}")
     if len(primes) != 1:
         return CheckRecord("verify-nr", name, str(inferred), INAPPLICABLE,
                            f"complement of order {scenario.complement.order} "
@@ -185,7 +177,7 @@ def sym_char_record(name: str, ctx: HallContext) -> CheckRecord:
         return CheckRecord("sym-char", name, str(pi), FAIL,
                            f"averaged value {averaged} != additive value {beta}")
     return CheckRecord("sym-char", name, str(pi), PASS,
-                       f"identities hold; averaged value {_fraction_str(beta)}")
+                       f"identities hold; averaged value {beta}")
 
 
 def interpretation_record(name: str, ctx: HallContext) -> CheckRecord:
@@ -197,14 +189,14 @@ def interpretation_record(name: str, ctx: HallContext) -> CheckRecord:
     ok = interpretation_check(ctx)
     beta = additive_value(ctx)
     return CheckRecord("interpretation", name, str(pi), PASS if ok else FAIL,
-                       f"orbit decomposition matches value {_fraction_str(beta)}"
+                       f"orbit decomposition matches value {beta}"
                        if ok else "orbit decomposition disagrees")
 
 
 def curiosity_record(name: str, G: PermGroup, pi: PiSet,
                      n: Optional[int]) -> Tuple[CheckRecord, str]:
     value = curiosity_value(G, pi, n)
-    text = _fraction_str(value)
+    text = str(value)
     pinned = (name == "A5" and pi == PiSet([3])
               and (n is None or n == G.order))
     if pinned:
@@ -220,11 +212,12 @@ def curiosity_record(name: str, G: PermGroup, pi: PiSet,
 def scan_records(entries: List[CorpusEntry], cap: int) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     for entry in entries:
-        scenario = load_scenario(entry, cap=cap) if entry.scenario is not None else None
-        G = load_group(entry.name, cap=cap) if scenario is None else scenario.group
+        G = load_group(entry.name, cap=cap)
         for pi in entry.check_pis:
             records += hall_records(entry.name, G, pi, HALL_CHECKS, entry)
-        if scenario is not None:
+        if entry.scenario is not None:
+            # After the Hall checks, so the split reads the rows and classes they built.
+            scenario = coprime_split(G, entry.scenario)
             records.append(nr_record(entry.name, scenario))
             records.append(wielandt_record(entry.name, scenario))
         if entry.name == "A5":
@@ -247,6 +240,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--n applies to curiosity only")
     if args.radical and args.command != "verify-mult":
         parser.error("--radical applies to verify-mult only")
+    if args.pi and args.command == "scan":
+        parser.error("--pi does not apply to scan")
     try:
         return _dispatch(args)
     except (InputError, UnknownGroupError, GroupFileError, PermParseError,
@@ -309,11 +304,12 @@ def _dispatch(args) -> int:
         if entry.scenario is None:
             raise InputError(f"corpus entry {entry.name} has no designated "
                              "coprime scenario")
-        if command == "verify-nr":
-            pi = _require_pi(args) if args.pi else None
-            record = nr_record(entry.name, load_scenario(entry, cap=args.cap), pi)
-        else:
-            record = wielandt_record(entry.name, load_scenario(entry, cap=args.cap))
+        pi = _require_pi(args) if args.pi else entry.scenario
+        scenario = coprime_split(load_group(entry.name, cap=args.cap), entry.scenario)
+        if pi != entry.scenario:
+            raise InputError(f"--pi {pi} does not match the complement order "
+                             f"{scenario.complement.order}")
+        record = (nr_record if command == "verify-nr" else wielandt_record)(entry.name, scenario)
         _emit([record], args.json)
         return 1 if unexpected_failures([record]) else 0
 

@@ -5,7 +5,8 @@ disk), so loading a builtin exercises the parser.  Matrix-derived entries
 (SL(2,3) on the 8 nonzero vectors of F3^2, GL(3,2) on the 7 nonzero vectors
 of F2^3, PGL(2,9) on the 10-point projective line over F9) carry generator
 strings frozen from those constructions; the test suite rebuilds them from
-the linear/field arithmetic and asserts equality.
+the linear/field arithmetic and asserts equality.  A coprime scenario is
+named by its complement's primes only; ``verify.coprime_split`` finds N and H.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 from .arith import PiSet
 from .group import DEFAULT_ELEMENT_CAP, PermGroup, close
 from .groupio import parse_group_text, read_group_file
-from .perm import parse_permutation
-from .verify import CoprimeActionScenario
 
 
 class UnknownGroupError(ValueError):
@@ -32,9 +31,9 @@ def _pis(*specs: str) -> Tuple[PiSet, ...]:
 class CorpusEntry(NamedTuple):
     """A named builtin group with its verification metadata.
 
-    ``scenario`` designates a coprime factorization (normal-subgroup
-    generators, complement generators) inside the group, used by the
-    fixed-point checks for coprime actions.  ``expected_mult_fail`` marks the
+    ``scenario`` is the prime set pi of a coprime split G = N H, H a Hall
+    pi-subgroup and N the normal Hall pi'-subgroup, used by the fixed-point
+    checks for coprime actions.  ``expected_mult_fail`` marks the
     documented counterexample pairs for the multiplicative identity, so a
     scan can tell "theorem violated" from "known non-instance".
     """
@@ -45,7 +44,7 @@ class CorpusEntry(NamedTuple):
     solvable: bool
     check_pis: Tuple[PiSet, ...]
     separable_pis: Tuple[PiSet, ...]
-    scenario: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
+    scenario: Optional[PiSet] = None
     expected_mult_fail: Tuple[PiSet, ...] = ()
     hall_counts: Mapping[PiSet, int] = MappingProxyType({})
 
@@ -68,7 +67,7 @@ _ENTRIES: List[CorpusEntry] = [
         solvable=True,
         check_pis=_pis("2", "3"),
         separable_pis=_pis("2", "3"),
-        scenario=(("(1 2 3)",), ("(4 5)",)),
+        scenario=PiSet([2]),
         hall_counts={PiSet([2]): 1, PiSet([3]): 1},
     ),
     CorpusEntry(
@@ -87,7 +86,7 @@ _ENTRIES: List[CorpusEntry] = [
         solvable=True,
         check_pis=_pis("2", "3"),
         separable_pis=_pis("2", "3"),
-        scenario=(("(1 2 3)",), ("(1 2)",)),
+        scenario=PiSet([2]),
         hall_counts={PiSet([2]): 3, PiSet([3]): 1},
     ),
     CorpusEntry(
@@ -106,7 +105,7 @@ _ENTRIES: List[CorpusEntry] = [
         solvable=True,
         check_pis=_pis("2", "5"),
         separable_pis=_pis("2", "5"),
-        scenario=(("(1 2 3 4 5)",), ("(2 5)(3 4)",)),
+        scenario=PiSet([2]),
         hall_counts={PiSet([2]): 5, PiSet([5]): 1},
     ),
     CorpusEntry(
@@ -135,7 +134,7 @@ _ENTRIES: List[CorpusEntry] = [
         solvable=True,
         check_pis=_pis("2", "5"),
         separable_pis=_pis("2", "5"),
-        scenario=(("(1 2 3 4 5)",), ("(2 3 5 4)",)),
+        scenario=PiSet([2]),
         hall_counts={PiSet([2]): 5, PiSet([5]): 1},
     ),
     CorpusEntry(
@@ -146,7 +145,7 @@ _ENTRIES: List[CorpusEntry] = [
         solvable=True,
         check_pis=_pis("3", "7"),
         separable_pis=_pis("3", "7"),
-        scenario=(("(1 2 3 4 5 6 7)",), ("(2 3 5)(4 7 6)",)),
+        scenario=PiSet([3]),
         hall_counts={PiSet([3]): 7, PiSet([7]): 1},
     ),
     CorpusEntry(
@@ -157,7 +156,7 @@ _ENTRIES: List[CorpusEntry] = [
         solvable=True,
         check_pis=_pis("2", "3", "7", "2,3", "3,7"),
         separable_pis=_pis("2", "3", "7", "2,3", "3,7"),
-        scenario=(("(1 2 3 4 5 6 7)",), ("(2 4 3 7 5 6)",)),
+        scenario=PiSet([2, 3]),
         hall_counts={PiSet([2]): 7, PiSet([7]): 1},
     ),
     CorpusEntry(
@@ -188,7 +187,7 @@ _ENTRIES: List[CorpusEntry] = [
         solvable=True,
         check_pis=_pis("2", "3"),
         separable_pis=_pis("2", "3"),
-        scenario=(("(1 2 3)", "(4 5 6)"), ("(2 3)", "(5 6)")),
+        scenario=PiSet([2]),
         hall_counts={PiSet([2]): 9, PiSet([3]): 1},
     ),
     CorpusEntry(
@@ -200,8 +199,7 @@ _ENTRIES: List[CorpusEntry] = [
         solvable=True,
         check_pis=_pis("2", "3", "7", "2,3"),
         separable_pis=_pis("2", "3", "7", "2,3"),
-        scenario=(("(1 2 3 4 5 6 7)",),
-                  ("(8 9 10)", "(2 7)(3 6)(4 5)(9 10)")),
+        scenario=PiSet([2, 3]),
         hall_counts={PiSet([2]): 21, PiSet([3]): 1, PiSet([7]): 1,
                      PiSet([2, 3]): 7},
     ),
@@ -297,15 +295,3 @@ def load_group(name_or_path: str, cap: int = DEFAULT_ELEMENT_CAP) -> PermGroup:
             f"{name_or_path!r} is neither a builtin group nor an existing file; "
             f"builtins: {', '.join(corpus_names())}")
     return close(gens, degree=degree, cap=cap)
-
-
-def load_scenario(entry: CorpusEntry, cap: int = DEFAULT_ELEMENT_CAP) -> CoprimeActionScenario:
-    """Build the designated coprime-action scenario of a corpus entry."""
-    if entry.scenario is None:
-        raise ValueError(f"corpus entry {entry.name} has no coprime scenario")
-    group = load_group(entry.name, cap=cap)
-    n_gens = [parse_permutation(s, group.degree) for s in entry.scenario[0]]
-    h_gens = [parse_permutation(s, group.degree) for s in entry.scenario[1]]
-    normal = close(n_gens, cap=cap)
-    complement = close(h_gens, cap=cap)
-    return CoprimeActionScenario(group, normal, complement)

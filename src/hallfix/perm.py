@@ -9,6 +9,7 @@ g(h(p))``, i.e. the right factor acts first.
 
 from __future__ import annotations
 
+import re
 from math import lcm
 from typing import Iterable, List, Sequence, Tuple
 
@@ -124,24 +125,12 @@ def format_permutation(g: Permutation) -> str:
 
 
 def _tokenize(text: str) -> List[object]:
-    tokens: List[object] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        elif "0" <= c <= "9":  # ASCII only: str.isdigit also takes "\u00b2"
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        else:
-            raise PermParseError(f"unexpected character {c!r} in cycle notation")
-    return tokens
+    # [0-9], not str.isdigit, which also takes "\u00b2"; \s is str.isspace.
+    tokens = re.findall(r"[()]|[0-9]+|\S", text)
+    for tok in tokens:
+        if tok not in "()" and not "0" <= tok[0] <= "9":
+            raise PermParseError(f"unexpected character {tok!r} in cycle notation")
+    return [tok if tok in "()" else int(tok) for tok in tokens]
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:

@@ -11,8 +11,8 @@ from itertools import combinations
 from math import prod
 
 from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation, PiSet, close,
-                     divisors, format_permutation, is_pi_separable, moebius, parse_permutation,
-                     subgroups_of_order)
+                     coprime_split, divisors, format_permutation, get_entry, is_pi_separable,
+                     load_group, moebius, parse_permutation, subgroups_of_order)
 from hallfix.arith import prime_divisors, radical
 from hallfix.group import conjugacy_classes
 
@@ -41,6 +41,11 @@ def group_file_text(degree, generators):
     """Group-file text for a degree and generating set, in canonical cycle notation."""
     return "".join([f"degree: {degree}\n"] + [f"gen: {format_permutation(g)}\n"
                                               for g in generators])
+
+
+def corpus_split(name):
+    """The coprime split of a corpus entry, as verify-nr and verify-wielandt build it."""
+    return coprime_split(load_group(name), get_entry(name).scenario)
 
 
 def conjugate_set(elems, g):

@@ -14,8 +14,8 @@ from fractions import Fraction
 from itertools import product
 
 from hallfix import (PiSet, NoHallSubgroupError, build_hall_context,
-                     additive_value, close, corpus_entries, divisors, get_entry,
-                     is_pi_separable, load_group, load_scenario, moebius,
+                     additive_value, close, corpus_entries, divisors,
+                     is_pi_separable, load_group, moebius,
                      moebius_partition_check, multiplicative_value,
                      navarro_rizo_check, power_product_pair,
                      power_sum_bound_holds, subgroups_of_order,
@@ -23,8 +23,9 @@ from hallfix import (PiSet, NoHallSubgroupError, build_hall_context,
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.perm import parse_permutation
-from oracles import (as_fraction, burnside_orbit_count, canonical_hall, cyclic_symmetrized,
-                     lam_by_element, power, power_subgroup, symmetrized, tau_by_element)
+from oracles import (as_fraction, burnside_orbit_count, canonical_hall, corpus_split,
+                     cyclic_symmetrized, lam_by_element, power, power_subgroup, symmetrized,
+                     tau_by_element)
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -113,7 +114,7 @@ def test_criterion_05_wielandt_suite():
     scenarios = ["S3xS3", "S3", "F20", "F42", "C7:S3", "C3xC2", "D10", "F21"]
     ok = len(scenarios) >= 5
     for name in scenarios:
-        ok = ok and wielandt_check(load_scenario(get_entry(name))).holds
+        ok = ok and wielandt_check(corpus_split(name)).holds
     _report(5, "Wielandt centralizer product", ok)
 
 
@@ -125,7 +126,7 @@ def test_criterion_06_coprime_fixed_point_suite():
     for entry in corpus_entries():
         if entry.scenario is None:
             continue
-        scenario = load_scenario(entry)
+        scenario = corpus_split(entry.name)
         if len(prime_divisors(scenario.complement.order)) != 1:
             continue  # complement is not a p-group
         result = navarro_rizo_check(scenario)

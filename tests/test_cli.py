@@ -84,9 +84,10 @@ def test_verify_nr_inferred_pi(capsys):
 
 
 def test_verify_nr_pi_mismatch(capsys):
-    code, _, err = run(capsys, "verify-nr", "--group", "F20", "--pi", "5")
-    assert code == 2
-    assert "does not match" in err
+    for command in ("verify-nr", "verify-wielandt"):
+        code, _, err = run(capsys, command, "--group", "F20", "--pi", "5")
+        assert code == 2
+        assert err == "error: --pi 5 does not match the complement order 4\n", command
 
 
 def test_verify_nr_bad_pi_is_input_error(capsys):
@@ -455,6 +456,7 @@ def test_main_builds_one_parser_tree(capsys, monkeypatch):
     (("verify-add", "--group", "S4", "--pi", "2", "--n", "3"), "--n"),
     (("verify-add", "--group", "S4", "--pi", "2", "--radical"), "--radical"),
     (("--radical", "interpretation", "--group", "S4", "--pi", "2"), "--radical"),
+    (("scan", "--group", "A5", "--pi", "3"), "--pi"),
 ])
 def test_option_outside_its_command_is_a_usage_error(capsys, argv, option):
     with pytest.raises(SystemExit) as exit_info:
@@ -462,8 +464,9 @@ def test_option_outside_its_command_is_a_usage_error(capsys, argv, option):
     out, err = capsys.readouterr()
     assert exit_info.value.code == 2 and out == ""
     naming = [line for line in err.splitlines() if option in line]
-    assert naming == [f"hallfix: error: {option} applies to "
-                      f"{'curiosity' if option == '--n' else 'verify-mult'} only"]
+    assert naming == [{"--n": "hallfix: error: --n applies to curiosity only",
+                       "--radical": "hallfix: error: --radical applies to verify-mult only",
+                       "--pi": "hallfix: error: --pi does not apply to scan"}[option]]
 
 
 def test_help_lists_every_command(capsys):
@@ -521,7 +524,7 @@ def test_scan_computes_the_additive_value_once_per_hall_context(capsys, monkeypa
 
 
 def test_scan_closes_each_group_once(capsys, monkeypatch):
-    # S3 has a coprime scenario; its Hall checks run on the scenario's group.
+    # S3 has a coprime scenario, split off the group its Hall checks ran on.
     parsed = []
     parse = corpus_mod.parse_group_text
     monkeypatch.setattr(corpus_mod, "parse_group_text",
@@ -532,8 +535,8 @@ def test_scan_closes_each_group_once(capsys, monkeypatch):
 
 
 def test_full_scan_closes_input_generators_only(capsys, monkeypatch):
-    # close runs on input only: once per corpus group and on N and H of each
-    # scenario.  Cores, centralizers and cyclic subgroups of a closed group
+    # close runs on input only: once per corpus group.  Cores, centralizers,
+    # cyclic subgroups and the N and H of a coprime split of a closed group
     # grow on its element indices instead.
     calls = []
     close = group_mod.close
@@ -547,9 +550,7 @@ def test_full_scan_closes_input_generators_only(capsys, monkeypatch):
             monkeypatch.setattr(module, "close", counted)
     code, _, _ = run(capsys, "scan", "--json")
     assert code == 0
-    entries = corpus_entries()
-    scenarios = sum(entry.scenario is not None for entry in entries)
-    assert len(calls) == len(entries) + 2 * scenarios == 36
+    assert len(calls) == len(corpus_entries()) == 20
 
 
 def test_scan_json_single_entry(capsys):

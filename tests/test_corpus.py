@@ -8,11 +8,10 @@ import pytest
 
 from hallfix import (Permutation, UnknownGroupError,
                      build_hall_context, close, corpus_entries, format_permutation,
-                     get_entry, is_pi_separable, load_group,
-                     load_scenario, parse_group_text)
+                     get_entry, is_pi_separable, load_group, parse_group_text)
 from hallfix import groupio
 from hallfix.groupio import MAX_DEGREE, GroupFileError, read_group_file
-from oracles import group_file_text, is_solvable
+from oracles import corpus_split, group_file_text, is_solvable
 
 
 def test_every_entry_loads_with_expected_order(groups):
@@ -44,7 +43,7 @@ def test_scenarios_satisfy_coprime_invariants():
     for entry in corpus_entries():
         if entry.scenario is None:
             continue
-        scenario = load_scenario(entry)  # validates in the constructor
+        scenario = corpus_split(entry.name)  # validates in the constructor
         assert scenario.group.order == entry.order
         assert scenario.normal.order * scenario.complement.order == entry.order
 

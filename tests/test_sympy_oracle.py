@@ -24,9 +24,10 @@ def generating_sets(draw, max_degree=7):
     """One to three uniformly random permutations of one degree from 2 to
     ``max_degree``, as image lists, the first of them not the identity, so
     that no draw closes to the trivial group, which would check nothing.
-    They come from a seeded random.Random, which reaches more non-solvable
-    groups at the example counts below than st.permutations does."""
-    rng = draw(st.randoms(use_true_random=True))
+    They come from a Random that Hypothesis replays and shrinks, which reaches
+    more non-solvable groups at the example counts below than st.permutations
+    does."""
+    rng = draw(st.randoms(use_true_random=False))
     points = list(range(1, rng.randint(2, max_degree) + 1))
     first = points
     while first == points:

@@ -10,17 +10,18 @@ import pytest
 
 from hallfix import (CoprimeActionScenario, FactoredRational, FiniteAction, NoHallSubgroupError,
                      PiSet, additive_value, build_hall_context, centralizer, close,
-                     corpus_entries, curiosity_value, cyclic_lattice, divisors, get_entry,
-                     interpretation_check, load_scenario, moebius, multiplicative_value,
+                     coprime_split, corpus_entries, curiosity_value, cyclic_lattice, divisors,
+                     interpretation_check, moebius, multiplicative_value,
                      navarro_rizo_check, parse_permutation, power_product_pair,
                      power_sum_bound_holds, subgroups_of_order, totient, wielandt_check)
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
 from oracles import (as_fraction, burnside_orbit_count, canonical_hall, conjugate_set,
-                     conjugated_by, cyclic_symmetrized, is_abelian, is_cyclic, is_pi_prime,
-                     lam_by_element, multiplicative_value_direct, normal_subgroups, power,
-                     power_product_pair_direct, power_subgroup, proper_prime_sets,
-                     quotient_direct, s5_subgroup_classes, symmetrized, tau_by_element)
+                     conjugated_by, conjugates, corpus_split, cyclic_symmetrized, is_abelian,
+                     is_cyclic, is_pi_prime, lam_by_element, multiplicative_value_direct,
+                     normal_subgroups, power, power_product_pair_direct, power_subgroup,
+                     proper_prime_sets, quotient_direct, s5_subgroup_classes, symmetrized,
+                     tau_by_element)
 
 
 def P(text, degree):
@@ -137,7 +138,7 @@ def test_cyclic_hall_check_requires_cyclic_member(groups):
 
 
 def test_nr_check_inversion_scenario():
-    scenario = load_scenario(get_entry("S3"))
+    scenario = corpus_split("S3")
     result = navarro_rizo_check(scenario)
     assert result.fixed_order == 1
     # Cleared identity: 1^2 * (3 * 3) == (3 * 1)^2, both sides 9.
@@ -149,7 +150,7 @@ def test_nr_check_inversion_scenario():
 
 
 def test_nr_check_trivial_action():
-    scenario = load_scenario(get_entry("C3xC2"))
+    scenario = corpus_split("C3xC2")
     result = navarro_rizo_check(scenario)
     assert result.fixed_order == 3
     assert result.eq2_left.is_one() and result.eq2_right.is_one()
@@ -157,7 +158,7 @@ def test_nr_check_trivial_action():
 
 
 def test_nr_check_c4_on_c5():
-    scenario = load_scenario(get_entry("F20"))
+    scenario = corpus_split("F20")
     result = navarro_rizo_check(scenario)
     assert result.p == 2 and result.fixed_order == 1
     assert as_fraction(result.eq2_left) == 25
@@ -166,20 +167,20 @@ def test_nr_check_c4_on_c5():
 
 def test_nr_check_all_p_scenarios():
     for name in ("S3", "C3xC2", "D10", "F20", "F21", "S3xS3"):
-        result = navarro_rizo_check(load_scenario(get_entry(name)))
+        result = navarro_rizo_check(corpus_split(name))
         assert result.holds, name
 
 
 def test_nr_check_rejects_non_p_group():
     with pytest.raises(ValueError, match="not a p-group"):
-        navarro_rizo_check(load_scenario(get_entry("F42")))
+        navarro_rizo_check(corpus_split("F42"))
 
 
 def test_nr_lambda_matches_hall_membership(groups, hall_ctx):
     # The centralizer-index counts must agree with honest Hall membership
     # counting in the semidirect product.
     for name, pi_text in (("S3", "2"), ("F20", "2"), ("F21", "3"), ("S3xS3", "2")):
-        scenario = load_scenario(get_entry(name))
+        scenario = corpus_split(name)
         ctx = hall_ctx(name, pi_text)
         result = navarro_rizo_check(scenario)
         left, right = power_product_pair(ctx, result.p, scenario.complement)
@@ -201,6 +202,39 @@ def test_scenario_validation():
     V = close([P("(1 3)(2 4)", 4)])
     with pytest.raises(ValueError, match="coprime"):
         CoprimeActionScenario(C4, V, V)
+
+
+#: The N and H generators the corpus once designated for each scenario entry,
+#: the oracle for the split found from the Hall subgroups.
+DESIGNATED = {
+    "C3xC2": (("(1 2 3)",), ("(4 5)",)),
+    "S3": (("(1 2 3)",), ("(1 2)",)),
+    "D10": (("(1 2 3 4 5)",), ("(2 5)(3 4)",)),
+    "F20": (("(1 2 3 4 5)",), ("(2 3 5 4)",)),
+    "F21": (("(1 2 3 4 5 6 7)",), ("(2 3 5)(4 7 6)",)),
+    "F42": (("(1 2 3 4 5 6 7)",), ("(2 4 3 7 5 6)",)),
+    "S3xS3": (("(1 2 3)", "(4 5 6)"), ("(2 3)", "(5 6)")),
+    "C7:S3": (("(1 2 3 4 5 6 7)",), ("(8 9 10)", "(2 7)(3 6)(4 5)(9 10)")),
+}
+
+
+def test_coprime_split_matches_the_designated_subgroups(groups):
+    # N is the one subgroup of its order; H may be any G-conjugate.
+    assert set(DESIGNATED) == {e.name for e in corpus_entries() if e.scenario is not None}
+    for name, (n_gens, h_gens) in DESIGNATED.items():
+        G = groups[name]
+        N, H = (close([P(s, G.degree) for s in gens]) for gens in (n_gens, h_gens))
+        split = corpus_split(name)
+        assert split.normal == N, name
+        assert split.complement in conjugates(G, H), name
+
+
+def test_coprime_split_refusals(groups):
+    # A5 has no subgroup of order 20; in S3, C2 is found but is not normal.
+    with pytest.raises(NoHallSubgroupError, match="no subgroup of order 20"):
+        coprime_split(groups["A5"], PiSet([2, 5]))
+    with pytest.raises(ValueError, match="N is not a normal subgroup of G"):
+        coprime_split(groups["S3"], PiSet([3]))
 
 
 def test_scenario_acceptance_matches_definition(groups):
@@ -266,7 +300,7 @@ def test_additive_value_nonseparable_is_still_integral(hall_ctx):
 
 
 def test_wielandt_v4_on_c3xc3():
-    scenario = load_scenario(get_entry("S3xS3"))
+    scenario = corpus_split("S3xS3")
     result = wielandt_check(scenario)
     assert result.lhs.is_one() and result.rhs.is_one()
     assert result.holds
@@ -282,7 +316,7 @@ def test_wielandt_trivial_complement(groups):
 
 def test_wielandt_all_scenarios():
     for name in ("S3", "C3xC2", "D10", "F20", "F21", "F42", "S3xS3", "C7:S3"):
-        result = wielandt_check(load_scenario(get_entry(name)))
+        result = wielandt_check(corpus_split(name))
         assert result.holds, name
 
 
@@ -300,7 +334,7 @@ def test_chain_product_links_wielandt_to_mult(hall_ctx):
     # equals the centralizer chain product (both collapse to 1 exactly).
     for name, pi_text in (("S3", "2"), ("F20", "2"), ("F21", "3"),
                           ("F42", "2,3"), ("S3xS3", "2"), ("C7:S3", "2,3")):
-        scenario = load_scenario(get_entry(name))
+        scenario = corpus_split(name)
         ctx = hall_ctx(name, pi_text)
         alpha = multiplicative_value(ctx, scenario.complement)
         assert alpha == chain_product_value(scenario, ctx.hall_order)

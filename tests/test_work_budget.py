@@ -1,5 +1,5 @@
-"""Exact work counts of the full scan and of the mult-add commands, against
-the committed ``work_budget.json``.
+"""Exact work counts of the full scan, of the coprime commands on each corpus
+split and of the mult-add commands, against the committed ``work_budget.json``.
 
 The counts do not depend on the host or on PYTHONHASHSEED, so any change,
 up or down, fails: a change of element representation must leave them all
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from hallfix import cli, group as group_mod, hall as hall_mod
+from hallfix import cli, corpus_entries, group as group_mod
 
 BUDGET = Path(__file__).with_name("work_budget.json")
 
@@ -87,7 +87,7 @@ def _counted(mp, counts):
 
     mp.setattr(group_mod, "image_order", counted_order)
 
-    halls = hall_mod.hall_subgroups
+    halls = group_mod.hall_subgroups
 
     def counted_halls(G, n):
         found, normalizers = halls(G, n)
@@ -99,12 +99,18 @@ def _counted(mp, counts):
             return orbits
         return found, counted_normalizers
 
-    mp.setattr(hall_mod, "hall_subgroups", counted_halls)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hallfix" and getattr(module, "hall_subgroups", None) is halls:
+            mp.setattr(module, "hall_subgroups", counted_halls)
 
 
 def measure(tmp_dir: Path):
     """The work counts of each command, keyed by its command line."""
     commands = [["scan", "--json"]]
+    for entry in corpus_entries():
+        if entry.scenario is not None:
+            commands += [[command, "--group", entry.name, "--json"]
+                         for command in ("verify-nr", "verify-wielandt")]
     for name, pi, command in MULT_ADD:
         path = tmp_dir / f"{name}.group"
         degree, gens = GROUPS[name]
