@@ -296,14 +296,13 @@ def _dispatch(args) -> int:
 
     if command in ("verify-nr", "verify-wielandt"):
         if args.file:
-            raise InputError("coprime scenarios are designated on builtin corpus "
-                             "entries; --file is not supported here")
+            raise InputError("the coprime split needs a builtin corpus entry; "
+                             "--file is not supported here")
         if not args.group:
             raise InputError("--group is required")
         entry = get_entry(args.group)
         if entry.scenario is None:
-            raise InputError(f"corpus entry {entry.name} has no designated "
-                             "coprime scenario")
+            raise InputError(f"corpus entry {entry.name} names no coprime split")
         pi = _require_pi(args) if args.pi else entry.scenario
         scenario = coprime_split(load_group(entry.name, cap=args.cap), entry.scenario)
         if pi != entry.scenario:

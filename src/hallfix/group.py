@@ -12,9 +12,9 @@ indices by one routine, ``_grow``, Dimino's method from a subgroup, as an
 (element-index set, generator indices) pair; Hall subgroups and conjugacy
 classes are handed out in that index form.
 
-Tables are built by their first reader: the conjugation rows entry by entry
-by the Hall orbit walk, in full by ``conjugacy_classes``, which takes the
-element orders (one per class) for separability and the seeded searches.
+Tables are built by their first reader and kept: the conjugation rows, entry
+by entry by the Hall orbit walk; the classes with the element orders; and
+``hall_subgroups``' Hall set per Hall order, which every Hall reader shares.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class PermGroup:
     index, and ``is_subgroup_of``/``is_normal_in`` test generators only."""
 
     __slots__ = ("degree", "generators", "_images", "_elements", "_index", "_rows", "_classes",
-                 "_orders", "_walks")
+                 "_orders", "_walks", "_halls")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  images: Iterable[bytes]) -> None:
@@ -62,6 +62,7 @@ class PermGroup:
         for name in ("_elements", "_index", "_rows", "_classes", "_orders"):
             object.__setattr__(self, name, None)
         object.__setattr__(self, "_walks", {})
+        object.__setattr__(self, "_halls", {})
 
     @property
     def elements(self) -> Tuple[Permutation, ...]:
@@ -276,11 +277,12 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     return [G.subgroup(S, gens) for S, gens in found]
 
 
-def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], Callable[[], list]]:
-    """The subgroups of Hall order ``n``, as (element-index set, generator
-    indices) pairs sorted like :func:`subgroups_of_order`: on the sorted
-    element indices, the fingerprint order, as the elements are canonical;
-    and a function computing one (size, N_G(K) element-index set) per orbit.
+def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[_Found, ...], Callable[[], list]]:
+    """The subgroups of Hall order ``n``, as a tuple of (element-index set,
+    generator indices) pairs sorted like :func:`subgroups_of_order`: on the
+    sorted element indices, the fingerprint order, as the elements are
+    canonical; and a function computing one (size, N_G(K) element-index set)
+    per orbit.  Both are kept on G by n, for every prime set of that order.
 
     Each contains a Sylow p-subgroup of G for every p dividing n, and the
     Sylow p-subgroups are conjugate, so each is conjugate to one containing
@@ -294,11 +296,15 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], Callable[[], lis
     it is G when K is the lone Hall subgroup, which is normal."""
     if n < 1 or G.order % n or gcd(n, G.order // n) != 1:
         raise ValueError(f"{n} is not a Hall order of a group of order {G.order}")
-    index, images = G._ensure_index(), G.fingerprint()
-    if n in (1, G.order):
-        whole = frozenset(range(G.order))
+    if n in G._halls:
+        return G._halls[n]
+    # The kept function reads the order, not G, so G and it form no cycle.
+    index, images, order = G._ensure_index(), G.fingerprint(), G.order
+    if n in (1, order):
+        whole = frozenset(range(order))
         gens = tuple(index[g._bytes()] for g in G.generators)
-        return [_TRIVIAL if n == 1 else (whole, gens)], lambda: [(1, whole)]
+        G._halls[n] = (_TRIVIAL if n == 1 else (whole, gens),), lambda: [(1, whole)]
+        return G._halls[n]
     q = max(p ** k for p, k in factorize(n).items())
     P = next(_subgroup_search(G, q))
     halls, walks = {}, []  # the Hall subgroups, each with its conjugated generators
@@ -323,8 +329,8 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], Callable[[], lis
         # An edge S -> T = g S g^-1 to a T met before gives the Schreier generator
         # u[T]^-1 g u[S] of N_G(K).  K is normal in N_G(K), so Dimino's step may
         # grow from the last N by every one that grew it so far.
-        N = K if size > 1 else frozenset(range(G.order))
-        moves, target = [], G.order // size
+        N = K if size > 1 else frozenset(range(order))
+        moves, target = [], order // size
         for u_T, g, u_S in edges:
             if len(N) == target:
                 break
@@ -333,8 +339,9 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[List[_Found], Callable[[], lis
                 moves.append(_table(images[s]))
                 N = _grow(index, images, N, moves, target)
         return N
-    return (sorted(halls.items(), key=lambda pair: sorted(pair[0])),
-            lambda: [(size, normalizer(K, size, edges)) for K, size, edges in walks])
+    G._halls[n] = (tuple(sorted(halls.items(), key=lambda pair: sorted(pair[0]))),
+                   lambda: [(size, normalizer(K, size, edges)) for K, size, edges in walks])
+    return G._halls[n]
 
 
 def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[_Found]:

@@ -2,8 +2,8 @@
 
 For a prime set pi, the Hall pi-subgroups of G are ALL subgroups whose order
 is the pi-part of |G|, with no conjugacy assumption among them;
-``group.hall_subgroups`` enumerates them as element-index sets, which the
-context keeps, making groups of them only when read.  For pi-separable
+``group.hall_subgroups`` enumerates them once per Hall order, kept on G, as
+element-index sets, and a context makes groups of them only when read.  For pi-separable
 groups they form the usual single class, which the tests check.
 lam and tau(g), the number of Hall subgroups that g normalizes, are lists
 over G's element indices, and no lookup here keys an element by its image
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, moebius, prime_divisors
 from .group import PermGroup, conjugacy_classes, hall_subgroups
@@ -58,7 +58,7 @@ class HallContext:
     """
 
     def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
-                 found: List[Tuple[FrozenSet[int], Tuple[int, ...]]],
+                 found: Sequence[Tuple[FrozenSet[int], Tuple[int, ...]]],
                  normalizers: Callable[[], List[Tuple[int, FrozenSet[int]]]]) -> None:
         self.group, self.pi, self.hall_order = group, pi, hall_order
         self.hall_members = tuple(S for S, _ in found)

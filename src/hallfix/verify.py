@@ -21,8 +21,8 @@ from math import gcd, log10, prod
 from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, divisors, moebius, prime_divisors, radical
-from .group import PermGroup, centralizer, conjugacy_classes, hall_subgroups
-from .hall import HallContext, NoHallSubgroupError, build_hall_context, cyclic_lattice, pi_part
+from .group import PermGroup, centralizer, conjugacy_classes
+from .hall import HallContext, build_hall_context, cyclic_lattice
 
 #: Most decimal digits of a curiosity power sum (Python's int-to-str default).
 CURIOSITY_MAX_DIGITS = 4300
@@ -52,19 +52,15 @@ class CoprimeActionScenario:
 
 
 def coprime_split(G: PermGroup, pi: PiSet) -> CoprimeActionScenario:
-    """G = N H for the first-found Hall pi-subgroup H and Hall pi'-subgroup N.
+    """G = N H for the first Hall pi-subgroup H and the first Hall pi'-subgroup
+    N, read off the Hall contexts of pi and of pi', the primes of |G|/|H|.
 
     By Schur-Zassenhaus the complements of a normal Hall subgroup N are the
     Hall pi-subgroups, all conjugate, and N is the only subgroup of its order;
     the constructor refuses an N that is not normal."""
-    def first(order: int) -> PermGroup:
-        found, _ = hall_subgroups(G, order)
-        if not found:
-            raise NoHallSubgroupError(f"group of order {G.order} has no subgroup of "
-                                      f"order {order} to split it for pi={{{pi}}}")
-        return G.subgroup(*found[0])
-    H = first(pi_part(G.order, pi))
-    return CoprimeActionScenario(G, first(G.order // H.order), H)
+    H = build_hall_context(G, pi)
+    N = build_hall_context(G, PiSet(prime_divisors(G.order // H.hall_order)))
+    return CoprimeActionScenario(G, *(G.subgroup(*ctx._found[0]) for ctx in (N, H)))
 
 
 def _hall_members(ctx: HallContext, hall: Optional[PermGroup]) -> FrozenSet[int]:

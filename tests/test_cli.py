@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context, cli,
-                     close, corpus_entries, get_entry, is_pi_separable)
+                     close, corpus_entries, get_entry, is_pi_separable, load_group)
 from hallfix import corpus as corpus_mod
 from hallfix import group as group_mod
 from hallfix import hall as hall_mod
@@ -125,7 +126,7 @@ def test_curiosity_power_sum_limit_is_input_error(capsys):
 def test_verify_nr_no_scenario(capsys):
     code, _, err = run(capsys, "verify-nr", "--group", "S4")
     assert code == 2
-    assert "no designated coprime scenario" in err
+    assert "names no coprime split" in err
 
 
 def test_verify_wielandt(capsys):
@@ -506,6 +507,44 @@ def test_scan_builds_one_hall_context_per_pi(capsys, monkeypatch):
     code, _, _ = run(capsys, "scan", "--group", "S4")
     assert code == 0
     assert [str(pi) for pi in calls] == ["2", "3", "2,3"]
+    # F42's coprime split needs the Hall sets of orders 6 ({2,3}) and 7 ({7}),
+    # which its Hall checks searched already.  Its 7 Sylow 2-subgroups, 7 Sylow
+    # 3-subgroups and 7 complements C6, its normal C7 and C7:C3 are each
+    # walked once in the whole scan.
+    walked = _count_hall_walks(monkeypatch)
+    code, _, _ = run(capsys, "scan", "--group", "F42")
+    assert code == 0
+    assert walked == {2: 7, 3: 7, 7: 1, 6: 7, 21: 1}
+
+
+def _count_hall_walks(monkeypatch):
+    """Count the Hall subgroups that searches walk, by their order: a search
+    fills G's conjugation rows at each Hall subgroup it finds, once."""
+    walked = Counter()
+    fill = group_mod._fill_rows
+
+    def counted_fill(G, xs):
+        if isinstance(xs, frozenset):  # not the classes' fill of all of G
+            walked[len(xs)] += 1
+        return fill(G, xs)
+
+    monkeypatch.setattr(group_mod, "_fill_rows", counted_fill)
+    return walked
+
+
+def test_prime_sets_of_one_hall_order_share_one_search(monkeypatch):
+    # G keeps its Hall set by Hall order, not by prime set: on S4, pi={2} and
+    # pi={2,7} both have Hall order 8.  Each context still carries its own pi,
+    # and the second finds the same 3 Sylow 2-subgroups without a search.
+    # A fresh S4, since the session groups may already keep that Hall set.
+    walked = _count_hall_walks(monkeypatch)
+    S4 = load_group("S4")
+    first = cli.hall_records("S4", S4, PiSet([2]), cli.HALL_CHECKS)
+    assert walked == {8: 3}
+    second = cli.hall_records("S4", S4, PiSet([2, 7]), cli.HALL_CHECKS)
+    assert walked == {8: 3}
+    assert {r.pi for r in first} == {"2"} and {r.pi for r in second} == {"2,7"}
+    assert [r.witness for r in first] == [r.witness for r in second]
 
 
 def test_scan_computes_the_additive_value_once_per_hall_context(capsys, monkeypatch):

@@ -853,3 +853,22 @@ def test_subgroup_search_leaves_no_garbage(groups):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_kept_hall_sets_make_no_reference_cycle():
+    # G keeps each Hall set it was asked for, with the function that grows the
+    # normalizers.  That function reads the Hall search's tables, not G, so
+    # G and it form no cycle that only the cyclic collector would free.  A
+    # second call for an order hands out the kept pair itself.
+    gc.collect()
+    gc.disable()
+    try:
+        G = close([P("(1 2 3 4)", 4), P("(1 2)", 4)])
+        for n in (1, 3, 8, 24):
+            kept = hall_subgroups(G, n)
+            assert isinstance(kept[0], tuple) and kept[1]()
+            assert hall_subgroups(G, n) is kept
+        del G, kept
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -90,8 +90,10 @@ def _counted(mp, counts):
     halls = group_mod.hall_subgroups
 
     def counted_halls(G, n):
+        # G keeps each Hall set, so a second call for n searches nothing.
+        searched = n not in G._halls
         found, normalizers = halls(G, n)
-        counts["hall.subgroups"] += len(found)
+        counts["hall.subgroups"] += len(found) if searched else 0
 
         def counted_normalizers():
             orbits = normalizers()
