@@ -13,8 +13,8 @@ indices by one routine, ``_grow``, Dimino's method from a subgroup, as an
 classes are handed out in that index form.
 
 Tables are built by their first reader and kept: the conjugation rows, entry
-by entry by the Hall orbit walk; the classes with the element orders; and
-``hall_subgroups``' Hall set per Hall order, which every Hall reader shares.
+by entry by the Hall orbit walk; the classes, with the element orders; the
+Hall set, per Hall order.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class PermGroup:
         object.__setattr__(self, "_images", tuple(sorted(images)))
         for name in ("_elements", "_index", "_rows", "_classes", "_orders"):
             object.__setattr__(self, name, None)
-        object.__setattr__(self, "_walks", {})
-        object.__setattr__(self, "_halls", {})
+        for name in ("_walks", "_halls"):
+            object.__setattr__(self, name, {})
 
     @property
     def elements(self) -> Tuple[Permutation, ...]:
@@ -191,8 +191,8 @@ def _table(g: bytes) -> bytes:
     return g + _POINTS[len(g):]
 
 
-_Found = Tuple[FrozenSet[int], Tuple[int, ...]]
-_TRIVIAL: _Found = (frozenset({0}), ())
+Found = Tuple[FrozenSet[int], Tuple[int, ...]]
+_TRIVIAL: Found = (frozenset({0}), ())
 
 
 def _grow(index: Dict[bytes, int], images: Sequence[bytes], S: FrozenSet[int],
@@ -220,7 +220,7 @@ def _grow(index: Dict[bytes, int], images: Sequence[bytes], S: FrozenSet[int],
 
 
 def _join(index: Dict[bytes, int], images: Sequence[bytes], S: FrozenSet[int],
-          elements: Iterable[int], limit: int) -> Optional[_Found]:
+          elements: Iterable[int], limit: int) -> Optional[Found]:
     """Dimino's method from a subgroup S that is normal in the group, such as
     the trivial one: <S, elements> and the elements added, in order.  Each element
     not yet inside grows the subgroup by :func:`_grow`, moved by the elements
@@ -277,28 +277,24 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     return [G.subgroup(S, gens) for S, gens in found]
 
 
-def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[_Found, ...], Callable[[], list]]:
-    """The subgroups of Hall order ``n``, as a tuple of (element-index set,
-    generator indices) pairs sorted like :func:`subgroups_of_order`: on the
-    sorted element indices, the fingerprint order, as the elements are
-    canonical; and a function computing one (size, N_G(K) element-index set)
-    per orbit.  Both are kept on G by n, for every prime set of that order.
+def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[], list]]:
+    """The subgroups of Hall order ``n``, as a tuple of index-form pairs sorted
+    like :func:`subgroups_of_order`, and a function computing one (size,
+    N_G(K) element-index set) per orbit.  G keeps both by n, for every prime
+    set of that order; the function reads G's order, not G, so forms no cycle.
 
-    Each contains a Sylow p-subgroup of G for every p dividing n, and the
-    Sylow p-subgroups are conjugate, so each is conjugate to one containing
-    P, the search's first hit at n's largest prime power.  They are the
-    conjugation orbits of the search's hits above P, in every finite group;
-    no hit means there is none.  At a prime-power n the only hit is P.
-
-    Each orbit is walked once, from its first hit K, on G's conjugation rows
-    filled at its members only.  The function grows each N_G(K) from K by the
-    walk's Schreier generators until |N_G(K)| |orbit| = |G| (orbit-stabilizer);
-    it is G when K is the lone Hall subgroup, which is normal."""
+    Each contains a Sylow p-subgroup of G for every p dividing n, and these
+    are conjugate, so each is conjugate to one containing P, the search's
+    first hit at n's largest prime power: they are the conjugation orbits of
+    the hits above P in any finite group, and no hit means none; at a prime
+    power n, P is the only hit.  Each orbit is walked once, from its first
+    hit K, on G's conjugation rows filled at its members only.  The function
+    grows N_G(K) from K by the walk's Schreier generators until |N_G(K)|
+    |orbit| = |G| (orbit-stabilizer); it is G for a lone, normal K."""
     if n < 1 or G.order % n or gcd(n, G.order // n) != 1:
         raise ValueError(f"{n} is not a Hall order of a group of order {G.order}")
     if n in G._halls:
         return G._halls[n]
-    # The kept function reads the order, not G, so G and it form no cycle.
     index, images, order = G._ensure_index(), G.fingerprint(), G.order
     if n in (1, order):
         whole = frozenset(range(order))
@@ -344,7 +340,7 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[_Found, ...], Callable[[
     return G._halls[n]
 
 
-def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[_Found]:
+def _subgroup_search(G: PermGroup, m: int, seed: Found = _TRIVIAL) -> Iterator[Found]:
     """Yield the subgroups of order ``m`` containing the subgroup ``seed``, as
     (element-index set, generator indices) pairs in canonical chain order.
     A chain adds to the seed's generators, one at a time, the least element
@@ -361,7 +357,7 @@ def _subgroup_search(G: PermGroup, m: int, seed: _Found = _TRIVIAL) -> Iterator[
     base, base_gens = seed
     max_gens = len(base_gens) + ceil(log2(m // len(base)))
 
-    def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> Iterator[_Found]:
+    def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> Iterator[Found]:
         moves = [_table(images[g]) for g in gens]
         for pos in range(start, len(candidates)):
             e = candidates[pos]
@@ -433,7 +429,7 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
     return G._classes
 
 
-def _core(G: PermGroup, keep: Callable[[int], bool], base: _Found) -> _Found:
+def _core(G: PermGroup, keep: Callable[[int], bool], base: Found) -> Found:
     """Largest normal subgroup M >= ``base`` whose index |M|/|base| satisfies
     the divisor-closed ``keep``, joined from ``base`` one class x^G at a time
     when <core, x^G> passes.  A class failing on its own fails in any larger

@@ -1,10 +1,10 @@
 """Hall contexts, membership counts and cyclic-subgroup lattices.
 
 For a prime set pi, the Hall pi-subgroups of G are ALL subgroups whose order
-is the pi-part of |G|, with no conjugacy assumption among them;
-``group.hall_subgroups`` enumerates them once per Hall order, kept on G, as
-element-index sets, and a context makes groups of them only when read.  For pi-separable
-groups they form the usual single class, which the tests check.
+is the pi-part of |G|, with no conjugacy assumption among them; ``hall_set``
+reads them, as element-index sets, off ``group.hall_subgroups``, which G keeps
+per Hall order, and a context makes groups of them only when read.  For
+pi-separable groups they form the usual single class, which the tests check.
 lam and tau(g), the number of Hall subgroups that g normalizes, are lists
 over G's element indices, and no lookup here keys an element by its image
 bytes; tau, the permutation character of G's conjugation action on the Hall
@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, moebius, prime_divisors
-from .group import PermGroup, conjugacy_classes, hall_subgroups
+from .group import Found, PermGroup, conjugacy_classes, hall_subgroups
 # Not called here: perfbench's tracer and its tests bind this name in every
 # module that imported it.
 from .group import subgroups_of_order  # noqa: F401
@@ -58,7 +58,7 @@ class HallContext:
     """
 
     def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
-                 found: Sequence[Tuple[FrozenSet[int], Tuple[int, ...]]],
+                 found: Sequence[Found],
                  normalizers: Callable[[], List[Tuple[int, FrozenSet[int]]]]) -> None:
         self.group, self.pi, self.hall_order = group, pi, hall_order
         self.hall_members = tuple(S for S, _ in found)
@@ -113,15 +113,19 @@ class HallContext:
         return tau
 
 
-def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
-    """Enumerate Hall_pi(G) and count the Hall subgroups holding each member."""
+def hall_set(G: PermGroup, pi: PiSet) -> Tuple[int, Sequence[Found], Callable[[], list]]:
+    """(n, Hall set, normalizers) at pi's Hall order n, as G keeps them; refuses an empty set."""
     n = pi_part(G.order, pi)
     found, normalizers = hall_subgroups(G, n)
     if not found:
-        raise NoHallSubgroupError(
-            f"group of order {G.order} has no Hall subgroup for pi={{{pi}}} "
-            f"(no subgroup of order {n})")
-    return HallContext(G, pi, n, found, normalizers)
+        raise NoHallSubgroupError(f"group of order {G.order} has no Hall subgroup for "
+                                  f"pi={{{pi}}} (no subgroup of order {n})")
+    return n, found, normalizers
+
+
+def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
+    """Enumerate Hall_pi(G) and count the Hall subgroups holding each member."""
+    return HallContext(G, pi, *hall_set(G, pi))
 
 
 def cyclic_lattice(H: PermGroup) -> List[Tuple[PermGroup, int]]:

@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tup
 
 from .arith import FactoredRational, PiSet, divisors, moebius, prime_divisors, radical
 from .group import PermGroup, centralizer, conjugacy_classes
-from .hall import HallContext, build_hall_context, cyclic_lattice
+from .hall import HallContext, build_hall_context, cyclic_lattice, hall_set
 
 #: Most decimal digits of a curiosity power sum (Python's int-to-str default).
 CURIOSITY_MAX_DIGITS = 4300
@@ -53,14 +53,14 @@ class CoprimeActionScenario:
 
 def coprime_split(G: PermGroup, pi: PiSet) -> CoprimeActionScenario:
     """G = N H for the first Hall pi-subgroup H and the first Hall pi'-subgroup
-    N, read off the Hall contexts of pi and of pi', the primes of |G|/|H|.
+    N, pi' the primes of |G|/|H|, read off the Hall sets that G keeps.
 
     By Schur-Zassenhaus the complements of a normal Hall subgroup N are the
     Hall pi-subgroups, all conjugate, and N is the only subgroup of its order;
     the constructor refuses an N that is not normal."""
-    H = build_hall_context(G, pi)
-    N = build_hall_context(G, PiSet(prime_divisors(G.order // H.hall_order)))
-    return CoprimeActionScenario(G, *(G.subgroup(*ctx._found[0]) for ctx in (N, H)))
+    H = G.subgroup(*hall_set(G, pi)[1][0])
+    pi_prime = PiSet(prime_divisors(G.order // H.order))
+    return CoprimeActionScenario(G, G.subgroup(*hall_set(G, pi_prime)[1][0]), H)
 
 
 def _hall_members(ctx: HallContext, hall: Optional[PermGroup]) -> FrozenSet[int]:

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from hallfix import (CapExceededError, NoHallSubgroupError, NotASubgroupError,
                      PiSet, Permutation, build_hall_context, centralizer, close,
-                     corpus_entries, cyclic_lattice, is_pi_separable, multiplicative_value,
-                     parse_permutation, subgroups_of_order)
+                     corpus_entries, cyclic_lattice, is_pi_separable, load_group,
+                     multiplicative_value, parse_permutation, subgroups_of_order)
 from hallfix import cli, group as group_mod
 from hallfix.arith import divisors, prime_divisors
 from hallfix.cli import add_record
@@ -832,14 +832,15 @@ def test_element_orders_match_permutation_orders(groups):
         assert G.element_orders() == tuple(g.order() for g in G.elements), name
 
 
-def test_subgroup_search_leaves_no_garbage(groups):
+def test_subgroup_search_leaves_no_garbage():
     # The recursive search must not leave a reference cycle that keeps its
     # closures and the group alive until the cyclic collector runs, run to
-    # the end or not, seeded or not.
+    # the end or not, seeded or not.  The groups are fresh: a group keeps its
+    # Hall sets, so one that a test searched before would search nothing here.
     gc.collect()
     gc.disable()
     try:
-        G = groups["S4"]
+        G = load_group("S4")
         subgroups_of_order(G, 8)
         assert gc.collect() == 0
         # Searches abandoned after their first hit, directly and as
@@ -848,8 +849,15 @@ def test_subgroup_search_leaves_no_garbage(groups):
         assert gc.collect() == 0
         next(group_mod._subgroup_search(G, 12, C3))
         assert gc.collect() == 0
-        hall_subgroups(G, 8)
-        hall_subgroups(groups["A5"], 12)
+        # The Sylow search at a prime power, and at A5's composite Hall order
+        # 12 the seeded search run to the end, the orbit walks and the
+        # normalizer closure.
+        A5 = load_group("A5")
+        for H, n in ((G, 8), (A5, 12)):
+            found, normalizers = hall_subgroups(H, n)
+            assert len(found) == (3 if n == 8 else 5) and normalizers()
+        assert gc.collect() == 0
+        del G, A5, H, found, normalizers
         assert gc.collect() == 0
     finally:
         gc.enable()
