@@ -1,5 +1,6 @@
 """Exact work counts of the full scan, of the coprime commands on each corpus
-split and of the mult-add commands, against the committed ``work_budget.json``.
+split, of the mult-add commands and of the small-cmds command kinds on three
+groups, against the committed ``work_budget.json``.
 
 The counts do not depend on the host or on PYTHONHASHSEED, so any change,
 up or down, fails: a change of element representation must leave them all
@@ -20,7 +21,7 @@ from hallfix import cli, corpus_entries, group as group_mod
 
 BUDGET = Path(__file__).with_name("work_budget.json")
 
-#: The base groups of the mult-add commands, as group-file text.
+#: The base groups of the mult-add and small-cmds commands, as group-file text.
 GROUPS = {
     "PSL(2,11)": (12, ("(2 3 4 5 6 7 8 9 10 11 12)", "(3 6 7 11 5)(4 10 12 9 8)",
                        "(1 2)(3 12)(4 7)(5 9)(6 10)(8 11)")),
@@ -31,6 +32,9 @@ GROUPS = {
     "C2xC10": (12, ("(1 2)", "(3 4 5 6 7 8 9 10 11 12)")),
     "C2^5": (10, ("(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)")),
     "C2xC2xC6": (10, ("(1 2)", "(3 4)", "(5 6 7 8 9 10)")),
+    "F42": (7, ("(1 2 3 4 5 6 7)", "(2 4 3 7 5 6)")),
+    "A5": (5, ("(1 2 3 4 5)", "(3 4 5)")),
+    "SL(2,3)": (8, ("(1 6 2 3)(4 7 8 5)", "(1 4 7)(2 8 5)")),
 }
 
 #: (group, pi, command) of each mult-add command.
@@ -44,6 +48,13 @@ MULT_ADD = (
     ("C2xC10", "5", "verify-add"), ("C2^5", "2", "verify-add"),
     ("C2xC2xC6", "3", "verify-add"),
 )
+
+#: (group, pi, command) of the small-cmds command kinds: F42 with Hall
+#: subgroups of composite order, A5 with none, and SL(2,3) with its normal
+#: quaternion Sylow 2-subgroup.
+SMALL = tuple((name, pi, command)
+              for name, pi in (("F42", "2,3"), ("A5", "2,5"), ("SL(2,3)", "2"))
+              for command in cli.HALL_CHECKS)
 
 
 def _counted(mp, counts):
@@ -113,7 +124,7 @@ def measure(tmp_dir: Path):
         if entry.scenario is not None:
             commands += [[command, "--group", entry.name, "--json"]
                          for command in ("verify-nr", "verify-wielandt")]
-    for name, pi, command in MULT_ADD:
+    for name, pi, command in MULT_ADD + SMALL:
         path = tmp_dir / f"{name}.group"
         degree, gens = GROUPS[name]
         path.write_text(f"degree: {degree}\n" + "".join(f"gen: {g}\n" for g in gens))
