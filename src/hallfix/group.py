@@ -6,20 +6,23 @@ and every structural query below walks them as element indices, which keeps
 all results auditable at desk scale.  Closure refuses groups larger than a
 configurable cap, or of a degree over ``MAX_DEGREE``.
 
-``close`` only closes input generators.  Every subgroup of a closed group
-(a search hit, a pi-core, a centralizer) is grown on that group's element
-indices by one routine, ``_grow``, Dimino's method from a subgroup, as an
-(element-index set, generator indices) pair; Hall subgroups and conjugacy
-classes are handed out in that index form.
+``close`` only closes input generators, by whole left cosets grown from the
+largest of their cyclic subgroups, each coset one translate.  Every subgroup
+of a closed group (a search hit, a pi-core, a centralizer) is grown on that
+group's element indices by one routine, ``_grow``, Dimino's method from a
+subgroup, as an (element-index set, generator indices) pair; Hall subgroups
+and conjugacy classes are handed out in that index form.
 
 Tables are built by their first reader and kept: the conjugation rows, entry
-by entry by the Hall orbit walk; the classes, with the element orders; the
-Hall set, per Hall order.
+by entry, for the Hall orbit walk and the classes alike by the one fill
+``_fill_rows``; the classes, with the element orders; the Hall set, per Hall
+order.
 """
 
 from __future__ import annotations
 
 from math import ceil, gcd, log2
+from struct import Struct
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -163,27 +166,45 @@ def close(generators: Sequence[Permutation], *, degree: Optional[int] = None,
     if deg > MAX_DEGREE:
         raise ValueError(f"degree {deg} is over the limit {MAX_DEGREE} of byte images")
 
-    # Dimino's method on image bytes: grow <g1..gi> from H = <g1..g(i-1)>
-    # by whole left cosets y H, y = g r for a coset representative r.
-    ident = Permutation.identity(deg)
-    moves = [(g, _table(g)) for g in dict.fromkeys(g._bytes() for g in gens)]
-    seen = {ident._bytes()}
-    for i, (g, _) in enumerate(moves):
-        if g in seen:
+    # Dimino's method on image bytes, with the moves by descending order: grow
+    # <g1..gi> from H = <g1..g(i-1)>, first the power walk of g1, by whole left
+    # cosets y H, y = g r for a representative r and a move g not in H, each
+    # one translate of H's joined images by y's table, split by one unpack.
+    ident, one, walks = Permutation.identity(deg), _POINTS[:deg], []
+    for g in dict.fromkeys(map(Permutation._bytes, gens)):
+        walk, table = [one], _table(g)
+        while g != one:
+            if len(walk) == cap:
+                raise _cap_exceeded(cap)
+            walk.append(g)
+            g = g.translate(table)
+        walks.append(walk)
+    walks.sort(key=len, reverse=True)
+    elements = walks[0] if walks else [one]
+    seen, moves = set(elements), [_table(g) for g in elements[1:2]]
+    for walk in walks[1:]:
+        if walk[-1] in seen:
             continue
-        prev, reps = list(seen), [ident._bytes()]
+        moves.append(_table(walk[1]))
+        joined, size, reps = b"".join(elements), len(elements), [one]
+        unpack = Struct(f"{deg}s" * size).unpack
         for r in reps:
-            for _, table_g in moves[:i + 1]:
+            for table_g in moves:
                 y = r.translate(table_g)
                 if y not in seen:
-                    if len(seen) + len(prev) > cap:
-                        raise CapExceededError(
-                            f"closure exceeds the element cap {cap}; "
-                            "the group is too large for exhaustive mode")
-                    table_y = _table(y)
-                    seen.update([h.translate(table_y) for h in prev])
+                    if len(elements) + size > cap:
+                        raise _cap_exceeded(cap)
+                    coset = unpack(joined.translate(_table(y)))
+                    seen.update(coset)
+                    elements += coset
                     reps.append(y)
-    return PermGroup(deg, gens or [ident], seen)
+    return PermGroup(deg, gens or [ident], elements)
+
+
+def _cap_exceeded(cap: int) -> CapExceededError:
+    """The refusal of a closure past ``cap`` elements."""
+    return CapExceededError(f"closure exceeds the element cap {cap}; "
+                            "the group is too large for exhaustive mode")
 
 
 def _table(g: bytes) -> bytes:
@@ -393,14 +414,14 @@ def _conjugation_rows(G: PermGroup) -> List[Tuple[bytes, bytes, list]]:
 
 
 def _fill_rows(G: PermGroup, xs: Iterable[int]) -> List[Tuple[bytes, bytes, list]]:
-    """G's conjugation rows, filled at the element indices ``xs``, a collection:
-    g x g^-1 is g^-1 translated by x's table, then by g's."""
-    index, images, rows = G._ensure_index(), G.fingerprint(), _conjugation_rows(G)
-    tail = _POINTS[G.degree:]
-    for table_g, g_inverse, row in rows:
-        for x in [x for x in xs if row[x] is None]:
-            row[x] = index[g_inverse.translate(images[x] + tail).translate(table_g)]
-    return rows
+    """G's conjugation rows, each entry filled in place at the element indices
+    ``xs``, a collection: g x g^-1 is g^-1 translated by x's table, then by g's."""
+    index, images, tail = G._index or G._ensure_index(), G._images, _POINTS[G.degree:]
+    for table_g, g_inverse, row in G._rows or _conjugation_rows(G):
+        for x in xs:
+            if row[x] is None:
+                row[x] = index[g_inverse.translate(images[x] + tail).translate(table_g)]
+    return G._rows
 
 
 def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:

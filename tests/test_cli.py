@@ -407,6 +407,15 @@ def test_cap_of_one_reports_the_cap_error(capsys):
     assert "closure exceeds the element cap 1" in err
 
 
+def test_cap_below_a_generator_order_is_input_error(capsys, tmp_path):
+    path = tmp_path / "c7.grp"
+    path.write_text("degree: 7\ngen: (1 2 3 4 5 6 7)\n")
+    code, out, err = run(capsys, "verify-add", "--file", str(path), "--pi", "7", "--cap", "6")
+    assert (code, out) == (2, "")
+    assert err == ("error: closure exceeds the element cap 6; "
+                   "the group is too large for exhaustive mode\n")
+
+
 def test_cap_over_the_limit_is_refused_before_closure(capsys, monkeypatch, tmp_path):
     # Without the limit, a cap large enough for S10 ends in an internal MemoryError.
     def no_closure(*args, **kwargs):

@@ -127,21 +127,31 @@ def test_close_matches_direct_closure(groups):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_generating_sets())
-def test_close_matches_direct_closure_on_random_generators(drawn):
+@given(_generating_sets(), st.randoms(use_true_random=False))
+def test_close_matches_direct_closure_on_random_generators(drawn, rng):
+    # close starts from the largest cyclic subgroup and drops moves inside the
+    # group so far, so the draw shuffles the generators and adds an identity
+    # and a repeated generator.
     degree, images = drawn
     gens = [Permutation(g) for g in images]
+    rng.shuffle(gens)
+    gens.insert(rng.randint(0, len(gens)), Permutation.identity(degree))
+    gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
     expect = _close_direct(gens, degree=degree)
     found = close(gens, degree=degree)
-    assert found.elements == expect.elements
-    assert found.generators == expect.generators
+    assert found.fingerprint() == expect.fingerprint()
+    assert found.generators == tuple(gens)
+
+
+def _cap_refusal(cap):
+    return f"^closure exceeds the element cap {cap}; the group is too large for exhaustive mode$"
 
 
 @pytest.mark.parametrize("name", ["S3", "A5"])
 def test_close_cap_boundary(groups, name):
     G = groups[name]
     assert close(G.generators, cap=G.order).elements == G.elements
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=_cap_refusal(G.order - 1)):
         close(G.generators, cap=G.order - 1)
 
 
@@ -162,8 +172,11 @@ def test_close_empty_and_s3():
 
 
 def test_close_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=_cap_refusal(100)):
         close([P("(1 2 3 4 5 6 7)", 7), P("(1 2)", 7)], cap=100)
+    # A generator of order over the cap is refused inside its power walk.
+    with pytest.raises(CapExceededError, match=_cap_refusal(6)):
+        close([P("(1 2 3 4 5 6 7)", 7)], cap=6)
 
 
 def test_close_mismatched_degrees():
