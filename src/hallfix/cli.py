@@ -12,12 +12,11 @@ on an internal error (any other exception, reported on one stderr line).
 
 from __future__ import annotations
 
-import argparse
-import functools
-import json
+import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 from .arith import FACTOR_LIMIT, PiSet, prime_divisors
 from .corpus import (A5_CURIOSITY, CorpusEntry, UnknownGroupError, corpus_entries,
@@ -28,8 +27,8 @@ from .groupio import GroupFileError, read_group_file
 from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
                    lambda_report_lines, lambda_report_records)
 from .perm import PermParseError
-from .reports import (FAIL, INAPPLICABLE, PASS, CheckRecord, records_to_json,
-                      unexpected_failures)
+from .reports import (FAIL, INAPPLICABLE, PASS, CheckRecord, lambda_rows_to_json,
+                      records_to_json, unexpected_failures)
 from .verify import (CoprimeActionScenario, PowerSumTooLargeError, additive_value,
                      coprime_split, curiosity_value, interpretation_check, multiplicative_value,
                      navarro_rizo_check, sym_char_sums, wielandt_check)
@@ -42,40 +41,153 @@ class InputError(ValueError):
     """Bad command-line input (exit code 2)."""
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, one for every command, built on the first call."""
-    parser = argparse.ArgumentParser(
-        prog="hallfix", usage="%(prog)s <command> [options]",
-        description="Exact verification of Hall-subgroup fixed-point identities "
-                    "on a builtin corpus of small permutation groups.")
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--group", help="builtin group name")
-    parser.add_argument("--file", help="path to a group file")
-    parser.add_argument("--pi", help="comma-separated prime list, e.g. 2,3")
-    parser.add_argument("--json", action="store_true", help="emit JSON records")
-    parser.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
-                        help=f"element cap for exhaustive closure, 1 to {MAX_CAP}")
-    parser.add_argument("--n", type=int, help="curiosity only: power-sum length (default: |G|)")
-    parser.add_argument("--radical", action="store_true",
-                        help="verify-mult only: replace the exponent base by its radical")
-    return parser
+_USAGE = "usage: hallfix <command> [options]\n"
+
+#: argparse's rendering of this command line at 80 columns, kept as text so
+#: that it does not depend on the terminal.
+_HELP = _USAGE + f"""
+Exact verification of Hall-subgroup fixed-point identities on a builtin corpus
+of small permutation groups.
+
+positional arguments:
+  {{{",".join(_COMMANDS)}}}
+
+options:
+  -h, --help            show this help message and exit
+  --group GROUP         builtin group name
+  --file FILE           path to a group file
+  --pi PI               comma-separated prime list, e.g. 2,3
+  --json                emit JSON records
+  --cap CAP             element cap for exhaustive closure, 1 to {MAX_CAP}
+  --n N                 curiosity only: power-sum length (default: |G|)
+  --radical             verify-mult only: replace the exponent base by its
+                        radical
+"""
+
+#: Each option string and the type of its one value, None for a flag, in
+#: the order that an ambiguous abbreviation lists them.  An option sets the
+#: field named by its string without the dashes.
+_OPTIONS = {"-h": None, "--help": None, "--group": str, "--file": str, "--pi": str,
+            "--json": None, "--cap": int, "--n": int, "--radical": None}
+
+
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"{_USAGE}hallfix: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _classify(token: str) -> Tuple[Optional[str], Optional[str]]:
+    """(option string, text after its "=" or None) for an option token,
+    (None, token) for a value or the command word, and ("", token) for an
+    unknown option, by argparse's rules: an option may be abbreviated to a
+    unique prefix, and a negative number or a token with a space is a value."""
+    if token[:1] != "-" or token == "-":
+        return None, token
+    if token in _OPTIONS:
+        return ("--help" if token == "-h" else token), None
+    head, eq, value = token.partition("=")
+    value = value if eq else None
+    if eq and head in _OPTIONS:
+        option = head
+    elif token[1] == "-":
+        matches = [name for name in _OPTIONS if name.startswith(head)]
+        if len(matches) > 1:
+            _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if not matches:
+            return _unknown(token)
+        option = matches[0]
+    elif token[1] == "h":
+        option, value = "-h", token[2:]
+    else:
+        return _unknown(token)
+    if option == "-h":
+        # argparse reads "-hh" as "-h -h" and refuses the rest of "-hx".
+        return "--help", (value.lstrip("h") or None) if value else value
+    return option, value
+
+
+def _unknown(token: str) -> Tuple[Optional[str], str]:
+    """A token that names no option: a value when it looks like a negative
+    number or holds a space, else an unknown option."""
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None, token
+    return "", token
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The options and command word of ``argv``, with argparse's grammar:
+    options before or after the command word, ``--opt value`` or
+    ``--opt=value``, the last of a repeated option wins, and every token
+    after the first ``--`` is a value.  A usage error exits 2."""
+    args = SimpleNamespace(command=None, group=None, file=None, pi=None, json=False,
+                           cap=DEFAULT_ELEMENT_CAP, n=None, radical=False)
+    tokens = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            tokens.append(("--", token))
+            tokens += [(None, rest) for rest in argv[i + 1:]]
+            break
+        tokens.append(_classify(token))
+    extras = []
+    i = command_end = 0
+    while i < len(tokens):
+        option, value = tokens[i]
+        i += 1
+        if option is None:
+            if args.command is not None:
+                extras.append(value)
+            elif value in _COMMANDS:
+                args.command, command_end = value, i
+            else:
+                choices = ", ".join(map(repr, _COMMANDS))
+                _usage_error(f"argument command: invalid choice: {value!r} "
+                             f"(choose from {choices})")
+        elif option == "":
+            extras.append(value)
+        elif option == "--":
+            # argparse drops a "--" next to the command word and keeps any other.
+            if args.command is not None and command_end != i - 1:
+                extras.append(value)
+        elif _OPTIONS[option] is None:
+            if value is not None:
+                name = "-h/--help" if option == "--help" else option
+                _usage_error(f"argument {name}: ignored explicit argument {value!r}")
+            if option == "--help":
+                sys.stdout.write(_HELP)
+                raise SystemExit(0)
+            setattr(args, option[2:], True)
+        else:
+            if value is None:
+                if i == len(tokens) or tokens[i][0] is not None:
+                    _usage_error(f"argument {option}: expected one argument")
+                value = tokens[i][1]
+                i += 1
+            kind = _OPTIONS[option]
+            try:
+                setattr(args, option[2:], kind(value))
+            except ValueError:
+                _usage_error(f"argument {option}: invalid {kind.__name__} value: {value!r}")
+    if args.command is None:
+        _usage_error("the following arguments are required: command")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _resolve_group(args) -> Tuple[str, PermGroup, Optional[CorpusEntry]]:
-    if args.group and args.file:
+    if args.group is not None and args.file is not None:
         raise InputError("--group and --file are mutually exclusive")
-    if args.group:
+    if args.group is not None:
         entry = get_entry(args.group)
         return entry.name, load_group(entry.name, cap=args.cap), entry
-    if args.file:
+    if args.file is not None:
         degree, gens = read_group_file(args.file)
         return args.file, close(gens, degree=degree, cap=args.cap), None
     raise InputError("one of --group or --file is required")
 
 
 def _require_pi(args) -> PiSet:
-    if not args.pi:
+    if args.pi is None:
         raise InputError("--pi is required for this command")
     try:
         return PiSet.parse(args.pi)
@@ -234,14 +346,13 @@ def _emit(records: List[CheckRecord], as_json: bool) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     if args.n is not None and args.command != "curiosity":
-        parser.error("--n applies to curiosity only")
+        _usage_error("--n applies to curiosity only")
     if args.radical and args.command != "verify-mult":
-        parser.error("--radical applies to verify-mult only")
-    if args.pi and args.command == "scan":
-        parser.error("--pi does not apply to scan")
+        _usage_error("--radical applies to verify-mult only")
+    if args.pi is not None and args.command == "scan":
+        _usage_error("--pi does not apply to scan")
     try:
         return _dispatch(args)
     except (InputError, UnknownGroupError, GroupFileError, PermParseError,
@@ -262,9 +373,9 @@ def _dispatch(args) -> int:
 
     if command == "scan":
         entries = corpus_entries()
-        if args.group:
+        if args.group is not None:
             entries = [get_entry(args.group)]
-        if args.file:
+        if args.file is not None:
             raise InputError("scan works on the builtin corpus; --file is not supported")
         records = scan_records(entries, args.cap)
         _emit(records, args.json)
@@ -275,7 +386,7 @@ def _dispatch(args) -> int:
         pi = _require_pi(args)
         ctx = build_hall_context(G, pi)
         if args.json:
-            print(json.dumps(lambda_report_records(ctx), indent=2, sort_keys=True))
+            print(lambda_rows_to_json(lambda_report_records(ctx)))
         else:
             for line in lambda_report_lines(ctx):
                 print(line)
@@ -283,7 +394,7 @@ def _dispatch(args) -> int:
 
     if command == "curiosity":
         name, G, _ = _resolve_group(args)
-        pi = _require_pi(args) if args.pi else PiSet([3])
+        pi = _require_pi(args) if args.pi is not None else PiSet([3])
         if args.n is not None and not 1 <= args.n <= FACTOR_LIMIT:
             raise InputError(f"--n must be positive and at most {FACTOR_LIMIT}, "
                              f"got {args.n}")
@@ -295,15 +406,15 @@ def _dispatch(args) -> int:
         return 1 if unexpected_failures([record]) else 0
 
     if command in ("verify-nr", "verify-wielandt"):
-        if args.file:
+        if args.file is not None:
             raise InputError("the coprime split needs a builtin corpus entry; "
                              "--file is not supported here")
-        if not args.group:
+        if args.group is None:
             raise InputError("--group is required")
         entry = get_entry(args.group)
         if entry.scenario is None:
             raise InputError(f"corpus entry {entry.name} names no coprime split")
-        pi = _require_pi(args) if args.pi else entry.scenario
+        pi = _require_pi(args) if args.pi is not None else entry.scenario
         scenario = coprime_split(load_group(entry.name, cap=args.cap), entry.scenario)
         if pi != entry.scenario:
             raise InputError(f"--pi {pi} does not match the complement order "

@@ -5,6 +5,7 @@ These are brute-force oracles on permutations; the package does not use them.
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -14,7 +15,8 @@ from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation
                      coprime_split, divisors, format_permutation, get_entry, is_pi_separable,
                      load_group, moebius, parse_permutation, subgroups_of_order)
 from hallfix.arith import prime_divisors, radical
-from hallfix.group import conjugacy_classes
+from hallfix.cli import _COMMANDS
+from hallfix.group import DEFAULT_ELEMENT_CAP, MAX_CAP, conjugacy_classes
 
 
 def power(x, d):
@@ -273,3 +275,23 @@ def burnside_orbit_count(H, fixed, k):
 def power_subgroup(H, d):
     """The subgroup of d-th powers of an abelian group."""
     return close(sorted({power(h, d) for h in H.elements}), degree=H.degree)
+
+
+def reference_parser():
+    """The argparse parser that ``hallfix`` was built on, the reference for
+    its own parser's fields, exit codes and help."""
+    parser = argparse.ArgumentParser(
+        prog="hallfix", usage="%(prog)s <command> [options]",
+        description="Exact verification of Hall-subgroup fixed-point identities "
+                    "on a builtin corpus of small permutation groups.")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--group", help="builtin group name")
+    parser.add_argument("--file", help="path to a group file")
+    parser.add_argument("--pi", help="comma-separated prime list, e.g. 2,3")
+    parser.add_argument("--json", action="store_true", help="emit JSON records")
+    parser.add_argument("--cap", type=int, default=DEFAULT_ELEMENT_CAP,
+                        help=f"element cap for exhaustive closure, 1 to {MAX_CAP}")
+    parser.add_argument("--n", type=int, help="curiosity only: power-sum length (default: |G|)")
+    parser.add_argument("--radical", action="store_true",
+                        help="verify-mult only: replace the exponent base by its radical")
+    return parser

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import io
 import json
@@ -28,9 +27,9 @@ from hallfix import verify as verify_mod
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.groupio import parse_group_text
-from hallfix.reports import FAIL, PASS, CheckRecord, records_to_json
+from hallfix.reports import FAIL, PASS, CheckRecord, lambda_rows_to_json, records_to_json
 from oracles import (canonical_hall, group_file_text, is_cyclic, proper_prime_sets,
-                     s5_subgroup_classes)
+                     reference_parser, s5_subgroup_classes)
 
 
 def run(capsys, *argv):
@@ -318,12 +317,16 @@ _JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\u00e9\u2028\u
                                st.characters(exclude_categories=())))
 
 
-@given(st.lists(st.tuples(*[_JSON_TEXT] * 5), max_size=3))
-def test_records_to_json_matches_json_dumps(fields):
+@given(st.lists(st.tuples(*[_JSON_TEXT] * 5), max_size=3),
+       st.lists(st.tuples(_JSON_TEXT, st.integers(), st.integers()), max_size=3))
+def test_records_to_json_matches_json_dumps(fields, lambda_rows):
     records = [CheckRecord(*values) for values in fields]
     dicts = [dict(zip(("check", "group", "pi", "status", "witness"), values))
              for values in fields]
     assert records_to_json(records) == json.dumps(dicts, indent=2, sort_keys=True)
+    rows = [{"element": element, "order": order, "lambda": lam}
+            for element, order, lam in lambda_rows]
+    assert lambda_rows_to_json(rows) == json.dumps(rows, indent=2, sort_keys=True)
 
 
 def test_group_file_degree_over_the_limit_is_input_error(capsys, tmp_path):
@@ -442,23 +445,150 @@ def test_largest_cap_still_closes_s8(capsys, tmp_path):
     assert (code, err) == (0, "") and "pass" in out
 
 
-def test_main_builds_one_parser_tree(capsys, monkeypatch):
-    # Every command shares one flat parser, with no subparsers: building it
-    # costs far more than parsing, and each parser left behind is cyclic
-    # garbage.
-    built = []
-    init = argparse.ArgumentParser.__init__
+def test_importing_the_cli_loads_no_argparse():
+    # The command line parses its own argv: building argparse's parser and
+    # its first use (gettext, locale, regex compiles) cost every fresh
+    # process milliseconds, and each parse far more than a small command's.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, hallfix.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
 
-    cli._build_parser.cache_clear()
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert run(capsys, "verify-add", "--group", "S3", "--pi", "2")[0] == 0
-    tree = len(built)
-    assert run(capsys, "verify-add", "--group", "S4", "--pi", "2")[0] == 0
-    assert tree == len(built) == 1
+def _parsed(parse, argv):
+    """The fields ``parse`` reads from argv, or its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return vars(parse(list(argv)))
+    except SystemExit as exc:
+        return exc.code
+
+
+#: The argv forms that the tests, CI and perfbench run, with and without a
+#: usage error.
+_USED_ARGV = [
+    ("verify-mult", "--group", "S4", "--pi", "2"),
+    ("verify-mult", "--group", "A5", "--pi", "2", "--radical", "--json"),
+    ("verify-add", "--file", "/tmp/g.grp", "--pi", "2,3", "--json"),
+    ("interpretation", "--file", "g.grp", "--pi", "2"),
+    ("sym-char", "--file", "g.grp", "--pi", "3", "--json"),
+    ("verify-nr", "--group", "F20"),
+    ("verify-wielandt", "--group", "F20", "--pi", "5"),
+    ("lambda", "--group", "PGL(2,9)", "--pi", "5", "--json"),
+    ("curiosity", "--group", "A5", "--n", "6"),
+    ("curiosity", "--group", "A5", "--pi", ""),
+    ("scan", "--group", "S4", "--json"),
+    ("scan", "--json"),
+    ("scan", "--cap", "40321"),
+    ("verify-mult", "--group", "C6", "--pi", "2", "--cap", "-1"),
+    ("verify-add", "--group", "S5", "--pi", "2", "--cap", "100"),
+    ("verify-add", "--group", "S4", "--pi", "2", "--radical"),
+    ("scan", "--n", "3"),
+    ("scan", "--group", "S4", "--pi", "2"),
+    ("verify-add", "--pi"),
+    ("scan", "--cap", "x"),
+    ("scan", "--json=1"),
+    ("scan", "--gr=S4", "--rad"),
+    ("frob",),
+    (),
+    ("--help",),
+]
+
+
+@pytest.mark.parametrize("argv", _USED_ARGV)
+def test_parser_matches_argparse_on_the_argv_in_use(argv):
+    # The command word moved before, among and after the options.
+    reference = reference_parser()
+    for moved in {argv[1:k] + argv[:1] + argv[k:] for k in range(1, len(argv) + 2)}:
+        assert _parsed(cli._parse_args, moved) == _parsed(reference.parse_args, moved), moved
+
+
+#: Tokens for random argv: commands, options, their unique abbreviations and
+#: "=" forms, negative numbers, unknown options and values.  "--" is pinned
+#: apart.  So are an ambiguous prefix and "-h" run on with more letters,
+#: which argparse reads one way up to 3.12 and another on 3.13.
+_TOKENS = ("scan", "lambda", "verify-add", "verify-mult", "curiosity", "frob",
+           "--group", "--gr", "--file", "--f", "--pi", "--p", "--json", "--j",
+           "--cap", "--ca", "--n", "--radical", "--rad", "--help", "--he", "-h",
+           "--json=1", "--rad=", "--cap=5", "--cap=x", "--gr=S4", "--pi=2", "--pi=", "--n=3",
+           "-5", "-1.5", "-x", "-x y", "-", "---", "", "S4", "2,3", "x", "7")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=7))
+def test_parser_matches_argparse_on_random_argv(argv):
+    assert _parsed(cli._parse_args, argv) == _parsed(reference_parser().parse_args, argv)
+
+
+def test_parser_matches_argparse_on_double_dash():
+    # Every token after the first "--" is a value; argparse drops a "--"
+    # next to the command word and reports any other as unrecognized.
+    cases = {
+        ("--group", "S4", "--pi", "2", "--", "verify-add"): "verify-add",
+        ("--", "scan"): "scan",
+        ("scan", "--"): "scan",
+        ("--json", "scan", "--", "x"): 2,
+        ("scan", "--", "--json"): 2,
+        ("scan", "--json", "--"): 2,
+        ("--pi", "--", "2", "scan"): 2,
+        ("--", "--", "scan"): 2,
+        ("--",): 2,
+    }
+    reference = reference_parser()
+    for argv, expect in cases.items():
+        got = _parsed(cli._parse_args, argv)
+        assert (got if got == 2 else got["command"]) == expect, argv
+        assert got == _parsed(reference.parse_args, argv), argv
+
+
+_CHOICES = ("'lambda', 'verify-mult', 'verify-add', 'verify-nr', 'verify-wielandt', "
+            "'sym-char', 'interpretation', 'curiosity', 'scan'")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "the following arguments are required: command"),
+    (("frob",), f"argument command: invalid choice: 'frob' (choose from {_CHOICES})"),
+    (("verify-add", "--pi"), "argument --pi: expected one argument"),
+    (("verify-add", "--gr", "--pi", "2"), "argument --group: expected one argument"),
+    (("scan", "--cap", "x"), "argument --cap: invalid int value: 'x'"),
+    (("scan", "--json=1"), "argument --json: ignored explicit argument '1'"),
+    (("scan", "-hx"), "argument -h/--help: ignored explicit argument 'x'"),
+    (("scan", "-5", "--x", "S4"), "unrecognized arguments: -5 --x S4"),
+    (("scan", "--=x"), "ambiguous option: --=x could match --help, --group, --file, --pi, "
+                       "--json, --cap, --n, --radical"),
+    (("scan", "--n", "3"), "--n applies to curiosity only"),
+    (("verify-add", "--rad", "--group", "S4", "--pi", "2"), "--radical applies to verify-mult only"),
+    (("scan", "--pi", ""), "--pi does not apply to scan"),
+])
+def test_usage_errors_print_argparse_text(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    assert capsys.readouterr() == ("", f"usage: hallfix <command> [options]\nhallfix: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (("curiosity", "--group", "A5", "--pi", ""), "empty prime set"),
+    (("verify-nr", "--group", "S3", "--pi", ""), "empty prime set"),
+    (("verify-add", "--group", "S3", "--pi", ""), "empty prime set"),
+    (("verify-add", "--group", "S3", "--file", "", "--pi", "2"),
+     "--group and --file are mutually exclusive"),
+    (("scan", "--file", ""), "scan works on the builtin corpus; --file is not supported"),
+    (("scan", "--group", ""), "unknown builtin group ''"),
+])
+def test_an_empty_option_value_counts_as_given(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+
+
+def test_help_is_argparse_text_at_80_columns(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._HELP == reference_parser().format_help()
+    assert hashlib.sha256(cli._HELP.encode()).hexdigest() == (
+        "9dbcddf8d92c2d0e4d10acac152c9262e58f4b860b58a15070670c714ab46ae2")
 
 
 @pytest.mark.parametrize("argv,option", [
@@ -480,10 +610,11 @@ def test_option_outside_its_command_is_a_usage_error(capsys, argv, option):
 
 
 def test_help_lists_every_command(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--help"])
-    out, err = capsys.readouterr()
-    assert exit_info.value.code == 0 and err == ""
+    for argv in (["--help"], ["scan", "-h", "--cap", "x"], ["--he"], ["-hh"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exit_info.value.code == 0 and err == "" and out == cli._HELP, argv
     assert all(command in out for command in cli._COMMANDS)
     assert "--n N" in out and "--radical" in out
 
