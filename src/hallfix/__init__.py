@@ -7,7 +7,7 @@ checked with exact arithmetic (factored rationals for products, big
 Fractions for sums) against a builtin corpus with brute-force oracles.
 """
 
-from .arith import FactoredRational, PiSet, divisors, moebius, totient
+from .arith import FactoredRational, PiSet, divisors, moebius
 from .corpus import (CorpusEntry, UnknownGroupError, corpus_entries,
                      corpus_names, get_entry, load_group)
 from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
@@ -15,12 +15,11 @@ from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
                     subgroups_of_order)
 from .groupio import GroupFileError, parse_group_text
 from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
-                   cyclic_lattice, moebius_partition_check, pi_part)
+                   cyclic_lattice, pi_part)
 from .perm import (Permutation, PermParseError, format_permutation,
                    parse_permutation)
 from .verify import (CoprimeActionScenario, NrCheckResult, WielandtResult,
                      additive_value, coprime_split, curiosity_value, interpretation_check,
-                     multiplicative_value, navarro_rizo_check, power_product_pair,
-                     power_sum_bound_holds, wielandt_check)
+                     multiplicative_value, navarro_rizo_check, wielandt_check)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Exact number-theoretic kernels: primes, Möbius, totient, factored rationals.
+"""Exact number-theoretic kernels: primes, Möbius, factored rationals.
 
 Everything here is integer-exact.  Multiplicative identities are tracked as
 prime-exponent vectors (FactoredRational) so that "this product equals 1"
@@ -71,14 +71,6 @@ def moebius(n: int) -> int:
     if any(e > 1 for e in fac.values()):
         return 0
     return -1 if len(fac) % 2 else 1
-
-
-def totient(n: int) -> int:
-    """Euler's totient, via the exact product formula over prime divisors."""
-    result = n
-    for p in factorize(n):
-        result = result // p * (p - 1)
-    return result
 
 
 def radical(n: int) -> int:

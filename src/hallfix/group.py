@@ -305,13 +305,14 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[]
     set of that order; the function reads G's order, not G, so forms no cycle.
 
     Each contains a Sylow p-subgroup of G for every p dividing n, and these
-    are conjugate, so each is conjugate to one containing P, the search's
-    first hit at n's largest prime power: they are the conjugation orbits of
-    the hits above P in any finite group, and no hit means none; at a prime
-    power n, P is the only hit.  Each orbit is walked once, from its first
-    hit K, on G's conjugation rows filled at its members only.  The function
-    grows N_G(K) from K by the walk's Schreier generators until |N_G(K)|
-    |orbit| = |G| (orbit-stabilizer); it is G for a lone, normal K."""
+    are conjugate, so each is conjugate to one containing P, any Sylow
+    subgroup at n's largest prime power (:func:`_sylow_start`): they are the
+    conjugation orbits of the hits above P in any finite group, and no hit
+    means none; at a prime power n, P is the only hit.  Each orbit is walked
+    once, from its first hit K, on G's conjugation rows filled at its members
+    only.  The function grows N_G(K) from K by the walk's Schreier generators
+    until |N_G(K)| |orbit| = |G| (orbit-stabilizer); it is G for a lone,
+    normal K."""
     if n < 1 or G.order % n or gcd(n, G.order // n) != 1:
         raise ValueError(f"{n} is not a Hall order of a group of order {G.order}")
     if n in G._halls:
@@ -323,7 +324,7 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[]
         G._halls[n] = (_TRIVIAL if n == 1 else (whole, gens),), lambda: [(1, whole)]
         return G._halls[n]
     q = max(p ** k for p, k in factorize(n).items())
-    P = next(_subgroup_search(G, q))
+    P = _sylow_start(G, q)
     halls, walks = {}, []  # the Hall subgroups, each with its conjugated generators
     for K, gens in [P] if q == n else _subgroup_search(G, n, P):
         if K in halls:
@@ -361,6 +362,23 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[]
     return G._halls[n]
 
 
+def _sylow_start(G: PermGroup, q: int) -> Found:
+    """A Sylow subgroup of G at q, the full p-part of |G|, from the cheapest
+    exact source: the first of G's kept Sylow set at q; else <g^(k/q)>, of
+    order q, for the first generator g whose order k q divides, read off g's
+    power walk; else the canonical search's first hit.  The Sylow subgroups
+    are conjugate, so any one starts the same Hall set."""
+    if q in G._halls:
+        return G._halls[q][0][0]
+    index = G._ensure_index()
+    for g in G.generators:
+        walk = G.power_walk(index[g._bytes()])
+        if len(walk) % q == 0:
+            step = len(walk) // q
+            return frozenset(walk[::step]), (walk[step],)
+    return next(_subgroup_search(G, q))
+
+
 def _subgroup_search(G: PermGroup, m: int, seed: Found = _TRIVIAL) -> Iterator[Found]:
     """Yield the subgroups of order ``m`` containing the subgroup ``seed``, as
     (element-index set, generator indices) pairs in canonical chain order.
@@ -368,7 +386,8 @@ def _subgroup_search(G: PermGroup, m: int, seed: Found = _TRIVIAL) -> Iterator[F
     outside the subgroup generated so far.
 
     Candidates have orders dividing m, read off G's classes, or unseeded on a
-    group without classes (a Sylow first hit) off each examined element."""
+    group without classes off each examined element: a Sylow start that
+    neither G's kept Sylow set nor a generator's power gives."""
     index, images = G._ensure_index(), G.fingerprint()
     if G._classes is None and seed is _TRIVIAL:
         candidates, order = range(1, G.order), lambda e: image_order(images[e])
@@ -415,7 +434,10 @@ def _conjugation_rows(G: PermGroup) -> List[Tuple[bytes, bytes, list]]:
 
 def _fill_rows(G: PermGroup, xs: Iterable[int]) -> List[Tuple[bytes, bytes, list]]:
     """G's conjugation rows, each entry filled in place at the element indices
-    ``xs``, a collection: g x g^-1 is g^-1 translated by x's table, then by g's."""
+    ``xs``, a collection: g x g^-1 is g^-1 translated by x's table, then by g's.
+    Once G's classes exist, every entry is filled."""
+    if G._classes is not None:
+        return G._rows
     index, images, tail = G._index or G._ensure_index(), G._images, _POINTS[G.degree:]
     for table_g, g_inverse, row in G._rows or _conjugation_rows(G):
         for x in xs:

@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .arith import FactoredRational, PiSet, moebius, prime_divisors
+from .arith import PiSet, moebius, prime_divisors
 from .group import Found, PermGroup, conjugacy_classes, hall_subgroups
 # Not called here: perfbench's tracer and its tests bind this name in every
 # module that imported it.
@@ -139,25 +139,6 @@ def cyclic_lattice(H: PermGroup) -> List[Tuple[PermGroup, int]]:
         found.setdefault(frozenset(H.power_walk(i)), i)
     return [(H.subgroup(S, (i,)), sum(moebius(len(T) // len(S)) for T in found if S <= T))
             for S, i in sorted(found.items(), key=lambda item: sorted(item[0]))]
-
-
-def moebius_partition_check(H: PermGroup, gamma: Mapping[Permutation, int]) -> bool:
-    """Check the Möbius-inversion product identity for a positive-valued gamma.
-
-    The product of gamma over all of H must equal the product over cyclic
-    subgroups Z of (product of gamma over Z) raised to the lattice weight
-    f(Z), compared exactly in factored form.
-    """
-    lhs = FactoredRational.one()
-    for x in H.elements:
-        lhs = lhs.times_pow(gamma[x], 1)
-    rhs = FactoredRational.one()
-    for Z, f in cyclic_lattice(H):
-        inner = FactoredRational.one()
-        for z in Z.elements:
-            inner = inner.times_pow(gamma[z], 1)
-        rhs = rhs.times(inner.power(f))
-    return lhs == rhs
 
 
 def lambda_report_lines(ctx: HallContext) -> List[str]:

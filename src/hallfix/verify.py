@@ -4,20 +4,19 @@ One entry point per identity: the Möbius-weighted multiplicative product over
 a Hall subgroup, the Navarro-Rizo fixed-point equation for coprime p-group
 actions (in cleared-exponent form), the additive non-negativity statement,
 Wielandt's centralizer product, the sums behind the symmetrized conjugation
-character, the Burnside orbit-count interpretation, and the supporting
-power-sum inequality.  All arithmetic is exact: factored rationals for
-products, arbitrary-precision Fractions for sums.  Every Hall-context
-verifier reads lam and tau on element indices and takes powers x^d with
-PermGroup.power_index; a sum over G of a class function is a class sum,
-sum over classes C of |C| * f(C^d).  The tests keep the references on
-Permutations.
+character and the Burnside orbit-count interpretation.  All arithmetic is
+exact: factored rationals for products, arbitrary-precision Fractions for
+sums.  Every Hall-context verifier reads lam and tau on element indices and
+takes powers x^d with PermGroup.power_index; a sum over G of a class
+function is a class sum, sum over classes C of |C| * f(C^d).  The tests keep
+the references on Permutations.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, log10, prod
+from math import gcd, log10
 from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, divisors, moebius, prime_divisors, radical
@@ -92,15 +91,6 @@ def multiplicative_value(ctx: HallContext, hall: Optional[PermGroup] = None, *,
     for v, e in exponents.items():
         acc = acc.times_pow(v, e)
     return acc
-
-
-def power_product_pair(ctx: HallContext, p: int,
-                       hall: Optional[PermGroup] = None) -> Tuple[int, int]:
-    """The pair (prod lam(x^p), prod lam(x)^p) over a Hall subgroup."""
-    G, lam, members = ctx.group, ctx.member_counts, _hall_members(ctx, hall)
-    left = Counter(lam[G.power_index(i, p)] for i in members)
-    right = Counter(lam[i] for i in members)
-    return prod(v**c for v, c in left.items()), prod(v ** (c * p) for v, c in right.items())
 
 
 class NrCheckResult(NamedTuple):
@@ -248,14 +238,6 @@ def interpretation_check(ctx: HallContext) -> bool:
             raise AssertionError("Burnside sum is not divisible by |H^d|")
         total += moebius(d) * fixed // len(Hd)
     return Fraction(total, n) == additive_value(ctx)
-
-
-def power_sum_bound_holds(base: int, n: int) -> bool:
-    """Exactly evaluate n * sum over 1 != d | n of base^(n/d) < base^n."""
-    if base < 3 or n < 2:
-        raise ValueError("the bound is only claimed for base >= 3 and n >= 2")
-    tail = sum(base ** (n // d) for d in divisors(n) if d != 1)
-    return n * tail < base**n
 
 
 def curiosity_value(G: PermGroup, target_pi: PiSet,

@@ -6,17 +6,21 @@ These are brute-force oracles on permutations; the package does not use them.
 from __future__ import annotations
 
 import argparse
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import prod
 
+from hypothesis import strategies as st
+
 from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation, PiSet, close,
-                     coprime_split, divisors, format_permutation, get_entry, is_pi_separable,
-                     load_group, moebius, parse_permutation, subgroups_of_order)
-from hallfix.arith import prime_divisors, radical
+                     coprime_split, cyclic_lattice, divisors, format_permutation, get_entry,
+                     is_pi_separable, load_group, moebius, parse_permutation, subgroups_of_order)
+from hallfix.arith import factorize, prime_divisors, radical
 from hallfix.cli import _COMMANDS
 from hallfix.group import DEFAULT_ELEMENT_CAP, MAX_CAP, conjugacy_classes
+from hallfix.verify import _hall_members
 
 
 def power(x, d):
@@ -115,6 +119,16 @@ def poset_moebius(subgroups, i, j):
         return 1
     return -sum(poset_moebius(subgroups, i, k) for k in range(len(sets))
                 if sets[i] <= sets[k] < sets[j])
+
+
+@st.composite
+def random_generating_sets(draw):
+    """A degree from 1 to 7 and up to three random permutations of it, as
+    image lists, from a Random that Hypothesis replays and shrinks, which
+    reaches more non-solvable groups in few examples than st.permutations does."""
+    rng = draw(st.randoms(use_true_random=False))
+    degree = rng.randint(1, 7)
+    return degree, [rng.sample(range(1, degree + 1), degree) for _ in range(rng.randint(0, 3))]
 
 
 def proper_prime_sets(G):
@@ -233,6 +247,53 @@ def power_product_pair_direct(ctx, p):
         left *= lam[power(x, p)]
         right *= lam[x] ** p
     return left, right
+
+
+# Statements of the paper that no command checks, kept for the acceptance
+# criteria and the unit tests.
+
+def totient(n):
+    """Euler's totient, via the exact product formula over prime divisors."""
+    result = n
+    for p in factorize(n):
+        result = result // p * (p - 1)
+    return result
+
+
+def moebius_partition_check(H, gamma):
+    """Check the Möbius-inversion product identity for a positive-valued gamma.
+
+    The product of gamma over all of H must equal the product over cyclic
+    subgroups Z of (product of gamma over Z) raised to the lattice weight
+    f(Z), compared exactly in factored form.
+    """
+    lhs = FactoredRational.one()
+    for x in H.elements:
+        lhs = lhs.times_pow(gamma[x], 1)
+    rhs = FactoredRational.one()
+    for Z, f in cyclic_lattice(H):
+        inner = FactoredRational.one()
+        for z in Z.elements:
+            inner = inner.times_pow(gamma[z], 1)
+        rhs = rhs.times(inner.power(f))
+    return lhs == rhs
+
+
+def power_product_pair(ctx, p, hall=None):
+    """The pair (prod lam(x^p), prod lam(x)^p) over a Hall subgroup, the
+    canonical one by default, on element indices."""
+    G, lam, members = ctx.group, ctx.member_counts, _hall_members(ctx, hall)
+    left = Counter(lam[G.power_index(i, p)] for i in members)
+    right = Counter(lam[i] for i in members)
+    return prod(v**c for v, c in left.items()), prod(v ** (c * p) for v, c in right.items())
+
+
+def power_sum_bound_holds(base, n):
+    """Exactly evaluate n * sum over 1 != d | n of base^(n/d) < base^n."""
+    if base < 3 or n < 2:
+        raise ValueError("the bound is only claimed for base >= 3 and n >= 2")
+    tail = sum(base ** (n // d) for d in divisors(n) if d != 1)
+    return n * tail < base**n
 
 
 def lam_by_element(ctx):

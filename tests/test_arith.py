@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hallfix import FactoredRational, PiSet, divisors, moebius, totient
+from hallfix import FactoredRational, PiSet, divisors, moebius
 from hallfix.arith import factorize, is_prime, prime_divisors, radical
-from oracles import as_fraction
+from oracles import as_fraction, totient
 
 
 def test_moebius_examples():

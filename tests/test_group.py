@@ -23,7 +23,7 @@ from hallfix.reports import INAPPLICABLE, PASS
 from oracles import (burnside_orbit_count, canonical_hall, conjugate_set, conjugates,
                      greedy_chain, image_bytes, is_abelian, is_pi, is_pi_prime,
                      is_pi_separable_direct, normal_subgroups, proper_prime_sets, quotient_direct,
-                     s5_subgroup_classes, tau_by_element)
+                     random_generating_sets, s5_subgroup_classes, tau_by_element)
 
 
 def P(text, degree):
@@ -108,16 +108,6 @@ def _close_direct(generators, *, degree=None, cap=DEFAULT_ELEMENT_CAP):
     return PermGroup(deg, gens or [ident], [image_bytes(x) for x in seen])
 
 
-@st.composite
-def _generating_sets(draw):
-    """A degree from 1 to 7 and up to three random permutations of it, as
-    image lists, from a Random that Hypothesis replays and shrinks, which
-    reaches more non-solvable groups in few examples than st.permutations does."""
-    rng = draw(st.randoms(use_true_random=False))
-    degree = rng.randint(1, 7)
-    return degree, [rng.sample(range(1, degree + 1), degree) for _ in range(rng.randint(0, 3))]
-
-
 def test_close_matches_direct_closure(groups):
     for name, G in groups.items():
         expect = _close_direct(G.generators)
@@ -127,7 +117,7 @@ def test_close_matches_direct_closure(groups):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_generating_sets(), st.randoms(use_true_random=False))
+@given(random_generating_sets(), st.randoms(use_true_random=False))
 def test_close_matches_direct_closure_on_random_generators(drawn, rng):
     # close starts from the largest cyclic subgroup and drops moves inside the
     # group so far, so the draw shuffles the generators and adds an identity

@@ -4,21 +4,23 @@ from __future__ import annotations
 
 import json
 import random
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
 
-from hallfix import (NoHallSubgroupError, PiSet, build_hall_context, close,
+from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context, close,
                      corpus_entries, cyclic_lattice, divisors, load_group,
-                     moebius_partition_check, parse_permutation, pi_part,
-                     subgroups_of_order, totient)
-from hallfix import cli
+                     parse_permutation, pi_part, subgroups_of_order)
+from hallfix import cli, group as group_mod
 from hallfix.arith import prime_divisors
 from hallfix.cli import HALL_CHECKS, hall_records
 from hallfix.group import PermGroup, conjugacy_classes, hall_subgroups
 from hallfix.hall import lambda_report_lines, lambda_report_records
 from hallfix.reports import PASS
 from oracles import (canonical_hall, conjugated_by, conjugates, is_abelian, is_cyclic,
-                     lam_by_element, poset_moebius, tau_by_element)
+                     lam_by_element, moebius_partition_check, poset_moebius, proper_prime_sets,
+                     random_generating_sets, tau_by_element, totient)
 
 
 def test_pi_part_examples():
@@ -346,6 +348,93 @@ def test_tables_built_on_demand_match_the_eager_ones():
                               indent=2, sort_keys=True) for G in (make(), eager(make))]
         assert reports[0] == reports[1], (name, str(pi))
     assert compared == 56 + 4
+
+
+def _scan_start(G, q):
+    """The Sylow start as the canonical search's first hit, whatever G keeps."""
+    return next(group_mod._subgroup_search(G, q))
+
+
+def _conjugates(G, S):
+    """The conjugates of the element-index set S, walked on G's conjugation rows."""
+    rows = [row for _, _, row in group_mod._fill_rows(G, range(G.order))]
+    seen, orbit = {S}, [S]
+    for T in orbit:
+        for row in rows:
+            U = frozenset(map(row.__getitem__, T))
+            if U not in seen:
+                seen.add(U)
+                orbit.append(U)
+    return seen
+
+
+def _assert_start_gives_the_scan_hall_set(make, orders, where):
+    """hall_subgroups at each Hall order of ``orders`` in turn, on one group
+    from ``make`` and on another with the Sylow start forced to the canonical
+    scan, give the same member sets in the same order and the same orbit
+    sizes, and each orbit's N_G(K) is a conjugate of the scan's: K, the
+    orbit's first hit, may be another member of the orbit.  The start's
+    generator indices re-close to their sets."""
+    runs = []
+    for start in (group_mod._sylow_start, _scan_start):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(group_mod, "_sylow_start", start)
+            G = make()
+            runs.append([(found, normalizers()) for found, normalizers
+                         in (hall_subgroups(G, n) for n in orders)])
+    index, images = G._ensure_index(), G.fingerprint()
+    for n, (found, orbits), (scan_found, scan_orbits) in zip(orders, *runs):
+        assert [S for S, _ in found] == [S for S, _ in scan_found], (where, n)
+        assert [size for size, _ in orbits] == [size for size, _ in scan_orbits], (where, n)
+        for (_, N), (_, scan_N) in zip(orbits, scan_orbits):
+            assert N in _conjugates(G, scan_N), (where, n)
+        for S, gens in found:
+            assert group_mod._join(index, images, frozenset({0}), gens, n)[0] == S, (where, n)
+
+
+def test_sylow_start_gives_the_scan_hall_set():
+    # Every Hall subgroup contains a Sylow subgroup at the largest prime power
+    # of its order, and those are all conjugate, so any of them starts the
+    # same Hall set as the canonical scan's first hit.
+    for name, make, pi, _ in _hall_cases():
+        _assert_start_gives_the_scan_hall_set(make, [pi_part(make().order, pi)], (name, str(pi)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_generating_sets())
+def test_sylow_start_gives_the_scan_hall_set_on_random_groups(drawn):
+    # One group takes every proper prime set, single primes first, so a
+    # composite one may start from a kept Sylow set.  The composite Hall
+    # searches of a group of order over 720 (mostly S7 and A7) take seconds.
+    degree, images = drawn
+    make = partial(close, [Permutation(g) for g in images], degree=degree)
+    G = make()
+    pis = [pi for pi in proper_prime_sets(G) if G.order <= 720 or len(pi) == 1]
+    _assert_start_gives_the_scan_hall_set(make, [pi_part(G.order, pi) for pi in pis], images)
+
+
+@pytest.mark.parametrize("name, make, orders, searched", [
+    # A7's generator (1 2 3 4 5 6 7) is a Sylow 7-subgroup: no search runs.
+    ("A7", _a7, [7], []),
+    # A5's generators have orders 5 and 3, so its Sylow 2-subgroups start from
+    # the scan; at {2,3} the seeded search starts from the first kept one.
+    ("A5", lambda: load_group("A5"), [4, 12], [4, 12]),
+    # A7's generators have orders 7 and 3: its Sylow 5 set starts from the scan.
+    ("A7", _a7, [5], [5]),
+])
+def test_each_sylow_start_source(monkeypatch, name, make, orders, searched):
+    calls, search = [], group_mod._subgroup_search
+    monkeypatch.setattr(group_mod, "_subgroup_search",
+                        lambda G, m, *seed: calls.append(m) or search(G, m, *seed))
+    G = make()
+    found = [hall_subgroups(G, n)[0] for n in orders]
+    assert calls == searched
+    if not searched:
+        # A7's 7-cycle generates a Sylow 7-subgroup, which keeps it as its generator.
+        i = G._ensure_index()[G.generators[0]._bytes()]
+        assert dict(found[0])[frozenset(G.power_walk(i))] == (i,)
+    monkeypatch.undo()
+    _assert_start_gives_the_scan_hall_set(make, orders, name)
 
 
 @pytest.mark.parametrize("p, members", [(5, 505), (7, 721)])

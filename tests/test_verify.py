@@ -12,16 +12,15 @@ from hallfix import (CoprimeActionScenario, FactoredRational, FiniteAction, NoHa
                      PiSet, additive_value, build_hall_context, centralizer, close,
                      coprime_split, corpus_entries, curiosity_value, cyclic_lattice, divisors,
                      interpretation_check, moebius, multiplicative_value,
-                     navarro_rizo_check, parse_permutation, power_product_pair,
-                     power_sum_bound_holds, subgroups_of_order, totient, wielandt_check)
+                     navarro_rizo_check, parse_permutation, subgroups_of_order, wielandt_check)
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
 from oracles import (as_fraction, burnside_orbit_count, canonical_hall, conjugate_set,
                      conjugated_by, conjugates, corpus_split, cyclic_symmetrized, is_abelian,
                      is_cyclic, is_pi_prime, lam_by_element, multiplicative_value_direct,
-                     normal_subgroups, power, power_product_pair_direct, power_subgroup,
-                     proper_prime_sets, quotient_direct, s5_subgroup_classes, symmetrized,
-                     tau_by_element)
+                     normal_subgroups, power, power_product_pair, power_product_pair_direct,
+                     power_subgroup, power_sum_bound_holds, proper_prime_sets, quotient_direct,
+                     s5_subgroup_classes, symmetrized, tau_by_element, totient)
 
 
 def P(text, degree):
