@@ -157,16 +157,6 @@ class FactoredRational:
                 acc.pop(p, None)
         return FactoredRational(acc)
 
-    def times(self, other: "FactoredRational") -> "FactoredRational":
-        acc = dict(self._factors)
-        for p, e in other._factors:
-            new = acc.get(p, 0) + e
-            if new:
-                acc[p] = new
-            else:
-                acc.pop(p, None)
-        return FactoredRational(acc)
-
     def power(self, k: int) -> "FactoredRational":
         if k == 0:
             return FactoredRational.one()

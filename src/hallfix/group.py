@@ -15,8 +15,9 @@ and conjugacy classes are handed out in that index form.
 
 Tables are built by their first reader and kept: the conjugation rows, entry
 by entry, for the Hall orbit walk and the classes alike by the one fill
-``_fill_rows``; the classes, with the element orders; the Hall set, per Hall
-order.
+``_fill_rows``; the classes; the power walk of each element read, whose
+length is its order, the one source of element orders; the Hall set, per
+Hall order.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optiona
                     Tuple)
 
 from .arith import PiSet, divisors, factorize, prime_divisors
-from .perm import Permutation, image_order
+from .perm import Permutation
 
 #: Default ceiling for exhaustive element enumeration.
 DEFAULT_ELEMENT_CAP = 10080
 #: Largest cap the command line admits: the order of S8, whose closure and
-#: classes take about 0.3 s and 24 MB; a larger cap is refused before closure.
+#: classes take about 0.1 s and 21 MB of a process, and 30 MB with the power
+#: walk of every element, which a Hall search or ``element_orders`` keeps; a
+#: larger cap is refused before closure.
 MAX_CAP = 40320
 #: Largest degree: each point of an element's image bytes must fit in a byte.
 MAX_DEGREE = 256
@@ -55,14 +58,14 @@ class PermGroup:
     index, and ``is_subgroup_of``/``is_normal_in`` test generators only."""
 
     __slots__ = ("degree", "generators", "_images", "_elements", "_index", "_rows", "_classes",
-                 "_orders", "_walks", "_halls")
+                 "_walks", "_halls")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  images: Iterable[bytes]) -> None:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "_images", tuple(sorted(images)))
-        for name in ("_elements", "_index", "_rows", "_classes", "_orders"):
+        for name in ("_elements", "_index", "_rows", "_classes"):
             object.__setattr__(self, name, None)
         for name in ("_walks", "_halls"):
             object.__setattr__(self, name, {})
@@ -111,9 +114,8 @@ class PermGroup:
                          [images[i] for i in members])
 
     def element_orders(self) -> Tuple[int, ...]:
-        """Element orders, indexed like ``elements``; taken once per class."""
-        conjugacy_classes(self)
-        return self._orders
+        """Element orders, indexed like ``elements``: the lengths of their power walks."""
+        return tuple(len(self.power_walk(i)) for i in range(self.order))
 
     def power_index(self, i: int, d: int) -> int:
         """Index of ``elements[i] ** d``, read off :meth:`power_walk`."""
@@ -385,23 +387,16 @@ def _subgroup_search(G: PermGroup, m: int, seed: Found = _TRIVIAL) -> Iterator[F
     A chain adds to the seed's generators, one at a time, the least element
     outside the subgroup generated so far.
 
-    Candidates have orders dividing m, read off G's classes, or unseeded on a
-    group without classes off each examined element: a Sylow start that
-    neither G's kept Sylow set nor a generator's power gives."""
-    index, images = G._ensure_index(), G.fingerprint()
-    if G._classes is None and seed is _TRIVIAL:
-        candidates, order = range(1, G.order), lambda e: image_order(images[e])
-    else:
-        order = G.element_orders().__getitem__
-        candidates = sorted(i for cls in G._classes[1:] if m % order(cls[0]) == 0 for i in cls)
+    Candidates are the element indices but the identity's, ascending, whose
+    orders divide m, each read off its power walk when first examined."""
+    index, images, walks, size = G._ensure_index(), G.fingerprint(), G._walks, G.order
     base, base_gens = seed
     max_gens = len(base_gens) + ceil(log2(m // len(base)))
 
     def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> Iterator[Found]:
         moves = [_table(images[g]) for g in gens]
-        for pos in range(start, len(candidates)):
-            e = candidates[pos]
-            if e in clo or m % order(e):
+        for e in range(start, size):
+            if e in clo or m % len(walks.get(e) or G.power_walk(e)):
                 continue
             # A new element below e means the chain is not canonical.
             new = _grow(index, images, clo, moves + [_table(images[e])], m, e)
@@ -412,10 +407,10 @@ def _subgroup_search(G: PermGroup, m: int, seed: Found = _TRIVIAL) -> Iterator[F
                 # sorted elements, as centralizer takes it.
                 yield new, gens + (e,)
             elif len(gens) + 1 < max_gens:
-                yield from extend(new, gens + (e,), pos + 1)
+                yield from extend(new, gens + (e,), e + 1)
 
     try:
-        yield from extend(base, base_gens, 0)
+        yield from extend(base, base_gens, 1)
     finally:
         del extend  # break the self-reference even if the caller stops early
 
@@ -448,18 +443,17 @@ def _fill_rows(G: PermGroup, xs: Iterable[int]) -> List[Tuple[bytes, bytes, list
 
 def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
     """Conjugacy classes as ascending element-index tuples, identity class
-    first; computed once per group, with the element orders, one per class."""
+    first; computed once per group."""
     if G._classes is not None:
         return G._classes
-    rows, images, n = _fill_rows(G, range(G.order)), G.fingerprint(), G.order
-    seen, orders = bytearray(n), [0] * n
+    rows, n = _fill_rows(G, range(G.order)), G.order
+    seen = bytearray(n)
     classes: List[Tuple[int, ...]] = []
     for i in range(n):
         if seen[i]:
             continue
-        seen[i], orbit, k = 1, [i], image_order(images[i])
+        seen[i], orbit = 1, [i]
         for y in orbit:
-            orders[y] = k
             for _, _, row in rows:
                 z = row[y]
                 if not seen[z]:
@@ -467,7 +461,6 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
                     orbit.append(z)
         orbit.sort()
         classes.append(tuple(orbit))
-    object.__setattr__(G, "_orders", tuple(orders))
     object.__setattr__(G, "_classes", tuple(classes))
     return G._classes
 

@@ -52,9 +52,10 @@ class HallContext:
     Built with ``hall_members[k]``, the k-th Hall subgroup's element indices,
     and ``member_counts[i]``, how many hold ``elements[i]``: lam on the Hall
     subgroups, all that the product and power-sum verifiers read.  The first
-    read builds and keeps ``halls``, ``lam_values`` (None off the pi-elements;
-    it reads G's classes), ``hall_orbits`` (a (size, N_G(K) element-index set)
-    pair per conjugation orbit, K in it) and ``tau_values``.
+    read builds and keeps ``halls``, ``lam_values`` (None off the pi-elements,
+    whose orders it reads off G's power walks, not its classes),
+    ``hall_orbits`` (a (size, N_G(K) element-index set) pair per conjugation
+    orbit, K in it) and ``tau_values``.
     """
 
     def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,

@@ -2,8 +2,8 @@
 
 Points are 1-based in a Permutation: in parsed input, in printed output and
 in its image tuple.  A group keeps its elements as the bytes of their 0-based
-images instead (``_bytes``, ``_from_bytes``), the form ``image_order`` takes.
-Composition is function composition, ``(g * h)(p) ==
+images instead (``_bytes``, ``_from_bytes``) and reads their orders off its
+power walks.  Composition is function composition, ``(g * h)(p) ==
 g(h(p))``, i.e. the right factor acts first.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 
 class PermParseError(ValueError):
@@ -82,7 +82,7 @@ class Permutation:
 
     def order(self) -> int:
         """Least k >= 1 with self^k the identity: the lcm of the cycle lengths."""
-        return image_order([v - 1 for v in self.images])
+        return lcm(*map(len, self.cycles()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -101,22 +101,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation[{format_permutation(self)} deg {len(self.images)}]"
-
-
-def image_order(imgs: Sequence[int]) -> int:
-    """The order of the permutation with 0-based images ``imgs``: the lcm of its cycle lengths."""
-    seen = bytearray(len(imgs))
-    out = 1
-    for start, nxt in enumerate(imgs):
-        if nxt == start or seen[start]:
-            continue
-        length = 1
-        while nxt != start:
-            seen[nxt] = 1
-            nxt = imgs[nxt]
-            length += 1
-        out = lcm(out, length)
-    return out
 
 
 def format_permutation(g: Permutation) -> str:

@@ -272,10 +272,8 @@ def moebius_partition_check(H, gamma):
         lhs = lhs.times_pow(gamma[x], 1)
     rhs = FactoredRational.one()
     for Z, f in cyclic_lattice(H):
-        inner = FactoredRational.one()
         for z in Z.elements:
-            inner = inner.times_pow(gamma[z], 1)
-        rhs = rhs.times(inner.power(f))
+            rhs = rhs.times_pow(gamma[z], f)
     return lhs == rhs
 
 

@@ -505,17 +505,15 @@ def test_classes_are_computed_once_per_group(monkeypatch):
         G._classes = None
 
 
-def test_element_orders_take_one_order_per_class(monkeypatch):
-    # A7 has 9 conjugacy classes; its 2520 element orders are read off them,
-    # one element's order per class, on its image bytes.
+def test_element_orders_read_power_walks_and_build_no_classes():
+    # A7's 2520 element orders are the lengths of their power walks, which
+    # G keeps; reading them builds neither the classes nor the conjugation rows.
     A7 = close([P("(1 2 3 4 5 6 7)", 7), P("(1 2 3)", 7)])
-    calls = []
-    order = group_mod.image_order
-    monkeypatch.setattr(group_mod, "image_order", lambda t: calls.append(1) or order(t))
     orders = A7.element_orders()
-    assert len(calls) == len(conjugacy_classes(A7)) == 9
-    monkeypatch.undo()
+    assert (A7._classes, A7._rows) == (None, None)
+    assert len(A7._walks) == A7.order
     assert orders == tuple(g.order() for g in A7.elements)
+    assert sorted(set(orders)) == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_closure_and_hall_checks_make_few_permutations(monkeypatch, capsys):

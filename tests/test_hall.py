@@ -321,11 +321,12 @@ def _hall_cases():
 
 
 def test_tables_built_on_demand_match_the_eager_ones():
-    # A Hall context builds G's conjugation rows entry by entry, its classes
-    # and element orders only when a check reads them, and its first Sylow
-    # hit without them.  Whatever builds them, on a freshly closed G or on one
-    # whose classes came first, the Hall subgroups with their generators, the
-    # orbit records, the check records and the lambda report are the same.
+    # A Hall context builds G's conjugation rows entry by entry and its classes
+    # only when a check reads them; the Hall search reads element orders off
+    # power walks, without either.  Whatever builds them, on a freshly closed
+    # G or on one whose classes came first, the Hall subgroups with their
+    # generators, the orbit records, the check records and the lambda report
+    # are the same.
     def eager(make):
         G = make()
         conjugacy_classes(G)
@@ -461,6 +462,41 @@ def test_verify_mult_and_add_build_no_group_wide_table(monkeypatch, p, members):
     assert made == [] and not {"lam_values", "halls"} & set(vars(ctx))
     averaged = {5: "1270318750", 7: "7312613877534"}[p]
     assert cli.sym_char_record("A7", ctx).witness == f"identities hold; averaged value {averaged}"
+
+
+def test_seeded_hall_search_builds_no_classes(monkeypatch):
+    # The search above the Sylow start reads element orders off power walks,
+    # not off G's classes: verify-add on A7 with pi={2,3} finds its 35 Hall
+    # subgroups of order 72 with no classes, and fills the conjugation rows
+    # at their members only.
+    contexts, build = [], cli.build_hall_context
+    monkeypatch.setattr(cli, "build_hall_context",
+                        lambda G, pi: contexts.append(build(G, pi)) or contexts[-1])
+    A7 = _a7()
+    [record] = hall_records("A7", A7, PiSet([2, 3]), ["verify-add"])
+    assert record.status == PASS
+    [ctx] = contexts
+    union = frozenset().union(*ctx.hall_members)
+    assert (ctx.num_halls, ctx.hall_order, A7._classes) == (35, 72, None)
+    assert all({x for x, v in enumerate(row) if v is not None} == union
+               for _, _, row in A7._rows)
+
+
+@pytest.mark.parametrize("degree, gens, pi, count", [
+    (7, ("(1 2 3 4 5 6 7)", "(1 2)"), (2, 3, 5), 7),
+    (7, ("(1 2 3 4 5 6 7)", "(1 2)"), (2, 3, 7), 0),
+    (11, ("(2 10)(4 11)(5 7)(8 9)", "(1 4 3 8)(2 5 6 9)"), (2, 3, 5), 11),
+], ids=["S7-2,3,5", "S7-2,3,7", "M11-2,3,5"])
+def test_hall_counts_of_s7_and_m11(degree, gens, pi, count):
+    # Textbook counts: S7 has the 7 point stabilizers S6 at {2,3,5} and no
+    # subgroup of order 2^4 3^2 7 = 1008; M11 (order 7920) has the 11 point
+    # stabilizers M10 at {2,3,5}.  Each Hall subgroup found fixes its own point.
+    G = close([parse_permutation(g, degree) for g in gens])
+    found, _ = hall_subgroups(G, pi_part(G.order, PiSet(pi)))
+    images = G.fingerprint()
+    fixed = [[p for p in range(degree) if all(images[i][p] == p for i in K)] for K, _ in found]
+    assert len(found) == count
+    assert sorted(fixed) == [[p] for p in range(count)]
 
 
 def test_hall_tests_on_element_indices_match_the_oracles():

@@ -20,9 +20,6 @@ ALLOWED = {("hall.py", "subgroups_of_order")}
 
 #: Public definitions that no module of the package reads, kept on purpose.
 UNREAD_PUBLIC = {
-    # The product of two factored rationals: tests/oracles.py's
-    # moebius_partition_check and tests/test_arith.py read it.
-    ("arith.py", "FactoredRational.times"),
     # perfbench's tracer wraps every module binding of subgroups_of_order, and
     # its binding test pins the package re-export.
     ("group.py", "subgroups_of_order"),

@@ -90,13 +90,15 @@ def _counted(mp, counts):
 
     mp.setattr(group_mod, "_fill_rows", counted_fill)
 
-    order = group_mod.image_order
+    # A power walk, kept per element index, is where every element order is read.
+    walk = group_mod.PermGroup.power_walk
 
-    def counted_order(images):
-        counts["element_order.calls"] += 1
-        return order(images)
+    def counted_walk(G, i):
+        if i not in G._walks:
+            counts["power_walk.built"] += 1
+        return walk(G, i)
 
-    mp.setattr(group_mod, "image_order", counted_order)
+    mp.setattr(group_mod.PermGroup, "power_walk", counted_walk)
 
     halls = group_mod.hall_subgroups
 
