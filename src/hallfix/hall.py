@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .arith import PiSet, moebius, prime_divisors
-from .group import Found, PermGroup, conjugacy_classes, hall_subgroups
+from .group import Found, PermGroup, WORK, conjugacy_classes, hall_subgroups
 # Not called here: perfbench's tracer and its tests bind this name in every
 # module that imported it.
 from .group import subgroups_of_order  # noqa: F401
@@ -92,7 +92,8 @@ class HallContext:
 
     @cached_property
     def hall_orbits(self) -> List[Tuple[int, FrozenSet[int]]]:
-        return self._normalizers()
+        WORK["hall.orbits_read"] += len(orbits := self._normalizers())
+        return orbits
 
     @cached_property
     def lam_values(self) -> List[Optional[int]]:
@@ -105,10 +106,12 @@ class HallContext:
         """tau(g) = number of Hall subgroups normalized by g: the permutation
         character of G's conjugation action on them.  On the orbit O of K, g
         fixes |O| |g^G & N_G(K)| / |g^G| of them (orbit-stabilizer), read off
-        ``hall_orbits`` one class at a time."""
+        ``hall_orbits`` one class at a time; a remainder raises."""
         tau = [0] * self.group.order
         for cls in conjugacy_classes(self.group):
             fixed = sum(size * len(N.intersection(cls)) for size, N in self.hall_orbits)
+            if fixed % len(cls):
+                raise AssertionError("a class's fixed Hall count is not divisible by its size")
             for i in cls:
                 tau[i] = fixed // len(cls)
         return tau

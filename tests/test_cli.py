@@ -198,6 +198,23 @@ def test_sym_char_fails_on_a_broken_conjugation_character(groups):
     assert "square multiplicities" in record.witness
 
 
+def test_inconsistent_hall_orbits_are_internal_errors(capsys, monkeypatch):
+    # S3's three Sylow 2-subgroups handed over as one orbit of size 1: the
+    # transpositions' fixed count, 1, is not a multiple of their class size 3.
+    # That is a fault in the orbit data, not a counterexample, so tau_values
+    # refuses it as interpretation's Burnside guard does.
+    halls = hall_mod.hall_subgroups
+
+    def one_orbit(G, n):
+        found, _ = halls(G, n)
+        return found, lambda: [(1, found[0][0])]
+
+    monkeypatch.setattr(hall_mod, "hall_subgroups", one_orbit)
+    for command in ("sym-char", "interpretation"):
+        code, out, err = run(capsys, command, "--group", "S3", "--pi", "2")
+        assert (code, out) == (3, "") and err.startswith("internal error: AssertionError"), command
+
+
 def test_file_input(capsys, tmp_path):
     path = tmp_path / "c6.grp"
     path.write_text("degree: 6\ngen: (1 2 3 4 5 6)\n")
@@ -713,23 +730,14 @@ def test_scan_closes_each_group_once(capsys, monkeypatch):
     assert parsed == [get_entry("S3").text]
 
 
-def test_full_scan_closes_input_generators_only(capsys, monkeypatch):
+def test_full_scan_closes_input_generators_only(capsys):
     # close runs on input only: once per corpus group.  Cores, centralizers,
     # cyclic subgroups and the N and H of a coprime split of a closed group
     # grow on its element indices instead.
-    calls = []
-    close = group_mod.close
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return close(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hallfix" and getattr(module, "close", None) is close:
-            monkeypatch.setattr(module, "close", counted)
+    group_mod.WORK.clear()
     code, _, _ = run(capsys, "scan", "--json")
     assert code == 0
-    assert len(calls) == len(corpus_entries()) == 20
+    assert group_mod.WORK["close.calls"] == len(corpus_entries()) == 20
 
 
 def test_scan_json_single_entry(capsys):

@@ -1,6 +1,10 @@
 """Exact work counts of the full scan, of the coprime commands on each corpus
-split, of the mult-add commands and of the small-cmds command kinds on three
-groups, against the committed ``work_budget.json``.
+split, of the mult-add commands, of the small-cmds command kinds on three
+groups, of ``lambda`` on PGL(2,9) and of ``curiosity`` on A5, against the
+committed ``work_budget.json``.  Each command's counts are ``hallfix.group.WORK``
+after it runs from empty: ``close.calls``, ``close.elements``, ``grow.calls``,
+``grow.cosets``, ``rows.filled``, ``power_walk.built``, ``hall.subgroups`` and
+``hall.orbits_read``.
 
 The counts do not depend on the host or on PYTHONHASHSEED, so any change,
 up or down, fails: a change of element representation must leave them all
@@ -11,13 +15,10 @@ work went.  Re-pin with ``PYTHONPATH=src python tests/test_work_budget.py``.
 from __future__ import annotations
 
 import json
-import sys
-from collections import Counter
 from pathlib import Path
 
-import pytest
-
-from hallfix import cli, corpus_entries, group as group_mod
+from hallfix import cli, corpus_entries
+from hallfix.group import WORK
 
 BUDGET = Path(__file__).with_name("work_budget.json")
 
@@ -57,68 +58,6 @@ SMALL = tuple((name, pi, command)
               for command in cli.HALL_CHECKS)
 
 
-def _counted(mp, counts):
-    """Wrap each counted stage on ``mp``, a MonkeyPatch, adding to ``counts``."""
-    close = group_mod.close
-
-    def counted_close(*args, **kwargs):
-        G = close(*args, **kwargs)
-        counts["close.calls"] += 1
-        counts["close.elements"] += G.order
-        return G
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hallfix" and getattr(module, "close", None) is close:
-            mp.setattr(module, "close", counted_close)
-
-    grow = group_mod._grow
-
-    def counted_grow(*args, **kwargs):
-        counts["grow.calls"] += 1
-        return grow(*args, **kwargs)
-
-    mp.setattr(group_mod, "_grow", counted_grow)
-
-    # Row entries are None until filled; each row is the last of its triple.
-    fill, rows = group_mod._fill_rows, group_mod._conjugation_rows
-
-    def counted_fill(G, xs):
-        empty = sum(triple[-1].count(None) for triple in rows(G))
-        out = fill(G, xs)
-        counts["rows.filled"] += empty - sum(triple[-1].count(None) for triple in out)
-        return out
-
-    mp.setattr(group_mod, "_fill_rows", counted_fill)
-
-    # A power walk, kept per element index, is where every element order is read.
-    walk = group_mod.PermGroup.power_walk
-
-    def counted_walk(G, i):
-        if i not in G._walks:
-            counts["power_walk.built"] += 1
-        return walk(G, i)
-
-    mp.setattr(group_mod.PermGroup, "power_walk", counted_walk)
-
-    halls = group_mod.hall_subgroups
-
-    def counted_halls(G, n):
-        # G keeps each Hall set, so a second call for n searches nothing.
-        searched = n not in G._halls
-        found, normalizers = halls(G, n)
-        counts["hall.subgroups"] += len(found) if searched else 0
-
-        def counted_normalizers():
-            orbits = normalizers()
-            counts["hall.orbits_read"] += len(orbits)
-            return orbits
-        return found, counted_normalizers
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "hallfix" and getattr(module, "hall_subgroups", None) is halls:
-            mp.setattr(module, "hall_subgroups", counted_halls)
-
-
 def measure(tmp_dir: Path):
     """The work counts of each command, keyed by its command line."""
     commands = [["scan", "--json"]]
@@ -131,14 +70,14 @@ def measure(tmp_dir: Path):
         degree, gens = GROUPS[name]
         path.write_text(f"degree: {degree}\n" + "".join(f"gen: {g}\n" for g in gens))
         commands.append([command, "--file", str(path), "--pi", pi, "--json"])
+    commands += [["lambda", "--group", "PGL(2,9)", "--pi", pi, "--json"] for pi in ("5", "2")]
+    commands.append(["curiosity", "--group", "A5", "--json"])
     out = {}
     for argv in commands:
-        counts = Counter()
-        with pytest.MonkeyPatch.context() as mp:
-            _counted(mp, counts)
-            code = cli.main(argv)
+        WORK.clear()
+        code = cli.main(argv)
         key = " ".join(argv).replace(str(tmp_dir) + "/", "")
-        out[key] = {"exit": code, **dict(sorted(counts.items()))}
+        out[key] = {"exit": code, **dict(sorted(WORK.items()))}
     return out
 
 
