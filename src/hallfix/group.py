@@ -19,14 +19,13 @@ by entry, for the Hall orbit walk and the classes alike by the one fill
 length is its order, the one source of element orders; the Hall set, per
 Hall order.
 
-``WORK`` counts the work where it is done, always: ``close.calls`` and
+``WORK``, a plain dict, counts the work where it is done, always: ``close.calls`` and
 ``close.elements``, ``grow.calls`` and ``grow.cosets``, ``rows.filled``,
 ``power_walk.built``, ``hall.subgroups``, and in hall.py ``hall.orbits_read``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from math import ceil, gcd, log2
 from struct import Struct
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
@@ -46,7 +45,7 @@ MAX_CAP = 40320
 MAX_DEGREE = 256
 _POINTS = bytes(range(MAX_DEGREE))
 #: Work done in this process, by counter name; see the module docstring.
-WORK: Counter = Counter()
+WORK: Dict[str, int] = {}
 
 
 class CapExceededError(RuntimeError):
@@ -140,7 +139,7 @@ class PermGroup:
                 walk.append(j)
                 y = y.translate(x)
             self._walks[i] = walk
-            WORK["power_walk.built"] += 1
+            WORK["power_walk.built"] = WORK.get("power_walk.built", 0) + 1
         return walk
 
     def __eq__(self, other: object) -> bool:
@@ -208,7 +207,8 @@ def close(generators: Sequence[Permutation], *, degree: Optional[int] = None,
                     seen.update(coset)
                     elements += coset
                     reps.append(y)
-    WORK.update({"close.calls": 1, "close.elements": len(elements)})
+    WORK["close.calls"] = WORK.get("close.calls", 0) + 1
+    WORK["close.elements"] = WORK.get("close.elements", 0) + len(elements)
     return PermGroup(deg, gens or [ident], elements)
 
 
@@ -236,7 +236,7 @@ def _grow(index: Dict[bytes, int], images: Sequence[bytes], S: FrozenSet[int],
     <S, moves> when S is generated by some of the moves and a normal subgroup
     of the group, which may be trivial.  None past ``limit`` elements or at a
     new element below ``least``."""
-    WORK["grow.calls"] += 1
+    WORK["grow.calls"] = WORK.get("grow.calls", 0) + 1
     seen = set(S)
     reps = [images[0]]
     for r in reps:
@@ -246,11 +246,11 @@ def _grow(index: Dict[bytes, int], images: Sequence[bytes], S: FrozenSet[int],
                 table_y = _table(y)
                 coset = [index[images[c].translate(table_y)] for c in S]
                 if len(seen) + len(coset) > limit or least and min(coset) < least:
-                    WORK["grow.cosets"] += len(reps) - 1
+                    WORK["grow.cosets"] = WORK.get("grow.cosets", 0) + len(reps) - 1
                     return None
                 seen.update(coset)
                 reps.append(y)
-    WORK["grow.cosets"] += len(reps) - 1
+    WORK["grow.cosets"] = WORK.get("grow.cosets", 0) + len(reps) - 1
     return frozenset(seen)
 
 
@@ -336,7 +336,7 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[]
         whole = frozenset(range(order))
         gens = tuple(index[g._bytes()] for g in G.generators)
         G._halls[n] = (_TRIVIAL if n == 1 else (whole, gens),), lambda: [(1, whole)]
-        WORK["hall.subgroups"] += 1
+        WORK["hall.subgroups"] = WORK.get("hall.subgroups", 0) + 1
         return G._halls[n]
     q = max(p ** k for p, k in factorize(n).items())
     P = _sylow_start(G, q)
@@ -374,7 +374,7 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[]
         return N
     G._halls[n] = (tuple(sorted(halls.items(), key=lambda pair: sorted(pair[0]))),
                    lambda: [(size, normalizer(K, size, edges)) for K, size, edges in walks])
-    WORK["hall.subgroups"] += len(halls)
+    WORK["hall.subgroups"] = WORK.get("hall.subgroups", 0) + len(halls)
     return G._halls[n]
 
 
@@ -454,7 +454,7 @@ def _fill_rows(G: PermGroup, xs: Iterable[int]) -> List[Tuple[bytes, bytes, list
             if row[x] is None:
                 row[x] = index[g_inverse.translate(images[x] + tail).translate(table_g)]
                 filled += 1
-    WORK["rows.filled"] += filled
+    WORK["rows.filled"] = WORK.get("rows.filled", 0) + filled
     return G._rows
 
 

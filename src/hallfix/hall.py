@@ -92,7 +92,8 @@ class HallContext:
 
     @cached_property
     def hall_orbits(self) -> List[Tuple[int, FrozenSet[int]]]:
-        WORK["hall.orbits_read"] += len(orbits := self._normalizers())
+        orbits = self._normalizers()
+        WORK["hall.orbits_read"] = WORK.get("hall.orbits_read", 0) + len(orbits)
         return orbits
 
     @cached_property
