@@ -1,7 +1,7 @@
 """hallfix: exact verification of Hall-subgroup fixed-point identities.
 
 Small finite permutation groups are closed exhaustively, their Hall
-pi-subgroups found as the conjugation orbits of a Sylow-seeded search, and
+pi-subgroups found as the conjugation orbits of joins of Sylow subgroups, and
 the multiplicative / additive Möbius-weighted fixed-point identities are
 checked with exact arithmetic (factored rationals for products, big
 Fractions for sums) against a builtin corpus with brute-force oracles.

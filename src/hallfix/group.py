@@ -8,16 +8,17 @@ configurable cap, or of a degree over ``MAX_DEGREE``.
 
 ``close`` only closes input generators, by whole left cosets grown from the
 largest of their cyclic subgroups, each coset one translate.  Every subgroup
-of a closed group (a search hit, a pi-core, a centralizer) is grown on that
-group's element indices by one routine, ``_grow``, Dimino's method from a
-subgroup, as an (element-index set, generator indices) pair; Hall subgroups
-and conjugacy classes are handed out in that index form.
+of a closed group (a search hit, a join of Sylow subgroups, which is how
+Hall subgroups of composite order are found, a pi-core, a centralizer) is
+grown on that group's element indices by one routine, ``_grow``, Dimino's
+method from a subgroup, as an (element-index set, generator indices) pair;
+Hall subgroups and conjugacy classes are handed out in that index form.
 
 Tables are built by their first reader and kept: the conjugation rows, entry
 by entry, for the Hall orbit walk and the classes alike by the one fill
 ``_fill_rows``; the classes; the power walk of each element read, whose
 length is its order, the one source of element orders; the Hall set, per
-Hall order.
+Hall order, so the Sylow sets the joins read, per prime power.
 
 ``WORK``, a plain dict, counts the work where it is done, always: ``close.calls`` and
 ``close.elements``, ``grow.calls`` and ``grow.cosets``, ``rows.filled``,
@@ -296,7 +297,7 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     """All subgroups of G of order exactly ``m``, by canonical backtracking.
 
     Generating sets grow element-by-element in the canonical element order,
-    and each closure grows from its parent's by right cosets.  A branch is
+    and each closure grows from its parent's by left cosets.  A branch is
     pruned when its closure order fails to divide ``m``, exceeds ``m``, or
     when the new generator is not the least new element (one canonical
     generating chain per subgroup).  Any group of order m is generated by at
@@ -319,14 +320,14 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[]
     set of that order; the function reads G's order, not G, so forms no cycle.
 
     Each contains a Sylow p-subgroup of G for every p dividing n, and these
-    are conjugate, so each is conjugate to one containing P, any Sylow
-    subgroup at n's largest prime power (:func:`_sylow_start`): they are the
-    conjugation orbits of the hits above P in any finite group, and no hit
-    means none; at a prime power n, P is the only hit.  Each orbit is walked
-    once, from its first hit K, on G's conjugation rows filled at its members
-    only.  The function grows N_G(K) from K by the walk's Schreier generators
-    until |N_G(K)| |orbit| = |G| (orbit-stabilizer); it is G for a lone,
-    normal K."""
+    are conjugate, so each is conjugate to one containing P, a Sylow subgroup
+    at n's largest prime power (:func:`_sylow_start`): in any finite group,
+    they are the conjugation orbits of P's joins of order n with a Sylow
+    subgroup per other prime (:func:`_sylow_joins`), none if no join has it,
+    and P's alone at a prime power n.  Each orbit is walked once, from its
+    first hit K, on G's conjugation rows filled at its members only.  The
+    function grows N_G(K) from K by the walk's Schreier generators until
+    |N_G(K)| |orbit| = |G| (orbit-stabilizer); it is G for a lone, normal K."""
     if n < 1 or G.order % n or gcd(n, G.order // n) != 1:
         raise ValueError(f"{n} is not a Hall order of a group of order {G.order}")
     if n in G._halls:
@@ -341,7 +342,7 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[]
     q = max(p ** k for p, k in factorize(n).items())
     P = _sylow_start(G, q)
     halls, walks = {}, []  # the Hall subgroups, each with its conjugated generators
-    for K, gens in [P] if q == n else _subgroup_search(G, n, P):
+    for K, gens in [P] if q == n else _sylow_joins(G, n, P):
         if K in halls:
             continue
         # u[T], with u[T] K u[T]^-1 = T, is the image bytes g u[S] for the S and
@@ -395,17 +396,13 @@ def _sylow_start(G: PermGroup, q: int) -> Found:
     return next(_subgroup_search(G, q))
 
 
-def _subgroup_search(G: PermGroup, m: int, seed: Found = _TRIVIAL) -> Iterator[Found]:
-    """Yield the subgroups of order ``m`` containing the subgroup ``seed``, as
-    (element-index set, generator indices) pairs in canonical chain order.
-    A chain adds to the seed's generators, one at a time, the least element
-    outside the subgroup generated so far.
-
-    Candidates are the element indices but the identity's, ascending, whose
-    orders divide m, each read off its power walk when first examined."""
+def _subgroup_search(G: PermGroup, m: int) -> Iterator[Found]:
+    """Yield the subgroups of order ``m`` as (element-index set, generator
+    indices) pairs, each generated by the greedy chain of its sorted elements,
+    as centralizer takes it, from the candidates: the element indices but the
+    identity's, ascending, whose orders, read off their power walks, divide m."""
     index, images, walks, size = G._ensure_index(), G.fingerprint(), G._walks, G.order
-    base, base_gens = seed
-    max_gens = len(base_gens) + ceil(log2(m // len(base)))
+    max_gens = ceil(log2(m))
 
     def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> Iterator[Found]:
         moves = [_table(images[g]) for g in gens]
@@ -417,14 +414,46 @@ def _subgroup_search(G: PermGroup, m: int, seed: Found = _TRIVIAL) -> Iterator[F
             if new is None or m % len(new):
                 continue
             if len(new) == m:
-                # Unseeded, the canonical chain is the greedy chain of the
-                # sorted elements, as centralizer takes it.
                 yield new, gens + (e,)
             elif len(gens) + 1 < max_gens:
                 yield from extend(new, gens + (e,), e + 1)
 
     try:
-        yield from extend(base, base_gens, 1)
+        yield from extend(_TRIVIAL[0], (), 1)
+    finally:
+        del extend  # break the self-reference even if the caller stops early
+
+
+def _sylow_joins(G: PermGroup, n: int, P: Found) -> Iterator[Found]:
+    """Yield the subgroups of Hall order ``n`` above the Sylow subgroup P, each
+    generated by one of G's Sylow subgroups per prime, as joins <P, Q_1, ...>
+    depth first over G's kept Sylow sets by ascending size.  A prime whose
+    power divides |J| is passed over; a join is pruned past n elements, at an
+    order not dividing n, when met before at its depth, or before it is grown
+    if a product of generators of J and Q has an order not dividing n."""
+    index, images, walks = G._ensure_index(), G.fingerprint(), G._walks
+    powers = sorted(p ** k for p, k in factorize(n).items() if p ** k != len(P[0]))
+    sylows = sorted(((q, hall_subgroups(G, q)[0]) for q in powers), key=lambda s: len(s[1]))
+    tried = [set() for _ in sylows]
+
+    def extend(J: FrozenSet[int], gens: Tuple[int, ...], depth: int) -> Iterator[Found]:
+        while depth < len(sylows) and len(J) % sylows[depth][0] == 0:
+            depth += 1
+        if depth == len(sylows):
+            yield J, gens  # |J| divides n and has each of its prime powers
+            return
+        tables = [_table(images[a]) for a in gens]
+        for _, q_gens in sylows[depth][1]:
+            if any(n % len(walks.get(ab) or G.power_walk(ab)) for ab in
+                   (index[images[b].translate(t)] for t in tables for b in q_gens)):
+                continue
+            joined = _grow(index, images, J, tables + [_table(images[b]) for b in q_gens], n)
+            if joined is not None and not n % len(joined) and joined not in tried[depth]:
+                tried[depth].add(joined)
+                yield from extend(joined, gens + q_gens, depth + 1)
+
+    try:
+        yield from extend(*P, 0)
     finally:
         del extend  # break the self-reference even if the caller stops early
 

@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import ceil, log2, prod
 
 from hypothesis import strategies as st
 
@@ -19,7 +19,7 @@ from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation
                      is_pi_separable, load_group, moebius, parse_permutation, subgroups_of_order)
 from hallfix.arith import factorize, prime_divisors, radical
 from hallfix.cli import _COMMANDS
-from hallfix.group import DEFAULT_ELEMENT_CAP, MAX_CAP, conjugacy_classes
+from hallfix.group import DEFAULT_ELEMENT_CAP, MAX_CAP, _grow, _table, conjugacy_classes
 from hallfix.verify import _hall_members
 
 
@@ -129,6 +129,33 @@ def random_generating_sets(draw):
     rng = draw(st.randoms(use_true_random=False))
     degree = rng.randint(1, 7)
     return degree, [rng.sample(range(1, degree + 1), degree) for _ in range(rng.randint(0, 3))]
+
+
+def seeded_search(G, m, seed):
+    """The subgroups of order m containing the subgroup ``seed``, an
+    (element-index set, generator indices) pair, by the element-by-element
+    search that group.hall_subgroups ran above its Sylow start before the
+    Sylow joins: each chain adds to the seed's generators, one at a time, the
+    least element outside the subgroup generated so far, whose order divides
+    m.  A drop-in for group._sylow_joins, and the reference it is tested on."""
+    index, images = G._ensure_index(), G.fingerprint()
+    base, base_gens = seed
+    max_gens = len(base_gens) + ceil(log2(m // len(base)))
+
+    def extend(clo, gens, start):
+        moves = [_table(images[g]) for g in gens]
+        for e in range(start, G.order):
+            if e in clo or m % len(G.power_walk(e)):
+                continue
+            new = _grow(index, images, clo, moves + [_table(images[e])], m, e)
+            if new is None or m % len(new):
+                continue
+            if len(new) == m:
+                yield new, gens + (e,)
+            elif len(gens) + 1 < max_gens:
+                yield from extend(new, gens + (e,), e + 1)
+
+    yield from extend(base, base_gens, 1)
 
 
 def proper_prime_sets(G):

@@ -836,24 +836,25 @@ def test_element_orders_match_permutation_orders(groups):
 def test_subgroup_search_leaves_no_garbage():
     # The recursive search must not leave a reference cycle that keeps its
     # closures and the group alive until the cyclic collector runs, run to
-    # the end or not, seeded or not.  The groups are fresh: a group keeps its
-    # Hall sets, so one that a test searched before would search nothing here.
+    # the end or not, element by element or by Sylow joins.  The groups are
+    # fresh: a group keeps its Hall sets, so one that a test searched before
+    # would search nothing here.
     gc.collect()
     gc.disable()
     try:
         G = load_group("S4")
         subgroups_of_order(G, 8)
         assert gc.collect() == 0
-        # Searches abandoned after their first hit, directly and as
-        # hall_subgroups uses them.
-        C3 = next(group_mod._subgroup_search(G, 3))
+        # Searches abandoned after their first hit, as _sylow_start and
+        # hall_subgroups use them.
+        next(group_mod._subgroup_search(G, 3))
         assert gc.collect() == 0
-        next(group_mod._subgroup_search(G, 12, C3))
+        A5 = load_group("A5")
+        next(group_mod._sylow_joins(A5, 12, group_mod._sylow_start(A5, 4)))
         assert gc.collect() == 0
         # The Sylow search at a prime power, and at A5's composite Hall order
-        # 12 the seeded search run to the end, the orbit walks and the
+        # 12 the join search run to the end, the orbit walks and the
         # normalizer closure.
-        A5 = load_group("A5")
         for H, n in ((G, 8), (A5, 12)):
             found, normalizers = hall_subgroups(H, n)
             assert len(found) == (3 if n == 8 else 5) and normalizers()

@@ -20,7 +20,7 @@ from hallfix.hall import lambda_report_lines, lambda_report_records
 from hallfix.reports import PASS
 from oracles import (canonical_hall, conjugated_by, conjugates, is_abelian, is_cyclic,
                      lam_by_element, moebius_partition_check, poset_moebius, proper_prime_sets,
-                     random_generating_sets, tau_by_element, totient)
+                     random_generating_sets, seeded_search, tau_by_element, totient)
 
 
 def test_pi_part_examples():
@@ -61,8 +61,8 @@ def test_sylow_path_builds_no_cayley_table():
 
 
 def test_composite_hall_orders_take_the_full_search(groups):
-    # Composite Hall orders go through the same Sylow-seeded search; the
-    # full search of every subgroup of Hall order is the oracle.
+    # Composite Hall orders go through the same Sylow joins; the full search
+    # of every subgroup of Hall order is the oracle.
     # GL(3,2) has two classes of S4, A5 has no subgroup of order 20.
     G = groups["GL(3,2)"]
     halls = build_hall_context(G, PiSet([2, 3])).halls
@@ -369,26 +369,27 @@ def _conjugates(G, S):
     return seen
 
 
-def _assert_start_gives_the_scan_hall_set(make, orders, where):
+def _assert_same_hall_sets(make, orders, where, **reference):
     """hall_subgroups at each Hall order of ``orders`` in turn, on one group
-    from ``make`` and on another with the Sylow start forced to the canonical
-    scan, give the same member sets in the same order and the same orbit
-    sizes, and each orbit's N_G(K) is a conjugate of the scan's: K, the
-    orbit's first hit, may be another member of the orbit.  The start's
-    generator indices re-close to their sets."""
+    from ``make`` and on another with the ``reference`` functions patched into
+    group.py, give the same member sets in the same order and the same orbit
+    sizes, and each orbit's N_G(K) is a conjugate of the reference's: K, the
+    orbit's first hit, may be another member of the orbit.  The generator
+    indices re-close to their sets."""
     runs = []
-    for start in (group_mod._sylow_start, _scan_start):
+    for patches in ({}, reference):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(group_mod, "_sylow_start", start)
+            for name, func in patches.items():
+                mp.setattr(group_mod, name, func)
             G = make()
             runs.append([(found, normalizers()) for found, normalizers
                          in (hall_subgroups(G, n) for n in orders)])
     index, images = G._ensure_index(), G.fingerprint()
-    for n, (found, orbits), (scan_found, scan_orbits) in zip(orders, *runs):
-        assert [S for S, _ in found] == [S for S, _ in scan_found], (where, n)
-        assert [size for size, _ in orbits] == [size for size, _ in scan_orbits], (where, n)
-        for (_, N), (_, scan_N) in zip(orbits, scan_orbits):
-            assert N in _conjugates(G, scan_N), (where, n)
+    for n, (found, orbits), (ref_found, ref_orbits) in zip(orders, *runs):
+        assert [S for S, _ in found] == [S for S, _ in ref_found], (where, n)
+        assert [size for size, _ in orbits] == [size for size, _ in ref_orbits], (where, n)
+        for (_, N), (_, ref_N) in zip(orbits, ref_orbits):
+            assert N in _conjugates(G, ref_N), (where, n)
         for S, gens in found:
             assert group_mod._join(index, images, frozenset({0}), gens, n)[0] == S, (where, n)
 
@@ -398,35 +399,68 @@ def test_sylow_start_gives_the_scan_hall_set():
     # of its order, and those are all conjugate, so any of them starts the
     # same Hall set as the canonical scan's first hit.
     for name, make, pi, _ in _hall_cases():
-        _assert_start_gives_the_scan_hall_set(make, [pi_part(make().order, pi)], (name, str(pi)))
+        _assert_same_hall_sets(make, [pi_part(make().order, pi)], (name, str(pi)),
+                               _sylow_start=_scan_start)
 
 
 @settings(max_examples=25, deadline=None)
 @given(random_generating_sets())
 def test_sylow_start_gives_the_scan_hall_set_on_random_groups(drawn):
     # One group takes every proper prime set, single primes first, so a
-    # composite one may start from a kept Sylow set.  The composite Hall
-    # searches of a group of order over 720 (mostly S7 and A7) take seconds.
+    # composite one may start from a kept Sylow set.
     degree, images = drawn
     make = partial(close, [Permutation(g) for g in images], degree=degree)
     G = make()
-    pis = [pi for pi in proper_prime_sets(G) if G.order <= 720 or len(pi) == 1]
-    _assert_start_gives_the_scan_hall_set(make, [pi_part(G.order, pi) for pi in pis], images)
+    _assert_same_hall_sets(make, [pi_part(G.order, pi) for pi in proper_prime_sets(G)], images,
+                           _sylow_start=_scan_start)
+
+
+#: The route hall_subgroups took before the Sylow joins: the Sylow start as
+#: the canonical search's first hit, and the element-by-element search above it.
+_SEEDED = {"_sylow_start": _scan_start, "_sylow_joins": seeded_search}
+
+
+@pytest.mark.parametrize("degree, gens, pi", [
+    (7, ("(1 2 3 4 5 6 7)", "(1 2 3)"), (2, 3)),
+    (7, ("(1 2 3 4 5 6 7)", "(1 2)"), (2, 3, 5)),
+    (7, ("(1 2 3 4 5 6 7)", "(1 2)"), (2, 3, 7)),
+    (11, ("(2 10)(4 11)(5 7)(8 9)", "(1 4 3 8)(2 5 6 9)"), (2, 3, 5)),
+    (11, ("(2 10)(4 11)(5 7)(8 9)", "(1 4 3 8)(2 5 6 9)"), (2, 3, 11)),
+], ids=["A7-2,3", "S7-2,3,5", "S7-2,3,7", "M11-2,3,5", "M11-2,3,11"])
+def test_sylow_joins_match_the_seeded_search(degree, gens, pi):
+    # A7 has 35 Hall subgroups at {2,3}, S7 and M11 have 7 and 11 at {2,3,5}
+    # and none at the other: the seeded search must exhaust its tree there.
+    make = partial(close, [parse_permutation(g, degree) for g in gens])
+    _assert_same_hall_sets(make, [pi_part(make().order, PiSet(pi))], pi, **_SEEDED)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_generating_sets())
+def test_sylow_joins_match_the_seeded_search_on_random_groups(drawn):
+    # Every composite Hall order of the group, single primes first so the
+    # joins read kept Sylow sets.  The seeded search takes seconds on a group
+    # of order over 720 (mostly S7 and A7), which the fixed cases cover.
+    degree, images = drawn
+    make = partial(close, [Permutation(g) for g in images], degree=degree)
+    G = make()
+    pis = proper_prime_sets(G) if G.order <= 720 else []
+    _assert_same_hall_sets(make, [pi_part(G.order, pi) for pi in pis], images, **_SEEDED)
 
 
 @pytest.mark.parametrize("name, make, orders, searched", [
     # A7's generator (1 2 3 4 5 6 7) is a Sylow 7-subgroup: no search runs.
     ("A7", _a7, [7], []),
     # A5's generators have orders 5 and 3, so its Sylow 2-subgroups start from
-    # the scan; at {2,3} the seeded search starts from the first kept one.
-    ("A5", lambda: load_group("A5"), [4, 12], [4, 12]),
+    # the scan; at {2,3} the joins start from the first kept one and search
+    # nothing element by element.
+    ("A5", lambda: load_group("A5"), [4, 12], [4]),
     # A7's generators have orders 7 and 3: its Sylow 5 set starts from the scan.
     ("A7", _a7, [5], [5]),
 ])
 def test_each_sylow_start_source(monkeypatch, name, make, orders, searched):
     calls, search = [], group_mod._subgroup_search
     monkeypatch.setattr(group_mod, "_subgroup_search",
-                        lambda G, m, *seed: calls.append(m) or search(G, m, *seed))
+                        lambda G, m: calls.append(m) or search(G, m))
     G = make()
     found = [hall_subgroups(G, n)[0] for n in orders]
     assert calls == searched
@@ -435,7 +469,7 @@ def test_each_sylow_start_source(monkeypatch, name, make, orders, searched):
         i = G._ensure_index()[G.generators[0]._bytes()]
         assert dict(found[0])[frozenset(G.power_walk(i))] == (i,)
     monkeypatch.undo()
-    _assert_start_gives_the_scan_hall_set(make, orders, name)
+    _assert_same_hall_sets(make, orders, name, _sylow_start=_scan_start)
 
 
 @pytest.mark.parametrize("p, members", [(5, 505), (7, 721)])
@@ -464,11 +498,11 @@ def test_verify_mult_and_add_build_no_group_wide_table(monkeypatch, p, members):
     assert cli.sym_char_record("A7", ctx).witness == f"identities hold; averaged value {averaged}"
 
 
-def test_seeded_hall_search_builds_no_classes(monkeypatch):
-    # The search above the Sylow start reads element orders off power walks,
-    # not off G's classes: verify-add on A7 with pi={2,3} finds its 35 Hall
-    # subgroups of order 72 with no classes, and fills the conjugation rows
-    # at their members only.
+def test_hall_joins_build_no_classes(monkeypatch):
+    # The Sylow joins read element orders off power walks, not off G's
+    # classes: verify-add on A7 with pi={2,3} finds its 35 Hall subgroups of
+    # order 72 with no classes, and fills the conjugation rows at their
+    # members only, which hold every Sylow 2- and 3-subgroup walked.
     contexts, build = [], cli.build_hall_context
     monkeypatch.setattr(cli, "build_hall_context",
                         lambda G, pi: contexts.append(build(G, pi)) or contexts[-1])

@@ -36,6 +36,9 @@ GROUPS = {
     "F42": (7, ("(1 2 3 4 5 6 7)", "(2 4 3 7 5 6)")),
     "A5": (5, ("(1 2 3 4 5)", "(3 4 5)")),
     "SL(2,3)": (8, ("(1 6 2 3)(4 7 8 5)", "(1 4 7)(2 8 5)")),
+    "S7": (7, ("(1 2 3 4 5 6 7)", "(1 2)")),
+    "M11": (11, ("(2 10)(4 11)(5 7)(8 9)", "(1 4 3 8)(2 5 6 9)")),
+    "S8": (8, ("(1 2 3 4 5 6 7 8)", "(1 2)")),
 }
 
 #: (group, pi, command) of each mult-add command.
@@ -57,6 +60,13 @@ SMALL = tuple((name, pi, command)
               for name, pi in (("F42", "2,3"), ("A5", "2,5"), ("SL(2,3)", "2"))
               for command in cli.HALL_CHECKS)
 
+#: (group, pi) of the verify-add commands whose Hall search joins Sylow
+#: subgroups at scale: S7 and M11 with one pi that has Hall subgroups and one
+#: that has none, and S8, the largest group under the cap, at every
+#: composite pi, where an exhaustive search took seconds.
+HALL_SEARCH = (("S7", "2,3,5"), ("S7", "2,3,7"), ("M11", "2,3,5"), ("M11", "2,3,11"),
+               ("S8", "2,3"), ("S8", "2,3,5"), ("S8", "2,3,7"), ("S8", "2,5,7"))
+
 
 def measure(tmp_dir: Path):
     """The work counts of each command, keyed by its command line."""
@@ -65,11 +75,12 @@ def measure(tmp_dir: Path):
         if entry.scenario is not None:
             commands += [[command, "--group", entry.name, "--json"]
                          for command in ("verify-nr", "verify-wielandt")]
-    for name, pi, command in MULT_ADD + SMALL:
+    for name, pi, command in MULT_ADD + SMALL + tuple((*row, "verify-add") for row in HALL_SEARCH):
         path = tmp_dir / f"{name}.group"
         degree, gens = GROUPS[name]
         path.write_text(f"degree: {degree}\n" + "".join(f"gen: {g}\n" for g in gens))
-        commands.append([command, "--file", str(path), "--pi", pi, "--json"])
+        cap = ["--cap", "40320"] if name == "S8" else []
+        commands.append([command, "--file", str(path), "--pi", pi, *cap, "--json"])
     commands += [["lambda", "--group", "PGL(2,9)", "--pi", pi, "--json"] for pi in ("5", "2")]
     commands.append(["curiosity", "--group", "A5", "--json"])
     out = {}
