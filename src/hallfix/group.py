@@ -20,7 +20,7 @@ by entry, for the Hall orbit walk and the classes alike by the one fill
 length is its order, the one source of element orders; the Hall set, per
 Hall order, so the Sylow sets the joins read, per prime power.
 
-``WORK``, a plain dict, counts the work where it is done, always: ``close.calls`` and
+``WORK`` counts the work where it is done, always: ``close.calls`` and
 ``close.elements``, ``grow.calls`` and ``grow.cosets``, ``rows.filled``,
 ``power_walk.built``, ``hall.subgroups``, and in hall.py ``hall.orbits_read``.
 """
