@@ -1,14 +1,15 @@
-"""Exact number-theoretic kernels: primes, Möbius, factored rationals.
+"""Exact number-theoretic kernels: primes, Möbius pairs (d, mu(d)) on the
+squarefree divisors from one factorization, pi-parts, factored rationals.
 
 Everything here is integer-exact.  Multiplicative identities are tracked as
 prime-exponent vectors (FactoredRational) so that "this product equals 1"
 is a syntactic emptiness check instead of a comparison of astronomically
-large integers.  Additive identities use plain Python ints / Fractions,
-which are arbitrary precision already.
+large integers.  Additive identities use plain Python ints / Fractions.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
 #: Trial division is fine at desk scale; refuse anything that would crawl.
@@ -48,21 +49,6 @@ def prime_divisors(n: int) -> List[int]:
     return sorted(factorize(n))
 
 
-def divisors(n: int) -> List[int]:
-    """All divisors of ``n >= 1``, ascending."""
-    if n < 1:
-        raise ValueError(f"divisors of non-positive integer {n}")
-    small, large = [], []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-        f += 1
-    return small + large[::-1]
-
-
 def moebius(n: int) -> int:
     """Number-theoretic Möbius function: 0 on non-squarefree n, else (-1)^#primes."""
     if n < 1:
@@ -73,12 +59,30 @@ def moebius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
+def squarefree_divisors(n: int) -> List[Tuple[int, int]]:
+    """The pairs (d, mu(d)) for the squarefree divisors d of ``n``, from one
+    factorization: each prime p doubles the pairs so far with (d p, -mu(d))."""
+    pairs = [(1, 1)]
+    for p in prime_divisors(n):
+        pairs += [(d * p, -mu) for d, mu in pairs]
+    return pairs
+
+
+def pi_part(order: int, pi: PiSet) -> int:
+    """Largest divisor of ``order`` supported on the primes in pi."""
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
+    out = 1
+    for p in pi:
+        while order % p == 0:
+            out *= p
+            order //= p
+    return out
+
+
 def radical(n: int) -> int:
     """Product of the distinct prime divisors of ``n`` (radical of 1 is 1)."""
-    out = 1
-    for p in factorize(n):
-        out *= p
-    return out
+    return prod(prime_divisors(n))
 
 
 class PiSet(frozenset):
@@ -140,7 +144,7 @@ class FactoredRational:
     @classmethod
     def from_int(cls, value: int) -> "FactoredRational":
         """Exact factored form of a positive integer."""
-        return cls(factorize(value))
+        return cls._trusted(factorize(value).items())
 
     def times_pow(self, value: int, exponent: int) -> "FactoredRational":
         """Return self * value**exponent with ``value >= 1`` factored exactly."""
@@ -150,17 +154,19 @@ class FactoredRational:
             return self
         acc = dict(self._factors)
         for p, e in factorize(value).items():
-            new = acc.get(p, 0) + e * exponent
-            if new:
-                acc[p] = new
-            else:
-                acc.pop(p, None)
-        return FactoredRational(acc)
+            acc[p] = acc.get(p, 0) + e * exponent
+        return FactoredRational._trusted(acc.items())
 
     def power(self, k: int) -> "FactoredRational":
-        if k == 0:
-            return FactoredRational.one()
-        return FactoredRational({p: e * k for p, e in self._factors})
+        return FactoredRational._trusted((p, e * k) for p, e in self._factors)
+
+    @classmethod
+    def _trusted(cls, items: Iterable[Tuple[int, int]]) -> "FactoredRational":
+        """The value of (prime, exponent) pairs whose primes come from :func:`factorize`
+        or a value, so are not checked again; zero exponents are dropped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_factors", tuple(sorted((p, e) for p, e in items if e)))
+        return out
 
     def is_one(self) -> bool:
         return not self._factors

@@ -32,7 +32,7 @@ from struct import Struct
 from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from .arith import PiSet, divisors, factorize, prime_divisors
+from .arith import PiSet, factorize, pi_part
 from .perm import Permutation
 
 #: Default ceiling for exhaustive element enumeration.
@@ -511,47 +511,42 @@ def conjugacy_classes(G: PermGroup) -> Tuple[Tuple[int, ...], ...]:
     return G._classes
 
 
-def _core(G: PermGroup, keep: Callable[[int], bool], base: Found) -> Found:
-    """Largest normal subgroup M >= ``base`` whose index |M|/|base| satisfies
-    the divisor-closed ``keep``, joined from ``base`` one class x^G at a time
-    when <core, x^G> passes.  A class failing on its own fails in any larger
-    join, since <base, x^G> lies in it and its index divides the join's; so
-    does one whose x has order k modulo the core with keep(k) false, since k
-    divides |<core, x^G> : core|, and it is not tried (nor is one with k = 1).
+def _core(G: PermGroup, part: int, base: Found) -> Found:
+    """Largest normal subgroup M >= ``base`` whose index |M|/|base| divides
+    ``part``, |G|_pi or |G|/|G|_pi (each order here divides |G|, so that is a
+    pi- or pi'-number), joined from ``base`` one class x^G at a time when
+    <core, x^G> passes.  A class failing on its own fails in any larger join:
+    <base, x^G> lies in it, and its index divides the join's; so does one
+    whose x has order k modulo the core with part % k != 0, since k divides
+    |<core, x^G> : core|, and it is not tried (nor is one with k = 1).
 
     Subgroups are (element-index set, generator indices) pairs.  A join is
     Dimino's method from the core, which is normal in G, so only the class
     elements move its cosets."""
     index, images = G._ensure_index(), G.fingerprint()
     core, gens = base
-    limit = len(core) * max(d for d in divisors(G.order // len(core)) if keep(d))
+    limit = len(core) * gcd(G.order // len(core), part)
     for cls in (G._classes or conjugacy_classes(G))[1:]:
         k = next(k for k, j in enumerate(G.power_walk(cls[0]) + [0]) if k and j in core)
-        if k > 1 and keep(k):
+        if k > 1 and part % k == 0:
             joined = _join(index, images, core, cls, limit)
-            if joined and keep(len(joined[0]) // len(base[0])):
+            if joined and part % (len(joined[0]) // len(base[0])) == 0:
                 core, gens = joined[0], gens + joined[1]
     return core, gens
-
-
-def _pi_keeps(pi: PiSet) -> Tuple[Callable[[int], bool], Callable[[int], bool]]:
-    """Order tests of the pi-core and of the pi'-core."""
-    return (lambda n: pi.issuperset(prime_divisors(n)),
-            lambda n: pi.isdisjoint(prime_divisors(n)))
 
 
 def is_pi_separable(G: PermGroup, pi: PiSet) -> bool:
     """Whether the upper pi-series 1 <= O_pi(G) <= O_pi,pi'(G) <= ... reaches G.
 
     Every term is a normal subgroup of G, grown from the one before by the
-    pi- and pi'-cores in turn (a core cannot grow the term it just made), so
-    G's classes, computed once here, serve every level.  G is not
-    pi-separable when neither core grows the last term."""
+    cores of index dividing |G|_pi and |G|/|G|_pi in turn (a core cannot grow
+    the term it just made), so G's classes, computed once here, serve every
+    level.  G is not pi-separable when neither core grows the last term."""
     conjugacy_classes(G)
-    keeps = _pi_keeps(pi)
+    n = pi_part(G.order, pi)
     base, side, stalled = _TRIVIAL, 0, 0
     while len(base[0]) < G.order and stalled < 2:
-        M = _core(G, keeps[side], base)
+        M = _core(G, (n, G.order // n)[side], base)
         stalled = stalled + 1 if len(M[0]) == len(base[0]) else 0
         base, side = M, 1 - side
     return len(base[0]) == G.order

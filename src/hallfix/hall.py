@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .arith import PiSet, moebius, prime_divisors
+from .arith import PiSet, moebius, pi_part
 from .group import Found, PermGroup, WORK, conjugacy_classes, hall_subgroups
 # Not called here: perfbench's tracer and its tests bind this name in every
 # module that imported it.
@@ -31,18 +31,6 @@ from .perm import Permutation, format_permutation
 
 class NoHallSubgroupError(ValueError):
     """The group has no subgroup of Hall pi-order (legal for non-separable G)."""
-
-
-def pi_part(order: int, pi: PiSet) -> int:
-    """Largest divisor of ``order`` supported on the primes in pi."""
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
-    out = 1
-    for p in pi:
-        while order % p == 0:
-            out *= p
-            order //= p
-    return out
 
 
 class HallContext:
@@ -98,9 +86,9 @@ class HallContext:
 
     @cached_property
     def lam_values(self) -> List[Optional[int]]:
-        orders, counts = self.group.element_orders(), self.member_counts
-        pi_orders = {k for k in set(orders) if self.pi.issuperset(prime_divisors(k))}
-        return [counts[i] if k in pi_orders else None for i, k in enumerate(orders)]
+        # An element order divides |G|, so it is a pi-number if it divides |G|_pi.
+        orders, counts, n = self.group.element_orders(), self.member_counts, self.hall_order
+        return [counts[i] if n % k == 0 else None for i, k in enumerate(orders)]
 
     @cached_property
     def tau_values(self) -> List[int]:

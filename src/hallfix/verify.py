@@ -6,20 +6,20 @@ actions (in cleared-exponent form), the additive non-negativity statement,
 Wielandt's centralizer product, the sums behind the symmetrized conjugation
 character and the Burnside orbit-count interpretation.  All arithmetic is
 exact: factored rationals for products, arbitrary-precision Fractions for
-sums.  Every Hall-context verifier reads lam and tau on element indices and
-takes powers x^d with PermGroup.power_index; a sum over G of a class
-function is a class sum, sum over classes C of |C| * f(C^d).  The tests keep
-the references on Permutations.
+sums.  Every Hall-context verifier reads lam and tau on element indices, sums
+over the pairs (d, mu(d)) of arith.squarefree_divisors, reads x^d off x's
+power walk, and totals the weights per value before taking powers; a sum
+over G of a class function is a class sum, sum over classes C of |C| *
+f(C^d).  The tests keep the references on Permutations.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd, log10
 from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .arith import FactoredRational, PiSet, divisors, moebius, prime_divisors, radical
+from .arith import FactoredRational, PiSet, prime_divisors, radical, squarefree_divisors
 from .group import PermGroup, centralizer, conjugacy_classes
 from .hall import HallContext, build_hall_context, cyclic_lattice, hall_set
 
@@ -81,12 +81,12 @@ def multiplicative_value(ctx: HallContext, hall: Optional[PermGroup] = None, *,
     exponent base n is replaced by its radical; the two results are powers
     of each other, so either detects deviation from 1.
     """
-    G, lam, members = ctx.group, ctx.member_counts, _hall_members(ctx, hall)
+    G, members = ctx.group, dict.fromkeys(_hall_members(ctx, hall), 1)
     base = radical(ctx.hall_order) if use_radical else ctx.hall_order
-    exponents: Counter = Counter()
-    for d in filter(moebius, divisors(base)):
-        for v, c in Counter(lam[G.power_index(i, d)] for i in members).items():
-            exponents[v] += c * (base // d) * moebius(d)
+    exponents: Dict[int, int] = {}
+    for d, mu in squarefree_divisors(base):
+        for v, c in _value_weights(G, ctx.member_counts, members, d).items():
+            exponents[v] = exponents.get(v, 0) + c * (base // d) * mu
     acc = FactoredRational.one()
     for v, e in exponents.items():
         acc = acc.times_pow(v, e)
@@ -183,17 +183,28 @@ def _class_weights(G: PermGroup) -> Dict[int, int]:
     return {cls[0]: len(cls) for cls in conjugacy_classes(G)}
 
 
+def _value_weights(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
+                   d: int) -> Dict[int, int]:
+    """The total of weights[i] per value f[i^d], over the element indices i of
+    ``weights``, i^d read off i's power walk as power_index does."""
+    totals: Dict[int, int] = {}
+    for i, w in weights.items():
+        walk = G.power_walk(i)
+        v = f[walk[d % len(walk)]]
+        totals[v] = totals.get(v, 0) + w
+    return totals
+
+
 def _power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
                d: int, e: int) -> int:
     """sum over element indices i of weights[i] * f[i^d]^e, f a list over them."""
-    return sum(w * f[G.power_index(i, d)] ** e for i, w in weights.items())
+    return sum(c * v ** e for v, c in _value_weights(G, f, weights, d).items())
 
 
 def _moebius_power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
                        n: int) -> int:
     """sum over d | n of mu(d) * _power_sum(G, f, weights, d, n/d), exactly."""
-    return sum(moebius(d) * _power_sum(G, f, weights, d, n // d)
-               for d in filter(moebius, divisors(n)))
+    return sum(mu * _power_sum(G, f, weights, d, n // d) for d, mu in squarefree_divisors(n))
 
 
 class WielandtResult(NamedTuple):
@@ -230,13 +241,14 @@ def interpretation_check(ctx: HallContext) -> bool:
                          "are not formed here")
     G, n, tau = ctx.group, ctx.hall_order, ctx.tau_values
     total = 0
-    for d in filter(moebius, divisors(n)):
-        # H^d as an index set; Burnside counts its orbits from fixed points.
-        Hd = {G.power_index(i, d) for i in ctx.hall_members[0]}
-        fixed = sum(tau[i] ** (n // d) for i in Hd)
+    for d, mu in squarefree_divisors(n):
+        # H^d as index weights: it lies in H, so _power_sum makes no power walk.
+        # Burnside counts its orbits from fixed points.
+        Hd = dict.fromkeys((G.power_index(i, d) for i in ctx.hall_members[0]), 1)
+        fixed = _power_sum(G, tau, Hd, 1, n // d)
         if fixed % len(Hd):
             raise AssertionError("Burnside sum is not divisible by |H^d|")
-        total += moebius(d) * fixed // len(Hd)
+        total += mu * fixed // len(Hd)
     return Fraction(total, n) == additive_value(ctx)
 
 

@@ -15,12 +15,27 @@ from math import ceil, log2, prod
 from hypothesis import strategies as st
 
 from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation, PiSet, close,
-                     coprime_split, cyclic_lattice, divisors, format_permutation, get_entry,
+                     coprime_split, cyclic_lattice, format_permutation, get_entry,
                      is_pi_separable, load_group, moebius, parse_permutation, subgroups_of_order)
 from hallfix.arith import factorize, prime_divisors, radical
 from hallfix.cli import _COMMANDS
 from hallfix.group import DEFAULT_ELEMENT_CAP, MAX_CAP, _grow, _table, conjugacy_classes
 from hallfix.verify import _hall_members
+
+
+def divisors(n):
+    """All divisors of ``n >= 1``, ascending, by trial division up to sqrt(n)."""
+    if n < 1:
+        raise ValueError(f"divisors of non-positive integer {n}")
+    small, large = [], []
+    f = 1
+    while f * f <= n:
+        if n % f == 0:
+            small.append(f)
+            if f != n // f:
+                large.append(n // f)
+        f += 1
+    return small + large[::-1]
 
 
 def power(x, d):

@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hallfix import FactoredRational, PiSet, divisors, moebius
-from hallfix.arith import factorize, is_prime, prime_divisors, radical
-from oracles import as_fraction, totient
+from hallfix import FactoredRational, PiSet, moebius
+from hallfix.arith import (FACTOR_LIMIT, factorize, is_prime, prime_divisors, radical,
+                           squarefree_divisors)
+from oracles import as_fraction, divisors, totient
 
 
 def test_moebius_examples():
@@ -43,6 +44,16 @@ def test_divisors_examples():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
     assert len(divisors(60)) == 12
+
+
+def test_squarefree_divisors_are_the_moebius_support():
+    # Each (d, mu(d)) once, for exactly the divisors d that mu does not vanish
+    # on; FACTOR_LIMIT - 10 = 2 * 3^3 * 5 * 7 * 11 * 13 * 37 has 2^7 of them.
+    for n in [*range(1, 5001), FACTOR_LIMIT - 10]:
+        pairs = squarefree_divisors(n)
+        assert len(pairs) == len(set(pairs)), n
+        assert set(pairs) == {(d, moebius(d)) for d in divisors(n) if moebius(d)}, n
+    assert len(squarefree_divisors(FACTOR_LIMIT - 10)) == 2 ** 7
 
 
 def test_factorize_round_trip_samples():
@@ -120,6 +131,20 @@ def test_factored_rational_algebra():
     assert as_fraction(a) == Fraction(8, 5)
     assert str(a) == "2^3 * 5^-1"
     assert str(FactoredRational.one()) == "1"
+
+
+@given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(-50, 50)), max_size=6),
+       st.integers(-5, 5))
+def test_unchecked_results_pass_the_validating_constructor(steps, k):
+    # times_pow and power build their results without re-checking the primes;
+    # each must equal the value the validating constructor makes of its factors.
+    acc = FactoredRational.one()
+    for value, exponent in steps:
+        acc = acc.times_pow(value, exponent)
+        assert acc == FactoredRational(dict(acc._factors))
+    powered = acc.power(k)
+    assert powered == FactoredRational(dict(powered._factors))
+    assert as_fraction(powered) == as_fraction(acc) ** k
 
 
 @given(st.integers(1, 10**6), st.integers(1, 10**6))

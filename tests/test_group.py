@@ -14,14 +14,13 @@ from hallfix import (CapExceededError, NoHallSubgroupError, NotASubgroupError,
                      corpus_entries, cyclic_lattice, is_pi_separable, load_group,
                      multiplicative_value, parse_permutation, subgroups_of_order)
 from hallfix import cli, group as group_mod
-from hallfix.arith import divisors, prime_divisors
+from hallfix.arith import pi_part, prime_divisors
 from hallfix.cli import add_record
 from hallfix.group import (_TRIVIAL, DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, _core,
-                           _pi_keeps, conjugacy_classes, hall_subgroups)
-from hallfix.hall import pi_part
+                           conjugacy_classes, hall_subgroups)
 from hallfix.reports import INAPPLICABLE, PASS
 from oracles import (burnside_orbit_count, canonical_hall, conjugate_set, conjugates,
-                     greedy_chain, image_bytes, is_abelian, is_pi, is_pi_prime,
+                     divisors, greedy_chain, image_bytes, is_abelian, is_pi, is_pi_prime,
                      is_pi_separable_direct, normal_subgroups, proper_prime_sets, quotient_direct,
                      random_generating_sets, s5_subgroup_classes, tau_by_element)
 
@@ -31,8 +30,10 @@ def P(text, degree):
 
 
 def pi_core(G, pi, side=0):
-    """O_pi(G), or O_pi'(G) for side 1: the core that is_pi_separable joins."""
-    return G.subgroup(*_core(G, _pi_keeps(pi)[side], _TRIVIAL))
+    """O_pi(G), or O_pi'(G) for side 1: the core that is_pi_separable joins,
+    whose order divides |G|_pi, or |G|/|G|_pi for side 1."""
+    part = pi_part(G.order, pi)
+    return G.subgroup(*_core(G, (part, G.order // part)[side], _TRIVIAL))
 
 
 def _subgroup_search_direct(G, m):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context, close,
-                     corpus_entries, cyclic_lattice, divisors, load_group,
+                     corpus_entries, cyclic_lattice, load_group,
                      parse_permutation, pi_part, subgroups_of_order)
 from hallfix import cli, group as group_mod
 from hallfix.arith import prime_divisors
@@ -18,7 +18,7 @@ from hallfix.cli import HALL_CHECKS, hall_records
 from hallfix.group import PermGroup, conjugacy_classes, hall_subgroups
 from hallfix.hall import lambda_report_lines, lambda_report_records
 from hallfix.reports import PASS
-from oracles import (canonical_hall, conjugated_by, conjugates, is_abelian, is_cyclic,
+from oracles import (canonical_hall, conjugated_by, conjugates, divisors, is_abelian, is_cyclic,
                      lam_by_element, moebius_partition_check, poset_moebius, proper_prime_sets,
                      random_generating_sets, seeded_search, tau_by_element, totient)
 

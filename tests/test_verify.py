@@ -7,19 +7,21 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
 
 from hallfix import (CoprimeActionScenario, FactoredRational, FiniteAction, NoHallSubgroupError,
-                     PiSet, additive_value, build_hall_context, centralizer, close,
-                     coprime_split, corpus_entries, curiosity_value, cyclic_lattice, divisors,
+                     Permutation, PiSet, additive_value, build_hall_context, centralizer, close,
+                     coprime_split, corpus_entries, curiosity_value, cyclic_lattice,
                      interpretation_check, moebius, multiplicative_value,
                      navarro_rizo_check, parse_permutation, subgroups_of_order, wielandt_check)
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
 from oracles import (as_fraction, burnside_orbit_count, canonical_hall, conjugate_set,
-                     conjugated_by, conjugates, corpus_split, cyclic_symmetrized, is_abelian,
-                     is_cyclic, is_pi_prime, lam_by_element, multiplicative_value_direct,
-                     normal_subgroups, power, power_product_pair, power_product_pair_direct,
-                     power_subgroup, power_sum_bound_holds, proper_prime_sets, quotient_direct,
+                     conjugated_by, conjugates, corpus_split, cyclic_symmetrized, divisors,
+                     is_abelian, is_cyclic, is_pi_prime, lam_by_element,
+                     multiplicative_value_direct, normal_subgroups, power, power_product_pair,
+                     power_product_pair_direct, power_subgroup, power_sum_bound_holds,
+                     proper_prime_sets, quotient_direct, random_generating_sets,
                      s5_subgroup_classes, symmetrized, tau_by_element, totient)
 
 
@@ -600,3 +602,29 @@ def test_index_path_matches_permutation_oracles(groups):
                 assert powers == frozenset(power_subgroup(H, d).elements), (where, d)
         checked += 1
     assert (checked, abelian) == (56 + 24, 62)
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_generating_sets())
+def test_moebius_sums_match_the_oracles_on_random_groups(drawn):
+    # The verifiers run over the squarefree divisors and power each value of
+    # lam or tau once; the references power one element at a time, over every
+    # divisor that mu does not vanish on, on permutations.
+    degree, images = drawn
+    G = close([Permutation(g) for g in images], degree=degree)
+    for pi in proper_prime_sets(G):
+        try:
+            ctx = build_hall_context(G, pi)
+        except NoHallSubgroupError:
+            continue
+        where, n, H = (images, str(pi)), ctx.hall_order, canonical_hall(ctx).elements
+        for use_radical in (False, True):
+            assert (multiplicative_value(ctx, use_radical=use_radical)
+                    == multiplicative_value_direct(ctx, use_radical)), where
+
+        def moebius_sum(chi):
+            return Fraction(sum(moebius(d) * chi[power(h, d)] ** (n // d)
+                                for d in divisors(n) if moebius(d) for h in H), n * n)
+        assert additive_value(ctx) == moebius_sum(lam_by_element(ctx)), where
+        assert sym_char_sums(ctx)[2] == moebius_sum(tau_by_element(ctx)), where
+        assert not ctx.hall_is_abelian() or interpretation_check(ctx), where

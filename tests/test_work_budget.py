@@ -1,7 +1,8 @@
 """Exact work counts of the full scan, of the coprime commands on each corpus
 split, of the mult-add commands, of the small-cmds command kinds on three
-groups, of ``verify-add`` at composite pi on S7, M11 and S8, of ``lambda`` on
-PGL(2,9) and of ``curiosity`` on A5, against the committed ``work_budget.json``.  Each command's counts are ``hallfix.group.WORK``
+groups, of ``verify-add`` at composite pi on S7, M11, S8 and S7xC2, of
+``lambda`` on PGL(2,9) and of ``curiosity`` on A5, against the committed
+``work_budget.json``.  Each command's counts are ``hallfix.group.WORK``
 after it runs from empty: ``close.calls``, ``close.elements``, ``grow.calls``,
 ``grow.cosets``, ``rows.filled``, ``power_walk.built``, ``hall.subgroups`` and
 ``hall.orbits_read``.
@@ -39,6 +40,7 @@ GROUPS = {
     "S7": (7, ("(1 2 3 4 5 6 7)", "(1 2)")),
     "M11": (11, ("(2 10)(4 11)(5 7)(8 9)", "(1 4 3 8)(2 5 6 9)")),
     "S8": (8, ("(1 2 3 4 5 6 7 8)", "(1 2)")),
+    "S7xC2": (9, ("(1 2 3 4 5 6 7)", "(1 2)", "(8 9)")),
 }
 
 #: (group, pi, command) of each mult-add command.
@@ -61,11 +63,13 @@ SMALL = tuple((name, pi, command)
               for command in cli.HALL_CHECKS)
 
 #: (group, pi) of the verify-add commands whose Hall search joins Sylow
-#: subgroups at scale: S7 and M11 with one pi that has Hall subgroups and one
-#: that has none, and S8, the largest group under the cap, at the four
-#: composite pi where an element-by-element search took 0.8 to 11 s.
+#: subgroups at scale: S7, M11 and S7xC2 (order 10080, the default cap) with
+#: one pi that has Hall subgroups and one that has none, and S8, the largest
+#: group under the cap, at the four composite pi where an element-by-element
+#: search took 0.8 to 11 s.
 HALL_SEARCH = (("S7", "2,3,5"), ("S7", "2,3,7"), ("M11", "2,3,5"), ("M11", "2,3,11"),
-               ("S8", "2,3"), ("S8", "2,3,5"), ("S8", "2,3,7"), ("S8", "2,5,7"))
+               ("S8", "2,3"), ("S8", "2,3,5"), ("S8", "2,3,7"), ("S8", "2,5,7"),
+               ("S7xC2", "2,3,5"), ("S7xC2", "2,3,7"))
 
 
 def measure(tmp_dir: Path):
