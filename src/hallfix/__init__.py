@@ -7,11 +7,11 @@ checked with exact arithmetic (factored rationals for products, big
 Fractions for sums) against a builtin corpus with brute-force oracles.
 """
 
-from .arith import FactoredRational, PiSet, moebius, pi_part
+from .arith import FactoredRational, PiSet, pi_part
 from .corpus import (CorpusEntry, UnknownGroupError, corpus_entries,
                      corpus_names, get_entry, load_group)
 from .group import (CapExceededError, DEFAULT_ELEMENT_CAP, FiniteAction,
-                    NotASubgroupError, PermGroup, centralizer, close, is_pi_separable,
+                    NotASubgroupError, PermGroup, centralizer_order, close, is_pi_separable,
                     subgroups_of_order)
 from .groupio import GroupFileError, parse_group_text
 from .hall import HallContext, NoHallSubgroupError, build_hall_context, cyclic_lattice

@@ -49,16 +49,6 @@ def prime_divisors(n: int) -> List[int]:
     return sorted(factorize(n))
 
 
-def moebius(n: int) -> int:
-    """Number-theoretic Möbius function: 0 on non-squarefree n, else (-1)^#primes."""
-    if n < 1:
-        raise ValueError(f"moebius of non-positive integer {n}")
-    fac = factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
 def squarefree_divisors(n: int) -> List[Tuple[int, int]]:
     """The pairs (d, mu(d)) for the squarefree divisors d of ``n``, from one
     factorization: each prime p doubles the pairs so far with (d p, -mu(d))."""

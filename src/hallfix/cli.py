@@ -222,9 +222,9 @@ def mult_record(name: str, ctx: HallContext, entry: Optional[CorpusEntry], *,
     pi = ctx.pi
     value = multiplicative_value(ctx, use_radical=use_radical)
     marked = entry is not None and any(pi == ef for ef in entry.expected_mult_fail)
-    # By Wielandt, a cyclic (so nilpotent) Hall subgroup has all the others
-    # as conjugates: one is cyclic exactly when all are.
-    if ctx.hall_is_cyclic() or is_pi_separable(ctx.group, pi):
+    # A lone, so normal, Hall subgroup H makes 1 <= H <= G a pi-series.  A cyclic
+    # one has all the others as conjugates (Wielandt): one is cyclic iff all are.
+    if ctx.num_halls == 1 or ctx.hall_is_cyclic() or is_pi_separable(ctx.group, pi):
         if value.is_one():
             return CheckRecord("verify-mult", name, str(pi), PASS, "value 1")
         return CheckRecord("verify-mult", name, str(pi), FAIL,

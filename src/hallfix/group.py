@@ -9,10 +9,10 @@ configurable cap, or of a degree over ``MAX_DEGREE``.
 ``close`` only closes input generators, by whole left cosets grown from the
 largest of their cyclic subgroups, each coset one translate.  Every subgroup
 of a closed group (a search hit, a join of Sylow subgroups, which is how
-Hall subgroups of composite order are found, a pi-core, a centralizer) is
-grown on that group's element indices by one routine, ``_grow``, Dimino's
-method from a subgroup, as an (element-index set, generator indices) pair;
-Hall subgroups and conjugacy classes are handed out in that index form.
+Hall subgroups of composite order are found, a pi-core) is grown on that
+group's element indices by one routine, ``_grow``, Dimino's method from a
+subgroup, as an (element-index set, generator indices) pair; Hall subgroups
+and conjugacy classes are handed out in that index form.
 
 Tables are built by their first reader and kept: the conjugation rows, entry
 by entry, for the Hall orbit walk and the classes alike by the one fill
@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from math import ceil, gcd, log2
 from struct import Struct
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .arith import PiSet, factorize, pi_part
 from .perm import Permutation
@@ -142,6 +142,16 @@ class PermGroup:
             self._walks[i] = walk
             WORK["power_walk.built"] = WORK.get("power_walk.built", 0) + 1
         return walk
+
+    def power_counts(self, weights: Mapping[int, int], d: int) -> Dict[int, int]:
+        """The total of weights[i] per index of elements[i] ** d, over the
+        element indices i of ``weights``, read off their power walks."""
+        walks, counts = self._walks, {}
+        for i, w in weights.items():
+            walk = walks.get(i) or self.power_walk(i)
+            j = walk[d % len(walk)]
+            counts[j] = counts.get(j, 0) + w
+        return counts
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PermGroup) and self.degree == other.degree
@@ -273,24 +283,21 @@ def _join(index: Dict[bytes, int], images: Sequence[bytes], S: FrozenSet[int],
     return S, tuple(added)
 
 
-def centralizer(G: PermGroup, s: "Permutation | PermGroup") -> PermGroup:
-    """Subgroup of G commuting with a permutation or with a whole subgroup.
+def centralizer_order(G: PermGroup, s: "Permutation | PermGroup") -> int:
+    """|C_G(s)|: how many elements of G commute with a permutation or with
+    every generator of a subgroup, counted on image bytes; nothing is grown.
 
     The target only has to act on the same points, not lie inside G: the
     coprime-action checks take fixed points in a normal subgroup N of
-    elements living outside N.  The generators are the greedy chain of the
-    sorted elements, each one outside the subgroup the ones before generate.
-    """
+    elements living outside N."""
     if s.degree != G.degree:
         raise NotASubgroupError(
             f"centralizer target degree {s.degree} != group degree {G.degree}")
     targets = [s] if isinstance(s, Permutation) else s.generators
     # t x and x t on image bytes, for each target t.
     sides = [(t, _table(t)) for t in map(Permutation._bytes, targets)]
-    index, images = G._ensure_index(), G.fingerprint()
-    members = [i for i, x in enumerate(images)
-               if all(x.translate(table_t) == t.translate(_table(x)) for t, table_t in sides)]
-    return G.subgroup(*_join(index, images, frozenset({0}), members, len(members)))
+    return sum(all(x.translate(table_t) == t.translate(_table(x)) for t, table_t in sides)
+               for x in G.fingerprint())
 
 
 def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
@@ -399,8 +406,8 @@ def _sylow_start(G: PermGroup, q: int) -> Found:
 def _subgroup_search(G: PermGroup, m: int) -> Iterator[Found]:
     """Yield the subgroups of order ``m`` as (element-index set, generator
     indices) pairs, each generated by the greedy chain of its sorted elements,
-    as centralizer takes it, from the candidates: the element indices but the
-    identity's, ascending, whose orders, read off their power walks, divide m."""
+    from the candidates: the element indices but the identity's, ascending,
+    whose orders, read off their power walks, divide m."""
     index, images, walks, size = G._ensure_index(), G.fingerprint(), G._walks, G.order
     max_gens = ceil(log2(m))
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .arith import PiSet, moebius, pi_part
+from .arith import PiSet, pi_part, squarefree_divisors
 from .group import Found, PermGroup, WORK, conjugacy_classes, hall_subgroups
 # Not called here: perfbench's tracer and its tests bind this name in every
 # module that imported it.
@@ -39,7 +39,7 @@ class HallContext:
 
     Built with ``hall_members[k]``, the k-th Hall subgroup's element indices,
     and ``member_counts[i]``, how many hold ``elements[i]``: lam on the Hall
-    subgroups, all that the product and power-sum verifiers read.  The first
+    subgroups, which the verifiers read at the keys of ``power_table``.  The first
     read builds and keeps ``halls``, ``lam_values`` (None off the pi-elements,
     whose orders it reads off G's power walks, not its classes),
     ``hall_orbits`` (a (size, N_G(K) element-index set) pair per conjugation
@@ -55,10 +55,18 @@ class HallContext:
         self.member_counts = Counter(i for S in self.hall_members for i in S)
         self._found, self._normalizers = found, normalizers
         self._additive: Dict[FrozenSet[int], Fraction] = {}  # see verify.additive_value
+        self._powers: Dict[Tuple[FrozenSet[int], int], Dict[int, int]] = {}
 
     @property
     def num_halls(self) -> int:
         return len(self.hall_members)
+
+    def power_table(self, members: FrozenSet[int], d: int) -> Dict[int, int]:
+        """How many of a Hall subgroup's ``members`` x have x^d = j, by j; kept."""
+        if (members, d) not in self._powers:
+            ones = dict.fromkeys(members, 1)  # the table at d = 1
+            self._powers[members, d] = ones if d == 1 else self.group.power_counts(ones, d)
+        return self._powers[members, d]
 
     def hall_is_cyclic(self) -> bool:
         """Whether the canonical (first) Hall subgroup has an element of the Hall
@@ -125,12 +133,13 @@ def cyclic_lattice(H: PermGroup) -> List[Tuple[PermGroup, int]]:
     """The cyclic subgroups Z of H, sorted by element indices as by
     fingerprint, each with its weight f(Z) = sum of mu(|Z'| / |Z|) over the
     cyclic Z' >= Z.  On this lattice the poset Möbius function is the
-    number-theoretic one of the index.  Each <h> is read off H's power walk
-    of h and generated by its first h."""
+    number-theoretic one of the index, read off the pairs (d, mu(d)) of |H|.
+    Each <h> is read off H's power walk of h and generated by its first h."""
     found: Dict[FrozenSet[int], int] = {}
     for i in range(H.order):
         found.setdefault(frozenset(H.power_walk(i)), i)
-    return [(H.subgroup(S, (i,)), sum(moebius(len(T) // len(S)) for T in found if S <= T))
+    mu = dict(squarefree_divisors(H.order))
+    return [(H.subgroup(S, (i,)), sum(mu.get(len(T) // len(S), 0) for T in found if S <= T))
             for S, i in sorted(found.items(), key=lambda item: sorted(item[0]))]
 
 

@@ -6,21 +6,22 @@ actions (in cleared-exponent form), the additive non-negativity statement,
 Wielandt's centralizer product, the sums behind the symmetrized conjugation
 character and the Burnside orbit-count interpretation.  All arithmetic is
 exact: factored rationals for products, arbitrary-precision Fractions for
-sums.  Every Hall-context verifier reads lam and tau on element indices, sums
-over the pairs (d, mu(d)) of arith.squarefree_divisors, reads x^d off x's
-power walk, and totals the weights per value before taking powers; a sum
-over G of a class function is a class sum, sum over classes C of |C| *
-f(C^d).  The tests keep the references on Permutations.
+sums.  The Hall-context verifiers read lam and tau on element indices, sum
+over the pairs (d, mu(d)) of arith.squarefree_divisors and read the count,
+kept per (Hall subgroup, d), of the members with each d-th power, totalled
+per value before taking powers, as a class sum totals its class weights.
+The coprime checks count centralizer orders.  The tests keep the references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, reduce
 from math import gcd, log10
-from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, prime_divisors, radical, squarefree_divisors
-from .group import PermGroup, centralizer, conjugacy_classes
+from .group import PermGroup, centralizer_order, conjugacy_classes
 from .hall import HallContext, build_hall_context, cyclic_lattice, hall_set
 
 #: Most decimal digits of a curiosity power sum (Python's int-to-str default).
@@ -81,16 +82,18 @@ def multiplicative_value(ctx: HallContext, hall: Optional[PermGroup] = None, *,
     exponent base n is replaced by its radical; the two results are powers
     of each other, so either detects deviation from 1.
     """
-    G, members = ctx.group, dict.fromkeys(_hall_members(ctx, hall), 1)
+    members = _hall_members(ctx, hall)
     base = radical(ctx.hall_order) if use_radical else ctx.hall_order
     exponents: Dict[int, int] = {}
     for d, mu in squarefree_divisors(base):
-        for v, c in _value_weights(G, ctx.member_counts, members, d).items():
+        for v, c in _by_value(ctx.member_counts, ctx.power_table(members, d)).items():
             exponents[v] = exponents.get(v, 0) + c * (base // d) * mu
-    acc = FactoredRational.one()
-    for v, e in exponents.items():
-        acc = acc.times_pow(v, e)
-    return acc
+    return _product(exponents)
+
+
+def _product(exponents: Mapping[int, int]) -> FactoredRational:
+    """prod of v ** e over the items (v, e), each v factored once."""
+    return reduce(lambda acc, ve: acc.times_pow(*ve), exponents.items(), FactoredRational.one())
 
 
 class NrCheckResult(NamedTuple):
@@ -138,20 +141,17 @@ def navarro_rizo_check(scenario: CoprimeActionScenario) -> NrCheckResult:
         raise ValueError(f"the complement has order {P.order}; it is not a p-group")
     p = primes[0]
 
-    cent = [centralizer(N, x).order for x in P.elements]
-    fixed = centralizer(N, P).order
-
-    rhs = FactoredRational.one()
-    eq2_left = FactoredRational.one()
-    eq2_right = FactoredRational.one()
+    cent = [centralizer_order(N, x) for x in P.elements]
+    fixed = centralizer_order(N, P)
+    rhs, eq2_left, eq2_right = {}, {}, {}  # exponents, totalled per order
     for i, cx in enumerate(cent):
         cxp = cent[P.power_index(i, p)]
-        rhs = rhs.times_pow(cx, p).times_pow(cxp, -1)
         if cx % fixed or cxp % fixed:
             raise AssertionError("fixed subgroup does not divide a centralizer")
-        eq2_left = eq2_left.times_pow(cxp // fixed, 1)
-        eq2_right = eq2_right.times_pow(cx // fixed, p)
-    return NrCheckResult(p, P.order, fixed, rhs, eq2_left, eq2_right)
+        for totals, v, e in ((rhs, cx, p), (rhs, cxp, -1), (eq2_left, cxp // fixed, 1),
+                             (eq2_right, cx // fixed, p)):
+            totals[v] = totals.get(v, 0) + e
+    return NrCheckResult(p, P.order, fixed, *map(_product, (rhs, eq2_left, eq2_right)))
 
 
 def additive_value(ctx: HallContext, hall: Optional[PermGroup] = None) -> Fraction:
@@ -163,7 +163,7 @@ def additive_value(ctx: HallContext, hall: Optional[PermGroup] = None) -> Fracti
     """
     n, members = ctx.hall_order, _hall_members(ctx, hall)
     if members not in ctx._additive:
-        power_sum = _moebius_power_sum(ctx.group, ctx.member_counts, dict.fromkeys(members, 1), n)
+        power_sum = _moebius_power_sum(ctx.member_counts, partial(ctx.power_table, members), n)
         ctx._additive[members] = Fraction(power_sum, n * n)
     return ctx._additive[members]
 
@@ -173,9 +173,9 @@ def sym_char_sums(ctx: HallContext) -> Tuple[int, int, Fraction]:
     over the canonical Hall subgroup of the cyclic symmetrization of tau,
     (1/n) sum over d | n of mu(d) * tau(h^d)^(n/d)."""
     G, tau, n = ctx.group, ctx.tau_values, ctx.hall_order
-    weights, hall = _class_weights(G), dict.fromkeys(ctx.hall_members[0], 1)
-    return (_power_sum(G, tau, weights, 1, 2), _power_sum(G, tau, weights, 2, 1),
-            Fraction(_moebius_power_sum(G, tau, hall, n), n * n))
+    weights, hall = _class_weights(G), partial(ctx.power_table, ctx.hall_members[0])
+    return (_power_sum(tau, weights, 2), _power_sum(tau, G.power_counts(weights, 2), 1),
+            Fraction(_moebius_power_sum(tau, hall, n), n * n))
 
 
 def _class_weights(G: PermGroup) -> Dict[int, int]:
@@ -183,28 +183,22 @@ def _class_weights(G: PermGroup) -> Dict[int, int]:
     return {cls[0]: len(cls) for cls in conjugacy_classes(G)}
 
 
-def _value_weights(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
-                   d: int) -> Dict[int, int]:
-    """The total of weights[i] per value f[i^d], over the element indices i of
-    ``weights``, i^d read off i's power walk as power_index does."""
+def _by_value(f: Sequence[int], counts: Mapping[int, int]) -> Dict[int, int]:
+    """The total of counts[j] per value f[j], over the element indices j of ``counts``."""
     totals: Dict[int, int] = {}
-    for i, w in weights.items():
-        walk = G.power_walk(i)
-        v = f[walk[d % len(walk)]]
-        totals[v] = totals.get(v, 0) + w
+    for j, c in counts.items():
+        totals[f[j]] = totals.get(f[j], 0) + c
     return totals
 
 
-def _power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
-               d: int, e: int) -> int:
-    """sum over element indices i of weights[i] * f[i^d]^e, f a list over them."""
-    return sum(c * v ** e for v, c in _value_weights(G, f, weights, d).items())
+def _power_sum(f: Sequence[int], counts: Mapping[int, int], e: int) -> int:
+    """sum over element indices j of counts[j] * f[j]^e, f a list over them."""
+    return sum(c * v ** e for v, c in _by_value(f, counts).items())
 
 
-def _moebius_power_sum(G: PermGroup, f: Sequence[int], weights: Mapping[int, int],
-                       n: int) -> int:
-    """sum over d | n of mu(d) * _power_sum(G, f, weights, d, n/d), exactly."""
-    return sum(mu * _power_sum(G, f, weights, d, n // d) for d, mu in squarefree_divisors(n))
+def _moebius_power_sum(f: Sequence[int], table: Callable[[int], Mapping[int, int]], n: int) -> int:
+    """sum over d | n of mu(d) * _power_sum(f, table(d), n/d), exactly."""
+    return sum(mu * _power_sum(f, table(d), n // d) for d, mu in squarefree_divisors(n))
 
 
 class WielandtResult(NamedTuple):
@@ -223,11 +217,12 @@ def wielandt_check(scenario: CoprimeActionScenario) -> WielandtResult:
     |C_N(Z)| ^ (|Z| * f(Z)).  (The identity is multiplicative.)
     """
     N, H = scenario.normal, scenario.complement
-    lhs = FactoredRational.from_int(centralizer(N, H).order).power(H.order)
-    rhs = FactoredRational.one()
+    lhs = FactoredRational.from_int(centralizer_order(N, H)).power(H.order)
+    exponents: Dict[int, int] = {}
     for Z, f in cyclic_lattice(H):
-        rhs = rhs.times_pow(centralizer(N, Z).order, Z.order * f)
-    return WielandtResult(lhs, rhs)
+        c = centralizer_order(N, Z)
+        exponents[c] = exponents.get(c, 0) + Z.order * f
+    return WielandtResult(lhs, _product(exponents))
 
 
 def interpretation_check(ctx: HallContext) -> bool:
@@ -239,13 +234,12 @@ def interpretation_check(ctx: HallContext) -> bool:
     if not ctx.hall_is_abelian():
         raise ValueError("the Hall subgroup is not abelian; power subgroups "
                          "are not formed here")
-    G, n, tau = ctx.group, ctx.hall_order, ctx.tau_values
+    n, tau = ctx.hall_order, ctx.tau_values
     total = 0
     for d, mu in squarefree_divisors(n):
-        # H^d as index weights: it lies in H, so _power_sum makes no power walk.
-        # Burnside counts its orbits from fixed points.
-        Hd = dict.fromkeys((G.power_index(i, d) for i in ctx.hall_members[0]), 1)
-        fixed = _power_sum(G, tau, Hd, 1, n // d)
+        # H^d is the key set of H's d-th-power table; Burnside counts its orbits.
+        Hd = dict.fromkeys(ctx.power_table(ctx.hall_members[0], d), 1)
+        fixed = _power_sum(tau, Hd, n // d)
         if fixed % len(Hd):
             raise AssertionError("Burnside sum is not divisible by |H^d|")
         total += mu * fixed // len(Hd)
@@ -269,4 +263,4 @@ def curiosity_value(G: PermGroup, target_pi: PiSet,
     if digits > CURIOSITY_MAX_DIGITS:
         raise PowerSumTooLargeError(f"the power sum for n={n} has about {digits:.0f} "
                                     f"digits, over the limit {CURIOSITY_MAX_DIGITS}")
-    return Fraction(_moebius_power_sum(G, tau, _class_weights(G), n), n * n)
+    return Fraction(_moebius_power_sum(tau, partial(G.power_counts, _class_weights(G)), n), n * n)

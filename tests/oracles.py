@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation, PiSet, close,
                      coprime_split, cyclic_lattice, format_permutation, get_entry,
-                     is_pi_separable, load_group, moebius, parse_permutation, subgroups_of_order)
+                     is_pi_separable, load_group, parse_permutation, subgroups_of_order)
 from hallfix.arith import factorize, prime_divisors, radical
 from hallfix.cli import _COMMANDS
 from hallfix.group import DEFAULT_ELEMENT_CAP, MAX_CAP, _grow, _table, conjugacy_classes
@@ -36,6 +36,20 @@ def divisors(n):
                 large.append(n // f)
         f += 1
     return small + large[::-1]
+
+
+def moebius(n):
+    """The Möbius function by trial division: 0 when a square divides n >= 1,
+    else -1 to the number of primes that divide it."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
 
 
 def power(x, d):
@@ -122,6 +136,14 @@ def greedy_chain(degree, elements):
             span = close(gens)
     assert span.elements == tuple(elems), "the element set is not closed"
     return span
+
+
+def centralizer(G, s):
+    """The subgroup of G commuting with a permutation or with every generator
+    of a subgroup, by Permutation products, generated by its greedy chain: the
+    oracle of group.centralizer_order, which counts it without growing it."""
+    targets = [s] if isinstance(s, Permutation) else s.generators
+    return greedy_chain(G.degree, [x for x in G.elements if all(x * t == t * x for t in targets)])
 
 
 def poset_moebius(subgroups, i, j):

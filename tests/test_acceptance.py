@@ -15,15 +15,15 @@ from itertools import product
 
 from hallfix import (PiSet, NoHallSubgroupError, build_hall_context,
                      additive_value, close, corpus_entries,
-                     is_pi_separable, load_group, moebius, multiplicative_value,
+                     is_pi_separable, load_group, multiplicative_value,
                      navarro_rizo_check, subgroups_of_order, wielandt_check)
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.perm import parse_permutation
 from oracles import (as_fraction, burnside_orbit_count, canonical_hall, corpus_split,
-                     cyclic_symmetrized, divisors, lam_by_element, moebius_partition_check, power,
-                     power_product_pair, power_subgroup, power_sum_bound_holds, symmetrized,
-                     tau_by_element, totient)
+                     cyclic_symmetrized, divisors, lam_by_element, moebius,
+                     moebius_partition_check, power, power_product_pair, power_subgroup,
+                     power_sum_bound_holds, symmetrized, tau_by_element, totient)
 
 
 def _report(num: int, name: str, ok: bool) -> None:

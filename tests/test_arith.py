@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hallfix import FactoredRational, PiSet, moebius
+from hallfix import FactoredRational, PiSet
 from hallfix.arith import (FACTOR_LIMIT, factorize, is_prime, prime_divisors, radical,
                            squarefree_divisors)
-from oracles import as_fraction, divisors, totient
+from oracles import as_fraction, divisors, moebius, totient
 
 
 def test_moebius_examples():

@@ -24,12 +24,14 @@ from hallfix import corpus as corpus_mod
 from hallfix import group as group_mod
 from hallfix import hall as hall_mod
 from hallfix import verify as verify_mod
+from hallfix.arith import squarefree_divisors
 from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.groupio import parse_group_text
 from hallfix.reports import FAIL, PASS, CheckRecord, lambda_rows_to_json, records_to_json
 from oracles import (canonical_hall, group_file_text, is_cyclic, proper_prime_sets,
-                     reference_parser, s5_subgroup_classes)
+                     random_generating_sets, reference_parser, s5_subgroup_classes)
+from test_s6_sweep import s6_class_representatives
 
 
 def run(capsys, *argv):
@@ -255,6 +257,48 @@ def test_verify_mult_cyclic_test_matches_any_cyclic_hall(groups):
         assert (one, one or separable) == (every, separable or every), (name, str(pi))
         checked += 1
     assert checked == 56 + 24  # corpus pairs, then the S5 sweep's
+
+
+def _lone_halls(cases):
+    """How many of the (G, pi) cases have exactly one Hall pi-subgroup,
+    asserting that each of them is pi-separable."""
+    lone = 0
+    for G, pi in cases:
+        try:
+            ctx = build_hall_context(G, pi)
+        except NoHallSubgroupError:
+            continue
+        if ctx.num_halls == 1:
+            assert is_pi_separable(G, pi), (G, str(pi))
+            lone += 1
+    return lone
+
+
+def test_a_lone_hall_subgroup_proves_separability(groups):
+    # mult_record reads a lone, so normal, Hall pi-subgroup H as proof that G
+    # is pi-separable, by the pi-series 1 <= H <= G, and walks no series.
+    # The premise on every proper prime set of the corpus groups and of S6's
+    # 56 subgroup classes.
+    corpus = [(G, pi) for G in groups.values() for pi in proper_prime_sets(G)]
+    s6 = [(H, pi) for H in s6_class_representatives() for pi in proper_prime_sets(H)]
+    assert (_lone_halls(corpus), _lone_halls(s6)) == (21, 23)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_generating_sets())
+def test_a_lone_hall_subgroup_proves_separability_on_random_groups(drawn):
+    degree, images = drawn
+    G = close([Permutation(g) for g in images], degree=degree)
+    _lone_halls([(G, pi) for pi in proper_prime_sets(G)])
+
+
+def test_verify_mult_on_a_normal_hall_subgroup_builds_no_classes():
+    # SL(2,3)'s quaternion Sylow 2-subgroup is its one Hall 2-subgroup: the
+    # verdict needs no pi-series, so no cores and no classes.  A fresh group,
+    # as the session groups may keep their classes.
+    G = load_group("SL(2,3)")
+    [record] = cli.hall_records("SL(2,3)", G, PiSet([2]), ["verify-mult"])
+    assert (record.status, record.witness, G._classes) == (PASS, "value 1", None)
 
 
 def test_verify_add_on_a7_skips_the_full_search(capsys, tmp_path, monkeypatch):
@@ -707,16 +751,26 @@ def test_prime_sets_of_one_hall_order_share_one_search(monkeypatch):
 def test_scan_computes_the_additive_value_once_per_hall_context(capsys, monkeypatch):
     # verify-add, sym-char and interpretation all report the additive value;
     # its power sum over lam on the Hall subgroups, the member counts, is
-    # evaluated once per context.
-    contexts, sums = [], []
+    # evaluated once per context.  The four checks read one d-th-power table
+    # per (Hall subgroup, d), kept on the context: the canonical Hall
+    # subgroup's, at each squarefree d dividing the Hall order, each counted
+    # once off the power walks but the one at d = 1, the member set itself.
+    contexts, sums, tables = [], [], Counter()
     build, power_sum = cli.build_hall_context, verify_mod._moebius_power_sum
+    counts = group_mod.PermGroup.power_counts
     monkeypatch.setattr(cli, "build_hall_context",
                         lambda G, pi: contexts.append(build(G, pi)) or contexts[-1])
     monkeypatch.setattr(verify_mod, "_moebius_power_sum",
-                        lambda G, f, *rest: sums.append(f) or power_sum(G, f, *rest))
+                        lambda f, *rest: sums.append(f) or power_sum(f, *rest))
+    monkeypatch.setattr(group_mod.PermGroup, "power_counts", lambda G, weights, d: tables.update(
+        [(frozenset(weights), d)]) or counts(G, weights, d))
     code, _, _ = run(capsys, "scan", "--group", "S4")
     assert code == 0 and len(contexts) == 3
     assert [sum(f is ctx.member_counts for f in sums) for ctx in contexts] == [1, 1, 1]
+    for ctx in contexts:
+        H, ds = ctx.hall_members[0], [d for d, _ in squarefree_divisors(ctx.hall_order)]
+        assert {d: c for (S, d), c in tables.items() if S == H} == dict.fromkeys(ds[1:], 1)
+        assert list(ctx._powers) == [(H, d) for d in ds]
 
 
 def test_scan_closes_each_group_once(capsys, monkeypatch):

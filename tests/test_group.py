@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallfix import (CapExceededError, NoHallSubgroupError, NotASubgroupError,
-                     PiSet, Permutation, build_hall_context, centralizer, close,
+                     PiSet, Permutation, build_hall_context, centralizer_order, close,
                      corpus_entries, cyclic_lattice, is_pi_separable, load_group,
                      multiplicative_value, parse_permutation, subgroups_of_order)
 from hallfix import cli, group as group_mod
@@ -19,10 +19,11 @@ from hallfix.cli import add_record
 from hallfix.group import (_TRIVIAL, DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, _core,
                            conjugacy_classes, hall_subgroups)
 from hallfix.reports import INAPPLICABLE, PASS
-from oracles import (burnside_orbit_count, canonical_hall, conjugate_set, conjugates,
-                     divisors, greedy_chain, image_bytes, is_abelian, is_pi, is_pi_prime,
-                     is_pi_separable_direct, normal_subgroups, proper_prime_sets, quotient_direct,
-                     random_generating_sets, s5_subgroup_classes, tau_by_element)
+from oracles import (burnside_orbit_count, canonical_hall, centralizer, conjugate_set,
+                     conjugates, divisors, greedy_chain, image_bytes, is_abelian, is_pi,
+                     is_pi_prime, is_pi_separable_direct, normal_subgroups, proper_prime_sets,
+                     quotient_direct, random_generating_sets, s5_subgroup_classes,
+                     tau_by_element)
 
 
 def P(text, degree):
@@ -211,16 +212,39 @@ def test_lagrange_for_all_produced_subgroups(groups):
 
 def test_centralizer_examples(groups):
     S3 = groups["S3"]
-    c = centralizer(S3, P("(1 2 3)", 3))
-    assert c.order == 3 and P("(1 2 3)", 3) in c
-    assert centralizer(S3, Permutation.identity(3)).order == 6
+    assert centralizer_order(S3, P("(1 2 3)", 3)) == 3
+    assert centralizer_order(S3, Permutation.identity(3)) == 6
+    assert centralizer_order(S3, S3) == 1
+    # The target may lie outside the group, on the same points.
     N = close([P("(1 2 3)", 6), P("(4 5 6)", 6)])
-    assert centralizer(N, P("(5 6)", 6)).order == 3
+    assert centralizer_order(N, P("(5 6)", 6)) == 3
+    assert centralizer_order(N, close([P("(1 2)", 6), P("(5 6)", 6)])) == 1
 
 
 def test_centralizer_degree_mismatch():
     with pytest.raises(NotASubgroupError):
-        centralizer(close([P("(1 2)", 2)]), P("(1 2)", 3))
+        centralizer_order(close([P("(1 2)", 2)]), P("(1 2)", 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_generating_sets())
+def test_counted_centralizer_orders_match_the_oracle(drawn):
+    # centralizer_order counts the commuting elements on image bytes; the
+    # oracle builds C_G(x) from Permutation products.  Every element of a
+    # group of order at most 120, else each class's first element, and each
+    # Hall subgroup as a target (by its generators).
+    degree, images = drawn
+    G = close([Permutation(g) for g in images], degree=degree)
+    xs = (G.elements if G.order <= 120
+          else [G.elements[cls[0]] for cls in conjugacy_classes(G)])
+    for x in xs:
+        assert centralizer_order(G, x) == centralizer(G, x).order, x
+    for pi in proper_prime_sets(G):
+        try:
+            H = canonical_hall(build_hall_context(G, pi))
+        except NoHallSubgroupError:
+            continue
+        assert centralizer_order(G, H) == centralizer(G, H).order, (images, str(pi))
 
 
 def normalizer(G, H):
@@ -608,8 +632,8 @@ def test_relations_on_s5_subgroups_match_element_sets():
 def test_groups_do_not_hash_their_elements(monkeypatch):
     # Membership reads the image-bytes index, and subgroups of a closed group
     # grow on its element indices, so neither closing A7, a subgroup search,
-    # the cores and separability of S5, centralizers in A5 nor the cyclic
-    # subgroups of a Hall subgroup call Permutation.__hash__.
+    # the cores and separability of S5, centralizer orders in A5 nor the
+    # cyclic subgroups of a Hall subgroup call Permutation.__hash__.
     calls = []
     perm_hash = Permutation.__hash__
     monkeypatch.setattr(Permutation, "__hash__",
@@ -621,7 +645,7 @@ def test_groups_do_not_hash_their_elements(monkeypatch):
     assert pi_core(S5, PiSet([2, 3, 5])).order == 120
     assert pi_core(S5, PiSet([3]), 1).order == 1
     A5 = close([P("(1 2 3 4 5)", 5), P("(3 4 5)", 5)])
-    assert ([centralizer(A5, A5.elements[cls[0]]).order for cls in conjugacy_classes(A5)]
+    assert ([centralizer_order(A5, A5.elements[cls[0]]) for cls in conjugacy_classes(A5)]
             == [60, 3, 4, 5, 5])
     S4 = canonical_hall(build_hall_context(S5, PiSet([2, 3])))
     assert sorted(Z.order for Z, _ in cyclic_lattice(S4)) == [1] + [2] * 9 + [3] * 4 + [4] * 3
@@ -629,15 +653,15 @@ def test_groups_do_not_hash_their_elements(monkeypatch):
 
 
 def test_subgroups_grown_on_indices_are_generated_by_their_generators(groups, hall_ctx):
-    # Cores, centralizers and cyclic subgroups are grown on element indices
-    # with generators picked along the way; re-closing the generators from
-    # scratch must give back the same subgroup of G.
+    # Cores and cyclic subgroups are grown on element indices with generators
+    # picked along the way; re-closing the generators from scratch must give
+    # back the same subgroup of G.
     checked = 0
     for entry in corpus_entries():
         G = groups[entry.name]
         if G.order > 360:
             continue
-        found = [centralizer(G, G.elements[cls[0]]) for cls in conjugacy_classes(G)]
+        found = []
         for pi in entry.check_pis:
             found += [pi_core(G, pi), pi_core(G, pi, 1)]
             try:
@@ -649,7 +673,7 @@ def test_subgroups_grown_on_indices_are_generated_by_their_generators(groups, ha
             assert close(K.generators, degree=G.degree) == K, (entry.name, K)
             assert K.is_subgroup_of(G), (entry.name, K)
         checked += len(found)
-    assert checked == 461
+    assert checked == 340
 
 
 def test_sylow_subgroups_match_the_full_search(groups):

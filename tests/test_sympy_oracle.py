@@ -12,7 +12,7 @@ from sympy.combinatorics import Permutation as SympyPermutation  # noqa: E402
 from sympy.combinatorics import PermutationGroup  # noqa: E402
 
 from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context,  # noqa: E402
-                     centralizer, close, is_pi_separable, pi_part, subgroups_of_order)
+                     centralizer_order, close, is_pi_separable, pi_part, subgroups_of_order)
 from hallfix.arith import prime_divisors  # noqa: E402
 from hallfix.group import conjugacy_classes  # noqa: E402
 from oracles import (conjugated_by, is_pi_separable_direct, is_solvable, power,  # noqa: E402
@@ -103,6 +103,6 @@ def test_sylow_counts_and_centralizers_agree_with_sympy(gens):
         assert build_hall_context(G, PiSet([p])).num_halls == len(conjugates), p
     for cls in conjugacy_classes(G):
         x = G.elements[cls[0]]
-        order = centralizer(G, x).order
+        order = centralizer_order(G, x)
         assert order == S.centralizer(SympyPermutation([i - 1 for i in x.images])).order(), x
         assert order * len(cls) == G.order, x

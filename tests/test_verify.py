@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -10,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 
 from hallfix import (CoprimeActionScenario, FactoredRational, FiniteAction, NoHallSubgroupError,
-                     Permutation, PiSet, additive_value, build_hall_context, centralizer, close,
-                     coprime_split, corpus_entries, curiosity_value, cyclic_lattice,
-                     interpretation_check, moebius, multiplicative_value,
-                     navarro_rizo_check, parse_permutation, subgroups_of_order, wielandt_check)
+                     Permutation, PiSet, additive_value, build_hall_context, centralizer_order,
+                     close, coprime_split, corpus_entries, curiosity_value, cyclic_lattice,
+                     interpretation_check, multiplicative_value, navarro_rizo_check,
+                     parse_permutation, subgroups_of_order, wielandt_check)
+from hallfix.arith import prime_divisors
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
-from oracles import (as_fraction, burnside_orbit_count, canonical_hall, conjugate_set,
-                     conjugated_by, conjugates, corpus_split, cyclic_symmetrized, divisors,
-                     is_abelian, is_cyclic, is_pi_prime, lam_by_element,
+from oracles import (as_fraction, burnside_orbit_count, canonical_hall, centralizer,
+                     conjugate_set, conjugated_by, conjugates, corpus_split, cyclic_symmetrized,
+                     divisors, is_abelian, is_cyclic, is_pi_prime, lam_by_element, moebius,
                      multiplicative_value_direct, normal_subgroups, power, power_product_pair,
                      power_product_pair_direct, power_subgroup, power_sum_bound_holds,
                      proper_prime_sets, quotient_direct, random_generating_sets,
@@ -187,6 +189,35 @@ def test_nr_lambda_matches_hall_membership(groups, hall_ctx):
         left, right = power_product_pair(ctx, result.p, scenario.complement)
         assert result.eq2_left == FactoredRational.from_int(left)
         assert result.eq2_right == FactoredRational.from_int(right)
+
+
+def test_every_normal_hall_split_of_the_corpus(groups):
+    # The scan runs verify-nr and verify-wielandt on 8 entries; the corpus
+    # has 21 normal Hall splits G = N H, one per pi whose Hall pi'-subgroup N
+    # is normal.  The Hall pi-subgroups are then the complements of N, and
+    # x in H lies in |C_N(x) : C_N(H)| of them, so the Hall context's lam on
+    # H is the quotient of counted centralizer orders: the paper's identity
+    # generalizes Navarro-Rizo's.  Wielandt's product holds on every split,
+    # Navarro-Rizo's equations on the 16 with a p-group complement.
+    splits = p_groups = 0
+    for entry in corpus_entries():
+        G = groups[entry.name]
+        for pi in proper_prime_sets(G):
+            try:
+                split = coprime_split(G, pi)
+            except ValueError:
+                continue
+            where, N, H = (entry.name, str(pi)), split.normal, split.complement
+            lam, index = build_hall_context(G, pi).member_counts, G._ensure_index()
+            fixed = centralizer_order(N, H)
+            for x in H.elements:
+                assert lam[index[x._bytes()]] * fixed == centralizer_order(N, x), (where, x)
+            assert wielandt_check(split).holds, where
+            if len(prime_divisors(H.order)) == 1:
+                assert navarro_rizo_check(split).holds, where
+                p_groups += 1
+            splits += 1
+    assert (splits, p_groups) == (21, 16)
 
 
 def test_scenario_validation():
@@ -628,3 +659,49 @@ def test_moebius_sums_match_the_oracles_on_random_groups(drawn):
         assert additive_value(ctx) == moebius_sum(lam_by_element(ctx)), where
         assert sym_char_sums(ctx)[2] == moebius_sum(tau_by_element(ctx)), where
         assert not ctx.hall_is_abelian() or interpretation_check(ctx), where
+
+
+def _assert_power_tables(G, ctx, where):
+    """Each Hall subgroup's d-th-power table counts power_index over its own
+    members, for every d | n, and is kept: a second read returns it."""
+    for members in ctx.hall_members:
+        for d in divisors(ctx.hall_order):
+            table = ctx.power_table(members, d)
+            assert table == Counter(G.power_index(i, d) for i in members), (where, d)
+            assert ctx.power_table(members, d) is table, (where, d)
+
+
+def test_power_tables_are_kept_per_hall_subgroup(groups):
+    # Every corpus pair with a Hall subgroup, 34 of them with more than one,
+    # whose tables differ; interpretation_check reads the canonical one's key
+    # set as H^d, the power subgroup of the oracle.
+    several = 0
+    for entry in corpus_entries():
+        G = groups[entry.name]
+        for pi in entry.check_pis:
+            try:
+                ctx = build_hall_context(G, pi)
+            except NoHallSubgroupError:
+                continue
+            where = (entry.name, str(pi))
+            _assert_power_tables(G, ctx, where)
+            several += ctx.num_halls > 1
+            H = canonical_hall(ctx)
+            if is_abelian(H):
+                for d in divisors(ctx.hall_order):
+                    Hd = {G.elements[j] for j in ctx.power_table(ctx.hall_members[0], d)}
+                    assert Hd == frozenset(power_subgroup(H, d).elements), (where, d)
+    assert several == 34
+
+
+@settings(max_examples=20, deadline=None)
+@given(random_generating_sets())
+def test_power_tables_match_power_index_on_random_groups(drawn):
+    degree, images = drawn
+    G = close([Permutation(g) for g in images], degree=degree)
+    for pi in proper_prime_sets(G):
+        try:
+            ctx = build_hall_context(G, pi)
+        except NoHallSubgroupError:
+            continue
+        _assert_power_tables(G, ctx, (images, str(pi)))
