@@ -6,12 +6,13 @@ reads them, as element-index sets, off ``group.hall_subgroups``, which G keeps
 per Hall order, and a context makes groups of them only when read.  For
 pi-separable groups they form the usual single class, which the tests check.
 lam and tau(g), the number of Hall subgroups that g normalizes, are lists
-over G's element indices, and no lookup here keys an element by its image
-bytes; tau, the permutation character of G's conjugation action on the Hall
-set, is counted from the orbit sizes and normalizers the enumeration hands
-over, growing the normalizers when tau is first read.
-The cyclic subgroups of a group are read off its power walks, each paired
-with its Möbius weight; nothing here closes a generating set.
+over G's element indices; no lookup here keys an element by its image bytes.
+tau, the permutation character of G's conjugation action on the Hall set, is
+counted, when first read, from the orbit sizes and normalizers the enumeration
+hands over.  A context keeps what the verifiers share: the Möbius pairs of the
+Hall order and, per (Hall subgroup, d), the d-th-power table and its lam
+totals.  Cyclic subgroups are read off power walks, each paired with its
+Möbius weight; nothing here closes a generating set.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .arith import PiSet, pi_part, squarefree_divisors
 from .group import Found, PermGroup, WORK, conjugacy_classes, hall_subgroups
@@ -38,12 +40,11 @@ class HallContext:
     over the group's element indices, the one form either is kept in.
 
     Built with ``hall_members[k]``, the k-th Hall subgroup's element indices,
-    and ``member_counts[i]``, how many hold ``elements[i]``: lam on the Hall
-    subgroups, which the verifiers read at the keys of ``power_table``.  The first
-    read builds and keeps ``halls``, ``lam_values`` (None off the pi-elements,
-    whose orders it reads off G's power walks, not its classes),
-    ``hall_orbits`` (a (size, N_G(K) element-index set) pair per conjugation
-    orbit, K in it) and ``tau_values``.
+    ``member_counts[i]``, how many hold ``elements[i]`` (lam on the Hall
+    subgroups), and ``moebius_pairs``, the (d, mu(d)) of the Hall order.  The
+    first read builds and keeps ``halls``, ``lam_values`` (None off the
+    pi-elements, whose orders it reads off G's power walks, not its classes),
+    ``hall_orbits`` (a (size, N_G(K) index set) pair per orbit) and ``tau_values``.
     """
 
     def __init__(self, group: PermGroup, pi: PiSet, hall_order: int,
@@ -51,11 +52,13 @@ class HallContext:
                  normalizers: Callable[[], List[Tuple[int, FrozenSet[int]]]]) -> None:
         self.group, self.pi, self.hall_order = group, pi, hall_order
         self.hall_members = tuple(S for S, _ in found)
+        self.moebius_pairs = squarefree_divisors(hall_order)  # (d, mu(d)) for the Hall checks
         # Every element of a Hall subgroup is a pi-element, so its count is lam.
-        self.member_counts = Counter(i for S in self.hall_members for i in S)
+        self.member_counts = Counter(chain.from_iterable(self.hall_members))
         self._found, self._normalizers = found, normalizers
         self._additive: Dict[FrozenSet[int], Fraction] = {}  # see verify.additive_value
         self._powers: Dict[Tuple[FrozenSet[int], int], Dict[int, int]] = {}
+        self._lam_totals: Dict[Tuple[FrozenSet[int], int], Dict[int, int]] = {}
 
     @property
     def num_halls(self) -> int:
@@ -67,6 +70,12 @@ class HallContext:
             ones = dict.fromkeys(members, 1)  # the table at d = 1
             self._powers[members, d] = ones if d == 1 else self.group.power_counts(ones, d)
         return self._powers[members, d]
+
+    def lam_totals(self, members: FrozenSet[int], d: int) -> Dict[int, int]:
+        """How many of a Hall subgroup's ``members`` x have lam(x^d) = v, by v; kept."""
+        if (members, d) not in self._lam_totals:
+            self._lam_totals[members, d] = by_value(self.member_counts, self.power_table(members, d))
+        return self._lam_totals[members, d]
 
     def hall_is_cyclic(self) -> bool:
         """Whether the canonical (first) Hall subgroup has an element of the Hall
@@ -101,17 +110,28 @@ class HallContext:
     @cached_property
     def tau_values(self) -> List[int]:
         """tau(g) = number of Hall subgroups normalized by g: the permutation
-        character of G's conjugation action on them.  On the orbit O of K, g
-        fixes |O| |g^G & N_G(K)| / |g^G| of them (orbit-stabilizer), read off
-        ``hall_orbits`` one class at a time; a remainder raises."""
+        character of G's conjugation action on them.  On the orbit O of K, g fixes
+        |O| |g^G & N_G(K)| / |g^G| of them: one pass adds |O| over each N_G(K) of
+        ``hall_orbits``, then each class shares its total out; a remainder raises."""
         tau = [0] * self.group.order
+        for size, N in self.hall_orbits:
+            for i in N:
+                tau[i] += size
         for cls in conjugacy_classes(self.group):
-            fixed = sum(size * len(N.intersection(cls)) for size, N in self.hall_orbits)
+            fixed = sum(map(tau.__getitem__, cls))
             if fixed % len(cls):
                 raise AssertionError("a class's fixed Hall count is not divisible by its size")
             for i in cls:
                 tau[i] = fixed // len(cls)
         return tau
+
+
+def by_value(f: Sequence[int], counts: Mapping[int, int]) -> Dict[int, int]:
+    """The total of counts[j] per value f[j], over the element indices j of ``counts``."""
+    totals: Dict[int, int] = {}
+    for j, c in counts.items():
+        totals[f[j]] = totals.get(f[j], 0) + c
+    return totals
 
 
 def hall_set(G: PermGroup, pi: PiSet) -> Tuple[int, Sequence[Found], Callable[[], list]]:

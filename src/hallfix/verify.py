@@ -6,11 +6,11 @@ actions (in cleared-exponent form), the additive non-negativity statement,
 Wielandt's centralizer product, the sums behind the symmetrized conjugation
 character and the Burnside orbit-count interpretation.  All arithmetic is
 exact: factored rationals for products, arbitrary-precision Fractions for
-sums.  The Hall-context verifiers read lam and tau on element indices, sum
-over the pairs (d, mu(d)) of arith.squarefree_divisors and read the count,
-kept per (Hall subgroup, d), of the members with each d-th power, totalled
-per value before taking powers, as a class sum totals its class weights.
-The coprime checks count centralizer orders.  The tests keep the references.
+sums.  The Hall-context verifiers read lam and tau on element indices and
+what the context keeps for all of them: the pairs (d, mu(d)) of the Hall
+order, and per (Hall subgroup, d) the count of members with each d-th power
+and, shared by the two lam checks, its lam totals.  The coprime checks count
+each centralizer order once per split.  The tests keep the references.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Dict, FrozenSet, Mapping, NamedTuple, Optional, Seq
 
 from .arith import FactoredRational, PiSet, prime_divisors, radical, squarefree_divisors
 from .group import PermGroup, centralizer_order, conjugacy_classes
-from .hall import HallContext, build_hall_context, cyclic_lattice, hall_set
+from .hall import HallContext, build_hall_context, by_value, cyclic_lattice, hall_set
 
 #: Most decimal digits of a curiosity power sum (Python's int-to-str default).
 CURIOSITY_MAX_DIGITS = 4300
@@ -35,10 +35,11 @@ class PowerSumTooLargeError(ValueError):
 class CoprimeActionScenario:
     """A semidirect decomposition G = N H with coprime normal N and complement H."""
 
-    __slots__ = ("group", "normal", "complement")
+    __slots__ = ("group", "normal", "complement", "centralizer_orders")
 
     def __init__(self, group: PermGroup, normal: PermGroup, complement: PermGroup) -> None:
         self.group, self.normal, self.complement = group, normal, complement
+        self.centralizer_orders: Dict[object, int] = {}  # see centralizer_order
         G, N, H = group, normal, complement
         if not N.is_normal_in(G):
             raise ValueError("N is not a normal subgroup of G")
@@ -49,6 +50,12 @@ class CoprimeActionScenario:
         # |N ∩ H| divides both |N| and |H|, so coprime orders force N ∩ H = 1.
         if gcd(N.order, H.order) != 1:
             raise ValueError("the action is not coprime: gcd(|N|, |H|) != 1")
+
+    def centralizer_order(self, s: object) -> int:
+        """|C_N(s)| for s an element of the complement H, or H; counted once and kept."""
+        if s not in self.centralizer_orders:
+            self.centralizer_orders[s] = centralizer_order(self.normal, s)
+        return self.centralizer_orders[s]
 
 
 def coprime_split(G: PermGroup, pi: PiSet) -> CoprimeActionScenario:
@@ -79,14 +86,14 @@ def multiplicative_value(ctx: HallContext, hall: Optional[PermGroup] = None, *,
     Runs over d | n and x in H, multiplying lam(x^d) with exponent
     (n/d) * mu(d), where n is the Hall order; the exponents are summed per
     value of lam, so each value is multiplied in once.  With ``use_radical`` the
-    exponent base n is replaced by its radical; the two results are powers
-    of each other, so either detects deviation from 1.
+    exponent base n is replaced by its radical, over the same pairs (d, mu(d));
+    the two results are powers of each other, so either detects deviation from 1.
     """
     members = _hall_members(ctx, hall)
     base = radical(ctx.hall_order) if use_radical else ctx.hall_order
     exponents: Dict[int, int] = {}
-    for d, mu in squarefree_divisors(base):
-        for v, c in _by_value(ctx.member_counts, ctx.power_table(members, d)).items():
+    for d, mu in ctx.moebius_pairs:
+        for v, c in ctx.lam_totals(members, d).items():
             exponents[v] = exponents.get(v, 0) + c * (base // d) * mu
     return _product(exponents)
 
@@ -135,14 +142,14 @@ class NrCheckResult(NamedTuple):
 
 def navarro_rizo_check(scenario: CoprimeActionScenario) -> NrCheckResult:
     """Evaluate both cleared fixed-point identities for a p-group acting coprimely."""
-    N, P = scenario.normal, scenario.complement
+    P = scenario.complement
     primes = prime_divisors(P.order)
     if len(primes) != 1:
         raise ValueError(f"the complement has order {P.order}; it is not a p-group")
     p = primes[0]
 
-    cent = [centralizer_order(N, x) for x in P.elements]
-    fixed = centralizer_order(N, P)
+    cent = [scenario.centralizer_order(x) for x in P.elements]
+    fixed = scenario.centralizer_order(P)
     rhs, eq2_left, eq2_right = {}, {}, {}  # exponents, totalled per order
     for i, cx in enumerate(cent):
         cxp = cent[P.power_index(i, p)]
@@ -163,7 +170,7 @@ def additive_value(ctx: HallContext, hall: Optional[PermGroup] = None) -> Fracti
     """
     n, members = ctx.hall_order, _hall_members(ctx, hall)
     if members not in ctx._additive:
-        power_sum = _moebius_power_sum(ctx.member_counts, partial(ctx.power_table, members), n)
+        power_sum = _moebius_power_sum(partial(ctx.lam_totals, members), ctx.moebius_pairs, n)
         ctx._additive[members] = Fraction(power_sum, n * n)
     return ctx._additive[members]
 
@@ -172,10 +179,10 @@ def sym_char_sums(ctx: HallContext) -> Tuple[int, int, Fraction]:
     """S = sum over G of tau(g)^2 and T of tau(g^2), as class sums, and the mean
     over the canonical Hall subgroup of the cyclic symmetrization of tau,
     (1/n) sum over d | n of mu(d) * tau(h^d)^(n/d)."""
-    G, tau, n = ctx.group, ctx.tau_values, ctx.hall_order
-    weights, hall = _class_weights(G), partial(ctx.power_table, ctx.hall_members[0])
+    G, tau, n, H = ctx.group, ctx.tau_values, ctx.hall_order, ctx.hall_members[0]
+    weights, hall = _class_weights(G), lambda d: by_value(tau, ctx.power_table(H, d))
     return (_power_sum(tau, weights, 2), _power_sum(tau, G.power_counts(weights, 2), 1),
-            Fraction(_moebius_power_sum(tau, hall, n), n * n))
+            Fraction(_moebius_power_sum(hall, ctx.moebius_pairs, n), n * n))
 
 
 def _class_weights(G: PermGroup) -> Dict[int, int]:
@@ -183,22 +190,15 @@ def _class_weights(G: PermGroup) -> Dict[int, int]:
     return {cls[0]: len(cls) for cls in conjugacy_classes(G)}
 
 
-def _by_value(f: Sequence[int], counts: Mapping[int, int]) -> Dict[int, int]:
-    """The total of counts[j] per value f[j], over the element indices j of ``counts``."""
-    totals: Dict[int, int] = {}
-    for j, c in counts.items():
-        totals[f[j]] = totals.get(f[j], 0) + c
-    return totals
-
-
 def _power_sum(f: Sequence[int], counts: Mapping[int, int], e: int) -> int:
     """sum over element indices j of counts[j] * f[j]^e, f a list over them."""
-    return sum(c * v ** e for v, c in _by_value(f, counts).items())
+    return sum(c * v ** e for v, c in by_value(f, counts).items())
 
 
-def _moebius_power_sum(f: Sequence[int], table: Callable[[int], Mapping[int, int]], n: int) -> int:
-    """sum over d | n of mu(d) * _power_sum(f, table(d), n/d), exactly."""
-    return sum(mu * _power_sum(f, table(d), n // d) for d, mu in squarefree_divisors(n))
+def _moebius_power_sum(totals: Callable[[int], Mapping[int, int]],
+                       pairs: Sequence[Tuple[int, int]], n: int) -> int:
+    """sum over the pairs (d, mu(d)) of n of mu(d) * sum of c v^(n/d) over totals(d)'s (v, c)."""
+    return sum(mu * sum(c * v ** (n // d) for v, c in totals(d).items()) for d, mu in pairs)
 
 
 class WielandtResult(NamedTuple):
@@ -216,11 +216,11 @@ def wielandt_check(scenario: CoprimeActionScenario) -> WielandtResult:
     lhs = |C_N(H)| ^ |H|;  rhs = product over cyclic Z <= H of
     |C_N(Z)| ^ (|Z| * f(Z)).  (The identity is multiplicative.)
     """
-    N, H = scenario.normal, scenario.complement
-    lhs = FactoredRational.from_int(centralizer_order(N, H)).power(H.order)
+    H = scenario.complement
+    lhs = FactoredRational.from_int(scenario.centralizer_order(H)).power(H.order)
     exponents: Dict[int, int] = {}
     for Z, f in cyclic_lattice(H):
-        c = centralizer_order(N, Z)
+        c = scenario.centralizer_order(Z.generators[0])  # C_N(<g>) = C_N(g)
         exponents[c] = exponents.get(c, 0) + Z.order * f
     return WielandtResult(lhs, _product(exponents))
 
@@ -234,9 +234,8 @@ def interpretation_check(ctx: HallContext) -> bool:
     if not ctx.hall_is_abelian():
         raise ValueError("the Hall subgroup is not abelian; power subgroups "
                          "are not formed here")
-    n, tau = ctx.hall_order, ctx.tau_values
-    total = 0
-    for d, mu in squarefree_divisors(n):
+    n, tau, total = ctx.hall_order, ctx.tau_values, 0
+    for d, mu in ctx.moebius_pairs:
         # H^d is the key set of H's d-th-power table; Burnside counts its orbits.
         Hd = dict.fromkeys(ctx.power_table(ctx.hall_members[0], d), 1)
         fixed = _power_sum(tau, Hd, n // d)
@@ -255,7 +254,7 @@ def curiosity_value(G: PermGroup, target_pi: PiSet,
     tau(g^d)^(n/d), with n defaulting to |G|.  Exact; a sum of more than
     CURIOSITY_MAX_DIGITS digits raises :class:`PowerSumTooLargeError`.
     """
-    tau = build_hall_context(G, target_pi).tau_values
+    tau, weights = build_hall_context(G, target_pi).tau_values, _class_weights(G)
     n = G.order if n is None else n
     if n < 1:
         raise ValueError("n must be positive")
@@ -263,4 +262,5 @@ def curiosity_value(G: PermGroup, target_pi: PiSet,
     if digits > CURIOSITY_MAX_DIGITS:
         raise PowerSumTooLargeError(f"the power sum for n={n} has about {digits:.0f} "
                                     f"digits, over the limit {CURIOSITY_MAX_DIGITS}")
-    return Fraction(_moebius_power_sum(tau, partial(G.power_counts, _class_weights(G)), n), n * n)
+    return Fraction(_moebius_power_sum(lambda d: by_value(tau, G.power_counts(weights, d)),
+                                       squarefree_divisors(n), n), n * n)

@@ -195,6 +195,13 @@ def seeded_search(G, m, seed):
     yield from extend(base, base_gens, 1)
 
 
+def psl2_11():
+    """PSL(2,11) on the 12 points of the projective line over F11."""
+    return close([parse_permutation(g, 12) for g in (
+        "(2 3 4 5 6 7 8 9 10 11 12)", "(3 6 7 11 5)(4 10 12 9 8)",
+        "(1 2)(3 12)(4 7)(5 9)(6 10)(8 11)")])
+
+
 def proper_prime_sets(G):
     """The nonempty proper subsets of the primes dividing |G|."""
     primes = prime_divisors(G.order)
@@ -366,6 +373,19 @@ def lam_by_element(ctx):
 def tau_by_element(ctx):
     """tau, the number of Hall subgroups each element normalizes, keyed by element."""
     return dict(zip(ctx.group.elements, ctx.tau_values))
+
+
+def tau_by_intersection(ctx):
+    """tau as a list over element indices, one class C at a time: each orbit
+    O of Hall subgroups, K in it, adds |O| |C & N_G(K)| / |C| at every
+    element of C, read off the context's orbit sizes and normalizers."""
+    tau = [0] * ctx.group.order
+    for cls in conjugacy_classes(ctx.group):
+        fixed = sum(size * len(N.intersection(cls)) for size, N in ctx.hall_orbits)
+        assert fixed % len(cls) == 0, "a class's fixed Hall count is not divisible by its size"
+        for i in cls:
+            tau[i] = fixed // len(cls)
+    return tau
 
 
 def cyclic_symmetrized(chi, n, h):

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context, cli,
                      close, corpus_entries, get_entry, is_pi_separable, load_group)
+from hallfix import arith as arith_mod
 from hallfix import corpus as corpus_mod
 from hallfix import group as group_mod
 from hallfix import hall as hall_mod
@@ -750,27 +751,89 @@ def test_prime_sets_of_one_hall_order_share_one_search(monkeypatch):
 
 def test_scan_computes_the_additive_value_once_per_hall_context(capsys, monkeypatch):
     # verify-add, sym-char and interpretation all report the additive value;
-    # its power sum over lam on the Hall subgroups, the member counts, is
-    # evaluated once per context.  The four checks read one d-th-power table
-    # per (Hall subgroup, d), kept on the context: the canonical Hall
-    # subgroup's, at each squarefree d dividing the Hall order, each counted
-    # once off the power walks but the one at d = 1, the member set itself.
-    contexts, sums, tables = [], [], Counter()
+    # its power sum over lam on the Hall subgroups is evaluated once per
+    # context, and sym-char's Hall mean of tau is the one other Möbius power
+    # sum.  What the four checks share is kept on the context: one list of
+    # the pairs (d, mu(d)) of the Hall order, one d-th-power table per (Hall
+    # subgroup, d) -- the canonical Hall subgroup's, at each squarefree d
+    # dividing the Hall order, each counted once off the power walks but the
+    # one at d = 1, the member set itself -- and one table of lam totals per
+    # (Hall subgroup, d), which verify-mult and verify-add both read.
+    contexts, pairs, sums, lam_totals, tables = [], [], [], [], Counter()
     build, power_sum = cli.build_hall_context, verify_mod._moebius_power_sum
+    moebius, by_value = hall_mod.squarefree_divisors, hall_mod.by_value
     counts = group_mod.PermGroup.power_counts
     monkeypatch.setattr(cli, "build_hall_context",
                         lambda G, pi: contexts.append(build(G, pi)) or contexts[-1])
+    monkeypatch.setattr(hall_mod, "squarefree_divisors",
+                        lambda n: pairs.append(moebius(n)) or pairs[-1])
+    monkeypatch.setattr(hall_mod, "by_value",
+                        lambda f, table: lam_totals.append(f) or by_value(f, table))
     monkeypatch.setattr(verify_mod, "_moebius_power_sum",
-                        lambda f, *rest: sums.append(f) or power_sum(f, *rest))
+                        lambda totals, ps, n: sums.append(ps) or power_sum(totals, ps, n))
     monkeypatch.setattr(group_mod.PermGroup, "power_counts", lambda G, weights, d: tables.update(
         [(frozenset(weights), d)]) or counts(G, weights, d))
     code, _, _ = run(capsys, "scan", "--group", "S4")
     assert code == 0 and len(contexts) == 3
-    assert [sum(f is ctx.member_counts for f in sums) for ctx in contexts] == [1, 1, 1]
+    assert len(pairs) == 3 and all(ps is ctx.moebius_pairs for ps, ctx in zip(pairs, contexts))
+    assert [sum(ps is ctx.moebius_pairs for ps in sums) for ctx in contexts] == [2, 2, 2]
+    assert [len(ctx._additive) for ctx in contexts] == [1, 1, 1]
     for ctx in contexts:
         H, ds = ctx.hall_members[0], [d for d, _ in squarefree_divisors(ctx.hall_order)]
+        assert ctx.moebius_pairs == squarefree_divisors(ctx.hall_order)
         assert {d: c for (S, d), c in tables.items() if S == H} == dict.fromkeys(ds[1:], 1)
         assert list(ctx._powers) == [(H, d) for d in ds]
+        assert list(ctx._lam_totals) == [(H, d) for d in ds]
+        assert sum(f is ctx.member_counts for f in lam_totals) == len(ds)
+    assert len(lam_totals) == sum(len(ctx.moebius_pairs) for ctx in contexts)
+
+
+def test_full_scan_factors_each_hall_order_once_per_context(capsys, monkeypatch):
+    # Each Hall context makes the pairs (d, mu(d)) of its Hall order once, for
+    # all four checks; the cyclic lattices of the 8 coprime splits and A5's
+    # curiosity sum at n = |G| make the only other pairs.  The scan factors
+    # 228 numbers in all (381 when each check made its own pairs).
+    calls, contexts, lattices, factored = Counter(), Counter(), [], []
+    for module in (hall_mod, verify_mod):
+        monkeypatch.setattr(module, "squarefree_divisors",
+                            lambda n, name=module.__name__, pairs=module.squarefree_divisors:
+                            calls.update([name]) or pairs(n))
+    for module in (arith_mod, group_mod):
+        monkeypatch.setattr(module, "factorize",
+                            lambda n, factor=module.factorize: factored.append(n) or factor(n))
+    init, lattice = hall_mod.HallContext.__init__, verify_mod.cyclic_lattice
+    monkeypatch.setattr(hall_mod.HallContext, "__init__", lambda ctx, G, pi, *rest: contexts.update(
+        [(G, pi)]) or init(ctx, G, pi, *rest))
+    monkeypatch.setattr(verify_mod, "cyclic_lattice", lambda H: lattices.append(H) or lattice(H))
+    code, _, _ = run(capsys, "scan", "--json")
+    assert code == 0 and len(lattices) == 8
+    assert calls == {"hallfix.hall": sum(contexts.values()) + 8, "hallfix.verify": 1}
+    assert sum(calls.values()) == 66 and len(factored) == 228
+
+
+def test_scan_counts_each_centralizer_order_once_per_split(capsys, monkeypatch):
+    # Navarro-Rizo counts |C_N(x)| at every x of the complement H, and
+    # |C_N(H)|, kept on the split; Wielandt reads C_N(<g>) = C_N(g) for each
+    # cyclic <g> <= H off the same keep.  So Wielandt counts only where
+    # Navarro-Rizo does not apply: F42 and C7:S3, with complements C6 and S3.
+    counted, phase = [], []
+    count, nr, wielandt = verify_mod.centralizer_order, cli.nr_record, cli.wielandt_record
+    monkeypatch.setattr(verify_mod, "centralizer_order",
+                        lambda N, s: counted.append((phase[-1], N, s)) or count(N, s))
+    monkeypatch.setattr(cli, "nr_record",
+                        lambda name, split: phase.append(("nr", name)) or nr(name, split))
+    monkeypatch.setattr(cli, "wielandt_record", lambda name, split: phase.append(
+        ("wielandt", name)) or wielandt(name, split))
+    code, _, _ = run(capsys, "scan", "--json")
+    assert code == 0 and len(phase) == 16
+    targets = [(id(N), s) for _, N, s in counted]
+    assert len(targets) == len(set(targets))
+    by_check = Counter(phase for phase, _, _ in counted)
+    assert {name for check, name in by_check if check == "wielandt"} == {"F42", "C7:S3"}
+    # One count per cyclic subgroup, and one for H: C6 has 4 cyclic
+    # subgroups, S3 has 5 (the identity, three of order 2, one of order 3).
+    for name, cyclic in (("F42", 4), ("C7:S3", 5)):
+        assert by_check["wielandt", name] == cyclic + 1 and ("nr", name) not in by_check
 
 
 def test_scan_closes_each_group_once(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from hallfix.reports import INAPPLICABLE, PASS
 from oracles import (burnside_orbit_count, canonical_hall, centralizer, conjugate_set,
                      conjugates, divisors, greedy_chain, image_bytes, is_abelian, is_pi,
                      is_pi_prime, is_pi_separable_direct, normal_subgroups, proper_prime_sets,
-                     quotient_direct, random_generating_sets, s5_subgroup_classes,
+                     psl2_11, quotient_direct, random_generating_sets, s5_subgroup_classes,
                      tau_by_element)
 
 
@@ -293,12 +293,6 @@ def test_conjugates_examples(groups):
     assert len(conjugates(groups["S3"], close([P("(1 2)", 3)]))) == 3
 
 
-def _psl2_11():
-    """PSL(2,11) on the 12 points of the projective line over F11."""
-    return close([P("(2 3 4 5 6 7 8 9 10 11 12)", 12), P("(3 6 7 11 5)(4 10 12 9 8)", 12),
-                  P("(1 2)(3 12)(4 7)(5 9)(6 10)(8 11)", 12)])
-
-
 def test_conjugate_count_times_normalizer_is_order(groups, hall_ctx):
     for name, m in (("S4", 8), ("A5", 4), ("SL(2,3)", 3), ("F21", 3)):
         G = groups[name]
@@ -307,7 +301,7 @@ def test_conjugate_count_times_normalizer_is_order(groups, hall_ctx):
     # The Hall orbits the enumeration hands on, one (size, N_G(K)) each, on
     # every corpus context with two or more Hall subgroups and on PSL(2,11)
     # with pi={2,3,5}.  K, normal in N_G(K), is its only Hall subgroup there.
-    contexts = [("PSL(2,11) 2,3,5", build_hall_context(_psl2_11(), PiSet([2, 3, 5])))]
+    contexts = [("PSL(2,11) 2,3,5", build_hall_context(psl2_11(), PiSet([2, 3, 5])))]
     for entry in corpus_entries():
         for pi in entry.check_pis:
             try:
@@ -713,7 +707,7 @@ def test_hall_subgroups_match_the_full_search(groups):
         assert all(close(K.generators) == K for K in halls), (name, str(pi))
     # Hall orders with three primes, pinned from the full search (3.4 s):
     # PSL(2,11) has two classes of 11 A5s and no subgroup of order 132.
-    PSL = _psl2_11()
+    PSL = psl2_11()
     assert build_hall_context(PSL, PiSet([2, 3, 5])).num_halls == 22
     with pytest.raises(NoHallSubgroupError):
         build_hall_context(PSL, PiSet([2, 3, 11]))

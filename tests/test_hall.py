@@ -20,7 +20,8 @@ from hallfix.hall import lambda_report_lines, lambda_report_records
 from hallfix.reports import PASS
 from oracles import (canonical_hall, conjugated_by, conjugates, divisors, is_abelian, is_cyclic,
                      lam_by_element, moebius_partition_check, poset_moebius, proper_prime_sets,
-                     random_generating_sets, seeded_search, tau_by_element, totient)
+                     psl2_11, random_generating_sets, seeded_search, tau_by_element,
+                     tau_by_intersection, totient)
 
 
 def test_pi_part_examples():
@@ -305,6 +306,35 @@ def test_conjugation_action_matches_elementwise_oracle(groups, hall_ctx):
     # GL(3,2) with pi={2,3} has two classes of Hall subgroups, so two orbits.
     assert {("A5", "2"), ("GL(3,2)", "2"), ("GL(3,2)", "7"), ("GL(3,2)", "2,3"),
             ("PSL(2,9)", "5")} <= checked
+
+
+def test_tau_matches_the_per_class_intersections():
+    # tau_values passes once over each orbit's normalizer and shares each
+    # class's total out over it; the oracle intersects every class with every
+    # normalizer.  GL(3,2) with pi={2,3} has two orbits of 7 Hall subgroups,
+    # PSL(2,11) with pi={2,3,5} two of 11.
+    orbits = {}
+    for name, make, pi, _ in _hall_cases() + [("PSL(2,11)", psl2_11, PiSet([2, 3, 5]), None)]:
+        try:
+            ctx = build_hall_context(make(), pi)
+        except NoHallSubgroupError:
+            continue
+        assert ctx.tau_values == tau_by_intersection(ctx), (name, str(pi))
+        orbits[name, str(pi)] = [size for size, _ in ctx.hall_orbits]
+    assert orbits["GL(3,2)", "2,3"] == [7, 7] and orbits["PSL(2,11)", "2,3,5"] == [11, 11]
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_generating_sets())
+def test_tau_matches_the_per_class_intersections_on_random_groups(drawn):
+    degree, images = drawn
+    G = close([Permutation(g) for g in images], degree=degree)
+    for pi in proper_prime_sets(G):
+        try:
+            ctx = build_hall_context(G, pi)
+        except NoHallSubgroupError:
+            continue
+        assert ctx.tau_values == tau_by_intersection(ctx), (images, str(pi))
 
 
 def _a7():

@@ -663,12 +663,16 @@ def test_moebius_sums_match_the_oracles_on_random_groups(drawn):
 
 def _assert_power_tables(G, ctx, where):
     """Each Hall subgroup's d-th-power table counts power_index over its own
-    members, for every d | n, and is kept: a second read returns it."""
+    members, for every d | n, and so do its lam totals, lam read at each
+    power; both are kept per Hall subgroup: a second read returns them."""
     for members in ctx.hall_members:
         for d in divisors(ctx.hall_order):
-            table = ctx.power_table(members, d)
+            table, totals = ctx.power_table(members, d), ctx.lam_totals(members, d)
             assert table == Counter(G.power_index(i, d) for i in members), (where, d)
+            assert totals == Counter(ctx.lam_values[G.power_index(i, d)] for i in members)
             assert ctx.power_table(members, d) is table, (where, d)
+            assert ctx.lam_totals(members, d) is totals, (where, d)
+    assert len({id(ctx.lam_totals(members, 1)) for members in ctx.hall_members}) == ctx.num_halls
 
 
 def test_power_tables_are_kept_per_hall_subgroup(groups):
