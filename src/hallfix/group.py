@@ -8,11 +8,11 @@ configurable cap, or of a degree over ``MAX_DEGREE``.
 
 ``close`` only closes input generators, by whole left cosets grown from the
 largest of their cyclic subgroups, each coset one translate.  Every subgroup
-of a closed group (a search hit, a join of Sylow subgroups, which is how
-Hall subgroups of composite order are found, a pi-core) is grown on that
-group's element indices by one routine, ``_grow``, Dimino's method from a
-subgroup, as an (element-index set, generator indices) pair; Hall subgroups
-and conjugacy classes are handed out in that index form.
+of a closed group (a search hit, a Sylow subgroup climbed by normalizers, a
+join of Sylow subgroups, which is how Hall subgroups of composite order are
+found, a pi-core) is grown on that group's element indices by one routine,
+``_grow``, Dimino's method from a subgroup, as an (element-index set,
+generator indices) pair, the form Hall subgroups and classes are handed out in.
 
 Tables are built by their first reader and kept: the conjugation rows, entry
 by entry, for the Hall orbit walk and the classes alike by the one fill
@@ -244,9 +244,9 @@ def _grow(index: Dict[bytes, int], images: Sequence[bytes], S: FrozenSet[int],
     ``index`` and ``images``: the subgroup <S, moves>, grown from the subgroup
     S by left cosets y S, y = g r for a coset representative r and a move g,
     given as the translate table of t -> g t.  The cosets reached make up
-    <S, moves> when S is generated by some of the moves and a normal subgroup
-    of the group, which may be trivial.  None past ``limit`` elements or at a
-    new element below ``least``."""
+    <S, moves> when S is generated by some of the moves and a subgroup normal
+    in <S, moves>, such as the trivial one, or S itself in a Sylow climb.
+    None past ``limit`` elements or at a new element below ``least``."""
     WORK["grow.calls"] = WORK.get("grow.calls", 0) + 1
     seen = set(S)
     reps = [images[0]]
@@ -307,16 +307,32 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     and each closure grows from its parent's by left cosets.  A branch is
     pruned when its closure order fails to divide ``m``, exceeds ``m``, or
     when the new generator is not the least new element (one canonical
-    generating chain per subgroup).  Any group of order m is generated by at
-    most ceil(log2 m) elements, so chains are short.
-    """
+    generating chain per subgroup); so is an element whose order, the length
+    of its power walk, does not divide m.  Any group of order m is generated
+    by at most ceil(log2 m) elements, so chains are short."""
     if m < 1 or G.order % m:
         raise ValueError(f"{m} does not divide the group order {G.order}")
     if m == 1:
         return [G.subgroup(*_TRIVIAL)]
     if m == G.order:
         return [G]
-    found = sorted(_subgroup_search(G, m), key=lambda pair: sorted(pair[0]))
+    index, images, walks = G._ensure_index(), G.fingerprint(), G._walks
+    max_gens, found, chains = ceil(log2(m)), [], [(_TRIVIAL[0], (), 1)]
+    while chains:
+        clo, gens, start = chains.pop()
+        moves = [_table(images[g]) for g in gens]
+        for e in range(start, G.order):
+            if e in clo or m % len(walks.get(e) or G.power_walk(e)):
+                continue
+            # A new element below e means the chain is not canonical.
+            new = _grow(index, images, clo, moves + [_table(images[e])], m, e)
+            if new is None or m % len(new):
+                continue
+            if len(new) == m:
+                found.append((new, gens + (e,)))
+            elif len(gens) + 1 < max_gens:
+                chains.append((new, gens + (e,), e + 1))
+    found.sort(key=lambda pair: sorted(pair[0]))
     return [G.subgroup(S, gens) for S, gens in found]
 
 
@@ -333,8 +349,8 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[]
     subgroup per other prime (:func:`_sylow_joins`), none if no join has it,
     and P's alone at a prime power n.  Each orbit is walked once, from its
     first hit K, on G's conjugation rows filled at its members only.  The
-    function grows N_G(K) from K by the walk's Schreier generators until
-    |N_G(K)| |orbit| = |G| (orbit-stabilizer); it is G for a lone, normal K."""
+    function grows N_G(K) from K, normal in it, by the walk's Schreier
+    generators to |N_G(K)| = |G| / |orbit|; it is G for a lone, normal K."""
     if n < 1 or G.order % n or gcd(n, G.order // n) != 1:
         raise ValueError(f"{n} is not a Hall order of a group of order {G.order}")
     if n in G._halls:
@@ -346,8 +362,8 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[]
         G._halls[n] = (_TRIVIAL if n == 1 else (whole, gens),), lambda: [(1, whole)]
         WORK["hall.subgroups"] = WORK.get("hall.subgroups", 0) + 1
         return G._halls[n]
-    q = max(p ** k for p, k in factorize(n).items())
-    P = _sylow_start(G, q)
+    q, p = max((p ** k, p) for p, k in factorize(n).items())
+    P = _sylow_start(G, q, p)
     halls, walks = {}, []  # the Hall subgroups, each with its conjugated generators
     for K, gens in [P] if q == n else _sylow_joins(G, n, P):
         if K in halls:
@@ -386,49 +402,37 @@ def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[]
     return G._halls[n]
 
 
-def _sylow_start(G: PermGroup, q: int) -> Found:
-    """A Sylow subgroup of G at q, the full p-part of |G|, from the cheapest
-    exact source: the first of G's kept Sylow set at q; else <g^(k/q)>, of
-    order q, for the first generator g whose order k q divides, read off g's
-    power walk; else the canonical search's first hit.  The Sylow subgroups
-    are conjugate, so any one starts the same Hall set."""
+def _sylow_start(G: PermGroup, q: int, p: int) -> Found:
+    """A Sylow p-subgroup of G at q, the p-part of |G|: the first of G's kept
+    Sylow set at q, else a climb to order q from the largest cyclic p-part
+    <g^(k/p^j)> of a generator g of order k, read off g's power walk.  Below
+    q, p divides |N_G(Q) : Q| for the p-subgroup Q (Sylow), so some x outside
+    Q with x^p in Q normalizes Q: the first by element index grows Q to
+    <Q, x>, of order p |Q|."""
     if q in G._halls:
         return G._halls[q][0][0]
-    index = G._ensure_index()
+    index, images, (Q, gens) = G._ensure_index(), G.fingerprint(), _TRIVIAL
     for g in G.generators:
         walk = G.power_walk(index[g._bytes()])
-        if len(walk) % q == 0:
-            step = len(walk) // q
-            return frozenset(walk[::step]), (walk[step],)
-    return next(_subgroup_search(G, q))
-
-
-def _subgroup_search(G: PermGroup, m: int) -> Iterator[Found]:
-    """Yield the subgroups of order ``m`` as (element-index set, generator
-    indices) pairs, each generated by the greedy chain of its sorted elements,
-    from the candidates: the element indices but the identity's, ascending,
-    whose orders, read off their power walks, divide m."""
-    index, images, walks, size = G._ensure_index(), G.fingerprint(), G._walks, G.order
-    max_gens = ceil(log2(m))
-
-    def extend(clo: FrozenSet[int], gens: Tuple[int, ...], start: int) -> Iterator[Found]:
-        moves = [_table(images[g]) for g in gens]
-        for e in range(start, size):
-            if e in clo or m % len(walks.get(e) or G.power_walk(e)):
+        step = len(walk) // gcd(len(walk), q)
+        if len(walk) // step > len(Q):
+            Q, gens = frozenset(walk[::step]), (walk[step],)
+            if len(Q) == q:
+                return Q, gens
+    while len(Q) < q:
+        for x in range(1, G.order):
+            table_x, y = _table(images[x]), images[x]
+            for _ in range(p - 1):
+                y = y.translate(table_x)
+            if x in Q or index[y] not in Q:
                 continue
-            # A new element below e means the chain is not canonical.
-            new = _grow(index, images, clo, moves + [_table(images[e])], m, e)
-            if new is None or m % len(new):
-                continue
-            if len(new) == m:
-                yield new, gens + (e,)
-            elif len(gens) + 1 < max_gens:
-                yield from extend(new, gens + (e,), e + 1)
-
-    try:
-        yield from extend(_TRIVIAL[0], (), 1)
-    finally:
-        del extend  # break the self-reference even if the caller stops early
+            # x a x^-1 on image bytes: x^-1 translated by a's table, then by x's.
+            x_inverse = bytes.maketrans(images[x], images[0])[:G.degree]
+            if all(index[x_inverse.translate(_table(images[a])).translate(table_x)] in Q
+                   for a in gens):
+                Q, gens = _grow(index, images, Q, [table_x], q), gens + (x,)
+                break
+    return Q, gens
 
 
 def _sylow_joins(G: PermGroup, n: int, P: Found) -> Iterator[Found]:

@@ -853,25 +853,25 @@ def test_element_orders_match_permutation_orders(groups):
 
 
 def test_subgroup_search_leaves_no_garbage():
-    # The recursive search must not leave a reference cycle that keeps its
-    # closures and the group alive until the cyclic collector runs, run to
-    # the end or not, element by element or by Sylow joins.  The groups are
-    # fresh: a group keeps its Hall sets, so one that a test searched before
-    # would search nothing here.
+    # No search may leave a reference cycle that keeps its closures and the
+    # group alive until the cyclic collector runs: the subgroup search, the
+    # Sylow climb, or the recursive Sylow joins, run to the end or not.  The
+    # groups are fresh: a group keeps its Hall sets, so one that a test
+    # searched before would search nothing here.
     gc.collect()
     gc.disable()
     try:
         G = load_group("S4")
         subgroups_of_order(G, 8)
         assert gc.collect() == 0
-        # Searches abandoned after their first hit, as _sylow_start and
-        # hall_subgroups use them.
-        next(group_mod._subgroup_search(G, 3))
-        assert gc.collect() == 0
+        # A Sylow climb (A5's generators have orders 5 and 3), and a join
+        # search abandoned after its first hit.
         A5 = load_group("A5")
-        next(group_mod._sylow_joins(A5, 12, group_mod._sylow_start(A5, 4)))
+        P = group_mod._sylow_start(A5, 4, 2)
         assert gc.collect() == 0
-        # The Sylow search at a prime power, and at A5's composite Hall order
+        next(group_mod._sylow_joins(A5, 12, P))
+        assert gc.collect() == 0
+        # The Sylow set at a prime power, and at A5's composite Hall order
         # 12 the join search run to the end, the orbit walks and the
         # normalizer closure.
         for H, n in ((G, 8), (A5, 12)):

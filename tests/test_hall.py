@@ -13,9 +13,9 @@ from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context
                      corpus_entries, cyclic_lattice, load_group,
                      parse_permutation, pi_part, subgroups_of_order)
 from hallfix import cli, group as group_mod
-from hallfix.arith import prime_divisors
+from hallfix.arith import factorize, prime_divisors
 from hallfix.cli import HALL_CHECKS, hall_records
-from hallfix.group import PermGroup, conjugacy_classes, hall_subgroups
+from hallfix.group import WORK, PermGroup, conjugacy_classes, hall_subgroups
 from hallfix.hall import lambda_report_lines, lambda_report_records
 from hallfix.reports import PASS
 from oracles import (canonical_hall, conjugated_by, conjugates, divisors, is_abelian, is_cyclic,
@@ -381,9 +381,9 @@ def test_tables_built_on_demand_match_the_eager_ones():
     assert compared == 56 + 4
 
 
-def _scan_start(G, q):
+def _scan_start(G, q, p):
     """The Sylow start as the canonical search's first hit, whatever G keeps."""
-    return next(group_mod._subgroup_search(G, q))
+    return next(seeded_search(G, q, (frozenset({0}), ())))
 
 
 def _conjugates(G, S):
@@ -477,29 +477,75 @@ def test_sylow_joins_match_the_seeded_search_on_random_groups(drawn):
     _assert_same_hall_sets(make, [pi_part(G.order, pi) for pi in pis], images, **_SEEDED)
 
 
-@pytest.mark.parametrize("name, make, orders, searched", [
-    # A7's generator (1 2 3 4 5 6 7) is a Sylow 7-subgroup: no search runs.
-    ("A7", _a7, [7], []),
-    # A5's generators have orders 5 and 3, so its Sylow 2-subgroups start from
-    # the scan; at {2,3} the joins start from the first kept one and search
-    # nothing element by element.
-    ("A5", lambda: load_group("A5"), [4, 12], [4]),
-    # A7's generators have orders 7 and 3: its Sylow 5 set starts from the scan.
-    ("A7", _a7, [5], [5]),
-])
-def test_each_sylow_start_source(monkeypatch, name, make, orders, searched):
-    calls, search = [], group_mod._subgroup_search
-    monkeypatch.setattr(group_mod, "_subgroup_search",
-                        lambda G, m: calls.append(m) or search(G, m))
+def _s8():
+    return close([parse_permutation(g, 8) for g in ("(1 2 3 4 5 6 7 8)", "(1 2)")], cap=40320)
+
+
+@pytest.mark.parametrize("make, q, p, steps", [
+    # A7's generator (1 2 3 4 5 6 7) is a Sylow 7-subgroup: no climb step.
+    (_a7, 7, 7, 0),
+    # A5's generators have orders 5 and 3, A7's 7 and 3, so their Sylow 2- and
+    # 5-subgroups climb from the trivial group.
+    (lambda: load_group("A5"), 4, 2, 2),
+    (_a7, 5, 5, 1),
+    # S8's 8-cycle generates a cyclic subgroup of order 8 of a Sylow 2-subgroup.
+    (_s8, 128, 2, 4),
+], ids=["A7-7", "A5-4", "A7-5", "S8-128"])
+def test_each_sylow_start_source(make, q, p, steps):
+    # The climb grows once per step and reads the power walks of G's generators
+    # only, adding one generator per step to the one its cyclic start keeps.
     G = make()
-    found = [hall_subgroups(G, n)[0] for n in orders]
-    assert calls == searched
-    if not searched:
-        # A7's 7-cycle generates a Sylow 7-subgroup, which keeps it as its generator.
-        i = G._ensure_index()[G.generators[0]._bytes()]
-        assert dict(found[0])[frozenset(G.power_walk(i))] == (i,)
-    monkeypatch.undo()
-    _assert_same_hall_sets(make, orders, name, _sylow_start=_scan_start)
+    index, images = G._ensure_index(), G.fingerprint()
+    WORK.clear()
+    S, gens = group_mod._sylow_start(G, q, p)
+    assert (len(S), WORK.get("grow.calls", 0)) == (q, steps)
+    assert set(G._walks) <= {index[g._bytes()] for g in G.generators}
+    assert gens[:len(gens) - steps] in ((), (index[G.generators[0]._bytes()],))
+    assert group_mod._join(index, images, frozenset({0}), gens, q)[0] == S
+    # Once G keeps its Sylow set at q, the start is the set's first, grown from nothing.
+    found = hall_subgroups(G, q)[0]
+    WORK.clear()
+    assert S in dict(found) and group_mod._sylow_start(G, q, p) == found[0]
+    assert "grow.calls" not in WORK
+
+
+def _assert_sylow_climbs(G, powers, search):
+    """At each (q, p) of ``powers``, the Sylow start of the fresh group G has
+    order q and generators that re-close to it from the trivial group, and, if
+    ``search``, is one of the subgroups of order q the canonical search finds."""
+    index, images = G._ensure_index(), G.fingerprint()
+    for q, p in powers:
+        S, gens = group_mod._sylow_start(G, q, p)
+        assert len(S) == q and group_mod._join(index, images, frozenset({0}), gens, q)[0] == S
+        if search:
+            assert S in {frozenset(map(index.__getitem__, H.fingerprint()))
+                         for H in subgroups_of_order(G, q)}, q
+
+
+def _sylow_powers(G):
+    return [(p ** k, p) for p, k in factorize(G.order).items()]
+
+
+def test_sylow_climb_finds_a_sylow_subgroup():
+    for entry in corpus_entries():
+        G = load_group(entry.name)
+        _assert_sylow_climbs(G, _sylow_powers(G), True)
+    # S7, M11 and S8 at their largest prime power, 16, 16 and 128: the order
+    # and the re-closing only, as the search takes seconds there.
+    for degree, gens in ((7, ("(1 2 3 4 5 6 7)", "(1 2)")),
+                         (11, ("(2 10)(4 11)(5 7)(8 9)", "(1 4 3 8)(2 5 6 9)")),
+                         (8, ("(1 2 3 4 5 6 7 8)", "(1 2)"))):
+        G = close([parse_permutation(g, degree) for g in gens], cap=40320)
+        _assert_sylow_climbs(G, [max(_sylow_powers(G))], False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_generating_sets())
+def test_sylow_climb_finds_a_sylow_subgroup_on_random_groups(drawn):
+    degree, images = drawn
+    G = close([Permutation(g) for g in images], degree=degree)
+    if G.order <= 720:
+        _assert_sylow_climbs(G, _sylow_powers(G), True)
 
 
 @pytest.mark.parametrize("p, members", [(5, 505), (7, 721)])

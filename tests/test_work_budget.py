@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from hallfix import cli, corpus_entries
+from hallfix import cli, corpus_entries, group as group_mod, hall as hall_mod
 from hallfix.group import WORK
 
 BUDGET = Path(__file__).with_name("work_budget.json")
@@ -96,7 +96,14 @@ def measure(tmp_dir: Path):
     return out
 
 
-def test_work_counts_match_the_budget(tmp_path, capsys):
+def test_work_counts_match_the_budget(tmp_path, capsys, monkeypatch):
+    # subgroups_of_order is the one backtracking subgroup search left, and no
+    # command line above reaches it: a call would exit 3, not as pinned.
+    def refuse(*args):
+        raise AssertionError("backtracking subgroup search")
+
+    monkeypatch.setattr(hall_mod, "subgroups_of_order", refuse)
+    monkeypatch.setattr(group_mod, "subgroups_of_order", refuse)
     found = measure(tmp_path)
     capsys.readouterr()
     expected = json.loads(BUDGET.read_text())
