@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import List, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .arith import FACTOR_LIMIT, PiSet, prime_divisors
 from .corpus import (A5_CURIOSITY, CorpusEntry, UnknownGroupError, corpus_entries,
@@ -200,15 +200,18 @@ HALL_CHECKS = ("verify-mult", "verify-add", "interpretation", "sym-char")
 
 
 def hall_records(name: str, G: PermGroup, pi: PiSet, checks: Sequence[str],
-                 entry: Optional[CorpusEntry] = None, *,
-                 use_radical: bool = False) -> List[CheckRecord]:
+                 entry: Optional[CorpusEntry] = None, *, use_radical: bool = False,
+                 contexts: Optional[Dict[PiSet, HallContext]] = None) -> List[CheckRecord]:
     """Run ``checks`` on one shared Hall context for (G, pi); every check is
-    inapplicable when G has no Hall pi-subgroup."""
+    inapplicable when G has no Hall pi-subgroup.  The context is also kept in
+    ``contexts``, when given, under pi, for a later check on (G, pi)."""
     try:
         ctx = build_hall_context(G, pi)
     except NoHallSubgroupError as exc:
         return [CheckRecord(check, name, str(pi), INAPPLICABLE, str(exc))
                 for check in checks]
+    if contexts is not None:
+        contexts[pi] = ctx
     make = {"verify-mult": lambda: mult_record(name, ctx, entry, use_radical=use_radical),
             "verify-add": lambda: add_record(name, ctx),
             "interpretation": lambda: interpretation_record(name, ctx),
@@ -305,12 +308,12 @@ def interpretation_record(name: str, ctx: HallContext) -> CheckRecord:
                        if ok else "orbit decomposition disagrees")
 
 
-def curiosity_record(name: str, G: PermGroup, pi: PiSet,
+def curiosity_record(name: str, ctx: HallContext,
                      n: Optional[int]) -> Tuple[CheckRecord, str]:
-    value = curiosity_value(G, pi, n)
+    pi, value = ctx.pi, curiosity_value(ctx, n)
     text = str(value)
     pinned = (name == "A5" and pi == PiSet([3])
-              and (n is None or n == G.order))
+              and (n is None or n == ctx.group.order))
     if pinned:
         if value == Fraction(A5_CURIOSITY):
             return CheckRecord("curiosity", name, str(pi), PASS,
@@ -325,15 +328,16 @@ def scan_records(entries: List[CorpusEntry], cap: int) -> List[CheckRecord]:
     records: List[CheckRecord] = []
     for entry in entries:
         G = load_group(entry.name, cap=cap)
+        contexts: Dict[PiSet, HallContext] = {}
         for pi in entry.check_pis:
-            records += hall_records(entry.name, G, pi, HALL_CHECKS, entry)
+            records += hall_records(entry.name, G, pi, HALL_CHECKS, entry, contexts=contexts)
         if entry.scenario is not None:
             # After the Hall checks, so the split reads the rows and classes they built.
             scenario = coprime_split(G, entry.scenario)
             records.append(nr_record(entry.name, scenario))
             records.append(wielandt_record(entry.name, scenario))
         if entry.name == "A5":
-            records.append(curiosity_record(entry.name, G, PiSet([3]), None)[0])
+            records.append(curiosity_record(entry.name, contexts[PiSet([3])], None)[0])
     return records
 
 
@@ -398,7 +402,7 @@ def _dispatch(args) -> int:
         if args.n is not None and not 1 <= args.n <= FACTOR_LIMIT:
             raise InputError(f"--n must be positive and at most {FACTOR_LIMIT}, "
                              f"got {args.n}")
-        record, text = curiosity_record(name, G, pi, args.n)
+        record, text = curiosity_record(name, build_hall_context(G, pi), args.n)
         if args.json:
             _emit([record], True)
         else:

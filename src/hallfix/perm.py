@@ -10,7 +10,6 @@ g(h(p))``, i.e. the right factor acts first.
 from __future__ import annotations
 
 import re
-from math import lcm
 from typing import Iterable, List, Tuple
 
 
@@ -79,10 +78,6 @@ class Permutation:
                 seen.update(cyc)
                 out.append(tuple(cyc))
         return out
-
-    def order(self) -> int:
-        """Least k >= 1 with self^k the identity: the lcm of the cycle lengths."""
-        return lcm(*map(len, self.cycles()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images

@@ -22,7 +22,7 @@ from typing import Callable, Dict, FrozenSet, Mapping, NamedTuple, Optional, Seq
 
 from .arith import FactoredRational, PiSet, prime_divisors, radical, squarefree_divisors
 from .group import PermGroup, centralizer_order, conjugacy_classes
-from .hall import HallContext, build_hall_context, by_value, cyclic_lattice, hall_set
+from .hall import HallContext, by_value, cyclic_lattice, hall_set
 
 #: Most decimal digits of a curiosity power sum (Python's int-to-str default).
 CURIOSITY_MAX_DIGITS = 4300
@@ -245,17 +245,16 @@ def interpretation_check(ctx: HallContext) -> bool:
     return Fraction(total, n) == additive_value(ctx)
 
 
-def curiosity_value(G: PermGroup, target_pi: PiSet,
-                    n: Optional[int] = None) -> Fraction:
+def curiosity_value(ctx: HallContext, n: Optional[int] = None) -> Fraction:
     """Möbius-weighted power sum of the conjugation character over the whole group.
 
-    tau counts the Hall target_pi-subgroups normalized by each element; the
-    value is (1/n^2) sum over d | n of mu(d) * sum over g in G of
+    tau counts the context's Hall subgroups normalized by each element of G;
+    the value is (1/n^2) sum over d | n of mu(d) * sum over g in G of
     tau(g^d)^(n/d), with n defaulting to |G|.  Exact; a sum of more than
     CURIOSITY_MAX_DIGITS digits raises :class:`PowerSumTooLargeError`.
     """
-    tau, weights = build_hall_context(G, target_pi).tau_values, _class_weights(G)
-    n = G.order if n is None else n
+    G, tau = ctx.group, ctx.tau_values
+    weights, n = _class_weights(G), G.order if n is None else n
     if n < 1:
         raise ValueError("n must be positive")
     digits = n * log10(max(tau)) + log10(2 * G.order)

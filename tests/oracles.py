@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, log2, prod
+from math import ceil, lcm, log2, prod
 
 from hypothesis import strategies as st
 
@@ -213,9 +213,14 @@ def canonical_hall(ctx):
     return ctx.group.subgroup(*ctx._found[0])
 
 
+def element_order(g):
+    """Least k >= 1 with g^k the identity: the lcm of the cycle lengths."""
+    return lcm(*map(len, g.cycles()))
+
+
 def is_cyclic(H):
     """Whether some element of H has order |H|."""
-    return any(x.order() == H.order for x in H.elements)
+    return any(element_order(x) == H.order for x in H.elements)
 
 
 def is_abelian(H):

@@ -788,11 +788,23 @@ def test_scan_computes_the_additive_value_once_per_hall_context(capsys, monkeypa
     assert len(lam_totals) == sum(len(ctx.moebius_pairs) for ctx in contexts)
 
 
+def test_full_scan_builds_one_hall_context_per_group_and_pi(capsys, monkeypatch):
+    # 57 (entry, pi) pairs, less A5 with {2,5}, which has no Hall subgroup;
+    # A5's curiosity reads the context that its Hall checks at {3} built.
+    built = []
+    init = hall_mod.HallContext.__init__
+    monkeypatch.setattr(hall_mod.HallContext, "__init__", lambda ctx, G, pi, *rest: built.append(
+        (G, pi)) or init(ctx, G, pi, *rest))
+    code, _, _ = run(capsys, "scan", "--json")
+    assert code == 0 and len(built) == 56
+    assert len({(id(G), pi) for G, pi in built}) == 56
+
+
 def test_full_scan_factors_each_hall_order_once_per_context(capsys, monkeypatch):
     # Each Hall context makes the pairs (d, mu(d)) of its Hall order once, for
     # all four checks; the cyclic lattices of the 8 coprime splits and A5's
     # curiosity sum at n = |G| make the only other pairs.  The scan factors
-    # 228 numbers in all (381 when each check made its own pairs).
+    # 227 numbers in all (381 when each check made its own pairs).
     calls, contexts, lattices, factored = Counter(), Counter(), [], []
     for module in (hall_mod, verify_mod):
         monkeypatch.setattr(module, "squarefree_divisors",
@@ -808,7 +820,7 @@ def test_full_scan_factors_each_hall_order_once_per_context(capsys, monkeypatch)
     code, _, _ = run(capsys, "scan", "--json")
     assert code == 0 and len(lattices) == 8
     assert calls == {"hallfix.hall": sum(contexts.values()) + 8, "hallfix.verify": 1}
-    assert sum(calls.values()) == 66 and len(factored) == 228
+    assert sum(calls.values()) == 65 and len(factored) == 227
 
 
 def test_scan_counts_each_centralizer_order_once_per_split(capsys, monkeypatch):

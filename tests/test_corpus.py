@@ -3,49 +3,91 @@
 from __future__ import annotations
 
 import re
+from typing import Dict, NamedTuple, Tuple
 
 import pytest
 
-from hallfix import (Permutation, UnknownGroupError,
-                     build_hall_context, close, corpus_entries, format_permutation,
-                     get_entry, is_pi_separable, load_group, parse_group_text)
+from hallfix import (Permutation, PiSet, UnknownGroupError,
+                     build_hall_context, close, corpus_entries, corpus_names,
+                     format_permutation, get_entry, is_pi_separable, load_group,
+                     parse_group_text)
 from hallfix import groupio
 from hallfix.groupio import MAX_DEGREE, GroupFileError, read_group_file
 from oracles import corpus_split, group_file_text, is_solvable
 
 
+class Facts(NamedTuple):
+    """Textbook facts of a corpus group, which no command reads: its order,
+    whether it is solvable, the prime sets of its ``check_pis`` at which it
+    is pi-separable, and its number of Hall pi-subgroups at some pi."""
+
+    order: int
+    solvable: bool
+    separable_pis: Tuple[str, ...]
+    hall_counts: Dict[str, int]
+
+
+FACTS = {
+    "C6": Facts(6, True, ("2", "3", "2,3"), {"2": 1, "3": 1}),
+    "C3xC2": Facts(6, True, ("2", "3"), {"2": 1, "3": 1}),
+    "V4": Facts(4, True, ("2",), {"2": 1}),
+    "S3": Facts(6, True, ("2", "3"), {"2": 3, "3": 1}),
+    "C3xC3": Facts(9, True, ("3",), {"3": 1}),
+    "D10": Facts(10, True, ("2", "5"), {"2": 5, "5": 1}),
+    "A4": Facts(12, True, ("2", "3"), {"2": 1, "3": 4}),
+    "S4": Facts(24, True, ("2", "3", "2,3"), {"2": 3, "3": 4, "2,3": 1}),
+    "F20": Facts(20, True, ("2", "5"), {"2": 5, "5": 1}),
+    "F21": Facts(21, True, ("3", "7"), {"3": 7, "7": 1}),
+    "F42": Facts(42, True, ("2", "3", "7", "2,3", "3,7"), {"2": 7, "7": 1}),
+    "F21xC2": Facts(42, True, ("3", "7", "3,7", "2,3"), {"3": 7, "7": 1, "3,7": 1}),
+    "SL(2,3)": Facts(24, True, ("2", "3", "2,3"), {"2": 1, "3": 4}),
+    "S3xS3": Facts(36, True, ("2", "3"), {"2": 9, "3": 1}),
+    "C7:S3": Facts(42, True, ("2", "3", "7", "2,3"), {"2": 21, "3": 1, "7": 1, "2,3": 7}),
+    "A5": Facts(60, False, (), {"2": 5, "3": 10, "5": 6, "2,3": 5}),
+    "S5": Facts(120, False, (), {"2": 15, "3": 10, "5": 6, "2,3": 5}),
+    "GL(3,2)": Facts(168, False, (), {"2": 21, "3": 28, "7": 8}),
+    "PSL(2,9)": Facts(360, False, (), {"2": 45, "3": 10, "5": 36}),
+    "PGL(2,9)": Facts(720, False, (), {"2": 45, "3": 10, "5": 36}),
+}
+
+
+def test_facts_name_every_entry_in_corpus_order():
+    assert list(FACTS) == corpus_names()
+
+
 def test_every_entry_loads_with_expected_order(groups):
-    for entry in corpus_entries():
-        assert groups[entry.name].order == entry.order, entry.name
+    for name, facts in FACTS.items():
+        assert groups[name].order == facts.order, name
 
 
 def test_solvable_tags_are_consistent(groups):
-    for entry in corpus_entries():
-        assert is_solvable(groups[entry.name]) == entry.solvable, entry.name
+    for name, facts in FACTS.items():
+        assert is_solvable(groups[name]) == facts.solvable, name
 
 
 def test_separability_tags_are_consistent(groups):
     for entry in corpus_entries():
+        separable = set(map(PiSet.parse, FACTS[entry.name].separable_pis))
         for pi in entry.check_pis:
-            expected = pi in entry.separable_pis
-            assert is_pi_separable(groups[entry.name], pi) == expected, (
+            assert is_pi_separable(groups[entry.name], pi) == (pi in separable), (
                 entry.name, str(pi))
 
 
 def test_hall_count_tags_are_consistent(groups):
-    for entry in corpus_entries():
-        for pi, count in entry.hall_counts.items():
-            ctx = build_hall_context(groups[entry.name], pi)
-            assert ctx.num_halls == count, (entry.name, str(pi))
+    for name, facts in FACTS.items():
+        for pi, count in facts.hall_counts.items():
+            ctx = build_hall_context(groups[name], PiSet.parse(pi))
+            assert ctx.num_halls == count, (name, pi)
 
 
 def test_scenarios_satisfy_coprime_invariants():
     for entry in corpus_entries():
         if entry.scenario is None:
             continue
+        order = FACTS[entry.name].order
         scenario = corpus_split(entry.name)  # validates in the constructor
-        assert scenario.group.order == entry.order
-        assert scenario.normal.order * scenario.complement.order == entry.order
+        assert scenario.group.order == order
+        assert scenario.normal.order * scenario.complement.order == order
 
 
 def test_expected_fail_marks_are_exactly_the_documented_pairs():

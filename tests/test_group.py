@@ -20,10 +20,10 @@ from hallfix.group import (_TRIVIAL, DEFAULT_ELEMENT_CAP, FiniteAction, PermGrou
                            conjugacy_classes, hall_subgroups)
 from hallfix.reports import INAPPLICABLE, PASS
 from oracles import (burnside_orbit_count, canonical_hall, centralizer, conjugate_set,
-                     conjugates, divisors, greedy_chain, image_bytes, is_abelian, is_pi,
-                     is_pi_prime, is_pi_separable_direct, normal_subgroups, proper_prime_sets,
-                     psl2_11, quotient_direct, random_generating_sets, s5_subgroup_classes,
-                     tau_by_element)
+                     conjugates, divisors, element_order, greedy_chain, image_bytes, is_abelian,
+                     is_pi, is_pi_prime, is_pi_separable_direct, normal_subgroups,
+                     proper_prime_sets, psl2_11, quotient_direct, random_generating_sets,
+                     s5_subgroup_classes, tau_by_element)
 
 
 def P(text, degree):
@@ -41,7 +41,7 @@ def _subgroup_search_direct(G, m):
     """Reference search on permutations: re-closes every canonical generating
     chain from the identity and generates each subgroup by its greedy chain."""
     ident = G.identity
-    candidates = [g for g in G.elements if g != ident and m % g.order() == 0]
+    candidates = [g for g in G.elements if g != ident and m % element_order(g) == 0]
     max_gens = ceil(log2(m))
     out = []
 
@@ -404,7 +404,7 @@ def test_core_pi_examples(groups):
     S4 = groups["S4"]
     v4 = pi_core(S4, PiSet([2]))
     assert v4.order == 4
-    assert all(g.order() in (1, 2) for g in v4.elements)
+    assert all(element_order(g) in (1, 2) for g in v4.elements)
     assert pi_core(groups["A5"], PiSet([2])).order == 1
     assert pi_core(S4, PiSet([2, 3])) == S4
 
@@ -488,7 +488,7 @@ def test_cores_of_class_rich_abelian_groups(name):
     assert is_abelian(G)
     for pi in _prime_subsets(G):
         for side, keep in enumerate((is_pi, is_pi_prime)):
-            expect = {g for g in G.elements if keep(g.order(), pi)}
+            expect = {g for g in G.elements if keep(element_order(g), pi)}
             assert frozenset(pi_core(G, pi, side).elements) == expect, (name, str(pi))
         assert is_pi_separable(G, pi)
 
@@ -531,7 +531,7 @@ def test_element_orders_read_power_walks_and_build_no_classes():
     orders = A7.element_orders()
     assert (A7._classes, A7._rows) == (None, None)
     assert len(A7._walks) == A7.order
-    assert orders == tuple(g.order() for g in A7.elements)
+    assert orders == tuple(element_order(g) for g in A7.elements)
     assert sorted(set(orders)) == [1, 2, 3, 4, 5, 6, 7]
 
 
@@ -761,14 +761,14 @@ def test_finite_action_validation(groups):
         FiniteAction.build(S3, 3, lambda g, i: (i + 1) % 3)
     # (1 2 3) acting as a transposition breaks the relation b^3 = 1.
     with pytest.raises(ValueError, match="act\\(g"):
-        FiniteAction.build(S3, 3,
-                           lambda g, i: _natural(g, i) if g.order() < 3 else _natural(swap, i))
+        FiniteAction.build(S3, 3, lambda g, i: (_natural(g, i) if element_order(g) < 3
+                                                else _natural(swap, i)))
     # Transpositions acting by themselves and 3-cycles fixing every point:
     # on the generators that is the sign action, which build extends over S3.
-    sign = FiniteAction.build(S3, 3, lambda g, i: _natural(g, i) if g.order() < 3 else i)
+    sign = FiniteAction.build(S3, 3, lambda g, i: _natural(g, i) if element_order(g) < 3 else i)
     for g in S3.elements:
         for i in range(3):
-            assert sign.act(g, i) == (_natural(swap, i) if g.order() == 2 else i)
+            assert sign.act(g, i) == (_natural(swap, i) if element_order(g) == 2 else i)
 
 
 def test_finite_action_matches_natural_action(groups):
@@ -849,7 +849,7 @@ def test_indexed_search_matches_direct_search(groups):
 
 def test_element_orders_match_permutation_orders(groups):
     for name, G in groups.items():
-        assert G.element_orders() == tuple(g.order() for g in G.elements), name
+        assert G.element_orders() == tuple(element_order(g) for g in G.elements), name
 
 
 def test_subgroup_search_leaves_no_garbage():

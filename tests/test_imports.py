@@ -1,15 +1,23 @@
 """Every name a module of the package imports is used in that module, no
 module imports a private name from another, every private function, class
-and method it defines is read in the package, and every public one is read
-by a module other than ``__init__.py``: the public surface is what a command
-reaches."""
+and method it defines is read in the package, and every public one, and
+every field of a ``typing.NamedTuple``, is read by a module other than
+``__init__.py``.  The name checks cannot tell two attributes of one name
+apart, so a run-time check also traces the commands and requires each public
+function, method and field to be entered or read: the public surface is what
+a command reaches."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+from hallfix import cli
+from test_work_budget import MULT_ADD, SMALL, command_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hallfix"
 
@@ -31,6 +39,10 @@ UNREAD_PUBLIC = {
     # perfbench's tracer counts len(result.halls) after build_hall_context.
     ("hall.py", "HallContext.halls"),
 }
+
+#: Public definitions that the name check sees read but no command reaches:
+#: only FiniteAction.build reads PermGroup.identity.
+UNREACHED = UNREAD_PUBLIC | {("group.py", "PermGroup.identity")}
 
 
 def _unused_imports(tree):
@@ -92,24 +104,35 @@ def _unread_private_definitions(trees):
 
 def _public_definitions(tree):
     """(line, name) of each public function or class defined at the top level
-    of the module, and (line, "Class.method") of each public method or
-    property of its top-level classes; dunders are out of scope."""
+    of the module, and (line, "Class.member") of each public method or
+    property of its top-level classes and each field of its top-level
+    ``NamedTuple`` classes; dunders are out of scope."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
                 out.append((node.lineno, node.name))
             if isinstance(node, ast.ClassDef):
-                out += [(sub.lineno, f"{node.name}.{sub.name}") for sub in node.body
-                        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not sub.name.startswith("_")]
+                named_tuple = any(ast.unparse(base).split(".")[-1] == "NamedTuple"
+                                  for base in node.bases)
+                for sub in node.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        name = sub.name
+                    elif (named_tuple and isinstance(sub, ast.AnnAssign)
+                          and isinstance(sub.target, ast.Name)):
+                        name = sub.target.id
+                    else:
+                        continue
+                    if not name.startswith("_"):
+                        out.append((sub.lineno, f"{node.name}.{name}"))
     return out
 
 
 def _unread_public_definitions(trees, allowed=frozenset()):
     """(module, line, name) of the public definitions outside ``allowed`` that
     no module but ``__init__.py`` reads: a top-level name as a name, as an
-    attribute or in a string annotation, a method or property as an attribute."""
+    attribute or in a string annotation, a method, property or field as an
+    attribute."""
     names, attrs = set(), set()
     for module, tree in trees.items():
         if module != "__init__.py":
@@ -120,6 +143,52 @@ def _unread_public_definitions(trees, allowed=frozenset()):
             for line, name in _public_definitions(tree)
             if (module, name) not in allowed
             and name.split(".")[-1] not in (attrs if "." in name else names)]
+
+
+def _code(member):
+    """The code object run by a function, method, property or cached property."""
+    for attr in ("fget", "func", "__func__"):
+        member = getattr(member, attr, member)
+    return member.__code__
+
+
+def _unreached_definitions(trees, modules, run):
+    """(module, line, name) of the public functions, methods, properties and
+    ``NamedTuple`` fields whose code ``run()`` never enters or that it never
+    reads as an attribute.  ``modules`` holds the
+    loaded module of each tree.  ``sys.settrace`` sees each code object
+    entered, and a recording property stands in for each field during the
+    run; the previous tracer and the fields are put back after it.  Classes
+    are left to the name check."""
+    reached, codes, fields = set(), {}, []
+    for module, tree in trees.items():
+        for line, name in _public_definitions(tree):
+            key, (owner, _, attr) = (module, line, name), name.rpartition(".")
+            holder = getattr(modules[module], owner) if owner else modules[module]
+            member = vars(holder)[attr]
+            if attr in getattr(holder, "_fields", ()):
+                fields.append((holder, attr, member, key))
+            elif not isinstance(member, type):
+                codes[key] = _code(member)
+
+    def recording(getter, key):
+        def read(self):
+            reached.add(key)
+            return getter.__get__(self)
+        return property(read)
+
+    previous = sys.gettrace()
+    try:
+        for holder, attr, getter, key in fields:
+            setattr(holder, attr, recording(getter, key))
+        sys.settrace(lambda frame, event, arg: reached.add(frame.f_code))
+        run()
+    finally:
+        sys.settrace(previous)
+        for holder, attr, getter, _ in fields:
+            setattr(holder, attr, getter)
+    return sorted([key for key, code in codes.items() if code not in reached]
+                  + [key for *_, key in fields if key not in reached])
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
@@ -191,3 +260,65 @@ def test_the_check_sees_an_unread_public_definition():
              "__init__.py": ast.parse("from .a import dead\nf.used\n")}
     assert _unread_public_definitions(trees, {("a.py", "pinned")}) == [
         ("a.py", 3, "dead"), ("a.py", 10, "C.used"), ("b.py", 1, "f")]
+
+
+def test_the_check_sees_an_unread_field():
+    trees = {"a.py": ast.parse("import typing\n"
+                               "class Row(typing.NamedTuple):\n"
+                               "    kept: int\n"
+                               "    dropped: int = 0\n"
+                               "    def total(self):\n        return self.kept\n"
+                               "class Plain:\n"
+                               "    note: str = ''\n"),
+             "b.py": ast.parse("def f(r: 'Row', p: 'Plain'):\n    return r.total(), f\n"),
+             "__init__.py": ast.parse("r.dropped\n")}
+    assert _unread_public_definitions(trees) == [("a.py", 4, "Row.dropped")]
+
+
+def test_commands_reach_every_public_definition(tmp_path, capsys):
+    """The budget's command lines, without its costly Hall searches, plus
+    the paths they miss: --radical, text reports, an unknown group and an
+    unknown option."""
+    lines = command_lines(tmp_path, MULT_ADD + SMALL) + [
+        ["verify-mult", "--group", "PGL(2,9)", "--pi", "2", "--radical"],
+        ["lambda", "--group", "A5", "--pi", "3"],
+        ["lambda", "--group", "M11", "--pi", "2"],
+        ["scan", "--bogus"]]
+
+    def run():
+        for argv in lines:
+            try:
+                cli.main(argv)
+            except SystemExit:  # a usage error
+                pass
+
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    modules = {name: sys.modules["hallfix" if name == "__init__.py" else f"hallfix.{name[:-3]}"]
+               for name in trees}
+    unreached = _unreached_definitions(trees, modules, run)
+    capsys.readouterr()
+    missed = [(module, line, name) for module, line, name in unreached
+              if (module, name) not in UNREACHED]
+    assert missed == [], f"public definitions no command reaches: {missed}"
+    stale = UNREACHED - {(module, name) for module, _, name in unreached}
+    assert stale == set(), f"allowlisted names a command now reaches or that are gone: {stale}"
+
+
+def test_the_check_sees_an_unreached_definition_whose_name_is_read():
+    source = ("import typing\n"
+              "class Walk:\n"
+              "    def order(self):\n        return 0\n"
+              "class Group:\n"
+              "    def __init__(self):\n        self.order = 6\n"
+              "class Row(typing.NamedTuple):\n"
+              "    kept: int\n"
+              "    order: int = 0\n"
+              "def run():\n    return Row(Group().order).kept\n")
+    module = ModuleType("a")
+    exec(compile(source, "a.py", "exec"), vars(module))
+    trees, tracer = {"a.py": ast.parse(source)}, sys.gettrace()
+    # Both members named order pass the name check: Group's order is read.
+    assert _unread_public_definitions(trees) == [("a.py", 2, "Walk"), ("a.py", 11, "run")]
+    assert _unreached_definitions(trees, {"a.py": module}, module.run) == [
+        ("a.py", 3, "Walk.order"), ("a.py", 10, "Row.order")]
+    assert sys.gettrace() is tracer and type(vars(module.Row)["order"]) is not property

@@ -538,8 +538,8 @@ def test_power_sum_bound_rejects_small_arguments():
 # ---------------------------------------------------------------- curiosity
 
 
-def test_curiosity_value_matches_reference(groups):
-    value = curiosity_value(groups["A5"], PiSet([3]))
+def test_curiosity_value_matches_reference(hall_ctx):
+    value = curiosity_value(hall_ctx("A5", "3"))
     assert value == Fraction(A5_CURIOSITY)
 
 
@@ -551,14 +551,14 @@ def test_curiosity_tau_degree_is_ten(hall_ctx):
 
 def test_curiosity_trivial_group():
     G = close([], degree=1)
-    assert curiosity_value(G, PiSet([3]), 1) == 1
+    assert curiosity_value(build_hall_context(G, PiSet([3])), 1) == 1
 
 
-def test_curiosity_refuses_a_power_sum_past_the_digit_limit(groups):
+def test_curiosity_refuses_a_power_sum_past_the_digit_limit(hall_ctx):
     # tau(1) = 10 on A5, so n = 4400 gives a sum of about 4400 digits.
-    assert curiosity_value(groups["A5"], PiSet([3]), 4000) > 0
+    assert curiosity_value(hall_ctx("A5", "3"), 4000) > 0
     with pytest.raises(PowerSumTooLargeError, match="limit 4300"):
-        curiosity_value(groups["A5"], PiSet([3]), 4400)
+        curiosity_value(hall_ctx("A5", "3"), 4400)
 
 
 # ---------------------------------------------------------------- lambda factorization
@@ -621,7 +621,7 @@ def test_index_path_matches_permutation_oracles(groups):
         m = min(G.order, 120)
         curiosity = sum((cyclic_symmetrized(tau, m, g) for g in G.elements),
                         Fraction(0)) / m
-        assert curiosity_value(G, pi, m) == curiosity, where
+        assert curiosity_value(ctx, m) == curiosity, where
         if is_abelian(H):
             abelian += 1
             orbits = sum((Fraction(moebius(d) * burnside_orbit_count(

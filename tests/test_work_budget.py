@@ -72,14 +72,16 @@ HALL_SEARCH = (("S7", "2,3,5"), ("S7", "2,3,7"), ("M11", "2,3,5"), ("M11", "2,3,
                ("S7xC2", "2,3,5"), ("S7xC2", "2,3,7"))
 
 
-def measure(tmp_dir: Path):
-    """The work counts of each command, keyed by its command line."""
+def command_lines(tmp_dir: Path,
+                  file_rows=MULT_ADD + SMALL + tuple((*row, "verify-add") for row in HALL_SEARCH)):
+    """The budget's command lines, with a group file in ``tmp_dir`` for each
+    (group, pi, command) of ``file_rows``."""
     commands = [["scan", "--json"]]
     for entry in corpus_entries():
         if entry.scenario is not None:
             commands += [[command, "--group", entry.name, "--json"]
                          for command in ("verify-nr", "verify-wielandt")]
-    for name, pi, command in MULT_ADD + SMALL + tuple((*row, "verify-add") for row in HALL_SEARCH):
+    for name, pi, command in file_rows:
         path = tmp_dir / f"{name}.group"
         degree, gens = GROUPS[name]
         path.write_text(f"degree: {degree}\n" + "".join(f"gen: {g}\n" for g in gens))
@@ -87,8 +89,13 @@ def measure(tmp_dir: Path):
         commands.append([command, "--file", str(path), "--pi", pi, *cap, "--json"])
     commands += [["lambda", "--group", "PGL(2,9)", "--pi", pi, "--json"] for pi in ("5", "2")]
     commands.append(["curiosity", "--group", "A5", "--json"])
+    return commands
+
+
+def measure(tmp_dir: Path):
+    """The work counts of each command, keyed by its command line."""
     out = {}
-    for argv in commands:
+    for argv in command_lines(tmp_dir):
         WORK.clear()
         code = cli.main(argv)
         key = " ".join(argv).replace(str(tmp_dir) + "/", "")
