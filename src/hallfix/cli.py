@@ -29,9 +29,9 @@ from .hall import (HallContext, NoHallSubgroupError, build_hall_context,
 from .perm import PermParseError
 from .reports import (FAIL, INAPPLICABLE, PASS, CheckRecord, lambda_rows_to_json,
                       records_to_json, unexpected_failures)
-from .verify import (CoprimeActionScenario, PowerSumTooLargeError, additive_value,
-                     coprime_split, curiosity_value, interpretation_check, multiplicative_value,
-                     navarro_rizo_check, sym_char_sums, wielandt_check)
+from .verify import (CoprimeActionScenario, NoCoprimeSplitError, PowerSumTooLargeError,
+                     additive_value, coprime_split, curiosity_value, interpretation_check,
+                     multiplicative_value, navarro_rizo_check, sym_char_sums, wielandt_check)
 
 _COMMANDS = ("lambda", "verify-mult", "verify-add", "verify-nr", "verify-wielandt",
              "sym-char", "interpretation", "curiosity", "scan")
@@ -255,11 +255,11 @@ def add_record(name: str, ctx: HallContext) -> CheckRecord:
 
 def nr_record(name: str, scenario: CoprimeActionScenario) -> CheckRecord:
     """Cleared coprime fixed-point identities on a coprime split."""
-    primes = prime_divisors(scenario.complement.order)
+    primes = prime_divisors(len(scenario.complement))
     inferred = PiSet(primes)
     if len(primes) != 1:
         return CheckRecord("verify-nr", name, str(inferred), INAPPLICABLE,
-                           f"complement of order {scenario.complement.order} "
+                           f"complement of order {len(scenario.complement)} "
                            "is not a p-group")
     result = navarro_rizo_check(scenario)
     witness = (f"|C_N(P)|={result.fixed_order}, cleared {result.cleared_lhs} "
@@ -360,7 +360,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _dispatch(args)
     except (InputError, UnknownGroupError, GroupFileError, PermParseError,
-            CapExceededError, NoHallSubgroupError, PowerSumTooLargeError) as exc:
+            CapExceededError, NoHallSubgroupError, NoCoprimeSplitError,
+            PowerSumTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 is reserved for a violated identity
@@ -409,28 +410,20 @@ def _dispatch(args) -> int:
             print(text)
         return 1 if unexpected_failures([record]) else 0
 
-    if command in ("verify-nr", "verify-wielandt"):
-        if args.file is not None:
-            raise InputError("the coprime split needs a builtin corpus entry; "
-                             "--file is not supported here")
-        if args.group is None:
-            raise InputError("--group is required")
-        entry = get_entry(args.group)
-        if entry.scenario is None:
-            raise InputError(f"corpus entry {entry.name} names no coprime split")
-        pi = _require_pi(args) if args.pi is not None else entry.scenario
-        scenario = coprime_split(load_group(entry.name, cap=args.cap), entry.scenario)
-        if pi != entry.scenario:
-            raise InputError(f"--pi {pi} does not match the complement order "
-                             f"{scenario.complement.order}")
-        record = (nr_record if command == "verify-nr" else wielandt_record)(entry.name, scenario)
-        _emit([record], args.json)
-        return 1 if unexpected_failures([record]) else 0
-
     name, G, entry = _resolve_group(args)
-    pi = _require_pi(args)
-    records = hall_records(name, G, pi, [command], entry,
-                           use_radical=args.radical)
+    coprime = command in ("verify-nr", "verify-wielandt")
+    if coprime and args.pi is None and entry is not None:
+        # A builtin entry's coprime split is at its scenario primes by default.
+        if entry.scenario is None:
+            raise InputError(f"corpus entry {entry.name} names no coprime split; give --pi")
+        pi = entry.scenario
+    else:
+        pi = _require_pi(args)
+    if coprime:
+        scenario = coprime_split(G, pi)
+        records = [(nr_record if command == "verify-nr" else wielandt_record)(name, scenario)]
+    else:
+        records = hall_records(name, G, pi, [command], entry, use_radical=args.radical)
     _emit(records, args.json)
     return 1 if unexpected_failures(records) else 0
 

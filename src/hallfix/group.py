@@ -13,6 +13,7 @@ join of Sylow subgroups, which is how Hall subgroups of composite order are
 found, a pi-core) is grown on that group's element indices by one routine,
 ``_grow``, Dimino's method from a subgroup, as an (element-index set,
 generator indices) pair, the form Hall subgroups and classes are handed out in.
+Centralizer orders are counted on element indices too, with no subgroup grown.
 
 Tables are built by their first reader and kept: the conjugation rows, entry
 by entry, for the Hall orbit walk and the classes alike by the one fill
@@ -53,36 +54,25 @@ class CapExceededError(RuntimeError):
     """Closure grew past the configured element cap."""
 
 
-class NotASubgroupError(ValueError):
-    """An operand was expected to lie inside the ambient group."""
-
-
 class PermGroup:
     """A finite permutation group stored as the canonically sorted image bytes
-    of its elements, which ``elements`` converts to permutations on its first read.
+    of its elements, each read by its element index.
 
     Invariant: ``generators`` generate the group.  Membership reads the element
-    index, and ``is_subgroup_of``/``is_normal_in`` test generators only."""
+    index."""
 
-    __slots__ = ("degree", "generators", "_images", "_elements", "_index", "_rows", "_classes",
-                 "_walks", "_halls")
+    __slots__ = ("degree", "generators", "_images", "_index", "_rows", "_classes", "_walks",
+                 "_halls")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  images: Iterable[bytes]) -> None:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "_images", tuple(sorted(images)))
-        for name in ("_elements", "_index", "_rows", "_classes"):
+        for name in ("_index", "_rows", "_classes"):
             object.__setattr__(self, name, None)
         for name in ("_walks", "_halls"):
             object.__setattr__(self, name, {})
-
-    @property
-    def elements(self) -> Tuple[Permutation, ...]:
-        """The elements as permutations, in the canonical order; made once."""
-        if self._elements is None:
-            object.__setattr__(self, "_elements", tuple(map(Permutation._from_bytes, self._images)))
-        return self._elements
 
     @property
     def order(self) -> int:
@@ -96,13 +86,6 @@ class PermGroup:
     def __contains__(self, g: Permutation) -> bool:
         return g.degree == self.degree and g._bytes() in self._ensure_index()
 
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and all(g in other for g in self.generators)
-
-    def is_normal_in(self, other: "PermGroup") -> bool:
-        return self.is_subgroup_of(other) and all(
-            g * k * g.inverse() in self for g in other.generators for k in self.generators)
-
     def fingerprint(self) -> Tuple[bytes, ...]:
         """The 0-based image bytes of each element index; the canonical sort key."""
         return self._images
@@ -113,7 +96,7 @@ class PermGroup:
             object.__setattr__(self, "_index", {t: i for i, t in enumerate(self._images)})
         return self._index
 
-    def subgroup(self, members: Iterable[int], gens: Sequence[int]) -> "PermGroup":
+    def _subgroup(self, members: Iterable[int], gens: Sequence[int]) -> "PermGroup":
         """The subgroup on the element indices ``members``, generated by the
         elements at ``gens``; the trivial subgroup by the identity."""
         images = self._images
@@ -121,16 +104,16 @@ class PermGroup:
                          [images[i] for i in members])
 
     def element_orders(self) -> Tuple[int, ...]:
-        """Element orders, indexed like ``elements``: the lengths of their power walks."""
+        """Element orders, by element index: the lengths of their power walks."""
         return tuple(len(self.power_walk(i)) for i in range(self.order))
 
     def power_index(self, i: int, d: int) -> int:
-        """Index of ``elements[i] ** d``, read off :meth:`power_walk`."""
+        """Index of x^d for x the element at index i, read off :meth:`power_walk`."""
         walk = self._walks.get(i) or self.power_walk(i)
         return walk[d % len(walk)]
 
     def power_walk(self, i: int) -> List[int]:
-        """The indices of x^0, x^1, ..., x^(k-1) for x = elements[i] of order k,
+        """The indices of x^0, x^1, ..., x^(k-1) for x at index i of order k,
         so the element indices of <x>; made on the first call for i and kept."""
         walk = self._walks.get(i)
         if walk is None:
@@ -144,8 +127,8 @@ class PermGroup:
         return walk
 
     def power_counts(self, weights: Mapping[int, int], d: int) -> Dict[int, int]:
-        """The total of weights[i] per index of elements[i] ** d, over the
-        element indices i of ``weights``, read off their power walks."""
+        """The total of weights[i] per index of x^d, x the element at index i,
+        over the element indices i of ``weights``, read off their power walks."""
         walks, counts = self._walks, {}
         for i, w in weights.items():
             walk = walks.get(i) or self.power_walk(i)
@@ -283,21 +266,15 @@ def _join(index: Dict[bytes, int], images: Sequence[bytes], S: FrozenSet[int],
     return S, tuple(added)
 
 
-def centralizer_order(G: PermGroup, s: "Permutation | PermGroup") -> int:
-    """|C_G(s)|: how many elements of G commute with a permutation or with
-    every generator of a subgroup, counted on image bytes; nothing is grown.
-
-    The target only has to act on the same points, not lie inside G: the
-    coprime-action checks take fixed points in a normal subgroup N of
-    elements living outside N."""
-    if s.degree != G.degree:
-        raise NotASubgroupError(
-            f"centralizer target degree {s.degree} != group degree {G.degree}")
-    targets = [s] if isinstance(s, Permutation) else s.generators
+def centralizer_order(G: PermGroup, members: Iterable[int], targets: Sequence[int]) -> int:
+    """How many elements of G at the indices ``members`` commute with every
+    element at ``targets``, compared as image bytes; nothing is grown.  With
+    ``members`` a subgroup N and ``targets`` generating a subgroup S, |C_N(S)|."""
+    images = G.fingerprint()
     # t x and x t on image bytes, for each target t.
-    sides = [(t, _table(t)) for t in map(Permutation._bytes, targets)]
+    sides = [(images[t], _table(images[t])) for t in targets]
     return sum(all(x.translate(table_t) == t.translate(_table(x)) for t, table_t in sides)
-               for x in G.fingerprint())
+               for x in map(images.__getitem__, members))
 
 
 def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
@@ -313,7 +290,7 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
     if m < 1 or G.order % m:
         raise ValueError(f"{m} does not divide the group order {G.order}")
     if m == 1:
-        return [G.subgroup(*_TRIVIAL)]
+        return [G._subgroup(*_TRIVIAL)]
     if m == G.order:
         return [G]
     index, images, walks = G._ensure_index(), G.fingerprint(), G._walks
@@ -333,7 +310,7 @@ def subgroups_of_order(G: PermGroup, m: int) -> List[PermGroup]:
             elif len(gens) + 1 < max_gens:
                 chains.append((new, gens + (e,), e + 1))
     found.sort(key=lambda pair: sorted(pair[0]))
-    return [G.subgroup(S, gens) for S, gens in found]
+    return [G._subgroup(S, gens) for S, gens in found]
 
 
 def hall_subgroups(G: PermGroup, n: int) -> Tuple[Tuple[Found, ...], Callable[[], list]]:

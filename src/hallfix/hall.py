@@ -11,8 +11,9 @@ tau, the permutation character of G's conjugation action on the Hall set, is
 counted, when first read, from the orbit sizes and normalizers the enumeration
 hands over.  A context keeps what the verifiers share: the Möbius pairs of the
 Hall order and, per (Hall subgroup, d), the d-th-power table and its lam
-totals.  Cyclic subgroups are read off power walks, each paired with its
-Möbius weight; nothing here closes a generating set.
+totals.  The cyclic subgroups of a subgroup of G are read off G's power
+walks as member sets, each with a generator index and its Möbius weight;
+nothing here closes a generating set.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class HallContext:
     def halls(self) -> Tuple[PermGroup, ...]:
         """The Hall subgroups as groups; one that is all of G is G, which keeps its caches."""
         G = self.group
-        return (G,) if self.hall_order == G.order else tuple(G.subgroup(*f) for f in self._found)
+        return (G,) if self.hall_order == G.order else tuple(G._subgroup(*f) for f in self._found)
 
     @cached_property
     def hall_orbits(self) -> List[Tuple[int, FrozenSet[int]]]:
@@ -149,17 +150,19 @@ def build_hall_context(G: PermGroup, pi: PiSet) -> HallContext:
     return HallContext(G, pi, *hall_set(G, pi))
 
 
-def cyclic_lattice(H: PermGroup) -> List[Tuple[PermGroup, int]]:
-    """The cyclic subgroups Z of H, sorted by element indices as by
-    fingerprint, each with its weight f(Z) = sum of mu(|Z'| / |Z|) over the
-    cyclic Z' >= Z.  On this lattice the poset Möbius function is the
-    number-theoretic one of the index, read off the pairs (d, mu(d)) of |H|.
-    Each <h> is read off H's power walk of h and generated by its first h."""
+def cyclic_lattice(G: PermGroup, members: FrozenSet[int]) -> List[Tuple[FrozenSet[int], int, int]]:
+    """The cyclic subgroups Z of the subgroup of G on the element indices
+    ``members``, sorted by element indices, each as (member set, generator
+    index, f(Z)) with the weight f(Z) = sum of mu(|Z'| / |Z|) over the cyclic
+    Z' >= Z.  On this lattice the poset Möbius function is the
+    number-theoretic one of the index, read off the pairs (d, mu(d)) of the
+    subgroup's order.  Each <h> is read off G's power walk of h and generated
+    by its least h."""
     found: Dict[FrozenSet[int], int] = {}
-    for i in range(H.order):
-        found.setdefault(frozenset(H.power_walk(i)), i)
-    mu = dict(squarefree_divisors(H.order))
-    return [(H.subgroup(S, (i,)), sum(mu.get(len(T) // len(S), 0) for T in found if S <= T))
+    for i in sorted(members):
+        found.setdefault(frozenset(G.power_walk(i)), i)
+    mu = dict(squarefree_divisors(len(members)))
+    return [(S, i, sum(mu.get(len(T) // len(S), 0) for T in found if S <= T))
             for S, i in sorted(found.items(), key=lambda item: sorted(item[0]))]
 
 

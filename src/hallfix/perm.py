@@ -60,12 +60,6 @@ class Permutation:
         mine = self.images
         return Permutation._trusted(tuple([mine[i - 1] for i in other.images]))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Permutation._trusted(tuple(inv))
-
     def cycles(self) -> List[Tuple[int, ...]]:
         """Nontrivial cycles in canonical form: each from its least point, sorted."""
         seen, out = set(), []

@@ -9,19 +9,22 @@ exact: factored rationals for products, arbitrary-precision Fractions for
 sums.  The Hall-context verifiers read lam and tau on element indices and
 what the context keeps for all of them: the pairs (d, mu(d)) of the Hall
 order, and per (Hall subgroup, d) the count of members with each d-th power
-and, shared by the two lam checks, its lam totals.  The coprime checks count
-each centralizer order once per split.  The tests keep the references.
+and, shared by the two lam checks, its lam totals; a Hall subgroup is named
+by its member set.  The coprime checks run on G's element indices too: the
+split takes N and H from G's Hall sets, and counts each centralizer order
+once per split, keyed by the member set of the subgroup it centralizes.  The
+tests keep the references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial, reduce
-from math import gcd, log10
+from math import log10
 from typing import Callable, Dict, FrozenSet, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import FactoredRational, PiSet, prime_divisors, radical, squarefree_divisors
-from .group import PermGroup, centralizer_order, conjugacy_classes
+from .group import Found, PermGroup, centralizer_order, conjugacy_classes
 from .hall import HallContext, by_value, cyclic_lattice, hall_set
 
 #: Most decimal digits of a curiosity power sum (Python's int-to-str default).
@@ -32,54 +35,57 @@ class PowerSumTooLargeError(ValueError):
     """The curiosity power sum would have more than CURIOSITY_MAX_DIGITS digits."""
 
 
+class NoCoprimeSplitError(ValueError):
+    """G has more than one Hall pi'-subgroup, so none is normal: no coprime split G = N H."""
+
+
 class CoprimeActionScenario:
-    """A semidirect decomposition G = N H with coprime normal N and complement H."""
+    """A split G = N H on G's element indices: ``normal``, the member set of
+    the normal Hall pi'-subgroup N, and ``complement``, that of a Hall
+    pi-subgroup H, generated by the elements at ``complement_gens``."""
 
-    __slots__ = ("group", "normal", "complement", "centralizer_orders")
+    __slots__ = ("group", "normal", "complement", "complement_gens", "centralizer_orders")
 
-    def __init__(self, group: PermGroup, normal: PermGroup, complement: PermGroup) -> None:
-        self.group, self.normal, self.complement = group, normal, complement
-        self.centralizer_orders: Dict[object, int] = {}  # see centralizer_order
-        G, N, H = group, normal, complement
-        if not N.is_normal_in(G):
-            raise ValueError("N is not a normal subgroup of G")
-        if not H.is_subgroup_of(G):
-            raise ValueError("H is not a subgroup of G")
-        if N.order * H.order != G.order:
-            raise ValueError("|N| * |H| != |G|: G is not the product N H")
-        # |N ∩ H| divides both |N| and |H|, so coprime orders force N ∩ H = 1.
-        if gcd(N.order, H.order) != 1:
-            raise ValueError("the action is not coprime: gcd(|N|, |H|) != 1")
+    def __init__(self, group: PermGroup, normal: FrozenSet[int], complement: Found) -> None:
+        self.group, self.normal, (self.complement, self.complement_gens) = group, normal, complement
+        self.centralizer_orders: Dict[FrozenSet[int], int] = {}  # see centralizer_order
 
-    def centralizer_order(self, s: object) -> int:
-        """|C_N(s)| for s an element of the complement H, or H; counted once and kept."""
-        if s not in self.centralizer_orders:
-            self.centralizer_orders[s] = centralizer_order(self.normal, s)
-        return self.centralizer_orders[s]
+    def centralizer_order(self, members: FrozenSet[int], gens: Sequence[int]) -> int:
+        """|C_N(S)| for the subgroup S <= H on ``members``, generated by the
+        elements at ``gens``; counted once per member set and kept."""
+        if members not in self.centralizer_orders:
+            self.centralizer_orders[members] = centralizer_order(self.group, self.normal, gens)
+        return self.centralizer_orders[members]
 
 
 def coprime_split(G: PermGroup, pi: PiSet) -> CoprimeActionScenario:
-    """G = N H for the first Hall pi-subgroup H and the first Hall pi'-subgroup
-    N, pi' the primes of |G|/|H|, read off the Hall sets that G keeps.
+    """G = N H for the first Hall pi-subgroup H and the Hall pi'-subgroup N,
+    pi' the primes of |G|/|H|, read off the Hall sets that G keeps.
 
-    By Schur-Zassenhaus the complements of a normal Hall subgroup N are the
-    Hall pi-subgroups, all conjugate, and N is the only subgroup of its order;
-    the constructor refuses an N that is not normal."""
-    H = G.subgroup(*hall_set(G, pi)[1][0])
-    pi_prime = PiSet(prime_divisors(G.order // H.order))
-    return CoprimeActionScenario(G, G.subgroup(*hall_set(G, pi_prime)[1][0]), H)
+    A normal Hall subgroup is the only subgroup of its order, and a subgroup
+    alone in its order is normal; so N is normal exactly when the Hall
+    pi'-set has one member, else :class:`NoCoprimeSplitError`.  The orders
+    are coprime and multiply to |G|, so by Schur-Zassenhaus the complements
+    of N are the Hall pi-subgroups, all conjugate."""
+    n, halls, _ = hall_set(G, pi)
+    pi_prime = PiSet(prime_divisors(G.order // n))
+    dual = hall_set(G, pi_prime)[1]
+    if len(dual) > 1:
+        raise NoCoprimeSplitError(f"group of order {G.order} has {len(dual)} Hall subgroups "
+                                  f"for pi'={{{pi_prime}}}, so none is normal: no coprime "
+                                  f"split for pi={{{pi}}}")
+    return CoprimeActionScenario(G, dual[0][0], halls[0])
 
 
-def _hall_members(ctx: HallContext, hall: Optional[PermGroup]) -> FrozenSet[int]:
+def _hall_members(ctx: HallContext, hall: Optional[FrozenSet[int]]) -> FrozenSet[int]:
     """The element indices of a Hall subgroup, the canonical one by default."""
-    members = (ctx.hall_members[0] if hall is None
-               else frozenset(map(ctx.group._ensure_index().get, hall.fingerprint())))
+    members = ctx.hall_members[0] if hall is None else hall
     if members not in ctx.hall_members:
         raise ValueError("the given subgroup is not one of the Hall subgroups")
     return members
 
 
-def multiplicative_value(ctx: HallContext, hall: Optional[PermGroup] = None, *,
+def multiplicative_value(ctx: HallContext, hall: Optional[FrozenSet[int]] = None, *,
                          use_radical: bool = False) -> FactoredRational:
     """Möbius-weighted product of membership counts over a Hall subgroup.
 
@@ -141,27 +147,28 @@ class NrCheckResult(NamedTuple):
 
 
 def navarro_rizo_check(scenario: CoprimeActionScenario) -> NrCheckResult:
-    """Evaluate both cleared fixed-point identities for a p-group acting coprimely."""
-    P = scenario.complement
-    primes = prime_divisors(P.order)
+    """Evaluate both cleared fixed-point identities for a p-group acting
+    coprimely, walking the complement's element indices; C_N(x) = C_N(<x>)."""
+    G, P = scenario.group, scenario.complement
+    primes = prime_divisors(len(P))
     if len(primes) != 1:
-        raise ValueError(f"the complement has order {P.order}; it is not a p-group")
+        raise ValueError(f"the complement has order {len(P)}; it is not a p-group")
     p = primes[0]
 
-    cent = [scenario.centralizer_order(x) for x in P.elements]
-    fixed = scenario.centralizer_order(P)
+    cent = {i: scenario.centralizer_order(frozenset(G.power_walk(i)), (i,)) for i in P}
+    fixed = scenario.centralizer_order(P, scenario.complement_gens)
     rhs, eq2_left, eq2_right = {}, {}, {}  # exponents, totalled per order
-    for i, cx in enumerate(cent):
-        cxp = cent[P.power_index(i, p)]
+    for i, cx in cent.items():
+        cxp = cent[G.power_index(i, p)]
         if cx % fixed or cxp % fixed:
             raise AssertionError("fixed subgroup does not divide a centralizer")
         for totals, v, e in ((rhs, cx, p), (rhs, cxp, -1), (eq2_left, cxp // fixed, 1),
                              (eq2_right, cx // fixed, p)):
             totals[v] = totals.get(v, 0) + e
-    return NrCheckResult(p, P.order, fixed, *map(_product, (rhs, eq2_left, eq2_right)))
+    return NrCheckResult(p, len(P), fixed, *map(_product, (rhs, eq2_left, eq2_right)))
 
 
-def additive_value(ctx: HallContext, hall: Optional[PermGroup] = None) -> Fraction:
+def additive_value(ctx: HallContext, hall: Optional[FrozenSet[int]] = None) -> Fraction:
     """The Möbius-weighted power sum (1/n^2) sum_d mu(d) sum_h lam(h^d)^(n/d),
     computed once per Hall subgroup and kept on the context.
 
@@ -217,12 +224,12 @@ def wielandt_check(scenario: CoprimeActionScenario) -> WielandtResult:
     |C_N(Z)| ^ (|Z| * f(Z)).  (The identity is multiplicative.)
     """
     H = scenario.complement
-    lhs = FactoredRational.from_int(scenario.centralizer_order(H)).power(H.order)
+    lhs = FactoredRational.from_int(scenario.centralizer_order(H, scenario.complement_gens))
     exponents: Dict[int, int] = {}
-    for Z, f in cyclic_lattice(H):
-        c = scenario.centralizer_order(Z.generators[0])  # C_N(<g>) = C_N(g)
-        exponents[c] = exponents.get(c, 0) + Z.order * f
-    return WielandtResult(lhs, _product(exponents))
+    for Z, g, f in cyclic_lattice(scenario.group, H):
+        c = scenario.centralizer_order(Z, (g,))
+        exponents[c] = exponents.get(c, 0) + len(Z) * f
+    return WielandtResult(lhs.power(len(H)), _product(exponents))
 
 
 def interpretation_check(ctx: HallContext) -> bool:

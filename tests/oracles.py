@@ -14,13 +14,12 @@ from math import ceil, lcm, log2, prod
 
 from hypothesis import strategies as st
 
-from hallfix import (FactoredRational, NotASubgroupError, PermGroup, Permutation, PiSet, close,
-                     coprime_split, cyclic_lattice, format_permutation, get_entry,
-                     is_pi_separable, load_group, parse_permutation, subgroups_of_order)
+from hallfix import (FactoredRational, PermGroup, Permutation, PiSet, close, coprime_split,
+                     cyclic_lattice, format_permutation, get_entry, is_pi_separable, load_group,
+                     parse_permutation, subgroups_of_order)
 from hallfix.arith import factorize, prime_divisors, radical
 from hallfix.cli import _COMMANDS
 from hallfix.group import DEFAULT_ELEMENT_CAP, MAX_CAP, _grow, _table, conjugacy_classes
-from hallfix.verify import _hall_members
 
 
 def divisors(n):
@@ -67,6 +66,46 @@ def image_bytes(g):
     return bytes(v - 1 for v in g.images)
 
 
+class NotASubgroupError(ValueError):
+    """An operand was expected to lie inside the ambient group."""
+
+
+def elements(G):
+    """G's elements as permutations, by element index."""
+    return tuple(map(Permutation._from_bytes, G.fingerprint()))
+
+
+def inverse(g):
+    """g^-1, point by point."""
+    inv = [0] * g.degree
+    for i, v in enumerate(g.images, 1):
+        inv[v - 1] = i
+    return Permutation(inv)
+
+
+def is_subgroup_of(H, G):
+    """Whether every generator of H lies in G, on the same points."""
+    return H.degree == G.degree and all(g in G for g in H.generators)
+
+
+def is_normal_in(H, G):
+    """Whether H <= G and g k g^-1 lies in H for each generator g of G and k
+    of H: the product test, on Permutation products."""
+    return is_subgroup_of(H, G) and all(
+        g * k * inverse(g) in H for g in G.generators for k in H.generators)
+
+
+def members_in(G, K):
+    """The element indices in G of the elements of its subgroup K."""
+    index = G._ensure_index()
+    return frozenset(index[x] for x in K.fingerprint())
+
+
+def whole_lattice(H):
+    """hall.cyclic_lattice over all of H, on H's own element indices."""
+    return cyclic_lattice(H, frozenset(range(H.order)))
+
+
 def as_fraction(r):
     """The FactoredRational r expanded to an exact Fraction."""
     return prod((Fraction(p) ** e for p, e in r._factors), start=Fraction(1))
@@ -85,25 +124,25 @@ def corpus_split(name):
 
 def conjugate_set(elems, g):
     """The element set g * elems * g^-1."""
-    ginv = g.inverse()
+    ginv = inverse(g)
     return frozenset(g * x * ginv for x in elems)
 
 
 def conjugated_by(H, g):
     """The subgroup g * H * g^-1 (element-by-element, no re-closure)."""
-    ginv = g.inverse()
-    elems = [image_bytes(g * x * ginv) for x in H.elements]
+    ginv = inverse(g)
+    elems = [image_bytes(g * x * ginv) for x in elements(H)]
     gens = [g * x * ginv for x in H.generators] or [H.identity]
     return PermGroup(H.degree, gens, elems)
 
 
 def conjugates(G, H):
     """All distinct conjugates g H g^-1, canonically ordered."""
-    if not H.is_subgroup_of(G):
+    if not is_subgroup_of(H, G):
         raise NotASubgroupError("conjugates argument is not a subgroup of G")
-    seen = {}
-    for g in G.elements:
-        kset = conjugate_set(frozenset(H.elements), g)
+    seen, hset = {}, frozenset(elements(H))
+    for g in elements(G):
+        kset = conjugate_set(hset, g)
         if kset not in seen:
             seen[kset] = conjugated_by(H, g)
     return sorted(seen.values(), key=PermGroup.fingerprint)
@@ -123,10 +162,10 @@ def s5_subgroup_classes():
     return subgroups, reps
 
 
-def greedy_chain(degree, elements):
+def greedy_chain(degree, members):
     """The subgroup on a closed element set, generated by its greedy chain:
     each sorted element outside the subgroup that the ones before it close to."""
-    elems = sorted(elements)
+    elems = sorted(members)
     span, gens = close([], degree=degree), []
     for g in elems:
         if span.order == len(elems):
@@ -134,7 +173,7 @@ def greedy_chain(degree, elements):
         if g not in span:
             gens.append(g)
             span = close(gens)
-    assert span.elements == tuple(elems), "the element set is not closed"
+    assert elements(span) == tuple(elems), "the element set is not closed"
     return span
 
 
@@ -143,18 +182,28 @@ def centralizer(G, s):
     of a subgroup, by Permutation products, generated by its greedy chain: the
     oracle of group.centralizer_order, which counts it without growing it."""
     targets = [s] if isinstance(s, Permutation) else s.generators
-    return greedy_chain(G.degree, [x for x in G.elements if all(x * t == t * x for t in targets)])
+    return greedy_chain(G.degree,
+                        [x for x in elements(G) if all(x * t == t * x for t in targets)])
 
 
-def poset_moebius(subgroups, i, j):
-    """The Möbius function of the subgroups ordered by inclusion, from its
-    recursion mu(i, i) = 1 and mu(i, j) = -(sum of mu(i, k) over i <= k < j)."""
-    sets = [frozenset(H.elements) for H in subgroups]
+def centralizer_count(G, members, targets):
+    """How many elements of G at the indices ``members`` commute with every
+    element at ``targets``, by Permutation products: the oracle of
+    group.centralizer_order."""
+    elems = elements(G)
+    return sum(all(elems[y] * elems[t] == elems[t] * elems[y] for t in targets)
+               for y in members)
+
+
+def poset_moebius(sets, i, j):
+    """The Möbius function of the subgroups, given as element sets, ordered by
+    inclusion, from its recursion mu(i, i) = 1 and mu(i, j) = -(sum of
+    mu(i, k) over i <= k < j)."""
     if not sets[i] <= sets[j]:
         return 0
     if i == j:
         return 1
-    return -sum(poset_moebius(subgroups, i, k) for k in range(len(sets))
+    return -sum(poset_moebius(sets, i, k) for k in range(len(sets))
                 if sets[i] <= sets[k] < sets[j])
 
 
@@ -210,7 +259,7 @@ def proper_prime_sets(G):
 
 def canonical_hall(ctx):
     """The context's first Hall subgroup as a group, made alone."""
-    return ctx.group.subgroup(*ctx._found[0])
+    return ctx.group._subgroup(*ctx._found[0])
 
 
 def element_order(g):
@@ -220,12 +269,12 @@ def element_order(g):
 
 def is_cyclic(H):
     """Whether some element of H has order |H|."""
-    return any(element_order(x) == H.order for x in H.elements)
+    return any(element_order(x) == H.order for x in elements(H))
 
 
 def is_abelian(H):
     """Whether every element of H commutes with every generator."""
-    return all(x * g == g * x for x in H.elements for g in H.generators)
+    return all(x * g == g * x for x in elements(H) for g in H.generators)
 
 
 def is_solvable(G):
@@ -239,17 +288,18 @@ def quotient_direct(G, N):
     group and the projection as an element -> coset-action dict."""
     cosets = []
     point_of = {}
-    for x in G.elements:
+    elems, normal = elements(G), elements(N)
+    for x in elems:
         if x in point_of:
             continue
-        cs = frozenset(n * x for n in N.elements)
+        cs = frozenset(n * x for n in normal)
         cosets.append(cs)
         for y in cs:
             point_of[y] = len(cosets)
     reps = [min(cs) for cs in cosets]
     mapping = {}
-    for x in G.elements:
-        xinv = x.inverse()
+    for x in elems:
+        xinv = inverse(x)
         mapping[x] = Permutation(point_of[rep * xinv] for rep in reps)
     q_gens = [mapping[g] for g in G.generators]
     return PermGroup(len(cosets), q_gens, {image_bytes(q) for q in mapping.values()}), mapping
@@ -261,7 +311,8 @@ _CLASS_SCAN_LIMIT = 20
 
 def normal_subgroups(G):
     """Reference for the cores: all normal subgroups, as closed class unions."""
-    classes = [[G.elements[i] for i in cls] for cls in conjugacy_classes(G)]
+    elems = elements(G)
+    classes = [[elems[i] for i in cls] for cls in conjugacy_classes(G)]
     rest = classes[1:]
     if len(rest) > _CLASS_SCAN_LIMIT:
         raise RuntimeError(
@@ -312,14 +363,14 @@ def multiplicative_value_direct(ctx, use_radical=False):
     lam, base = lam_by_element(ctx), radical(ctx.hall_order) if use_radical else ctx.hall_order
     acc = FactoredRational.one()
     for d in divisors(base):
-        for x in canonical_hall(ctx).elements:
+        for x in elements(canonical_hall(ctx)):
             acc = acc.times_pow(lam[power(x, d)], (base // d) * moebius(d))
     return acc
 
 
 def power_product_pair_direct(ctx, p):
     lam, left, right = lam_by_element(ctx), 1, 1
-    for x in canonical_hall(ctx).elements:
+    for x in elements(canonical_hall(ctx)):
         left *= lam[power(x, p)]
         right *= lam[x] ** p
     return left, right
@@ -343,20 +394,21 @@ def moebius_partition_check(H, gamma):
     subgroups Z of (product of gamma over Z) raised to the lattice weight
     f(Z), compared exactly in factored form.
     """
-    lhs = FactoredRational.one()
-    for x in H.elements:
+    elems, lhs = elements(H), FactoredRational.one()
+    for x in elems:
         lhs = lhs.times_pow(gamma[x], 1)
     rhs = FactoredRational.one()
-    for Z, f in cyclic_lattice(H):
-        for z in Z.elements:
-            rhs = rhs.times_pow(gamma[z], f)
+    for Z, _, f in whole_lattice(H):
+        for z in Z:
+            rhs = rhs.times_pow(gamma[elems[z]], f)
     return lhs == rhs
 
 
 def power_product_pair(ctx, p, hall=None):
-    """The pair (prod lam(x^p), prod lam(x)^p) over a Hall subgroup, the
-    canonical one by default, on element indices."""
-    G, lam, members = ctx.group, ctx.member_counts, _hall_members(ctx, hall)
+    """The pair (prod lam(x^p), prod lam(x)^p) over a Hall subgroup's member
+    set, the canonical one by default, on element indices."""
+    G, lam, members = ctx.group, ctx.member_counts, hall or ctx.hall_members[0]
+    assert members in ctx.hall_members, "not one of the Hall subgroups"
     left = Counter(lam[G.power_index(i, p)] for i in members)
     right = Counter(lam[i] for i in members)
     return prod(v**c for v, c in left.items()), prod(v ** (c * p) for v, c in right.items())
@@ -372,12 +424,12 @@ def power_sum_bound_holds(base, n):
 
 def lam_by_element(ctx):
     """lam, the number of Hall subgroups holding each pi-element, keyed by element."""
-    return {x: v for x, v in zip(ctx.group.elements, ctx.lam_values) if v is not None}
+    return {x: v for x, v in zip(elements(ctx.group), ctx.lam_values) if v is not None}
 
 
 def tau_by_element(ctx):
     """tau, the number of Hall subgroups each element normalizes, keyed by element."""
-    return dict(zip(ctx.group.elements, ctx.tau_values))
+    return dict(zip(elements(ctx.group), ctx.tau_values))
 
 
 def tau_by_intersection(ctx):
@@ -415,14 +467,14 @@ def symmetrized(alpha, chi, h):
 def burnside_orbit_count(H, fixed, k):
     """Orbits of H on k-tuples under the diagonal action, (1/|H|) sum over h of
     fixed[h]^k, where fixed[h] is the number of points h fixes."""
-    total = sum(fixed[h] ** k for h in H.elements)
+    total = sum(fixed[h] ** k for h in elements(H))
     assert total % H.order == 0, "Burnside sum is not divisible by |H|"
     return total // H.order
 
 
 def power_subgroup(H, d):
     """The subgroup of d-th powers of an abelian group."""
-    return close(sorted({power(h, d) for h in H.elements}), degree=H.degree)
+    return close(sorted({power(h, d) for h in elements(H)}), degree=H.degree)
 
 
 def reference_parser():

@@ -30,7 +30,7 @@ from hallfix.cli import main
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.groupio import parse_group_text
 from hallfix.reports import FAIL, PASS, CheckRecord, lambda_rows_to_json, records_to_json
-from oracles import (canonical_hall, group_file_text, is_cyclic, proper_prime_sets,
+from oracles import (canonical_hall, group_file_text, inverse, is_cyclic, proper_prime_sets,
                      random_generating_sets, reference_parser, s5_subgroup_classes)
 from test_s6_sweep import s6_class_representatives
 
@@ -87,10 +87,54 @@ def test_verify_nr_inferred_pi(capsys):
 
 
 def test_verify_nr_pi_mismatch(capsys):
+    # At pi={5}, F20's Hall pi'-subgroups are its five Sylow 2-subgroups, so
+    # none is normal and there is no coprime split to check.
     for command in ("verify-nr", "verify-wielandt"):
-        code, _, err = run(capsys, command, "--group", "F20", "--pi", "5")
-        assert code == 2
-        assert err == "error: --pi 5 does not match the complement order 4\n", command
+        code, out, err = run(capsys, command, "--group", "F20", "--pi", "5")
+        assert (code, out) == (2, "")
+        assert err == ("error: group of order 20 has 5 Hall subgroups for pi'={2}, so none "
+                       "is normal: no coprime split for pi={5}\n"), command
+
+
+def test_coprime_commands_refuse_a_pi_without_a_normal_split(capsys, tmp_path):
+    # S3 with pi={3}: its three subgroups of order 2 are the Hall
+    # pi'-subgroups.  The refusal is a named input error, from a file or a
+    # builtin alike, never a traceback.
+    path = tmp_path / "s3.grp"
+    path.write_text("degree: 3\ngen: (1 2)\ngen: (1 2 3)\n")
+    for command in ("verify-nr", "verify-wielandt"):
+        for source in (["--file", str(path)], ["--group", "S3"]):
+            code, out, err = run(capsys, command, *source, "--pi", "3")
+            assert (code, out) == (2, ""), (command, source)
+            assert err == ("error: group of order 6 has 3 Hall subgroups for pi'={2}, so "
+                           "none is normal: no coprime split for pi={3}\n"), (command, source)
+
+
+def test_coprime_commands_on_a_file_match_the_builtin(capsys, tmp_path):
+    # A file copy of F20 with pi={2} gives the builtin's status and witness,
+    # by default or with --pi; a file needs --pi.
+    path = tmp_path / "f20.grp"
+    path.write_text(group_file_text(5, load_group("F20").generators))
+    for command in ("verify-nr", "verify-wielandt"):
+        code, out, _ = run(capsys, command, "--group", "F20", "--json")
+        [expect] = json.loads(out)
+        assert code == 0 and expect["status"] == "pass", command
+        for argv in (["--group", "F20", "--pi", "2"], ["--file", str(path), "--pi", "2"]):
+            code, out, _ = run(capsys, command, *argv, "--json")
+            [got] = json.loads(out)
+            assert code == 0 and {**got, "group": "F20"} == expect, (command, argv)
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert (code, out, err) == (2, "", "error: --pi is required for this command\n")
+
+
+def test_coprime_commands_take_any_pi_on_a_builtin(capsys):
+    # SL(2,3) names no coprime split, but its quaternion Sylow 2-subgroup is
+    # normal: at pi={3} the complement C3 acts on Q8 with C_N(P) the center.
+    code, out, _ = run(capsys, "verify-nr", "--group", "SL(2,3)", "--pi", "3")
+    assert code == 0
+    assert out.startswith("verify-nr         SL(2,3)    pi=3       pass: |C_N(P)|=2, ")
+    code, out, _ = run(capsys, "verify-wielandt", "--group", "SL(2,3)", "--pi", "3")
+    assert code == 0 and "pass: lhs 2^3 vs rhs 2^3" in out
 
 
 def test_verify_nr_bad_pi_is_input_error(capsys):
@@ -128,7 +172,7 @@ def test_curiosity_power_sum_limit_is_input_error(capsys):
 def test_verify_nr_no_scenario(capsys):
     code, _, err = run(capsys, "verify-nr", "--group", "S4")
     assert code == 2
-    assert "names no coprime split" in err
+    assert err == "error: corpus entry S4 names no coprime split; give --pi\n"
 
 
 def test_verify_wielandt(capsys):
@@ -816,7 +860,8 @@ def test_full_scan_factors_each_hall_order_once_per_context(capsys, monkeypatch)
     init, lattice = hall_mod.HallContext.__init__, verify_mod.cyclic_lattice
     monkeypatch.setattr(hall_mod.HallContext, "__init__", lambda ctx, G, pi, *rest: contexts.update(
         [(G, pi)]) or init(ctx, G, pi, *rest))
-    monkeypatch.setattr(verify_mod, "cyclic_lattice", lambda H: lattices.append(H) or lattice(H))
+    monkeypatch.setattr(verify_mod, "cyclic_lattice",
+                        lambda G, H: lattices.append(H) or lattice(G, H))
     code, _, _ = run(capsys, "scan", "--json")
     assert code == 0 and len(lattices) == 8
     assert calls == {"hallfix.hall": sum(contexts.values()) + 8, "hallfix.verify": 1}
@@ -824,28 +869,36 @@ def test_full_scan_factors_each_hall_order_once_per_context(capsys, monkeypatch)
 
 
 def test_scan_counts_each_centralizer_order_once_per_split(capsys, monkeypatch):
-    # Navarro-Rizo counts |C_N(x)| at every x of the complement H, and
-    # |C_N(H)|, kept on the split; Wielandt reads C_N(<g>) = C_N(g) for each
+    # The split keeps |C_N(S)| by the member set of S: <x> for an element x
+    # of the complement H, which x and x^-1 share, and H itself, which a
+    # cyclic H shares with its top cyclic subgroup.  Navarro-Rizo counts it
+    # for each <x> and for H; Wielandt reads C_N(<g>) = C_N(g) for each
     # cyclic <g> <= H off the same keep.  So Wielandt counts only where
     # Navarro-Rizo does not apply: F42 and C7:S3, with complements C6 and S3.
     counted, phase = [], []
     count, nr, wielandt = verify_mod.centralizer_order, cli.nr_record, cli.wielandt_record
-    monkeypatch.setattr(verify_mod, "centralizer_order",
-                        lambda N, s: counted.append((phase[-1], N, s)) or count(N, s))
+    monkeypatch.setattr(verify_mod, "centralizer_order", lambda G, N, targets: counted.append(
+        (*phase[-1], tuple(targets))) or count(G, N, targets))
     monkeypatch.setattr(cli, "nr_record",
-                        lambda name, split: phase.append(("nr", name)) or nr(name, split))
+                        lambda name, split: phase.append(("nr", name, split)) or nr(name, split))
     monkeypatch.setattr(cli, "wielandt_record", lambda name, split: phase.append(
-        ("wielandt", name)) or wielandt(name, split))
+        ("wielandt", name, split)) or wielandt(name, split))
     code, _, _ = run(capsys, "scan", "--json")
-    assert code == 0 and len(phase) == 16
-    targets = [(id(N), s) for _, N, s in counted]
-    assert len(targets) == len(set(targets))
-    by_check = Counter(phase for phase, _, _ in counted)
-    assert {name for check, name in by_check if check == "wielandt"} == {"F42", "C7:S3"}
-    # One count per cyclic subgroup, and one for H: C6 has 4 cyclic
-    # subgroups, S3 has 5 (the identity, three of order 2, one of order 3).
-    for name, cyclic in (("F42", 4), ("C7:S3", 5)):
-        assert by_check["wielandt", name] == cyclic + 1 and ("nr", name) not in by_check
+    assert code == 0 and len(phase) == 16 and len(counted) == 26
+
+    def subgroup(split, targets):
+        if targets == split.complement_gens:
+            return split.complement
+        return frozenset(split.group.power_walk(targets[0]))
+    keys = [(name, subgroup(split, targets)) for _, name, split, targets in counted]
+    assert len(keys) == len(set(keys))
+    # One count per cyclic subgroup of H, and one for H unless it is cyclic:
+    # C2 and C3 have 2 cyclic subgroups, C4 3, C6 4, V4 4 (the identity and
+    # three of order 2) and S3 5 (one more, of order 3).
+    assert Counter((check, name) for check, name, _, _ in counted) == {
+        ("nr", "C3xC2"): 2, ("nr", "S3"): 2, ("nr", "D10"): 2, ("nr", "F20"): 3,
+        ("nr", "F21"): 2, ("nr", "S3xS3"): 4 + 1, ("wielandt", "F42"): 4,
+        ("wielandt", "C7:S3"): 5 + 1}
 
 
 def test_scan_closes_each_group_once(capsys, monkeypatch):
@@ -867,6 +920,23 @@ def test_full_scan_closes_input_generators_only(capsys):
     code, _, _ = run(capsys, "scan", "--json")
     assert code == 0
     assert group_mod.WORK["close.calls"] == len(corpus_entries()) == 20
+
+
+def test_full_scan_builds_groups_by_closure_only(capsys, monkeypatch):
+    # The only groups a scan makes are the 20 that close returns (60 when
+    # each coprime split made N, H and H's cyclic subgroups as groups), and
+    # every element is composed as image bytes: no Permutation product.
+    made, products = Counter(), []
+    init, mul, close = group_mod.PermGroup.__init__, Permutation.__mul__, corpus_mod.close
+    monkeypatch.setattr(group_mod.PermGroup, "__init__",
+                        lambda G, *args: made.update(["PermGroup"]) or init(G, *args))
+    monkeypatch.setattr(corpus_mod, "close",
+                        lambda *args, **kw: made.update(["close"]) or close(*args, **kw))
+    monkeypatch.setattr(Permutation, "__mul__", lambda g, h: products.append(g) or mul(g, h))
+    code, _, _ = run(capsys, "scan", "--json")
+    assert code == 0
+    assert made == {"PermGroup": 20, "close": 20} and products == []
+    assert not hasattr(Permutation, "inverse")
 
 
 def test_scan_json_single_entry(capsys):
@@ -907,7 +977,7 @@ def _relabelled(G, rng):
     images = list(range(1, n + 1))
     rng.shuffle(images)
     sigma = Permutation(images)
-    sigma_inv = sigma.inverse()
+    sigma_inv = inverse(sigma)
     gens = [sigma * g * sigma_inv for g in G.generators]
     rng.shuffle(gens)
     return close(gens)
@@ -953,14 +1023,10 @@ def _main_output(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False), st.sets(st.sampled_from([2, 3, 5, 7]), min_size=1),
-       st.sampled_from(("lambda", *cli.HALL_CHECKS, "curiosity")))
-def test_random_group_files_exit_0_or_2_with_a_named_error(tmp_path_factory, rng, pi, command):
-    # Off the corpus no check can FAIL (that would contradict a theorem) and
-    # nothing may crash: the exit code is 0, or 2 with one named error line,
-    # and the text and JSON reports agree.  Uniform random generators reach
-    # the non-solvable groups, where Hall subgroups can be missing.
+def _run_on_random_file(tmp_path_factory, rng, command, pi):
+    """(exit code, text report, stderr, JSON report) of ``command`` at ``pi``
+    on a group file of one to three uniformly random permutations of degree 1
+    to 7, with and without --json, which must exit and err alike."""
     degree = rng.randint(1, 7)
     gens = [Permutation(rng.sample(range(1, degree + 1), degree))
             for _ in range(rng.randint(1, 3))]
@@ -970,6 +1036,18 @@ def test_random_group_files_exit_0_or_2_with_a_named_error(tmp_path_factory, rng
     code, text, err = _main_output(argv)
     json_code, as_json, json_err = _main_output(argv + ["--json"])
     assert (code, err) == (json_code, json_err)
+    return code, text, err, as_json
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.sets(st.sampled_from([2, 3, 5, 7]), min_size=1),
+       st.sampled_from(("lambda", *cli.HALL_CHECKS, "curiosity")))
+def test_random_group_files_exit_0_or_2_with_a_named_error(tmp_path_factory, rng, pi, command):
+    # Off the corpus no check can FAIL (that would contradict a theorem) and
+    # nothing may crash: the exit code is 0, or 2 with one named error line,
+    # and the text and JSON reports agree.  Uniform random generators reach
+    # the non-solvable groups, where Hall subgroups can be missing.
+    code, text, err, as_json = _run_on_random_file(tmp_path_factory, rng, command, pi)
     if code == 2:
         assert _NAMED_ERROR.fullmatch(err) and text == as_json == "", err
         return
@@ -982,3 +1060,28 @@ def test_random_group_files_exit_0_or_2_with_a_named_error(tmp_path_factory, rng
         assert records[0]["witness"].startswith(f"value {text.strip()}")
     else:
         assert re.findall(r"pi=\S+ +(\w+)", text) == [r["status"] for r in records]
+
+
+#: The refusals that a group file and a set of primes can meet in a coprime command.
+_COPRIME_REFUSAL = re.compile(
+    r"error: group of order \d+ has (no Hall subgroup for pi=\{[\d,]+\} \(no subgroup of order "
+    r"\d+\)|\d+ Hall subgroups for pi'=\{[\d,]+\}, so none is normal: no coprime split for "
+    r"pi=\{[\d,]+\})\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sets(st.sampled_from([2, 3, 5, 7]), min_size=1),
+       st.sampled_from(("verify-nr", "verify-wielandt")))
+def test_coprime_commands_on_random_group_files_pass_or_refuse(tmp_path_factory, rng, pi, command):
+    # Wielandt's and Navarro-Rizo's identities are theorems, so on any group
+    # file and pi a coprime command passes, is inapplicable (a complement
+    # that is not a p-group), or refuses the input with one named error
+    # line; the text report is the JSON record's text line.
+    code, text, err, as_json = _run_on_random_file(tmp_path_factory, rng, command, pi)
+    if code == 2:
+        assert _COPRIME_REFUSAL.fullmatch(err) and text == as_json == "", err
+        return
+    assert code == 0 and err == "", err
+    [record] = json.loads(as_json)
+    assert record["status"] == PASS or (command, record["status"]) == ("verify-nr", "inapplicable")
+    assert text == CheckRecord(**record).text_line() + "\n"

@@ -85,9 +85,10 @@ def test_scenarios_satisfy_coprime_invariants():
         if entry.scenario is None:
             continue
         order = FACTS[entry.name].order
-        scenario = corpus_split(entry.name)  # validates in the constructor
+        scenario = corpus_split(entry.name)  # refuses an N that is not normal
         assert scenario.group.order == order
-        assert scenario.normal.order * scenario.complement.order == order
+        assert len(scenario.normal) * len(scenario.complement) == order
+        assert scenario.normal & scenario.complement == {0}
 
 
 def test_expected_fail_marks_are_exactly_the_documented_pairs():

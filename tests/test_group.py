@@ -9,9 +9,9 @@ from math import ceil, log2
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallfix import (CapExceededError, NoHallSubgroupError, NotASubgroupError,
-                     PiSet, Permutation, build_hall_context, centralizer_order, close,
-                     corpus_entries, cyclic_lattice, is_pi_separable, load_group,
+from hallfix import (CapExceededError, NoHallSubgroupError, PiSet, Permutation,
+                     build_hall_context, centralizer_order, close, corpus_entries,
+                     cyclic_lattice, is_pi_separable, load_group,
                      multiplicative_value, parse_permutation, subgroups_of_order)
 from hallfix import cli, group as group_mod
 from hallfix.arith import pi_part, prime_divisors
@@ -19,9 +19,10 @@ from hallfix.cli import add_record
 from hallfix.group import (_TRIVIAL, DEFAULT_ELEMENT_CAP, FiniteAction, PermGroup, _core,
                            conjugacy_classes, hall_subgroups)
 from hallfix.reports import INAPPLICABLE, PASS
-from oracles import (burnside_orbit_count, canonical_hall, centralizer, conjugate_set,
-                     conjugates, divisors, element_order, greedy_chain, image_bytes, is_abelian,
-                     is_pi, is_pi_prime, is_pi_separable_direct, normal_subgroups,
+from oracles import (NotASubgroupError, burnside_orbit_count, canonical_hall, centralizer,
+                     conjugate_set, conjugates, divisors, element_order, elements, greedy_chain,
+                     image_bytes, inverse, is_abelian, is_normal_in, is_pi, is_pi_prime,
+                     is_pi_separable_direct, is_subgroup_of, normal_subgroups,
                      proper_prime_sets, psl2_11, quotient_direct, random_generating_sets,
                      s5_subgroup_classes, tau_by_element)
 
@@ -34,14 +35,14 @@ def pi_core(G, pi, side=0):
     """O_pi(G), or O_pi'(G) for side 1: the core that is_pi_separable joins,
     whose order divides |G|_pi, or |G|/|G|_pi for side 1."""
     part = pi_part(G.order, pi)
-    return G.subgroup(*_core(G, (part, G.order // part)[side], _TRIVIAL))
+    return G._subgroup(*_core(G, (part, G.order // part)[side], _TRIVIAL))
 
 
 def _subgroup_search_direct(G, m):
     """Reference search on permutations: re-closes every canonical generating
     chain from the identity and generates each subgroup by its greedy chain."""
     ident = G.identity
-    candidates = [g for g in G.elements if g != ident and m % element_order(g) == 0]
+    candidates = [g for g in elements(G) if g != ident and m % element_order(g) == 0]
     max_gens = ceil(log2(m))
     out = []
 
@@ -114,7 +115,7 @@ def test_close_matches_direct_closure(groups):
     for name, G in groups.items():
         expect = _close_direct(G.generators)
         found = close(G.generators)
-        assert found.elements == expect.elements, name
+        assert elements(found) == elements(expect), name
         assert found.generators == expect.generators, name
 
 
@@ -142,7 +143,7 @@ def _cap_refusal(cap):
 @pytest.mark.parametrize("name", ["S3", "A5"])
 def test_close_cap_boundary(groups, name):
     G = groups[name]
-    assert close(G.generators, cap=G.order).elements == G.elements
+    assert elements(close(G.generators, cap=G.order)) == elements(G)
     with pytest.raises(CapExceededError, match=_cap_refusal(G.order - 1)):
         close(G.generators, cap=G.order - 1)
 
@@ -150,7 +151,7 @@ def test_close_cap_boundary(groups, name):
 def test_close_of_degree_one_is_trivial():
     ident = Permutation.identity(1)
     for G in (close([], degree=1), close([ident])):
-        assert G.elements == (ident,) and G.generators == (ident,)
+        assert elements(G) == (ident,) and G.generators == (ident,)
 
 
 def test_close_a5():
@@ -187,9 +188,9 @@ def test_close_refuses_a_degree_over_a_byte():
 
 def test_elements_are_canonically_sorted():
     G = close([P("(1 2)", 3), P("(1 2 3)", 3)])
-    assert list(G.elements) == sorted(G.elements)
+    assert list(elements(G)) == sorted(elements(G))
     assert G.identity == Permutation.identity(3)
-    assert G.elements[0] == G.identity
+    assert elements(G)[0] == G.identity
 
 
 def test_closed_group_order_divides_symmetric_group_order(groups):
@@ -207,23 +208,22 @@ def test_lagrange_for_all_produced_subgroups(groups):
                 continue
             for H in subgroups_of_order(G, m):
                 assert G.order % H.order == 0
-                assert H.is_subgroup_of(G)
+                assert is_subgroup_of(H, G)
 
 
 def test_centralizer_examples(groups):
     S3 = groups["S3"]
-    assert centralizer_order(S3, P("(1 2 3)", 3)) == 3
-    assert centralizer_order(S3, Permutation.identity(3)) == 6
-    assert centralizer_order(S3, S3) == 1
-    # The target may lie outside the group, on the same points.
-    N = close([P("(1 2 3)", 6), P("(4 5 6)", 6)])
-    assert centralizer_order(N, P("(5 6)", 6)) == 3
-    assert centralizer_order(N, close([P("(1 2)", 6), P("(5 6)", 6)])) == 1
-
-
-def test_centralizer_degree_mismatch():
-    with pytest.raises(NotASubgroupError):
-        centralizer_order(close([P("(1 2)", 2)]), P("(1 2)", 3))
+    index, every = S3._ensure_index(), range(S3.order)
+    assert centralizer_order(S3, every, [index[image_bytes(P("(1 2 3)", 3))]]) == 3
+    assert centralizer_order(S3, every, [0]) == centralizer_order(S3, every, []) == 6
+    assert centralizer_order(S3, every, [index[g._bytes()] for g in S3.generators]) == 1
+    # The members need not hold the targets: C_N(s) for N = C3 x C3 and s a
+    # transposition or a Klein four-group of S3 x S3 outside N.
+    G = groups["S3xS3"]
+    index = G._ensure_index()
+    N = [index[image_bytes(x)] for x in elements(close([P("(1 2 3)", 6), P("(4 5 6)", 6)]))]
+    assert centralizer_order(G, N, [index[image_bytes(P("(5 6)", 6))]]) == 3
+    assert centralizer_order(G, N, [index[image_bytes(P(s, 6))] for s in ("(1 2)", "(5 6)")]) == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -232,38 +232,42 @@ def test_counted_centralizer_orders_match_the_oracle(drawn):
     # centralizer_order counts the commuting elements on image bytes; the
     # oracle builds C_G(x) from Permutation products.  Every element of a
     # group of order at most 120, else each class's first element, and each
-    # Hall subgroup as a target (by its generators).
+    # Hall subgroup as a target (by its generators), over all of G and over
+    # the Hall subgroup itself, whose centralizer there is its center.
     degree, images = drawn
     G = close([Permutation(g) for g in images], degree=degree)
-    xs = (G.elements if G.order <= 120
-          else [G.elements[cls[0]] for cls in conjugacy_classes(G)])
-    for x in xs:
-        assert centralizer_order(G, x) == centralizer(G, x).order, x
+    elems, every = elements(G), range(G.order)
+    xs = every if G.order <= 120 else [cls[0] for cls in conjugacy_classes(G)]
+    for i in xs:
+        assert centralizer_order(G, every, [i]) == centralizer(G, elems[i]).order, elems[i]
     for pi in proper_prime_sets(G):
         try:
-            H = canonical_hall(build_hall_context(G, pi))
+            ctx = build_hall_context(G, pi)
         except NoHallSubgroupError:
             continue
-        assert centralizer_order(G, H) == centralizer(G, H).order, (images, str(pi))
+        H, (members, gens) = canonical_hall(ctx), ctx._found[0]
+        assert centralizer_order(G, every, gens) == centralizer(G, H).order, (images, str(pi))
+        assert centralizer_order(G, members, gens) == centralizer(H, H).order, (images, str(pi))
 
 
 def normalizer(G, H):
     """Subgroup {g in G : g H g^-1 = H}."""
-    if not H.is_subgroup_of(G):
+    if not is_subgroup_of(H, G):
         raise NotASubgroupError("normalizer argument is not a subgroup of G")
-    hset = frozenset(H.elements)
-    elems = [g for g in G.elements if conjugate_set(hset, g) == hset]
+    hset = frozenset(elements(H))
+    elems = [g for g in elements(G) if conjugate_set(hset, g) == hset]
     return close(elems, degree=G.degree)
 
 
 def kernel(G, proj, Q):
     """The elements of G that ``proj`` sends to the identity of Q."""
-    return close([x for x in G.elements if proj[x] == Q.identity], degree=G.degree)
+    return close([x for x in elements(G) if proj[x] == Q.identity], degree=G.degree)
 
 
 def is_homomorphism(G, proj):
     """Full table check that proj(x * y) == proj(x) * proj(y)."""
-    return all(proj[x * y] == proj[x] * proj[y] for x in G.elements for y in G.elements)
+    elems = elements(G)
+    return all(proj[x * y] == proj[x] * proj[y] for x in elems for y in elems)
 
 
 def test_normalizer_examples(groups):
@@ -315,10 +319,11 @@ def test_conjugate_count_times_normalizer_is_order(groups, hall_ctx):
     assert len(contexts) == 35
     for name, ctx in contexts:
         G = ctx.group
+        elems = elements(G)
         assert sum(orbit_sizes[name]) == ctx.num_halls, name
         for size, N in ctx.hall_orbits:
             [K] = [K for K, S in zip(ctx.halls, ctx.hall_members) if S <= N]
-            assert {G.elements[i] for i in N} == set(normalizer(G, K).elements), name
+            assert {elems[i] for i in N} == set(elements(normalizer(G, K))), name
             assert len(conjugates(G, K)) == size and size * len(N) == G.order, name
 
 
@@ -327,7 +332,7 @@ def _oracle_subgroups(G, m, max_gens=3):
 
     Uses its own from-scratch index table, not the library's closure path.
     """
-    elems = list(G.elements)
+    elems = list(elements(G))
     pos = {g: i for i, g in enumerate(elems)}
     table = [[pos[a * b] for b in elems] for a in elems]
     ident = pos[G.identity]
@@ -365,7 +370,7 @@ def _oracle_subgroups(G, m, max_gens=3):
 def test_subgroups_of_order_against_exhaustive_oracle(groups, name, orders):
     G = groups[name]
     for m in orders:
-        got = [frozenset(H.elements) for H in subgroups_of_order(G, m)]
+        got = [frozenset(elements(H)) for H in subgroups_of_order(G, m)]
         expect = [frozenset(s) for s in _oracle_subgroups(G, m)]
         assert sorted(got, key=sorted) == sorted(expect, key=sorted), (name, m)
 
@@ -374,7 +379,7 @@ def test_subgroups_of_order_a5_examples(groups):
     A5 = groups["A5"]
     sylow2 = subgroups_of_order(A5, 4)
     assert len(sylow2) == 5
-    assert (sorted((frozenset(H.elements) for H in sylow2), key=sorted)
+    assert (sorted((frozenset(elements(H)) for H in sylow2), key=sorted)
             == sorted((frozenset(s) for s in _oracle_subgroups(A5, 4)), key=sorted))
     assert subgroups_of_order(A5, 20) == []
     assert _oracle_subgroups(A5, 20) == []
@@ -397,14 +402,14 @@ def test_normal_subgroups_are_actually_normal(groups):
     for name in ("S4", "SL(2,3)", "F42"):
         G = groups[name]
         for N in normal_subgroups(G):
-            assert N.is_normal_in(G)
+            assert is_normal_in(N, G)
 
 
 def test_core_pi_examples(groups):
     S4 = groups["S4"]
     v4 = pi_core(S4, PiSet([2]))
     assert v4.order == 4
-    assert all(element_order(g) in (1, 2) for g in v4.elements)
+    assert all(element_order(g) in (1, 2) for g in elements(v4))
     assert pi_core(groups["A5"], PiSet([2])).order == 1
     assert pi_core(S4, PiSet([2, 3])) == S4
 
@@ -420,7 +425,7 @@ def test_quotient_projection_is_surjective_homomorphism(groups):
     Q, proj = quotient_direct(S4, V4)
     assert Q.order == 6 and Q.degree == 6
     assert is_homomorphism(S4, proj)
-    assert set(proj.values()) == set(Q.elements)
+    assert set(proj.values()) == set(elements(Q))
     assert kernel(S4, proj, Q) == V4
 
 
@@ -446,7 +451,7 @@ def test_cores_match_the_normal_subgroup_scan(groups):
             for side, keep in enumerate((is_pi, is_pi_prime)):
                 admissible = [N for N in normals if keep(N.order, pi)]
                 best = max(admissible, key=lambda N: N.order)
-                assert all(N.is_subgroup_of(best) for N in admissible)
+                assert all(is_subgroup_of(N, best) for N in admissible)
                 assert pi_core(G, pi, side) == best, (name, str(pi), side)
             pairs += 1
     assert pairs == 88
@@ -488,8 +493,8 @@ def test_cores_of_class_rich_abelian_groups(name):
     assert is_abelian(G)
     for pi in _prime_subsets(G):
         for side, keep in enumerate((is_pi, is_pi_prime)):
-            expect = {g for g in G.elements if keep(element_order(g), pi)}
-            assert frozenset(pi_core(G, pi, side).elements) == expect, (name, str(pi))
+            expect = {g for g in elements(G) if keep(element_order(g), pi)}
+            assert frozenset(elements(pi_core(G, pi, side))) == expect, (name, str(pi))
         assert is_pi_separable(G, pi)
 
 
@@ -531,7 +536,7 @@ def test_element_orders_read_power_walks_and_build_no_classes():
     orders = A7.element_orders()
     assert (A7._classes, A7._rows) == (None, None)
     assert len(A7._walks) == A7.order
-    assert orders == tuple(element_order(g) for g in A7.elements)
+    assert orders == tuple(element_order(g) for g in elements(A7))
     assert sorted(set(orders)) == [1, 2, 3, 4, 5, 6, 7]
 
 
@@ -605,19 +610,19 @@ def test_relations_on_s5_subgroups_match_element_sets():
     # generator tuples.
     subgroups = s5_subgroup_classes()[0]
     S5 = subgroups[-1]
-    sets = [frozenset(H.elements) for H in subgroups]
+    sets = [frozenset(elements(H)) for H in subgroups]
     twins = [close(K.generators[::-1]) for K in subgroups]
-    normalizers = [frozenset(g for g in S5.elements if conjugate_set(hset, g) == hset)
+    normalizers = [frozenset(g for g in elements(S5) if conjugate_set(hset, g) == hset)
                    for hset in sets]
     contained = normal = 0
     for H, hset, norm in zip(subgroups, sets, normalizers):
         for K, kset in zip(twins, sets):
-            assert H.is_subgroup_of(K) == (hset <= kset), (H, K)
+            assert is_subgroup_of(H, K) == (hset <= kset), (H, K)
             assert (H == K) == (hset == kset), (H, K)
             if H == K:
                 assert hash(H) == hash(K), (H, K)
             if hset <= kset:
-                assert H.is_normal_in(K) == (kset <= norm), (H, K)
+                assert is_normal_in(H, K) == (kset <= norm), (H, K)
                 contained += 1
                 normal += kset <= norm
     assert (contained, normal) == (1245, 570)
@@ -639,10 +644,11 @@ def test_groups_do_not_hash_their_elements(monkeypatch):
     assert pi_core(S5, PiSet([2, 3, 5])).order == 120
     assert pi_core(S5, PiSet([3]), 1).order == 1
     A5 = close([P("(1 2 3 4 5)", 5), P("(3 4 5)", 5)])
-    assert ([centralizer_order(A5, A5.elements[cls[0]]) for cls in conjugacy_classes(A5)]
+    assert ([centralizer_order(A5, range(A5.order), [cls[0]]) for cls in conjugacy_classes(A5)]
             == [60, 3, 4, 5, 5])
-    S4 = canonical_hall(build_hall_context(S5, PiSet([2, 3])))
-    assert sorted(Z.order for Z, _ in cyclic_lattice(S4)) == [1] + [2] * 9 + [3] * 4 + [4] * 3
+    S4 = build_hall_context(S5, PiSet([2, 3])).hall_members[0]
+    assert (sorted(len(Z) for Z, _, _ in cyclic_lattice(S5, S4))
+            == [1] + [2] * 9 + [3] * 4 + [4] * 3)
     assert calls == []
 
 
@@ -659,13 +665,13 @@ def test_subgroups_grown_on_indices_are_generated_by_their_generators(groups, ha
         for pi in entry.check_pis:
             found += [pi_core(G, pi), pi_core(G, pi, 1)]
             try:
-                hall = canonical_hall(hall_ctx(entry.name, str(pi)))
+                hall = hall_ctx(entry.name, str(pi)).hall_members[0]
             except NoHallSubgroupError:
                 continue
-            found += [Z for Z, _ in cyclic_lattice(hall)]
+            found += [G._subgroup(Z, (g,)) for Z, g, _ in cyclic_lattice(G, hall)]
         for K in found:
             assert close(K.generators, degree=G.degree) == K, (entry.name, K)
-            assert K.is_subgroup_of(G), (entry.name, K)
+            assert is_subgroup_of(K, G), (entry.name, K)
         checked += len(found)
     assert checked == 340
 
@@ -681,8 +687,8 @@ def test_sylow_subgroups_match_the_full_search(groups):
     for name, G, p in cases:
         halls = build_hall_context(G, PiSet([p])).halls
         expect = subgroups_of_order(G, pi_part(G.order, PiSet([p])))
-        assert ([frozenset(K.elements) for K in halls]
-                == [frozenset(K.elements) for K in expect]), (name, p)
+        assert ([frozenset(elements(K)) for K in halls]
+                == [frozenset(elements(K)) for K in expect]), (name, p)
         assert all(close(K.generators) == K for K in halls), (name, p)
 
 
@@ -702,8 +708,8 @@ def test_hall_subgroups_match_the_full_search(groups):
             halls = build_hall_context(G, pi).halls
         except NoHallSubgroupError:
             halls = ()
-        assert ([frozenset(K.elements) for K in halls]
-                == [frozenset(K.elements) for K in expect]), (name, str(pi))
+        assert ([frozenset(elements(K)) for K in halls]
+                == [frozenset(elements(K)) for K in expect]), (name, str(pi))
         assert all(close(K.generators) == K for K in halls), (name, str(pi))
     # Hall orders with three primes, pinned from the full search (3.4 s):
     # PSL(2,11) has two classes of 11 A5s and no subgroup of order 132.
@@ -727,10 +733,11 @@ def test_conjugacy_classes_match_brute_force(groups):
             continue
         # Ascending element-index tuples, identity class first.
         classes = conjugacy_classes(G)
-        expect = {frozenset(g * x * g.inverse() for g in G.elements) for x in G.elements}
-        assert {frozenset(G.elements[i] for i in cls) for cls in classes} == expect, name
+        elems = elements(G)
+        expect = {frozenset(g * x * inverse(g) for g in elems) for x in elems}
+        assert {frozenset(elems[i] for i in cls) for cls in classes} == expect, name
         assert len(classes) == len(expect), name
-        assert classes[0] == (0,) and G.elements[0] == Permutation.identity(G.degree), name
+        assert classes[0] == (0,) and elems[0] == Permutation.identity(G.degree), name
         assert all(list(cls) == sorted(cls) for cls in classes), name
         assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes), name
 
@@ -766,7 +773,7 @@ def test_finite_action_validation(groups):
     # Transpositions acting by themselves and 3-cycles fixing every point:
     # on the generators that is the sign action, which build extends over S3.
     sign = FiniteAction.build(S3, 3, lambda g, i: _natural(g, i) if element_order(g) < 3 else i)
-    for g in S3.elements:
+    for g in elements(S3):
         for i in range(3):
             assert sign.act(g, i) == (_natural(swap, i) if element_order(g) == 2 else i)
 
@@ -774,7 +781,7 @@ def test_finite_action_validation(groups):
 def test_finite_action_matches_natural_action(groups):
     for name, G in groups.items():
         action = FiniteAction.build(G, G.degree, _natural)
-        for g in G.elements:
+        for g in elements(G):
             assert [action.act(g, i) + 1 for i in range(G.degree)] == list(g.images), name
 
 
@@ -797,7 +804,7 @@ def test_finite_action_fixed_counts(groups):
     act = FiniteAction.build(S3, 3, _natural)
     assert act.fixed_count(S3.identity) == 3
     assert act.fixed_count(P("(1 2)", 3)) == 1
-    assert burnside_orbit_count(S3, {g: act.fixed_count(g) for g in S3.elements}, 1) == 1
+    assert burnside_orbit_count(S3, {g: act.fixed_count(g) for g in elements(S3)}, 1) == 1
 
 
 def test_search_products_match_permutation_products(groups):
@@ -814,7 +821,7 @@ def test_search_products_match_permutation_products(groups):
 
 
 def _assert_search_products_match(G, name):
-    elems, by_images = G.elements, G._ensure_index()
+    elems, by_images = elements(G), G._ensure_index()
     index = {g: i for i, g in enumerate(elems)}
     assert by_images == {image_bytes(g): i for g, i in index.items()}, name
     for y in elems:
@@ -849,7 +856,7 @@ def test_indexed_search_matches_direct_search(groups):
 
 def test_element_orders_match_permutation_orders(groups):
     for name, G in groups.items():
-        assert G.element_orders() == tuple(element_order(g) for g in G.elements), name
+        assert G.element_orders() == tuple(element_order(g) for g in elements(G)), name
 
 
 def test_subgroup_search_leaves_no_garbage():

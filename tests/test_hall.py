@@ -18,10 +18,11 @@ from hallfix.cli import HALL_CHECKS, hall_records
 from hallfix.group import WORK, PermGroup, conjugacy_classes, hall_subgroups
 from hallfix.hall import lambda_report_lines, lambda_report_records
 from hallfix.reports import PASS
-from oracles import (canonical_hall, conjugated_by, conjugates, divisors, element_order,
-                     is_abelian, is_cyclic, lam_by_element, moebius_partition_check,
-                     poset_moebius, proper_prime_sets, psl2_11, random_generating_sets,
-                     seeded_search, tau_by_element, tau_by_intersection, totient)
+from oracles import (canonical_hall, conjugate_set, conjugates, divisors, element_order,
+                     elements, is_abelian, is_cyclic, is_normal_in, lam_by_element, members_in,
+                     moebius_partition_check, poset_moebius, proper_prime_sets, psl2_11,
+                     random_generating_sets, seeded_search, tau_by_element, tau_by_intersection,
+                     totient, whole_lattice)
 
 
 def test_pi_part_examples():
@@ -36,7 +37,7 @@ def test_build_hall_context_a5(hall_ctx):
     assert ctx.hall_order == 4
     lam = lam_by_element(ctx)
     assert lam[ctx.group.identity] == 5
-    involutions = [g for g in ctx.group.elements if element_order(g) == 2]
+    involutions = [g for g in elements(ctx.group) if element_order(g) == 2]
     assert len(involutions) == 15
     assert all(lam[x] == 1 for x in involutions)
 
@@ -66,10 +67,9 @@ def test_composite_hall_orders_take_the_full_search(groups):
     # of every subgroup of Hall order is the oracle.
     # GL(3,2) has two classes of S4, A5 has no subgroup of order 20.
     G = groups["GL(3,2)"]
-    halls = build_hall_context(G, PiSet([2, 3])).halls
+    halls = build_hall_context(G, PiSet([2, 3])).hall_members
     assert len(halls) == 14
-    assert ([frozenset(K.elements) for K in halls]
-            == [frozenset(K.elements) for K in subgroups_of_order(G, 24)])
+    assert list(halls) == [members_in(G, K) for K in subgroups_of_order(G, 24)]
     assert subgroups_of_order(groups["A5"], 20) == []
     with pytest.raises(NoHallSubgroupError):
         build_hall_context(groups["A5"], PiSet([2, 5]))
@@ -79,7 +79,7 @@ def test_lam_rejects_non_pi_elements(hall_ctx):
     # lam is defined on the pi-elements only: lam_values holds None elsewhere.
     ctx = hall_ctx("A5", "2")
     g = parse_permutation("(1 2 3)", 5)
-    assert ctx.lam_values[ctx.group.elements.index(g)] is None
+    assert ctx.lam_values[elements(ctx.group).index(g)] is None
     assert g not in lam_by_element(ctx)
 
 
@@ -98,8 +98,8 @@ def test_lam_matches_brute_force_membership_counts(hall_ctx):
         fingerprints = [K.fingerprint() for K in ctx.halls]
         assert fingerprints == sorted(fingerprints), (name, str(pi))
         assert list(ctx.hall_members) == [
-            frozenset(i for i, x in enumerate(G.elements) if x in K) for K in ctx.halls], name
-        expected = {x: sum(1 for K in ctx.halls if x in K) for x in G.elements
+            frozenset(i for i, x in enumerate(elements(G)) if x in K) for K in ctx.halls], name
+        expected = {x: sum(1 for K in ctx.halls if x in K) for x in elements(G)
                     if all(p in pi for p in prime_divisors(element_order(x)))}
         assert list(lam_by_element(ctx).items()) == list(expected.items()), (name, str(pi))
     assert ctx.num_halls == 35
@@ -112,7 +112,7 @@ def test_lam_only_depends_on_generated_subgroup(hall_ctx):
             ctx = hall_ctx(name, pi_text)
             by_span = {}
             for x, v in lam_by_element(ctx).items():
-                key = frozenset(close([x]).elements)
+                key = frozenset(elements(close([x])))
                 by_span.setdefault(key, set()).add(v)
             assert all(len(v) == 1 for v in by_span.values())
 
@@ -121,12 +121,12 @@ def test_burnside_cross_check_of_lambda_sum(hall_ctx):
     # sum of lam over H equals |H| times the orbit count of H on the halls.
     for name, pi_text in (("A5", "2"), ("S4", "2"), ("F21", "3"), ("A4", "3")):
         ctx = hall_ctx(name, pi_text)
-        lam, tau = lam_by_element(ctx), tau_by_element(ctx)
-        for H in ctx.halls:
-            total = sum(lam[h] for h in H.elements)
-            fixed = sum(tau[h] for h in H.elements)
+        lam, tau = ctx.lam_values, ctx.tau_values
+        for H in ctx.hall_members:
+            total = sum(lam[h] for h in H)
+            fixed = sum(tau[h] for h in H)
             assert total == fixed
-            assert total % H.order == 0
+            assert total % len(H) == 0
 
 
 def test_hall_count_is_one_or_at_least_three(groups):
@@ -138,10 +138,10 @@ def test_hall_count_is_one_or_at_least_three(groups):
             except NoHallSubgroupError:
                 continue
             if ctx.num_halls == 1:
-                assert canonical_hall(ctx).is_normal_in(ctx.group)
+                assert is_normal_in(canonical_hall(ctx), ctx.group)
             else:
                 assert ctx.num_halls >= 3
-                assert not canonical_hall(ctx).is_normal_in(ctx.group)
+                assert not is_normal_in(canonical_hall(ctx), ctx.group)
 
 
 def test_halls_conjugate_when_separable(groups):
@@ -154,48 +154,60 @@ def test_halls_conjugate_when_separable(groups):
         assert is_pi_separable(G, pi)
         ctx = build_hall_context(G, pi)
         conj = conjugates(G, canonical_hall(ctx))
-        assert sorted(K.fingerprint() for K in conj) == [
-            K.fingerprint() for K in ctx.halls]
+        assert sorted((members_in(G, K) for K in conj), key=sorted) == list(ctx.hall_members)
 
 
 def test_cyclic_lattice_v4(groups):
-    lattice = cyclic_lattice(groups["V4"])
+    lattice = whole_lattice(groups["V4"])
     by_order = {}
-    for Z, f in lattice:
-        by_order.setdefault(Z.order, []).append(f)
+    for Z, _, f in lattice:
+        by_order.setdefault(len(Z), []).append(f)
     assert by_order[1] == [-2]
     assert by_order[2] == [1, 1, 1]
-    assert sum(Z.order * f for Z, f in lattice) == 4
+    assert sum(len(Z) * f for Z, _, f in lattice) == 4
 
 
 def test_cyclic_lattice_prime_cycle():
     H = close([parse_permutation("(1 2 3 4 5)", 5)])
-    lattice = cyclic_lattice(H)
-    weights = {Z.order: f for Z, f in lattice}
+    lattice = whole_lattice(H)
+    weights = {len(Z): f for Z, _, f in lattice}
     assert len(lattice) == 2 and weights == {1: 0, 5: 1}
-    assert sum(Z.order * f for Z, f in lattice) == H.order
+    assert sum(len(Z) * f for Z, _, f in lattice) == H.order
 
 
 def test_cyclic_lattice_trivial():
-    lattice = cyclic_lattice(close([], degree=3))
-    assert len(lattice) == 1
-    assert lattice[0][1] == 1
-    assert sum(Z.order * f for Z, f in lattice) == 1
+    lattice = whole_lattice(close([], degree=3))
+    assert lattice == [(frozenset({0}), 0, 1)]
 
 
-def generator_set(Z):
-    """Elements generating the cyclic subgroup Z; there are totient(|Z|)."""
-    gens = tuple(sorted(z for z in Z.elements if element_order(z) == Z.order))
-    if len(gens) != totient(Z.order):
+def test_cyclic_lattice_of_a_subgroup_reads_the_ambient_walks(groups):
+    # Each cyclic subgroup of a Hall subgroup H of G, as G's element indices,
+    # is H's own lattice entry carried over to G's indices, generator and
+    # weight alike: H's canonical order is G's, restricted.
+    for name, pi in (("S4", PiSet([2])), ("F42", PiSet([2, 3])), ("GL(3,2)", PiSet([2, 3]))):
+        G = groups[name]
+        ctx = build_hall_context(G, pi)
+        members, H = sorted(ctx.hall_members[0]), canonical_hall(ctx)
+        assert cyclic_lattice(G, ctx.hall_members[0]) == [
+            (frozenset(members[z] for z in Z), members[g], f) for Z, g, f in whole_lattice(H)]
+
+
+def generator_set(H, Z):
+    """The elements of H at the indices Z generating that cyclic subgroup;
+    there are totient(|Z|)."""
+    elems = elements(H)
+    gens = tuple(sorted(elems[z] for z in Z if element_order(elems[z]) == len(Z)))
+    if len(gens) != totient(len(Z)):
         raise AssertionError("generator count disagrees with the totient")
     return gens
 
 
 def test_lattice_generator_sets_have_totient_size(groups):
+    # Each cyclic subgroup is generated by its least generator.
     for name in ("V4", "S3", "F20", "SL(2,3)"):
-        lattice = cyclic_lattice(groups[name]) if groups[name].order <= 24 else []
-        for Z, _ in lattice:
-            assert len(generator_set(Z)) == totient(Z.order)
+        H = groups[name]
+        for Z, g, _ in whole_lattice(H):
+            assert generator_set(H, Z)[0] == elements(H)[g], (name, sorted(Z))
 
 
 def _all_subgroups(G):
@@ -214,7 +226,8 @@ def test_partition_identity_across_small_corpus(groups):
         if G.order > 42:
             continue
         for H in _all_subgroups(G):
-            assert sum(Z.order * f for Z, f in cyclic_lattice(H)) == H.order, (entry.name, H)
+            lattice = cyclic_lattice(G, members_in(G, H))
+            assert sum(len(Z) * f for Z, _, f in lattice) == H.order, (entry.name, H)
 
 
 def test_partition_identity_on_large_group_subgroups(groups, hall_ctx):
@@ -223,18 +236,18 @@ def test_partition_identity_on_large_group_subgroups(groups, hall_ctx):
                       ("PGL(2,9)", ("2", "3", "5"))):
         for pi_text in pis:
             ctx = hall_ctx(name, pi_text)
-            for H in ctx.halls[:3]:
-                assert sum(Z.order * f for Z, f in cyclic_lattice(H)) == H.order
+            for H in ctx.hall_members[:3]:
+                assert sum(len(Z) * f for Z, _, f in cyclic_lattice(ctx.group, H)) == len(H)
 
 
 def test_moebius_partition_check_trivial(groups):
     H = groups["V4"]
-    assert moebius_partition_check(H, {x: 1 for x in H.elements})
+    assert moebius_partition_check(H, {x: 1 for x in elements(H)})
 
 
 def test_moebius_partition_check_element_orders(groups):
     H = groups["V4"]
-    assert moebius_partition_check(H, {x: element_order(x) for x in H.elements})
+    assert moebius_partition_check(H, {x: element_order(x) for x in elements(H)})
 
 
 def test_moebius_partition_check_randomized(groups):
@@ -243,7 +256,7 @@ def test_moebius_partition_check_randomized(groups):
              for H in subgroups_of_order(groups["S4"], m)]
     for trial in range(100):
         H = hosts[trial % len(hosts)]
-        gamma = {x: rng.randint(1, 9) for x in H.elements}
+        gamma = {x: rng.randint(1, 9) for x in elements(H)}
         assert moebius_partition_check(H, gamma)
 
 
@@ -252,8 +265,8 @@ def test_poset_moebius_matches_number_theoretic(groups):
     # taken with the number-theoretic one, against the poset's by brute force,
     # and spot values against a hand-expanded inclusion-exclusion on C6.
     H = close([parse_permutation("(1 2 3 4 5 6)", 6)])
-    subgroups, weights = zip(*cyclic_lattice(H))
-    orders = [Z.order for Z in subgroups]
+    subgroups, _, weights = zip(*whole_lattice(H))
+    orders = [len(Z) for Z in subgroups]
     assert sorted(orders) == [1, 2, 3, 6]
     i1 = orders.index(1)
     i6 = orders.index(6)
@@ -261,7 +274,7 @@ def test_poset_moebius_matches_number_theoretic(groups):
     assert weights[i6] == 1
     assert weights[i1] == 0      # 1 - 1 - 1 + 1
     for name in ("V4", "S3", "C6", "F20", "SL(2,3)"):
-        subgroups, weights = zip(*cyclic_lattice(groups[name]))
+        subgroups, _, weights = zip(*whole_lattice(groups[name]))
         assert list(weights) == [sum(poset_moebius(subgroups, i, j) for j in range(len(subgroups)))
                                  for i in range(len(subgroups))], name
 
@@ -279,9 +292,9 @@ def test_lambda_report_formats(hall_ctx):
 def test_conjugation_action_respects_classes(hall_ctx):
     # tau is a class function: fixed-hall counts are constant on classes.
     ctx = hall_ctx("GL(3,2)", "2")
-    tau = tau_by_element(ctx)
+    tau = ctx.tau_values
     for cls in conjugacy_classes(ctx.group):
-        assert len({tau[ctx.group.elements[i]] for i in cls}) == 1
+        assert len({tau[i] for i in cls}) == 1
 
 
 def test_conjugation_action_matches_elementwise_oracle(groups, hall_ctx):
@@ -297,10 +310,9 @@ def test_conjugation_action_matches_elementwise_oracle(groups, hall_ctx):
                 continue
             if ctx.num_halls < 2:
                 continue
-            tau = tau_by_element(ctx)
-            for g in G.elements:
-                expected = sum(frozenset(conjugated_by(K, g).elements) == frozenset(K.elements)
-                               for K in ctx.halls)
+            tau, halls = tau_by_element(ctx), [frozenset(elements(K)) for K in ctx.halls]
+            for g in elements(G):
+                expected = sum(conjugate_set(K, g) == K for K in halls)
                 assert tau[g] == expected, (entry.name, str(pi), g)
             checked.add((entry.name, str(pi)))
     # GL(3,2) with pi={2,3} has two classes of Hall subgroups, so two orbits.
@@ -556,10 +568,10 @@ def test_verify_mult_and_add_build_no_group_wide_table(monkeypatch, p, members):
     # only, and make no lam over G and no Hall subgroup as a group: verify-mult
     # reads cyclicity off its power walks.  sym-char then builds the rest.
     contexts, made = [], []
-    build, subgroup = cli.build_hall_context, PermGroup.subgroup
+    build, subgroup = cli.build_hall_context, PermGroup._subgroup
     monkeypatch.setattr(cli, "build_hall_context",
                         lambda G, pi: contexts.append(build(G, pi)) or contexts[-1])
-    monkeypatch.setattr(PermGroup, "subgroup",
+    monkeypatch.setattr(PermGroup, "_subgroup",
                         lambda G, *found: made.append(G.order) or subgroup(G, *found))
     A7 = _a7()
     records = hall_records("A7", A7, PiSet([p]), ["verify-mult", "verify-add"])
@@ -627,10 +639,11 @@ def test_hall_tests_on_element_indices_match_the_oracles():
 
 
 def test_scan_makes_no_subgroup(capsys, monkeypatch):
-    # Every Hall check of scan reads the Hall subgroups as element indices.
+    # Every check of scan reads the Hall subgroups, and the coprime split's
+    # N, H and cyclic subgroups, as element indices.
     def refuse(*args):
-        raise AssertionError("PermGroup.subgroup")
+        raise AssertionError("PermGroup._subgroup")
 
-    monkeypatch.setattr(PermGroup, "subgroup", refuse)
-    assert cli.main(["scan", "--group", "S5"]) == 0
-    assert "pass" in capsys.readouterr().out
+    monkeypatch.setattr(PermGroup, "_subgroup", refuse)
+    assert cli.main(["scan"]) == 0
+    assert "verify-wielandt" in capsys.readouterr().out

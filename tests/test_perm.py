@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hallfix import PermParseError, Permutation, format_permutation, parse_permutation
-from oracles import element_order, power
+from oracles import element_order, inverse, power
 
 
 def test_parse_basic_cycles():
@@ -91,9 +91,9 @@ def test_composition_order_convention():
 
 def test_inverse_and_powers():
     g = parse_permutation("(1 2 3 4 5)", 5)
-    assert g * g.inverse() == Permutation.identity(5)
+    assert g * inverse(g) == inverse(g) * g == Permutation.identity(5)
     assert power(g, 5) == Permutation.identity(5)
-    assert power(g, -1) == g.inverse()
+    assert power(g, -1) == inverse(g)
     assert power(g, 7) == power(g, 2) == g * g
 
 

@@ -15,8 +15,8 @@ from hallfix import (NoHallSubgroupError, Permutation, PiSet, build_hall_context
                      centralizer_order, close, is_pi_separable, pi_part, subgroups_of_order)
 from hallfix.arith import prime_divisors  # noqa: E402
 from hallfix.group import conjugacy_classes  # noqa: E402
-from oracles import (conjugated_by, element_order, is_pi_separable_direct,  # noqa: E402
-                     is_solvable, power, tau_by_element)
+from oracles import (conjugate_set, element_order, elements,  # noqa: E402
+                     is_pi_separable_direct, is_solvable, members_in, power, tau_by_element)
 
 
 @st.composite
@@ -52,11 +52,11 @@ def test_power_walks_and_classes_agree_with_sympy(gens):
     # orders, read per class, against sympy's order of each element; the
     # class sizes against sympy's conjugacy classes.
     G = close([Permutation(g) for g in gens])
-    orders = G.element_orders()
-    for i, x in enumerate(G.elements):
+    orders, elems = G.element_orders(), elements(G)
+    for i, x in enumerate(elems):
         assert orders[i] == SympyPermutation([v - 1 for v in x.images]).order(), x
         for d in [*range(element_order(x) + 2), 10**6 + 7]:
-            assert G.elements[G.power_index(i, d)] == power(x, d), (x, d)
+            assert elems[G.power_index(i, d)] == power(x, d), (x, d)
     S = PermutationGroup([SympyPermutation([i - 1 for i in g]) for g in gens])
     assert (sorted(len(c) for c in conjugacy_classes(G))
             == sorted(len(c) for c in S.conjugacy_classes()))
@@ -81,12 +81,11 @@ def test_separability_and_tau_agree_with_the_oracles(gens, data):
     except NoHallSubgroupError:
         assert subgroups_of_order(G, pi_part(G.order, pi)) == []
         return
-    assert ([frozenset(K.elements) for K in ctx.halls]
-            == [frozenset(K.elements) for K in subgroups_of_order(G, ctx.hall_order)])
-    tau = tau_by_element(ctx)
-    for g in G.elements:
-        assert tau[g] == sum(frozenset(conjugated_by(K, g).elements) == frozenset(K.elements)
-                             for K in ctx.halls)
+    assert (list(ctx.hall_members)
+            == [members_in(G, K) for K in subgroups_of_order(G, ctx.hall_order)])
+    tau, halls = tau_by_element(ctx), [frozenset(elements(K)) for K in ctx.halls]
+    for g in elements(G):
+        assert tau[g] == sum(conjugate_set(K, g) == K for K in halls)
 
 
 @settings(max_examples=25, deadline=None)
@@ -101,8 +100,9 @@ def test_sylow_counts_and_centralizers_agree_with_sympy(gens):
         sylow = list(S.sylow_subgroup(p).elements)
         conjugates = {frozenset(x ^ g for x in sylow) for g in S.elements}
         assert build_hall_context(G, PiSet([p])).num_halls == len(conjugates), p
+    elems = elements(G)
     for cls in conjugacy_classes(G):
-        x = G.elements[cls[0]]
-        order = centralizer_order(G, x)
+        x = elems[cls[0]]
+        order = centralizer_order(G, range(G.order), [cls[0]])
         assert order == S.centralizer(SympyPermutation([i - 1 for i in x.images])).order(), x
         assert order * len(cls) == G.order, x

@@ -10,21 +10,22 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 
-from hallfix import (CoprimeActionScenario, FactoredRational, FiniteAction, NoHallSubgroupError,
-                     Permutation, PiSet, additive_value, build_hall_context, centralizer_order,
-                     close, coprime_split, corpus_entries, curiosity_value, cyclic_lattice,
-                     interpretation_check, multiplicative_value, navarro_rizo_check,
-                     parse_permutation, subgroups_of_order, wielandt_check)
+from hallfix import (FactoredRational, FiniteAction, NoCoprimeSplitError, NoHallSubgroupError,
+                     Permutation, PiSet, additive_value, build_hall_context, close, coprime_split,
+                     corpus_entries, curiosity_value, cyclic_lattice, interpretation_check,
+                     multiplicative_value, navarro_rizo_check, parse_permutation, wielandt_check)
 from hallfix.arith import prime_divisors
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
-from oracles import (as_fraction, burnside_orbit_count, canonical_hall, centralizer,
-                     conjugate_set, conjugated_by, conjugates, corpus_split, cyclic_symmetrized,
-                     divisors, is_abelian, is_cyclic, is_pi_prime, lam_by_element, moebius,
-                     multiplicative_value_direct, normal_subgroups, power, power_product_pair,
-                     power_product_pair_direct, power_subgroup, power_sum_bound_holds,
-                     proper_prime_sets, quotient_direct, random_generating_sets,
-                     s5_subgroup_classes, symmetrized, tau_by_element, totient)
+from oracles import (as_fraction, burnside_orbit_count, canonical_hall, centralizer_count,
+                     conjugated_by, conjugates, corpus_split, cyclic_symmetrized, divisors,
+                     elements, is_abelian, is_cyclic, is_normal_in, is_pi_prime, lam_by_element,
+                     members_in, moebius, multiplicative_value_direct, normal_subgroups, power,
+                     power_product_pair, power_product_pair_direct, power_subgroup,
+                     power_sum_bound_holds, proper_prime_sets, quotient_direct,
+                     random_generating_sets, s5_subgroup_classes, symmetrized, tau_by_element,
+                     totient)
+from test_s6_sweep import s6_class_representatives
 
 
 def P(text, degree):
@@ -62,14 +63,17 @@ def test_multiplicative_value_a5_counterexample(hall_ctx):
 def test_multiplicative_value_independent_of_hall_choice(hall_ctx):
     for name, pi_text in (("S4", "2"), ("F21", "3"), ("A5", "2"), ("A4", "3")):
         ctx = hall_ctx(name, pi_text)
-        values = {multiplicative_value(ctx, K) for K in ctx.halls}
+        values = {multiplicative_value(ctx, K) for K in ctx.hall_members}
         assert len(values) == 1
 
 
 def test_multiplicative_value_rejects_foreign_subgroup(hall_ctx):
+    # The trivial subgroup's member set, and a Hall member set of another pi.
     ctx = hall_ctx("A5", "2")
-    with pytest.raises(ValueError, match="not one of the Hall subgroups"):
-        multiplicative_value(ctx, close([], degree=5))
+    for foreign in (frozenset({0}), hall_ctx("A5", "3").hall_members[0]):
+        for value in (multiplicative_value, additive_value):
+            with pytest.raises(ValueError, match="not one of the Hall subgroups"):
+                value(ctx, foreign)
 
 
 def test_power_products_a5(hall_ctx):
@@ -86,7 +90,7 @@ def test_power_products_gl32(hall_ctx):
     ctx = hall_ctx("GL(3,2)", "2")
     H = canonical_hall(ctx)
     lam = lam_by_element(ctx)
-    assert sorted(lam[x] for x in H.elements) == [1, 1, 5, 5, 5, 5, 5, 21]
+    assert sorted(lam[x] for x in elements(H)) == [1, 1, 5, 5, 5, 5, 5, 21]
     left, right = power_product_pair(ctx, 2)
     assert (left, right) == (2144153025, 4306640625)
 
@@ -108,7 +112,7 @@ def cyclic_hall_check(G, pi):
     exists; requires at least one cyclic member, and checks every cyclic one.
     """
     ctx = build_hall_context(G, pi)
-    cyclic_halls = [K for K in ctx.halls if is_cyclic(K)]
+    cyclic_halls = [S for S, K in zip(ctx.hall_members, ctx.halls) if is_cyclic(K)]
     if not cyclic_halls:
         raise ValueError("no Hall subgroup is cyclic; the cyclic case does not apply")
     return all(multiplicative_value(ctx, K).is_one() for K in cyclic_halls)
@@ -191,49 +195,88 @@ def test_nr_lambda_matches_hall_membership(groups, hall_ctx):
         assert result.eq2_right == FactoredRational.from_int(right)
 
 
+def _split_outcomes(cases):
+    """Per (G, pi) of ``cases``: the split, or the named error that refuses
+    it, with the first Hall pi- and pi'-contexts when both exist."""
+    for G, pi in cases:
+        try:
+            ctx = build_hall_context(G, pi)
+            dual = build_hall_context(G, PiSet(prime_divisors(G.order // ctx.hall_order)))
+        except NoHallSubgroupError:
+            with pytest.raises(NoHallSubgroupError):
+                coprime_split(G, pi)
+            yield G, pi, None, None, None
+            continue
+        try:
+            split = coprime_split(G, pi)
+        except NoCoprimeSplitError:
+            split = None
+        yield G, pi, ctx, dual, split
+
+
+def _corpus_and_s6_cases(groups):
+    corpus = [(groups[e.name], pi) for e in corpus_entries()
+              for pi in proper_prime_sets(groups[e.name])]
+    s6 = [(H, pi) for H in s6_class_representatives() for pi in proper_prime_sets(H)]
+    return {"corpus": corpus, "S6 classes": s6}
+
+
 def test_every_normal_hall_split_of_the_corpus(groups):
     # The scan runs verify-nr and verify-wielandt on 8 entries; the corpus
     # has 21 normal Hall splits G = N H, one per pi whose Hall pi'-subgroup N
-    # is normal.  The Hall pi-subgroups are then the complements of N, and
-    # x in H lies in |C_N(x) : C_N(H)| of them, so the Hall context's lam on
-    # H is the quotient of counted centralizer orders: the paper's identity
-    # generalizes Navarro-Rizo's.  Wielandt's product holds on every split,
-    # Navarro-Rizo's equations on the 16 with a p-group complement.
-    splits = p_groups = 0
-    for entry in corpus_entries():
-        G = groups[entry.name]
-        for pi in proper_prime_sets(G):
-            try:
-                split = coprime_split(G, pi)
-            except ValueError:
+    # is normal, and S6's 56 subgroup classes have 23.  The Hall
+    # pi-subgroups are then the complements of N, and x in H lies in
+    # |C_N(x) : C_N(H)| of them, so the Hall context's lam on H is the
+    # quotient of centralizer orders, counted here by Permutation products:
+    # the paper's identity generalizes Navarro-Rizo's.  Wielandt's product
+    # holds on every split, Navarro-Rizo's equations on each with a p-group
+    # complement.  These are theorems, so a failure is a bug.
+    counts = {}
+    for label, cases in _corpus_and_s6_cases(groups).items():
+        tally = Counter()
+        for G, pi, ctx, _, split in _split_outcomes(cases):
+            if split is None:
+                tally["no Hall subgroup" if ctx is None else "not normal"] += 1
                 continue
-            where, N, H = (entry.name, str(pi)), split.normal, split.complement
-            lam, index = build_hall_context(G, pi).member_counts, G._ensure_index()
-            fixed = centralizer_order(N, H)
-            for x in H.elements:
-                assert lam[index[x._bytes()]] * fixed == centralizer_order(N, x), (where, x)
+            where, N, H = (label, G, str(pi)), split.normal, split.complement
+            lam, fixed = ctx.lam_values, centralizer_count(G, N, split.complement_gens)
+            for x in H:
+                assert lam[x] * fixed == centralizer_count(G, N, [x]), (where, x)
             assert wielandt_check(split).holds, where
-            if len(prime_divisors(H.order)) == 1:
+            if len(prime_divisors(len(H))) == 1:
                 assert navarro_rizo_check(split).holds, where
-                p_groups += 1
-            splits += 1
-    assert (splits, p_groups) == (21, 16)
+                tally["p-group complement"] += 1
+            tally["split"] += 1
+        counts[label] = tally
+    assert counts == {
+        "corpus": {"split": 21, "p-group complement": 16, "not normal": 25,
+                   "no Hall subgroup": 22},
+        "S6 classes": {"split": 23, "p-group complement": 23, "not normal": 39,
+                       "no Hall subgroup": 28}}
 
 
-def test_scenario_validation():
-    S3 = close([P("(1 2)", 3), P("(1 2 3)", 3)])
-    A3 = close([P("(1 2 3)", 3)])
-    C2 = close([P("(1 2)", 3)])
-    CoprimeActionScenario(S3, A3, C2)
-    with pytest.raises(ValueError, match="normal"):
-        CoprimeActionScenario(S3, C2, A3)
-    with pytest.raises(ValueError, match="is not the product"):
-        CoprimeActionScenario(S3, A3, A3)
-    # N = H: normal, orders multiply to |G|, but N and H meet nontrivially.
-    C4 = close([P("(1 2 3 4)", 4)])
-    V = close([P("(1 3)(2 4)", 4)])
-    with pytest.raises(ValueError, match="coprime"):
-        CoprimeActionScenario(C4, V, V)
+def test_coprime_split_accepts_exactly_a_normal_hall_subgroup(groups):
+    # coprime_split decides normality by counting the Hall pi'-subgroups: a
+    # normal Hall subgroup is the only subgroup of its order, and one alone
+    # in its order is normal.  The oracle is the product test g k g^-1 in N
+    # on the first Hall pi'-subgroup, over every corpus group and proper pi
+    # and S6's 56 class representatives.  An accepted split is N and the
+    # first Hall pi-subgroup, meeting in the identity, with |N| |H| = |G|.
+    decided = Counter()
+    for cases in _corpus_and_s6_cases(groups).values():
+        for G, pi, ctx, dual, split in _split_outcomes(cases):
+            if ctx is None:
+                continue
+            normal = is_normal_in(canonical_hall(dual), G)
+            assert (split is not None) == normal, (G, str(pi))
+            decided[normal] += 1
+            if split is not None:
+                N, H = split.normal, split.complement
+                assert (N, H) == (dual.hall_members[0], ctx.hall_members[0]), (G, str(pi))
+                assert split.complement_gens == ctx._found[0][1], (G, str(pi))
+                assert N & H == {0} and len(N) * len(H) == G.order, (G, str(pi))
+                assert gcd(len(N), len(H)) == 1, (G, str(pi))
+    assert decided == {True: 44, False: 64}
 
 
 #: The N and H generators the corpus once designated for each scenario entry,
@@ -257,41 +300,17 @@ def test_coprime_split_matches_the_designated_subgroups(groups):
         G = groups[name]
         N, H = (close([P(s, G.degree) for s in gens]) for gens in (n_gens, h_gens))
         split = corpus_split(name)
-        assert split.normal == N, name
-        assert split.complement in conjugates(G, H), name
+        assert split.normal == members_in(G, N), name
+        assert split.complement in {members_in(G, K) for K in conjugates(G, H)}, name
 
 
 def test_coprime_split_refusals(groups):
     # A5 has no subgroup of order 20; in S3, C2 is found but is not normal.
     with pytest.raises(NoHallSubgroupError, match="no subgroup of order 20"):
         coprime_split(groups["A5"], PiSet([2, 5]))
-    with pytest.raises(ValueError, match="N is not a normal subgroup of G"):
+    with pytest.raises(NoCoprimeSplitError, match=r"group of order 6 has 3 Hall subgroups "
+                       r"for pi'=\{2\}, so none is normal: no coprime split for pi=\{3\}"):
         coprime_split(groups["S3"], PiSet([3]))
-
-
-def test_scenario_acceptance_matches_definition(groups):
-    # Every pair of subgroups (N, H) of S4 and S3xS3: a scenario is accepted
-    # exactly when N is normal, N and H meet trivially, |N||H| = |G| and the
-    # orders are coprime, all decided on element sets.
-    accepted = {}
-    for name in ("S4", "S3xS3"):
-        G = groups[name]
-        subgroups = [H for d in divisors(G.order) for H in subgroups_of_order(G, d)]
-        sets = [frozenset(H.elements) for H in subgroups]
-        normal = [all(conjugate_set(S, g) == S for g in G.elements) for S in sets]
-        accepted[name] = 0
-        for (N, Ns, is_normal), (H, Hs) in product(zip(subgroups, sets, normal),
-                                                   zip(subgroups, sets)):
-            expect = (is_normal and len(Ns & Hs) == 1 and N.order * H.order == G.order
-                      and gcd(N.order, H.order) == 1)
-            try:
-                CoprimeActionScenario(G, N, H)
-            except ValueError:
-                assert not expect, (name, N, H)
-            else:
-                assert expect, (name, N, H)
-                accepted[name] += 1
-    assert accepted == {"S4": 2, "S3xS3": 11}
 
 
 # ---------------------------------------------------------------- additive
@@ -317,7 +336,7 @@ def test_additive_value_independent_of_hall_choice(hall_ctx):
                           ("F21", "3"), ("S4", "3")):
         ctx = hall_ctx(name, pi_text)
         if ctx.num_halls <= 10:
-            values = {additive_value(ctx, K) for K in ctx.halls}
+            values = {additive_value(ctx, K) for K in ctx.hall_members}
             assert len(values) == 1
 
 
@@ -339,8 +358,9 @@ def test_wielandt_v4_on_c3xc3():
 
 
 def test_wielandt_trivial_complement(groups):
-    N = groups["C3xC3"]
-    scenario = CoprimeActionScenario(N, N, close([], degree=N.degree))
+    # pi={2} on C3 x C3: H is trivial and N is the whole group.
+    scenario = coprime_split(groups["C3xC3"], PiSet([2]))
+    assert (len(scenario.normal), scenario.complement) == (9, frozenset({0}))
     result = wielandt_check(scenario)
     assert result.lhs == FactoredRational.from_int(9)
     assert result.holds
@@ -353,11 +373,13 @@ def test_wielandt_all_scenarios():
 
 
 def chain_product_value(scenario, n):
-    """(|C_N(H)|^-|H| * prod |C_N(Z)|^(|Z| f(Z))) ^ totient(n), exactly."""
-    N, H = scenario.normal, scenario.complement
-    inner = FactoredRational.from_int(centralizer(N, H).order).power(-H.order)
-    for Z, f in cyclic_lattice(H):
-        inner = inner.times_pow(centralizer(N, Z).order, Z.order * f)
+    """(|C_N(H)|^-|H| * prod |C_N(Z)|^(|Z| f(Z))) ^ totient(n), exactly,
+    with the centralizer orders counted by Permutation products."""
+    G, N, H = scenario.group, scenario.normal, scenario.complement
+    fixed = centralizer_count(G, N, scenario.complement_gens)
+    inner = FactoredRational.from_int(fixed).power(-len(H))
+    for Z, g, f in cyclic_lattice(G, H):
+        inner = inner.times_pow(centralizer_count(G, N, [g]), len(Z) * f)
     return inner.power(totient(n))
 
 
@@ -385,7 +407,7 @@ def test_symmetrized_char_square_identities(hall_ctx):
         ctx = hall_ctx(name, pi_text)
         chi = tau_by_element(ctx)
         sym_alpha, alt_alpha = _s2_alpha(False), _s2_alpha(True)
-        for h in ctx.group.elements:
+        for h in elements(ctx.group):
             sym = symmetrized(sym_alpha, chi, h)
             alt = symmetrized(alt_alpha, chi, h)
             assert alt == Fraction(chi[h] ** 2 - chi[power(h, 2)], 2)
@@ -394,17 +416,17 @@ def test_symmetrized_char_square_identities(hall_ctx):
 
 
 def test_symmetrized_char_with_trivial_character(groups):
-    ones = {g: 1 for g in groups["S3"].elements}
-    h = groups["S3"].elements[1]
+    S3 = elements(groups["S3"])
+    ones, h = dict.fromkeys(S3, 1), S3[1]
     assert symmetrized(_s2_alpha(False), ones, h) == 1
     assert symmetrized(_s2_alpha(True), ones, h) == 0
 
 
 def test_cyclic_symmetrized_char_of_constant_one(groups):
-    ones = {g: 1 for g in groups["S4"].elements}
+    S4 = elements(groups["S4"])
+    ones = dict.fromkeys(S4, 1)
     for n in (2, 3, 4, 6, 12):
-        assert all(cyclic_symmetrized(ones, n, h) == 0
-                   for h in groups["S4"].elements)
+        assert all(cyclic_symmetrized(ones, n, h) == 0 for h in S4)
 
 
 def _irreducible_cubics_over_f2():
@@ -429,7 +451,7 @@ def test_cyclic_symmetrized_char_average_is_additive_value(hall_ctx):
         chi = tau_by_element(ctx)
         H = canonical_hall(ctx)
         avg = sum((cyclic_symmetrized(chi, ctx.hall_order, h)
-                   for h in H.elements), Fraction(0)) / H.order
+                   for h in elements(H)), Fraction(0)) / H.order
         assert avg == additive_value(ctx)
 
 
@@ -450,7 +472,7 @@ def _orbit_count_by_enumeration(action, H, k):
         return i
 
     for t in tuples:
-        for h in H.elements:
+        for h in elements(H):
             image = tuple(action._rows[h][p] for p in t)
             a, b = find(index[t]), find(index[image])
             if a != b:
@@ -463,9 +485,9 @@ def test_burnside_orbit_count_157(hall_ctx):
     H, G, halls = canonical_hall(ctx), ctx.group, ctx.halls
     count = burnside_orbit_count(H, tau_by_element(ctx), 4)
     assert count == 157
-    by_set = {frozenset(K.elements): i for i, K in enumerate(halls)}
+    by_set = {frozenset(elements(K)): i for i, K in enumerate(halls)}
     action = FiniteAction.build(
-        G, len(halls), lambda g, i: by_set[frozenset(conjugated_by(halls[i], g).elements)])
+        G, len(halls), lambda g, i: by_set[frozenset(elements(conjugated_by(halls[i], g)))])
     assert count == _orbit_count_by_enumeration(action, H, 4)
 
 
@@ -578,7 +600,7 @@ def test_lambda_factors_through_pi_prime_core(groups, hall_ctx):
         lam, lam_hn = lam_by_element(ctx), lam_by_element(build_hall_context(HN, pi))
         Q, proj = quotient_direct(G, N)
         lam_q = lam_by_element(build_hall_context(Q, pi))
-        for x in H.elements:
+        for x in elements(H):
             assert lam[x] == lam_hn[x] * lam_q[proj[x]]
 
 
@@ -607,19 +629,19 @@ def test_index_path_matches_permutation_oracles(groups):
             assert power_product_pair(ctx, p) == power_product_pair_direct(ctx, p), where
         # The additive value is the mean over H of the cyclic symmetrization of lam.
         lam = lam_by_element(ctx)
-        additive = sum((cyclic_symmetrized(lam, n, h) for h in H.elements),
+        additive = sum((cyclic_symmetrized(lam, n, h) for h in elements(H)),
                        Fraction(0)) / n
         assert additive_value(ctx) == additive, where
         tau = tau_by_element(ctx)
         S = sum(t * t for t in tau.values())
-        T = sum(tau[g * g] for g in G.elements)
-        averaged = sum((cyclic_symmetrized(tau, n, h) for h in H.elements),
+        T = sum(tau[g * g] for g in elements(G))
+        averaged = sum((cyclic_symmetrized(tau, n, h) for h in elements(H)),
                        Fraction(0)) / H.order
         assert sym_char_sums(ctx) == (S, T, averaged), where
         # The curiosity value is the same mean over all of G, with n = |G| up
         # to S5's order; the larger groups' sums take seconds.
         m = min(G.order, 120)
-        curiosity = sum((cyclic_symmetrized(tau, m, g) for g in G.elements),
+        curiosity = sum((cyclic_symmetrized(tau, m, g) for g in elements(G)),
                         Fraction(0)) / m
         assert curiosity_value(ctx, m) == curiosity, where
         if is_abelian(H):
@@ -628,9 +650,10 @@ def test_index_path_matches_permutation_oracles(groups):
                 power_subgroup(H, d), tau, n // d), n)
                 for d in divisors(n) if moebius(d)), Fraction(0))
             assert orbits == additive and interpretation_check(ctx), where
+            elems = elements(G)
             for d in divisors(n):
-                powers = {G.elements[G.power_index(i, d)] for i in ctx.hall_members[0]}
-                assert powers == frozenset(power_subgroup(H, d).elements), (where, d)
+                powers = {elems[G.power_index(i, d)] for i in ctx.hall_members[0]}
+                assert powers == frozenset(elements(power_subgroup(H, d))), (where, d)
         checked += 1
     assert (checked, abelian) == (56 + 24, 62)
 
@@ -648,7 +671,7 @@ def test_moebius_sums_match_the_oracles_on_random_groups(drawn):
             ctx = build_hall_context(G, pi)
         except NoHallSubgroupError:
             continue
-        where, n, H = (images, str(pi)), ctx.hall_order, canonical_hall(ctx).elements
+        where, n, H = (images, str(pi)), ctx.hall_order, elements(canonical_hall(ctx))
         for use_radical in (False, True):
             assert (multiplicative_value(ctx, use_radical=use_radical)
                     == multiplicative_value_direct(ctx, use_radical)), where
@@ -692,9 +715,10 @@ def test_power_tables_are_kept_per_hall_subgroup(groups):
             several += ctx.num_halls > 1
             H = canonical_hall(ctx)
             if is_abelian(H):
+                elems = elements(G)
                 for d in divisors(ctx.hall_order):
-                    Hd = {G.elements[j] for j in ctx.power_table(ctx.hall_members[0], d)}
-                    assert Hd == frozenset(power_subgroup(H, d).elements), (where, d)
+                    Hd = {elems[j] for j in ctx.power_table(ctx.hall_members[0], d)}
+                    assert Hd == frozenset(elements(power_subgroup(H, d))), (where, d)
     assert several == 34
 
 
