@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hallfix import (FactoredRational, FiniteAction, NoCoprimeSplitError, NoHallSubgroupError,
                      Permutation, PiSet, additive_value, build_hall_context, close, coprime_split,
                      corpus_entries, curiosity_value, cyclic_lattice, interpretation_check,
-                     multiplicative_value, navarro_rizo_check, parse_permutation, wielandt_check)
+                     multiplicative_value, navarro_rizo_check, parse_permutation, subgroups_of_order,
+                     wielandt_check)
 from hallfix.arith import prime_divisors
 from hallfix.corpus import A5_CURIOSITY
 from hallfix.verify import PowerSumTooLargeError, sym_char_sums
@@ -311,6 +312,54 @@ def test_coprime_split_refusals(groups):
     with pytest.raises(NoCoprimeSplitError, match=r"group of order 6 has 3 Hall subgroups "
                        r"for pi'=\{2\}, so none is normal: no coprime split for pi=\{3\}"):
         coprime_split(groups["S3"], PiSet([3]))
+
+
+def test_scenario_validation(groups):
+    # S3 = A3 C2 for pi = {2}; for pi = {3} the C2s are not normal.  S4 has a
+    # normal Klein four-group but no normal Hall subgroup, so no split.
+    S3 = groups["S3"]
+    split = coprime_split(S3, PiSet([2]))
+    A3 = close([P("(1 2 3)", 3)])
+    assert split.normal == members_in(S3, A3)
+    assert split.complement in {members_in(S3, close([P(t, 3)]))
+                                for t in ("(1 2)", "(1 3)", "(2 3)")}
+    assert split.complement == frozenset(split.complement_gens) | {0}
+    with pytest.raises(NoCoprimeSplitError, match="so none is normal"):
+        coprime_split(S3, PiSet([3]))
+    for pi in ([2], [3]):
+        with pytest.raises(NoCoprimeSplitError, match="so none is normal"):
+            coprime_split(groups["S4"], PiSet(pi))
+
+
+def test_scenario_acceptance_matches_definition(groups):
+    # Every pair of subgroups (N, H) of S4 and S3xS3, on element sets: (N, H)
+    # is a split when N is normal, N and H meet trivially, |N||H| = |G| and
+    # the orders are coprime.  coprime_split accepts a proper pi exactly when
+    # a split has |H| a pi-number; then N is that split's N and H one of its
+    # complements.
+    accepted = {}
+    for name in ("S4", "S3xS3"):
+        G = groups[name]
+        gs = elements(G)
+        subgroups = [H for d in divisors(G.order) for H in subgroups_of_order(G, d)]
+        sets = [members_in(G, H) for H in subgroups]
+        normal = [all(members_in(G, conjugated_by(H, g)) == S for g in gs)
+                  for H, S in zip(subgroups, sets)]
+        splits = {}
+        for (Ns, is_normal), Hs in product(zip(sets, normal), sets):
+            if (is_normal and Ns & Hs == {0} and len(Ns) * len(Hs) == G.order
+                    and gcd(len(Ns), len(Hs)) == 1):
+                splits.setdefault(PiSet(prime_divisors(len(Hs))), []).append((Ns, Hs))
+        accepted[name] = sum(map(len, splits.values()))
+        for pi in proper_prime_sets(G):
+            try:
+                split = coprime_split(G, pi)
+            except NoCoprimeSplitError:
+                assert pi not in splits, (name, str(pi))
+            else:
+                assert {N for N, _ in splits[pi]} == {split.normal}, (name, str(pi))
+                assert split.complement in {H for _, H in splits[pi]}, (name, str(pi))
+    assert accepted == {"S4": 2, "S3xS3": 11}
 
 
 # ---------------------------------------------------------------- additive
